@@ -7,13 +7,20 @@
 //! on every `f64` (the renderer uses `{:?}`, Rust's shortest-roundtrip
 //! float format, so any numeric drift fails the diff).
 //!
+//! Each fixture ends with the simulator's `measured:` block: all ten
+//! [`Measured`] fields at 9 significant digits. Next to the `predicted:`
+//! block above it, that is the paper's Table 2 predicted-vs-measured
+//! comparison as a tracked artifact: a simulator change that moves any
+//! measurement in its ninth digit, or an equation change that widens the
+//! gap, fails the diff.
+//!
 //! Regenerate with `OASYS_BLESS=1 cargo test -p oasys-suite --test
 //! golden_equivalence` (only legitimate when an intentional design-rule
 //! change is being made; the whole point of the fixtures is to prove the
 //! engine refactor changes nothing).
 
 use oasys::spec::test_cases;
-use oasys::{synthesize, OpAmpDesign, OpAmpSpec};
+use oasys::{synthesize, verify, Measured, OpAmpDesign, OpAmpSpec};
 use oasys_netlist::Element;
 use oasys_process::builtin;
 use std::fmt::Write as _;
@@ -122,10 +129,34 @@ fn render(spec: &OpAmpSpec, design: &OpAmpDesign) -> String {
     out
 }
 
+/// Renders the simulator's measurements at 9 significant digits: fine
+/// enough to catch any real drift, coarse enough to ignore the last-ulp
+/// noise of a reordered but equivalent computation.
+fn render_measured(m: &Measured) -> String {
+    let sig = |x: f64| format!("{x:.8e}");
+    let opt = |x: Option<f64>| x.map_or_else(|| "none".to_owned(), sig);
+    let mut out = String::new();
+    writeln!(out, "measured:").unwrap();
+    writeln!(out, "  dc_gain_db: {}", sig(m.dc_gain_db)).unwrap();
+    writeln!(out, "  unity_gain_hz: {}", opt(m.unity_gain_hz)).unwrap();
+    writeln!(out, "  phase_margin_deg: {}", opt(m.phase_margin_deg)).unwrap();
+    writeln!(out, "  slew_v_per_s: {}", opt(m.slew_v_per_s)).unwrap();
+    writeln!(out, "  swing_symmetric_v: {}", opt(m.swing_symmetric_v)).unwrap();
+    writeln!(out, "  offset_v: {}", opt(m.offset_v)).unwrap();
+    writeln!(out, "  power_w: {}", sig(m.power_w)).unwrap();
+    writeln!(out, "  cmrr_db: {}", opt(m.cmrr_db)).unwrap();
+    writeln!(out, "  noise_v_rthz: {}", opt(m.noise_v_rthz)).unwrap();
+    writeln!(out, "  psrr_db: {}", opt(m.psrr_db)).unwrap();
+    out
+}
+
 fn check_case(name: &str, spec: &OpAmpSpec) {
     let process = builtin::cmos_5um();
     let result = synthesize(spec, &process).expect("paper test cases must synthesize");
-    let rendered = render(spec, result.selected());
+    let design = result.selected();
+    let verification =
+        verify(design, &process, spec.load().farads()).expect("paper test cases must verify");
+    let rendered = render(spec, design) + &render_measured(&verification.measured);
     let path = fixture_path(name);
 
     if std::env::var_os("OASYS_BLESS").is_some() {
