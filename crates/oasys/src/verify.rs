@@ -16,7 +16,7 @@ use crate::styles::OpAmpDesign;
 use oasys_netlist::{Circuit, NodeId, SourceValue};
 use oasys_process::Process;
 use oasys_sim::ac::{self, AcSweepSpec, SolveAcError};
-use oasys_sim::dc::{self, SolveDcError};
+use oasys_sim::dc::{self, DcSolution, SolveDcError};
 use oasys_sim::metrics::{output_swing, AcMetrics, Bode};
 use oasys_sim::sweep;
 use oasys_sim::tran;
@@ -229,7 +229,7 @@ pub fn verify_with(
     // essentially a step; ±0.5 V of differential input always brackets it.
     let offset = {
         let _s = tel.span_sym(v.offset_null);
-        sweep::bisect_input(&bench, process, "VIP", out, 0.0, -0.5, 0.5).ok()
+        sweep::bisect_input_with(&bench, process, "VIP", out, 0.0, -0.5, 0.5, tel).ok()
     };
     if let Some(v) = offset {
         bench
@@ -257,7 +257,7 @@ pub fn verify_with(
     // configuration (fixed input common mode, the datasheet method).
     let swing = {
         let _s = tel.span_sym(v.swing);
-        measure_swing(design, process)
+        measure_swing(design, process, tel)
     };
 
     // Slew rate from a large-signal step in an inverting unity-gain
@@ -271,7 +271,7 @@ pub fn verify_with(
     // stimulus on both inputs; CMRR = A_dm / A_cm.
     let cmrr = {
         let _s = tel.span_sym(v.cmrr);
-        measure_cmrr(&bench, process, out, metrics.dc_gain.db())
+        measure_cmrr(&bench, process, &dc_solution, out, metrics.dc_gain.db())
     };
 
     // Input-referred noise at 1 kHz (well inside the open-loop passband).
@@ -285,7 +285,14 @@ pub fn verify_with(
     // Positive-supply rejection: re-excite with the AC stimulus on VDD.
     let psrr = {
         let _s = tel.span_sym(v.psrr);
-        measure_rejection(&bench, process, out, metrics.dc_gain.db(), "VDD")
+        measure_rejection(
+            &bench,
+            process,
+            &dc_solution,
+            out,
+            metrics.dc_gain.db(),
+            "VDD",
+        )
     };
 
     let measured = Measured {
@@ -309,8 +316,16 @@ pub fn verify_with(
 
 /// Measures the common-mode rejection ratio: the open-loop bench is
 /// re-excited with the AC stimulus on *both* inputs, and
-/// `CMRR = A_dm − A_cm` in dB at low frequency.
-fn measure_cmrr(bench: &Circuit, process: &Process, out: NodeId, adm_db: f64) -> Option<f64> {
+/// `CMRR = A_dm − A_cm` in dB at low frequency. AC magnitudes never
+/// enter DC assembly, so the re-excited bench shares the open-loop
+/// bench's operating point `dc`.
+fn measure_cmrr(
+    bench: &Circuit,
+    process: &Process,
+    dc: &DcSolution,
+    out: NodeId,
+    adm_db: f64,
+) -> Option<f64> {
     let mut cm_bench = bench.clone();
     // VIN gets the same unit AC stimulus VIP already carries.
     if let Some(oasys_netlist::Element::Vsource(v)) = cm_bench.element_mut("VIN") {
@@ -319,17 +334,19 @@ fn measure_cmrr(bench: &Circuit, process: &Process, out: NodeId, adm_db: f64) ->
         return None;
     }
     let spec = AcSweepSpec::new(1.0, 100.0, 1).ok()?;
-    let ac_solution = ac::solve(&cm_bench, process, &spec).ok()?;
+    let ac_solution = ac::solve_at(&cm_bench, process, dc, &spec).ok()?;
     let acm = ac_solution.transfer(out)[0].abs().max(1e-12);
     Some(adm_db - 20.0 * acm.log10())
 }
 
 /// Measures a supply-rejection ratio: move the unit AC stimulus from the
 /// input onto the named supply source and compare against the
-/// differential gain: `xSRR = A_dm − A_supply` in dB.
+/// differential gain: `xSRR = A_dm − A_supply` in dB. Like
+/// [`measure_cmrr`], it reuses the open-loop operating point `dc`.
 fn measure_rejection(
     bench: &Circuit,
     process: &Process,
+    dc: &DcSolution,
     out: NodeId,
     adm_db: f64,
     supply: &str,
@@ -344,7 +361,7 @@ fn measure_rejection(
         return None;
     }
     let spec = AcSweepSpec::new(1.0, 100.0, 1).ok()?;
-    let ac_solution = ac::solve(&sr_bench, process, &spec).ok()?;
+    let ac_solution = ac::solve_at(&sr_bench, process, dc, &spec).ok()?;
     let a_supply = ac_solution.transfer(out)[0].abs().max(1e-12);
     Some(adm_db - 20.0 * a_supply.log10())
 }
@@ -352,43 +369,66 @@ fn measure_rejection(
 /// Closed-loop gain of the swing-measurement amplifier.
 const SWING_GAIN: f64 = 10.0;
 
-/// Measures the output swing with the amp in an inverting gain-of-10
-/// configuration: the feedback holds the input common mode at the
+/// Points of the swing measurement's input sweep.
+const SWING_POINTS: usize = 241;
+
+/// The swing-measurement bench: the amp in an inverting gain-of-10
+/// configuration, whose feedback holds the input common mode at the
 /// mid-rail virtual ground, so the measurement reflects the output
 /// stage's compliance limits — the quantity the spec constrains — rather
 /// than the input stage's common-mode range.
-fn measure_swing(design: &OpAmpDesign, process: &Process) -> Option<f64> {
+///
+/// Returns the bench, its output node, and the input values the swing
+/// sweep drives through source `VSW`.
+///
+/// # Errors
+///
+/// [`VerifyError::MissingPort`] or [`VerifyError::Bench`] when the bench
+/// cannot be assembled around the design.
+pub fn swing_bench(
+    design: &OpAmpDesign,
+    process: &Process,
+) -> Result<(Circuit, NodeId, Vec<f64>), VerifyError> {
     let mut bench = design.circuit().clone();
-    let inp = bench.port("inp")?;
-    let inn = bench.port("inn")?;
-    let out = bench.port("out")?;
-    let vdd = bench.port("vdd")?;
-    let vss = bench.port("vss")?;
+    let inp = bench.port("inp").ok_or(VerifyError::MissingPort("inp"))?;
+    let inn = bench.port("inn").ok_or(VerifyError::MissingPort("inn"))?;
+    let out = bench.port("out").ok_or(VerifyError::MissingPort("out"))?;
+    let vdd = bench.port("vdd").ok_or(VerifyError::MissingPort("vdd"))?;
+    let vss = bench.port("vss").ok_or(VerifyError::MissingPort("vss"))?;
     let gnd = bench.ground();
     let vin = bench.node("swing_vin");
 
+    let map_err = |e: oasys_netlist::ValidateError| VerifyError::Bench(e.to_string());
     bench
         .add_vsource("VDD", vdd, gnd, SourceValue::dc(process.vdd().volts()))
-        .ok()?;
+        .map_err(map_err)?;
     bench
         .add_vsource("VSS", vss, gnd, SourceValue::dc(process.vss().volts()))
-        .ok()?;
+        .map_err(map_err)?;
     bench
         .add_vsource("VINP", inp, gnd, SourceValue::dc(0.0))
-        .ok()?;
+        .map_err(map_err)?;
     bench
         .add_vsource("VSW", vin, gnd, SourceValue::dc(0.0))
-        .ok()?;
+        .map_err(map_err)?;
     // Inverting amp: R1 into the virtual ground, R2 as feedback. Large
     // values so the feedback network does not load the output stage.
     let r1 = 1e6;
-    bench.add_resistor("R1", vin, inn, r1).ok()?;
-    bench.add_resistor("R2", inn, out, r1 * SWING_GAIN).ok()?;
+    bench.add_resistor("R1", vin, inn, r1).map_err(map_err)?;
+    bench
+        .add_resistor("R2", inn, out, r1 * SWING_GAIN)
+        .map_err(map_err)?;
 
     let span = process.supply_span().volts();
     let delta = 1.2 * span / (2.0 * SWING_GAIN);
-    let points = sweep::linspace(-delta, delta, 241);
-    let swept = sweep::dc_transfer(&bench, process, "VSW", &points).ok()?;
+    Ok((bench, out, sweep::linspace(-delta, delta, SWING_POINTS)))
+}
+
+/// Measures the output swing on the [`swing_bench`]: a DC transfer
+/// sweep, counted into `tel`'s `sim.dc.*` counters.
+fn measure_swing(design: &OpAmpDesign, process: &Process, tel: &Telemetry) -> Option<f64> {
+    let (bench, out, points) = swing_bench(design, process).ok()?;
+    let swept = sweep::dc_transfer_with(&bench, process, "VSW", &points, tel).ok()?;
     let (lo, hi) = output_swing(&swept, out, 0.25)?;
     Some(lo.abs().min(hi.abs()))
 }
@@ -458,9 +498,176 @@ fn measure_slew(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::plan::{DatasetPlan, PointMeta};
     use crate::spec::test_cases;
     use crate::synth::synthesize;
-    use oasys_process::builtin;
+    use oasys_process::{builtin, CornerSpeed};
+    use oasys_sim::mismatch::Mismatch;
+
+    /// The offset search's cold reference: the bracket and stopping rule
+    /// of [`sweep::bisect_input`], every evaluation a cold [`dc::solve`]
+    /// of a fresh copy of the bench.
+    fn cold_bisect(bench: &Circuit, process: &Process, out: NodeId) -> f64 {
+        let eval = |vin: f64| {
+            let mut work = bench.clone();
+            work.set_source_dc("VIP", vin).unwrap();
+            dc::solve(&work, process).unwrap().voltage(out)
+        };
+        let (mut a, mut b) = (-0.5, 0.5);
+        let mut f_lo = eval(a);
+        let f_hi = eval(b);
+        assert_ne!(f_lo.signum(), f_hi.signum(), "bracket must straddle 0 V");
+        for _ in 0..80 {
+            let mid = 0.5 * (a + b);
+            let f_mid = eval(mid);
+            if f_mid == 0.0 || (b - a).abs() < 1e-12 {
+                return mid;
+            }
+            if f_mid.signum() == f_lo.signum() {
+                a = mid;
+                f_lo = f_mid;
+            } else {
+                b = mid;
+            }
+        }
+        0.5 * (a + b)
+    }
+
+    /// Runs the warm analyses on a design's swing and offset benches,
+    /// built exactly as [`verify`] builds them, against their cold
+    /// references. Returns the swing sweep's Newton iterations, warm and
+    /// cold.
+    fn assert_warm_matches_cold(
+        label: &str,
+        design: &OpAmpDesign,
+        process: &Process,
+        load_f: f64,
+    ) -> (usize, usize) {
+        let (bench, out, points) = swing_bench(design, process).unwrap();
+        let warm = sweep::dc_transfer(&bench, process, "VSW", &points).unwrap();
+        assert_eq!(warm.len(), points.len(), "{label}: a warm point failed");
+        let mut work = bench.clone();
+        let mut cold_iterations = 0;
+        for (point, &vin) in warm.iter().zip(&points) {
+            work.set_source_dc("VSW", vin).unwrap();
+            let cold = dc::solve(&work, process).unwrap();
+            cold_iterations += cold.iterations();
+            let (w, c) = (point.solution.voltage(out), cold.voltage(out));
+            assert!(
+                (w - c).abs() <= 1e-6,
+                "{label}: swing point {vin} V: warm {w} V, cold {c} V"
+            );
+        }
+        let warm_iterations = warm.iter().map(|p| p.solution.iterations()).sum();
+
+        let (bench, out) = build_bench(design, process, load_f).unwrap();
+        let warm_offset = sweep::bisect_input(&bench, process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+        let cold_offset = cold_bisect(&bench, process, out);
+        assert!(
+            (warm_offset - cold_offset).abs() <= 1e-9,
+            "{label}: offset warm {warm_offset} V, cold {cold_offset} V"
+        );
+        (warm_iterations, cold_iterations)
+    }
+
+    /// One design under differential test.
+    struct Case {
+        label: String,
+        design: OpAmpDesign,
+        process: Process,
+        load_f: f64,
+        /// The Monte-Carlo sample `verify` would run it under.
+        mismatch: Option<Mismatch>,
+    }
+
+    /// A requirement on the manifest sample: its name and predicate.
+    type Requirement = (&'static str, fn(&PointMeta) -> bool);
+
+    /// A seeded 4-point sample of `data/dataset.manifest` that covers
+    /// both kits, a non-typical corner and a Monte-Carlo instance: one
+    /// seeded draw per requirement, redrawn until the point synthesizes.
+    fn manifest_sample() -> Vec<Case> {
+        let path =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/dataset.manifest");
+        let manifest = crate::batch::Manifest::load(path).unwrap();
+        let plan = DatasetPlan::expand(&manifest).unwrap();
+        let requirements: [Requirement; 4] = [
+            ("5 µm kit", |p| p.tech_base == "generic-5um"),
+            ("3 µm kit", |p| p.tech_base == "generic-3um"),
+            ("non-typical corner", |p| p.corner.speed != CornerSpeed::Typ),
+            ("Monte-Carlo instance", |p| p.mc_index > 0),
+        ];
+        let mut rng = oasys_testutil::Rng::seeded(12);
+        let mut chosen: Vec<usize> = Vec::new();
+        let mut sample = Vec::new();
+        for (requirement, meets) in requirements {
+            let case = loop {
+                let id = rng.range_u64(0, plan.points.len() as u64) as usize;
+                let point = &plan.points[id];
+                if chosen.contains(&id) || !meets(point) {
+                    continue;
+                }
+                let spec = crate::specfile::parse(&point.spec_text).unwrap();
+                let process = oasys_process::techfile::parse(&point.tech_text).unwrap();
+                if let Ok(result) = synthesize(&spec, &process) {
+                    chosen.push(id);
+                    break Case {
+                        label: format!(
+                            "{requirement}: point {id} ({}, mc {})",
+                            point.tech_label, point.mc_index
+                        ),
+                        design: result.selected().clone(),
+                        process,
+                        load_f: spec.load().farads(),
+                        mismatch: plan.mismatch_for(point),
+                    };
+                }
+            };
+            sample.push(case);
+        }
+        assert!(
+            sample.iter().any(|case| case.mismatch.is_some()),
+            "the sample must hold a Monte-Carlo instance"
+        );
+        sample
+    }
+
+    #[test]
+    fn warm_sweeps_match_cold_solves() {
+        let cmos = builtin::cmos_5um();
+        let mut cases = Vec::new();
+        for (name, spec) in [
+            ("case A", test_cases::spec_a()),
+            ("case B", test_cases::spec_b()),
+            ("case C", test_cases::spec_c()),
+        ] {
+            cases.push(Case {
+                label: name.to_owned(),
+                design: synthesize(&spec, &cmos).unwrap().selected().clone(),
+                process: cmos.clone(),
+                load_f: spec.load().farads(),
+                mismatch: None,
+            });
+        }
+        cases.extend(manifest_sample());
+        for case in &cases {
+            let run =
+                || assert_warm_matches_cold(&case.label, &case.design, &case.process, case.load_f);
+            let (warm, cold) = match case.mismatch {
+                Some(mismatch) => oasys_sim::mismatch::scoped(mismatch, run),
+                None => run(),
+            };
+            eprintln!(
+                "{}: swing sweep Newton iterations warm {warm}, cold {cold}",
+                case.label
+            );
+            assert!(
+                warm < cold,
+                "{}: the warm sweep must save Newton iterations ({warm} vs {cold})",
+                case.label
+            );
+        }
+    }
 
     #[test]
     fn case_a_measures_close_to_prediction() {

@@ -7,22 +7,32 @@ use oasys::dataset::{self, DatasetOptions};
 use oasys_faults::FaultSpec;
 use oasys_telemetry::Telemetry;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
+/// The fault registry is process-wide: a test that arms a fault holds
+/// this lock exclusively, and every other test that runs the pipeline
+/// holds it shared, so an armed fault never fires inside a sibling test.
+static FAULT_LOCK: RwLock<()> = RwLock::new(());
 
 /// Serializes fault-plane tests and guarantees a clean registry on exit.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+struct FaultGuard(#[allow(dead_code)] RwLockWriteGuard<'static, ()>);
 
 impl FaultGuard {
     fn acquire() -> Self {
         let guard = FAULT_LOCK
-            .lock()
+            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         oasys_faults::clear();
         Self(guard)
     }
+}
+
+/// Keeps fault-arming tests out while a fault-free test runs.
+fn no_faults_armed() -> RwLockReadGuard<'static, ()> {
+    FAULT_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Drop for FaultGuard {
@@ -88,6 +98,7 @@ fn read(path: PathBuf) -> String {
 
 #[test]
 fn two_shard_merge_is_byte_identical_to_one_shard() {
+    let _faults = no_faults_armed();
     let manifest = sampled_manifest();
     let one = tmp_dir("identity-one");
     let two = tmp_dir("identity-two");
@@ -107,6 +118,7 @@ fn two_shard_merge_is_byte_identical_to_one_shard() {
 
 #[test]
 fn seeded_generation_is_reproducible() {
+    let _faults = no_faults_armed();
     let manifest = sampled_manifest();
     let a = tmp_dir("repro-a");
     let b = tmp_dir("repro-b");
@@ -117,6 +129,7 @@ fn seeded_generation_is_reproducible() {
 
 #[test]
 fn every_record_validates_and_carries_provenance() {
+    let _faults = no_faults_armed();
     let manifest = sampled_manifest();
     let dir = tmp_dir("schema");
     generate_all(&manifest, &dir, 1, false);
@@ -151,6 +164,7 @@ fn every_record_validates_and_carries_provenance() {
 
 #[test]
 fn monte_carlo_siblings_measure_differently() {
+    let _faults = no_faults_armed();
     // One spec, one tech, three MC instances with strong mismatch;
     // verification ON so the draws reach the simulator.
     let manifest = Manifest::parse(&format!(
@@ -243,6 +257,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 #[test]
 fn flipped_bytes_in_published_shard_quarantine_and_heal_byte_identical() {
+    let _faults = no_faults_armed();
     // Property: flip arbitrary bytes in a published shard; the merge
     // must refuse to publish (quarantining exactly the damaged lines),
     // and re-running the shard must heal it back to a byte-identical
@@ -302,6 +317,7 @@ fn flipped_bytes_in_published_shard_quarantine_and_heal_byte_identical() {
 
 #[test]
 fn published_shard_reruns_are_no_ops() {
+    let _faults = no_faults_armed();
     let manifest = sampled_manifest();
     let dir = tmp_dir("republish");
     let first = dataset::generate(
@@ -324,6 +340,7 @@ fn published_shard_reruns_are_no_ops() {
 
 #[test]
 fn telemetry_counts_records_and_rejections() {
+    let _faults = no_faults_armed();
     // A range straddling the 90° phase-margin ceiling rejects some
     // draws; both counters must land in the telemetry report.
     let manifest = Manifest::parse(&format!(

@@ -5,17 +5,25 @@
 //! zero start fails, it falls back to `gmin` stepping and then source
 //! stepping — the same continuation tricks production SPICE uses — so the
 //! op-amp circuits OASYS synthesizes converge reliably.
+//!
+//! The work that does not depend on the operating point — validating
+//! the circuit, indexing its unknowns, binding every MOSFET, allocating
+//! the Jacobian — happens once per compiled [`Engine`]. A DC sweep
+//! compiles once and starts each point's Newton iteration from the
+//! previous point's solution; only when that stalls does it fall back to
+//! the cold continuation above. [`solve`] and its `*_with` variants
+//! compile and solve cold.
 
 use crate::linalg::Matrix;
-use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
+use crate::mna::{DeviceNames, SourceRef, StampPlan};
 use oasys_faults::{fail_point, Deadline, DeadlineExceeded};
 use oasys_mos::OperatingPoint;
-use oasys_netlist::{Circuit, Element, NodeId};
+use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_process::Process;
 use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Pre-interned symbols for the DC solver's span and counter names, so
 /// the per-solve telemetry path never hashes a string.
@@ -24,6 +32,7 @@ struct DcSyms {
     solves: Sym,
     newton: Sym,
     failures: Sym,
+    warm_fallbacks: Sym,
     iterations: Sym,
     error: Sym,
 }
@@ -35,6 +44,7 @@ fn dc_syms() -> &'static DcSyms {
         solves: sym("sim.dc.solves"),
         newton: sym("sim.dc.newton_iterations"),
         failures: sym("sim.dc.failures"),
+        warm_fallbacks: sym("sim.dc.warm_fallbacks"),
         iterations: sym("iterations"),
         error: sym("error"),
     })
@@ -92,6 +102,11 @@ impl Error for SolveDcError {}
 
 /// A converged DC operating point.
 ///
+/// Branch currents and device bias points are stored by position (the
+/// circuit's voltage-source and MOSFET order); the by-name accessors
+/// look the position up in a name table shared by every solution of the
+/// same compiled circuit.
+///
 /// # Examples
 ///
 /// See the crate-level example; key accessors are
@@ -100,8 +115,9 @@ impl Error for SolveDcError {}
 #[derive(Clone, Debug)]
 pub struct DcSolution {
     node_voltages: Vec<f64>,
-    branch_currents: HashMap<String, f64>,
-    device_ops: HashMap<String, OperatingPoint>,
+    branch_currents: Vec<f64>,
+    device_ops: Vec<OperatingPoint>,
+    names: Arc<DeviceNames>,
     iterations: usize,
 }
 
@@ -126,19 +142,25 @@ impl DcSolution {
     /// terminal through the source to `neg`), amperes.
     #[must_use]
     pub fn source_current(&self, name: &str) -> Option<f64> {
-        self.branch_currents.get(name).copied()
+        let k = self.names.vsources.iter().position(|n| n == name)?;
+        Some(self.branch_currents[k])
     }
 
     /// Bias point of a MOSFET by instance name.
     #[must_use]
     pub fn device_op(&self, name: &str) -> Option<&OperatingPoint> {
-        self.device_ops.get(name)
+        let k = self.names.mosfets.iter().position(|n| n == name)?;
+        Some(&self.device_ops[k])
     }
 
-    /// All device bias points.
-    #[must_use]
-    pub fn device_ops(&self) -> &HashMap<String, OperatingPoint> {
-        &self.device_ops
+    /// All device bias points with their instance names, in circuit
+    /// order.
+    pub fn device_ops(&self) -> impl Iterator<Item = (&str, &OperatingPoint)> {
+        self.names
+            .mosfets
+            .iter()
+            .map(String::as_str)
+            .zip(&self.device_ops)
     }
 
     /// Newton iterations the successful strategy used.
@@ -188,7 +210,9 @@ const ITOL: f64 = 1e-10;
 /// [`SolveDcError::NotConverged`]/[`SolveDcError::Singular`] if every
 /// continuation strategy fails.
 pub fn solve(circuit: &Circuit, process: &Process) -> Result<DcSolution, SolveDcError> {
-    solve_inner(circuit, process, &Deadline::none())
+    let mut engine = Engine::compile(circuit, process)?;
+    let solved = engine.solve(None, &Deadline::none())?;
+    Ok(engine.package(&solved))
 }
 
 /// [`solve`] with run telemetry recorded into `tel`: a `sim:dc` span plus
@@ -223,126 +247,300 @@ pub fn solve_with_deadline(
 ) -> Result<DcSolution, SolveDcError> {
     let s = dc_syms();
     let span = tel.span_sym(s.span);
-    tel.incr_sym(s.solves);
-    let result = solve_inner(circuit, process, deadline);
+    let result = Engine::compile(circuit, process).and_then(|mut engine| {
+        let solved = engine.solve(None, deadline)?;
+        Ok(engine.package(&solved))
+    });
+    count_solve(
+        tel,
+        result.as_ref().ok().map(|sol| (sol.iterations(), false)),
+    );
     if tel.is_enabled() {
         match &result {
             Ok(solution) => {
-                let iters = solution.iterations() as u64;
-                tel.add_sym(s.newton, iters);
-                tel.observe_sym(s.newton, iters);
                 span.annotate_sym(s.iterations, sym_u64(solution.iterations() as u64));
             }
-            Err(e) => {
-                tel.incr_sym(s.failures);
-                span.annotate_sym(s.error, sym_display("", e));
-            }
+            Err(e) => span.annotate_sym(s.error, sym_display("", e)),
         }
     }
     result
 }
 
-fn solve_inner(
-    circuit: &Circuit,
-    process: &Process,
-    deadline: &Deadline,
-) -> Result<DcSolution, SolveDcError> {
-    fail_point!("sim.dc.solve", |msg: String| SolveDcError::Invalid(msg));
-    circuit
-        .validate()
-        .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
+/// Records one solve into the `sim.dc.*` counters: `solves`, then, for
+/// a converged `(newton iterations, warm fallback)` outcome,
+/// `newton_iterations` (total and per-solve histogram) and
+/// `warm_fallbacks` when a warm start stalled into the cold
+/// continuation, or `failures` for `None`.
+pub(crate) fn count_solve(tel: &Telemetry, outcome: Option<(usize, bool)>) {
+    if !tel.is_enabled() {
+        return;
+    }
+    let s = dc_syms();
+    tel.incr_sym(s.solves);
+    match outcome {
+        Some((iterations, warm_fallback)) => {
+            let iters = iterations as u64;
+            tel.add_sym(s.newton, iters);
+            tel.observe_sym(s.newton, iters);
+            if warm_fallback {
+                tel.incr_sym(s.warm_fallbacks);
+            }
+        }
+        None => tel.incr_sym(s.failures),
+    }
+}
 
-    let deadline_err = |exceeded: DeadlineExceeded| SolveDcError::DeadlineExceeded {
-        circuit: circuit.title().to_owned(),
-        exceeded,
-    };
-    let index = MnaIndex::new(circuit);
-    let dim = index.dim();
-    let mut best_residual = f64::INFINITY;
+/// A converged unknown vector and how the engine reached it.
+#[derive(Clone, Debug)]
+pub(crate) struct Solved {
+    /// The unknown vector `[v_1 … v_{N-1}, i_V1 … i_VM]`.
+    pub(crate) x: Vec<f64>,
+    /// Newton iterations the successful strategy used.
+    pub(crate) iterations: usize,
+    /// The warm start stalled and the cold continuation converged.
+    pub(crate) warm_fallback: bool,
+}
 
-    // Strategy 1: plain Newton from zero.
-    let x0 = vec![0.0; dim];
-    match newton(
-        circuit,
-        process,
-        &index,
-        GMIN_FLOOR,
-        1.0,
-        x0.clone(),
-        deadline,
-    ) {
-        Ok((x, iters)) => return Ok(package(circuit, process, &index, x, iters)),
-        Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
-        Err(StageFailure::Stuck { residual, .. }) => best_residual = best_residual.min(residual),
+/// A circuit compiled once for DC analysis: validated, indexed, every
+/// MOSFET bound (inside the caller's Monte-Carlo scope, so its draws
+/// hold for every solve), and the Newton workspace allocated. Lives for
+/// one analysis — a sweep, a bisection, a transient run — and never
+/// beyond it.
+pub(crate) struct Engine<'c> {
+    circuit: &'c Circuit,
+    plan: StampPlan,
+    jac: Matrix<f64>,
+    residual: Vec<f64>,
+    delta: Vec<f64>,
+}
+
+impl<'c> Engine<'c> {
+    /// Validates and compiles `circuit`.
+    pub(crate) fn compile(circuit: &'c Circuit, process: &Process) -> Result<Self, SolveDcError> {
+        circuit
+            .validate()
+            .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
+        let plan = StampPlan::compile(circuit, process);
+        let dim = plan.index().dim();
+        Ok(Self {
+            circuit,
+            plan,
+            jac: Matrix::zeros(dim),
+            residual: vec![0.0; dim],
+            delta: vec![0.0; dim],
+        })
     }
 
-    // Strategy 2: gmin stepping.
-    let mut x = x0.clone();
-    let mut gmin = 1e-3;
-    let mut ok = true;
-    let mut total_iters = 0;
-    while gmin >= GMIN_FLOOR {
-        match newton(circuit, process, &index, gmin, 1.0, x.clone(), deadline) {
-            Ok((next, iters)) => {
-                x = next;
-                total_iters += iters;
+    /// The compiled circuit.
+    pub(crate) fn plan(&self) -> &StampPlan {
+        &self.plan
+    }
+
+    /// Resolves an independent source by name, for [`Engine::set_source`].
+    pub(crate) fn source(&self, name: &str) -> Result<SourceRef, SolveDcError> {
+        self.plan.source(name).ok_or_else(|| {
+            SolveDcError::Invalid(ValidateError::UnknownElement(name.to_owned()).to_string())
+        })
+    }
+
+    /// Sets a source's DC value for the next solve.
+    pub(crate) fn set_source(&mut self, source: SourceRef, value: f64) {
+        self.plan.set_source(source, value);
+    }
+
+    /// Solves for the operating point. With a `start` vector, Newton runs
+    /// from it first; if that stalls, the cold continuation runs exactly
+    /// as it would without one: plain Newton from zero, then `gmin`
+    /// stepping, then source stepping.
+    pub(crate) fn solve(
+        &mut self,
+        start: Option<&[f64]>,
+        deadline: &Deadline,
+    ) -> Result<Solved, SolveDcError> {
+        fail_point!("sim.dc.solve", |msg: String| SolveDcError::Invalid(msg));
+        let deadline_err = |exceeded: DeadlineExceeded| SolveDcError::DeadlineExceeded {
+            circuit: self.circuit.title().to_owned(),
+            exceeded,
+        };
+        let dim = self.plan.index().dim();
+
+        let mut warm_fallback = false;
+        if let Some(start) = start {
+            match self.newton(GMIN_FLOOR, 1.0, start.to_vec(), deadline) {
+                Ok((x, iterations)) => {
+                    return Ok(Solved {
+                        x,
+                        iterations,
+                        warm_fallback,
+                    })
+                }
+                Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
+                Err(StageFailure::Stuck { .. }) => warm_fallback = true,
             }
+        }
+        let solved = |x: Vec<f64>, iterations: usize| Solved {
+            x,
+            iterations,
+            warm_fallback,
+        };
+        let mut best_residual = f64::INFINITY;
+
+        // Strategy 1: plain Newton from zero.
+        let x0 = vec![0.0; dim];
+        match self.newton(GMIN_FLOOR, 1.0, x0.clone(), deadline) {
+            Ok((x, iters)) => return Ok(solved(x, iters)),
             Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
             Err(StageFailure::Stuck { residual, .. }) => {
-                best_residual = best_residual.min(residual);
-                ok = false;
-                break;
+                best_residual = best_residual.min(residual)
             }
         }
-        if gmin <= GMIN_FLOOR {
-            break;
-        }
-        gmin = (gmin / 100.0).max(GMIN_FLOOR);
-    }
-    if ok {
-        return Ok(package(circuit, process, &index, x, total_iters));
-    }
 
-    // Strategy 3: source stepping.
-    let mut x = x0;
-    let mut total_iters = 0;
-    let mut ok = true;
-    for step in 1..=10 {
-        let scale = f64::from(step) / 10.0;
-        match newton(
-            circuit,
-            process,
-            &index,
-            GMIN_FLOOR,
-            scale,
-            x.clone(),
-            deadline,
-        ) {
-            Ok((next, iters)) => {
-                x = next;
-                total_iters += iters;
-            }
-            Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
-            Err(StageFailure::Stuck { residual, singular }) => {
-                best_residual = best_residual.min(residual);
-                if singular {
-                    return Err(SolveDcError::Singular {
-                        circuit: circuit.title().to_owned(),
-                    });
+        // Strategy 2: gmin stepping.
+        let mut x = x0.clone();
+        let mut gmin = 1e-3;
+        let mut ok = true;
+        let mut total_iters = 0;
+        while gmin >= GMIN_FLOOR {
+            match self.newton(gmin, 1.0, x.clone(), deadline) {
+                Ok((next, iters)) => {
+                    x = next;
+                    total_iters += iters;
                 }
-                ok = false;
+                Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
+                Err(StageFailure::Stuck { residual, .. }) => {
+                    best_residual = best_residual.min(residual);
+                    ok = false;
+                    break;
+                }
+            }
+            if gmin <= GMIN_FLOOR {
                 break;
             }
+            gmin = (gmin / 100.0).max(GMIN_FLOOR);
         }
-    }
-    if ok {
-        return Ok(package(circuit, process, &index, x, total_iters));
+        if ok {
+            return Ok(solved(x, total_iters));
+        }
+
+        // Strategy 3: source stepping.
+        let mut x = x0;
+        let mut total_iters = 0;
+        let mut ok = true;
+        for step in 1..=10 {
+            let scale = f64::from(step) / 10.0;
+            match self.newton(GMIN_FLOOR, scale, x.clone(), deadline) {
+                Ok((next, iters)) => {
+                    x = next;
+                    total_iters += iters;
+                }
+                Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
+                Err(StageFailure::Stuck { residual, singular }) => {
+                    best_residual = best_residual.min(residual);
+                    if singular {
+                        return Err(SolveDcError::Singular {
+                            circuit: self.circuit.title().to_owned(),
+                        });
+                    }
+                    ok = false;
+                    break;
+                }
+            }
+        }
+        if ok {
+            return Ok(solved(x, total_iters));
+        }
+
+        Err(SolveDcError::NotConverged {
+            circuit: self.circuit.title().to_owned(),
+            residual: best_residual,
+        })
     }
 
-    Err(SolveDcError::NotConverged {
-        circuit: circuit.title().to_owned(),
-        residual: best_residual,
-    })
+    /// One Newton continuation stage. Returns the solution and iteration
+    /// count, or the best residual reached.
+    fn newton(
+        &mut self,
+        gmin: f64,
+        source_scale: f64,
+        mut x: Vec<f64>,
+        deadline: &Deadline,
+    ) -> Result<(Vec<f64>, usize), StageFailure> {
+        let mut best_residual = f64::INFINITY;
+        let sources = (self.plan.vsource_values(), self.plan.isources().1);
+
+        for iter in 0..MAX_ITERS {
+            fail_point!("sim.dc.newton");
+            if let Err(exceeded) = deadline.check() {
+                return Err(StageFailure::Deadline(exceeded));
+            }
+            self.jac.clear();
+            self.residual.fill(0.0);
+            self.plan
+                .stamp_gmin(gmin, &x, &mut self.jac, &mut self.residual);
+            self.plan
+                .stamp_elements(sources, source_scale, &x, &mut self.jac, &mut self.residual);
+
+            let res_norm = self.residual.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+            best_residual = best_residual.min(res_norm);
+
+            // Solve J·δ = −f.
+            for (d, r) in self.delta.iter_mut().zip(&self.residual) {
+                *d = -r;
+            }
+            if self.jac.solve_in_place(&mut self.delta).is_err() {
+                return Err(StageFailure::Stuck {
+                    residual: best_residual,
+                    singular: true,
+                });
+            }
+
+            // Damped update.
+            let max_delta = self.delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            let damp = if max_delta > MAX_STEP {
+                MAX_STEP / max_delta
+            } else {
+                1.0
+            };
+            for (xi, di) in x.iter_mut().zip(&self.delta) {
+                *xi += damp * di;
+            }
+            if !x.iter().all(|v| v.is_finite()) {
+                return Err(StageFailure::Stuck {
+                    residual: best_residual,
+                    singular: false,
+                });
+            }
+
+            if damp == 1.0 && max_delta < VTOL && res_norm < ITOL {
+                return Ok((x, iter + 1));
+            }
+        }
+
+        Err(StageFailure::Stuck {
+            residual: best_residual,
+            singular: false,
+        })
+    }
+
+    /// Wraps a converged unknown vector into a [`DcSolution`].
+    pub(crate) fn package(&self, solved: &Solved) -> DcSolution {
+        let x = &solved.x;
+        let nodes = self.circuit.node_count();
+        let mut node_voltages = vec![0.0; nodes];
+        node_voltages[1..nodes].copy_from_slice(&x[..nodes - 1]);
+        DcSolution {
+            node_voltages,
+            branch_currents: x[nodes - 1..].to_vec(),
+            device_ops: self
+                .plan
+                .mosfets()
+                .iter()
+                .map(|m| m.operating_point(x))
+                .collect(),
+            names: Arc::clone(self.plan.names()),
+            iterations: solved.iterations,
+        }
+    }
 }
 
 enum StageFailure {
@@ -351,232 +549,6 @@ enum StageFailure {
     Stuck { residual: f64, singular: bool },
     /// The cooperative deadline fired mid-stage.
     Deadline(DeadlineExceeded),
-}
-
-/// One Newton continuation stage. Returns the solution and iteration
-/// count, or the best residual reached.
-#[allow(clippy::too_many_arguments)]
-fn newton(
-    circuit: &Circuit,
-    process: &Process,
-    index: &MnaIndex,
-    gmin: f64,
-    source_scale: f64,
-    mut x: Vec<f64>,
-    deadline: &Deadline,
-) -> Result<(Vec<f64>, usize), StageFailure> {
-    let dim = index.dim();
-    let mut jac: Matrix<f64> = Matrix::zeros(dim);
-    let mut residual = vec![0.0; dim];
-    let mut best_residual = f64::INFINITY;
-
-    for iter in 0..MAX_ITERS {
-        fail_point!("sim.dc.newton");
-        if let Err(exceeded) = deadline.check() {
-            return Err(StageFailure::Deadline(exceeded));
-        }
-        jac.clear();
-        residual.fill(0.0);
-        assemble(
-            circuit,
-            process,
-            index,
-            gmin,
-            source_scale,
-            &x,
-            &mut jac,
-            &mut residual,
-        );
-
-        let res_norm = residual.iter().fold(0.0f64, |m, r| m.max(r.abs()));
-        best_residual = best_residual.min(res_norm);
-
-        // Solve J·δ = −f.
-        let neg_f: Vec<f64> = residual.iter().map(|r| -r).collect();
-        let delta = match jac.solve(&neg_f) {
-            Ok(d) => d,
-            Err(_) => {
-                return Err(StageFailure::Stuck {
-                    residual: best_residual,
-                    singular: true,
-                })
-            }
-        };
-
-        // Damped update.
-        let max_delta = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
-        let damp = if max_delta > MAX_STEP {
-            MAX_STEP / max_delta
-        } else {
-            1.0
-        };
-        for (xi, di) in x.iter_mut().zip(&delta) {
-            *xi += damp * di;
-        }
-        if !x.iter().all(|v| v.is_finite()) {
-            return Err(StageFailure::Stuck {
-                residual: best_residual,
-                singular: false,
-            });
-        }
-
-        if damp == 1.0 && max_delta < VTOL && res_norm < ITOL {
-            return Ok((x, iter + 1));
-        }
-    }
-
-    Err(StageFailure::Stuck {
-        residual: best_residual,
-        singular: false,
-    })
-}
-
-/// Assembles the Jacobian and residual at the point `x`.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    circuit: &Circuit,
-    process: &Process,
-    index: &MnaIndex,
-    gmin: f64,
-    source_scale: f64,
-    x: &[f64],
-    jac: &mut Matrix<f64>,
-    residual: &mut [f64],
-) {
-    let volt = |node: NodeId| index.node_var(node).map_or(0.0, |i| x[i]);
-
-    // gmin from every node to ground.
-    for node_idx in 0..circuit.node_count() - 1 {
-        jac.stamp(node_idx, node_idx, gmin);
-        residual[node_idx] += gmin * x[node_idx];
-    }
-
-    let mut vsrc_k = 0usize;
-    for element in circuit.elements() {
-        match element {
-            Element::Resistor(r) => {
-                let g = 1.0 / r.ohms;
-                let (va, vb) = (volt(r.a), volt(r.b));
-                let ia = index.node_var(r.a);
-                let ib = index.node_var(r.b);
-                if let Some(i) = ia {
-                    residual[i] += g * (va - vb);
-                    jac.stamp(i, i, g);
-                    if let Some(j) = ib {
-                        jac.stamp(i, j, -g);
-                    }
-                }
-                if let Some(i) = ib {
-                    residual[i] += g * (vb - va);
-                    jac.stamp(i, i, g);
-                    if let Some(j) = ia {
-                        jac.stamp(i, j, -g);
-                    }
-                }
-            }
-            Element::Capacitor(_) => {
-                // Open at DC.
-            }
-            Element::Isource(src) => {
-                let i0 = src.value.dc_value() * source_scale;
-                if let Some(i) = index.node_var(src.pos) {
-                    residual[i] += i0;
-                }
-                if let Some(i) = index.node_var(src.neg) {
-                    residual[i] -= i0;
-                }
-            }
-            Element::Vsource(src) => {
-                let branch = index.branch_var(vsrc_k);
-                vsrc_k += 1;
-                let i_branch = x[branch];
-                if let Some(i) = index.node_var(src.pos) {
-                    residual[i] += i_branch;
-                    jac.stamp(i, branch, 1.0);
-                }
-                if let Some(i) = index.node_var(src.neg) {
-                    residual[i] -= i_branch;
-                    jac.stamp(i, branch, -1.0);
-                }
-                // Branch equation: v_pos − v_neg − V = 0.
-                residual[branch] =
-                    volt(src.pos) - volt(src.neg) - src.value.dc_value() * source_scale;
-                if let Some(i) = index.node_var(src.pos) {
-                    jac.stamp(branch, i, 1.0);
-                }
-                if let Some(i) = index.node_var(src.neg) {
-                    jac.stamp(branch, i, -1.0);
-                }
-            }
-            Element::Mos(m) => {
-                let device = crate::mismatch::bind(m, process);
-                let stamp = mos_stamp(
-                    &device,
-                    volt(m.drain),
-                    volt(m.gate),
-                    volt(m.source),
-                    volt(m.bulk),
-                );
-                let terminals = [
-                    (m.drain, stamp.d_dvd),
-                    (m.gate, stamp.d_dvg),
-                    (m.source, stamp.d_dvs),
-                    (m.bulk, stamp.d_dvb),
-                ];
-                if let Some(i) = index.node_var(m.drain) {
-                    residual[i] += stamp.id;
-                    for (node, deriv) in terminals {
-                        if let Some(j) = index.node_var(node) {
-                            jac.stamp(i, j, deriv);
-                        }
-                    }
-                }
-                if let Some(i) = index.node_var(m.source) {
-                    residual[i] -= stamp.id;
-                    for (node, deriv) in terminals {
-                        if let Some(j) = index.node_var(node) {
-                            jac.stamp(i, j, -deriv);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Wraps a converged unknown vector into a [`DcSolution`].
-fn package(
-    circuit: &Circuit,
-    process: &Process,
-    index: &MnaIndex,
-    x: Vec<f64>,
-    iterations: usize,
-) -> DcSolution {
-    let mut node_voltages = vec![0.0; circuit.node_count()];
-    node_voltages[1..circuit.node_count()].copy_from_slice(&x[..circuit.node_count() - 1]);
-
-    let mut branch_currents = HashMap::new();
-    for k in 0..index.vsource_count() {
-        branch_currents.insert(index.vsource_name(k).to_owned(), x[index.branch_var(k)]);
-    }
-
-    let volt = |node: NodeId| node_voltages[node.index()];
-    let mut device_ops = HashMap::new();
-    for (inst, device) in bound_mosfets(circuit, process) {
-        let op = device.operating_point(
-            volt(inst.gate) - volt(inst.source),
-            volt(inst.drain) - volt(inst.source),
-            volt(inst.source) - volt(inst.bulk),
-        );
-        device_ops.insert(inst.name.clone(), op);
-    }
-
-    DcSolution {
-        node_voltages,
-        branch_currents,
-        device_ops,
-        iterations,
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,11 @@
 //!
 //! MNA matrices for the circuits OASYS synthesizes are tiny (tens of
 //! unknowns), so a dense O(n³) solver is the right tool; sparse machinery
-//! would be pure overhead.
+//! would be pure overhead. The kernel swaps pivot rows physically, so
+//! every elimination runs over two contiguous row slices, and it skips a
+//! row whose multiplier is exactly zero. MNA rows are mostly zeros, so
+//! that skip removes most of the work, and it cannot change a finite
+//! result: subtracting `0·u` leaves each entry equal under `==`.
 
 use crate::complex::Complex;
 use std::fmt;
@@ -119,8 +123,8 @@ impl<T: Scalar> Matrix<T> {
         self.data.fill(T::ZERO);
     }
 
-    /// Solves `A·x = b` by LU with partial pivoting, consuming a copy of
-    /// the matrix (the receiver is untouched).
+    /// Solves `A·x = b` by LU with partial pivoting on a copy of the
+    /// matrix (the receiver is untouched).
     ///
     /// # Errors
     ///
@@ -131,70 +135,81 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, SingularMatrixError> {
-        assert_eq!(b.len(), self.n, "rhs length must match matrix dimension");
         let mut lu = self.clone();
-        let perm = lu.factorize_in_place()?;
-        Ok(lu.solve_factored(&perm, b))
+        let mut x = b.to_vec();
+        lu.solve_in_place(&mut x)?;
+        Ok(x)
     }
 
-    /// In-place LU factorization with partial pivoting. Returns the row
-    /// permutation.
-    fn factorize_in_place(&mut self) -> Result<Vec<usize>, SingularMatrixError> {
+    /// Solves `A·x = b` in place: on success `b` holds `x` and the matrix
+    /// holds its LU factors, rows in pivot order. Newton loops reassemble
+    /// the matrix every iteration anyway, so they hand it over here
+    /// instead of paying for a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] if no pivot above the absolute
+    /// threshold `1e-300` exists in some column; the matrix and `b` are
+    /// then partially eliminated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the matrix dimension.
+    pub fn solve_in_place(&mut self, b: &mut [T]) -> Result<(), SingularMatrixError> {
         let n = self.n;
-        let mut perm: Vec<usize> = (0..n).collect();
+        assert_eq!(b.len(), n, "rhs length must match matrix dimension");
         for k in 0..n {
-            // Find the pivot row.
+            // Find the pivot row: the first largest magnitude in column k.
             let mut best = k;
-            let mut best_norm = self.data[perm[k] * n + k].norm();
-            for (offset, &row) in perm.iter().enumerate().skip(k + 1) {
+            let mut best_norm = self.data[k * n + k].norm();
+            for row in k + 1..n {
                 let candidate = self.data[row * n + k].norm();
                 if candidate > best_norm {
-                    best = offset;
+                    best = row;
                     best_norm = candidate;
                 }
             }
             if best_norm < 1e-300 || !best_norm.is_finite() {
                 return Err(SingularMatrixError { column: k });
             }
-            perm.swap(k, best);
-            let pivot_row = perm[k];
-            let pivot = self.data[pivot_row * n + k];
-            for &row in &perm[k + 1..] {
-                let factor = self.data[row * n + k] / pivot;
-                self.data[row * n + k] = factor;
-                for j in k + 1..n {
-                    let sub = factor * self.data[pivot_row * n + j];
-                    self.data[row * n + j] = self.data[row * n + j] - sub;
+            if best != k {
+                let (upper, lower) = self.data.split_at_mut(best * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                b.swap(k, best);
+            }
+            let (done, below) = self.data.split_at_mut((k + 1) * n);
+            let pivot_row = &done[k * n..];
+            let pivot = pivot_row[k];
+            for row in below.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                if factor == T::ZERO {
+                    continue;
+                }
+                for (entry, &upper) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                    *entry = *entry - factor * upper;
                 }
             }
         }
-        Ok(perm)
-    }
-
-    /// Forward/back substitution against a previously factorized matrix.
-    // The permuted row indexing makes iterator rewrites less readable.
-    #[allow(clippy::needless_range_loop)]
-    fn solve_factored(&self, perm: &[usize], b: &[T]) -> Vec<T> {
-        let n = self.n;
-        // Forward: L·y = P·b (unit diagonal L).
-        let mut y = vec![T::ZERO; n];
+        // Forward: L·y = P·b (unit diagonal L; `b` is already permuted).
         for k in 0..n {
-            let mut acc = b[perm[k]];
-            for j in 0..k {
-                acc = acc - self.data[perm[k] * n + j] * y[j];
-            }
-            y[k] = acc;
+            let row = &self.data[k * n..k * n + k];
+            let y = row
+                .iter()
+                .zip(&b[..k])
+                .fold(b[k], |acc, (&l, &yj)| acc - l * yj);
+            b[k] = y;
         }
         // Back: U·x = y.
-        let mut x = vec![T::ZERO; n];
         for k in (0..n).rev() {
-            let mut acc = y[k];
-            for j in k + 1..n {
-                acc = acc - self.data[perm[k] * n + j] * x[j];
-            }
-            x[k] = acc / self.data[perm[k] * n + k];
+            let row = &self.data[k * n..(k + 1) * n];
+            let acc = row[k + 1..]
+                .iter()
+                .zip(&b[k + 1..])
+                .fold(b[k], |acc, (&u, &xj)| acc - u * xj);
+            b[k] = acc / row[k];
         }
-        x
+        Ok(())
     }
 
     /// Computes `A·x` (for residual checks and tests).
@@ -233,6 +248,232 @@ impl<T: Scalar> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oasys_testutil::Rng;
+
+    /// The permutation-indexed LU this module shipped before the kernel
+    /// swapped rows physically: the oracle the kernel must match.
+    fn reference_solve<T: Scalar>(m: &Matrix<T>, b: &[T]) -> Result<Vec<T>, SingularMatrixError> {
+        let n = m.n;
+        let mut a = m.data.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            let mut best = k;
+            let mut best_norm = a[perm[k] * n + k].norm();
+            for (offset, &row) in perm.iter().enumerate().skip(k + 1) {
+                let candidate = a[row * n + k].norm();
+                if candidate > best_norm {
+                    best = offset;
+                    best_norm = candidate;
+                }
+            }
+            if best_norm < 1e-300 || !best_norm.is_finite() {
+                return Err(SingularMatrixError { column: k });
+            }
+            perm.swap(k, best);
+            let pivot_row = perm[k];
+            let pivot = a[pivot_row * n + k];
+            for &row in &perm[k + 1..] {
+                let factor = a[row * n + k] / pivot;
+                a[row * n + k] = factor;
+                for j in k + 1..n {
+                    let sub = factor * a[pivot_row * n + j];
+                    a[row * n + j] = a[row * n + j] - sub;
+                }
+            }
+        }
+        let mut y = vec![T::ZERO; n];
+        for k in 0..n {
+            let mut acc = b[perm[k]];
+            for j in 0..k {
+                acc = acc - a[perm[k] * n + j] * y[j];
+            }
+            y[k] = acc;
+        }
+        let mut x = vec![T::ZERO; n];
+        for k in (0..n).rev() {
+            let mut acc = y[k];
+            for j in k + 1..n {
+                acc = acc - a[perm[k] * n + j] * x[j];
+            }
+            x[k] = acc / a[perm[k] * n + k];
+        }
+        Ok(x)
+    }
+
+    /// The system families the oracle test draws from.
+    #[derive(Clone, Copy, Debug)]
+    enum Family {
+        /// Every entry nonzero.
+        Dense,
+        /// Tiny diagonal, large off-diagonal: every column pivots.
+        PivotForcing,
+        /// A duplicated row or an all-zero column.
+        Singular,
+        /// Conductance stamps plus voltage-source branch rows: sparse,
+        /// zero-diagonal branch rows, many exact-zero multipliers.
+        Mna,
+    }
+
+    /// Draws one `n×n` system of a family; `entry` turns a real draw into
+    /// a scalar (the complex variant adds a random imaginary part).
+    fn draw<T: Scalar>(
+        rng: &mut Rng,
+        family: Family,
+        n: usize,
+        entry: &dyn Fn(&mut Rng, f64) -> T,
+    ) -> Matrix<T> {
+        let mut m: Matrix<T> = Matrix::zeros(n);
+        match family {
+            Family::Dense => {
+                for i in 0..n {
+                    for j in 0..n {
+                        let v = rng.range_f64(-1.0, 1.0);
+                        m[(i, j)] = entry(rng, v);
+                    }
+                }
+            }
+            Family::PivotForcing => {
+                for i in 0..n {
+                    for j in 0..n {
+                        let scale = if i == j { 1e-9 } else { 1.0 };
+                        let v = scale * rng.range_f64(-1.0, 1.0);
+                        m[(i, j)] = entry(rng, v);
+                    }
+                }
+            }
+            Family::Singular => {
+                for i in 0..n {
+                    for j in 0..n {
+                        let v = rng.range_f64(-1.0, 1.0);
+                        m[(i, j)] = entry(rng, v);
+                    }
+                }
+                if rng.range_u64(0, 2) == 0 {
+                    let from = rng.range_u64(0, n as u64) as usize;
+                    let to = rng.range_u64(0, n as u64) as usize;
+                    if from != to {
+                        for j in 0..n {
+                            m[(to, j)] = m[(from, j)];
+                        }
+                    } else {
+                        for j in 0..n {
+                            m[(to, j)] = T::ZERO;
+                        }
+                    }
+                } else {
+                    let col = rng.range_u64(0, n as u64) as usize;
+                    for i in 0..n {
+                        m[(i, col)] = T::ZERO;
+                    }
+                }
+            }
+            Family::Mna => {
+                let branches = rng.range_u64(0, (n as u64 / 3) + 1) as usize;
+                let nodes = n - branches;
+                for i in 0..nodes {
+                    m.stamp(i, i, entry(rng, 1e-12));
+                }
+                for _ in 0..nodes + 2 {
+                    let a = rng.range_u64(0, nodes as u64) as usize;
+                    let b = rng.range_u64(0, nodes as u64 + 1) as usize;
+                    let g = rng.range_f64(1e-6, 1e-3);
+                    let y = entry(rng, g);
+                    m.stamp(a, a, y);
+                    if b < nodes && b != a {
+                        m.stamp(b, b, y);
+                        m.stamp(a, b, -y);
+                        m.stamp(b, a, -y);
+                    }
+                }
+                for k in 0..branches {
+                    let node = rng.range_u64(0, nodes as u64) as usize;
+                    m.stamp(node, nodes + k, T::ONE);
+                    m.stamp(nodes + k, node, T::ONE);
+                }
+            }
+        }
+        m
+    }
+
+    /// Runs every family through both implementations and demands equal
+    /// solutions under `==` (so `±0` compare equal) or the same singular
+    /// column.
+    fn check_against_oracle<T: Scalar>(name: &str, entry: &dyn Fn(&mut Rng, f64) -> T) {
+        let families = [
+            Family::Dense,
+            Family::PivotForcing,
+            Family::Singular,
+            Family::Mna,
+        ];
+        for case in 0..400u64 {
+            let mut rng = Rng::for_case(name, case);
+            let family = families[(case % 4) as usize];
+            let n = rng.range_u64(1, 25) as usize;
+            let m = draw(&mut rng, family, n, entry);
+            let b: Vec<T> = (0..n)
+                .map(|_| {
+                    let v = rng.range_f64(-1.0, 1.0);
+                    entry(&mut rng, v)
+                })
+                .collect();
+            let expected = reference_solve(&m, &b);
+            let actual = m.solve(&b);
+            assert_eq!(actual, expected, "case {case} ({family:?}, n = {n})");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_permutation_indexed_oracle_on_real_systems() {
+        check_against_oracle::<f64>("lu-oracle-real", &|_, v| v);
+    }
+
+    #[test]
+    fn kernel_matches_permutation_indexed_oracle_on_complex_systems() {
+        check_against_oracle::<Complex>("lu-oracle-complex", &|rng, v| {
+            if v == 0.0 {
+                Complex::ZERO
+            } else {
+                Complex::new(v, rng.range_f64(-1.0, 1.0) * v.abs())
+            }
+        });
+    }
+
+    #[test]
+    fn oracle_families_exercise_every_path() {
+        // The families must actually reach singular columns and skipped
+        // multipliers, or the oracle comparison proves less than it says.
+        let mut singular = 0;
+        let mut zero_multipliers = 0;
+        for case in 0..400u64 {
+            let mut rng = Rng::for_case("lu-oracle-real", case);
+            let family = [
+                Family::Dense,
+                Family::PivotForcing,
+                Family::Singular,
+                Family::Mna,
+            ][(case % 4) as usize];
+            let n = rng.range_u64(1, 25) as usize;
+            let m = draw(&mut rng, family, n, &|_, v: f64| v);
+            let mut lu = m.clone();
+            let mut b = vec![1.0; n];
+            if lu.solve_in_place(&mut b).is_err() {
+                singular += 1;
+            } else {
+                for i in 0..n {
+                    for j in 0..i {
+                        if lu[(i, j)] == 0.0 {
+                            zero_multipliers += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(singular >= 50, "only {singular} singular systems");
+        assert!(
+            zero_multipliers >= 1000,
+            "only {zero_multipliers} zero multipliers"
+        );
+    }
 
     #[test]
     fn solves_identity() {

@@ -4,10 +4,18 @@
 //! output voltage swing (sweep the input, watch where the output stops
 //! following) and systematic input offset (bisect for the input voltage
 //! that centers the output).
+//!
+//! Both compile the circuit once and solve it many times. Only the first
+//! point is solved cold; every later point starts Newton from the last
+//! converged solution, which sits a small input step away, and falls back
+//! to the cold continuation only if that stalls.
 
-use crate::dc::{self, DcSolution, SolveDcError};
+use crate::dc::{self, DcSolution, Engine, SolveDcError};
+use crate::mna::volt;
+use oasys_faults::Deadline;
 use oasys_netlist::{Circuit, NodeId};
 use oasys_process::Process;
+use oasys_telemetry::Telemetry;
 
 /// One point of a DC transfer sweep.
 #[derive(Clone, Debug)]
@@ -59,21 +67,55 @@ pub fn dc_transfer(
     source_name: &str,
     values: &[f64],
 ) -> Result<Vec<SweepPoint>, SolveDcError> {
-    let mut work = circuit.clone();
-    // Fail early on a bad source name.
-    work.set_source_dc(source_name, values.first().copied().unwrap_or(0.0))
-        .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
+    dc_transfer_with(
+        circuit,
+        process,
+        source_name,
+        values,
+        &Telemetry::disabled(),
+    )
+}
+
+/// [`dc_transfer`] with every point's solve counted into `tel`'s
+/// `sim.dc.solves` / `sim.dc.newton_iterations` / `sim.dc.failures` /
+/// `sim.dc.warm_fallbacks` counters. It opens no span, so a sweep's
+/// time stays in its caller's span.
+///
+/// # Errors
+///
+/// Same failure modes as [`dc_transfer`].
+pub fn dc_transfer_with(
+    circuit: &Circuit,
+    process: &Process,
+    source_name: &str,
+    values: &[f64],
+    tel: &Telemetry,
+) -> Result<Vec<SweepPoint>, SolveDcError> {
+    let mut engine = Engine::compile(circuit, process)?;
+    let source = engine.source(source_name)?;
+    let deadline = Deadline::none();
 
     let mut points = Vec::with_capacity(values.len());
     let mut last_err = None;
+    let mut last_x: Option<Vec<f64>> = None;
     for &value in values {
-        work.set_source_dc(source_name, value)
-            .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
-        match dc::solve(&work, process) {
-            Ok(solution) => points.push(SweepPoint {
-                input: value,
-                solution,
-            }),
+        engine.set_source(source, value);
+        let result = engine.solve(last_x.as_deref(), &deadline);
+        dc::count_solve(
+            tel,
+            result
+                .as_ref()
+                .ok()
+                .map(|s| (s.iterations, s.warm_fallback)),
+        );
+        match result {
+            Ok(solved) => {
+                points.push(SweepPoint {
+                    input: value,
+                    solution: engine.package(&solved),
+                });
+                last_x = Some(solved.x);
+            }
             Err(e) => last_err = Some(e),
         }
     }
@@ -121,11 +163,54 @@ pub fn bisect_input(
     lo: f64,
     hi: f64,
 ) -> Result<f64, SolveDcError> {
-    let mut work = circuit.clone();
+    bisect_input_with(
+        circuit,
+        process,
+        source_name,
+        target_node,
+        target_voltage,
+        lo,
+        hi,
+        &Telemetry::disabled(),
+    )
+}
+
+/// [`bisect_input`] with every evaluation's solve counted into `tel`, as
+/// [`dc_transfer_with`] counts its points. It opens no span.
+///
+/// # Errors
+///
+/// Same failure modes as [`bisect_input`].
+#[allow(clippy::too_many_arguments)]
+pub fn bisect_input_with(
+    circuit: &Circuit,
+    process: &Process,
+    source_name: &str,
+    target_node: NodeId,
+    target_voltage: f64,
+    lo: f64,
+    hi: f64,
+    tel: &Telemetry,
+) -> Result<f64, SolveDcError> {
+    let mut engine = Engine::compile(circuit, process)?;
+    let source = engine.source(source_name)?;
+    let target = engine.plan().index().node_var(target_node);
+    let deadline = Deadline::none();
+    let mut last_x: Option<Vec<f64>> = None;
     let mut eval = |vin: f64| -> Result<f64, SolveDcError> {
-        work.set_source_dc(source_name, vin)
-            .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
-        Ok(dc::solve(&work, process)?.voltage(target_node) - target_voltage)
+        engine.set_source(source, vin);
+        let result = engine.solve(last_x.as_deref(), &deadline);
+        dc::count_solve(
+            tel,
+            result
+                .as_ref()
+                .ok()
+                .map(|s| (s.iterations, s.warm_fallback)),
+        );
+        let solved = result?;
+        let v = volt(&solved.x, target);
+        last_x = Some(solved.x);
+        Ok(v - target_voltage)
     };
 
     let mut f_lo = eval(lo)?;

@@ -10,10 +10,14 @@
 //!
 //! Time-varying stimuli are supplied per source name through [`Stimuli`];
 //! sources without an override hold their DC value.
+//!
+//! A run compiles the circuit once: the initial operating point and every
+//! timestep stamp from the same device list, bound at compile time.
 
-use crate::dc::{self, DcSolution, SolveDcError};
+use crate::dc::{Engine, SolveDcError};
 use crate::linalg::Matrix;
-use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
+use crate::mna::{volt, SourceRef, StampPlan};
+use oasys_faults::Deadline;
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
@@ -334,75 +338,57 @@ fn solve_inner(
     spec: &TranSpec,
     stimuli: &Stimuli,
 ) -> Result<TranSolution, SolveTranError> {
-    // Initial condition at t = 0 with the stimuli applied.
-    let mut init = circuit.clone();
-    for v in circuit.vsources() {
-        if let Some(value) = stimuli.value_at(&v.name, 0.0) {
-            init.set_source_dc(&v.name, value)
-                .map_err(|e| SolveTranError::BadSpec(e.to_string()))?;
-        }
+    let mut engine = Engine::compile(circuit, process)?;
+    let mut sources = SourceTable::new(engine.plan(), stimuli);
+
+    // Initial condition: the DC point with every stimulus at t = 0.
+    sources.at(0.0);
+    for (source, value) in sources.overrides() {
+        engine.set_source(source, value);
     }
-    for i in circuit.isources() {
-        if let Some(value) = stimuli.value_at(&i.name, 0.0) {
-            init.set_source_dc(&i.name, value)
-                .map_err(|e| SolveTranError::BadSpec(e.to_string()))?;
-        }
-    }
-    let dc0 = dc::solve(&init, process)?;
+    let x = engine.solve(None, &Deadline::none())?.x;
+    let plan = engine.plan();
 
     // Collect all capacitances as (node_a, node_b, farads): explicit
-    // capacitors plus frozen device capacitances.
-    let caps = collect_capacitances(circuit, process, &dc0);
-
-    let index = MnaIndex::new(circuit);
-    let dim = index.dim();
-
-    // Unknown vector from the DC solution.
-    let mut x = vec![0.0; dim];
-    x[..circuit.node_count() - 1].copy_from_slice(&dc0.node_voltages()[1..]);
-    for k in 0..index.vsource_count() {
-        x[index.branch_var(k)] = dc0.source_current(index.vsource_name(k)).unwrap_or(0.0);
-    }
+    // capacitors plus device capacitances frozen at the initial point.
+    let caps = collect_capacitances(circuit, plan, &x);
 
     let steps = (spec.t_stop / spec.dt).ceil() as usize;
+    let nodes = circuit.node_count();
     let mut times = Vec::with_capacity(steps + 1);
     let mut voltages = Vec::with_capacity(steps + 1);
     let push_state = |times: &mut Vec<f64>, voltages: &mut Vec<Vec<f64>>, t: f64, x: &[f64]| {
-        let mut v = vec![0.0; circuit.node_count()];
-        v[1..circuit.node_count()].copy_from_slice(&x[..circuit.node_count() - 1]);
+        let mut v = vec![0.0; nodes];
+        v[1..nodes].copy_from_slice(&x[..nodes - 1]);
         times.push(t);
         voltages.push(v);
     };
     push_state(&mut times, &mut voltages, 0.0, &x);
 
+    let dim = plan.index().dim();
+    let mut x = x;
     let mut jac: Matrix<f64> = Matrix::zeros(dim);
     let mut residual = vec![0.0; dim];
+    let mut delta = vec![0.0; dim];
     let mut x_prev = x.clone();
 
     for step in 1..=steps {
         let t = step as f64 * spec.dt;
+        sources.at(t);
         // Newton at this timestep, warm-started from the previous one.
         let mut converged = false;
         for _ in 0..MAX_NEWTON {
             jac.clear();
             residual.fill(0.0);
-            assemble_tran(
-                circuit,
-                process,
-                &index,
-                stimuli,
-                t,
-                spec.dt,
-                &caps,
-                &x,
-                &x_prev,
-                &mut jac,
-                &mut residual,
-            );
-            let neg_f: Vec<f64> = residual.iter().map(|r| -r).collect();
-            let Ok(delta) = jac.solve(&neg_f) else {
+            plan.stamp_gmin(GMIN, &x, &mut jac, &mut residual);
+            stamp_companions(&caps, spec.dt, &x, &x_prev, &mut jac, &mut residual);
+            plan.stamp_elements(sources.values(), 1.0, &x, &mut jac, &mut residual);
+            for (d, r) in delta.iter_mut().zip(&residual) {
+                *d = -r;
+            }
+            if jac.solve_in_place(&mut delta).is_err() {
                 return Err(SolveTranError::StepNotConverged { time: t });
-            };
+            }
             let max_delta = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
             let damp = if max_delta > MAX_STEP_V {
                 MAX_STEP_V / max_delta
@@ -427,32 +413,91 @@ fn solve_inner(
     Ok(TranSolution { times, voltages })
 }
 
-/// Gathers explicit and (frozen) device capacitances.
-fn collect_capacitances(
-    circuit: &Circuit,
-    process: &Process,
-    dc0: &DcSolution,
-) -> Vec<(NodeId, NodeId, f64)> {
+/// The source values of a compiled circuit at one instant: each
+/// stimulus override evaluated at `t`, every other source at its DC
+/// value. Overrides are resolved by name once, not per Newton iteration.
+struct SourceTable<'s> {
+    vsources: Vec<f64>,
+    isources: Vec<f64>,
+    overridden: Vec<(SourceRef, &'s (dyn Fn(f64) -> f64 + Send + Sync))>,
+}
+
+impl<'s> SourceTable<'s> {
+    fn new(plan: &StampPlan, stimuli: &'s Stimuli) -> Self {
+        let (isource_names, isources) = plan.isources();
+        let vsources = plan.vsource_values().to_vec();
+        let index = plan.index();
+        let overridden = (0..index.vsource_count())
+            .map(|k| (SourceRef::V(k), index.vsource_name(k)))
+            .chain(
+                isource_names
+                    .iter()
+                    .enumerate()
+                    .map(|(k, name)| (SourceRef::I(k), name.as_str())),
+            )
+            .filter_map(|(source, name)| {
+                stimuli
+                    .overrides
+                    .get(name)
+                    .map(|f| (source, f.as_ref() as &(dyn Fn(f64) -> f64 + Send + Sync)))
+            })
+            .collect();
+        Self {
+            vsources,
+            isources: isources.to_vec(),
+            overridden,
+        }
+    }
+
+    /// Re-evaluates every override at time `t`.
+    fn at(&mut self, t: f64) {
+        for &(source, f) in &self.overridden {
+            match source {
+                SourceRef::V(k) => self.vsources[k] = f(t),
+                SourceRef::I(k) => self.isources[k] = f(t),
+            }
+        }
+    }
+
+    /// The overridden sources and their current values.
+    fn overrides(&self) -> impl Iterator<Item = (SourceRef, f64)> + '_ {
+        self.overridden.iter().map(|&(source, _)| {
+            let value = match source {
+                SourceRef::V(k) => self.vsources[k],
+                SourceRef::I(k) => self.isources[k],
+            };
+            (source, value)
+        })
+    }
+
+    /// Voltage- and current-source values, indexed like the plan's
+    /// tables.
+    fn values(&self) -> (&[f64], &[f64]) {
+        (&self.vsources, &self.isources)
+    }
+}
+
+/// A capacitance between two unknowns (`None` is ground), farads.
+type Cap = (Option<usize>, Option<usize>, f64);
+
+/// Gathers explicit capacitors and the device capacitances at the
+/// initial point `x`.
+fn collect_capacitances(circuit: &Circuit, plan: &StampPlan, x: &[f64]) -> Vec<Cap> {
+    let index = plan.index();
     let mut caps = Vec::new();
     for element in circuit.elements() {
         if let Element::Capacitor(c) = element {
-            caps.push((c.a, c.b, c.farads));
+            caps.push((index.node_var(c.a), index.node_var(c.b), c.farads));
         }
     }
-    let volt = |n: NodeId| dc0.voltage(n);
-    for (inst, device) in bound_mosfets(circuit, process) {
-        let op = device.operating_point(
-            volt(inst.gate) - volt(inst.source),
-            volt(inst.drain) - volt(inst.source),
-            volt(inst.source) - volt(inst.bulk),
-        );
-        let c = device.capacitances(&op);
+    for m in plan.mosfets() {
+        let c = m.device.capacitances(&m.operating_point(x));
         for (a, b, farads) in [
-            (inst.gate, inst.source, c.cgs().farads()),
-            (inst.gate, inst.drain, c.cgd().farads()),
-            (inst.gate, inst.bulk, c.cgb().farads()),
-            (inst.drain, inst.bulk, c.cdb().farads()),
-            (inst.source, inst.bulk, c.csb().farads()),
+            (m.gate, m.source, c.cgs().farads()),
+            (m.gate, m.drain, c.cgd().farads()),
+            (m.gate, m.bulk, c.cgb().farads()),
+            (m.drain, m.bulk, c.cdb().farads()),
+            (m.source, m.bulk, c.csb().farads()),
         ] {
             if farads > 0.0 {
                 caps.push((a, b, farads));
@@ -462,137 +507,33 @@ fn collect_capacitances(
     caps
 }
 
-/// Assembles the backward-Euler system at time `t`.
-#[allow(clippy::too_many_arguments)]
-fn assemble_tran(
-    circuit: &Circuit,
-    process: &Process,
-    index: &MnaIndex,
-    stimuli: &Stimuli,
-    t: f64,
+/// Stamps the backward-Euler capacitor companions: a conductance `C/h`
+/// with the history current `C/h·(v − v_prev)`.
+fn stamp_companions(
+    caps: &[Cap],
     dt: f64,
-    caps: &[(NodeId, NodeId, f64)],
     x: &[f64],
     x_prev: &[f64],
     jac: &mut Matrix<f64>,
     residual: &mut [f64],
 ) {
-    let volt = |x: &[f64], node: NodeId| index.node_var(node).map_or(0.0, |i| x[i]);
-
-    for node_idx in 0..circuit.node_count() - 1 {
-        jac.stamp(node_idx, node_idx, GMIN);
-        residual[node_idx] += GMIN * x[node_idx];
-    }
-
-    // Capacitor companions: i = C/h·(v − v_prev).
     for &(a, b, farads) in caps {
         let g = farads / dt;
         let v_now = volt(x, a) - volt(x, b);
         let v_old = volt(x_prev, a) - volt(x_prev, b);
         let i_cap = g * (v_now - v_old);
-        if let Some(i) = index.node_var(a) {
+        if let Some(i) = a {
             residual[i] += i_cap;
             jac.stamp(i, i, g);
-            if let Some(j) = index.node_var(b) {
+            if let Some(j) = b {
                 jac.stamp(i, j, -g);
             }
         }
-        if let Some(i) = index.node_var(b) {
+        if let Some(i) = b {
             residual[i] -= i_cap;
             jac.stamp(i, i, g);
-            if let Some(j) = index.node_var(a) {
+            if let Some(j) = a {
                 jac.stamp(i, j, -g);
-            }
-        }
-    }
-
-    let mut vsrc_k = 0usize;
-    for element in circuit.elements() {
-        match element {
-            Element::Resistor(r) => {
-                let g = 1.0 / r.ohms;
-                let (va, vb) = (volt(x, r.a), volt(x, r.b));
-                if let Some(i) = index.node_var(r.a) {
-                    residual[i] += g * (va - vb);
-                    jac.stamp(i, i, g);
-                    if let Some(j) = index.node_var(r.b) {
-                        jac.stamp(i, j, -g);
-                    }
-                }
-                if let Some(i) = index.node_var(r.b) {
-                    residual[i] += g * (vb - va);
-                    jac.stamp(i, i, g);
-                    if let Some(j) = index.node_var(r.a) {
-                        jac.stamp(i, j, -g);
-                    }
-                }
-            }
-            Element::Capacitor(_) => { /* handled via companions */ }
-            Element::Isource(src) => {
-                let i0 = stimuli
-                    .value_at(&src.name, t)
-                    .unwrap_or_else(|| src.value.dc_value());
-                if let Some(i) = index.node_var(src.pos) {
-                    residual[i] += i0;
-                }
-                if let Some(i) = index.node_var(src.neg) {
-                    residual[i] -= i0;
-                }
-            }
-            Element::Vsource(src) => {
-                let branch = index.branch_var(vsrc_k);
-                vsrc_k += 1;
-                let v0 = stimuli
-                    .value_at(&src.name, t)
-                    .unwrap_or_else(|| src.value.dc_value());
-                let i_branch = x[branch];
-                if let Some(i) = index.node_var(src.pos) {
-                    residual[i] += i_branch;
-                    jac.stamp(i, branch, 1.0);
-                }
-                if let Some(i) = index.node_var(src.neg) {
-                    residual[i] -= i_branch;
-                    jac.stamp(i, branch, -1.0);
-                }
-                residual[branch] = volt(x, src.pos) - volt(x, src.neg) - v0;
-                if let Some(i) = index.node_var(src.pos) {
-                    jac.stamp(branch, i, 1.0);
-                }
-                if let Some(i) = index.node_var(src.neg) {
-                    jac.stamp(branch, i, -1.0);
-                }
-            }
-            Element::Mos(m) => {
-                let device = crate::mismatch::bind(m, process);
-                let stamp = mos_stamp(
-                    &device,
-                    volt(x, m.drain),
-                    volt(x, m.gate),
-                    volt(x, m.source),
-                    volt(x, m.bulk),
-                );
-                let terminals = [
-                    (m.drain, stamp.d_dvd),
-                    (m.gate, stamp.d_dvg),
-                    (m.source, stamp.d_dvs),
-                    (m.bulk, stamp.d_dvb),
-                ];
-                if let Some(i) = index.node_var(m.drain) {
-                    residual[i] += stamp.id;
-                    for (node, deriv) in terminals {
-                        if let Some(j) = index.node_var(node) {
-                            jac.stamp(i, j, deriv);
-                        }
-                    }
-                }
-                if let Some(i) = index.node_var(m.source) {
-                    residual[i] -= stamp.id;
-                    for (node, deriv) in terminals {
-                        if let Some(j) = index.node_var(node) {
-                            jac.stamp(i, j, -deriv);
-                        }
-                    }
-                }
             }
         }
     }

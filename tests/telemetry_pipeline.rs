@@ -125,11 +125,19 @@ fn verify_records_simulator_work() {
     let tel = Telemetry::new();
     verify_with(result.selected(), &process, spec.load().farads(), &tel).unwrap();
 
-    assert!(tel.counter("sim.dc.solves") > 0);
+    // The 241-point swing sweep and the offset bisection count their
+    // solves too, and on case A every warm start converges.
     assert!(
-        tel.counter("sim.dc.newton_iterations") > 0,
+        tel.counter("sim.dc.solves") >= 241,
+        "swing sweep solves must be counted, got {}",
+        tel.counter("sim.dc.solves")
+    );
+    assert!(
+        tel.counter("sim.dc.newton_iterations") > tel.counter("sim.dc.solves"),
         "verification must record Newton iteration counts"
     );
+    assert_eq!(tel.counter("sim.dc.warm_fallbacks"), 0);
+    assert_eq!(tel.counter("sim.dc.failures"), 0);
     assert!(tel.counter("sim.ac.points") > 0);
     assert!(
         tel.counter("sim.tran.steps") > 0,
