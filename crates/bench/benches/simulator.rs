@@ -1,5 +1,7 @@
 //! Simulator benchmarks: the verification cost per synthesized op amp
-//! (DC operating point + offset bisection + AC sweep).
+//! (offset bisection, DC operating point, AC sweep, swing sweep, slew
+//! transients and the AC-family phases), plus the two DC kernels it is
+//! built from: one cold Newton solve and the 241-point warm swing sweep.
 
 use oasys::spec::test_cases;
 use oasys::{synthesize, verify};
@@ -20,6 +22,23 @@ fn main() {
             spec.load().farads(),
         )
         .unwrap()
+    });
+
+    let spec_c = test_cases::spec_c();
+    let design_c = synthesize(&spec_c, &process).unwrap().selected().clone();
+    b.bench("verify/case_c_full", || {
+        verify(
+            black_box(&design_c),
+            black_box(&process),
+            spec_c.load().farads(),
+        )
+        .unwrap()
+    });
+
+    let (swing, _, points) = oasys::verify::swing_bench(&design, &process).unwrap();
+    b.bench("sim/dc_sweep_241", || {
+        oasys_sim::sweep::dc_transfer(black_box(&swing), black_box(&process), "VSW", &points)
+            .unwrap()
     });
 
     let circuit = dc_chain();

@@ -199,7 +199,9 @@ pub fn verify(
 /// Opens a root `verify` span with one `verify:<phase>` child per
 /// measurement phase; the simulator's own spans and counters
 /// (`sim.dc.newton_iterations`, `sim.ac.points`, `sim.tran.steps`) nest
-/// underneath.
+/// underneath. The swing sweep and the offset search count every solve
+/// into the `sim.dc.*` counters but open no span per point, so their
+/// time stays in `verify:swing` and `verify:offset-null`.
 ///
 /// # Errors
 ///

@@ -11,10 +11,12 @@
 //!   over real and complex scalars,
 //! * [`mna`] — modified nodal analysis stamps,
 //! * [`dc`] — Newton–Raphson DC operating point with damping, `gmin`
-//!   stepping and source stepping fallbacks,
+//!   stepping and source stepping fallbacks, over a circuit compiled
+//!   once per analysis,
 //! * [`ac`] — small-signal frequency sweeps linearized at the DC point
 //!   (the module also exposes the reusable [`ac::AcSystem`]),
-//! * [`sweep`] — DC transfer sweeps with solution continuation,
+//! * [`sweep`] — DC transfer sweeps and bisections, each point
+//!   warm-started from the previous solution,
 //! * [`tran`] — fixed-step backward-Euler transient analysis (slew-rate
 //!   measurements),
 //! * [`metrics`] — datasheet-style measurements: DC gain, unity-gain

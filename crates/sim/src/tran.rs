@@ -343,9 +343,7 @@ fn solve_inner(
 
     // Initial condition: the DC point with every stimulus at t = 0.
     sources.at(0.0);
-    for (source, value) in sources.overrides() {
-        engine.set_source(source, value);
-    }
+    sources.apply(&mut engine);
     let x = engine.solve(None, &Deadline::none())?.x;
     let plan = engine.plan();
 
@@ -415,18 +413,19 @@ fn solve_inner(
 
 /// The source values of a compiled circuit at one instant: each
 /// stimulus override evaluated at `t`, every other source at its DC
-/// value. Overrides are resolved by name once, not per Newton iteration.
+/// value. The overridden sources are found once, and each override is
+/// evaluated once per timestep rather than once per Newton iteration.
 struct SourceTable<'s> {
+    stimuli: &'s Stimuli,
     vsources: Vec<f64>,
     isources: Vec<f64>,
-    overridden: Vec<(SourceRef, &'s (dyn Fn(f64) -> f64 + Send + Sync))>,
+    overridden: Vec<(SourceRef, String)>,
 }
 
 impl<'s> SourceTable<'s> {
     fn new(plan: &StampPlan, stimuli: &'s Stimuli) -> Self {
-        let (isource_names, isources) = plan.isources();
-        let vsources = plan.vsource_values().to_vec();
         let index = plan.index();
+        let (isource_names, isources) = plan.isources();
         let overridden = (0..index.vsource_count())
             .map(|k| (SourceRef::V(k), index.vsource_name(k)))
             .chain(
@@ -435,15 +434,12 @@ impl<'s> SourceTable<'s> {
                     .enumerate()
                     .map(|(k, name)| (SourceRef::I(k), name.as_str())),
             )
-            .filter_map(|(source, name)| {
-                stimuli
-                    .overrides
-                    .get(name)
-                    .map(|f| (source, f.as_ref() as &(dyn Fn(f64) -> f64 + Send + Sync)))
-            })
+            .filter(|(_, name)| stimuli.value_at(name, 0.0).is_some())
+            .map(|(source, name)| (source, name.to_owned()))
             .collect();
         Self {
-            vsources,
+            stimuli,
+            vsources: plan.vsource_values().to_vec(),
             isources: isources.to_vec(),
             overridden,
         }
@@ -451,23 +447,26 @@ impl<'s> SourceTable<'s> {
 
     /// Re-evaluates every override at time `t`.
     fn at(&mut self, t: f64) {
-        for &(source, f) in &self.overridden {
-            match source {
-                SourceRef::V(k) => self.vsources[k] = f(t),
-                SourceRef::I(k) => self.isources[k] = f(t),
+        for (source, name) in &self.overridden {
+            let Some(value) = self.stimuli.value_at(name, t) else {
+                continue;
+            };
+            match *source {
+                SourceRef::V(k) => self.vsources[k] = value,
+                SourceRef::I(k) => self.isources[k] = value,
             }
         }
     }
 
-    /// The overridden sources and their current values.
-    fn overrides(&self) -> impl Iterator<Item = (SourceRef, f64)> + '_ {
-        self.overridden.iter().map(|&(source, _)| {
-            let value = match source {
+    /// Sets the overridden sources of `engine` to their current values.
+    fn apply(&self, engine: &mut Engine<'_>) {
+        for (source, _) in &self.overridden {
+            let value = match *source {
                 SourceRef::V(k) => self.vsources[k],
                 SourceRef::I(k) => self.isources[k],
             };
-            (source, value)
-        })
+            engine.set_source(*source, value);
+        }
     }
 
     /// Voltage- and current-source values, indexed like the plan's
