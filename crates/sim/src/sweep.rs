@@ -335,6 +335,27 @@ mod tests {
     }
 
     #[test]
+    fn stalled_warm_start_falls_back_to_the_cold_continuation() {
+        // A 1000 V jump is 2000 clamped 0.5 V Newton steps from the
+        // previous point: the warm start stalls at the iteration cap, and
+        // the cold continuation's source stepping converges instead.
+        let mut c = Circuit::new("divider");
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.add_vsource("VIN", inp, c.ground(), SourceValue::dc(0.0))
+            .unwrap();
+        c.add_resistor("R1", inp, out, 1e3).unwrap();
+        c.add_resistor("R2", out, c.ground(), 1e3).unwrap();
+        let tel = Telemetry::new();
+        let pts = dc_transfer_with(&c, &builtin::cmos_5um(), "VIN", &[0.0, 1000.0], &tel).unwrap();
+        assert_eq!(pts.len(), 2);
+        assert!((pts[1].solution.voltage(out) - 500.0).abs() < 1e-6);
+        assert_eq!(tel.counter("sim.dc.solves"), 2);
+        assert_eq!(tel.counter("sim.dc.warm_fallbacks"), 1);
+        assert_eq!(tel.counter("sim.dc.failures"), 0);
+    }
+
+    #[test]
     fn unknown_source_is_reported() {
         let (c, _) = inverter();
         let err = dc_transfer(&c, &builtin::cmos_5um(), "NOPE", &[0.0]).unwrap_err();
