@@ -8,7 +8,7 @@
 //!
 //! The work that does not depend on the operating point — validating
 //! the circuit, indexing its unknowns, binding every MOSFET, allocating
-//! the Jacobian — happens once per compiled [`Engine`]. A DC sweep
+//! the Jacobian — happens once per compiled engine. A DC sweep
 //! compiles once and starts each point's Newton iteration from the
 //! previous point's solution; only when that stalls does it fall back to
 //! the cold continuation above. [`solve`] and its `*_with` variants
@@ -271,7 +271,7 @@ pub fn solve_with_deadline(
 /// `newton_iterations` (total and per-solve histogram) and
 /// `warm_fallbacks` when a warm start stalled into the cold
 /// continuation, or `failures` for `None`.
-pub(crate) fn count_solve(tel: &Telemetry, outcome: Option<(usize, bool)>) {
+fn count_solve(tel: &Telemetry, outcome: Option<(usize, bool)>) {
     if !tel.is_enabled() {
         return;
     }
@@ -346,6 +346,24 @@ impl<'c> Engine<'c> {
     /// Sets a source's DC value for the next solve.
     pub(crate) fn set_source(&mut self, source: SourceRef, value: f64) {
         self.plan.set_source(source, value);
+    }
+
+    /// [`Engine::solve`] without a deadline, counted into `tel`'s
+    /// `sim.dc.*` counters: the per-point solve of a sweep.
+    pub(crate) fn solve_counted(
+        &mut self,
+        start: Option<&[f64]>,
+        tel: &Telemetry,
+    ) -> Result<Solved, SolveDcError> {
+        let result = self.solve(start, &Deadline::none());
+        count_solve(
+            tel,
+            result
+                .as_ref()
+                .ok()
+                .map(|s| (s.iterations, s.warm_fallback)),
+        );
+        result
     }
 
     /// Solves for the operating point. With a `start` vector, Newton runs

@@ -6,7 +6,7 @@
 //! [`mos_stamp`] evaluates a MOSFET and its exact partial derivatives with
 //! respect to the four terminal voltages (handling polarity and mode
 //! reversal), which is what both the Newton Jacobian and the AC admittance
-//! matrix stamp. [`StampPlan`] is a circuit compiled for repeated Newton
+//! matrix stamp. `StampPlan` is a circuit compiled for repeated Newton
 //! assembly, which the DC and transient engines build once per analysis.
 
 use crate::linalg::Matrix;

@@ -10,9 +10,8 @@
 //! converged solution, which sits a small input step away, and falls back
 //! to the cold continuation only if that stalls.
 
-use crate::dc::{self, DcSolution, Engine, SolveDcError};
+use crate::dc::{DcSolution, Engine, SolveDcError};
 use crate::mna::volt;
-use oasys_faults::Deadline;
 use oasys_netlist::{Circuit, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::Telemetry;
@@ -93,22 +92,13 @@ pub fn dc_transfer_with(
 ) -> Result<Vec<SweepPoint>, SolveDcError> {
     let mut engine = Engine::compile(circuit, process)?;
     let source = engine.source(source_name)?;
-    let deadline = Deadline::none();
 
     let mut points = Vec::with_capacity(values.len());
     let mut last_err = None;
     let mut last_x: Option<Vec<f64>> = None;
     for &value in values {
         engine.set_source(source, value);
-        let result = engine.solve(last_x.as_deref(), &deadline);
-        dc::count_solve(
-            tel,
-            result
-                .as_ref()
-                .ok()
-                .map(|s| (s.iterations, s.warm_fallback)),
-        );
-        match result {
+        match engine.solve_counted(last_x.as_deref(), tel) {
             Ok(solved) => {
                 points.push(SweepPoint {
                     input: value,
@@ -195,19 +185,10 @@ pub fn bisect_input_with(
     let mut engine = Engine::compile(circuit, process)?;
     let source = engine.source(source_name)?;
     let target = engine.plan().index().node_var(target_node);
-    let deadline = Deadline::none();
     let mut last_x: Option<Vec<f64>> = None;
     let mut eval = |vin: f64| -> Result<f64, SolveDcError> {
         engine.set_source(source, vin);
-        let result = engine.solve(last_x.as_deref(), &deadline);
-        dc::count_solve(
-            tel,
-            result
-                .as_ref()
-                .ok()
-                .map(|s| (s.iterations, s.warm_fallback)),
-        );
-        let solved = result?;
+        let solved = engine.solve_counted(last_x.as_deref(), tel)?;
         let v = volt(&solved.x, target);
         last_x = Some(solved.x);
         Ok(v - target_voltage)
@@ -248,6 +229,7 @@ pub fn bisect_input_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc;
     use oasys_mos::Geometry;
     use oasys_netlist::SourceValue;
     use oasys_process::{builtin, Polarity};

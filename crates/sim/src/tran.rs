@@ -344,7 +344,7 @@ fn solve_inner(
     // Initial condition: the DC point with every stimulus at t = 0.
     sources.at(0.0);
     sources.apply(&mut engine);
-    let x = engine.solve(None, &Deadline::none())?.x;
+    let mut x = engine.solve(None, &Deadline::none())?.x;
     let plan = engine.plan();
 
     // Collect all capacitances as (node_a, node_b, farads): explicit
@@ -364,7 +364,6 @@ fn solve_inner(
     push_state(&mut times, &mut voltages, 0.0, &x);
 
     let dim = plan.index().dim();
-    let mut x = x;
     let mut jac: Matrix<f64> = Matrix::zeros(dim);
     let mut residual = vec![0.0; dim];
     let mut delta = vec![0.0; dim];
