@@ -397,7 +397,8 @@ mod tests {
 
     /// Runs every family through both implementations and demands equal
     /// solutions under `==` (so `±0` compare equal) or the same singular
-    /// column.
+    /// column. The draws must reach singular columns and skipped
+    /// multipliers, or the comparison proves less than it says.
     fn check_against_oracle<T: Scalar>(name: &str, entry: &dyn Fn(&mut Rng, f64) -> T) {
         let families = [
             Family::Dense,
@@ -405,6 +406,8 @@ mod tests {
             Family::Singular,
             Family::Mna,
         ];
+        let mut singular = 0;
+        let mut zero_multipliers = 0;
         for case in 0..400u64 {
             let mut rng = Rng::for_case(name, case);
             let family = families[(case % 4) as usize];
@@ -417,9 +420,24 @@ mod tests {
                 })
                 .collect();
             let expected = reference_solve(&m, &b);
-            let actual = m.solve(&b);
+            let mut lu = m.clone();
+            let mut x = b.clone();
+            let actual = lu.solve_in_place(&mut x).map(|()| x);
             assert_eq!(actual, expected, "case {case} ({family:?}, n = {n})");
+            if actual.is_err() {
+                singular += 1;
+            } else {
+                zero_multipliers += (0..n)
+                    .flat_map(|i| (0..i).map(move |j| (i, j)))
+                    .filter(|&ij| lu[ij] == T::ZERO)
+                    .count();
+            }
         }
+        assert!(singular >= 50, "only {singular} singular systems");
+        assert!(
+            zero_multipliers >= 1000,
+            "only {zero_multipliers} zero multipliers"
+        );
     }
 
     #[test]
@@ -436,43 +454,6 @@ mod tests {
                 Complex::new(v, rng.range_f64(-1.0, 1.0) * v.abs())
             }
         });
-    }
-
-    #[test]
-    fn oracle_families_exercise_every_path() {
-        // The families must actually reach singular columns and skipped
-        // multipliers, or the oracle comparison proves less than it says.
-        let mut singular = 0;
-        let mut zero_multipliers = 0;
-        for case in 0..400u64 {
-            let mut rng = Rng::for_case("lu-oracle-real", case);
-            let family = [
-                Family::Dense,
-                Family::PivotForcing,
-                Family::Singular,
-                Family::Mna,
-            ][(case % 4) as usize];
-            let n = rng.range_u64(1, 25) as usize;
-            let m = draw(&mut rng, family, n, &|_, v: f64| v);
-            let mut lu = m.clone();
-            let mut b = vec![1.0; n];
-            if lu.solve_in_place(&mut b).is_err() {
-                singular += 1;
-            } else {
-                for i in 0..n {
-                    for j in 0..i {
-                        if lu[(i, j)] == 0.0 {
-                            zero_multipliers += 1;
-                        }
-                    }
-                }
-            }
-        }
-        assert!(singular >= 50, "only {singular} singular systems");
-        assert!(
-            zero_multipliers >= 1000,
-            "only {zero_multipliers} zero multipliers"
-        );
     }
 
     #[test]
