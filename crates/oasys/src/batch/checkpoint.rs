@@ -1,15 +1,11 @@
 //! Resumable batch checkpoints.
 //!
-//! The checkpoint file is an append-only text log: a header line, then
-//! one tab-separated record per finished job. The batch runner appends
-//! (and flushes) a record the moment a job finishes, so a killed run
-//! loses at most the jobs that were still in flight. On resume, jobs
-//! whose fingerprints appear with a *completed* outcome (`ok` or
-//! `infeasible`) are skipped; `failed` entries are kept for diagnosis
-//! but re-run, since a panic or timeout may have been environmental.
-//!
-//! Version 2 seals every record with a per-line FNV-1a checksum
-//! ([`crate::integrity`]), appended as a 7th tab-separated field:
+//! The checkpoint file is a [`SealedLog`]: a header line, then one
+//! sealed, tab-separated record per finished job, appended and flushed
+//! the moment the job finishes. On resume, jobs whose fingerprints
+//! appear with a *completed* outcome (`ok` or `infeasible`) are skipped;
+//! `failed` entries are kept for diagnosis but re-run, since a panic or
+//! timeout may have been environmental.
 //!
 //! ```text
 //! oasys-batch-checkpoint v2
@@ -20,45 +16,22 @@
 //! The completed record carries the *outcome* (style and bit-exact
 //! area), not just the fingerprint — that is what lets a resumed run
 //! reconstruct the same aggregate report as an uninterrupted one
-//! without redoing the work.
-//!
-//! Crash and corruption tolerance, by damage class:
-//!
-//! - **Torn final line** (kill mid-append): the unterminated tail is
-//!   dropped, the file is truncated back to its durable prefix, and
-//!   [`Checkpoint::recovered`] reports the repair.
-//! - **Corrupt interior line** (bit rot, bad sector — v2 files only):
-//!   any line whose checksum fails to verify is *quarantined* — dropped
-//!   from the completed set so its job re-runs, counted by
-//!   [`Checkpoint::quarantined`], and healed out of the file by an
-//!   atomic rewrite of the surviving lines. Resume never trusts a
-//!   damaged record and never discards the healthy remainder.
-//! - **Structural damage a crash or bit rot cannot explain** (bad
-//!   header; in legacy v1 files, any malformed terminated record; in v2
-//!   files, a record whose checksum *verifies* but whose fields are
-//!   malformed) is reported as [`CheckpointError::Corrupt`]; the
-//!   runner's policy ([`super::Batch::with_checkpoint`]) is to discard
-//!   such a file and restart the batch cleanly rather than trust it.
-//!
-//! Version negotiation: the header names the format. v1 files (written
-//! before checksums existed) are still read — and appended to — in
-//! their own unsealed format, so an interrupted pre-upgrade run resumes
-//! cleanly. New checkpoints always start at v2.
+//! without redoing the work. A damaged line of any kind (including the
+//! unsealed `v1` format) is dropped on open and its job re-runs.
 
-use crate::integrity::{self, LineIntegrity};
-use std::collections::HashMap;
+use crate::integrity::{LogFormat, Salvage, SealedLog};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// First line of every new checkpoint file; the version suffix gates
+/// First line of every checkpoint file; the version suffix gates
 /// format evolution.
 pub const CHECKPOINT_HEADER: &str = "oasys-batch-checkpoint v2";
 
-/// The legacy (pre-checksum) header: 6 unsealed tab-separated fields
-/// per record. Still read and appended to for backward compatibility.
-pub const CHECKPOINT_HEADER_V1: &str = "oasys-batch-checkpoint v1";
+static CHECKPOINT_LOG: LogFormat = LogFormat {
+    header: Some(CHECKPOINT_HEADER),
+    torn_site: "batch.checkpoint.record",
+    flip_site: None,
+};
 
 /// How a checkpointed job ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,33 +60,10 @@ impl CheckpointOutcome {
     }
 }
 
-/// One parsed checkpoint record.
-#[derive(Clone, Debug)]
-pub struct CheckpointEntry {
-    /// The job's content fingerprint.
-    pub fingerprint: u64,
-    /// How the job ended.
-    pub outcome: CheckpointOutcome,
-    /// The job's spec label at the time it ran (display only).
-    pub spec_label: String,
-    /// The job's tech label at the time it ran (display only).
-    pub tech_label: String,
-}
-
-/// Why a checkpoint file was rejected.
+/// Why a checkpoint could not be used.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The file exists but fails a structural check — wrong header or a
-    /// malformed (fully terminated, checksum-verified where sealed)
-    /// record — that neither an append-and-flush crash nor bit rot can
-    /// explain.
-    Corrupt {
-        /// The offending path.
-        path: PathBuf,
-        /// Which check failed.
-        detail: String,
-    },
-    /// The file could not be read or written.
+    /// The file could not be read, repaired, or written.
     Io {
         /// The offending path.
         path: PathBuf,
@@ -125,9 +75,6 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Corrupt { path, detail } => {
-                write!(f, "corrupt checkpoint {}: {detail}", path.display())
-            }
             CheckpointError::Io { path, error } => write!(f, "{}: {error}", path.display()),
         }
     }
@@ -135,168 +82,54 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The completed-job set loaded from (and appended to) a checkpoint
-/// file.
+/// The job outcomes loaded from (and appended to) a checkpoint file;
+/// the last record per fingerprint wins. The spec and tech labels on
+/// disk are for people reading the file.
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
-    completed: HashMap<u64, CheckpointEntry>,
-    writer: Option<File>,
-    recovered: bool,
-    /// `true` when appends seal their lines (v2 files and fresh files);
-    /// `false` when appending to a legacy v1 file in its own format.
-    sealed: bool,
-    /// Checksum-failed lines quarantined (and healed away) on open.
-    quarantined: usize,
+    log: SealedLog<u64, CheckpointOutcome>,
 }
 
 impl Checkpoint {
-    /// Opens (or creates) the checkpoint at `path` and loads its
-    /// completed-job set.
-    ///
-    /// A torn (unterminated) final line — the signature of a kill
-    /// mid-append — is treated as absent: the durable prefix is kept,
-    /// the file is truncated back to it so later appends stay
-    /// well-formed, and [`Checkpoint::recovered`] reports the repair.
-    /// In a v2 file, interior lines whose checksum fails are
-    /// quarantined (see [`Checkpoint::quarantined`]) and the file is
-    /// atomically rewritten without them; the damaged jobs re-run.
+    /// Opens (or creates, on the first record) the checkpoint at `path`
+    /// and loads its records, repairing any damage (see
+    /// [`Checkpoint::salvage`]).
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Corrupt`] when an existing file fails a
-    /// structural check neither a crash nor bit rot can explain (the
-    /// caller decides whether to [`Checkpoint::start_fresh`]);
     /// [`CheckpointError::Io`] on filesystem errors.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let path = path.as_ref().to_path_buf();
-        let mut recovered = false;
-        let mut sealed = true;
-        let mut quarantined = 0usize;
-        let completed = match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                // Every durable line ends in a newline, so a missing one
-                // means the final line was torn mid-write. Drop it and
-                // parse only the durable prefix.
-                let durable = match text.rfind('\n') {
-                    Some(last) if last + 1 < text.len() => {
-                        recovered = true;
-                        &text[..=last]
-                    }
-                    None if !text.is_empty() => {
-                        recovered = true;
-                        ""
-                    }
-                    _ => text.as_str(),
-                };
-                // A file with no durable content (empty, or its only
-                // line torn away) parses as fresh, not corrupt —
-                // nothing durable was ever written, so nothing is lost.
-                let completed = if durable.is_empty() {
-                    if recovered {
-                        truncate_to(&path, 0)?;
-                    }
-                    HashMap::new()
-                } else {
-                    let parsed = parse(&path, durable)?;
-                    sealed = parsed.sealed;
-                    quarantined = parsed.quarantined;
-                    if quarantined > 0 {
-                        // Heal: rewrite the file with only the lines
-                        // that verified, atomically. The quarantined
-                        // jobs re-run and re-append fresh records.
-                        let mut healed = String::new();
-                        healed.push_str(parsed.header);
-                        healed.push('\n');
-                        for line in &parsed.good_lines {
-                            healed.push_str(line);
-                            healed.push('\n');
-                        }
-                        rewrite_atomic(&path, &healed)?;
-                    } else if recovered {
-                        truncate_to(&path, durable.len() as u64)?;
-                    }
-                    parsed.completed
-                };
-                completed
+        let path = path.as_ref();
+        let log = SealedLog::open(path, &CHECKPOINT_LOG, parse_entry).map_err(|error| {
+            CheckpointError::Io {
+                path: path.to_path_buf(),
+                error,
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashMap::new(),
-            Err(error) => return Err(CheckpointError::Io { path, error }),
-        };
-        Ok(Self {
-            path,
-            completed,
-            writer: None,
-            recovered,
-            sealed,
-            quarantined,
-        })
+        })?;
+        Ok(Self { log })
     }
 
-    /// Discards any existing file at `path` and starts an empty
-    /// checkpoint — the recovery path for a corrupt file.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when the stale file cannot be removed.
-    pub fn start_fresh(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let path = path.as_ref().to_path_buf();
-        match std::fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(error) => return Err(CheckpointError::Io { path, error }),
-        }
-        Ok(Self {
-            path,
-            completed: HashMap::new(),
-            writer: None,
-            recovered: false,
-            sealed: true,
-            quarantined: 0,
-        })
-    }
-
-    /// The checkpoint file's path.
+    /// What [`Checkpoint::open`] dropped: a torn final line and the
+    /// number of untrusted lines. Their jobs simply re-run.
     #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+    pub fn salvage(&self) -> Salvage {
+        self.log.salvage()
     }
 
-    /// `true` when [`Checkpoint::open`] found and repaired a torn final
-    /// line (the dropped record's job simply re-runs on resume).
+    /// The completed (skippable) outcome for `fingerprint`, if any.
     #[must_use]
-    pub fn recovered(&self) -> bool {
-        self.recovered
-    }
-
-    /// Number of checksum-failed lines quarantined on open. Each was
-    /// dropped from the completed set (its job re-runs) and healed out
-    /// of the file; the healthy lines all survived.
-    #[must_use]
-    pub fn quarantined(&self) -> usize {
-        self.quarantined
-    }
-
-    /// The completed (skippable) entry for `fingerprint`, if any.
-    #[must_use]
-    pub fn completed(&self, fingerprint: u64) -> Option<&CheckpointEntry> {
-        self.completed.get(&fingerprint)
-    }
-
-    /// Number of completed jobs on record.
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
+    pub fn completed(&self, fingerprint: u64) -> Option<&CheckpointOutcome> {
+        self.log
+            .get(&fingerprint)
+            .filter(|outcome| outcome.is_complete())
     }
 
     /// Appends one finished job and flushes, creating the file (with its
-    /// header) on first write. Completed outcomes also join the in-memory
-    /// skip set, so duplicate fingerprints later in the same run are
-    /// served from the checkpoint.
+    /// header) on first write.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the record cannot be written durably.
+    /// [`CheckpointError::Io`] when the record cannot be written.
     pub fn record(
         &mut self,
         fingerprint: u64,
@@ -304,223 +137,60 @@ impl Checkpoint {
         spec_label: &str,
         tech_label: &str,
     ) -> Result<(), CheckpointError> {
-        let io_err = |error: std::io::Error, path: &Path| CheckpointError::Io {
-            path: path.to_path_buf(),
-            error,
-        };
-        let sealed = self.sealed;
-        let file = match &mut self.writer {
-            Some(file) => file,
-            None => {
-                let mut file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)
-                    .map_err(|e| io_err(e, &self.path))?;
-                let len = file.metadata().map_err(|e| io_err(e, &self.path))?.len();
-                if len == 0 {
-                    writeln!(file, "{CHECKPOINT_HEADER}").map_err(|e| io_err(e, &self.path))?;
-                }
-                self.writer.insert(file)
-            }
-        };
-        let (style, area) = match outcome {
+        let (word, style, area) = match outcome {
             CheckpointOutcome::Ok { style, area_um2 } => {
-                (style.clone(), format!("{:016x}", area_um2.to_bits()))
+                ("ok", style.as_str(), format!("{:016x}", area_um2.to_bits()))
             }
-            _ => ("-".to_owned(), "-".to_owned()),
-        };
-        let word = match outcome {
-            CheckpointOutcome::Ok { .. } => "ok",
-            CheckpointOutcome::Infeasible => "infeasible",
-            CheckpointOutcome::Failed => "failed",
+            CheckpointOutcome::Infeasible => ("infeasible", "-", "-".to_owned()),
+            CheckpointOutcome::Failed => ("failed", "-", "-".to_owned()),
         };
         let payload =
             format!("{fingerprint:016x}\t{word}\t{style}\t{area}\t{spec_label}\t{tech_label}");
-        let line = if sealed {
-            format!("{}\n", integrity::seal_line(&payload))
-        } else {
-            // Appending to a legacy v1 file: stay in its format so the
-            // v1 parser keeps accepting the whole file.
-            format!("{payload}\n")
-        };
-        // Fault site: simulate the process dying partway through this
-        // very write — half the record's bytes land, no newline, and the
-        // "crashed" writer reports the failure upstream.
-        if oasys_faults::armed() && oasys_faults::fired("batch.checkpoint.record") {
-            let torn = &line[..line.len() / 2];
-            file.write_all(torn.as_bytes())
-                .and_then(|()| file.flush())
-                .map_err(|e| io_err(e, &self.path))?;
-            return Err(io_err(
-                std::io::Error::other("fault injected: torn checkpoint write"),
-                &self.path,
-            ));
-        }
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| io_err(e, &self.path))?;
-        if outcome.is_complete() {
-            self.completed.insert(
-                fingerprint,
-                CheckpointEntry {
-                    fingerprint,
-                    outcome: outcome.clone(),
-                    spec_label: spec_label.to_owned(),
-                    tech_label: tech_label.to_owned(),
-                },
-            );
-        }
-        Ok(())
+        self.log
+            .append(fingerprint, outcome.clone(), &payload)
+            .map_err(|error| CheckpointError::Io {
+                path: self.log.path().to_path_buf(),
+                error,
+            })
     }
 }
 
-/// Truncates the file at `path` back to `len` bytes — the repair for a
-/// torn final line, so later appends land on a well-formed prefix.
-fn truncate_to(path: &Path, len: u64) -> Result<(), CheckpointError> {
-    let io_err = |error: std::io::Error| CheckpointError::Io {
-        path: path.to_path_buf(),
-        error,
+/// Parses one record payload: six tab-separated fields, with the
+/// fingerprint (and an `ok` record's area bits) as 16 hex digits.
+fn parse_entry(payload: &str) -> Option<(u64, CheckpointOutcome)> {
+    let fields: Vec<&str> = payload.split('\t').collect();
+    let [fp, word, style, area, _spec_label, _tech_label] = fields.as_slice() else {
+        return None;
     };
-    let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
-    file.set_len(len).map_err(io_err)?;
-    file.sync_all().map_err(io_err)?;
-    Ok(())
-}
-
-/// Replaces the file at `path` atomically (temp file, fsync, rename) —
-/// the repair that heals quarantined lines out of a checkpoint.
-fn rewrite_atomic(path: &Path, text: &str) -> Result<(), CheckpointError> {
-    let io_err = |error: std::io::Error| CheckpointError::Io {
-        path: path.to_path_buf(),
-        error,
+    let hex = |s: &str| (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok())?;
+    let outcome = match *word {
+        "ok" => CheckpointOutcome::Ok {
+            style: (*style).to_owned(),
+            area_um2: f64::from_bits(hex(area)?),
+        },
+        "infeasible" => CheckpointOutcome::Infeasible,
+        "failed" => CheckpointOutcome::Failed,
+        _ => return None,
     };
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut file = File::create(&tmp).map_err(io_err)?;
-        file.write_all(text.as_bytes()).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io_err)
-}
-
-/// The result of parsing a checkpoint body.
-struct Parsed<'a> {
-    completed: HashMap<u64, CheckpointEntry>,
-    /// The header line, verbatim (needed to heal in the same version).
-    header: &'a str,
-    /// Every line that verified, verbatim and in file order.
-    good_lines: Vec<&'a str>,
-    /// Checksum-failed lines dropped from the completed set.
-    quarantined: usize,
-    /// `true` when the file is v2 (appends must seal).
-    sealed: bool,
-}
-
-/// Parses a checkpoint file body into its completed-job set, applying
-/// every structural check the format promises.
-fn parse<'a>(path: &Path, text: &'a str) -> Result<Parsed<'a>, CheckpointError> {
-    let corrupt = |detail: String| CheckpointError::Corrupt {
-        path: path.to_path_buf(),
-        detail,
-    };
-    let mut lines = text.lines();
-    let (header, sealed) = match lines.next() {
-        Some(CHECKPOINT_HEADER) => (CHECKPOINT_HEADER, true),
-        Some(CHECKPOINT_HEADER_V1) => (CHECKPOINT_HEADER_V1, false),
-        Some(other) => {
-            return Err(corrupt(format!(
-                "bad header `{other}` (expected `{CHECKPOINT_HEADER}`)"
-            )))
-        }
-        None => return Err(corrupt("empty file".to_owned())),
-    };
-    // A kill can truncate the final record mid-line; every durable line
-    // (including the last) ends in a newline, so a missing one means the
-    // last record cannot be trusted.
-    if !text.ends_with('\n') {
-        return Err(corrupt("truncated final line (missing newline)".to_owned()));
-    }
-    let mut completed = HashMap::new();
-    let mut good_lines = Vec::new();
-    let mut quarantined = 0usize;
-    for (idx, line) in lines.enumerate() {
-        let lineno = idx + 2;
-        let payload = if sealed {
-            match integrity::open_line(line) {
-                LineIntegrity::Sealed(payload) => payload,
-                // A v2 line that does not verify is bit rot, not a
-                // format violation: quarantine it (the job re-runs)
-                // instead of condemning the whole file.
-                LineIntegrity::Unsealed(_) | LineIntegrity::Corrupt => {
-                    quarantined += 1;
-                    continue;
-                }
-            }
-        } else {
-            line
-        };
-        let fields: Vec<&str> = payload.split('\t').collect();
-        let [fp, word, style, area, spec_label, tech_label] = fields.as_slice() else {
-            return Err(corrupt(format!(
-                "line {lineno}: expected 6 tab-separated fields, got {}",
-                fields.len()
-            )));
-        };
-        let parse_hex = |s: &str, what: &str| {
-            if s.len() == 16 {
-                u64::from_str_radix(s, 16).ok()
-            } else {
-                None
-            }
-            .ok_or_else(|| corrupt(format!("line {lineno}: bad {what} `{s}`")))
-        };
-        let fingerprint = parse_hex(fp, "fingerprint")?;
-        let outcome = match *word {
-            "ok" => CheckpointOutcome::Ok {
-                style: (*style).to_owned(),
-                area_um2: f64::from_bits(parse_hex(area, "area")?),
-            },
-            "infeasible" => CheckpointOutcome::Infeasible,
-            "failed" => CheckpointOutcome::Failed,
-            other => return Err(corrupt(format!("line {lineno}: unknown outcome `{other}`"))),
-        };
-        good_lines.push(line);
-        if outcome.is_complete() {
-            completed.insert(
-                fingerprint,
-                CheckpointEntry {
-                    fingerprint,
-                    outcome,
-                    spec_label: (*spec_label).to_owned(),
-                    tech_label: (*tech_label).to_owned(),
-                },
-            );
-        }
-    }
-    Ok(Parsed {
-        completed,
-        header,
-        good_lines,
-        quarantined,
-        sealed,
-    })
+    Some((hex(fp)?, outcome))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::seal_line;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("oasys-batch-checkpoint-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{}-{name}", std::process::id()))
+        let path = dir.join(format!("{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
     fn records_round_trip_bit_exactly() {
         let path = tmp("roundtrip");
-        let _ = std::fs::remove_file(&path);
         {
             let mut cp = Checkpoint::open(&path).unwrap();
             cp.record(
@@ -539,10 +209,9 @@ mod tests {
                 .unwrap();
         }
         let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.completed_count(), 2, "failed entries are not complete");
-        assert_eq!(cp.quarantined(), 0);
-        let entry = cp.completed(0xdead_beef).unwrap();
-        match &entry.outcome {
+        assert!(cp.salvage().is_clean());
+        assert!(cp.completed(7).is_some());
+        match cp.completed(0xdead_beef).unwrap() {
             CheckpointOutcome::Ok { style, area_um2 } => {
                 assert_eq!(style, "two-stage");
                 assert_eq!(area_um2.to_bits(), 1234.5678_f64.to_bits());
@@ -556,205 +225,33 @@ mod tests {
     #[test]
     fn new_checkpoints_write_sealed_v2_lines() {
         let path = tmp("sealed");
-        let _ = std::fs::remove_file(&path);
         let mut cp = Checkpoint::open(&path).unwrap();
+        assert!(!path.exists(), "the file appears with the first record");
         cp.record(1, &CheckpointOutcome::Infeasible, "a", "b")
             .unwrap();
         drop(cp);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(lines.next(), Some(CHECKPOINT_HEADER));
-        let record = lines.next().unwrap();
-        match crate::integrity::open_line(record) {
-            LineIntegrity::Sealed(payload) => {
-                assert!(
-                    payload.starts_with("0000000000000001\tinfeasible"),
-                    "{payload}"
-                );
-            }
-            other => panic!("record line is not sealed: {other:?} ({record})"),
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_a_fresh_checkpoint() {
-        let path = tmp("missing");
-        let _ = std::fs::remove_file(&path);
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.completed_count(), 0);
-    }
-
-    #[test]
-    fn torn_final_line_is_dropped_and_repaired() {
-        let path = tmp("truncated");
-        let durable = format!(
-            "{CHECKPOINT_HEADER}\n{}\n",
-            integrity::seal_line("0000000000000007\tinfeasible\t-\t-\ta\tb")
-        );
-        std::fs::write(&path, format!("{durable}00000000000000ff\tok\ttwo-")).unwrap();
-        let mut cp = Checkpoint::open(&path).unwrap();
-        assert!(cp.recovered(), "torn tail must be reported");
-        assert_eq!(cp.completed_count(), 1, "durable prefix survives");
-        assert!(cp.completed(0xff).is_none(), "the torn record is absent");
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
-            durable,
-            "file truncated back to its durable prefix"
-        );
-        // Appends after the repair keep the file well-formed.
-        cp.record(0xff, &CheckpointOutcome::Infeasible, "a", "b")
-            .unwrap();
-        drop(cp);
-        let cp = Checkpoint::open(&path).unwrap();
-        assert!(!cp.recovered());
-        assert_eq!(cp.completed_count(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_files_are_read_and_appended_in_their_own_format() {
-        let path = tmp("legacy-v1");
-        std::fs::write(
-            &path,
-            format!("{CHECKPOINT_HEADER_V1}\n0000000000000007\tinfeasible\t-\t-\ta\tb\n"),
-        )
-        .unwrap();
-        let mut cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.completed_count(), 1, "v1 records still load");
-        cp.record(0xff, &CheckpointOutcome::Infeasible, "a", "b")
-            .unwrap();
-        drop(cp);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.lines().skip(1).all(|l| l.split('\t').count() == 6),
-            "appends to a v1 file stay unsealed: {text}"
-        );
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.completed_count(), 2, "the mixed-age v1 file re-opens");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn flipped_byte_is_quarantined_and_healed_not_fatal() {
-        let path = tmp("bitrot");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut cp = Checkpoint::open(&path).unwrap();
-            for fp in [1u64, 2, 3] {
-                cp.record(fp, &CheckpointOutcome::Infeasible, "a", "b")
-                    .unwrap();
-            }
-        }
-        // Flip one byte in the middle record (line 3 of the file).
-        let mut bytes = std::fs::read(&path).unwrap();
-        let line_starts: Vec<usize> = std::iter::once(0)
-            .chain(
-                bytes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b == b'\n')
-                    .map(|(i, _)| i + 1),
-            )
-            .collect();
-        bytes[line_starts[2] + 4] ^= 0x20;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.quarantined(), 1, "exactly the damaged line is dropped");
-        assert_eq!(cp.completed_count(), 2, "healthy records survive");
-        assert!(cp.completed(2).is_none(), "the damaged job re-runs");
-        assert!(cp.completed(1).is_some() && cp.completed(3).is_some());
-        drop(cp);
-        // The heal is durable: a second open sees a clean file.
-        let cp = Checkpoint::open(&path).unwrap();
-        assert_eq!(cp.quarantined(), 0, "quarantined line healed away");
-        assert_eq!(cp.completed_count(), 2);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_header_and_empty_file_open_fresh() {
-        let path = tmp("torn-header");
-        std::fs::write(&path, "oasys-batch-ch").unwrap();
-        let cp = Checkpoint::open(&path).unwrap();
-        assert!(cp.recovered(), "a torn header is a torn final line");
-        assert_eq!(cp.completed_count(), 0);
-        let cp = Checkpoint::open(&path).unwrap();
-        assert!(!cp.recovered(), "repair left an (empty) well-formed file");
-        assert_eq!(cp.completed_count(), 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn torn_write_fault_leaves_a_recoverable_file() {
-        let path = tmp("torn-fault");
-        let _ = std::fs::remove_file(&path);
-        let mut cp = Checkpoint::open(&path).unwrap();
-        cp.record(1, &CheckpointOutcome::Infeasible, "a", "b")
-            .unwrap();
-        oasys_faults::set("batch.checkpoint.record", oasys_faults::FaultSpec::FailOnce);
-        let err = cp
-            .record(2, &CheckpointOutcome::Infeasible, "c", "d")
-            .unwrap_err();
-        assert!(err.to_string().contains("torn"), "{err}");
-        oasys_faults::remove("batch.checkpoint.record");
-        drop(cp);
-        assert!(
-            !std::fs::read_to_string(&path).unwrap().ends_with('\n'),
-            "the fault really tore the final line"
-        );
-        let cp = Checkpoint::open(&path).unwrap();
-        assert!(cp.recovered());
-        assert_eq!(
-            cp.completed_count(),
-            1,
-            "record 1 survives, record 2 re-runs"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bad_header_and_malformed_records_are_corrupt() {
-        let path = tmp("corrupt");
-        std::fs::write(&path, "not a checkpoint\n").unwrap();
-        assert!(matches!(
-            Checkpoint::open(&path),
-            Err(CheckpointError::Corrupt { .. })
-        ));
-        // v1 files have no checksums, so structural strictness is the
-        // only defense: any malformed terminated line condemns the file.
-        std::fs::write(&path, format!("{CHECKPOINT_HEADER_V1}\nnot\ttabs\n")).unwrap();
-        let err = Checkpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("6 tab-separated"), "{err}");
-        std::fs::write(
-            &path,
-            format!("{CHECKPOINT_HEADER_V1}\nzz\tok\ts\t0000000000000000\ta\tb\n"),
-        )
-        .unwrap();
-        let err = Checkpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("bad fingerprint"), "{err}");
-        // A v2 line whose checksum *verifies* but whose payload is
-        // malformed was written wrong, not damaged: still corrupt.
-        std::fs::write(
-            &path,
             format!(
                 "{CHECKPOINT_HEADER}\n{}\n",
-                integrity::seal_line("not-a-record")
-            ),
-        )
-        .unwrap();
-        let err = Checkpoint::open(&path).unwrap_err();
-        assert!(err.to_string().contains("6 tab-separated"), "{err}");
+                seal_line("0000000000000001\tinfeasible\t-\t-\ta\tb")
+            )
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn start_fresh_discards_a_corrupt_file() {
-        let path = tmp("fresh");
-        std::fs::write(&path, "garbage").unwrap();
-        let cp = Checkpoint::start_fresh(&path).unwrap();
-        assert_eq!(cp.completed_count(), 0);
-        assert!(!path.exists(), "stale file removed");
+    fn sealed_lines_that_are_not_records_are_untrusted() {
+        let path = tmp("malformed");
+        let good = seal_line("0000000000000007\tinfeasible\t-\t-\ta\tb");
+        let text = format!(
+            "{CHECKPOINT_HEADER}\n{}\n{good}\n",
+            seal_line("not-a-record")
+        );
+        std::fs::write(&path, text).unwrap();
+        let cp = Checkpoint::open(&path).unwrap();
+        assert_eq!(cp.salvage().quarantined, 1, "written wrong, never trusted");
+        assert!(cp.completed(7).is_some(), "its neighbour survives");
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -43,9 +43,7 @@ mod manifest;
 mod runner;
 mod synth_runner;
 
-pub use checkpoint::{
-    Checkpoint, CheckpointEntry, CheckpointError, CheckpointOutcome, CHECKPOINT_HEADER,
-};
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome, CHECKPOINT_HEADER};
 pub use manifest::{
     fingerprint, Job, Manifest, ManifestError, ManifestSettings, Sampling, SAMPLABLE_SPEC_FIELDS,
 };

@@ -29,6 +29,7 @@
 use super::checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome};
 use super::manifest::Job;
 use crate::batch::BatchOptions;
+use crate::integrity::Salvage;
 use oasys_faults::Deadline;
 use oasys_telemetry::{json, Recording, Telemetry, TelemetrySeed};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -555,7 +556,6 @@ pub struct Batch {
     jobs: Vec<Job>,
     options: BatchOptions,
     checkpoint: Option<Checkpoint>,
-    recovered_checkpoint: bool,
 }
 
 impl Batch {
@@ -566,54 +566,49 @@ impl Batch {
             jobs,
             options,
             checkpoint: None,
-            recovered_checkpoint: false,
         }
     }
 
-    /// Attaches a checkpoint file. An existing valid checkpoint arms the
-    /// resume path. A torn final line — the one kind of damage an
-    /// append-and-flush crash can inflict — is repaired in place: the
-    /// durable prefix resumes, only the torn record's job re-runs. Any
-    /// other corruption (bad header, malformed record) **discards** the
-    /// file and the batch restarts cleanly — a half-written record must
-    /// never masquerade as completed work. Check
-    /// [`Batch::recovered_checkpoint`] to report either recovery.
+    /// Attaches a checkpoint file. Its completed jobs arm the resume
+    /// path. Damage — a torn final line, a line whose seal fails, a
+    /// foreign header — is repaired on open: the untrusted lines are
+    /// dropped and their jobs re-run, so a half-written or corrupted
+    /// record never masquerades as completed work. Check
+    /// [`Batch::checkpoint_salvage`] to report the repair.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the file cannot be read or the stale
-    /// corrupt file cannot be removed.
+    /// [`CheckpointError::Io`] when the file cannot be read or repaired.
     pub fn with_checkpoint(
         mut self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<Self, CheckpointError> {
-        match Checkpoint::open(path.as_ref()) {
-            Ok(checkpoint) => {
-                self.recovered_checkpoint = checkpoint.recovered();
-                self.checkpoint = Some(checkpoint);
-            }
-            Err(CheckpointError::Corrupt { .. }) => {
-                self.checkpoint = Some(Checkpoint::start_fresh(path.as_ref())?);
-                self.recovered_checkpoint = true;
-            }
-            Err(e) => return Err(e),
-        }
+        self.checkpoint = Some(Checkpoint::open(path)?);
         Ok(self)
     }
 
-    /// `true` when [`Batch::with_checkpoint`] found a corrupt file and
-    /// restarted cleanly.
+    /// What opening the attached checkpoint repaired (clean when there
+    /// is no checkpoint).
     #[must_use]
-    pub fn recovered_checkpoint(&self) -> bool {
-        self.recovered_checkpoint
+    pub fn checkpoint_salvage(&self) -> Salvage {
+        self.checkpoint
+            .as_ref()
+            .map_or_else(Salvage::default, Checkpoint::salvage)
     }
 
-    /// Checkpoint lines quarantined on open (checksum seal failed):
-    /// their jobs are not trusted and simply re-run this batch. Also
-    /// surfaced as the `batch.records_quarantined` telemetry counter.
+    /// `true` when [`Batch::with_checkpoint`] found damage and repaired
+    /// it.
+    #[must_use]
+    pub fn recovered_checkpoint(&self) -> bool {
+        !self.checkpoint_salvage().is_clean()
+    }
+
+    /// Checkpoint lines quarantined on open: their jobs are not trusted
+    /// and simply re-run this batch. Also surfaced as the
+    /// `batch.records_quarantined` telemetry counter.
     #[must_use]
     pub fn quarantined_records(&self) -> usize {
-        self.checkpoint.as_ref().map_or(0, Checkpoint::quarantined)
+        self.checkpoint_salvage().quarantined
     }
 
     /// Jobs already completed by the attached checkpoint.
@@ -657,7 +652,7 @@ impl Batch {
         root.annotate("jobs", || jobs.len().to_string());
         // Resume integrity: lines the checkpoint quarantined (failed
         // seal) surface in telemetry — their jobs simply re-run below.
-        let quarantined = checkpoint.as_ref().map_or(0, Checkpoint::quarantined);
+        let quarantined = checkpoint.as_ref().map_or(0, |cp| cp.salvage().quarantined);
         if quarantined > 0 {
             tel.add("batch.records_quarantined", quarantined as u64);
             root.annotate("records_quarantined", || quarantined.to_string());
@@ -670,7 +665,7 @@ impl Batch {
         records.resize_with(jobs.len(), || None);
         let mut pending: Vec<(Job, Vec<Option<TelemetrySeed>>)> = Vec::new();
         for job in jobs {
-            if let Some(entry) = checkpoint
+            if let Some(prior) = checkpoint
                 .as_ref()
                 .and_then(|cp| cp.completed(job.fingerprint()))
             {
@@ -680,7 +675,7 @@ impl Batch {
                     tech: job.tech_label().to_owned(),
                     fingerprint: job.fingerprint(),
                     status: JobStatus::Skipped {
-                        prior: entry.outcome.clone(),
+                        prior: prior.clone(),
                     },
                     attempts: 0,
                     duration_ns: 0,

@@ -42,9 +42,9 @@
 //! line per job (to stdout, or `--records`) and ending with the
 //! deterministic aggregate report (to stdout, or `--aggregate`).
 //! `--checkpoint` makes the run resumable: completed jobs are recorded
-//! by content fingerprint and skipped when the batch is re-run; a
-//! corrupt or truncated checkpoint is discarded and the batch restarts
-//! cleanly. A panicking or timed-out job is reported as failed in its
+//! by content fingerprint and skipped when the batch is re-run; damaged
+//! checkpoint lines are dropped (the repair is printed) and their jobs
+//! re-run. A panicking or timed-out job is reported as failed in its
 //! own record while the remaining jobs complete; the exit code is
 //! nonzero only when some job failed (infeasible specs are definitive
 //! answers, not failures). Command-line flags override the manifest's
@@ -615,12 +615,12 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let mut batch_run = batch::Batch::new(jobs, options);
     if let Some(path) = &opts.checkpoint_path {
         batch_run = batch_run.with_checkpoint(path).map_err(|e| e.to_string())?;
-        if batch_run.recovered_checkpoint() {
-            eprintln!(
-                "batch: checkpoint {path} was damaged — recovered, {} completed jobs salvaged",
-                batch_run.resumable_count()
-            );
-        } else if batch_run.resumable_count() > 0 {
+        report_salvage(
+            "batch",
+            &format!("checkpoint {path}"),
+            batch_run.checkpoint_salvage(),
+        );
+        if batch_run.resumable_count() > 0 {
             eprintln!(
                 "batch: resuming — {} completed jobs on record",
                 batch_run.resumable_count()
@@ -661,7 +661,11 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
 
     match &opts.aggregate_path {
         Some(path) => {
-            write_atomic(path, &report.render_aggregate())?;
+            let aggregate = report.render_aggregate();
+            oasys::integrity::write_atomic(std::path::Path::new(path), |out| {
+                out.write_all(aggregate.as_bytes())
+            })
+            .map_err(|e| format!("{path}: {e}"))?;
             eprintln!("batch: aggregate written to {path}");
         }
         None => print!("{}", report.render_aggregate()),
@@ -843,6 +847,11 @@ fn run_dataset(
         &tel,
     )
     .map_err(|e| e.to_string())?;
+    report_salvage(
+        "dataset",
+        &format!("shard {}/{}", opts.shard_index, opts.shards),
+        report.salvage(),
+    );
     let lookups = report.cache_hits + report.cache_misses;
     eprintln!(
         "dataset: shard {}/{} published — {} records ({} resumed, {} executed, {} passed, {} draws rejected), {} workers, cache {:.0}% hit, plan {:016x}",
@@ -1253,18 +1262,12 @@ fn load_inputs(
     Ok((spec, process))
 }
 
-/// Writes `text` to `path` atomically: the bytes land in a sibling
-/// temporary file, are fsynced, and the file is renamed over the target,
-/// so a crash mid-write can never leave a torn aggregate behind.
-fn write_atomic(path: &str, text: &str) -> Result<(), String> {
-    use std::io::Write as _;
-    let err = |e: std::io::Error| format!("{path}: {e}");
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    let mut file = std::fs::File::create(&tmp).map_err(err)?;
-    file.write_all(text.as_bytes()).map_err(err)?;
-    file.sync_all().map_err(err)?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(err)
+/// Prints what opening a sealed record log repaired, in the one
+/// wording `batch` and `dataset` share; silent when nothing was.
+fn report_salvage(command: &str, log: &str, salvage: oasys::integrity::Salvage) {
+    if !salvage.is_clean() {
+        eprintln!("{command}: {log} repaired — {salvage}; the dropped work re-runs");
+    }
 }
 
 #[cfg(test)]

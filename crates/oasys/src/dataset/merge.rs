@@ -11,17 +11,18 @@
 //! shards of two different plans is a hard error, not a garbage file.
 //!
 //! Integrity: every record line's checksum seal is verified as it
-//! streams through ([`sink::parse_record_id`]). A line that fails is
-//! *quarantined* — counted per shard, never copied into the merged
-//! output — and a merge that quarantined anything aborts before
-//! publishing, reporting `records_quarantined` and which shards to
-//! re-run ([`crate::dataset::generate`] heals a corrupted published
-//! shard by re-running exactly its damaged points).
+//! streams through. A line that fails is *quarantined* — counted per
+//! shard, never copied into the merged output — and a merge that
+//! quarantined anything, or that merged fewer lines than the plan has
+//! points (per-line seals cannot see a line that is gone), aborts
+//! before publishing ([`crate::dataset::generate`] heals a damaged or
+//! short shard by re-running exactly its missing points).
 
-use super::sink::{self, parse_record_id, write_atomic};
+use super::sink::{self, open_record_line, parse_record};
 use super::DatasetError;
+use crate::integrity;
 use oasys_telemetry::json::{self, Json};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 /// The merged dataset's record file name.
@@ -69,24 +70,20 @@ impl ShardReader {
             path: path.to_path_buf(),
             quarantined: 0,
         };
-        reader.advance()?;
+        reader.advance().map_err(|error| DatasetError::Sink {
+            path: path.to_path_buf(),
+            error,
+        })?;
         Ok(reader)
     }
 
-    fn advance(&mut self) -> Result<(), DatasetError> {
+    fn advance(&mut self) -> std::io::Result<()> {
         // Lines are read as bytes: corruption can make a line invalid
         // UTF-8, which must quarantine that line, not abort the read.
         let mut buf = Vec::new();
         self.next = loop {
             buf.clear();
-            let read =
-                self.reader
-                    .read_until(b'\n', &mut buf)
-                    .map_err(|error| DatasetError::Sink {
-                        path: self.path.clone(),
-                        error,
-                    })?;
-            if read == 0 {
+            if self.reader.read_until(b'\n', &mut buf)? == 0 {
                 break None;
             }
             if buf.last() == Some(&b'\n') {
@@ -95,14 +92,12 @@ impl ShardReader {
             // A line whose encoding, seal, or JSON fails to verify is
             // quarantined: skipped here, surfaced as a hard error
             // before the merge publishes.
-            match std::str::from_utf8(&buf).ok().and_then(parse_record_id) {
-                Some(id) => {
-                    break Some((
-                        id,
-                        String::from_utf8(std::mem::take(&mut buf)).expect("verified utf-8"),
-                    ))
-                }
-                None => self.quarantined += 1,
+            match String::from_utf8(std::mem::take(&mut buf)) {
+                Ok(line) => match open_record_line(&line).and_then(parse_record) {
+                    Some((id, _)) => break Some((id, line)),
+                    None => self.quarantined += 1,
+                },
+                Err(_) => self.quarantined += 1,
             }
         };
         Ok(())
@@ -177,15 +172,12 @@ pub fn merge(dir: &Path) -> Result<MergeReport, DatasetError> {
         ))?);
     }
 
+    // The k-way merge streams into the atomic writer; a refusal found
+    // mid-stream fails the write, so nothing is published.
     let records_path = dir.join(MERGED_RECORDS);
-    let tmp = records_path.with_extension(format!("tmp.{}", std::process::id()));
+    let mut refusal = None;
     let mut records = 0usize;
-    {
-        let file = std::fs::File::create(&tmp).map_err(|error| DatasetError::Sink {
-            path: tmp.clone(),
-            error,
-        })?;
-        let mut out = std::io::BufWriter::new(file);
+    let written = integrity::write_atomic(&records_path, |out| {
         let mut last_id: Option<usize> = None;
         while let Some((id, which)) = readers
             .iter()
@@ -194,48 +186,47 @@ pub fn merge(dir: &Path) -> Result<MergeReport, DatasetError> {
             .min()
         {
             if last_id == Some(id) {
-                return Err(DatasetError::Merge {
-                    detail: format!("record id {id} appears in two shards"),
-                });
+                refusal = Some(format!("record id {id} appears in two shards"));
+                return Err(std::io::Error::other("merge refused"));
             }
             last_id = Some(id);
-            let (_, line) = readers[which].next.take().unwrap_or((0, String::new()));
-            out.write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .map_err(|error| DatasetError::Sink {
-                    path: tmp.clone(),
-                    error,
-                })?;
-            records += 1;
+            if let Some((_, line)) = readers[which].next.take() {
+                out.write_all(line.as_bytes())?;
+                out.write_all(b"\n")?;
+                records += 1;
+            }
             readers[which].advance()?;
         }
-        out.flush()
-            .and_then(|()| out.get_ref().sync_all())
-            .map_err(|error| DatasetError::Sink {
-                path: tmp.clone(),
-                error,
-            })?;
+        // Integrity gate: a merge that quarantined anything, or that
+        // holds fewer lines than the plan has points (per-line seals
+        // cannot see a line that is gone), must not publish. Name the
+        // damaged shards so a re-run (`oasys dataset`) can heal them.
+        let records_quarantined: usize = readers.iter().map(|r| r.quarantined).sum();
+        if records_quarantined > 0 || records != total_points {
+            let damaged: String = readers
+                .iter()
+                .filter(|r| r.quarantined > 0)
+                .map(|r| {
+                    format!(
+                        ", {} line(s) corrupt in {}",
+                        r.quarantined,
+                        r.path.display()
+                    )
+                })
+                .collect();
+            refusal = Some(format!(
+                "records_quarantined={records_quarantined}: merged {records} of \
+                 {total_points} records{damaged}; re-run the shards to heal them, \
+                 then merge again"
+            ));
+            return Err(std::io::Error::other("merge refused"));
+        }
+        Ok(())
+    });
+    if let Some(detail) = refusal {
+        return Err(DatasetError::Merge { detail });
     }
-    // Integrity gate: a merge that quarantined anything must not
-    // publish — the dataset would silently be missing records. Name the
-    // damaged shards so a re-run (`oasys dataset`) can heal them.
-    let records_quarantined: usize = readers.iter().map(|r| r.quarantined).sum();
-    if records_quarantined > 0 {
-        let _ = std::fs::remove_file(&tmp);
-        let damaged: Vec<String> = readers
-            .iter()
-            .filter(|r| r.quarantined > 0)
-            .map(|r| format!("{} ({} line(s))", r.path.display(), r.quarantined))
-            .collect();
-        return Err(DatasetError::Merge {
-            detail: format!(
-                "records_quarantined={records_quarantined}: corrupt record lines in {}; \
-                 re-run the affected shards to heal them, then merge again",
-                damaged.join(", ")
-            ),
-        });
-    }
-    std::fs::rename(&tmp, &records_path).map_err(|error| DatasetError::Sink {
+    written.map_err(|error| DatasetError::Sink {
         path: records_path.clone(),
         error,
     })?;
@@ -250,10 +241,12 @@ pub fn merge(dir: &Path) -> Result<MergeReport, DatasetError> {
         plan_fingerprint, total_points, samples_rejected, samples_drawn, records, passed_sum,
     );
     let summary_path = dir.join(MERGED_SUMMARY);
-    write_atomic(&summary_path, &summary).map_err(|error| DatasetError::Sink {
-        path: summary_path,
-        error,
-    })?;
+    integrity::write_atomic(&summary_path, |out| out.write_all(summary.as_bytes())).map_err(
+        |error| DatasetError::Sink {
+            path: summary_path,
+            error,
+        },
+    )?;
 
     Ok(MergeReport {
         shards,
@@ -329,7 +322,7 @@ mod tests {
     fn publish(dir: &Path, index: usize, shards: usize, ids: &[usize], fp: &str, total: usize) {
         let mut sink = ShardSink::open(dir, index, shards).unwrap();
         for &id in ids {
-            sink.record(id, &line(id)).unwrap();
+            sink.record(&line(id)).unwrap();
         }
         sink.finalize(&summary(fp, ids.len(), total)).unwrap();
     }
@@ -367,6 +360,25 @@ mod tests {
         assert!(
             !dir.join(MERGED_RECORDS).exists(),
             "a quarantining merge must not publish"
+        );
+    }
+
+    #[test]
+    fn shard_that_lost_whole_lines_aborts_the_merge() {
+        let dir = crate::dataset::test_dir("merge_short");
+        publish(&dir, 0, 1, &[0, 1, 2], "ab", 3);
+        // Cut the shard to its first two lines: every surviving line
+        // still verifies, so only the count can tell.
+        let path = sink::shard_records_path(&dir, 0, 1);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut: String = text.split_inclusive('\n').take(2).collect();
+        std::fs::write(&path, cut).unwrap();
+
+        let err = merge(&dir).unwrap_err().to_string();
+        assert!(err.contains("merged 2 of 3 records"), "{err}");
+        assert!(
+            !dir.join(MERGED_RECORDS).exists(),
+            "a short merge must not publish"
         );
     }
 

@@ -37,6 +37,7 @@ pub use plan::{DatasetPlan, PointMeta};
 pub use sink::ShardSink;
 
 use crate::batch::{Batch, BatchOptions, JobRecord, Manifest};
+use crate::integrity::Salvage;
 use oasys_telemetry::{json, Telemetry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -149,10 +150,24 @@ pub struct ShardReport {
     pub cache_hits: u64,
     /// Sub-block design-cache misses this run.
     pub cache_misses: u64,
-    /// Corrupt record lines quarantined this run — from the partial's
-    /// salvage and/or a damaged published shard demoted by
+    /// Record lines quarantined this run — untrusted lines of the
+    /// partial and/or points missing from a published shard demoted by
     /// [`sink::heal_published`]. Every quarantined point was re-run.
     pub records_quarantined: usize,
+    /// `true` when a torn final line was dropped this run.
+    pub torn_tail: bool,
+}
+
+impl ShardReport {
+    /// What this run repaired, in the shared wording of
+    /// [`crate::integrity::Salvage`].
+    #[must_use]
+    pub fn salvage(&self) -> Salvage {
+        Salvage {
+            torn_tail: self.torn_tail,
+            quarantined: self.records_quarantined,
+        }
+    }
 }
 
 /// Expands `manifest` and generates the configured shard into `dir`,
@@ -184,15 +199,17 @@ pub fn generate(
         error,
     };
 
-    let mut healed_quarantined = 0usize;
+    let points = plan.shard_points(shard_index, shards);
+    let mut published = Salvage::default();
     if ShardSink::is_complete(dir, shard_index, shards) {
         // Published shards are immutable — but never trusted blindly:
-        // re-verify every line's checksum first. A damaged shard is
-        // demoted back to a partial of its healthy lines and falls
-        // through to the resume path, re-running exactly the
-        // quarantined points.
-        healed_quarantined = sink::heal_published(dir, shard_index, shards).map_err(sink_err)?;
-        if healed_quarantined == 0 {
+        // every line's seal is re-verified and every point must have a
+        // line. A damaged or short shard is demoted back to a partial of
+        // its healthy lines and falls through to the resume path,
+        // re-running exactly the missing points.
+        published = sink::heal_published(dir, shard_index, shards, points.iter().map(|p| p.id))
+            .map_err(sink_err)?;
+        if published.is_clean() {
             let summary_path = sink::shard_summary_path(dir, shard_index, shards);
             let text =
                 std::fs::read_to_string(&summary_path).map_err(|error| DatasetError::Sink {
@@ -214,18 +231,19 @@ pub fn generate(
                 cache_hits: 0,
                 cache_misses: 0,
                 records_quarantined: 0,
+                torn_tail: false,
             });
         }
     }
 
-    let points = plan.shard_points(shard_index, shards);
     let mut sink = ShardSink::open(dir, shard_index, shards).map_err(sink_err)?;
-    let records_quarantined = healed_quarantined + sink.quarantined_count();
+    let records_quarantined = published.quarantined + sink.salvage().quarantined;
+    let torn_tail = published.torn_tail || sink.salvage().torn_tail;
     if records_quarantined > 0 {
         tel.add("dataset.records_quarantined", records_quarantined as u64);
     }
-    let resumed = sink.recorded_count();
-    let recorded: std::collections::HashSet<usize> = sink.recorded_ids().into_iter().collect();
+    let resumed = sink.recorded_ids().count();
+    let recorded: std::collections::HashSet<usize> = sink.recorded_ids().collect();
     let pending: Vec<&PointMeta> = points
         .iter()
         .copied()
@@ -254,7 +272,7 @@ pub fn generate(
                 }
                 let point = pending[record.job];
                 let line = record::render_record(point, record, &plan);
-                match sink.record(point.id, &line) {
+                match sink.record(&line) {
                     Ok(()) => tel.incr("dataset.records"),
                     Err(error) => sink_error = Some(error),
                 }
@@ -271,18 +289,18 @@ pub fn generate(
     }
 
     // Every point must be on record before the shard publishes.
-    if sink.recorded_count() != points.len() {
+    if sink.recorded_ids().count() != points.len() {
         return Err(DatasetError::Merge {
             detail: format!(
                 "shard {shard_index}/{shards} has {} of {} records; rerun to resume",
-                sink.recorded_count(),
+                sink.recorded_ids().count(),
                 points.len()
             ),
         });
     }
 
-    let passed = count_passed(dir, shard_index, shards).map_err(sink_err)?;
-    let records = sink.recorded_count();
+    let passed = sink.passed_count();
+    let records = sink.recorded_ids().count();
     let summary = render_shard_summary(&plan, shard_index, shards, records, passed);
     sink.finalize(&summary).map_err(sink_err)?;
     Ok(ShardReport {
@@ -295,37 +313,8 @@ pub fn generate(
         cache_hits,
         cache_misses,
         records_quarantined,
+        torn_tail,
     })
-}
-
-/// Counts `"meets_spec": true` records by streaming the partial file
-/// line by line (one record resident at a time). A record id written
-/// twice resolves to its latest line, matching the sink's index.
-fn count_passed(dir: &Path, shard_index: usize, shards: usize) -> std::io::Result<usize> {
-    use std::io::BufRead;
-    let partial = dir.join(format!(
-        "{}.jsonl.partial",
-        sink::shard_stem(shard_index, shards)
-    ));
-    let reader = std::io::BufReader::new(std::fs::File::open(partial)?);
-    let mut latest: std::collections::BTreeMap<usize, bool> = std::collections::BTreeMap::new();
-    for line in reader.lines() {
-        let line = line?;
-        let Some(payload) = sink::open_record_line(&line) else {
-            continue; // quarantined line: its point re-ran and has a later line
-        };
-        if let Ok(value) = json::parse(payload) {
-            if let Some(id) = value.get("id").and_then(json::Json::as_num) {
-                let pass = value
-                    .get("ok")
-                    .and_then(|ok| ok.get("meets_spec"))
-                    .and_then(json::Json::as_bool)
-                    .unwrap_or(false);
-                latest.insert(id as usize, pass);
-            }
-        }
-    }
-    Ok(latest.values().filter(|&&p| p).count())
 }
 
 /// Renders a shard summary. Per-shard fields (`shard`, `shards`) are

@@ -231,6 +231,55 @@ fn torn_checkpoint_line_resumes_from_the_durable_prefix() {
     std::fs::remove_file(&path).unwrap();
 }
 
+#[test]
+fn crash_at_every_byte_of_the_checkpoint_resumes_byte_identical() {
+    // At one worker the checkpoint is written in job order, so a resume
+    // rewrites it byte for byte as well.
+    let options = fast_options().with_workers(1);
+    let path = tmp("crash-model");
+    let run = |batch: Batch| {
+        batch
+            .run(&Arc::new(MockRunner), &Telemetry::disabled(), |_| {})
+            .unwrap()
+    };
+    let baseline = run(Batch::new(mock_jobs(), options.clone())
+        .with_checkpoint(&path)
+        .unwrap());
+    let written = std::fs::read(&path).unwrap();
+
+    let cut = tmp("crash-model-cut");
+    let resume_from = |bytes: &[u8]| {
+        std::fs::write(&cut, bytes).unwrap();
+        let batch = Batch::new(mock_jobs(), options.clone())
+            .with_checkpoint(&cut)
+            .unwrap();
+        let skipped = batch.resumable_count();
+        let resumed = run(batch);
+        assert_eq!(resumed.render_aggregate(), baseline.render_aggregate());
+        assert_eq!(std::fs::read(&cut).unwrap(), written);
+        let reopened = Batch::new(mock_jobs(), options.clone())
+            .with_checkpoint(&cut)
+            .unwrap();
+        assert!(!reopened.recovered_checkpoint());
+        assert_eq!(reopened.resumable_count(), 9);
+        skipped
+    };
+    // A kill during the write at byte k leaves the first k bytes.
+    for k in 0..=written.len() {
+        resume_from(&written[..k]);
+    }
+    // The legacy unsealed v1 format holds the same records, yet none is
+    // trusted: every job re-runs.
+    let mut v1 = String::from("oasys-batch-checkpoint v1\n");
+    for line in String::from_utf8(written.clone()).unwrap().lines().skip(1) {
+        v1.push_str(line.rsplit_once('\t').unwrap().0);
+        v1.push('\n');
+    }
+    assert_eq!(resume_from(v1.as_bytes()), 0);
+    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_file(&cut).unwrap();
+}
+
 /// Panics on one specific job, succeeds on the rest.
 struct PanickyRunner;
 

@@ -139,3 +139,63 @@ fn cli_lint_rejects_bad_format() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("yaml"));
 }
+
+/// Flips one bit in the middle of line `line` (0-based) of `path`.
+fn flip_line(path: &std::path::Path, line: usize) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let text = String::from_utf8_lossy(&bytes).into_owned();
+    let start: usize = text.split_inclusive('\n').take(line).map(str::len).sum();
+    bytes[start + 10] ^= 0x01;
+    std::fs::write(path, bytes).unwrap();
+}
+
+#[test]
+fn batch_and_dataset_report_a_repair_in_one_wording() {
+    let root = repo_root();
+    let dir = std::env::temp_dir().join(format!("oasys-cli-repair-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+            .current_dir(&root)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "{args:?}: {output:?}");
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
+    let wording = "repaired — 1 line quarantined; the dropped work re-runs";
+
+    let checkpoint = dir.join("sweep.ckpt").display().to_string();
+    let aggregate = dir.join("sweep.json").display().to_string();
+    let batch = [
+        "batch",
+        "data/sweep.manifest",
+        "--no-verify",
+        "--checkpoint",
+        &checkpoint,
+    ];
+    let batch = [&batch[..], &["--aggregate", &aggregate]].concat();
+    assert!(!run(&batch).contains("repaired"));
+    flip_line(std::path::Path::new(&checkpoint), 4);
+    let stderr = run(&batch);
+    assert!(
+        stderr.contains(&format!("checkpoint {checkpoint} {wording}")),
+        "{stderr}"
+    );
+
+    let manifest = dir.join("two-points.manifest").display().to_string();
+    let data = root.join("data").display().to_string();
+    std::fs::write(
+        &manifest,
+        format!("spec = {data}/spec-b.txt\nspec = {data}/spec-c.txt\ntech = {data}/generic-1.2um.tech\n"),
+    )
+    .unwrap();
+    let out = dir.join("dataset").display().to_string();
+    let dataset = ["dataset", &manifest, "--out", &out, "--no-verify"];
+    assert!(!run(&dataset).contains("repaired"));
+    flip_line(&dir.join("dataset/shard-0-of-1.jsonl"), 1);
+    let stderr = run(&dataset);
+    assert!(stderr.contains(&format!("shard 0/1 {wording}")), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
