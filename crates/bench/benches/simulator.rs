@@ -1,7 +1,8 @@
 //! Simulator benchmarks: the verification cost per synthesized op amp
 //! (offset bisection, DC operating point, AC sweep, swing sweep, slew
-//! transients and the AC-family phases), plus the two DC kernels it is
-//! built from: one cold Newton solve and the 241-point warm swing sweep.
+//! transients and the AC-family phases), plus the kernels it is built
+//! from: case C's two slew transients, one cold Newton solve and the
+//! 241-point warm swing sweep.
 
 use oasys::spec::test_cases;
 use oasys::{synthesize, verify};
@@ -33,6 +34,14 @@ fn main() {
             spec_c.load().farads(),
         )
         .unwrap()
+    });
+
+    let (slew, out, slew_spec) =
+        oasys::verify::slew_bench(&design_c, &process, spec_c.load().farads()).unwrap();
+    let tel = oasys_telemetry::Telemetry::disabled();
+    b.bench("sim/tran_slew_case_c", || {
+        oasys::verify::slew_rate(black_box(&slew), black_box(&process), out, &slew_spec, &tel)
+            .unwrap()
     });
 
     let (swing, _, points) = oasys::verify::swing_bench(&design, &process).unwrap();

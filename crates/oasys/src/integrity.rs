@@ -51,12 +51,14 @@ pub fn open_line(line: &str) -> Option<&str> {
 /// Replaces `path` atomically: `fill` streams the new content into a
 /// temp file beside it, which is fsynced and renamed over `path` only
 /// when `fill` succeeds. A crash leaves the old file or the new one,
-/// never a mix; a failed `fill` leaves `path` untouched.
+/// never a mix; a failed `fill` leaves `path` untouched. On Unix the
+/// directory is fsynced after the rename, so a power loss cannot drop
+/// the new directory entry either.
 ///
 /// # Errors
 ///
 /// Propagates `fill`'s error and any failure creating, syncing or
-/// renaming the temp file.
+/// renaming the temp file, or syncing its directory.
 pub fn write_atomic(
     path: &Path,
     fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
@@ -72,12 +74,32 @@ pub fn write_atomic(
             .sync_all()
     });
     match written {
-        Ok(()) => std::fs::rename(&tmp, path),
+        Ok(()) => {
+            std::fs::rename(&tmp, path)?;
+            sync_parent_dir(path)
+        }
         Err(error) => {
             let _ = std::fs::remove_file(&tmp);
             Err(error)
         }
     }
+}
+
+/// Fsyncs the directory that holds `path`, making a rename into it
+/// durable.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
+/// Only Unix can open a directory to fsync it.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 /// What [`SealedLog::open`] found wrong with a log, and repaired.
@@ -396,6 +418,25 @@ mod tests {
         ] {
             assert_eq!(open_line(line), None, "{line:?}");
         }
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("oasys-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        for content in ["first", "second"] {
+            write_atomic(&path, |out| out.write_all(content.as_bytes())).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), content);
+        }
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["out.json"]);
+        // A bare file name is in the working directory, which syncs too.
+        sync_parent_dir(Path::new("out.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

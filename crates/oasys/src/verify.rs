@@ -391,6 +391,25 @@ pub fn swing_bench(
     design: &OpAmpDesign,
     process: &Process,
 ) -> Result<(Circuit, NodeId, Vec<f64>), VerifyError> {
+    let (bench, out) = inverting_bench(design, process, "swing_vin", SWING_GAIN)?;
+    let span = process.supply_span().volts();
+    let delta = 1.2 * span / (2.0 * SWING_GAIN);
+    Ok((bench, out, sweep::linspace(-delta, delta, SWING_POINTS)))
+}
+
+/// The amp in an inverting configuration of closed-loop gain `gain`:
+/// supplies, the non-inverting input grounded by `VINP`, and source `VSW`
+/// driving node `input`, which feeds the inverting input through R1 with
+/// R2 = gain·R1 as feedback. Both resistors are large, so the feedback
+/// network does not load the output stage.
+///
+/// Returns the bench and its output node.
+fn inverting_bench(
+    design: &OpAmpDesign,
+    process: &Process,
+    input: &str,
+    gain: f64,
+) -> Result<(Circuit, NodeId), VerifyError> {
     let mut bench = design.circuit().clone();
     let inp = bench.port("inp").ok_or(VerifyError::MissingPort("inp"))?;
     let inn = bench.port("inn").ok_or(VerifyError::MissingPort("inn"))?;
@@ -398,7 +417,7 @@ pub fn swing_bench(
     let vdd = bench.port("vdd").ok_or(VerifyError::MissingPort("vdd"))?;
     let vss = bench.port("vss").ok_or(VerifyError::MissingPort("vss"))?;
     let gnd = bench.ground();
-    let vin = bench.node("swing_vin");
+    let vin = bench.node(input);
 
     let map_err = |e: oasys_netlist::ValidateError| VerifyError::Bench(e.to_string());
     bench
@@ -413,17 +432,12 @@ pub fn swing_bench(
     bench
         .add_vsource("VSW", vin, gnd, SourceValue::dc(0.0))
         .map_err(map_err)?;
-    // Inverting amp: R1 into the virtual ground, R2 as feedback. Large
-    // values so the feedback network does not load the output stage.
     let r1 = 1e6;
     bench.add_resistor("R1", vin, inn, r1).map_err(map_err)?;
     bench
-        .add_resistor("R2", inn, out, r1 * SWING_GAIN)
+        .add_resistor("R2", inn, out, r1 * gain)
         .map_err(map_err)?;
-
-    let span = process.supply_span().volts();
-    let delta = 1.2 * span / (2.0 * SWING_GAIN);
-    Ok((bench, out, sweep::linspace(-delta, delta, SWING_POINTS)))
+    Ok((bench, out))
 }
 
 /// Measures the output swing on the [`swing_bench`]: a DC transfer
@@ -440,61 +454,96 @@ fn measure_swing(design: &OpAmpDesign, process: &Process, tel: &Telemetry) -> Op
 /// enough to stay inside every design's output range).
 const SLEW_STEP_V: f64 = 2.0;
 
-/// Measures the slew rate with the amp in an inverting *unity*-gain
-/// configuration: a ±[`SLEW_STEP_V`] input step commands a ∓2·SLEW_STEP_V
-/// output transition. Inverting (rather than follower) topology keeps the
-/// input pair's capacitance off the output node; unity (rather than
-/// higher) closed-loop gain keeps the summing-node error large enough to
-/// fully steer the input stage throughout the measured window.
+/// The two input steps of the slew measurement, `VSW` from the first
+/// value to the second: the output rises, then falls.
+const SLEW_STEPS: [(f64, f64); 2] = [(SLEW_STEP_V, -SLEW_STEP_V), (-SLEW_STEP_V, SLEW_STEP_V)];
+
+/// The slew-measurement bench: the amp in an inverting *unity*-gain
+/// configuration, where an input step between ±2 V commands a 4 V
+/// output transition of the opposite sign. Inverting (rather than follower)
+/// topology keeps the input pair's capacitance off the output node;
+/// unity (rather than higher) closed-loop gain keeps the summing-node
+/// error large enough to fully steer the input stage throughout the
+/// measured window.
+///
+/// Returns the bench, its output node, and the time axis, budgeted from
+/// the predicted slew rate so the transition is well resolved regardless
+/// of the design's speed.
+///
+/// # Errors
+///
+/// [`VerifyError::MissingPort`] or [`VerifyError::Bench`] when the bench
+/// cannot be assembled around the design or its time axis is invalid.
+pub fn slew_bench(
+    design: &OpAmpDesign,
+    process: &Process,
+    load_f: f64,
+) -> Result<(Circuit, NodeId, tran::TranSpec), VerifyError> {
+    let (mut bench, out) = inverting_bench(design, process, "slew_vin", 1.0)?;
+    let gnd = bench.ground();
+    bench
+        .add_capacitor("CLOAD", out, gnd, load_f)
+        .map_err(|e| VerifyError::Bench(e.to_string()))?;
+
+    let sr_pred = design.predicted().slew_v_per_s.max(1e4);
+    let transition = 2.0 * SLEW_STEP_V / sr_pred;
+    let spec = tran::TranSpec::new(6.0 * transition, transition / 150.0)
+        .map_err(|e| VerifyError::Bench(e.to_string()))?;
+    Ok((bench, out, spec))
+}
+
+/// One slew run on the [`slew_bench`]: `VSW` steps from `v0` to `v1`
+/// two timesteps in, and the output, which mirrors the input step, is
+/// timed between 15 % and 65 % of its transition. That window stays
+/// inside the slew-limited portion of the step response.
+fn slew_run(
+    out: NodeId,
+    spec: &tran::TranSpec,
+    v0: f64,
+    v1: f64,
+) -> (tran::Stimuli, tran::SlewWindow) {
+    let mut stimuli = tran::Stimuli::new();
+    stimuli.step("VSW", v0, v1, 2.0 * spec.dt);
+    let window = tran::SlewWindow {
+        node: out,
+        v_from: -v0,
+        v_to: -v1,
+        frac_a: 0.15,
+        frac_b: 0.65,
+    };
+    (stimuli, window)
+}
+
+/// Measures the slew rate on a [`slew_bench`]: the slower of the rising
+/// and the falling transition, each run stopped when its window closes.
+/// The transient runs are counted into `tel`'s `sim.tran.*` counters.
+pub fn slew_rate(
+    bench: &Circuit,
+    process: &Process,
+    out: NodeId,
+    spec: &tran::TranSpec,
+    tel: &Telemetry,
+) -> Option<f64> {
+    let run = |(v0, v1): (f64, f64)| -> Option<f64> {
+        let (stimuli, window) = slew_run(out, spec, v0, v1);
+        tran::slew_between_with(bench, process, spec, &stimuli, &window, tel)
+            .ok()
+            .flatten()
+    };
+    let rising = run(SLEW_STEPS[0])?;
+    let falling = run(SLEW_STEPS[1])?;
+    Some(rising.min(falling))
+}
+
+/// Measures the slew rate of a design on its [`slew_bench`].
 fn measure_slew(
     design: &OpAmpDesign,
     process: &Process,
     load_f: f64,
     tel: &Telemetry,
 ) -> Option<f64> {
-    let mut bench = design.circuit().clone();
-    let inp = bench.port("inp")?;
-    let inn = bench.port("inn")?;
-    let out = bench.port("out")?;
-    let vdd = bench.port("vdd")?;
-    let vss = bench.port("vss")?;
-    let gnd = bench.ground();
-    let vin = bench.node("slew_vin");
-    bench
-        .add_vsource("VDD", vdd, gnd, SourceValue::dc(process.vdd().volts()))
-        .ok()?;
-    bench
-        .add_vsource("VSS", vss, gnd, SourceValue::dc(process.vss().volts()))
-        .ok()?;
-    bench
-        .add_vsource("VINP", inp, gnd, SourceValue::dc(0.0))
-        .ok()?;
-    bench
-        .add_vsource("VSW", vin, gnd, SourceValue::dc(0.0))
-        .ok()?;
-    let r1 = 1e6;
-    bench.add_resistor("R1", vin, inn, r1).ok()?;
-    bench.add_resistor("R2", inn, out, r1).ok()?;
-    bench.add_capacitor("CLOAD", out, gnd, load_f).ok()?;
-
-    // Budget the time axis from the predicted slew so the transition is
-    // well resolved regardless of the design's speed.
-    let sr_pred = design.predicted().slew_v_per_s.max(1e4);
-    let transition = 2.0 * SLEW_STEP_V / sr_pred;
-    let t_stop = 6.0 * transition;
-    let dt = transition / 150.0;
-    let spec = tran::TranSpec::new(t_stop, dt).ok()?;
-
-    let run = |v0: f64, v1: f64| -> Option<f64> {
-        let mut stimuli = tran::Stimuli::new();
-        stimuli.step("VSW", v0, v1, 2.0 * dt);
-        let solution = tran::solve_with(&bench, process, &spec, &stimuli, tel).ok()?;
-        // Inverting unity gain: the output mirrors the input step.
-        solution.slew_between(out, -v0, -v1, 0.15, 0.65)
-    };
-    let rising = run(SLEW_STEP_V, -SLEW_STEP_V)?;
-    let falling = run(-SLEW_STEP_V, SLEW_STEP_V)?;
-    Some(rising.min(falling))
+    let (bench, out, spec) = slew_bench(design, process, load_f).ok()?;
+    slew_rate(&bench, process, out, &spec, tel)
 }
 
 #[cfg(test)]
@@ -634,8 +683,8 @@ mod tests {
         sample
     }
 
-    #[test]
-    fn warm_sweeps_match_cold_solves() {
+    /// Cases A/B/C on the 5 µm kit, then [`manifest_sample`].
+    fn differential_cases() -> Vec<Case> {
         let cmos = builtin::cmos_5um();
         let mut cases = Vec::new();
         for (name, spec) in [
@@ -652,13 +701,23 @@ mod tests {
             });
         }
         cases.extend(manifest_sample());
-        for case in &cases {
-            let run =
-                || assert_warm_matches_cold(&case.label, &case.design, &case.process, case.load_f);
-            let (warm, cold) = match case.mismatch {
-                Some(mismatch) => oasys_sim::mismatch::scoped(mismatch, run),
-                None => run(),
-            };
+        cases
+    }
+
+    /// Runs `f` under the case's Monte-Carlo sample, as `verify` would.
+    fn in_scope<R>(case: &Case, f: impl FnOnce() -> R) -> R {
+        match case.mismatch {
+            Some(mismatch) => oasys_sim::mismatch::scoped(mismatch, f),
+            None => f(),
+        }
+    }
+
+    #[test]
+    fn warm_sweeps_match_cold_solves() {
+        for case in &differential_cases() {
+            let (warm, cold) = in_scope(case, || {
+                assert_warm_matches_cold(&case.label, &case.design, &case.process, case.load_f)
+            });
             eprintln!(
                 "{}: swing sweep Newton iterations warm {warm}, cold {cold}",
                 case.label
@@ -668,6 +727,52 @@ mod tests {
                 "{}: the warm sweep must save Newton iterations ({warm} vs {cold})",
                 case.label
             );
+        }
+    }
+
+    /// Both slew runs of a design on its [`slew_bench`], built exactly as
+    /// [`verify`] builds it: each run stopped at its window must measure
+    /// what the full run measures, under `==`, in fewer steps.
+    fn assert_stop_matches_full_run(case: &Case) {
+        let (bench, out, spec) = slew_bench(&case.design, &case.process, case.load_f).unwrap();
+        for (v0, v1) in SLEW_STEPS {
+            let (stimuli, window) = slew_run(out, &spec, v0, v1);
+            let stop_tel = Telemetry::new();
+            let stopped =
+                tran::slew_between_with(&bench, &case.process, &spec, &stimuli, &window, &stop_tel)
+                    .ok()
+                    .flatten();
+            let full_tel = Telemetry::new();
+            let full = tran::solve_with(&bench, &case.process, &spec, &stimuli, &full_tel)
+                .ok()
+                .and_then(|solution| {
+                    solution.slew_between(
+                        out,
+                        window.v_from,
+                        window.v_to,
+                        window.frac_a,
+                        window.frac_b,
+                    )
+                });
+            let label = format!("{}: VSW {v0} V → {v1} V", case.label);
+            assert!(full.is_some(), "{label}: the full run measures no slew");
+            assert_eq!(stopped, full, "{label}");
+            let (stop_steps, full_steps) = (
+                stop_tel.counter("sim.tran.steps"),
+                full_tel.counter("sim.tran.steps"),
+            );
+            eprintln!("{label}: {stop_steps} of {full_steps} steps");
+            assert!(
+                stop_steps < full_steps,
+                "{label}: the stopped run took {stop_steps} of {full_steps} steps"
+            );
+        }
+    }
+
+    #[test]
+    fn stopped_slew_runs_match_full_runs() {
+        for case in &differential_cases() {
+            in_scope(case, || assert_stop_matches_full_run(case));
         }
     }
 

@@ -407,7 +407,7 @@ fn telemetry_counts_records_and_rejections() {
     let tel = Telemetry::new();
     let report = dataset::generate(&manifest, &dir, &fast_options(1, 0, false), &tel).unwrap();
     assert!(report.samples_rejected > 0);
-    assert_eq!(report.records + 0, report.executed);
+    assert_eq!(report.records, report.executed);
     let rendered = tel.report().render_metrics_json();
     assert!(rendered.contains("dataset.records"), "{rendered}");
     assert!(rendered.contains("dataset.samples_rejected"), "{rendered}");

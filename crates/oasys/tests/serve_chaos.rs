@@ -15,7 +15,7 @@ use oasys::serve::{
 };
 use oasys_faults::FaultSpec;
 use oasys_telemetry::json::{self, Json};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -48,7 +48,7 @@ fn socket_path(name: &str) -> PathBuf {
 }
 
 /// Starts a one-worker server; the returned thread joins on `shutdown`.
-fn start_server(socket: &PathBuf) -> JoinHandle<oasys::serve::ServeReport> {
+fn start_server(socket: &Path) -> JoinHandle<oasys::serve::ServeReport> {
     start_server_with(
         ServeOptions::new(socket)
             .with_workers(1)
@@ -62,7 +62,7 @@ fn start_server_with(options: ServeOptions) -> JoinHandle<oasys::serve::ServeRep
     std::thread::spawn(move || server.run().unwrap())
 }
 
-fn ask(socket: &PathBuf, body: &str) -> Json {
+fn ask(socket: &Path, body: &str) -> Json {
     let response = request(socket, body).unwrap();
     json::parse(&response).unwrap()
 }
@@ -157,7 +157,7 @@ fn deadline_exceeded_request_gets_a_structured_deadline_error() {
 }
 
 /// Polls the `health` op until `pass` holds, or panics after 10 s.
-fn poll_health(socket: &PathBuf, what: &str, pass: impl Fn(&Json) -> bool) -> Json {
+fn poll_health(socket: &Path, what: &str, pass: impl Fn(&Json) -> bool) -> Json {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let health = ask(socket, &op_request("health"));

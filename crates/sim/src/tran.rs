@@ -13,6 +13,13 @@
 //!
 //! A run compiles the circuit once: the initial operating point and every
 //! timestep stamp from the same device list, bound at compile time.
+//!
+//! One stepping loop serves every entry point. It hands each accepted
+//! time point to an observer, which may end the run. [`solve`] observes
+//! every point and stores the waveform. [`slew_between_with`] stores
+//! nothing and stops at the first crossing of its window's upper
+//! threshold, because no later point can change the measurement (the
+//! fixed-step form of SPICE's "autostop").
 
 use crate::dc::{Engine, SolveDcError};
 use crate::linalg::Matrix;
@@ -24,6 +31,7 @@ use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Pre-interned symbols for the transient solver's span and counter
 /// names.
@@ -243,34 +251,99 @@ impl TranSolution {
         frac_a: f64,
         frac_b: f64,
     ) -> Option<f64> {
-        assert!(0.0 < frac_a && frac_a < frac_b && frac_b < 1.0);
-        let w = self.waveform(node);
-        let v10 = v_from + frac_a * (v_to - v_from);
-        let v90 = v_from + frac_b * (v_to - v_from);
-        let rising = v_to > v_from;
-        let crossed = |v: f64, threshold: f64| {
-            if rising {
-                v >= threshold
-            } else {
-                v <= threshold
+        let mut crossings = Crossings::new(&SlewWindow {
+            node,
+            v_from,
+            v_to,
+            frac_a,
+            frac_b,
+        });
+        for (&t, v) in self.times.iter().zip(&self.voltages) {
+            if crossings.observe(t, v[node.index()]).is_break() {
+                break;
             }
-        };
-        let t10 = self
-            .times
-            .iter()
-            .zip(&w)
-            .find(|&(_, &v)| crossed(v, v10))
-            .map(|(&t, _)| t)?;
-        let t90 = self
-            .times
-            .iter()
-            .zip(&w)
-            .find(|&(_, &v)| crossed(v, v90))
-            .map(|(&t, _)| t)?;
-        if t90 <= t10 {
+        }
+        crossings.slew()
+    }
+}
+
+/// A slew measurement: the transition of `node` from `v_from` to `v_to`,
+/// timed between its `frac_a` and `frac_b` fractional crossings.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SlewWindow {
+    /// The node whose transition is measured.
+    pub node: NodeId,
+    /// Voltage the transition starts from.
+    pub v_from: f64,
+    /// Voltage the transition heads to.
+    pub v_to: f64,
+    /// Fraction of the transition that starts the window.
+    pub frac_a: f64,
+    /// Fraction of the transition that ends the window.
+    pub frac_b: f64,
+}
+
+/// The first crossing of each threshold of a [`SlewWindow`], observed
+/// point by point in time order: the one slew rule behind
+/// [`TranSolution::slew_between`] and [`slew_between_with`].
+struct Crossings {
+    rising: bool,
+    v_a: f64,
+    v_b: f64,
+    t_a: Option<f64>,
+    t_b: Option<f64>,
+}
+
+impl Crossings {
+    fn new(window: &SlewWindow) -> Self {
+        let SlewWindow {
+            v_from,
+            v_to,
+            frac_a,
+            frac_b,
+            ..
+        } = *window;
+        assert!(0.0 < frac_a && frac_a < frac_b && frac_b < 1.0);
+        Self {
+            rising: v_to > v_from,
+            v_a: v_from + frac_a * (v_to - v_from),
+            v_b: v_from + frac_b * (v_to - v_from),
+            t_a: None,
+            t_b: None,
+        }
+    }
+
+    fn crossed(&self, v: f64, threshold: f64) -> bool {
+        if self.rising {
+            v >= threshold
+        } else {
+            v <= threshold
+        }
+    }
+
+    /// Records the point `(t, v)`. Breaks at the first crossing of the
+    /// upper (`frac_b`) threshold: the `frac_a` threshold lies between it
+    /// and the start, so it has been crossed by then, and later points
+    /// cannot change either first crossing.
+    fn observe(&mut self, t: f64, v: f64) -> ControlFlow<()> {
+        if self.t_a.is_none() && self.crossed(v, self.v_a) {
+            self.t_a = Some(t);
+        }
+        if self.crossed(v, self.v_b) {
+            self.t_b = Some(t);
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The average slope between the two crossings, or `None` unless
+    /// both were seen and the upper one is strictly later.
+    fn slew(&self) -> Option<f64> {
+        let (t_a, t_b) = (self.t_a?, self.t_b?);
+        if t_b <= t_a {
             return None;
         }
-        Some((v90 - v10).abs() / (t90 - t10))
+        Some((self.v_b - self.v_a).abs() / (t_b - t_a))
     }
 }
 
@@ -313,15 +386,85 @@ pub fn solve_with(
     stimuli: &Stimuli,
     tel: &Telemetry,
 ) -> Result<TranSolution, SolveTranError> {
+    let nodes = circuit.node_count();
+    let mut times = Vec::new();
+    let mut voltages = Vec::new();
+    run(circuit, process, spec, stimuli, tel, |t, x| {
+        let mut v = vec![0.0; nodes];
+        v[1..nodes].copy_from_slice(&x[..nodes - 1]);
+        times.push(t);
+        voltages.push(v);
+        ControlFlow::Continue(())
+    })?;
+    Ok(TranSolution { times, voltages })
+}
+
+/// Measures a slew window on a transient run without storing the
+/// waveform, and stops the run at the window's upper crossing.
+///
+/// The result equals `solve_with(..)?.slew_between(..)` on the full run
+/// under `==`: the same points, the same thresholds and the same rule.
+/// Only a step that fails after the window has closed is different: it
+/// is never run, so the measurement stands where the full run would
+/// return an error. Telemetry is recorded as by [`solve_with`], and
+/// `sim.tran.steps` counts only the points actually run.
+///
+/// # Errors
+///
+/// Same failure modes as [`solve`], for the points before the stop.
+///
+/// # Panics
+///
+/// Panics if `window.node` is not from `circuit` or the fractions are
+/// not ordered in `(0, 1)`.
+pub fn slew_between_with(
+    circuit: &Circuit,
+    process: &Process,
+    spec: &TranSpec,
+    stimuli: &Stimuli,
+    window: &SlewWindow,
+    tel: &Telemetry,
+) -> Result<Option<f64>, SolveTranError> {
+    let node = window.node;
+    assert!(
+        node.index() < circuit.node_count(),
+        "node is not from the analyzed circuit"
+    );
+    let mut crossings = Crossings::new(window);
+    run(circuit, process, spec, stimuli, tel, |t, x| {
+        let v = if node.is_ground() {
+            0.0
+        } else {
+            x[node.index() - 1]
+        };
+        crossings.observe(t, v)
+    })?;
+    Ok(crossings.slew())
+}
+
+/// The stepping loop under every entry point, with its telemetry. Hands
+/// each accepted time point `(t, x)` to `observe`, the initial point
+/// first, and ends the run early when `observe` breaks. `x` is the
+/// solution vector: node `k`'s voltage is `x[k − 1]`.
+///
+/// `sim.tran.steps` counts the points handed to `observe`.
+fn run(
+    circuit: &Circuit,
+    process: &Process,
+    spec: &TranSpec,
+    stimuli: &Stimuli,
+    tel: &Telemetry,
+    mut observe: impl FnMut(f64, &[f64]) -> ControlFlow<()>,
+) -> Result<(), SolveTranError> {
     let s = tran_syms();
     let span = tel.span_sym(s.span);
     tel.incr_sym(s.runs);
-    let result = solve_inner(circuit, process, spec, stimuli);
+    let result = integrate(circuit, process, spec, stimuli, &mut observe);
     if tel.is_enabled() {
         match &result {
-            Ok(solution) => {
-                tel.add_sym(s.steps, solution.times().len() as u64);
-                span.annotate_sym(s.steps_key, sym_u64(solution.times().len() as u64));
+            Ok(points) => {
+                tel.add_sym(s.steps, *points);
+                span.annotate_sym(s.steps_key, sym_u64(*points));
             }
             Err(e) => {
                 tel.incr_sym(s.failures);
@@ -329,15 +472,17 @@ pub fn solve_with(
             }
         }
     }
-    result
+    result.map(|_| ())
 }
 
-fn solve_inner(
+/// [`run`]'s loop. Returns the number of points observed.
+fn integrate(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
     stimuli: &Stimuli,
-) -> Result<TranSolution, SolveTranError> {
+    observe: &mut impl FnMut(f64, &[f64]) -> ControlFlow<()>,
+) -> Result<u64, SolveTranError> {
     let mut engine = Engine::compile(circuit, process)?;
     let mut sources = SourceTable::new(engine.plan(), stimuli);
 
@@ -345,6 +490,9 @@ fn solve_inner(
     sources.at(0.0);
     sources.apply(&mut engine);
     let mut x = engine.solve(None, &Deadline::none())?.x;
+    if observe(0.0, &x).is_break() {
+        return Ok(1);
+    }
     let plan = engine.plan();
 
     // Collect all capacitances as (node_a, node_b, farads): explicit
@@ -352,17 +500,6 @@ fn solve_inner(
     let caps = collect_capacitances(circuit, plan, &x);
 
     let steps = (spec.t_stop / spec.dt).ceil() as usize;
-    let nodes = circuit.node_count();
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut voltages = Vec::with_capacity(steps + 1);
-    let push_state = |times: &mut Vec<f64>, voltages: &mut Vec<Vec<f64>>, t: f64, x: &[f64]| {
-        let mut v = vec![0.0; nodes];
-        v[1..nodes].copy_from_slice(&x[..nodes - 1]);
-        times.push(t);
-        voltages.push(v);
-    };
-    push_state(&mut times, &mut voltages, 0.0, &x);
-
     let dim = plan.index().dim();
     let mut jac: Matrix<f64> = Matrix::zeros(dim);
     let mut residual = vec![0.0; dim];
@@ -403,11 +540,12 @@ fn solve_inner(
         if !converged {
             return Err(SolveTranError::StepNotConverged { time: t });
         }
-        push_state(&mut times, &mut voltages, t, &x);
+        if observe(t, &x).is_break() {
+            return Ok(step as u64 + 1);
+        }
         x_prev.clone_from(&x);
     }
-
-    Ok(TranSolution { times, voltages })
+    Ok(steps as u64 + 1)
 }
 
 /// The source values of a compiled circuit at one instant: each
@@ -542,6 +680,7 @@ mod tests {
     use super::*;
     use oasys_netlist::SourceValue;
     use oasys_process::builtin;
+    use oasys_telemetry::Telemetry;
 
     #[test]
     fn rc_charging_curve() {
@@ -649,6 +788,207 @@ mod tests {
         assert!(TranSpec::new(-1.0, 1e-9).is_err());
         assert!(TranSpec::new(1.0, 0.0).is_err());
         assert!(TranSpec::new(1.0, 1e-9).is_err(), "too many steps");
+    }
+
+    /// An RC low-pass driven by a 0 → 1 V step at 1 ns: τ = 1 µs, 5 µs
+    /// at 5 ns steps.
+    fn rc_step() -> (Circuit, NodeId, TranSpec, Stimuli) {
+        let mut c = Circuit::new("rc");
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.add_vsource("VIN", inp, c.ground(), SourceValue::dc(0.0))
+            .unwrap();
+        c.add_resistor("R", inp, out, 1e3).unwrap();
+        c.add_capacitor("C", out, c.ground(), 1e-9).unwrap();
+        let mut stimuli = Stimuli::new();
+        stimuli.step("VIN", 0.0, 1.0, 1e-9);
+        (c, out, TranSpec::new(5e-6, 5e-9).unwrap(), stimuli)
+    }
+
+    /// Runs the stepping loop until `observe` has seen `k` points and
+    /// returns them with the run's `sim.tran.steps` count.
+    fn run_for(
+        c: &Circuit,
+        node: NodeId,
+        spec: &TranSpec,
+        stimuli: &Stimuli,
+        k: usize,
+    ) -> (Vec<(f64, f64)>, u64) {
+        let tel = Telemetry::new();
+        let mut seen = Vec::new();
+        run(c, &builtin::cmos_5um(), spec, stimuli, &tel, |t, x| {
+            seen.push((t, x[node.index() - 1]));
+            if seen.len() == k {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap();
+        (seen, tel.counter("sim.tran.steps"))
+    }
+
+    #[test]
+    fn observed_points_are_a_bit_identical_prefix_of_the_full_run() {
+        let (c, out, spec, stimuli) = rc_step();
+        let full = solve(&c, &builtin::cmos_5um(), &spec, &stimuli).unwrap();
+        let bits: Vec<(u64, u64)> = full
+            .times()
+            .iter()
+            .zip(full.waveform(out))
+            .map(|(t, v)| (t.to_bits(), v.to_bits()))
+            .collect();
+        for k in [1, 2, 37, 400] {
+            let (seen, _) = run_for(&c, out, &spec, &stimuli, k);
+            let seen: Vec<(u64, u64)> = seen
+                .iter()
+                .map(|(t, v)| (t.to_bits(), v.to_bits()))
+                .collect();
+            assert_eq!(seen, bits[..k], "first {k} points");
+        }
+    }
+
+    #[test]
+    fn stopping_at_step_k_counts_k_steps() {
+        let (c, out, spec, stimuli) = rc_step();
+        // A full run counts every point, the initial one included.
+        let tel = Telemetry::new();
+        let full = solve_with(&c, &builtin::cmos_5um(), &spec, &stimuli, &tel).unwrap();
+        assert_eq!(tel.counter("sim.tran.steps"), full.len() as u64);
+        assert_eq!(tel.counter("sim.tran.runs"), 1);
+        for k in [1, 2, 37, full.len()] {
+            let (seen, steps) = run_for(&c, out, &spec, &stimuli, k);
+            assert_eq!(seen.len(), k);
+            assert_eq!(steps, k as u64, "stopped at point {k}");
+        }
+    }
+
+    #[test]
+    fn slew_window_stops_at_its_upper_crossing() {
+        let (c, out, spec, stimuli) = rc_step();
+        let window = SlewWindow {
+            node: out,
+            v_from: 0.0,
+            v_to: 1.0,
+            frac_a: 0.15,
+            frac_b: 0.65,
+        };
+        let tel = Telemetry::new();
+        let process = builtin::cmos_5um();
+        let stopped = slew_between_with(&c, &process, &spec, &stimuli, &window, &tel).unwrap();
+        let full = solve(&c, &process, &spec, &stimuli).unwrap();
+        assert_eq!(stopped, full.slew_between(out, 0.0, 1.0, 0.15, 0.65));
+        assert!(stopped.is_some());
+        // v crosses 0.65 V near t = τ·ln(1/0.35) ≈ 1.05 µs, point ≈ 211.
+        let crossing = full.waveform(out).iter().position(|&v| v >= 0.65).unwrap();
+        assert_eq!(tel.counter("sim.tran.steps"), crossing as u64 + 1);
+    }
+
+    #[test]
+    fn initial_point_past_the_upper_threshold_returns_none_without_stepping() {
+        let (c, out, spec, stimuli) = rc_step();
+        // Falling from 2 V to 0.5 V: the upper threshold is 1.025 V and
+        // the output starts at 0 V, past both thresholds.
+        let window = SlewWindow {
+            node: out,
+            v_from: 2.0,
+            v_to: 0.5,
+            frac_a: 0.15,
+            frac_b: 0.65,
+        };
+        let tel = Telemetry::new();
+        let slew =
+            slew_between_with(&c, &builtin::cmos_5um(), &spec, &stimuli, &window, &tel).unwrap();
+        assert_eq!(slew, None);
+        assert_eq!(tel.counter("sim.tran.steps"), 1, "only the initial point");
+    }
+
+    #[test]
+    fn a_waveform_that_never_crosses_runs_the_whole_spec() {
+        let (c, out, spec, stimuli) = rc_step();
+        // The output settles at 1 V and never reaches 0.65 · 2 V.
+        let window = SlewWindow {
+            node: out,
+            v_from: 0.0,
+            v_to: 2.0,
+            frac_a: 0.15,
+            frac_b: 0.65,
+        };
+        let tel = Telemetry::new();
+        let process = builtin::cmos_5um();
+        let slew = slew_between_with(&c, &process, &spec, &stimuli, &window, &tel).unwrap();
+        assert_eq!(slew, None);
+        let full = solve(&c, &process, &spec, &stimuli).unwrap();
+        assert_eq!(tel.counter("sim.tran.steps"), full.len() as u64);
+    }
+
+    /// The slew rule as two whole-waveform scans: the first point past
+    /// each threshold, then the slope between them.
+    fn two_scan_slew(times: &[f64], w: &[f64], window: &SlewWindow) -> Option<f64> {
+        let (v_from, v_to) = (window.v_from, window.v_to);
+        let v10 = v_from + window.frac_a * (v_to - v_from);
+        let v90 = v_from + window.frac_b * (v_to - v_from);
+        let rising = v_to > v_from;
+        let crossed = |v: f64, threshold: f64| {
+            if rising {
+                v >= threshold
+            } else {
+                v <= threshold
+            }
+        };
+        let first = |threshold: f64| {
+            times
+                .iter()
+                .zip(w)
+                .find(|&(_, &v)| crossed(v, threshold))
+                .map(|(&t, _)| t)
+        };
+        let (t10, t90) = (first(v10)?, first(v90)?);
+        if t90 <= t10 {
+            return None;
+        }
+        Some((v90 - v10).abs() / (t90 - t10))
+    }
+
+    #[test]
+    fn streaming_slew_matches_the_two_scan_rule() {
+        let mut rng = oasys_testutil::Rng::seeded(14);
+        let mut measured = 0;
+        for case in 0..2000 {
+            let n = rng.range_u64(1, 40) as usize;
+            // Non-decreasing times with repeats, so equal crossing times
+            // occur; noisy waveforms that overshoot and ring.
+            let mut t = 0.0;
+            let times: Vec<f64> = (0..n)
+                .map(|_| {
+                    t += [0.0, 1e-9, 2.5e-9][rng.range_u64(0, 3) as usize];
+                    t
+                })
+                .collect();
+            let w: Vec<f64> = (0..n).map(|_| rng.range_f64(-3.0, 3.0)).collect();
+            let frac_a = rng.range_f64(0.01, 0.5);
+            let window = SlewWindow {
+                node: NodeId::GROUND,
+                v_from: rng.range_f64(-2.0, 2.0),
+                v_to: rng.range_f64(-2.0, 2.0),
+                frac_a,
+                frac_b: rng.range_f64(frac_a + 0.01, 0.99),
+            };
+            let mut crossings = Crossings::new(&window);
+            for (&t, &v) in times.iter().zip(&w) {
+                if crossings.observe(t, v).is_break() {
+                    break;
+                }
+            }
+            let oracle = two_scan_slew(&times, &w, &window);
+            assert_eq!(
+                crossings.slew().map(f64::to_bits),
+                oracle.map(f64::to_bits),
+                "case {case}"
+            );
+            measured += usize::from(oracle.is_some());
+        }
+        assert!(measured > 200, "only {measured} cases measured a slope");
     }
 
     #[test]

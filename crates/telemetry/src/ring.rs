@@ -264,7 +264,11 @@ mod tests {
                     assert_eq!(r.t_ns, u64::from(i) * 3 + 1);
                     assert_eq!(r.a, i.wrapping_mul(7));
                     assert_eq!(r.b, i.wrapping_mul(13));
-                    let expected_tag = if i % 2 == 0 { Tag::Event } else { Tag::Field };
+                    let expected_tag = if i.is_multiple_of(2) {
+                        Tag::Event
+                    } else {
+                        Tag::Field
+                    };
                     assert_eq!(r.tag, expected_tag);
                 }
             }

@@ -200,7 +200,8 @@ macro_rules! prop_assert_eq {
 #[macro_export]
 macro_rules! prop_assume {
     ($cond:expr $(,)?) => {
-        if !($cond) {
+        let holds: bool = $cond;
+        if !holds {
             return ::std::result::Result::Ok(());
         }
     };
@@ -287,13 +288,15 @@ mod tests {
             prop_assert!(chars.all(|c| c.is_ascii_alphanumeric() || c == '_'));
         }
 
-        /// Collections honor their size range; bool::ANY hits both values
-        /// across the run (checked via accumulation below).
+        /// Collections honor their size range, read from either end; that
+        /// bool::ANY hits both values across the run is checked by
+        /// accumulation below.
         #[test]
         fn vec_sizes(v in prop::collection::vec(0.0..1.0f64, 1..20), flag in prop::bool::ANY) {
             prop_assert!(!v.is_empty() && v.len() < 20);
             prop_assert!(v.iter().all(|x| (0.0..1.0).contains(x)));
-            prop_assert!(flag || !flag);
+            let end = if flag { v.first() } else { v.last() };
+            prop_assert!(end.is_some_and(|x| (0.0..1.0).contains(x)));
         }
 
         /// prop_oneof picks from every branch; prop_assume skips.

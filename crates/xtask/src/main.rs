@@ -25,7 +25,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
-                 check          fmt --check, clippy -D warnings, tier-1 build+test,\n                 \
+                 check          fmt --check, workspace clippy -D warnings, tier-1 build+test,\n                 \
                  the panic-freedom gate over the core crates,\n                 \
                  `oasys lint --deny-warnings` over the example specs,\n                 \
                  the static-analysis gate over the builtin plans,\n                 \
@@ -69,7 +69,14 @@ fn check() -> ExitCode {
         ("fmt", &["fmt", "--all", "--check"]),
         (
             "clippy",
-            &["clippy", "--all-targets", "--", "-D", "warnings"],
+            &[
+                "clippy",
+                "--workspace",
+                "--all-targets",
+                "--",
+                "-D",
+                "warnings",
+            ],
         ),
         ("build", &["build", "--release"]),
         ("test", &["test", "-q"]),

@@ -139,9 +139,17 @@ fn verify_records_simulator_work() {
     assert_eq!(tel.counter("sim.dc.warm_fallbacks"), 0);
     assert_eq!(tel.counter("sim.dc.failures"), 0);
     assert!(tel.counter("sim.ac.points") > 0);
+    // Two slew runs, each stopped when its measurement window closes:
+    // fewer points than the two full runs' initial point plus
+    // ceil(t_stop / dt) steps each.
+    assert_eq!(tel.counter("sim.tran.runs"), 2);
+    let (_, _, slew_spec) =
+        oasys::verify::slew_bench(result.selected(), &process, spec.load().farads()).unwrap();
+    let full_budget = 2 * ((slew_spec.t_stop / slew_spec.dt).ceil() as u64 + 1);
+    let steps = tel.counter("sim.tran.steps");
     assert!(
-        tel.counter("sim.tran.steps") > 0,
-        "slew bench runs transient"
+        steps > 0 && steps < full_budget,
+        "slew runs stop early: {steps} of {full_budget} points"
     );
 
     let names: Vec<String> = tel
