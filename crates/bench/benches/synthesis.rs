@@ -3,7 +3,7 @@
 //! The reproduction synthesizes each case in well under a millisecond.
 
 use oasys::spec::test_cases;
-use oasys::{synthesize, synthesize_with, synthesize_with_options, OpAmpStyle, SearchOptions};
+use oasys::{synthesize, synthesize_with, synthesize_with_options, SearchOptions};
 use oasys_bench::harness::Bencher;
 use oasys_bench::summary;
 use oasys_process::builtin;
@@ -37,43 +37,21 @@ fn main() {
         });
     }
 
-    // Sequential vs. parallel style search on the same case — the
-    // comparison pair the report schema requires (summary::REQUIRED_ROWS),
-    // so the concurrency win stays visible run over run.
+    // Static feasibility pruning: 139.5 dB exceeds every style's gain
+    // ceiling on the 1.2 µm kit, so the sweep answers "infeasible"
+    // without executing a single plan step. The delta against
+    // `synthesize/case_a` is the cost of a statically pruned answer
+    // (summary::REQUIRED_ROWS keeps the row visible).
     {
-        let spec = test_cases::spec_a();
-        let tel = Telemetry::disabled();
-        let sequential = SearchOptions::new().with_threads(1);
-        let parallel = SearchOptions::new().with_threads(OpAmpStyle::ALL.len());
-        // Interleaved like the telemetry pair: the schema gates on the
-        // ratio of these medians (summary::MIN_POOL_SPEEDUP_RATIO, with
-        // a single-core tolerance), so machine drift between the two
-        // sides would show up directly as a spurious gate failure.
-        b.bench_pair(
-            "style_search/case_a_threads_1",
-            || {
-                synthesize_with_options(black_box(&spec), black_box(&process), &sequential, &tel)
-                    .unwrap()
-            },
-            "style_search/case_a_threads_max",
-            || {
-                synthesize_with_options(black_box(&spec), black_box(&process), &parallel, &tel)
-                    .unwrap()
-            },
-        );
-
-        // Static feasibility pruning: 139.5 dB exceeds every style's
-        // gain ceiling on the 1.2 µm kit, so the sweep answers
-        // "infeasible" without executing a single plan step. The delta
-        // against the rows above is the cost of a statically pruned
-        // answer (summary::REQUIRED_ROWS keeps the row visible).
         let pruned_spec = test_cases::spec_a().with_dc_gain_db(139.5);
         let small_process = builtin::cmos_1p2um();
+        let search = SearchOptions::new();
+        let tel = Telemetry::disabled();
         b.bench("style_search/case_a_pruned", || {
             synthesize_with_options(
                 black_box(&pruned_spec),
                 black_box(&small_process),
-                &sequential,
+                &search,
                 &tel,
             )
             .unwrap_err()

@@ -23,22 +23,6 @@ pub const TELEMETRY_ROW: &str = "synthesize/case_a_telemetry";
 /// or `validate` — and with it `cargo xtask bench-schema` — fails.
 pub const MAX_TELEMETRY_OVERHEAD_RATIO: f64 = 1.10;
 
-/// The sequential row of the pool-speedup comparison.
-pub const THREADS_1_ROW: &str = "style_search/case_a_threads_1";
-/// The worker-per-style row of the pool-speedup comparison.
-pub const THREADS_MAX_ROW: &str = "style_search/case_a_threads_max";
-
-/// Floor on `pool_speedup_ratio` (sequential median over parallel
-/// median) on a multi-core host: fanning the style search out on the
-/// worker pool must not be slower than running it sequentially.
-pub const MIN_POOL_SPEEDUP_RATIO: f64 = 1.0;
-
-/// Floor on `pool_speedup_ratio` when `host_parallelism` is 1: a true
-/// speedup is impossible, so the gate only requires the pool's
-/// zero-worker inline path to stay within 5% of sequential — a
-/// measurement-noise tolerance, not a performance budget.
-pub const MIN_POOL_SPEEDUP_RATIO_SINGLE_CORE: f64 = 0.95;
-
 /// The plain-sweep baseline row of the checksum-overhead comparison.
 pub const CHECKSUM_BASELINE_ROW: &str = "batch/sweep_3x3";
 /// The sealed-checkpoint sweep of the checksum-overhead comparison:
@@ -55,23 +39,19 @@ pub const MAX_CHECKSUM_OVERHEAD_RATIO: f64 = 1.05;
 /// of a `busy` frame from a saturated server.
 pub const SHED_LATENCY_ROW: &str = "serve/shed_latency";
 
-/// Benchmark rows the report must always carry: the sequential (one
-/// worker) vs. parallel (one worker per style) style-search comparison
-/// on the same case, so the concurrency win stays visible run over run,
-/// plus the 3×3 batch sweep so batch-driver overhead on top of raw
-/// synthesis stays visible too, the same sweep with the fault plane
-/// armed on an inert site so the near-zero cost of carrying
-/// `oasys-faults` in the hot paths stays visible, a sweep whose
-/// spec is pruned before any plan executes so the cost of answering
-/// "infeasible" statically stays visible, the untraced-vs-traced
-/// pair behind the `telemetry_overhead_ratio` gate, a 12-point
-/// sampled dataset shard generated end-to-end (plan expansion, batch
-/// execution, flushed JSONL sink) so dataset throughput stays visible,
-/// the sealed-checkpoint sweep behind the `checksum_overhead_ratio`
-/// gate, and the client-observed shed latency of a saturated server.
-pub const REQUIRED_ROWS: [&str; 10] = [
-    "style_search/case_a_threads_1",
-    "style_search/case_a_threads_max",
+/// Benchmark rows the report must always carry: the 3×3 batch sweep so
+/// batch-driver overhead on top of raw synthesis stays visible, the
+/// same sweep with the fault plane armed on an inert site so the
+/// near-zero cost of carrying `oasys-faults` in the hot paths stays
+/// visible, a sweep whose spec is pruned before any plan executes so
+/// the cost of answering "infeasible" statically stays visible, the
+/// untraced-vs-traced pair behind the `telemetry_overhead_ratio` gate,
+/// a 12-point sampled dataset shard generated end-to-end (plan
+/// expansion, batch execution, flushed JSONL sink) so dataset
+/// throughput stays visible, the sealed-checkpoint sweep behind the
+/// `checksum_overhead_ratio` gate, and the client-observed shed
+/// latency of a saturated server.
+pub const REQUIRED_ROWS: [&str; 8] = [
     "style_search/case_a_pruned",
     CHECKSUM_BASELINE_ROW,
     "batch/sweep_3x3_chaos",
@@ -119,8 +99,7 @@ pub fn validate(text: &str) -> Result<String, String> {
         return Err(format!("version is {version}, expected {SCHEMA_VERSION}"));
     }
 
-    let host_parallelism = doc
-        .get("host_parallelism")
+    doc.get("host_parallelism")
         .and_then(json::Json::as_num)
         .ok_or("missing `host_parallelism` number")?;
 
@@ -185,38 +164,6 @@ pub fn validate(text: &str) -> Result<String, String> {
         return Err(format!(
             "telemetry overhead ratio {recomputed:.3} exceeds the {MAX_TELEMETRY_OVERHEAD_RATIO} \
              ceiling ({TELEMETRY_ROW} median {traced} ns vs {BASELINE_ROW} median {base} ns)"
-        ));
-    }
-
-    // The pool-speedup gate: sequential over parallel style-search
-    // medians. The floor depends on the host — on one core the pool
-    // cannot win, only stay out of the way.
-    let speedup = doc
-        .get("pool_speedup_ratio")
-        .and_then(json::Json::as_num)
-        .ok_or("missing `pool_speedup_ratio` number")?;
-    let sequential = median_of(THREADS_1_ROW)?;
-    let pooled = median_of(THREADS_MAX_ROW)?;
-    if pooled <= 0.0 {
-        return Err(format!("{THREADS_MAX_ROW:?} median_ns must be positive"));
-    }
-    let recomputed_speedup = sequential / pooled;
-    if (recomputed_speedup - speedup).abs() > 1e-6 {
-        return Err(format!(
-            "pool_speedup_ratio is {speedup}, but {THREADS_1_ROW:?} / {THREADS_MAX_ROW:?} \
-             medians give {recomputed_speedup}"
-        ));
-    }
-    let speedup_floor = if host_parallelism > 1.0 {
-        MIN_POOL_SPEEDUP_RATIO
-    } else {
-        MIN_POOL_SPEEDUP_RATIO_SINGLE_CORE
-    };
-    if recomputed_speedup < speedup_floor {
-        return Err(format!(
-            "pool speedup ratio {recomputed_speedup:.3} is under the {speedup_floor} floor \
-             ({THREADS_MAX_ROW} median {pooled} ns vs {THREADS_1_ROW} median {sequential} ns \
-             at host_parallelism {host_parallelism})"
         ));
     }
 
@@ -303,8 +250,7 @@ pub fn validate(text: &str) -> Result<String, String> {
 
     Ok(format!(
         "{} bench rows, {} rollup spans, counters ok, {} histograms, \
-         telemetry overhead {recomputed:.3}, pool speedup {recomputed_speedup:.3}, \
-         checksum overhead {recomputed_checksum:.3}",
+         telemetry overhead {recomputed:.3}, checksum overhead {recomputed_checksum:.3}",
         benches.len(),
         rollup.len(),
         histograms.len()
@@ -321,9 +267,8 @@ pub fn render(rows: &[BenchRow], telemetry: &RunReport) -> String {
         json::string(SCHEMA_NAME),
         SCHEMA_VERSION
     ));
-    // The sequential-vs-parallel comparison rows are only interpretable
-    // relative to the machine that produced them: on a single-core host
-    // the parallel sweep cannot win and only measures spawn overhead.
+    // Timing rows are only interpretable relative to the machine that
+    // produced them.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     out.push_str(&format!("  \"host_parallelism\": {cores},\n"));
 
@@ -355,19 +300,6 @@ pub fn render(rows: &[BenchRow], telemetry: &RunReport) -> String {
             out.push_str(&format!(
                 "  \"telemetry_overhead_ratio\": {},\n",
                 json::number(traced / base)
-            ));
-        }
-    }
-
-    // The pool-speedup headline: sequential over pooled style-search
-    // median, the number the schema gate holds above the host-dependent
-    // floor (MIN_POOL_SPEEDUP_RATIO / MIN_POOL_SPEEDUP_RATIO_SINGLE_CORE).
-    if let (Some(sequential), Some(pooled)) = (median_of(THREADS_1_ROW), median_of(THREADS_MAX_ROW))
-    {
-        if pooled > 0.0 {
-            out.push_str(&format!(
-                "  \"pool_speedup_ratio\": {},\n",
-                json::number(sequential / pooled)
             ));
         }
     }
@@ -516,7 +448,7 @@ mod tests {
     fn validate_accepts_a_compliant_report() {
         let text = compliant_report();
         let summary = validate(&text).expect("compliant report validates");
-        assert!(summary.contains("10 bench rows"), "{summary}");
+        assert!(summary.contains("8 bench rows"), "{summary}");
         assert!(summary.contains("telemetry overhead 1.000"), "{summary}");
         assert!(summary.contains("checksum overhead 1.000"), "{summary}");
     }
@@ -556,45 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_gates_on_pool_speedup() {
-        // All rows at 11 ns → speedup 1.000, over every floor.
-        validate(&compliant_report()).expect("speedup 1.0 passes the gate");
-        // The pooled sweep at twice the sequential median is under any
-        // floor (0.95 single-core, 1.0 multi-core).
-        let err = validate(&report_with_medians(&[(THREADS_MAX_ROW, 22)])).unwrap_err();
-        assert!(err.contains("under the"), "{err}");
-        assert!(err.contains("floor"), "{err}");
-        // A ratio that disagrees with the rows is rejected outright.
-        let text =
-            compliant_report().replace("\"pool_speedup_ratio\": 1", "\"pool_speedup_ratio\": 4.2");
-        let err = validate(&text).unwrap_err();
-        assert!(err.contains("medians give"), "{err}");
-        // A report that omits the field is rejected.
-        let text = compliant_report().replace("pool_speedup_ratio", "pool_ratio");
-        let err = validate(&text).unwrap_err();
-        assert!(err.contains("pool_speedup_ratio"), "{err}");
-    }
-
-    #[test]
-    fn single_core_tolerance_only_softens_the_floor_on_one_core() {
-        // Pin host_parallelism so the test is machine-independent.
-        let host = |text: &str, cores: usize| {
-            let actual =
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            text.replace(
-                &format!("\"host_parallelism\": {actual}"),
-                &format!("\"host_parallelism\": {cores}"),
-            )
-        };
-        // Sequential 23 ns, pooled 24 ns → ratio ≈ 0.958: inside the
-        // single-core tolerance, under the multi-core floor.
-        let text = report_with_medians(&[(THREADS_1_ROW, 23), (THREADS_MAX_ROW, 24)]);
-        validate(&host(&text, 1)).expect("0.958 passes the single-core tolerance");
-        let err = validate(&host(&text, 8)).unwrap_err();
-        assert!(err.contains("floor"), "{err}");
-    }
-
-    #[test]
     fn validate_requires_histograms() {
         let text = compliant_report().replace("\"histograms\"", "\"hists\"");
         let err = validate(&text).unwrap_err();
@@ -603,9 +496,9 @@ mod tests {
 
     #[test]
     fn validate_rejects_missing_comparison_row() {
-        let text = compliant_report().replace("style_search/case_a_threads_max", "renamed/row");
+        let text = compliant_report().replace("batch/sweep_3x3_checksum", "renamed/row");
         let err = validate(&text).unwrap_err();
-        assert!(err.contains("style_search/case_a_threads_max"), "{err}");
+        assert!(err.contains("batch/sweep_3x3_checksum"), "{err}");
     }
 
     #[test]

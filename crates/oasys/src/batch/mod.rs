@@ -10,9 +10,10 @@
 //! * [`Manifest`] expands `spec × tech` inputs into a [`Job`] list,
 //!   each with a content [`fingerprint`] that identifies the work
 //!   regardless of file names.
-//! * [`Batch`] runs jobs on a bounded pool, streaming one [`JobRecord`]
-//!   per job (JSON lines via [`JobRecord::render_json`]) and producing
-//!   a deterministic aggregate ([`BatchReport::render_aggregate`]).
+//! * [`Batch`] runs jobs on a bounded set of worker threads, streaming
+//!   one [`JobRecord`] per job (JSON lines via
+//!   [`JobRecord::render_json`]) and producing a deterministic
+//!   aggregate ([`BatchReport::render_aggregate`]).
 //! * [`Checkpoint`] persists completed fingerprints with their
 //!   outcomes, so a killed run resumes without redoing finished work —
 //!   and a resumed run aggregates byte-identically to an uninterrupted
@@ -99,7 +100,7 @@ impl Default for BatchOptions {
 }
 
 impl BatchOptions {
-    /// Sets the worker-pool size (clamped to at least 1).
+    /// Sets the worker-thread count (clamped to at least 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -164,7 +165,7 @@ impl BatchOptions {
         }
     }
 
-    /// Worker-pool size.
+    /// Worker-thread count.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers

@@ -1,30 +1,30 @@
-//! The batch worker pool: bounded concurrency, per-job fault isolation,
+//! The batch runner: bounded concurrency, per-job fault isolation,
 //! capped-backoff retries, checkpointing, and result streaming.
 //!
 //! Execution model:
 //!
-//! * The coordinator (the calling thread) owns the [`Telemetry`] handle,
-//!   the checkpoint, and the result stream. Worker loops run as scoped
-//!   jobs on the persistent process-wide [`oasys_pool::Pool`], popping
-//!   jobs from a shared queue; the coordinator helps the pool while it
-//!   waits, so batches complete even on a zero-worker (single-core)
-//!   pool without spawning a single thread.
-//! * Every *attempt* of a job runs on its own detached thread so that a
-//!   panicking plan or a diverging simulation fails **that job only**:
-//!   panics are caught and reported, and an attempt that exceeds the
-//!   wall-clock budget is abandoned (its thread is left to finish in the
-//!   background) and recorded as a timeout.
+//! * A batch spawns its worker threads once per run. Each worker pops
+//!   jobs from a shared queue and runs every attempt inline under
+//!   `catch_unwind`, so a panicking plan fails **that job only**.
+//! * The calling thread is the one supervisor. It owns the
+//!   [`Telemetry`] handle, the checkpoint, and the result stream, and
+//!   sleeps until a result arrives or the earliest stuck-job watchdog
+//!   (twice the job budget) expires. An expired watchdog flags its
+//!   attempt's cancel token, records the job as a timeout, and replaces
+//!   the worker; the old thread is detached and ignored from then on.
 //! * Failures a [`JobRunner`] marks transient are retried up to the
 //!   retry cap, sleeping an exponential backoff (doubling from the base,
 //!   capped) between attempts.
-//! * Telemetry follows the engine's fork/absorb protocol: seeds are
-//!   forked up front on the coordinator, each attempt records into its
-//!   own ring, and the surviving recordings are absorbed back in job
-//!   order — so a manually-clocked batch trace is byte-identical
-//!   regardless of worker count or scheduling. Untraced batches still
-//!   record each attempt into a small always-on flight ring, and a
-//!   failed job dumps its trace tail into the structured record
-//!   ([`JobRecord::flight`]).
+//! * Telemetry follows the fork/absorb protocol: seeds are forked up
+//!   front on the supervisor, each attempt records into its own ring,
+//!   and the surviving recordings are absorbed back in job order — so a
+//!   manually-clocked batch trace of the same work is byte-identical
+//!   regardless of worker count or scheduling. (Jobs sharing one design
+//!   cache do not do the same work: which of them designs a shared
+//!   sub-block first is a race, and its `cache=hit` annotation follows
+//!   it.) Untraced batches still record each attempt into a small
+//!   always-on flight ring, and a failed job dumps its trace tail into
+//!   the structured record ([`JobRecord::flight`]).
 
 use super::checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome};
 use super::manifest::Job;
@@ -32,16 +32,16 @@ use crate::batch::BatchOptions;
 use crate::integrity::Salvage;
 use oasys_faults::Deadline;
 use oasys_telemetry::{json, Recording, Telemetry, TelemetrySeed};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Executes one job. Implementations must be shareable across the
-/// worker pool and the per-attempt isolation threads.
+/// batch's worker threads.
 ///
-/// The pool supplies panic isolation and the wall-clock budget around
+/// The batch supplies panic isolation and the wall-clock budget around
 /// [`JobRunner::run`]; the runner itself only distinguishes *definitive*
 /// answers ([`JobSuccess`], which includes "no style fits") from
 /// failures, and marks which failures are worth retrying.
@@ -51,10 +51,10 @@ pub trait JobRunner: Send + Sync + 'static {
     /// wall-clock budget: runners should thread it into their plan
     /// executors and simulator loops so an over-budget job aborts cleanly
     /// at an internal checkpoint, and report the abort as a
-    /// [`JobFailure::timed_out`] failure. The pool keeps a stuck-job
-    /// watchdog backstop (a [`Deadline`] at twice the budget) for
-    /// runners that ignore the deadline; jobs it abandons are flagged
-    /// in telemetry as `batch.jobs_stuck`.
+    /// [`JobFailure::timed_out`] failure. The batch keeps a stuck-job
+    /// watchdog backstop at twice the budget for runners that ignore
+    /// the deadline; jobs it abandons are flagged in telemetry as
+    /// `batch.jobs_stuck`.
     ///
     /// # Errors
     ///
@@ -529,7 +529,7 @@ impl BatchReport {
     }
 }
 
-/// What one job execution produced (worker → coordinator message).
+/// What one job execution produced (worker → supervisor message).
 struct JobExecution {
     status: JobStatus,
     attempts: u32,
@@ -549,6 +549,30 @@ struct JobExecution {
     recording: Option<Recording>,
     /// Flight-recorder tail for failed jobs (see [`JobRecord::flight`]).
     flight: Vec<String>,
+}
+
+impl JobExecution {
+    /// A failed job with no telemetry attached.
+    fn failed(
+        kind: FailureKind,
+        message: String,
+        attempts: u32,
+        start: Instant,
+        retried: bool,
+    ) -> Self {
+        Self {
+            status: JobStatus::Failed { kind, message },
+            attempts,
+            duration_ns: elapsed_ns(start),
+            styles: Vec::new(),
+            meets_spec: None,
+            detail: None,
+            retried,
+            stuck: false,
+            recording: None,
+            flight: Vec::new(),
+        }
+    }
 }
 
 /// A configured batch, ready to run.
@@ -660,7 +684,8 @@ impl Batch {
 
         // Partition: checkpointed jobs short-circuit to skipped records;
         // the rest join the work queue with pre-forked telemetry seeds
-        // (one per potential attempt — forking must stay on this thread).
+        // (one per potential attempt — forking must stay on this thread,
+        // which owns `tel`).
         let mut records: Vec<Option<JobRecord>> = Vec::new();
         records.resize_with(jobs.len(), || None);
         let mut pending: Vec<(Job, Vec<Option<TelemetrySeed>>)> = Vec::new();
@@ -697,107 +722,57 @@ impl Batch {
         }
 
         let mut checkpoint_error = None;
-        if !pending.is_empty() {
-            let workers = options.workers().min(pending.len()).max(1);
-            root.annotate("workers", || workers.to_string());
-            let slots = pending.len();
-            let queue = Mutex::new(std::collections::VecDeque::from(pending));
-            let (tx, rx) = mpsc::channel::<(Job, JobExecution)>();
-            // Absorb job telemetry in job order after the pool drains,
-            // so the batch trace is scheduling-independent.
-            let mut job_recordings: Vec<(usize, Recording)> = Vec::new();
-            let pool = oasys_pool::Pool::global();
-            pool.scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let options = &options;
-                    scope.spawn(move || loop {
-                        let Some((job, seeds)) = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop_front()
-                        else {
-                            break;
-                        };
-                        let execution = execute_job(&job, seeds, runner, options);
-                        if tx.send((job, execution)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for _ in 0..slots {
-                    // The coordinator helps the pool while it waits:
-                    // with zero persistent workers (single-core hosts)
-                    // the worker loops above run inline right here, and
-                    // on busy pools the coordinator adds a hand instead
-                    // of sleeping. The short recv timeout only bounds
-                    // the re-check interval; results wake it instantly.
-                    let received = loop {
-                        match rx.try_recv() {
-                            Ok(message) => break Some(message),
-                            Err(mpsc::TryRecvError::Disconnected) => break None,
-                            Err(mpsc::TryRecvError::Empty) => {}
-                        }
-                        if pool.try_help() {
-                            continue;
-                        }
-                        match rx.recv_timeout(std::time::Duration::from_millis(5)) {
-                            Ok(message) => break Some(message),
-                            Err(mpsc::RecvTimeoutError::Timeout) => {}
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break None,
-                        }
-                    };
-                    let Some((job, mut execution)) = received else {
-                        break;
-                    };
-                    if let Some(recording) = execution.recording.take() {
-                        job_recordings.push((job.id(), recording));
-                    }
-                    let record = JobRecord {
-                        job: job.id(),
-                        spec: job.spec_label().to_owned(),
-                        tech: job.tech_label().to_owned(),
-                        fingerprint: job.fingerprint(),
-                        status: execution.status,
-                        attempts: execution.attempts,
-                        duration_ns: execution.duration_ns,
-                        styles: execution.styles,
-                        meets_spec: execution.meets_spec,
-                        detail: execution.detail,
-                        flight: execution.flight,
-                    };
-                    match &record.status {
-                        JobStatus::Failed { .. } => tel.incr("batch.jobs_failed"),
-                        _ => tel.incr("batch.jobs_ok"),
-                    }
-                    if execution.retried {
-                        tel.incr("batch.jobs_retried");
-                    }
-                    if execution.stuck {
-                        tel.incr("batch.jobs_stuck");
-                    }
-                    if checkpoint_error.is_none() {
-                        if let (Some(cp), Some(outcome)) =
-                            (checkpoint.as_mut(), record.status.to_checkpoint())
-                        {
-                            if let Err(e) =
-                                cp.record(record.fingerprint, &outcome, &record.spec, &record.tech)
-                            {
-                                checkpoint_error = Some(e);
-                            }
-                        }
-                    }
-                    sink(&record);
-                    let slot = record.job;
-                    records[slot] = Some(record);
-                }
-            });
-            job_recordings.sort_by_key(|(id, _)| *id);
-            for (_, recording) in &job_recordings {
-                tel.absorb(recording);
+        let slots = pending.len();
+        let mut supervisor = Supervisor::new(pending, Arc::clone(runner), &options);
+        // Absorb job telemetry in job order after the batch drains,
+        // so the batch trace is scheduling-independent.
+        let mut job_recordings: Vec<(usize, Recording)> = Vec::new();
+        for _ in 0..slots {
+            let (job, mut execution) = supervisor.next_result();
+            if let Some(recording) = execution.recording.take() {
+                job_recordings.push((job.id(), recording));
             }
+            let record = JobRecord {
+                job: job.id(),
+                spec: job.spec_label().to_owned(),
+                tech: job.tech_label().to_owned(),
+                fingerprint: job.fingerprint(),
+                status: execution.status,
+                attempts: execution.attempts,
+                duration_ns: execution.duration_ns,
+                styles: execution.styles,
+                meets_spec: execution.meets_spec,
+                detail: execution.detail,
+                flight: execution.flight,
+            };
+            match &record.status {
+                JobStatus::Failed { .. } => tel.incr("batch.jobs_failed"),
+                _ => tel.incr("batch.jobs_ok"),
+            }
+            if execution.retried {
+                tel.incr("batch.jobs_retried");
+            }
+            if execution.stuck {
+                tel.incr("batch.jobs_stuck");
+            }
+            if checkpoint_error.is_none() {
+                if let (Some(cp), Some(outcome)) =
+                    (checkpoint.as_mut(), record.status.to_checkpoint())
+                {
+                    if let Err(e) =
+                        cp.record(record.fingerprint, &outcome, &record.spec, &record.tech)
+                    {
+                        checkpoint_error = Some(e);
+                    }
+                }
+            }
+            sink(&record);
+            let slot = record.job;
+            records[slot] = Some(record);
+        }
+        job_recordings.sort_by_key(|(id, _)| *id);
+        for (_, recording) in &job_recordings {
+            tel.absorb(recording);
         }
 
         let records: Vec<JobRecord> = records
@@ -820,44 +795,286 @@ impl Batch {
 /// structured record.
 const FLIGHT_TAIL_LINES: usize = 16;
 
-fn flight_tail(recording: Option<&Recording>) -> Vec<String> {
-    recording.map_or_else(Vec::new, |r| r.tail_lines(FLIGHT_TAIL_LINES))
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs one job through its retry loop on a worker thread.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A job's index in [`Shared::jobs`] with its pre-forked telemetry
+/// seeds, one per potential attempt.
+type Queued = (usize, Vec<Option<TelemetrySeed>>);
+
+/// A finished job as it travels from a worker to the supervisor.
+type Finished = (usize, JobExecution);
+
+/// What the supervisor and its workers share.
+struct Shared<R> {
+    jobs: Vec<Job>,
+    queue: Mutex<VecDeque<Queued>>,
+    runner: Arc<R>,
+    options: BatchOptions,
+}
+
+/// The watchdog's view of one running attempt.
+struct Attempt {
+    /// The job's index in [`Shared::jobs`].
+    index: usize,
+    /// Attempts made so far, this one included.
+    attempts: u32,
+    retried: bool,
+    job_start: Instant,
+    /// Twice the budget after the attempt started.
+    expires: Instant,
+    /// Flagged when the watchdog gives up, so the attempt stops at its
+    /// next deadline checkpoint if it ever reaches one.
+    cancel: Arc<AtomicBool>,
+}
+
+/// One worker's watched attempt. The worker fills it before an attempt
+/// and takes it back after; the supervisor takes it when the watchdog
+/// expires. Whoever takes it first owns the job's record, so an
+/// attempt that finishes just as its watchdog expires is reported once.
+type Watch = Mutex<Option<Attempt>>;
+
+/// The batch's one supervisor, run by the calling thread, and the
+/// worker threads it keeps staffed.
+struct Supervisor<R> {
+    shared: Arc<Shared<R>>,
+    results: mpsc::Receiver<Finished>,
+    /// Cloned into every worker, replacements included.
+    sender: mpsc::Sender<Finished>,
+    /// The live workers; an abandoned worker leaves this list.
+    watches: Vec<Arc<Watch>>,
+    workers: usize,
+}
+
+impl<R: JobRunner> Supervisor<R> {
+    fn new(
+        pending: Vec<(Job, Vec<Option<TelemetrySeed>>)>,
+        runner: Arc<R>,
+        options: &BatchOptions,
+    ) -> Self {
+        let workers = options.workers().min(pending.len()).max(1);
+        let (jobs, queue) = pending
+            .into_iter()
+            .enumerate()
+            .map(|(index, (job, seeds))| (job, (index, seeds)))
+            .unzip();
+        let (sender, results) = mpsc::channel();
+        Self {
+            shared: Arc::new(Shared {
+                jobs,
+                queue: Mutex::new(queue),
+                runner,
+                options: options.clone(),
+            }),
+            results,
+            sender,
+            watches: Vec::new(),
+            workers,
+        }
+    }
+
+    /// The next finished job, in completion order. Call it once per
+    /// job.
+    fn next_result(&mut self) -> (&Job, JobExecution) {
+        loop {
+            if let Some((index, execution)) = self.staff().or_else(|| self.wait()) {
+                return (&self.shared.jobs[index], execution);
+            }
+        }
+    }
+
+    /// Keeps `workers` threads on a non-empty queue. A failed spawn
+    /// while other workers live only costs capacity. With none alive it
+    /// is the next job's transient failure: retried with the batch's
+    /// backoff, then recorded, so the batch never waits on a worker
+    /// that does not exist.
+    fn staff(&mut self) -> Option<Finished> {
+        let start = Instant::now();
+        let mut failures = 0;
+        while self.watches.len() < self.workers && !lock(&self.shared.queue).is_empty() {
+            let Err(error) = self.spawn_worker() else {
+                continue;
+            };
+            if !self.watches.is_empty() {
+                break;
+            }
+            failures += 1;
+            let options = &self.shared.options;
+            if failures <= options.retries() {
+                std::thread::sleep(options.backoff(failures));
+                continue;
+            }
+            let (index, _seeds) = lock(&self.shared.queue).pop_front()?;
+            let message = format!("could not spawn a batch worker: {error}");
+            let execution =
+                JobExecution::failed(FailureKind::Error, message, failures, start, failures > 1);
+            return Some((index, execution));
+        }
+        None
+    }
+
+    /// Spawns one detached worker thread.
+    fn spawn_worker(&mut self) -> std::io::Result<()> {
+        if oasys_faults::armed() {
+            if let Some(msg) = oasys_faults::eval_err("batch.worker.spawn") {
+                return Err(std::io::Error::other(msg));
+            }
+        }
+        let watch = Arc::new(Watch::default());
+        let (shared, worker_watch, results) = (
+            Arc::clone(&self.shared),
+            Arc::clone(&watch),
+            self.sender.clone(),
+        );
+        std::thread::Builder::new()
+            .name("oasys-batch-worker".to_owned())
+            .spawn(move || work(&shared, &worker_watch, &results))?;
+        self.watches.push(watch);
+        Ok(())
+    }
+
+    /// Sleeps until a worker reports or the earliest watchdog expires;
+    /// on expiry, abandons that attempt.
+    fn wait(&mut self) -> Option<Finished> {
+        let now = Instant::now();
+        // An attempt that starts after `now` expires after `now` plus
+        // twice the budget, so with none running that is the latest
+        // safe wake-up.
+        let wake = self.shared.options.timeout().and_then(|budget| {
+            self.watches
+                .iter()
+                .filter_map(|w| lock(w).as_ref().map(|a| a.expires))
+                .min()
+                .or_else(|| now.checked_add(budget.saturating_mul(2)))
+        });
+        let Some(wake) = wake else {
+            return self.results.recv().ok();
+        };
+        match self
+            .results
+            .recv_timeout(wake.saturating_duration_since(now))
+        {
+            Ok(finished) => Some(finished),
+            Err(_) => self.abandon_expired(),
+        }
+    }
+
+    /// Abandons one worker whose attempt outlived its watchdog: the
+    /// runner blew through twice its budget without reaching a deadline
+    /// checkpoint. Its cancel token is flagged, the job is recorded as
+    /// stuck, and the next [`Supervisor::staff`] replaces the worker.
+    fn abandon_expired(&mut self) -> Option<Finished> {
+        let now = Instant::now();
+        let (slot, attempt) = self.watches.iter().enumerate().find_map(|(slot, w)| {
+            lock(w)
+                .take_if(|a| a.expires <= now)
+                .map(|attempt| (slot, attempt))
+        })?;
+        self.watches.swap_remove(slot);
+        attempt.cancel.store(true, Ordering::Relaxed);
+        let message = format!(
+            "watchdog: job exceeded twice its {} ms budget without \
+             reaching a deadline checkpoint and was abandoned as stuck",
+            self.shared.options.timeout().map_or(0, |t| t.as_millis())
+        );
+        let execution = JobExecution {
+            stuck: true,
+            ..JobExecution::failed(
+                FailureKind::Timeout,
+                message,
+                attempt.attempts,
+                attempt.job_start,
+                attempt.retried,
+            )
+        };
+        Some((attempt.index, execution))
+    }
+}
+
+/// A worker thread's loop: pops jobs until the queue is empty. It exits
+/// early once the supervisor abandons it or stops listening.
+fn work<R: JobRunner>(shared: &Shared<R>, watch: &Watch, results: &mpsc::Sender<Finished>) {
+    loop {
+        // A `let … else` drops the queue guard before the job runs.
+        let Some((index, seeds)) = lock(&shared.queue).pop_front() else {
+            return;
+        };
+        let Some(execution) = execute_job(shared, index, seeds, watch) else {
+            return;
+        };
+        if results.send((index, execution)).is_err() {
+            return;
+        }
+    }
+}
+
+/// Runs one job through its retry loop, every attempt inline on this
+/// worker. `None` when the supervisor abandoned the worker mid-attempt.
+///
+/// Cancellation is two-tier: the preferred path is the cooperative
+/// [`Deadline`] handed to the runner, which aborts inside the
+/// computation at the next checkpoint (plan step boundary, Newton
+/// iteration). The stuck-job watchdog at **twice** the budget only
+/// fires for runners that never reach a deadline checkpoint.
 fn execute_job<R: JobRunner>(
-    job: &Job,
+    shared: &Shared<R>,
+    index: usize,
     seeds: Vec<Option<TelemetrySeed>>,
-    runner: &Arc<R>,
-    options: &BatchOptions,
-) -> JobExecution {
+    watch: &Watch,
+) -> Option<JobExecution> {
+    let job = &shared.jobs[index];
+    let options = &shared.options;
     let start = Instant::now();
     let mut attempts = 0u32;
     let mut retried = false;
     let mut seeds = seeds.into_iter();
     loop {
         attempts += 1;
-        let seed = seeds.next().flatten();
-        let attempt = run_attempt(job.clone(), seed, Arc::clone(runner), options.timeout());
-        let duration_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        match attempt {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let deadline = options
+            .timeout()
+            .map_or_else(Deadline::none, Deadline::within)
+            .with_cancel(Arc::clone(&cancel));
+        let watchdog = options
+            .timeout()
+            .and_then(|budget| Instant::now().checked_add(budget.saturating_mul(2)));
+        if let Some(expires) = watchdog {
+            *lock(watch) = Some(Attempt {
+                index,
+                attempts,
+                retried,
+                job_start: start,
+                expires,
+                cancel,
+            });
+        }
+        let outcome = run_attempt(job, seeds.next().flatten(), &*shared.runner, &deadline);
+        if watchdog.is_some() && lock(watch).take().is_none() {
+            return None;
+        }
+        match outcome {
             AttemptOutcome::Done(Ok(success), recording) => {
                 let status = match success.selected {
                     Some((style, area_um2)) => JobStatus::Ok { style, area_um2 },
                     None => JobStatus::Infeasible,
                 };
-                return JobExecution {
+                return Some(JobExecution {
                     status,
                     attempts,
-                    duration_ns,
+                    duration_ns: elapsed_ns(start),
                     styles: success.styles,
                     meets_spec: success.meets_spec,
                     detail: success.detail,
                     retried,
                     stuck: false,
-                    recording,
+                    recording: Some(recording),
                     flight: Vec::new(),
-                };
+                });
             }
             AttemptOutcome::Done(Err(failure), recording) => {
                 if failure.transient && attempts <= options.retries() {
@@ -870,197 +1087,77 @@ fn execute_job<R: JobRunner>(
                 } else {
                     FailureKind::Error
                 };
-                return JobExecution {
-                    status: JobStatus::Failed {
-                        kind,
-                        message: failure.message,
-                    },
-                    attempts,
-                    duration_ns,
-                    styles: Vec::new(),
-                    meets_spec: None,
-                    detail: None,
-                    retried,
-                    stuck: false,
-                    flight: flight_tail(recording.as_ref()),
-                    recording,
-                };
+                return Some(JobExecution {
+                    flight: recording.tail_lines(FLIGHT_TAIL_LINES),
+                    recording: Some(recording),
+                    ..JobExecution::failed(kind, failure.message, attempts, start, retried)
+                });
             }
+            // A panicked ring may hold unbalanced spans; mine it for the
+            // flight tail but keep it out of the batch trace.
             AttemptOutcome::Panicked(message, recording) => {
-                return JobExecution {
-                    status: JobStatus::Failed {
-                        kind: FailureKind::Panic,
-                        message,
-                    },
-                    attempts,
-                    duration_ns,
-                    styles: Vec::new(),
-                    meets_spec: None,
-                    detail: None,
-                    retried,
-                    stuck: false,
-                    // A panicked ring may hold unbalanced spans; mine it
-                    // for the flight tail but keep it out of the batch
-                    // trace.
-                    recording: None,
-                    flight: flight_tail(recording.as_ref()),
-                };
-            }
-            AttemptOutcome::TimedOut => {
-                return JobExecution {
-                    status: JobStatus::Failed {
-                        kind: FailureKind::Timeout,
-                        message: format!(
-                            "watchdog: job exceeded twice its {} ms budget without \
-                             reaching a deadline checkpoint and was abandoned as stuck",
-                            options.timeout().map_or(0, |t| t.as_millis())
-                        ),
-                    },
-                    attempts,
-                    duration_ns,
-                    styles: Vec::new(),
-                    meets_spec: None,
-                    detail: None,
-                    retried,
-                    stuck: true,
-                    recording: None,
-                    flight: Vec::new(),
-                };
+                return Some(JobExecution {
+                    flight: recording.tail_lines(FLIGHT_TAIL_LINES),
+                    ..JobExecution::failed(FailureKind::Panic, message, attempts, start, retried)
+                });
             }
         }
     }
 }
 
 enum AttemptOutcome {
-    /// The runner returned; its telemetry recording rides along (absent
-    /// only when the isolation thread could not report).
-    Done(Result<JobSuccess, JobFailure>, Option<Recording>),
+    /// The runner returned; its telemetry recording rides along.
+    Done(Result<JobSuccess, JobFailure>, Recording),
     /// The runner panicked; the payload message survives, and — because
     /// the telemetry handle lives outside the unwind boundary — so does
     /// the recording, whose tail becomes the job's flight dump.
-    Panicked(String, Option<Recording>),
-    /// The attempt exceeded its budget and was abandoned.
-    TimedOut,
+    Panicked(String, Recording),
 }
 
-/// How often the stuck-job watchdog re-checks its deadline while
-/// waiting for an attempt to report. Short enough that an expired
-/// watchdog surfaces promptly; long enough to stay off the profile.
-const WATCHDOG_SLICE: Duration = Duration::from_millis(25);
-
-/// Runs one attempt on a detached isolation thread, so a panic or a
-/// divergence cannot take the worker (or the batch) down with it.
-///
-/// Cancellation is two-tier: the preferred path is the cooperative
-/// [`Deadline`] handed to the runner, which aborts inside the
-/// computation at the next checkpoint (plan step boundary, Newton
-/// iteration). The stuck-job watchdog — a second [`Deadline`] at
-/// **twice** the budget, polled in [`WATCHDOG_SLICE`] intervals — only
-/// fires for runners that never reach a deadline checkpoint; it
-/// abandons the thread after flagging its cancel token (so even an
-/// abandoned attempt stops at its next checkpoint instead of running
-/// forever) and the job is reported as *stuck*.
+/// Runs one attempt on the calling worker under `catch_unwind`. A job
+/// without a forked seed (untraced batch) still records into a small
+/// always-on flight ring.
 fn run_attempt<R: JobRunner>(
-    job: Job,
+    job: &Job,
     seed: Option<TelemetrySeed>,
-    runner: Arc<R>,
-    timeout: Option<Duration>,
+    runner: &R,
+    deadline: &Deadline,
 ) -> AttemptOutcome {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let deadline = match timeout {
-        Some(budget) => Deadline::within(budget).with_cancel(Arc::clone(&cancel)),
-        None => Deadline::none().with_cancel(Arc::clone(&cancel)),
-    };
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name(format!("oasys-job-{}", job.id()))
-        .spawn(move || {
-            // The telemetry handle lives OUTSIDE the unwind boundary:
-            // when the runner panics, the ring survives and its tail
-            // becomes the job's flight dump. A job without a forked seed
-            // (untraced batch) still records into a small always-on
-            // flight ring.
-            let tel = match seed {
-                Some(seed) => seed.build(),
-                None => Telemetry::flight(),
-            };
-            let tel_ref = &tel;
-            let payload = catch_unwind(AssertUnwindSafe(move || {
-                let span = tel_ref.span_display("job:", &job.id());
-                span.annotate("spec", || job.spec_label().to_owned());
-                span.annotate("tech", || job.tech_label().to_owned());
-                let start_ns = tel_ref.clock_ns();
-                // Fault plane: an armed `batch.attempt` site fails
-                // this attempt before the runner starts, exercising
-                // the retry/backoff path.
-                let injected = if oasys_faults::armed() {
-                    oasys_faults::eval_err("batch.attempt")
-                } else {
-                    None
-                };
-                let result = match injected {
-                    Some(msg) => Err(JobFailure::transient(format!("fault injected: {msg}"))),
-                    None => runner.run(&job, tel_ref, &deadline),
-                };
-                tel_ref.observe(
-                    "batch.job_latency_ns",
-                    tel_ref.clock_ns().saturating_sub(start_ns),
-                );
-                span.annotate("outcome", || {
-                    match &result {
-                        Ok(s) if s.selected.is_some() => "ok",
-                        Ok(_) => "infeasible",
-                        Err(_) => "failed",
-                    }
-                    .to_owned()
-                });
-                result
-            }));
-            let _ = tx.send((payload.map_err(panic_message), tel.into_recording()));
-        });
-    if let Err(e) = spawned {
-        return AttemptOutcome::Done(
-            Err(JobFailure::transient(format!(
-                "could not spawn job thread: {e}"
-            ))),
-            None,
+    let tel = seed.map_or_else(Telemetry::flight, TelemetrySeed::build);
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        let span = tel.span_display("job:", &job.id());
+        span.annotate("spec", || job.spec_label().to_owned());
+        span.annotate("tech", || job.tech_label().to_owned());
+        let start_ns = tel.clock_ns();
+        // Fault plane: an armed `batch.attempt` site fails this attempt
+        // before the runner starts, exercising the retry/backoff path.
+        let injected = if oasys_faults::armed() {
+            oasys_faults::eval_err("batch.attempt")
+        } else {
+            None
+        };
+        let result = match injected {
+            Some(msg) => Err(JobFailure::transient(format!("fault injected: {msg}"))),
+            None => runner.run(job, &tel, deadline),
+        };
+        tel.observe(
+            "batch.job_latency_ns",
+            tel.clock_ns().saturating_sub(start_ns),
         );
-    }
-    let received = match timeout {
-        Some(budget) => {
-            let watchdog = Deadline::within(budget.saturating_mul(2));
-            loop {
-                if watchdog.check().is_err() {
-                    break Err(mpsc::RecvTimeoutError::Timeout);
-                }
-                let slice = watchdog.remaining().map_or(WATCHDOG_SLICE, |r| {
-                    r.min(WATCHDOG_SLICE).max(Duration::from_millis(1))
-                });
-                match rx.recv_timeout(slice) {
-                    Ok(message) => break Ok(message),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(e @ mpsc::RecvTimeoutError::Disconnected) => break Err(e),
-                }
+        span.annotate("outcome", || {
+            match &result {
+                Ok(s) if s.selected.is_some() => "ok",
+                Ok(_) => "infeasible",
+                Err(_) => "failed",
             }
-        }
-        None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-    };
-    match received {
-        Ok((Ok(result), recording)) => AttemptOutcome::Done(result, Some(recording)),
-        Ok((Err(message), recording)) => AttemptOutcome::Panicked(message, Some(recording)),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            // The watchdog expired: the runner blew through twice its
-            // budget without reaching a deadline checkpoint. Flag the
-            // cancel token (so the orphaned thread dies at its next
-            // checkpoint) and abandon it as stuck.
-            cancel.store(true, Ordering::Relaxed);
-            AttemptOutcome::TimedOut
-        }
-        // catch_unwind forwards every panic, so a dead channel means the
-        // thread was killed out from under us — report it as a panic.
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            AttemptOutcome::Panicked("job thread terminated without reporting".to_owned(), None)
-        }
+            .to_owned()
+        });
+        result
+    }));
+    let recording = tel.into_recording();
+    match payload {
+        Ok(result) => AttemptOutcome::Done(result, recording),
+        Err(payload) => AttemptOutcome::Panicked(panic_message(payload), recording),
     }
 }
 

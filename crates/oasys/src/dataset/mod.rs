@@ -4,7 +4,7 @@
 //! seeded distribution over specifications (`sample.*` directives),
 //! crossed with process corners (`corners`, `corner.temps_c`,
 //! `corner.supplies`) and per-device Monte-Carlo mismatch instances
-//! (`mc.*`), synthesized point by point on the shared worker pool and
+//! (`mc.*`), synthesized point by point on the batch's worker threads and
 //! streamed to versioned JSONL records (schema `oasys-dataset/2`, see
 //! `DATASET.md` at the repo root).
 //!

@@ -60,9 +60,9 @@
 //!
 //! # Concurrency and drain
 //!
-//! The server owns a **dedicated** [`oasys_pool::Pool`] (never the
-//! process-global one, whose worker count may be zero — handler jobs
-//! must not be able to starve the accept loop). The pool is supervised:
+//! The server owns a **dedicated** [`oasys_pool::Pool`] with at least
+//! one worker thread, so handlers run beside the accept loop (on the
+//! calling thread) instead of starving it. The pool is supervised:
 //! a panicking worker thread is replaced, and the `health` op reports
 //! `workers_replaced`. Each admitted connection becomes one pool job.
 //! The accept loop is non-blocking and polls a shutdown flag (set by

@@ -11,11 +11,10 @@
 //! The sweep itself lives in the generic engine
 //! ([`oasys_plan::design_candidates`]): the op-amp level is exposed as an
 //! [`OpAmpDesigner`] implementing [`oasys_plan::BlockDesigner`], the
-//! candidates run concurrently (one scoped thread per style by default),
-//! and repeated sub-block designs within a run are memoized through a
-//! shared [`MemoCache`]. Selection is deterministic regardless of the
-//! worker count: smallest estimated area wins, exact ties break by style
-//! name.
+//! candidates run one after another in declaration order, and repeated
+//! sub-block designs within a run are memoized through a shared
+//! [`MemoCache`]. Selection is deterministic: smallest estimated area
+//! wins, exact ties break by style name.
 
 use crate::spec::OpAmpSpec;
 use crate::styles::{design_style_in, OpAmpDesign, OpAmpStyle, StyleError};
@@ -48,9 +47,9 @@ fn synth_syms() -> &'static SynthSyms {
     })
 }
 
-/// Environment variable consulted when [`SearchOptions::threads`] is
-/// unset: overrides the style-search worker count (`1` forces a fully
-/// sequential sweep). Non-numeric or zero values are ignored.
+/// The name of a former style-search worker-count override. Nothing
+/// reads it: the search is always sequential. Kept so callers that
+/// still set the variable compile; slated for removal.
 pub const STYLE_THREADS_ENV: &str = "OASYS_STYLE_THREADS";
 
 /// The op-amp level as a reusable [`BlockDesigner`] — the root block of
@@ -266,8 +265,7 @@ pub fn synthesize(spec: &OpAmpSpec, process: &Process) -> Result<Synthesis, Synt
 /// [`synthesize`] with run telemetry recorded into `tel`.
 ///
 /// Equivalent to [`synthesize_with_options`] with default
-/// [`SearchOptions`]: every style attempted, one worker thread per style
-/// (unless [`STYLE_THREADS_ENV`] overrides the count).
+/// [`SearchOptions`]: every style attempted.
 ///
 /// # Errors
 ///
@@ -280,18 +278,9 @@ pub fn synthesize_with(
     synthesize_with_options(spec, process, &SearchOptions::new(), tel)
 }
 
-fn env_threads() -> Option<usize> {
-    std::env::var(STYLE_THREADS_ENV)
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n| n > 0)
-}
-
 /// The full-control entry point: breadth-first style search with an
-/// optional style filter and worker-thread cap ([`SearchOptions`]), with
-/// run telemetry recorded into `tel`.
+/// optional style filter and deadline ([`SearchOptions`]), with run
+/// telemetry recorded into `tel`.
 ///
 /// Opens a root `synthesize` span; the engine adds one `style:<name>`
 /// child span per attempted style (annotated with the outcome) and
@@ -301,8 +290,7 @@ fn env_threads() -> Option<usize> {
 /// from the shared per-run [`MemoCache`].
 ///
 /// The report — winner, areas, rejection reasons, telemetry — is
-/// identical whatever the thread count; exact area ties break by style
-/// name.
+/// deterministic; exact area ties break by style name.
 ///
 /// # Errors
 ///
@@ -341,14 +329,8 @@ pub fn synthesize_with_cache(
 ) -> Result<Synthesis, SynthesisError> {
     let s = synth_syms();
     let root = tel.span_sym(s.root);
-    let mut opts = options.clone();
-    if opts.threads().is_none() {
-        if let Some(threads) = env_threads() {
-            opts = opts.with_threads(threads);
-        }
-    }
     let designer = OpAmpDesigner::new(process);
-    let outcomes: Vec<StyleOutcome> = design_candidates(&designer, spec, &opts, tel, cache)
+    let outcomes: Vec<StyleOutcome> = design_candidates(&designer, spec, options, tel, cache)
         .into_iter()
         .map(|(name, result)| {
             let style = OpAmpStyle::from_name(&name).expect("engine preserves style names");
@@ -504,29 +486,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.rejections().is_empty());
-    }
-
-    /// The search must be deterministic in the strongest sense: not just
-    /// the same winner, but a byte-identical telemetry report whether the
-    /// sweep runs sequentially or with one worker per style.
-    #[test]
-    fn winner_and_report_identical_across_thread_counts() {
-        use oasys_telemetry::ManualClock;
-        use std::rc::Rc;
-        let run = |threads: usize| {
-            let tel = Telemetry::with_clock(Rc::new(ManualClock::new()));
-            let options = SearchOptions::new().with_threads(threads);
-            let result = synthesize_with_options(
-                &test_cases::spec_a(),
-                &builtin::cmos_5um(),
-                &options,
-                &tel,
-            )
-            .unwrap();
-            assert_eq!(result.selected().style(), OpAmpStyle::OneStageOta);
-            tel.report().render_jsonl()
-        };
-        assert_eq!(run(1), run(OpAmpStyle::ALL.len()));
     }
 
     #[test]

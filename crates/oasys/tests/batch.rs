@@ -337,27 +337,75 @@ impl JobRunner for SleepyRunner {
 
 #[test]
 fn timed_out_job_fails_alone_while_others_complete() {
-    let tel = Telemetry::new();
-    let report = Batch::new(
-        mock_jobs(),
-        fast_options().with_timeout(Some(Duration::from_millis(50))),
-    )
-    .run(&Arc::new(SleepyRunner), &tel, |_| {})
-    .unwrap();
-    assert_eq!(report.counts().failed, 1);
-    assert_eq!(report.counts().ok, 8);
-    match &report.records()[2].status {
-        JobStatus::Failed { kind, message } => {
-            assert_eq!(*kind, FailureKind::Timeout);
-            // SleepyRunner never checks its deadline, so this is the
-            // stuck-job watchdog firing at twice the budget — not the
-            // cooperative path.
-            assert!(message.contains("budget"), "{message}");
-            assert!(message.contains("stuck"), "{message}");
+    // At one worker the stuck job holds the only worker thread, so a
+    // replacement worker must finish the other eight.
+    for workers in [3, 1] {
+        let tel = Telemetry::new();
+        let report = Batch::new(
+            mock_jobs(),
+            fast_options()
+                .with_workers(workers)
+                .with_timeout(Some(Duration::from_millis(50))),
+        )
+        .run(&Arc::new(SleepyRunner), &tel, |_| {})
+        .unwrap();
+        assert_eq!(report.counts().failed, 1, "workers={workers}");
+        assert_eq!(report.counts().ok, 8, "workers={workers}");
+        match &report.records()[2].status {
+            JobStatus::Failed { kind, message } => {
+                assert_eq!(*kind, FailureKind::Timeout);
+                // SleepyRunner never checks its deadline, so this is the
+                // stuck-job watchdog firing at twice the budget — not the
+                // cooperative path.
+                assert!(message.contains("budget"), "{message}");
+                assert!(message.contains("stuck"), "{message}");
+            }
+            other => panic!("job 2 should have timed out, got {other:?}"),
         }
-        other => panic!("job 2 should have timed out, got {other:?}"),
+        assert_eq!(tel.counter("batch.jobs_stuck"), 1, "workers={workers}");
     }
-    assert_eq!(tel.counter("batch.jobs_stuck"), 1);
+}
+
+/// Records which thread ran each job.
+struct ThreadRecordingRunner {
+    threads: Mutex<Vec<std::thread::ThreadId>>,
+}
+
+impl JobRunner for ThreadRecordingRunner {
+    fn run(
+        &self,
+        job: &Job,
+        tel: &Telemetry,
+        deadline: &Deadline,
+    ) -> Result<JobSuccess, JobFailure> {
+        self.threads
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        MockRunner.run(job, tel, deadline)
+    }
+}
+
+#[test]
+fn one_worker_runs_every_attempt_on_one_thread() {
+    let runner = Arc::new(ThreadRecordingRunner {
+        threads: Mutex::new(Vec::new()),
+    });
+    let report = Batch::new(mock_jobs(), fast_options().with_workers(1))
+        .run(&runner, &Telemetry::disabled(), |_| {})
+        .unwrap();
+    assert_eq!(report.counts().failed, 0);
+    let threads = runner.threads.lock().unwrap();
+    assert_eq!(threads.len(), 9);
+    assert!(
+        threads.iter().all(|id| *id == threads[0]),
+        "every attempt ran on the one worker thread: {threads:?}"
+    );
+    assert_ne!(
+        threads[0],
+        std::thread::current().id(),
+        "the calling thread only supervises"
+    );
 }
 
 /// Fails transiently twice per job before succeeding.

@@ -1,8 +1,9 @@
 //! Chaos suite: the 3×3 paper sweep (and mock equivalents) driven
 //! through the `oasys-faults` plane — injected panics, delays that trip
 //! the cooperative deadline, transient errors that exercise
-//! retry/backoff, and torn checkpoint writes — asserting per-job
-//! isolation, clean cancellation, and byte-identical resumed aggregates.
+//! retry/backoff, failed worker spawns, and torn checkpoint writes —
+//! asserting per-job isolation, clean cancellation, and byte-identical
+//! resumed aggregates.
 //!
 //! The fault registry is process-global, so every test holds `FAULT_LOCK`
 //! and clears the registry on exit (including panicking exits) via
@@ -17,7 +18,7 @@ use oasys_faults::{Deadline, FaultSpec};
 use oasys_telemetry::Telemetry;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -153,11 +154,7 @@ fn failed_jobs_dump_a_flight_recorder_tail_into_their_records() {
     let runner = Arc::new(
         SynthRunner::new()
             .with_verify(false)
-            // Force a sequential style sweep: a panic on a forked style
-            // worker unwinds before its recording is absorbed, so only
-            // plans run on the job thread land in the job's flight ring
-            // (OASYS_STYLE_THREADS must not change what this asserts).
-            .with_search(execute_everything().with_threads(1)),
+            .with_search(execute_everything()),
     );
     let report = Batch::new(paper_jobs(), fast_options())
         .run(&runner, &Telemetry::disabled(), |_| {})
@@ -190,15 +187,14 @@ fn delay_fault_trips_the_cooperative_deadline_not_the_backstop() {
     let _guard = FaultGuard::acquire();
     // Each style attempt stalls for 450 ms against a 300 ms budget. The
     // cooperative deadline must abort the job (message says "aborted")
-    // before the 600 ms recv_timeout backstop gives up on the thread
+    // before the 600 ms watchdog backstop gives up on the thread
     // (whose message says "budget").
     oasys_faults::set("engine.style", FaultSpec::Delay(450));
 
     let runner = Arc::new(
         SynthRunner::new()
             .with_verify(false)
-            // One style per job so the stall cost is thread-count
-            // independent (OASYS_STYLE_THREADS=1 must behave the same).
+            // One style per job, so each job stalls exactly once.
             .with_search(execute_everything().with_styles(vec!["two-stage".to_owned()])),
     );
     let report = Batch::new(
@@ -345,70 +341,41 @@ fn torn_checkpoint_write_recovers_and_resumes_byte_identical() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// Like [`MockRunner`] but each job holds its worker for a beat, so
-/// the coordinator's helping loop cannot drain the whole queue before
-/// a pool worker thread gets to pop anything.
-struct SlowMockRunner;
+#[test]
+fn failed_worker_spawns_fail_jobs_instead_of_hanging_the_batch() {
+    let _guard = FaultGuard::acquire();
+    // No worker thread ever starts. With none alive, each failed spawn
+    // is the next job's transient failure: retried with backoff, then
+    // recorded, so the batch still returns one record per job.
+    oasys_faults::set("batch.worker.spawn", FaultSpec::Err(None));
 
-impl JobRunner for SlowMockRunner {
-    fn run(
-        &self,
-        job: &Job,
-        tel: &Telemetry,
-        deadline: &Deadline,
-    ) -> Result<JobSuccess, JobFailure> {
-        std::thread::sleep(Duration::from_millis(10));
-        MockRunner.run(job, tel, deadline)
+    let report = Batch::new(mock_jobs(), fast_options().with_retries(1))
+        .run(&Arc::new(MockRunner), &Telemetry::disabled(), |_| {})
+        .unwrap();
+
+    assert_eq!(report.counts().failed, 9);
+    for record in report.records() {
+        assert_eq!(record.attempts, 2, "one retry, then the failure sticks");
+        let line = record.render_json();
+        assert!(line.contains("\"failure\":\"error\""), "{line}");
+        assert!(
+            line.contains("could not spawn a batch worker: injected fault at batch.worker.spawn"),
+            "{line}"
+        );
     }
 }
 
 #[test]
-fn injected_worker_panic_is_replaced_and_the_batch_completes() {
+fn a_failed_worker_spawn_is_retried_and_the_batch_completes() {
     let _guard = FaultGuard::acquire();
-    let pool = oasys_pool::Pool::global();
-    if pool.workers() == 0 {
-        // Single-core host: every job runs inline via helping joins, so
-        // there is no worker thread to kill (or to supervise).
-        eprintln!("skipping: global pool has no worker threads");
-        return;
-    }
-    let baseline = pool.workers_replaced();
-    // Every worker-loop iteration dies while armed: the supervisor must
-    // keep replacing threads and the batch must still complete, because
-    // the fail point sits between jobs (no queued work is ever held by
-    // a dying worker) and the coordinator helps the pool regardless.
-    oasys_faults::set(
-        "pool.worker.panic",
-        FaultSpec::FailRate { p: 1.0, seed: 11 },
-    );
+    oasys_faults::set("batch.worker.spawn", FaultSpec::FailOnce);
 
-    let report = Batch::new(mock_jobs(), fast_options())
-        .run(&Arc::new(SlowMockRunner), &Telemetry::disabled(), |_| {})
+    let report = Batch::new(mock_jobs(), fast_options().with_workers(1))
+        .run(&Arc::new(MockRunner), &Telemetry::disabled(), |_| {})
         .unwrap();
-    assert_eq!(report.records().len(), 9);
-    assert_eq!(report.counts().failed, 0, "worker deaths lose no jobs");
 
-    // Keep feeding the pool until a worker provably died and was
-    // replaced (a parked worker only reaches the fail point after
-    // popping a job, so wake them with real work).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while pool.workers_replaced() == baseline {
-        assert!(
-            Instant::now() < deadline,
-            "supervisor never replaced a worker"
-        );
-        pool.scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| std::thread::sleep(Duration::from_millis(2))))
-                .collect();
-            for h in handles {
-                h.join();
-            }
-        });
-    }
-    assert!(pool.workers_replaced() > baseline);
-    // FaultGuard clears the registry on drop; the final replacements
-    // then survive their loop-top check and park healthy.
+    assert_eq!(report.counts().failed, 0, "the second spawn ran every job");
+    assert!(report.all_definitive());
 }
 
 #[test]

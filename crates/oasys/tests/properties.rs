@@ -98,45 +98,42 @@ proptest! {
         }
 
         for process in [builtin::cmos_5um(), builtin::cmos_1p2um()] {
-            for threads in [1usize, 3] {
-                let opts = SearchOptions::new().with_threads(threads);
-                let tel = Telemetry::disabled();
-                let pruned = synthesize_with_options(&spec, &process, &opts, &tel);
-                let executed = synthesize_with_options(
-                    &spec,
-                    &process,
-                    &opts.clone().with_static_pruning(false),
-                    &tel,
-                );
-                let pruned_table = table(&pruned);
-                let executed_table = table(&executed);
-                prop_assert_eq!(
-                    pruned_table.iter().map(|(s, _)| s).collect::<Vec<_>>(),
-                    executed_table.iter().map(|(s, _)| s).collect::<Vec<_>>(),
-                    "both sweeps attempt the same styles in the same order"
-                );
-                for ((style, verdict), (_, outcome)) in
-                    pruned_table.iter().zip(&executed_table)
-                {
-                    if verdict.as_deref().is_some_and(|v| v.starts_with("statically-infeasible")) {
-                        prop_assert!(
-                            outcome.is_some(),
-                            "{style} on {process} was pruned as infeasible but executing \
-                             its plan succeeded — the static verdict is unsound"
-                        );
-                    }
+            let tel = Telemetry::disabled();
+            let pruned = synthesize_with_options(&spec, &process, &SearchOptions::new(), &tel);
+            let executed = synthesize_with_options(
+                &spec,
+                &process,
+                &SearchOptions::new().with_static_pruning(false),
+                &tel,
+            );
+            let pruned_table = table(&pruned);
+            let executed_table = table(&executed);
+            prop_assert_eq!(
+                pruned_table.iter().map(|(s, _)| s).collect::<Vec<_>>(),
+                executed_table.iter().map(|(s, _)| s).collect::<Vec<_>>(),
+                "both sweeps attempt the same styles in the same order"
+            );
+            for ((style, verdict), (_, outcome)) in
+                pruned_table.iter().zip(&executed_table)
+            {
+                if verdict.as_deref().is_some_and(|v| v.starts_with("statically-infeasible")) {
+                    prop_assert!(
+                        outcome.is_some(),
+                        "{style} on {process} was pruned as infeasible but executing \
+                         its plan succeeded — the static verdict is unsound"
+                    );
                 }
-                match (&pruned, &executed) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(a.selected().style(), b.selected().style());
-                        prop_assert_eq!(a.selected().circuit(), b.selected().circuit());
-                    }
-                    (Err(_), Err(_)) => {}
-                    _ => prop_assert!(
-                        false,
-                        "pruning flipped overall feasibility on {}", process
-                    ),
+            }
+            match (&pruned, &executed) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.selected().style(), b.selected().style());
+                    prop_assert_eq!(a.selected().circuit(), b.selected().circuit());
                 }
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(
+                    false,
+                    "pruning flipped overall feasibility on {}", process
+                ),
             }
         }
     }

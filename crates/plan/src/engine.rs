@@ -16,14 +16,11 @@
 //! span), and a per-(process, sub-spec) [`MemoCache`] so plan restarts
 //! that re-derive an unchanged sub-block reuse the earlier design.
 //!
-//! [`design_candidates`] is the breadth-first search itself, optionally
-//! fanned out across the persistent [`oasys_pool::Pool`] workers (no
-//! per-sweep thread spawns). Determinism contract:
-//! results are produced (and worker telemetry absorbed) in style
-//! declaration order, ties in the area comparison break by style name,
-//! and cache keys are scoped per candidate style — so the winner, the
-//! rejection table, and a manually-clocked telemetry report are all
-//! byte-identical regardless of thread count.
+//! [`design_candidates`] is the breadth-first search itself: a
+//! sequential loop over the styles in declaration order. Ties in the
+//! area comparison break by style name, and cache keys are scoped per
+//! candidate style, so the winner, the rejection table, and a
+//! manually-clocked telemetry report are byte-identical run over run.
 //!
 //! # Examples
 //!
@@ -68,12 +65,12 @@
 //! assert_eq!(selected.style(), "single"); // 1000 µm² beats 1500 µm²
 //!
 //! // Or the raw candidate sweep (what the op-amp level uses), with a
-//! // shared memo cache and concurrent workers:
+//! // shared memo cache:
 //! let cache = MemoCache::new();
 //! let results = design_candidates(
 //!     &ResistorDesigner,
 //!     &2_000.0,
-//!     &SearchOptions::new().with_threads(2),
+//!     &SearchOptions::new(),
 //!     &tel,
 //!     &cache,
 //! );
@@ -83,7 +80,7 @@
 //! ```
 
 use oasys_faults::{fail_point, Deadline};
-use oasys_telemetry::{sym, sym2, sym_display, Recording, Sym, Telemetry, TelemetrySeed};
+use oasys_telemetry::{sym, sym2, sym_display, Sym, Telemetry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::error::Error;
@@ -96,7 +93,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// Implementations provide per-style design (`design_style`) and an area
 /// estimate; the engine provides breadth-first selection ([`BlockDesigner::design`])
-/// and the parallel candidate sweep ([`design_candidates`]).
+/// and the candidate sweep ([`design_candidates`]).
 pub trait BlockDesigner {
     /// The incoming specification this level translates.
     type Spec;
@@ -363,9 +360,9 @@ impl<'a> DesignContext<'a> {
     }
 
     /// Sets the scope (normally the invoking style's name). Cache keys
-    /// are prefixed with it, so concurrent styles never share entries —
-    /// hits only come from deterministic within-style rework (plan
-    /// restarts re-deriving an unchanged sub-block).
+    /// are prefixed with it, so styles never share entries — hits only
+    /// come from deterministic within-style rework (plan restarts
+    /// re-deriving an unchanged sub-block).
     #[must_use]
     pub fn with_scope(mut self, scope: impl Into<String>) -> Self {
         self.scope = scope.into();
@@ -467,9 +464,9 @@ impl<'a> DesignContext<'a> {
     }
 }
 
-/// A memoization cache for sub-block designs — shared across the style
-/// workers of one synthesis run, or (bounded) across many runs in a
-/// batch sweep or a resident server.
+/// A memoization cache for sub-block designs — shared across the styles
+/// of one synthesis run, or (bounded) across many runs in a batch sweep
+/// or a resident server.
 ///
 /// Entries are type-erased; [`MemoCache::get`] returns a clone only when
 /// both the key and the concrete type match.
@@ -699,15 +696,13 @@ impl CacheKey {
 #[derive(Clone, Debug, Default)]
 pub struct SearchOptions {
     styles: Option<Vec<String>>,
-    threads: Option<usize>,
     deadline: Deadline,
     skip_static_check: bool,
     cache_namespace: Option<String>,
 }
 
 impl SearchOptions {
-    /// Defaults: every declared style, with one worker per style up to
-    /// the host's available parallelism.
+    /// Defaults: every declared style, static pruning on, no deadline.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -725,11 +720,11 @@ impl SearchOptions {
         self
     }
 
-    /// Caps the worker-thread count (`1` forces a fully sequential
-    /// in-thread sweep; values above the candidate count are clamped).
+    /// A no-op: the sweep always runs sequentially on the calling
+    /// thread. Kept so callers written against the former worker-count
+    /// option still compile; slated for removal.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -762,12 +757,6 @@ impl SearchOptions {
     #[must_use]
     pub fn styles(&self) -> Option<&[String]> {
         self.styles.as_deref()
-    }
-
-    /// The thread cap, if any.
-    #[must_use]
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
     }
 
     /// The cooperative deadline (unlimited by default).
@@ -833,19 +822,8 @@ fn engine_syms() -> &'static EngineSyms {
     })
 }
 
-/// The host's available parallelism, probed once — `available_parallelism`
-/// re-reads cgroup limits on every call, which costs tens of microseconds
-/// in containers, comparable to a whole block design.
-fn host_parallelism() -> usize {
-    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HOST
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
-
 /// Records a statically pruned style: a `style:<name>` span annotated
 /// `outcome=pruned` with the reason, plus the `engine.pruned` counter.
-/// Always called from the thread owning `tel`, in declaration order, so
-/// reports stay byte-identical at any worker count.
 fn prune<E: fmt::Display>(tel: &Telemetry, style: &str, error: &E) {
     let syms = engine_syms();
     let span = tel.span_display("style:", &style);
@@ -909,39 +887,25 @@ fn attempt<D: BlockDesigner>(
 /// shape of [`design_candidates`].
 pub type CandidateResults<O, E> = Vec<(String, Result<O, E>)>;
 
-/// One candidate's result keyed by its declaration index, used while
-/// merging pruned and executed outcomes back into declaration order.
-type IndexedResult<O, E> = (usize, String, Result<O, E>);
-
 /// Runs the breadth-first candidate sweep for one block level,
 /// returning every attempted style's result in declaration order.
 ///
-/// With more than one worker thread the candidates run concurrently on
-/// the process-wide persistent [`oasys_pool::Pool`] (a scoped, helping
-/// join keeps stack borrows sound and single-core hosts spawn-free);
-/// each worker records into a
-/// [`Telemetry`] forked from `tel` (same epoch, or frozen under a
-/// manual clock), and the recordings are absorbed back in declaration
-/// order — so the report is identical to a sequential sweep's up to
-/// wall-clock timestamps, and *byte-identical* under a manual clock.
+/// The sweep is a plain loop on the calling thread, recording straight
+/// into `tel`. Static feasibility verdicts come first, in declaration
+/// order, so every pruned style's `style:<name>` span opens before any
+/// executed style's.
 ///
 /// The caller picks the winner (smallest area, ties by style name) from
 /// the returned results; see [`BlockDesigner::design`] for the
-/// single-threaded convenience that does both at once.
-pub fn design_candidates<D>(
+/// convenience that does both at once.
+pub fn design_candidates<D: BlockDesigner>(
     designer: &D,
     spec: &D::Spec,
     opts: &SearchOptions,
     tel: &Telemetry,
     cache: &MemoCache,
-) -> CandidateResults<D::Output, D::Error>
-where
-    D: BlockDesigner + Sync,
-    D::Spec: Sync,
-    D::Output: Send,
-    D::Error: Send,
-{
-    let styles: Vec<String> = designer
+) -> CandidateResults<D::Output, D::Error> {
+    let verdicts: Vec<(String, Result<(), D::Error>)> = designer
         .styles()
         .into_iter()
         .filter(|s| {
@@ -949,128 +913,27 @@ where
                 .is_none_or(|wanted| wanted.iter().any(|w| w == s))
         })
         .filter(|s| designer.allowed(spec, s))
+        .map(|style| {
+            let verdict = if opts.static_pruning() {
+                designer.static_check(spec, &style)
+            } else {
+                Ok(())
+            };
+            if let Err(error) = &verdict {
+                prune(tel, &style, error);
+            }
+            (style, verdict)
+        })
         .collect();
-    if styles.is_empty() {
-        return Vec::new();
-    }
-
-    // Static feasibility pruning, decided in the caller thread in
-    // declaration order *before* any worker is spawned: pruned styles
-    // get their span/counter here and never enter the sweep, so the
-    // telemetry report stays byte-identical at any thread count.
-    let mut outcomes: Vec<IndexedResult<D::Output, D::Error>> = Vec::new();
-    let mut runnable: Vec<(usize, String)> = Vec::new();
-    for (idx, style) in styles.into_iter().enumerate() {
-        let verdict = if opts.static_pruning() {
-            designer.static_check(spec, &style)
-        } else {
-            Ok(())
-        };
-        match verdict {
-            Ok(()) => runnable.push((idx, style)),
-            Err(error) => {
-                prune(tel, &style, &error);
-                outcomes.push((idx, style, Err(error)));
-            }
-        }
-    }
-    if runnable.is_empty() {
-        return outcomes
-            .into_iter()
-            .map(|(_, style, result)| (style, result))
-            .collect();
-    }
-
-    // Default worker count: one per candidate, but never more than the
-    // host offers — on a single-core machine the sweep degenerates to
-    // the sequential path instead of paying spawn overhead for nothing.
-    let threads = opts
-        .threads
-        .unwrap_or_else(host_parallelism)
-        .clamp(1, runnable.len());
-
-    if threads == 1 {
-        for (idx, style) in runnable {
-            let result = attempt(designer, spec, &style, tel, cache, opts);
-            outcomes.push((idx, style, result));
-        }
-        outcomes.sort_by_key(|(idx, _, _)| *idx);
-        return outcomes
-            .into_iter()
-            .map(|(_, style, result)| (style, result))
-            .collect();
-    }
-
-    // One queued candidate: declaration index, style name, and the
-    // forked telemetry seed its worker will record into.
-    type Queued = (usize, String, Option<TelemetrySeed>);
-    // One finished candidate: declaration index, style result, and the
-    // worker's telemetry recording, awaiting in-order absorption.
-    type Finished<O, E> = (usize, Result<O, E>, Recording);
-
-    // Round-robin the candidates over the workers; each worker records
-    // into its own forked Telemetry so the parent handle (which is not
-    // Sync) never crosses a thread boundary. The calling thread runs
-    // the first chunk itself, so a sweep with N workers queues only
-    // N-1 pool jobs — and spawns no threads at all.
-    let mut chunks: Vec<Vec<Queued>> = (0..threads).map(|_| Vec::new()).collect();
-    for (pos, (idx, style)) in runnable.iter().enumerate() {
-        chunks[pos % threads].push((*idx, style.clone(), tel.fork_seed()));
-    }
-    let local_chunk = chunks.remove(0);
-    let run_chunk = |chunk: Vec<Queued>| {
-        chunk
-            .into_iter()
-            .map(|(idx, style, seed)| {
-                let wtel = TelemetrySeed::build_optional(seed);
-                let result = attempt(designer, spec, &style, &wtel, cache, opts);
-                (idx, result, wtel.into_recording())
-            })
-            .collect::<Vec<_>>()
-    };
-
-    let mut finished: Vec<Finished<D::Output, D::Error>> = Vec::with_capacity(runnable.len());
-    let pool = oasys_pool::Pool::global();
-    if pool.workers() == 0 {
-        // Zero-worker pool (single-core host): every job would run
-        // inline through the helping join anyway, so skip the queue
-        // and run the chunks right here. The fork/absorb telemetry
-        // structure is identical, only the job boxing is gone.
-        finished.extend(run_chunk(local_chunk));
-        for chunk in chunks {
-            finished.extend(run_chunk(chunk));
-        }
-    } else {
-        pool.scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(|| run_chunk(chunk)))
-                .collect();
-            finished.extend(run_chunk(local_chunk));
-            // A helping join: chunks still queued run inline right here,
-            // so the sweep completes even when every persistent worker
-            // is busy elsewhere. A worker panic (e.g. an injected
-            // `engine.style` fault) re-raises with its original payload
-            // so the caller's catch_unwind sees what the worker saw.
-            for handle in handles {
-                finished.extend(handle.join());
-            }
-        });
-    }
-
-    // Absorb worker recordings in declaration order: span/event layout
-    // (and therefore every export) matches the sequential sweep.
-    finished.sort_by_key(|(idx, _, _)| *idx);
-    outcomes.extend(runnable.into_iter().zip(finished).map(
-        |((idx, style), (_, result, recording))| {
-            tel.absorb(&recording);
-            (idx, style, result)
-        },
-    ));
-    outcomes.sort_by_key(|(idx, _, _)| *idx);
-    outcomes
+    verdicts
         .into_iter()
-        .map(|(_, style, result)| (style, result))
+        .map(|(style, verdict)| {
+            let result = match verdict {
+                Ok(()) => attempt(designer, spec, &style, tel, cache, opts),
+                Err(error) => Err(error),
+            };
+            (style, result)
+        })
         .collect()
 }
 
@@ -1389,37 +1252,6 @@ mod tests {
         assert_eq!(a, CacheKey::new().num("i", 1.0).finish());
     }
 
-    #[test]
-    fn candidates_identical_across_thread_counts() {
-        let spec = ToySpec {
-            small_feasible: false,
-            small_area: 0.0,
-        };
-        let run = |threads: usize| {
-            let tel = Telemetry::new();
-            let cache = MemoCache::new();
-            let toy = Toy::new();
-            let opts = SearchOptions::new().with_threads(threads);
-            let results = design_candidates(&toy, &spec, &opts, &tel, &cache);
-            let names: Vec<String> = results.iter().map(|(s, _)| s.clone()).collect();
-            let outcomes: Vec<Result<f64, String>> = results.into_iter().map(|(_, r)| r).collect();
-            let spans: Vec<String> = tel
-                .report()
-                .spans()
-                .iter()
-                .map(|s| s.name.clone())
-                .collect();
-            (names, outcomes, spans)
-        };
-        let sequential = run(1);
-        let parallel = run(2);
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential.0, vec!["big", "small"]);
-        assert!(sequential.1[0].is_ok());
-        assert!(sequential.1[1].is_err());
-        assert_eq!(sequential.2, vec!["style:big", "style:small"]);
-    }
-
     /// Three styles; "mid" is statically infeasible and must be pruned
     /// without its `design_style` ever running.
     struct PrunableToy {
@@ -1465,44 +1297,37 @@ mod tests {
 
     #[test]
     fn statically_infeasible_styles_are_pruned_not_run() {
-        let run = |threads: usize| {
-            let tel = Telemetry::new();
-            let cache = MemoCache::new();
-            let toy = PrunableToy {
-                runs: AtomicUsize::new(0),
-            };
-            let opts = SearchOptions::new().with_threads(threads);
-            let results = design_candidates(&toy, &(), &opts, &tel, &cache);
-            assert_eq!(toy.runs.load(Ordering::SeqCst), 2);
-            assert_eq!(tel.counter("engine.pruned"), 1);
-            let names: Vec<String> = results.iter().map(|(s, _)| s.clone()).collect();
-            assert_eq!(
-                names,
-                vec!["cheap", "mid", "fancy"],
-                "declaration order kept"
-            );
-            assert!(results[0].1.is_ok());
-            assert!(
-                results[1]
-                    .1
-                    .as_ref()
-                    .is_err_and(|e| e.contains("statically-infeasible")),
-                "pruned style's result is its static rejection"
-            );
-            assert!(results[2].1.is_ok());
-            let spans: Vec<String> = tel
-                .report()
-                .spans()
-                .iter()
-                .map(|s| s.name.clone())
-                .collect();
-            spans
+        let tel = Telemetry::new();
+        let cache = MemoCache::new();
+        let toy = PrunableToy {
+            runs: AtomicUsize::new(0),
         };
-        let sequential = run(1);
-        let parallel = run(3);
-        assert_eq!(sequential, parallel, "span layout thread-count invariant");
+        let results = design_candidates(&toy, &(), &SearchOptions::new(), &tel, &cache);
+        assert_eq!(toy.runs.load(Ordering::SeqCst), 2);
+        assert_eq!(tel.counter("engine.pruned"), 1);
+        let names: Vec<String> = results.iter().map(|(s, _)| s.clone()).collect();
         assert_eq!(
-            sequential,
+            names,
+            vec!["cheap", "mid", "fancy"],
+            "declaration order kept"
+        );
+        assert!(results[0].1.is_ok());
+        assert!(
+            results[1]
+                .1
+                .as_ref()
+                .is_err_and(|e| e.contains("statically-infeasible")),
+            "pruned style's result is its static rejection"
+        );
+        assert!(results[2].1.is_ok());
+        let spans: Vec<String> = tel
+            .report()
+            .spans()
+            .iter()
+            .map(|s| s.name.clone())
+            .collect();
+        assert_eq!(
+            spans,
             vec!["style:mid", "style:cheap", "style:fancy"],
             "pruned spans open before the sweep"
         );
@@ -1557,9 +1382,7 @@ mod tests {
         let tel = Telemetry::new();
         let cache = MemoCache::new();
         let toy = Audit(AtomicUsize::new(0));
-        let opts = SearchOptions::new()
-            .with_static_pruning(false)
-            .with_threads(1);
+        let opts = SearchOptions::new().with_static_pruning(false);
         assert!(!opts.static_pruning());
         let results = design_candidates(&toy, &(), &opts, &tel, &cache);
         assert_eq!(toy.0.load(Ordering::SeqCst), 3, "every style executed");

@@ -1,19 +1,15 @@
-//! A process-wide, lazily started, long-lived worker pool.
+//! A long-lived, supervised worker pool.
 //!
-//! Every fan-out site in the workspace used to pay for fresh OS threads
-//! per sweep (`std::thread::scope` in the style engine and the batch
-//! runner). On a synthesis that takes a few hundred microseconds, two
-//! thread spawns are a measurable fraction of the whole run — and a
-//! resident service pays that tax on every request. This crate replaces
-//! the per-sweep spawns with one set of threads for the life of the
-//! process: a `Mutex` + `Condvar` job queue and parked workers that wake
-//! only when work arrives.
+//! `oasys serve` answers every request on one of these: a fixed set of
+//! threads for the life of the server, a `Mutex` + `Condvar` job queue,
+//! and parked workers that wake only when work arrives — no thread
+//! spawn per request.
 //!
 //! # Scoped, borrow-safe jobs
 //!
-//! The existing callers hand their closures references into the calling
-//! stack frame (the designer, the spec, the shared cache). [`Pool::scope`]
-//! keeps that working: like [`std::thread::scope`], jobs spawned inside
+//! Callers hand their closures references into the calling stack frame
+//! (the server's shared state and cache). [`Pool::scope`] keeps that
+//! working: like [`std::thread::scope`], jobs spawned inside
 //! the scope may borrow anything that outlives it, because the scope
 //! does not return until every spawned job has finished — even when the
 //! scope body panics. Internally the job closure's lifetime is erased to
@@ -26,14 +22,12 @@
 //! while their job is still pending they pop *other* queued jobs and run
 //! them inline. Two consequences:
 //!
-//! * **No deadlocks under nesting.** A batch job running on a pool worker
-//!   may itself open a scope and fan out style attempts onto the same
-//!   pool; its joins execute those jobs inline if no other worker is
-//!   free.
-//! * **Zero workers is valid.** On a single-core host the pool spawns no
-//!   threads at all ([`default_workers`] is `parallelism - 1`) and every
-//!   job runs inline on the joining thread — same results, no context
-//!   switches, no spawn tax.
+//! * **No deadlocks under nesting.** A job running on a pool worker may
+//!   itself open a scope and spawn onto the same pool; its joins execute
+//!   those jobs inline if no other worker is free.
+//! * **Zero workers is valid.** A `Pool::new(0)` spawns no threads at
+//!   all and every job runs inline on the joining thread — same
+//!   results, no context switches, no spawn tax.
 //!
 //! # Panics
 //!
@@ -58,7 +52,7 @@ use std::collections::VecDeque;
 use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A queued unit of work, lifetime-erased (see [`Pool::scope`] for why
 /// that is sound).
@@ -84,9 +78,8 @@ impl PoolInner {
     }
 }
 
-/// The worker pool. One lives for the whole process ([`Pool::global`]);
-/// dedicated instances ([`Pool::new`]) exist for tests and for servers
-/// that need guaranteed worker threads regardless of host parallelism.
+/// The worker pool: a fixed set of threads for the life of the process
+/// that owns it.
 pub struct Pool {
     inner: Arc<PoolInner>,
     workers: usize,
@@ -98,26 +91,6 @@ impl std::fmt::Debug for Pool {
             .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
-}
-
-/// The default worker count for the global pool: one thread per core
-/// *minus one*, because the thread that opens a scope always works too
-/// (it runs its own chunk and helps while joining). On a single-core
-/// host this is zero — every job runs inline, which beats parking and
-/// waking threads that would only time-slice against the caller.
-///
-/// The `OASYS_POOL_WORKERS` environment variable overrides the count
-/// (useful to force worker threads on small hosts or pin them down in
-/// tests); non-numeric values are ignored.
-#[must_use]
-pub fn default_workers() -> usize {
-    if let Some(n) = std::env::var("OASYS_POOL_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) - 1
 }
 
 impl Pool {
@@ -139,14 +112,6 @@ impl Pool {
         Self { inner, workers }
     }
 
-    /// The process-wide pool, created on first use with
-    /// [`default_workers`] threads.
-    #[must_use]
-    pub fn global() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool::new(default_workers()))
-    }
-
     /// The number of worker threads this pool was built with.
     #[must_use]
     pub fn workers(&self) -> usize {
@@ -163,10 +128,10 @@ impl Pool {
     }
 
     /// Pops one queued job and runs it on the calling thread. Returns
-    /// `false` when the queue was empty. This is the "helping" primitive:
-    /// coordinators waiting on results call it instead of sleeping, so
-    /// queued work always makes progress even with zero workers.
-    pub fn try_help(&self) -> bool {
+    /// `false` when the queue was empty. This is the "helping" primitive
+    /// behind joins and the scope barrier: queued work always makes
+    /// progress, even with zero workers.
+    fn try_help(&self) -> bool {
         match self.inner.try_pop() {
             Some(job) => {
                 job();
@@ -623,7 +588,7 @@ mod tests {
         let pool = Pool::new(1);
         let total = pool.scope(|s| {
             let outer = s.spawn(|| {
-                Pool::global().scope(|inner| {
+                pool.scope(|inner| {
                     let a = inner.spawn(|| 20u64);
                     let b = inner.spawn(|| 22u64);
                     a.join() + b.join()
@@ -632,15 +597,6 @@ mod tests {
             outer.join()
         });
         assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn global_pool_is_a_singleton() {
-        let a = Pool::global() as *const Pool;
-        let b = Pool::global() as *const Pool;
-        assert_eq!(a, b);
-        let sum = Pool::global().scope(|s| s.spawn(|| 1 + 1).join());
-        assert_eq!(sum, 2);
     }
 
     #[test]

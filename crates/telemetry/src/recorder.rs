@@ -603,9 +603,7 @@ impl Telemetry {
     /// A [`Send`] seed from which a worker thread can build its own
     /// recording handle on the same clock epoch ([`Clock::fork`]) and
     /// ring capacity. Returns `None` when this handle is disabled —
-    /// workers should then use [`Telemetry::disabled`] (see
-    /// [`TelemetrySeed::build`]'s `Option` convenience on the caller
-    /// side).
+    /// workers should then record into a disabled (or flight) handle.
     ///
     /// Together with [`Telemetry::into_recording`] and
     /// [`Telemetry::absorb`] this is the fork/absorb protocol for
@@ -847,13 +845,6 @@ impl TelemetrySeed {
         }
         Telemetry::with_clock_and_capacity(Rc::new(BoxedClock(self.clock)), self.capacity)
     }
-
-    /// Convenience for the worker side: a handle from an optional seed
-    /// ([`Telemetry::disabled`] when the parent was disabled).
-    #[must_use]
-    pub fn build_optional(seed: Option<Self>) -> Telemetry {
-        seed.map_or_else(Telemetry::disabled, Self::build)
-    }
 }
 
 /// RAII handle for an open span; closes the span on drop and folds its
@@ -1069,7 +1060,7 @@ mod tests {
 
         // Worker thread: records on its own handle, ships the raw ring.
         let recording = std::thread::spawn(move || {
-            let worker = TelemetrySeed::build_optional(Some(seed));
+            let worker = seed.build();
             {
                 let style = worker.span(|| "style:x".into());
                 let _step = worker.span(|| "step:y".into());
@@ -1110,8 +1101,8 @@ mod tests {
     #[test]
     fn absorbed_rings_match_a_sequential_recording() {
         // The same work recorded sequentially and via fork/absorb must
-        // render byte-identically — the property the parallel style
-        // search relies on for thread-count-independent reports.
+        // render byte-identically — the property the batch runner relies
+        // on for worker-count-independent reports.
         let record = |tel: &Telemetry| {
             let span = tel.span(|| "style:x".into());
             span.annotate("outcome", || "feasible".into());
@@ -1132,7 +1123,7 @@ mod tests {
             let tel = Telemetry::with_clock(clock);
             let _root = tel.span(|| "root".into());
             for _ in 0..2 {
-                let worker = TelemetrySeed::build_optional(tel.fork_seed());
+                let worker = tel.fork_seed().expect("enabled handle forks").build();
                 record(&worker);
                 tel.absorb(&worker.into_recording());
             }
@@ -1191,8 +1182,6 @@ mod tests {
     fn disabled_handles_skip_the_fork_protocol() {
         let tel = Telemetry::disabled();
         assert!(tel.fork_seed().is_none());
-        let worker = TelemetrySeed::build_optional(None);
-        assert!(!worker.is_enabled());
         // Absorbing into a disabled handle is a no-op.
         let (_, enabled) = manual();
         enabled.span(|| "s".into());
