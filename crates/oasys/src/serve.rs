@@ -38,7 +38,11 @@
 //!   `meets_spec` (verification was skipped to shed load);
 //! * `{"status":"busy", "shed":true, "reason":…}` — overload control
 //!   turned the connection away (admission queue full, or the
-//!   connection outwaited the I/O deadline in the queue); retry later;
+//!   connection outwaited the I/O deadline in the queue); retry later.
+//!   The server sheds without reading the request, so a `busy` frame may
+//!   arrive before the request is written: a client whose write fails
+//!   because the server already closed should still read the response,
+//!   as [`request`] does;
 //! * `{"status":"error", "kind":…, "message":…}` — the request failed
 //!   **alone**; kinds: `protocol`, `spec`, `tech`, `infeasible`,
 //!   `deadline`, `verify`, `panic`, `fault`.
@@ -60,17 +64,34 @@
 //!
 //! # Concurrency and drain
 //!
-//! The server owns a **dedicated** [`oasys_pool::Pool`] with at least
-//! one worker thread, so handlers run beside the accept loop (on the
-//! calling thread) instead of starving it. The pool is supervised:
-//! a panicking worker thread is replaced, and the `health` op reports
-//! `workers_replaced`. Each admitted connection becomes one pool job.
-//! The accept loop is non-blocking and polls a shutdown flag (set by
-//! the `shutdown` op, [`Server::shutdown_flag`], or SIGTERM via
-//! [`install_sigterm_drain`]); on shutdown it stops accepting, sheds
-//! the queue, and the surrounding pool scope joins every in-flight
-//! handler before [`Server::run`] returns — that join **is** the
-//! graceful drain.
+//! An **acceptor** thread blocks in `accept`, arms each connection's
+//! I/O deadlines, and sends it over a channel. The **dispatcher** (the
+//! thread that called [`Server::run`]) owns the admission queue and
+//! waits on that channel. It wakes when a connection arrives and when a
+//! handler frees its in-flight slot, so neither waits on a timer. A
+//! handler frees its slot and wakes the dispatcher once its answer is
+//! ready, before writing it: a client's next request must never find
+//! its previous one still holding the slot. So besides the in-flight
+//! bound, at most one answer per pool worker is being written. What no
+//! event announces is re-checked whenever the channel stays quiet for
+//! 10 ms: the shutdown flag (set by [`Server::shutdown_flag`] or by
+//! SIGTERM via [`install_sigterm_drain`]), queued connections past the
+//! I/O deadline, and the brownout cooldown. The `shutdown` op needs no
+//! timer: its handler's freed slot wakes the dispatcher.
+//!
+//! Handlers run on a **dedicated** [`oasys_pool::Pool`] with at least
+//! one worker thread, so they never starve the dispatcher. The pool is
+//! supervised: a panicking worker thread is replaced, and the `health`
+//! op reports `workers_replaced`. Each admitted connection becomes one
+//! pool job.
+//!
+//! On shutdown the dispatcher raises a stop flag and connects once to
+//! its own socket, which wakes the acceptor and makes it exit. If the
+//! socket file is no longer this server's, it skips that connect and
+//! leaves the acceptor parked in `accept` rather than wait for it. It
+//! then sheds every queued connection, and the surrounding pool scope
+//! joins every handler, answer written, before [`Server::run`] returns
+//! — that join **is** the graceful drain.
 //!
 //! Every handler runs under `catch_unwind`: a panicking request (or an
 //! injected `serve.request.read` fault) is converted into a structured
@@ -86,11 +107,12 @@ use oasys_telemetry::json::{self, Json};
 use oasys_telemetry::Telemetry;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Protocol identifier every request must carry.
@@ -113,8 +135,13 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 16;
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Default quiet period after congestion before brownout exits.
 pub const DEFAULT_BROWNOUT_COOLDOWN: Duration = Duration::from_millis(500);
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How long the dispatcher waits for an event before it re-checks what
+/// no event announces: the shutdown flag, SIGTERM, queued connections
+/// past the I/O deadline, and the brownout cooldown.
+const DISPATCH_TICK: Duration = Duration::from_millis(10);
+/// How long the acceptor pauses after a failed `accept`, so that a
+/// persistent error such as EMFILE cannot spin it.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
 
 /// Configuration for [`Server::bind`].
 #[derive(Clone, Debug)]
@@ -273,7 +300,7 @@ pub struct ServeReport {
     pub cache_evictions: u64,
 }
 
-/// Live counters shared between the accept loop and handlers. All
+/// Live counters shared between the dispatcher and handlers. All
 /// relaxed except the gauges the dispatcher decides admission on.
 #[derive(Default)]
 struct ServeStats {
@@ -293,21 +320,26 @@ pub struct Server {
     listener: UnixListener,
     options: ServeOptions,
     shutdown: Arc<AtomicBool>,
+    /// The bound socket file's identity: the drain connects to and
+    /// removes this server's socket only, never a later server's.
+    identity: FileIdentity,
 }
 
 impl Server {
-    /// Binds the Unix socket (replacing a stale socket file from a
-    /// previous run, if any) without accepting yet.
+    /// Binds the Unix socket without accepting yet. A socket file left
+    /// by a run that died without draining is replaced. A socket that a
+    /// live server answers on fails with [`io::ErrorKind::AddrInUse`],
+    /// and a path that is not a socket fails with an error naming it;
+    /// neither is touched.
     pub fn bind(options: ServeOptions) -> io::Result<Self> {
-        if options.socket.exists() {
-            std::fs::remove_file(&options.socket)?;
-        }
+        clear_stale_socket(&options.socket)?;
         let listener = UnixListener::bind(&options.socket)?;
-        listener.set_nonblocking(true)?;
+        let identity = FileIdentity::of(&options.socket)?;
         Ok(Self {
             listener,
             options,
             shutdown: Arc::new(AtomicBool::new(false)),
+            identity,
         })
     }
 
@@ -329,13 +361,33 @@ impl Server {
     /// SIGTERM routed through [`install_sigterm_drain`]) is raised,
     /// then sheds the queue, drains in-flight handlers, and removes the
     /// socket file.
+    ///
+    /// # Errors
+    ///
+    /// When the acceptor thread cannot be spawned.
     #[allow(clippy::too_many_lines)]
     pub fn run(self) -> io::Result<ServeReport> {
-        let cache = MemoCache::bounded(self.options.cache_entries);
+        let Self {
+            listener,
+            options,
+            shutdown,
+            identity,
+        } = self;
+        let (wake, events) = mpsc::channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let wake = wake.clone();
+            let stop = Arc::clone(&stop);
+            let io_timeout = options.io_timeout;
+            std::thread::Builder::new()
+                .name("oasys-serve-accept".to_owned())
+                .spawn(move || accept_loop(&listener, &wake, &stop, io_timeout))?
+        };
+        let cache = MemoCache::bounded(options.cache_entries);
         let stats = ServeStats::default();
-        let pool = oasys_pool::Pool::new(self.options.workers);
-        let options = &self.options;
-        let shutdown: &AtomicBool = &self.shutdown;
+        let pool = oasys_pool::Pool::new(options.workers);
+        let options = &options;
+        let shutdown: &AtomicBool = &shutdown;
         // Brownout entry threshold: congestion is a queue at or above
         // half its depth (or any shed, which implies a full queue).
         let high_water = (options.queue_depth / 2).max(1);
@@ -345,6 +397,7 @@ impl Server {
             stats: &stats,
             shutdown,
             pool: &pool,
+            wake,
         };
         let ctx = &ctx;
 
@@ -355,31 +408,16 @@ impl Server {
                 if shutdown.load(Ordering::SeqCst) || sigterm_pending() {
                     break;
                 }
-                let mut progressed = false;
                 let mut congested = false;
-                // Drain pending accepts into the bounded queue; overflow
-                // is shed immediately with a retryable busy frame.
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _addr)) => {
-                            progressed = true;
-                            let _ = stream.set_read_timeout(Some(options.io_timeout));
-                            let _ = stream.set_write_timeout(Some(options.io_timeout));
-                            if queue.len() >= options.queue_depth {
-                                congested = true;
-                                stats.shed.fetch_add(1, Ordering::Relaxed);
-                                let mut stream = stream;
-                                let _ =
-                                    write_frame(&mut stream, shed_response("admission queue full"));
-                            } else {
-                                queue.push_back((stream, Instant::now()));
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        // WouldBlock: no more pending connections. Other
-                        // accept errors are connection-scoped (e.g. the
-                        // peer hung up mid-handshake); keep serving.
-                        Err(_) => break,
+                // Wait for an arrival or a freed slot. A quiet tick falls
+                // through to the timed checks below. Overflow is shed
+                // at once with a retryable busy frame.
+                if let Ok(Event::Accepted(stream, accepted)) = events.recv_timeout(DISPATCH_TICK) {
+                    if queue.len() >= options.queue_depth {
+                        congested = true;
+                        shed(stream, "admission queue full", &stats);
+                    } else {
+                        queue.push_back((stream, accepted));
                     }
                 }
                 // Deadline-aware shedding: a connection that has already
@@ -390,10 +428,9 @@ impl Server {
                     .front()
                     .is_some_and(|(_, enqueued)| enqueued.elapsed() >= options.io_timeout)
                 {
-                    let (mut stream, _) = queue.pop_front().expect("front checked above");
+                    let (stream, _) = queue.pop_front().expect("front checked above");
                     congested = true;
-                    stats.shed.fetch_add(1, Ordering::Relaxed);
-                    let _ = write_frame(&mut stream, shed_response("queued past the I/O deadline"));
+                    shed(stream, "queued past the I/O deadline", &stats);
                 }
                 // Dispatch while in-flight slots are free.
                 while !queue.is_empty()
@@ -401,7 +438,6 @@ impl Server {
                 {
                     let (stream, _) = queue.pop_front().expect("queue is non-empty");
                     stats.inflight.fetch_add(1, Ordering::SeqCst);
-                    progressed = true;
                     // The handle is dropped, not joined: the scope's exit
                     // barrier joins every handler, which is exactly the
                     // graceful drain. Handlers catch their own panics, so
@@ -423,20 +459,30 @@ impl Server {
                     stats.brownout.store(false, Ordering::SeqCst);
                     stats.brownout_exits.fetch_add(1, Ordering::Relaxed);
                 }
-                if !progressed {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
             }
-            // Shutdown: stop accepting and shed whatever is still
-            // queued; the scope then joins every in-flight handler.
-            for (mut stream, _) in queue.drain(..) {
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut stream, shed_response("server draining"));
+            // Shutdown: one connect wakes the acceptor from `accept` so it
+            // can be joined. Connect only while the path still names this
+            // server's socket: a connect that reached another server would
+            // leave this acceptor blocked and the join hung. Then shed what
+            // the acceptor already handed over along with the queue; the
+            // scope joins every in-flight handler.
+            stop.store(true, Ordering::SeqCst);
+            if identity.matches(&options.socket) && UnixStream::connect(&options.socket).is_ok() {
+                let _ = acceptor.join();
+            }
+            let handed_over = events.try_iter().filter_map(|event| match event {
+                Event::Accepted(stream, _) => Some(stream),
+                Event::SlotFreed => None,
+            });
+            for stream in queue.drain(..).map(|(stream, _)| stream).chain(handed_over) {
+                shed(stream, "server draining", &stats);
             }
             stats.queued.store(0, Ordering::Relaxed);
         });
 
-        let _ = std::fs::remove_file(&self.options.socket);
+        if identity.matches(&options.socket) {
+            let _ = std::fs::remove_file(&options.socket);
+        }
         Ok(ServeReport {
             served: stats.served.load(Ordering::SeqCst),
             shed: stats.shed.load(Ordering::SeqCst),
@@ -451,6 +497,96 @@ impl Server {
     }
 }
 
+/// What wakes the dispatcher.
+enum Event {
+    /// The acceptor took this connection off the listener at this
+    /// instant.
+    Accepted(UnixStream, Instant),
+    /// A handler has its answer ready and freed its in-flight slot.
+    SlotFreed,
+}
+
+/// The acceptor thread: blocks in `accept`, arms each connection's I/O
+/// deadlines and hands it to the dispatcher. It returns at the first
+/// `accept` that completes after `stop` is raised (the drain's
+/// self-connect guarantees one), dropping that connection, or once the
+/// dispatcher is gone.
+fn accept_loop(
+    listener: &UnixListener,
+    wake: &mpsc::Sender<Event>,
+    stop: &AtomicBool,
+    io_timeout: Duration,
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _addr)) => {
+                let _ = stream.set_read_timeout(Some(io_timeout));
+                let _ = stream.set_write_timeout(Some(io_timeout));
+                if wake.send(Event::Accepted(stream, Instant::now())).is_err() {
+                    return;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Other accept errors are connection-scoped (the peer hung
+            // up mid-handshake) or transient (EMFILE): keep serving.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
+        }
+    }
+}
+
+/// Turns a connection away, unread, with a retryable `busy` frame.
+fn shed(mut stream: UnixStream, reason: &str, stats: &ServeStats) {
+    stats.shed.fetch_add(1, Ordering::Relaxed);
+    let _ = write_frame(&mut stream, shed_response(reason));
+}
+
+/// Makes way for binding `path`. Only a stale socket, one that refuses
+/// connections because the server that bound it is gone, is removed.
+fn clear_stale_socket(path: &Path) -> io::Result<()> {
+    let meta = match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        meta => meta?,
+    };
+    if !meta.file_type().is_socket() {
+        return Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!(
+                "{} exists and is not a socket; refusing to replace it",
+                path.display()
+            ),
+        ));
+    }
+    match UnixStream::connect(path) {
+        Ok(_) => Err(io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!("a server is already listening on {}", path.display()),
+        )),
+        Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => std::fs::remove_file(path),
+        Err(e) => Err(e),
+    }
+}
+
+/// A file's device and inode numbers, which tell this server's socket
+/// file apart from another one later bound at the same path.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct FileIdentity(u64, u64);
+
+impl FileIdentity {
+    fn of(path: &Path) -> io::Result<Self> {
+        let meta = std::fs::symlink_metadata(path)?;
+        Ok(Self(meta.dev(), meta.ino()))
+    }
+
+    /// Whether `path` still names this file.
+    fn matches(self, path: &Path) -> bool {
+        Self::of(path).is_ok_and(|now| now == self)
+    }
+}
+
 /// Everything a handler job needs, borrowed from [`Server::run`]'s
 /// stack frame (the pool scope's exit barrier keeps the borrows sound).
 struct RequestContext<'a> {
@@ -459,20 +595,23 @@ struct RequestContext<'a> {
     stats: &'a ServeStats,
     shutdown: &'a AtomicBool,
     pool: &'a oasys_pool::Pool,
+    /// Wakes the dispatcher when a handler frees its slot.
+    wake: mpsc::Sender<Event>,
 }
 
-/// Decrements the in-flight gauge when the handler exits, normally or
-/// by panic.
-struct InflightGuard<'a>(&'a AtomicUsize);
+/// Frees the handler's in-flight slot, and wakes the dispatcher to fill
+/// it, once the answer is ready or the handler unwinds.
+struct InflightGuard<'a>(&'a RequestContext<'a>);
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.0.stats.inflight.fetch_sub(1, Ordering::SeqCst);
+        let _ = self.0.wake.send(Event::SlotFreed);
     }
 }
 
 fn handle_connection(mut stream: UnixStream, ctx: &RequestContext) {
-    let _guard = InflightGuard(&ctx.stats.inflight);
+    let guard = InflightGuard(ctx);
     let outcome = catch_unwind(AssertUnwindSafe(|| process_request(&mut stream, ctx)));
     let (response, served) = match outcome {
         Ok(pair) => pair,
@@ -484,6 +623,9 @@ fn handle_connection(mut stream: UnixStream, ctx: &RequestContext) {
     if served {
         ctx.stats.served.fetch_add(1, Ordering::Relaxed);
     }
+    // Free the slot before the client can read its answer: a client's
+    // next request must never find its previous one still holding it.
+    drop(guard);
     let _ = write_frame(&mut stream, response);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
@@ -563,7 +705,7 @@ fn serve_one(stream: &mut UnixStream, ctx: &RequestContext) -> Result<String, Re
 /// Reads the request frame under the [`MAX_REQUEST_BYTES`] cap. The
 /// `serve.request.read` fail point sits here so the chaos suite can
 /// panic, stall, or fail exactly one request's ingress without touching
-/// the accept loop. A read that trips the socket I/O deadline evicts
+/// the dispatcher. A read that trips the socket I/O deadline evicts
 /// the connection (a stalled peer must not hold its slot).
 fn read_request(stream: &mut UnixStream, ctx: &RequestContext) -> Result<Vec<u8>, Rejection> {
     fail_point!("serve.request.read", |msg: String| Rejection::new(
@@ -832,11 +974,26 @@ pub fn op_request(op: &str) -> String {
 /// between connect and write so the chaos suite can turn this client
 /// into a slow-loris peer and prove the server's I/O deadline evicts
 /// it.
+///
+/// A server that sheds or evicts the connection answers and closes it
+/// without reading the request. When that close lands before the write,
+/// the write fails but the answer is still in the receive buffer, so
+/// this reads it; the write error is returned only if no frame is there.
 pub fn request(socket: &Path, body: &str) -> io::Result<String> {
     let mut stream = UnixStream::connect(socket)?;
     fail_point!("serve.client.stall");
-    write_frame(&mut stream, body)?;
-    let response = read_frame(&mut stream)?;
+    let response = match write_frame(&mut stream, body) {
+        Ok(()) => read_frame(&mut stream)?,
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+            ) =>
+        {
+            read_frame(&mut stream).map_err(|_| e)?
+        }
+        Err(e) => return Err(e),
+    };
     String::from_utf8(response)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response frame is not UTF-8"))
 }
@@ -1030,6 +1187,151 @@ mod tests {
         assert_eq!(report.evicted, 0);
         assert_eq!(report.workers_replaced, 0);
         assert!(!socket.exists(), "drain must remove the socket file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh directory for one test's socket path.
+    fn socket_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("oasys-serve-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Runs `server` on its own thread; the receiver yields `run`'s result.
+    fn spawn_run(server: Server) -> mpsc::Receiver<io::Result<ServeReport>> {
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || done.send(server.run()));
+        finished
+    }
+
+    fn pings_ok(socket: &Path) -> bool {
+        request(socket, &op_request("ping")).is_ok_and(|pong| pong.contains("\"ok\""))
+    }
+
+    #[test]
+    fn bind_replaces_a_stale_socket() {
+        let dir = socket_dir("stale");
+        let socket = dir.join("stale.sock");
+        // A listener dropped without unlinking leaves a socket file that
+        // refuses connections: what a run that died undrained leaves.
+        drop(UnixListener::bind(&socket).unwrap());
+        let refused = UnixStream::connect(&socket).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+
+        let server = Server::bind(ServeOptions::new(&socket).with_workers(1)).unwrap();
+        let flag = server.shutdown_flag();
+        let finished = spawn_run(server);
+        assert!(pings_ok(&socket));
+        flag.store(true, Ordering::SeqCst);
+        finished.recv().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bind_refuses_a_live_servers_socket_and_leaves_it_reachable() {
+        let dir = socket_dir("live");
+        let socket = dir.join("live.sock");
+        let live = Server::bind(ServeOptions::new(&socket).with_workers(1)).unwrap();
+        let flag = live.shutdown_flag();
+        let finished = spawn_run(live);
+
+        let Err(err) = Server::bind(ServeOptions::new(&socket)) else {
+            panic!("a second server must not bind a live server's socket");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse, "{err}");
+        assert!(pings_ok(&socket), "the live server lost its socket");
+
+        flag.store(true, Ordering::SeqCst);
+        finished.recv().unwrap().unwrap();
+        assert!(!socket.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bind_refuses_a_path_that_is_not_a_socket() {
+        let dir = socket_dir("not-a-socket");
+        let path = dir.join("notes.txt");
+        std::fs::write(&path, "keep me").unwrap();
+        let Err(err) = Server::bind(ServeOptions::new(&path)) else {
+            panic!("bind must not replace a regular file");
+        };
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "the error must name the path: {err}"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep me");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_flag_stops_an_idle_server_and_removes_its_socket() {
+        let dir = socket_dir("flag");
+        let socket = dir.join("flag.sock");
+        let server = Server::bind(ServeOptions::new(&socket).with_workers(1)).unwrap();
+        let flag = server.shutdown_flag();
+        let finished = spawn_run(server);
+        assert!(pings_ok(&socket));
+
+        flag.store(true, Ordering::SeqCst);
+        let report = finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("run returns within 1 s of the flag")
+            .unwrap();
+        assert_eq!(report.served, 1);
+        assert_eq!(report.shed, 0, "the drain's self-connect is not a shed");
+        assert!(!socket.exists(), "drain must remove the socket file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shutdown_returns_when_the_socket_file_was_unlinked() {
+        let dir = socket_dir("unlinked");
+        let socket = dir.join("unlinked.sock");
+        let server = Server::bind(ServeOptions::new(&socket).with_workers(1)).unwrap();
+        let flag = server.shutdown_flag();
+        let finished = spawn_run(server);
+        assert!(pings_ok(&socket));
+
+        // Nothing can connect to the acceptor any more, so the drain
+        // leaves it parked in `accept` instead of joining it.
+        std::fs::remove_file(&socket).unwrap();
+        flag.store(true, Ordering::SeqCst);
+        finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("run returns within 1 s of the flag")
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_leaves_a_later_servers_socket_alone() {
+        let dir = socket_dir("successor");
+        let socket = dir.join("successor.sock");
+        let first = Server::bind(ServeOptions::new(&socket).with_workers(1)).unwrap();
+        let first_flag = first.shutdown_flag();
+        let first_finished = spawn_run(first);
+        assert!(pings_ok(&socket));
+
+        // The first server's socket file is unlinked and a second server
+        // binds the same path. The first one's drain must neither
+        // connect to the second (its own acceptor would never wake)
+        // nor remove the second's socket.
+        std::fs::remove_file(&socket).unwrap();
+        let second = Server::bind(ServeOptions::new(&socket).with_workers(1)).unwrap();
+        let second_flag = second.shutdown_flag();
+        let second_finished = spawn_run(second);
+        first_flag.store(true, Ordering::SeqCst);
+        first_finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("run returns within 1 s of the flag")
+            .unwrap();
+        assert!(pings_ok(&socket), "the second server lost its socket");
+
+        second_flag.store(true, Ordering::SeqCst);
+        second_finished.recv().unwrap().unwrap();
+        assert!(!socket.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -199,3 +199,21 @@ fn batch_and_dataset_report_a_repair_in_one_wording() {
     assert!(stderr.contains(&format!("shard 0/1 {wording}")), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_refuses_a_socket_path_that_is_a_regular_file() {
+    let dir = std::env::temp_dir().join(format!("oasys-cli-serve-file-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let notes = dir.join("notes.txt");
+    std::fs::write(&notes, "not a socket").unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+        .args(["serve", "--socket", notes.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains(notes.to_str().unwrap()), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&notes).unwrap(), "not a socket");
+    let _ = std::fs::remove_dir_all(&dir);
+}

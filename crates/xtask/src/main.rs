@@ -6,7 +6,7 @@
 use oasys_telemetry::schema;
 use std::env;
 use std::path::Path;
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -43,7 +43,7 @@ fn main() -> ExitCode {
                  smoke-serve    only the serve leg: start `oasys serve` on a temp\n                 \
                  socket, submit spec-a over the wire, validate the JSON\n                 \
                  response, then prove graceful drain with a request\n                 \
-                 still in flight\n  \
+                 still in flight and on SIGTERM\n  \
                  serve-robustness  the serve chaos leg through the real CLI: a\n                 \
                  stalled client is evicted by the I/O deadline, a\n                 \
                  panicked pool worker is replaced, and sustained\n                 \
@@ -480,6 +480,9 @@ fn smoke_batch() -> ExitCode {
 ///    server must answer the in-flight request completely before
 ///    exiting zero and removing its socket — graceful drain, observed
 ///    from outside the process.
+/// 3. **SIGTERM leg** — send SIGTERM to an idle server. It must exit
+///    zero within 2 s, print its `serve: drained` line, and remove its
+///    socket.
 fn smoke_serve() -> ExitCode {
     let spec = "data/spec-a.txt";
     let tech = "data/generic-5um.tech";
@@ -544,7 +547,7 @@ fn smoke_serve() -> ExitCode {
         if drain.get("draining").and_then(|j| j.as_bool()) != Some(true) {
             return Err(format!("shutdown did not acknowledge draining: {drain:?}"));
         }
-        wait_for_exit(&mut server, socket)
+        wait_for_exit(&mut server, socket, DRAIN_WAIT)
     })();
     if let Err(e) = leg {
         eprintln!("xtask smoke-serve: {e}");
@@ -580,7 +583,7 @@ fn smoke_serve() -> ExitCode {
         if drain.get("draining").and_then(|j| j.as_bool()) != Some(true) {
             return Err(format!("shutdown did not acknowledge draining: {drain:?}"));
         }
-        wait_for_exit(&mut server, socket)?;
+        wait_for_exit(&mut server, socket, DRAIN_WAIT)?;
         let answer = inflight
             .join()
             .map_err(|_| "in-flight client thread panicked".to_string())??;
@@ -597,6 +600,49 @@ fn smoke_serve() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("xtask smoke-serve: graceful drain completed the in-flight request");
+
+    // Leg 3: SIGTERM drains the server. The handler only sets a flag
+    // and `accept` restarts after the signal, so only the dispatcher's
+    // timed check and the drain's self-connect can end the run.
+    let socket = "target/smoke/serve-sigterm.sock";
+    let log = "target/smoke/serve-sigterm.log";
+    let stderr = match std::fs::File::create(log) {
+        Ok(file) => file,
+        Err(e) => {
+            eprintln!("xtask smoke-serve: cannot create {log}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut server = match spawn_server_logged(bin, socket, &[], stderr.into()) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("xtask smoke-serve: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let leg = (|| -> Result<(), String> {
+        let pid = server.id().to_string();
+        println!("$ kill -TERM {pid}");
+        let killed = Command::new("kill")
+            .args(["-TERM", &pid])
+            .status()
+            .map_err(|e| format!("failed to run kill: {e}"))?;
+        if !killed.success() {
+            return Err(format!("kill -TERM {pid} exited with {killed}"));
+        }
+        wait_for_exit(&mut server, socket, std::time::Duration::from_secs(2))?;
+        let stderr = std::fs::read_to_string(log).map_err(|e| format!("reading {log}: {e}"))?;
+        if !stderr.contains("serve: drained") {
+            return Err(format!("no `serve: drained` line after SIGTERM:\n{stderr}"));
+        }
+        Ok(())
+    })();
+    if let Err(e) = leg {
+        eprintln!("xtask smoke-serve: {e}");
+        let _ = server.kill();
+        return ExitCode::FAILURE;
+    }
+    println!("xtask smoke-serve: SIGTERM drained the server");
     ExitCode::SUCCESS
 }
 
@@ -664,7 +710,7 @@ fn serve_robustness() -> ExitCode {
         if drain.get("draining").and_then(|j| j.as_bool()) != Some(true) {
             return Err(format!("shutdown did not acknowledge draining: {drain:?}"));
         }
-        wait_for_exit(&mut server, socket)
+        wait_for_exit(&mut server, socket, DRAIN_WAIT)
     })();
     if let Err(e) = leg {
         eprintln!("xtask serve-robustness: {e}");
@@ -700,7 +746,7 @@ fn serve_robustness() -> ExitCode {
         if drain.get("draining").and_then(|j| j.as_bool()) != Some(true) {
             return Err(format!("shutdown did not acknowledge draining: {drain:?}"));
         }
-        wait_for_exit(&mut server, socket)
+        wait_for_exit(&mut server, socket, DRAIN_WAIT)
     })();
     if let Err(e) = leg {
         eprintln!("xtask serve-robustness: {e}");
@@ -780,7 +826,7 @@ fn serve_robustness() -> ExitCode {
         if drain.get("draining").and_then(|j| j.as_bool()) != Some(true) {
             return Err(format!("shutdown did not acknowledge draining: {drain:?}"));
         }
-        wait_for_exit(&mut server, socket)
+        wait_for_exit(&mut server, socket, DRAIN_WAIT)
     })();
     if let Err(e) = leg {
         eprintln!("xtask serve-robustness: {e}");
@@ -833,6 +879,16 @@ fn poll_health_cli(
 
 /// Starts `oasys serve` on `socket` and waits for the socket file.
 fn spawn_server(bin: &str, socket: &str, extra: &[&str]) -> Result<std::process::Child, String> {
+    spawn_server_logged(bin, socket, extra, Stdio::inherit())
+}
+
+/// [`spawn_server`] with the server's stderr sent to `stderr`.
+fn spawn_server_logged(
+    bin: &str,
+    socket: &str,
+    extra: &[&str],
+    stderr: Stdio,
+) -> Result<std::process::Child, String> {
     let _ = std::fs::remove_file(socket);
     let mut args = vec![
         "serve",
@@ -847,6 +903,7 @@ fn spawn_server(bin: &str, socket: &str, extra: &[&str]) -> Result<std::process:
     println!("$ {bin} {}", args.join(" "));
     let mut server = Command::new(bin)
         .args(&args)
+        .stderr(stderr)
         .spawn()
         .map_err(|e| format!("failed to spawn {bin}: {e}"))?;
     for _ in 0..200 {
@@ -882,9 +939,18 @@ fn client_json(bin: &str, args: &[&str]) -> Result<oasys_telemetry::json::Json, 
         .map_err(|e| format!("client response is not JSON: {e}\n{stdout}"))
 }
 
-/// Waits for a draining server to exit zero and remove its socket.
-fn wait_for_exit(server: &mut std::process::Child, socket: &str) -> Result<(), String> {
-    for _ in 0..600 {
+/// How long a draining server may take to exit in the request legs.
+const DRAIN_WAIT: std::time::Duration = std::time::Duration::from_secs(30);
+
+/// Waits up to `within` for a draining server to exit zero and remove
+/// its socket.
+fn wait_for_exit(
+    server: &mut std::process::Child,
+    socket: &str,
+    within: std::time::Duration,
+) -> Result<(), String> {
+    let started = std::time::Instant::now();
+    loop {
         match server.try_wait() {
             Ok(Some(status)) if status.success() => {
                 if std::path::Path::new(socket).exists() {
@@ -893,12 +959,15 @@ fn wait_for_exit(server: &mut std::process::Child, socket: &str) -> Result<(), S
                 return Ok(());
             }
             Ok(Some(status)) => return Err(format!("server exited with {status}")),
-            Ok(None) => std::thread::sleep(std::time::Duration::from_millis(50)),
+            Ok(None) if started.elapsed() < within => {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            Ok(None) => break,
             Err(e) => return Err(format!("waiting for server: {e}")),
         }
     }
     let _ = server.kill();
-    Err("server did not drain within 30 s".to_string())
+    Err(format!("server did not drain within {within:?}"))
 }
 
 /// Dataset smoke gate: generate the bundled sampled dataset manifest
