@@ -49,11 +49,10 @@ use std::time::Duration;
 /// One unit of batch work: a specification/technology pairing with the
 /// file contents already read, identified by a content fingerprint.
 ///
-/// Holding the *texts* (not just paths) makes jobs self-contained: the
-/// worker pool can ship a clone into an isolation thread, the
-/// fingerprint cannot drift if a file changes mid-run, and library
-/// callers can synthesize specs that never touch a filesystem
-/// ([`Job::from_texts`]).
+/// Holding the *texts* (not just paths) makes jobs self-contained: any
+/// worker thread can run one, the fingerprint cannot drift if a file
+/// changes mid-run, and library callers can synthesize specs that never
+/// touch a filesystem ([`Job::from_texts`]).
 #[derive(Clone, Debug)]
 pub struct Job {
     id: usize,
@@ -171,7 +170,7 @@ pub fn fingerprint(spec_text: &str, tech_text: &str) -> u64 {
 /// [`super::BatchOptions`] defaults fill the gaps).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ManifestSettings {
-    /// Worker-pool width.
+    /// Number of worker threads.
     pub workers: Option<usize>,
     /// Per-job wall-clock budget.
     pub timeout: Option<Duration>,

@@ -1,6 +1,6 @@
 //! Batch synthesis: run a manifest of specs × technologies on a
-//! bounded worker pool, with resumable checkpoints and per-job fault
-//! isolation.
+//! bounded set of worker threads, with resumable checkpoints and
+//! per-job fault isolation.
 //!
 //! The paper evaluates OASYS the way a user would run it: the same
 //! three specifications pushed through multiple processes (Tables 1–2),

@@ -38,7 +38,7 @@
 //! `--deny-warnings`, when any diagnostic fires at all.
 //!
 //! The `batch` form expands a manifest of `spec × tech` inputs into a
-//! job list and runs it on a bounded worker pool, streaming one JSON
+//! job list and runs it on `--workers` threads, streaming one JSON
 //! line per job (to stdout, or `--records`) and ending with the
 //! deterministic aggregate report (to stdout, or `--aggregate`).
 //! `--checkpoint` makes the run resumable: completed jobs are recorded
@@ -590,7 +590,7 @@ impl BatchCliOptions {
     }
 }
 
-/// `oasys batch`: a manifest-driven sweep on the worker pool.
+/// `oasys batch`: a manifest-driven sweep on the batch's worker threads.
 fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     use std::io::Write as _;
 

@@ -320,6 +320,7 @@ mod tests {
     }
 
     fn publish(dir: &Path, index: usize, shards: usize, ids: &[usize], fp: &str, total: usize) {
+        let _faults = crate::dataset::no_faults_armed();
         let mut sink = ShardSink::open(dir, index, shards).unwrap();
         for &id in ids {
             sink.record(&line(id)).unwrap();

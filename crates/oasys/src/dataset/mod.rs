@@ -346,6 +346,44 @@ fn render_shard_summary(
     )
 }
 
+/// The fault registry is process-wide: a lib test that arms a fault
+/// holds this lock exclusively, and every lib test that appends to a
+/// shard sink holds it shared, so a one-shot fault such as
+/// `sink.record.corrupt` never fires inside a sibling test.
+#[cfg(test)]
+static FAULT_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Serializes fault-plane lib tests and guarantees a clean registry on
+/// exit.
+#[cfg(test)]
+pub(crate) struct FaultGuard(#[allow(dead_code)] std::sync::RwLockWriteGuard<'static, ()>);
+
+#[cfg(test)]
+impl FaultGuard {
+    pub(crate) fn acquire() -> Self {
+        let guard = FAULT_LOCK
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        oasys_faults::clear();
+        Self(guard)
+    }
+}
+
+#[cfg(test)]
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        oasys_faults::clear();
+    }
+}
+
+/// Keeps fault-arming lib tests out while a fault-free test appends.
+#[cfg(test)]
+pub(crate) fn no_faults_armed() -> std::sync::RwLockReadGuard<'static, ()> {
+    FAULT_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 pub(crate) fn test_dir(name: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};

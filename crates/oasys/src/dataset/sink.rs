@@ -224,6 +224,7 @@ mod tests {
 
     #[test]
     fn finalize_publishes_sorted_records_atomically() {
+        let _faults = crate::dataset::no_faults_armed();
         let dir = crate::dataset::test_dir("sink_finalize");
         let mut sink = ShardSink::open(&dir, 1, 2).unwrap();
         for id in [5, 1, 3] {
@@ -243,6 +244,7 @@ mod tests {
 
     #[test]
     fn passed_count_takes_each_records_latest_line() {
+        let _faults = crate::dataset::no_faults_armed();
         let dir = crate::dataset::test_dir("sink_passed");
         let mut sink = ShardSink::open(&dir, 0, 1).unwrap();
         sink.record("{\"id\":0,\"ok\":{\"meets_spec\":true}}")
@@ -260,6 +262,7 @@ mod tests {
 
     #[test]
     fn corrupt_fault_flips_a_line_that_reopen_quarantines() {
+        let _faults = crate::dataset::FaultGuard::acquire();
         let dir = crate::dataset::test_dir("sink_bitrot");
         {
             let mut sink = ShardSink::open(&dir, 0, 1).unwrap();
@@ -276,6 +279,7 @@ mod tests {
 
     #[test]
     fn heal_published_demotes_a_shard_that_lost_lines() {
+        let _faults = crate::dataset::no_faults_armed();
         let dir = crate::dataset::test_dir("sink_heal");
         let mut sink = ShardSink::open(&dir, 0, 1).unwrap();
         for id in 0..3 {

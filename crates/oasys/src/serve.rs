@@ -72,30 +72,35 @@
 //! handler frees its slot and wakes the dispatcher once its answer is
 //! ready, before writing it: a client's next request must never find
 //! its previous one still holding the slot. So besides the in-flight
-//! bound, at most one answer per pool worker is being written. What no
+//! bound, at most one answer per handler is being written. What no
 //! event announces is re-checked whenever the channel stays quiet for
 //! 10 ms: the shutdown flag (set by [`Server::shutdown_flag`] or by
 //! SIGTERM via [`install_sigterm_drain`]), queued connections past the
 //! I/O deadline, and the brownout cooldown. The `shutdown` op needs no
 //! timer: its handler's freed slot wakes the dispatcher.
 //!
-//! Handlers run on a **dedicated** [`oasys_pool::Pool`] with at least
-//! one worker thread, so they never starve the dispatcher. The pool is
-//! supervised: a panicking worker thread is replaced, and the `health`
-//! op reports `workers_replaced`. Each admitted connection becomes one
-//! pool job.
+//! Requests are answered on `workers` **handler threads** of their own
+//! (at least one), so they never starve the dispatcher. `run` spawns
+//! them in a [`std::thread::scope`], and the dispatcher hands each
+//! admitted connection to them over a second channel, whose receiver
+//! they share. A panic that escapes a handler's loop restarts the loop
+//! on the same thread after a capped backoff, and the `health` op
+//! counts it in `workers_replaced`.
 //!
 //! On shutdown the dispatcher raises a stop flag and connects once to
 //! its own socket, which wakes the acceptor and makes it exit. If the
 //! socket file is no longer this server's, it skips that connect and
 //! leaves the acceptor parked in `accept` rather than wait for it. It
-//! then sheds every queued connection, and the surrounding pool scope
-//! joins every handler, answer written, before [`Server::run`] returns
-//! — that join **is** the graceful drain.
+//! then sheds every queued connection and drops the sender of the
+//! handlers' channel, so each handler answers the connections it was
+//! already given and exits. The scope joins every handler, answer
+//! written, before [`Server::run`] returns — that join **is** the
+//! graceful drain.
 //!
-//! Every handler runs under `catch_unwind`: a panicking request (or an
-//! injected `serve.request.read` fault) is converted into a structured
-//! error response on its own connection while the server keeps serving.
+//! Every connection is handled under `catch_unwind`: a panicking
+//! request (or an injected `serve.request.read` fault) is converted
+//! into a structured error response on its own connection while the
+//! server keeps serving.
 
 use crate::datasheet::Datasheet;
 use crate::synth::synthesize_with_cache;
@@ -112,7 +117,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Protocol identifier every request must carry.
@@ -124,7 +129,7 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 /// KiB, so 4 MiB is pure headroom — and the cap bounds what a lying
 /// length prefix can make the server read.
 pub const MAX_REQUEST_BYTES: u32 = 4 * 1024 * 1024;
-/// Default handler-pool size.
+/// Default number of handler threads.
 pub const DEFAULT_WORKERS: usize = 2;
 /// Default admission bound: connections served concurrently.
 pub const DEFAULT_MAX_INFLIGHT: usize = 8;
@@ -142,6 +147,13 @@ const DISPATCH_TICK: Duration = Duration::from_millis(10);
 /// How long the acceptor pauses after a failed `accept`, so that a
 /// persistent error such as EMFILE cannot spin it.
 const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+/// First delay before a handler's loop restarts after a panic; it
+/// doubles with each restart of the same thread, up to
+/// [`RESTART_BACKOFF_CAP`].
+const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(5);
+/// Ceiling on the restart delay, so a crash loop costs a handler about
+/// four restarts per second instead of a hot loop.
+const RESTART_BACKOFF_CAP: Duration = Duration::from_millis(250);
 
 /// Configuration for [`Server::bind`].
 #[derive(Clone, Debug)]
@@ -157,9 +169,9 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Options serving on `socket` with default pool size, admission
-    /// bound, queue depth, cache capacity, I/O deadline, and no default
-    /// per-request deadline.
+    /// Options serving on `socket` with the default number of handler
+    /// threads, admission bound, queue depth, cache capacity and I/O
+    /// deadline, and no default per-request deadline.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         Self {
             socket: socket.into(),
@@ -173,7 +185,7 @@ impl ServeOptions {
         }
     }
 
-    /// Sets the handler-pool size (clamped to at least 1).
+    /// Sets the number of handler threads (clamped to at least 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -231,7 +243,7 @@ impl ServeOptions {
         &self.socket
     }
 
-    /// Handler-pool size.
+    /// Number of handler threads.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
@@ -290,7 +302,7 @@ pub struct ServeReport {
     pub degraded: u64,
     /// Times the server entered brownout.
     pub brownout_entries: u64,
-    /// Handler-pool workers the supervisor replaced after a panic.
+    /// Handler loops restarted after a panic escaped them.
     pub workers_replaced: u64,
     /// Design-cache hits accumulated over the server's lifetime.
     pub cache_hits: u64,
@@ -310,6 +322,7 @@ struct ServeStats {
     degraded: AtomicU64,
     brownout_entries: AtomicU64,
     brownout_exits: AtomicU64,
+    workers_replaced: AtomicU64,
     inflight: AtomicUsize,
     queued: AtomicUsize,
     brownout: AtomicBool,
@@ -359,12 +372,12 @@ impl Server {
 
     /// Accepts and serves requests until the shutdown flag (or a
     /// SIGTERM routed through [`install_sigterm_drain`]) is raised,
-    /// then sheds the queue, drains in-flight handlers, and removes the
-    /// socket file.
+    /// then sheds the queue, lets the handlers answer what they were
+    /// already given, joins them, and removes the socket file.
     ///
     /// # Errors
     ///
-    /// When the acceptor thread cannot be spawned.
+    /// When a handler thread or the acceptor thread cannot be spawned.
     #[allow(clippy::too_many_lines)]
     pub fn run(self) -> io::Result<ServeReport> {
         let Self {
@@ -374,18 +387,11 @@ impl Server {
             identity,
         } = self;
         let (wake, events) = mpsc::channel();
+        let (handoff, connections) = mpsc::channel();
+        let connections = Mutex::new(connections);
         let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let wake = wake.clone();
-            let stop = Arc::clone(&stop);
-            let io_timeout = options.io_timeout;
-            std::thread::Builder::new()
-                .name("oasys-serve-accept".to_owned())
-                .spawn(move || accept_loop(&listener, &wake, &stop, io_timeout))?
-        };
         let cache = MemoCache::bounded(options.cache_entries);
         let stats = ServeStats::default();
-        let pool = oasys_pool::Pool::new(options.workers);
         let options = &options;
         let shutdown: &AtomicBool = &shutdown;
         // Brownout entry threshold: congestion is a queue at or above
@@ -396,12 +402,23 @@ impl Server {
             options,
             stats: &stats,
             shutdown,
-            pool: &pool,
-            wake,
+            wake: wake.clone(),
         };
-        let ctx = &ctx;
+        let (ctx, connections) = (&ctx, &connections);
 
-        pool.scope(|scope| {
+        std::thread::scope(|scope| -> io::Result<()> {
+            for _ in 0..options.workers {
+                std::thread::Builder::new()
+                    .name("oasys-serve-worker".to_owned())
+                    .spawn_scoped(scope, || run_handler(connections, ctx))?;
+            }
+            let acceptor = {
+                let stop = Arc::clone(&stop);
+                let io_timeout = options.io_timeout;
+                std::thread::Builder::new()
+                    .name("oasys-serve-accept".to_owned())
+                    .spawn(move || accept_loop(&listener, &wake, &stop, io_timeout))?
+            };
             let mut queue: VecDeque<(UnixStream, Instant)> = VecDeque::new();
             let mut last_congestion: Option<Instant> = None;
             loop {
@@ -432,17 +449,14 @@ impl Server {
                     congested = true;
                     shed(stream, "queued past the I/O deadline", &stats);
                 }
-                // Dispatch while in-flight slots are free.
+                // Dispatch while in-flight slots are free. The send
+                // cannot fail: the receiver outlives the scope.
                 while !queue.is_empty()
                     && stats.inflight.load(Ordering::SeqCst) < options.max_inflight
                 {
                     let (stream, _) = queue.pop_front().expect("queue is non-empty");
                     stats.inflight.fetch_add(1, Ordering::SeqCst);
-                    // The handle is dropped, not joined: the scope's exit
-                    // barrier joins every handler, which is exactly the
-                    // graceful drain. Handlers catch their own panics, so
-                    // no payload can surface at scope exit.
-                    drop(scope.spawn(move || handle_connection(stream, ctx)));
+                    let _ = handoff.send(stream);
                 }
                 stats.queued.store(queue.len(), Ordering::Relaxed);
                 // Brownout state machine: enter on congestion, exit only
@@ -460,12 +474,15 @@ impl Server {
                     stats.brownout_exits.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            // Shutdown: one connect wakes the acceptor from `accept` so it
-            // can be joined. Connect only while the path still names this
-            // server's socket: a connect that reached another server would
-            // leave this acceptor blocked and the join hung. Then shed what
-            // the acceptor already handed over along with the queue; the
-            // scope joins every in-flight handler.
+            // Shutdown. The flag is raised for SIGTERM too: handlers skip
+            // the supervision fault once it is up, so the drain ends even
+            // when every handler loop panics. One connect wakes the
+            // acceptor from `accept` so it can be joined. Connect only
+            // while the path still names this server's socket: a connect
+            // that reached another server would leave this acceptor
+            // blocked and the join hung. Then shed what the acceptor
+            // already handed over along with the queue.
+            shutdown.store(true, Ordering::SeqCst);
             stop.store(true, Ordering::SeqCst);
             if identity.matches(&options.socket) && UnixStream::connect(&options.socket).is_ok() {
                 let _ = acceptor.join();
@@ -478,7 +495,11 @@ impl Server {
                 shed(stream, "server draining", &stats);
             }
             stats.queued.store(0, Ordering::Relaxed);
-        });
+            // Each handler answers what it was already given, then finds
+            // the channel closed and returns; the scope joins them all.
+            drop(handoff);
+            Ok(())
+        })?;
 
         if identity.matches(&options.socket) {
             let _ = std::fs::remove_file(&options.socket);
@@ -489,7 +510,7 @@ impl Server {
             evicted: stats.evicted.load(Ordering::SeqCst),
             degraded: stats.degraded.load(Ordering::SeqCst),
             brownout_entries: stats.brownout_entries.load(Ordering::SeqCst),
-            workers_replaced: pool.workers_replaced(),
+            workers_replaced: stats.workers_replaced.load(Ordering::SeqCst),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             cache_evictions: cache.evictions(),
@@ -587,16 +608,53 @@ impl FileIdentity {
     }
 }
 
-/// Everything a handler job needs, borrowed from [`Server::run`]'s
-/// stack frame (the pool scope's exit barrier keeps the borrows sound).
+/// Everything a handler needs, borrowed from [`Server::run`]'s stack
+/// frame.
 struct RequestContext<'a> {
     cache: &'a MemoCache,
     options: &'a ServeOptions,
     stats: &'a ServeStats,
     shutdown: &'a AtomicBool,
-    pool: &'a oasys_pool::Pool,
     /// Wakes the dispatcher when a handler frees its slot.
     wake: mpsc::Sender<Event>,
+}
+
+/// A handler thread's body. Each connection is answered under
+/// `catch_unwind` (see [`handle_connection`]), so a panic that escapes
+/// [`handler_loop`] is in practice the `serve.worker.panic` fault. It
+/// counts as a replaced worker, and the loop restarts on this thread
+/// after a backoff that doubles with each restart.
+fn run_handler(connections: &Mutex<mpsc::Receiver<UnixStream>>, ctx: &RequestContext) {
+    let mut restarts = 0u32;
+    while catch_unwind(AssertUnwindSafe(|| handler_loop(connections, ctx))).is_err() {
+        ctx.stats.workers_replaced.fetch_add(1, Ordering::Relaxed);
+        let backoff = RESTART_BACKOFF_BASE.saturating_mul(1 << restarts);
+        std::thread::sleep(backoff.min(RESTART_BACKOFF_CAP));
+        restarts = (restarts + 1).min(6);
+    }
+}
+
+/// Answers connections until the dispatcher drops the sender and none
+/// is left.
+fn handler_loop(connections: &Mutex<mpsc::Receiver<UnixStream>>, ctx: &RequestContext) {
+    loop {
+        // Supervision fail point: checked between connections, never
+        // while one is held, so an injected death loses no request, and
+        // not once the server drains, so the drain always ends.
+        if oasys_faults::armed() && !ctx.shutdown.load(Ordering::SeqCst) {
+            if let Some(msg) = oasys_faults::eval_err("serve.worker.panic") {
+                panic!("injected worker death: {msg}");
+            }
+        }
+        let next = connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        let Ok(stream) = next else {
+            return;
+        };
+        handle_connection(stream, ctx);
+    }
 }
 
 /// Frees the handler's in-flight slot, and wakes the dispatcher to fill
@@ -848,8 +906,8 @@ fn health_response(ctx: &RequestContext) -> String {
         stats.degraded.load(Ordering::Relaxed),
         stats.brownout_entries.load(Ordering::Relaxed),
         stats.brownout_exits.load(Ordering::Relaxed),
-        ctx.pool.workers(),
-        ctx.pool.workers_replaced()
+        ctx.options.workers,
+        stats.workers_replaced.load(Ordering::Relaxed)
     )
 }
 

@@ -1,12 +1,14 @@
 //! Chaos suite for `oasys serve`: injected faults at the
-//! `serve.request.read`, `serve.client.stall`, and `pool.worker.panic`
+//! `serve.request.read`, `serve.client.stall`, and `serve.worker.panic`
 //! sites must fail **one request alone** — a structured error response
 //! on that connection — while the server keeps serving; stalled peers
 //! must be evicted by the socket I/O deadline; sustained overload must
 //! trip brownout (degraded, unverified synthesis) and recover; a
-//! panicking handler-pool worker must be replaced by the supervisor; a
-//! `busy` answer written before the request must still reach the
-//! client; and an idle server must answer without waiting on a timer.
+//! panicking handler worker must be replaced; a `busy` answer written
+//! before the request must still reach the client; an idle server must
+//! answer without waiting on a timer; and a drained server must answer
+//! every connection its handlers were given, leave no thread behind, and
+//! finish even when every handler loop panics.
 //!
 //! The fault registry is process-global, so every test holds
 //! `FAULT_LOCK` and clears the registry on exit via [`FaultGuard`].
@@ -216,38 +218,29 @@ fn stalled_client_is_evicted_by_the_io_deadline_and_the_slot_is_reclaimed() {
 }
 
 #[test]
-fn panicked_handler_pool_worker_is_replaced_and_health_reports_it() {
+fn panicked_handler_worker_is_replaced_and_health_reports_it() {
     let _faults = FaultGuard::acquire();
-    // Arm before the server spawns its pool: the first worker dies at
-    // birth (exactly once), and the supervisor must replace it before
-    // any request can be served.
-    oasys_faults::set("pool.worker.panic", FaultSpec::FailOnce);
+    // Arm before the server spawns its handler: it dies at the top of
+    // its first loop, exactly once, and must be restarted before any
+    // request can be served. Every earlier test's handlers were joined
+    // when its server drained, so no other thread can take the fault.
+    oasys_faults::set("serve.worker.panic", FaultSpec::FailOnce);
     let socket = socket_path("worker-panic");
     let server = start_server(&socket);
 
-    // Every pool in the process evaluates this site after each job, and
-    // the pools of earlier tests' servers live on. One of their workers,
-    // still returning from its last job, can take the one-shot fault
-    // before this server's worker is born. Until this server reports a
-    // replacement, re-arm the fault: its worker then dies at the top of
-    // its loop, after the job that served the poll.
     let health = poll_health(&socket, "a replaced worker", |h| {
-        let replaced = num(h, "workers_replaced") >= 1.0;
-        if !replaced {
-            oasys_faults::set("pool.worker.panic", FaultSpec::FailOnce);
-        }
-        replaced
+        num(h, "workers_replaced") >= 1.0
     });
     assert_eq!(num(&health, "workers"), 1.0);
 
-    // The replacement worker serves real traffic.
+    // The restarted handler serves real traffic.
     let pong = ask(&socket, &op_request("ping"));
     assert_eq!(status(&pong).0, "ok");
 
     let drain = ask(&socket, &op_request("shutdown"));
     assert_eq!(status(&drain).0, "ok");
     let report = server.join().unwrap();
-    assert!(report.workers_replaced >= 1, "{report:?}");
+    assert_eq!(report.workers_replaced, 1, "{report:?}");
 }
 
 #[test]
@@ -487,4 +480,107 @@ fn oversized_and_malformed_frames_get_structured_errors() {
     let drain = ask(&socket, &op_request("shutdown"));
     assert_eq!(status(&drain).0, "ok");
     server.join().unwrap();
+}
+
+/// The names of this process's threads, from `/proc/self/task/*/comm`.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_owned())
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn drained_server_leaves_no_serve_thread_behind() {
+    let _faults = FaultGuard::acquire();
+    let socket = socket_path("no-threads");
+    let server = start_server_with(
+        ServeOptions::new(&socket)
+            .with_workers(2)
+            .with_cache_entries(16),
+    );
+    let pong = ask(&socket, &op_request("ping"));
+    assert_eq!(status(&pong).0, "ok");
+    let drain = ask(&socket, &op_request("shutdown"));
+    assert_eq!(status(&drain).0, "ok");
+    server.join().unwrap();
+
+    // `run` has returned, so its threads have finished; one may take a
+    // moment to leave the task list.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let left: Vec<String> = thread_names()
+            .into_iter()
+            .filter(|name| name.starts_with("oasys-serve") || name.starts_with("oasys-pool"))
+            .collect();
+        if left.is_empty() {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "threads outlived the drain: {left:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn drain_answers_every_connection_already_handed_to_a_handler() {
+    let _faults = FaultGuard::acquire();
+    let socket = socket_path("drain-handed");
+    let server = Server::bind(
+        ServeOptions::new(&socket)
+            .with_workers(1)
+            .with_max_inflight(3)
+            .with_cache_entries(16),
+    )
+    .unwrap();
+    let shutdown = server.shutdown_flag();
+    let runner = std::thread::spawn(move || server.run().unwrap());
+    let pong = ask(&socket, &op_request("ping"));
+    assert_eq!(status(&pong).0, "ok");
+
+    // Every request's ingress stalls 200 ms, so the one handler is
+    // still reading the first ping when the flag is raised, while the
+    // other two wait, already admitted, for it to take them.
+    oasys_faults::set("serve.request.read", FaultSpec::Delay(200));
+    let clients: Vec<_> = (0..3)
+        .map(|_| {
+            let socket = socket.clone();
+            std::thread::spawn(move || request(&socket, &op_request("ping")))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    for client in clients {
+        let answer = json::parse(&client.join().unwrap().unwrap()).unwrap();
+        assert_eq!(status(&answer).0, "ok", "{answer:?}");
+    }
+    let report = runner.join().unwrap();
+    assert_eq!(report.served, 4, "{report:?}");
+    assert_eq!(report.shed, 0, "{report:?}");
+}
+
+#[test]
+fn drain_ends_even_when_every_handler_loop_panics() {
+    let _faults = FaultGuard::acquire();
+    // Every handler dies at the top of every loop, so none ever takes a
+    // connection; once the drain starts they must skip the fault, find
+    // the channel closed and let the scope join them.
+    oasys_faults::set("serve.worker.panic", FaultSpec::Panic);
+    let socket = socket_path("crash-loop");
+    let server = Server::bind(ServeOptions::new(&socket).with_workers(2)).unwrap();
+    let shutdown = server.shutdown_flag();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.run().unwrap()));
+    // Long enough for each handler to die and restart a few times.
+    std::thread::sleep(Duration::from_millis(200));
+    shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    let report = finished
+        .recv_timeout(Duration::from_secs(2))
+        .expect("run returns within 2 s of the flag");
+    assert!(report.workers_replaced >= 2, "{report:?}");
 }

@@ -46,7 +46,7 @@ fn main() -> ExitCode {
                  still in flight and on SIGTERM\n  \
                  serve-robustness  the serve chaos leg through the real CLI: a\n                 \
                  stalled client is evicted by the I/O deadline, a\n                 \
-                 panicked pool worker is replaced, and sustained\n                 \
+                 panicked handler worker is replaced, and sustained\n                 \
                  overload enters and exits brownout\n  \
                  smoke-dataset  only the dataset leg: generate the bundled sampled\n                 \
                  dataset manifest in two shards through the CLI, merge,\n                 \
@@ -655,8 +655,8 @@ fn smoke_serve() -> ExitCode {
 ///    `--io-timeout-ms` must be evicted; a prompt follow-up client is
 ///    served, and `--health` reports the eviction.
 /// 2. **Worker-panic leg** — a server started with
-///    `pool.worker.panic=fail_once` loses a handler-pool worker at
-///    birth; the supervisor replaces it, `--health` reports
+///    `serve.worker.panic=fail_once` loses a handler at the top of its
+///    first loop; the handler restarts, `--health` reports
 ///    `workers_replaced >= 1`, and traffic flows.
 /// 3. **Brownout leg** — with one in-flight slot, a two-deep queue,
 ///    and stalled ingress, concurrent clients (retrying with seeded
@@ -719,9 +719,10 @@ fn serve_robustness() -> ExitCode {
     }
     println!("xtask serve-robustness: stalled client evicted, slot reclaimed");
 
-    // Leg 2: a panicked pool worker is replaced by the supervisor.
+    // Leg 2: a panicked handler worker is restarted and counted.
     let socket = "target/smoke/serve-worker-panic.sock";
-    let mut server = match spawn_server(bin, socket, &["--faults", "pool.worker.panic=fail_once"]) {
+    let mut server = match spawn_server(bin, socket, &["--faults", "serve.worker.panic=fail_once"])
+    {
         Ok(server) => server,
         Err(e) => {
             eprintln!("xtask serve-robustness: {e}");
@@ -753,7 +754,7 @@ fn serve_robustness() -> ExitCode {
         let _ = server.kill();
         return ExitCode::FAILURE;
     }
-    println!("xtask serve-robustness: panicked pool worker replaced");
+    println!("xtask serve-robustness: panicked handler worker replaced");
 
     // Leg 3: sustained overload enters brownout, then exits it.
     let socket = "target/smoke/serve-brownout.sock";

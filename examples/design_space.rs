@@ -8,7 +8,7 @@
 //! the area/style frontier, and marks the automatic topology changes.
 //!
 //! The sweep itself is a **batch**: each gain step becomes one in-memory
-//! job ([`Job::from_texts`] — no files involved), the worker pool runs
+//! job ([`Job::from_texts`] — no files involved), the batch workers run
 //! them with per-job isolation, and every record carries the full
 //! per-style feasibility table the frontier is printed from.
 //!
