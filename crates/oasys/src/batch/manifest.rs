@@ -673,6 +673,29 @@ mod tests {
         assert_eq!(base.clone().with_salt(0).fingerprint(), base.fingerprint());
     }
 
+    /// Checkpoints and dataset records store these values, so the hash
+    /// behind them must never change; the expected values were taken
+    /// from the original implementation.
+    #[test]
+    fn fingerprint_and_salt_known_answers() {
+        let hex = |x: u64| format!("{x:016x}");
+        assert_eq!(hex(fingerprint("", "")), "af63d24c8601db8e");
+        assert_eq!(hex(fingerprint("gain = 1", "vdd = 5")), "74fc08e4ede4057b");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+        let read = |name: &str| std::fs::read_to_string(root.join(name)).unwrap();
+        let (spec, tech) = (read("spec-a.txt"), read("generic-5um.tech"));
+        assert_eq!(hex(fingerprint(&spec, &tech)), "c3bd74d698680595");
+        let job = Job::from_texts(0, "x", "gain = 1", "p", "vdd = 5");
+        assert_eq!(
+            hex(job.clone().with_salt(1).fingerprint()),
+            "e5f6250864e659ba"
+        );
+        assert_eq!(
+            hex(job.with_salt(0xdead_beef).fingerprint()),
+            "3e23b1eb852deee0"
+        );
+    }
+
     #[test]
     fn fingerprints_depend_on_content_not_labels() {
         let a = Job::from_texts(0, "x.txt", "gain = 1", "p.tech", "vdd = 5");

@@ -216,7 +216,7 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    fn word(self) -> &'static str {
+    pub(crate) fn word(self) -> &'static str {
         match self {
             FailureKind::Panic => "panic",
             FailureKind::Timeout => "timeout",
@@ -267,21 +267,24 @@ impl JobStatus {
         }
     }
 
-    /// The aggregate-report outcome: skipped jobs resolve to the outcome
-    /// their checkpoint entry recorded, so a resumed batch aggregates
-    /// identically to an uninterrupted one.
-    fn effective(&self) -> (&'static str, Option<(&str, f64)>) {
+    /// The job's effective answer: the selected (style, area), `None`
+    /// when infeasible, or the failure's kind and message. Skipped jobs
+    /// resolve to the outcome their checkpoint entry recorded, so a
+    /// resumed batch aggregates identically to an uninterrupted one.
+    pub(crate) fn effective(&self) -> Result<Option<(&str, f64)>, (FailureKind, &str)> {
         match self {
-            JobStatus::Ok { style, area_um2 } => ("ok", Some((style.as_str(), *area_um2))),
-            JobStatus::Infeasible => ("infeasible", None),
-            JobStatus::Failed { .. } => ("failed", None),
-            JobStatus::Skipped { prior } => match prior {
-                CheckpointOutcome::Ok { style, area_um2 } => {
-                    ("ok", Some((style.as_str(), *area_um2)))
-                }
-                CheckpointOutcome::Infeasible => ("infeasible", None),
-                CheckpointOutcome::Failed => ("failed", None),
-            },
+            JobStatus::Ok { style, area_um2 }
+            | JobStatus::Skipped {
+                prior: CheckpointOutcome::Ok { style, area_um2 },
+            } => Ok(Some((style, *area_um2))),
+            JobStatus::Infeasible
+            | JobStatus::Skipped {
+                prior: CheckpointOutcome::Infeasible,
+            } => Ok(None),
+            JobStatus::Failed { kind, message } => Err((*kind, message)),
+            JobStatus::Skipped {
+                prior: CheckpointOutcome::Failed,
+            } => Err((FailureKind::Error, "failed in a prior run")),
         }
     }
 }
@@ -456,9 +459,7 @@ impl BatchReport {
     /// including none on record for skipped jobs).
     #[must_use]
     pub fn all_definitive(&self) -> bool {
-        self.records
-            .iter()
-            .all(|r| r.status.effective().0 != "failed")
+        self.records.iter().all(|r| r.status.effective().is_ok())
     }
 
     /// Renders the deterministic aggregate document: one entry per job
@@ -476,12 +477,13 @@ impl BatchReport {
         let mut failed = 0usize;
         let mut total_area = 0.0f64;
         for (i, record) in self.records.iter().enumerate() {
-            let (outcome, selected) = record.status.effective();
-            match outcome {
-                "ok" => ok += 1,
-                "infeasible" => infeasible += 1,
-                _ => failed += 1,
-            }
+            let effective = record.status.effective();
+            let (outcome, count) = match effective {
+                Ok(Some(_)) => ("ok", &mut ok),
+                Ok(None) => ("infeasible", &mut infeasible),
+                Err(_) => ("failed", &mut failed),
+            };
+            *count += 1;
             let mut line = format!(
                 "    {{\"job\": {}, \"spec\": {}, \"tech\": {}, \"fingerprint\": \"{:016x}\", \"outcome\": \"{outcome}\"",
                 record.job,
@@ -489,7 +491,7 @@ impl BatchReport {
                 json::string(&record.tech),
                 record.fingerprint
             );
-            if let Some((style, area)) = selected {
+            if let Ok(Some((style, area))) = effective {
                 total_area += area;
                 line.push_str(&format!(
                     ", \"style\": {}, \"area_um2\": {}",

@@ -5,10 +5,12 @@ use super::manifest::{fingerprint, Job};
 use super::runner::{JobFailure, JobRunner, JobSuccess, StyleEntry};
 use crate::datasheet::Datasheet;
 use crate::synth::synthesize_with_cache;
-use crate::verify::verify_with;
-use crate::SearchOptions;
+use crate::verify::{verify_with, Measured};
+use crate::{OpAmpDesign, SearchOptions};
 use oasys_faults::Deadline;
 use oasys_plan::MemoCache;
+use oasys_process::Process;
+use oasys_sim::mismatch::Mismatch;
 use oasys_telemetry::Telemetry;
 use std::sync::Arc;
 
@@ -95,6 +97,35 @@ impl JobRunner for SynthRunner {
         tel: &Telemetry,
         deadline: &Deadline,
     ) -> Result<JobSuccess, JobFailure> {
+        self.answer(job, tel, deadline, Mismatch::disabled(), None)
+    }
+}
+
+/// Renders the payload a feasible answer carries
+/// ([`JobSuccess::with_detail`]) from the selected design, its process,
+/// and the measurement when the job verified.
+pub(crate) type Detail = fn(&OpAmpDesign, &Process, Option<&Measured>) -> String;
+
+impl SynthRunner {
+    /// Answers one job: the one place a batch or dataset job is parsed,
+    /// searched, and judged.
+    ///
+    /// Synthesis always runs on the *nominal* device models — the
+    /// paper's design equations size a circuit for the process, not for
+    /// one mismatch draw. `draw` binds only around verification
+    /// ([`oasys_sim::mismatch::scoped`]): the simulator sees the
+    /// perturbed devices, the plan does not, so the tech-namespaced
+    /// cache stays valid across Monte-Carlo siblings. A batch answers
+    /// with [`Mismatch::disabled`]. `detail`, when given, renders the
+    /// payload a feasible answer carries.
+    pub(crate) fn answer(
+        &self,
+        job: &Job,
+        tel: &Telemetry,
+        deadline: &Deadline,
+        draw: Mismatch,
+        detail: Option<Detail>,
+    ) -> Result<JobSuccess, JobFailure> {
         let spec = crate::specfile::parse(job.spec_text())
             .map_err(|e| JobFailure::permanent(format!("spec {}: {e}", job.spec_label())))?;
         let process = oasys_process::techfile::parse(job.tech_text())
@@ -112,9 +143,7 @@ impl JobRunner for SynthRunner {
                     .map(|outcome| StyleEntry {
                         style: outcome.style().to_string(),
                         area_um2: outcome.design().map(|d| d.area().total_um2()),
-                        devices: outcome
-                            .design()
-                            .map(crate::styles::OpAmpDesign::device_count),
+                        devices: outcome.design().map(OpAmpDesign::device_count),
                         notes: outcome
                             .design()
                             .map(|d| d.notes().to_vec())
@@ -126,9 +155,12 @@ impl JobRunner for SynthRunner {
                 let mut success =
                     JobSuccess::feasible(design.style().to_string(), design.area().total_um2())
                         .with_styles(styles);
+                let mut measured = None;
                 if self.verify {
-                    let verification = verify_with(design, &process, spec.load().farads(), tel)
-                        .map_err(|e| JobFailure::permanent(format!("verification failed: {e}")))?;
+                    let verification = oasys_sim::mismatch::scoped(draw, || {
+                        verify_with(design, &process, spec.load().farads(), tel)
+                    })
+                    .map_err(|e| JobFailure::permanent(format!("verification failed: {e}")))?;
                     let sheet = Datasheet::new(
                         format!("{} × {}", job.spec_label(), job.tech_label()),
                         &spec,
@@ -136,6 +168,10 @@ impl JobRunner for SynthRunner {
                         Some(&verification.measured),
                     );
                     success = success.with_meets_spec(sheet.all_measured_pass());
+                    measured = Some(verification.measured);
+                }
+                if let Some(detail) = detail {
+                    success = success.with_detail(detail(design, &process, measured.as_ref()));
                 }
                 Ok(success)
             }

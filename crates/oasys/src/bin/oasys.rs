@@ -470,6 +470,98 @@ fn run_lint(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     })
 }
 
+/// The missing-value wording of every `--timeout-ms` whose 0 disables
+/// the budget.
+const TIMEOUT_VALUE: &str = "a value (0 disables)";
+
+/// Parses the value after numeric flag `flag` — the one parser behind
+/// every numeric flag of every mode. `missing` completes
+/// "`flag` needs …" when no value follows; a value that does not parse,
+/// or is 0 where `positive` asks for more, is rejected with what was
+/// expected and what was given.
+fn number<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    missing: &str,
+    positive: bool,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let value = args
+        .next()
+        .ok_or_else(|| format!("{flag} needs {missing}"))?;
+    let expected = if positive {
+        "a positive integer"
+    } else {
+        "an integer"
+    };
+    value
+        .parse::<T>()
+        .ok()
+        .filter(|n| !positive || *n > T::from(0))
+        .ok_or_else(|| format!("{flag} needs {expected}, got `{value}`"))
+}
+
+/// A `--timeout-ms` value as a per-job budget: 0 disables it.
+fn budget(ms: u64) -> Option<std::time::Duration> {
+    (ms > 0).then(|| std::time::Duration::from_millis(ms))
+}
+
+/// The job flags `batch` and `dataset` share. Each overrides the
+/// manifest's `workers =` / `timeout_ms =` / `retries =` / `verify =`
+/// setting.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct JobFlags {
+    workers: Option<usize>,
+    timeout_ms: Option<u64>,
+    retries: Option<u32>,
+    no_verify: bool,
+    faults: Option<String>,
+}
+
+impl JobFlags {
+    /// Takes `flag` and its value when it is a job flag; `Ok(false)`
+    /// leaves it to the mode's own flags.
+    fn take(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--workers" => self.workers = Some(number(args, flag, "a count", true)?),
+            "--timeout-ms" => self.timeout_ms = Some(number(args, flag, TIMEOUT_VALUE, false)?),
+            "--retries" => self.retries = Some(number(args, flag, "a count", false)?),
+            "--no-verify" => self.no_verify = true,
+            "--faults" => {
+                self.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Resolves batch options: defaults, overlaid with the manifest's
+    /// settings, overridden by these flags.
+    fn batch_options(&self, settings: &batch::ManifestSettings) -> batch::BatchOptions {
+        let mut options = batch::BatchOptions::default();
+        options.apply_manifest(settings);
+        if let Some(workers) = self.workers {
+            options = options.with_workers(workers);
+        }
+        if let Some(ms) = self.timeout_ms {
+            options = options.with_timeout(budget(ms));
+        }
+        if let Some(retries) = self.retries {
+            options = options.with_retries(retries);
+        }
+        if self.no_verify {
+            options = options.with_verify(false);
+        }
+        options
+    }
+}
+
 /// Parsed arguments of the batch mode.
 #[derive(Debug, PartialEq, Eq)]
 struct BatchCliOptions {
@@ -477,13 +569,9 @@ struct BatchCliOptions {
     records_path: Option<String>,
     aggregate_path: Option<String>,
     checkpoint_path: Option<String>,
-    workers: Option<usize>,
-    timeout_ms: Option<u64>,
-    retries: Option<u32>,
-    no_verify: bool,
+    job: JobFlags,
     styles: Option<Vec<String>>,
     explain: bool,
-    faults: Option<String>,
 }
 
 impl BatchCliOptions {
@@ -499,13 +587,9 @@ impl BatchCliOptions {
             records_path: None,
             aggregate_path: None,
             checkpoint_path: None,
-            workers: None,
-            timeout_ms: None,
-            retries: None,
-            no_verify: false,
+            job: JobFlags::default(),
             styles: None,
             explain: false,
-            faults: None,
         };
         while let Some(flag) = args.next() {
             match flag.as_str() {
@@ -518,75 +602,26 @@ impl BatchCliOptions {
                 "--checkpoint" => {
                     opts.checkpoint_path = Some(args.next().ok_or("--checkpoint needs a path")?);
                 }
-                "--workers" => {
-                    let value = args.next().ok_or("--workers needs a count")?;
-                    opts.workers = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--workers needs a positive integer, got `{value}`")
-                            })?,
-                    );
-                }
-                "--timeout-ms" => {
-                    let value = args
-                        .next()
-                        .ok_or("--timeout-ms needs a value (0 disables)")?;
-                    opts.timeout_ms =
-                        Some(value.parse::<u64>().map_err(|_| {
-                            format!("--timeout-ms needs an integer, got `{value}`")
-                        })?);
-                }
-                "--retries" => {
-                    let value = args.next().ok_or("--retries needs a count")?;
-                    opts.retries = Some(
-                        value
-                            .parse::<u32>()
-                            .map_err(|_| format!("--retries needs an integer, got `{value}`"))?,
-                    );
-                }
-                "--no-verify" => opts.no_verify = true,
                 "--styles" => {
                     let list = args.next().ok_or("--styles needs a comma-separated list")?;
                     opts.styles = Some(parse_styles_list(&list)?);
                 }
                 "--explain" => opts.explain = true,
-                "--faults" => {
-                    opts.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
-                }
+                flag if opts.job.take(flag, &mut args)? => {}
                 other => return Err(format!("unknown flag `{other}`\n{BATCH_USAGE}")),
             }
         }
         Ok(opts)
     }
 
-    /// Resolves final batch options: defaults, overlaid with the
-    /// manifest's settings, overridden by command-line flags.
+    /// Resolves final batch options: the shared job flags' overlay,
+    /// then the `--styles` filter.
     fn batch_options(&self, settings: &batch::ManifestSettings) -> batch::BatchOptions {
-        let mut options = batch::BatchOptions::default();
-        options.apply_manifest(settings);
-        if let Some(workers) = self.workers {
-            options = options.with_workers(workers);
+        let options = self.job.batch_options(settings);
+        match &self.styles {
+            Some(styles) => options.with_search(SearchOptions::new().with_styles(styles.clone())),
+            None => options,
         }
-        if let Some(ms) = self.timeout_ms {
-            options = options.with_timeout(if ms == 0 {
-                None
-            } else {
-                Some(std::time::Duration::from_millis(ms))
-            });
-        }
-        if let Some(retries) = self.retries {
-            options = options.with_retries(retries);
-        }
-        if self.no_verify {
-            options = options.with_verify(false);
-        }
-        if let Some(styles) = &self.styles {
-            options = options.with_search(SearchOptions::new().with_styles(styles.clone()));
-        }
-        options
     }
 }
 
@@ -595,7 +630,7 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     use std::io::Write as _;
 
     let opts = BatchCliOptions::parse(args)?;
-    apply_faults(opts.faults.as_deref())?;
+    apply_faults(opts.job.faults.as_deref())?;
     if let Some(msg) = injected_io_fault("io.manifest.read") {
         return Err(format!("{}: {msg}", opts.manifest_path));
     }
@@ -690,11 +725,7 @@ struct DatasetCliOptions {
     out_dir: String,
     shards: usize,
     shard_index: usize,
-    workers: Option<usize>,
-    timeout_ms: Option<u64>,
-    retries: Option<u32>,
-    no_verify: bool,
-    faults: Option<String>,
+    job: JobFlags,
 }
 
 impl DatasetCliOptions {
@@ -711,67 +742,16 @@ impl DatasetCliOptions {
             out_dir: String::new(),
             shards: 1,
             shard_index: 0,
-            workers: None,
-            timeout_ms: None,
-            retries: None,
-            no_verify: false,
-            faults: None,
+            job: JobFlags::default(),
         };
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--out" => {
                     out_dir = Some(args.next().ok_or("--out needs a directory")?);
                 }
-                "--shards" => {
-                    let value = args.next().ok_or("--shards needs a count")?;
-                    opts.shards =
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--shards needs a positive integer, got `{value}`")
-                            })?;
-                }
-                "--shard-index" => {
-                    let value = args.next().ok_or("--shard-index needs an index")?;
-                    opts.shard_index = value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--shard-index needs an integer, got `{value}`"))?;
-                }
-                "--workers" => {
-                    let value = args.next().ok_or("--workers needs a count")?;
-                    opts.workers = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--workers needs a positive integer, got `{value}`")
-                            })?,
-                    );
-                }
-                "--timeout-ms" => {
-                    let value = args
-                        .next()
-                        .ok_or("--timeout-ms needs a value (0 disables)")?;
-                    opts.timeout_ms =
-                        Some(value.parse::<u64>().map_err(|_| {
-                            format!("--timeout-ms needs an integer, got `{value}`")
-                        })?);
-                }
-                "--retries" => {
-                    let value = args.next().ok_or("--retries needs a count")?;
-                    opts.retries = Some(
-                        value
-                            .parse::<u32>()
-                            .map_err(|_| format!("--retries needs an integer, got `{value}`"))?,
-                    );
-                }
-                "--no-verify" => opts.no_verify = true,
-                "--faults" => {
-                    opts.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
-                }
+                "--shards" => opts.shards = number(&mut args, &flag, "a count", true)?,
+                "--shard-index" => opts.shard_index = number(&mut args, &flag, "an index", false)?,
+                flag if opts.job.take(flag, &mut args)? => {}
                 other => return Err(format!("unknown flag `{other}`\n{DATASET_USAGE}")),
             }
         }
@@ -810,29 +790,12 @@ fn run_dataset(
     }
 
     let opts = DatasetCliOptions::parse(args)?;
-    apply_faults(opts.faults.as_deref())?;
+    apply_faults(opts.job.faults.as_deref())?;
     if let Some(msg) = injected_io_fault("io.manifest.read") {
         return Err(format!("{}: {msg}", opts.manifest_path));
     }
     let manifest = batch::Manifest::load(&opts.manifest_path).map_err(|e| e.to_string())?;
-    let mut batch_options = batch::BatchOptions::default();
-    batch_options.apply_manifest(&manifest.settings());
-    if let Some(workers) = opts.workers {
-        batch_options = batch_options.with_workers(workers);
-    }
-    if let Some(ms) = opts.timeout_ms {
-        batch_options = batch_options.with_timeout(if ms == 0 {
-            None
-        } else {
-            Some(std::time::Duration::from_millis(ms))
-        });
-    }
-    if let Some(retries) = opts.retries {
-        batch_options = batch_options.with_retries(retries);
-    }
-    if opts.no_verify {
-        batch_options = batch_options.with_verify(false);
-    }
+    let batch_options = opts.job.batch_options(&manifest.settings());
     let workers = batch_options.workers();
     let options = oasys::dataset::DatasetOptions {
         shards: opts.shards,
@@ -904,74 +867,21 @@ impl ServeCliOptions {
                 "--socket" => {
                     socket = Some(args.next().ok_or("--socket needs a path")?);
                 }
-                "--workers" => {
-                    let value = args.next().ok_or("--workers needs a count")?;
-                    opts.workers = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--workers needs a positive integer, got `{value}`")
-                            })?,
-                    );
-                }
+                "--workers" => opts.workers = Some(number(&mut args, &flag, "a count", true)?),
                 "--max-inflight" => {
-                    let value = args.next().ok_or("--max-inflight needs a count")?;
-                    opts.max_inflight = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--max-inflight needs a positive integer, got `{value}`")
-                            })?,
-                    );
+                    opts.max_inflight = Some(number(&mut args, &flag, "a count", true)?);
                 }
                 "--queue-depth" => {
-                    let value = args.next().ok_or("--queue-depth needs a count")?;
-                    opts.queue_depth = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--queue-depth needs a positive integer, got `{value}`")
-                            })?,
-                    );
+                    opts.queue_depth = Some(number(&mut args, &flag, "a count", true)?);
                 }
                 "--io-timeout-ms" => {
-                    let value = args.next().ok_or("--io-timeout-ms needs a value")?;
-                    opts.io_timeout_ms = Some(
-                        value
-                            .parse::<u64>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--io-timeout-ms needs a positive integer, got `{value}`")
-                            })?,
-                    );
+                    opts.io_timeout_ms = Some(number(&mut args, &flag, "a value", true)?);
                 }
                 "--cache-entries" => {
-                    let value = args.next().ok_or("--cache-entries needs a count")?;
-                    opts.cache_entries = Some(
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| {
-                                format!("--cache-entries needs a positive integer, got `{value}`")
-                            })?,
-                    );
+                    opts.cache_entries = Some(number(&mut args, &flag, "a count", true)?);
                 }
                 "--timeout-ms" => {
-                    let value = args
-                        .next()
-                        .ok_or("--timeout-ms needs a value (0 disables)")?;
-                    opts.timeout_ms =
-                        Some(value.parse::<u64>().map_err(|_| {
-                            format!("--timeout-ms needs an integer, got `{value}`")
-                        })?);
+                    opts.timeout_ms = Some(number(&mut args, &flag, TIMEOUT_VALUE, false)?);
                 }
                 "--faults" => {
                     opts.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
@@ -1002,11 +912,7 @@ impl ServeCliOptions {
             options = options.with_cache_entries(entries);
         }
         if let Some(ms) = self.timeout_ms {
-            options = options.with_timeout(if ms == 0 {
-                None
-            } else {
-                Some(std::time::Duration::from_millis(ms))
-            });
+            options = options.with_timeout(budget(ms));
         }
         options
     }
@@ -1077,24 +983,10 @@ impl ClientCliOptions {
                     socket = Some(args.next().ok_or("--socket needs a path")?);
                 }
                 "--timeout-ms" => {
-                    let value = args.next().ok_or("--timeout-ms needs a value")?;
-                    opts.timeout_ms =
-                        Some(value.parse::<u64>().map_err(|_| {
-                            format!("--timeout-ms needs an integer, got `{value}`")
-                        })?);
+                    opts.timeout_ms = Some(number(&mut args, &arg, "a value", false)?);
                 }
-                "--retries" => {
-                    let value = args.next().ok_or("--retries needs a count")?;
-                    opts.retries = value
-                        .parse::<u32>()
-                        .map_err(|_| format!("--retries needs an integer, got `{value}`"))?;
-                }
-                "--retry-seed" => {
-                    let value = args.next().ok_or("--retry-seed needs a value")?;
-                    opts.retry_seed = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("--retry-seed needs an integer, got `{value}`"))?;
-                }
+                "--retries" => opts.retries = number(&mut args, &arg, "a count", false)?,
+                "--retry-seed" => opts.retry_seed = number(&mut args, &arg, "a value", false)?,
                 "--ping" => opts.ping = true,
                 "--health" => opts.health = true,
                 "--shutdown" => opts.shutdown = true,
@@ -1456,10 +1348,7 @@ mod tests {
         assert_eq!(opts.manifest_path, "sweep.manifest");
         assert_eq!(opts.records_path, None);
         assert_eq!(opts.checkpoint_path, None);
-        assert_eq!(opts.workers, None);
-        assert_eq!(opts.timeout_ms, None);
-        assert_eq!(opts.retries, None);
-        assert!(!opts.no_verify);
+        assert_eq!(opts.job, JobFlags::default());
         assert!(!opts.explain);
     }
 
@@ -1496,10 +1385,10 @@ mod tests {
         assert_eq!(opts.records_path.as_deref(), Some("out.jsonl"));
         assert_eq!(opts.aggregate_path.as_deref(), Some("agg.json"));
         assert_eq!(opts.checkpoint_path.as_deref(), Some("run.checkpoint"));
-        assert_eq!(opts.workers, Some(3));
-        assert_eq!(opts.timeout_ms, Some(5000));
-        assert_eq!(opts.retries, Some(1));
-        assert!(opts.no_verify);
+        assert_eq!(opts.job.workers, Some(3));
+        assert_eq!(opts.job.timeout_ms, Some(5000));
+        assert_eq!(opts.job.retries, Some(1));
+        assert!(opts.job.no_verify);
         assert_eq!(opts.styles, Some(vec!["two-stage".to_string()]));
         assert!(opts.explain);
     }
@@ -1511,7 +1400,7 @@ mod tests {
         assert_eq!(opts.out_dir, "out");
         assert_eq!(opts.shards, 1);
         assert_eq!(opts.shard_index, 0);
-        assert!(!opts.no_verify);
+        assert_eq!(opts.job, JobFlags::default());
 
         let opts = DatasetCliOptions::parse(argv(&[
             "ds.manifest",
@@ -1534,12 +1423,12 @@ mod tests {
         .unwrap();
         assert_eq!(opts.shards, 4);
         assert_eq!(opts.shard_index, 2);
-        assert_eq!(opts.workers, Some(3));
-        assert_eq!(opts.timeout_ms, Some(5000));
-        assert_eq!(opts.retries, Some(1));
-        assert!(opts.no_verify);
+        assert_eq!(opts.job.workers, Some(3));
+        assert_eq!(opts.job.timeout_ms, Some(5000));
+        assert_eq!(opts.job.retries, Some(1));
+        assert!(opts.job.no_verify);
         assert_eq!(
-            opts.faults.as_deref(),
+            opts.job.faults.as_deref(),
             Some("dataset.sink.record=fail_once")
         );
     }
@@ -1578,7 +1467,7 @@ mod tests {
         assert!(err.contains("--faults needs"), "{err}");
         let opts =
             BatchCliOptions::parse(argv(&["m", "--faults", "batch.attempt=fail_once"])).unwrap();
-        assert_eq!(opts.faults.as_deref(), Some("batch.attempt=fail_once"));
+        assert_eq!(opts.job.faults.as_deref(), Some("batch.attempt=fail_once"));
     }
 
     #[test]
@@ -1596,6 +1485,119 @@ mod tests {
         assert!(err.contains("--timeout-ms needs an integer"), "{err}");
         let err = BatchCliOptions::parse(argv(&["m", "--retries", "-1"])).unwrap_err();
         assert!(err.contains("--retries needs an integer"), "{err}");
+    }
+
+    /// Every numeric flag of every mode, with its exact missing-value
+    /// and bad-value messages. A positive-only flag rejects `0` with
+    /// the bad-value message too.
+    #[test]
+    fn numeric_flag_messages_are_pinned() {
+        type Parse = fn(Vec<String>) -> Result<(), String>;
+        let batch: Parse = |a| BatchCliOptions::parse(a.into_iter()).map(drop);
+        let dataset: Parse = |a| DatasetCliOptions::parse(a.into_iter()).map(drop);
+        let serve: Parse = |a| ServeCliOptions::parse(a.into_iter()).map(drop);
+        let client: Parse = |a| ClientCliOptions::parse(a.into_iter()).map(drop);
+        let modes: [(&str, Parse, &[&str]); 4] = [
+            ("batch", batch, &["m"]),
+            ("dataset", dataset, &["m", "--out", "o"]),
+            ("serve", serve, &["--socket", "s"]),
+            ("client", client, &["--socket", "s", "--ping"]),
+        ];
+        // (mode, flag, missing-value message, positive only)
+        let table = [
+            ("batch", "--workers", "--workers needs a count", true),
+            (
+                "batch",
+                "--timeout-ms",
+                "--timeout-ms needs a value (0 disables)",
+                false,
+            ),
+            ("batch", "--retries", "--retries needs a count", false),
+            ("dataset", "--shards", "--shards needs a count", true),
+            (
+                "dataset",
+                "--shard-index",
+                "--shard-index needs an index",
+                false,
+            ),
+            ("dataset", "--workers", "--workers needs a count", true),
+            (
+                "dataset",
+                "--timeout-ms",
+                "--timeout-ms needs a value (0 disables)",
+                false,
+            ),
+            ("dataset", "--retries", "--retries needs a count", false),
+            ("serve", "--workers", "--workers needs a count", true),
+            (
+                "serve",
+                "--max-inflight",
+                "--max-inflight needs a count",
+                true,
+            ),
+            (
+                "serve",
+                "--queue-depth",
+                "--queue-depth needs a count",
+                true,
+            ),
+            (
+                "serve",
+                "--io-timeout-ms",
+                "--io-timeout-ms needs a value",
+                true,
+            ),
+            (
+                "serve",
+                "--cache-entries",
+                "--cache-entries needs a count",
+                true,
+            ),
+            (
+                "serve",
+                "--timeout-ms",
+                "--timeout-ms needs a value (0 disables)",
+                false,
+            ),
+            (
+                "client",
+                "--timeout-ms",
+                "--timeout-ms needs a value",
+                false,
+            ),
+            ("client", "--retries", "--retries needs a count", false),
+            (
+                "client",
+                "--retry-seed",
+                "--retry-seed needs a value",
+                false,
+            ),
+        ];
+        for (mode, flag, missing, positive) in table {
+            let (_, parse, prefix) = modes.iter().find(|(m, ..)| *m == mode).unwrap();
+            let run = |tail: &[&str]| {
+                let args = prefix.iter().chain(tail).map(|s| (*s).to_string());
+                parse(args.collect()).unwrap_err()
+            };
+            assert_eq!(run(&[flag]), missing, "{mode} {flag}");
+            let kind = if positive {
+                "a positive integer"
+            } else {
+                "an integer"
+            };
+            assert_eq!(
+                run(&[flag, "x"]),
+                format!("{flag} needs {kind}, got `x`"),
+                "{mode} {flag}"
+            );
+            if positive {
+                assert_eq!(
+                    run(&[flag, "0"]),
+                    format!("{flag} needs a positive integer, got `0`"),
+                    "{mode} {flag}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! be said identically by any shard that executed it.
 
 use super::plan::{DatasetPlan, PointMeta};
-use crate::batch::CheckpointOutcome;
-use crate::batch::{JobRecord, JobStatus};
+use crate::batch::JobRecord;
 use oasys_telemetry::json;
 
 /// Renders one dataset record (no trailing newline).
@@ -52,8 +51,8 @@ pub fn render_record(point: &PointMeta, record: &JobRecord, plan: &DatasetPlan) 
         json::number(plan.akp_pct_um),
     ));
     out.push_str(&format!("\"fingerprint\":\"{:016x}\",", point.fingerprint));
-    match effective_status(&record.status) {
-        Effective::Ok { style, area_um2 } => {
+    match record.status.effective() {
+        Ok(Some((style, area_um2))) => {
             out.push_str("\"outcome\":\"ok\",\"ok\":{");
             out.push_str(&format!(
                 "\"style\":{},\"area_um2\":{}",
@@ -70,10 +69,10 @@ pub fn render_record(point: &PointMeta, record: &JobRecord, plan: &DatasetPlan) 
             }
             out.push('}');
         }
-        Effective::Infeasible => out.push_str("\"outcome\":\"infeasible\""),
-        Effective::Failed { kind, message } => out.push_str(&format!(
-            "\"outcome\":\"failed\",\"failure\":{{\"kind\":{},\"message\":{}}}",
-            json::string(kind),
+        Ok(None) => out.push_str("\"outcome\":\"infeasible\""),
+        Err((kind, message)) => out.push_str(&format!(
+            "\"outcome\":\"failed\",\"failure\":{{\"kind\":\"{}\",\"message\":{}}}",
+            kind.word(),
             json::string(message)
         )),
     }
@@ -96,46 +95,4 @@ pub fn render_record(point: &PointMeta, record: &JobRecord, plan: &DatasetPlan) 
     }
     out.push('}');
     out
-}
-
-/// A record's effective outcome (skipped jobs resolve to their prior
-/// checkpoint outcome — dataset shards never attach a batch checkpoint,
-/// but the mapping stays total).
-enum Effective<'a> {
-    Ok { style: &'a str, area_um2: f64 },
-    Infeasible,
-    Failed { kind: &'a str, message: &'a str },
-}
-
-fn effective_status(status: &JobStatus) -> Effective<'_> {
-    match status {
-        JobStatus::Ok { style, area_um2 } => Effective::Ok {
-            style,
-            area_um2: *area_um2,
-        },
-        JobStatus::Infeasible => Effective::Infeasible,
-        JobStatus::Failed { kind, message } => Effective::Failed {
-            kind: kind_word(*kind),
-            message,
-        },
-        JobStatus::Skipped { prior } => match prior {
-            CheckpointOutcome::Ok { style, area_um2 } => Effective::Ok {
-                style,
-                area_um2: *area_um2,
-            },
-            CheckpointOutcome::Infeasible => Effective::Infeasible,
-            CheckpointOutcome::Failed => Effective::Failed {
-                kind: "error",
-                message: "failed in a prior run",
-            },
-        },
-    }
-}
-
-fn kind_word(kind: crate::batch::FailureKind) -> &'static str {
-    match kind {
-        crate::batch::FailureKind::Panic => "panic",
-        crate::batch::FailureKind::Timeout => "timeout",
-        crate::batch::FailureKind::Error => "error",
-    }
 }

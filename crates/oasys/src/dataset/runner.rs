@@ -1,35 +1,25 @@
-//! The dataset [`JobRunner`]: full synthesis per point, Monte-Carlo
-//! mismatch scoped around verification, and a detail payload (netlist +
-//! datasheet) riding each feasible record.
+//! The dataset [`JobRunner`]: a [`SynthRunner`] answer per point, with
+//! the point's Monte-Carlo mismatch draw bound around verification and
+//! a detail payload (netlist + datasheet) riding each feasible record.
 //!
-//! Synthesis itself always runs on the *nominal* device models — the
-//! paper's design equations size a circuit for the process, not for one
-//! mismatch draw. The draw perturbs what the fabricated instance would
-//! measure, so it binds only around [`verify_with`]: the simulator sees
-//! the perturbed devices, the plan does not. The shared, bounded,
-//! tech-fingerprint-namespaced [`MemoCache`] therefore stays valid
-//! across Monte-Carlo siblings — they share every sub-block design and
-//! differ only in measurement.
+//! Monte-Carlo siblings share every sub-block design in the runner's
+//! cache and differ only in measurement ([`SynthRunner`] binds the draw
+//! around verification only).
 
 use super::plan::{DatasetPlan, PointMeta};
-use crate::batch::BatchOptions;
-use crate::batch::{fingerprint, Job, JobFailure, JobRunner, JobSuccess, StyleEntry};
-use crate::datasheet::Datasheet;
-use crate::synth::synthesize_with_cache;
-use crate::verify::{verify_with, Measured};
-use crate::SearchOptions;
+use crate::batch::{BatchOptions, Job, JobFailure, JobRunner, JobSuccess, SynthRunner};
+use crate::verify::Measured;
+use crate::OpAmpDesign;
 use oasys_faults::Deadline;
 use oasys_plan::MemoCache;
+use oasys_process::Process;
 use oasys_sim::mismatch::Mismatch;
 use oasys_telemetry::{json, Telemetry};
-use std::sync::Arc;
 
-/// Runs dataset points: spec/tech parsing, cached style search, and
-/// verification under the point's Monte-Carlo mismatch draw.
+/// Runs dataset points: a [`SynthRunner`] answer under the point's
+/// Monte-Carlo mismatch draw.
 pub struct DatasetRunner {
-    search: SearchOptions,
-    verify: bool,
-    cache: Arc<MemoCache>,
+    synth: SynthRunner,
     /// Per local-job mismatch draw (`None` = nominal instance), indexed
     /// by the shard-local job id.
     mismatches: Vec<Option<Mismatch>>,
@@ -41,9 +31,9 @@ impl DatasetRunner {
     #[must_use]
     pub fn new(plan: &DatasetPlan, pending: &[&PointMeta], options: &BatchOptions) -> Self {
         Self {
-            search: options.search().clone(),
-            verify: options.verify(),
-            cache: Arc::new(MemoCache::bounded(crate::batch::DEFAULT_CACHE_ENTRIES)),
+            synth: SynthRunner::new()
+                .with_search(options.search().clone())
+                .with_verify(options.verify()),
             mismatches: pending.iter().map(|p| plan.mismatch_for(p)).collect(),
         }
     }
@@ -51,7 +41,7 @@ impl DatasetRunner {
     /// The shared sub-block design cache (for hit-rate reporting).
     #[must_use]
     pub fn cache(&self) -> &MemoCache {
-        &self.cache
+        self.synth.cache()
     }
 }
 
@@ -62,96 +52,23 @@ impl JobRunner for DatasetRunner {
         tel: &Telemetry,
         deadline: &Deadline,
     ) -> Result<JobSuccess, JobFailure> {
-        let spec = crate::specfile::parse(job.spec_text())
-            .map_err(|e| JobFailure::permanent(format!("spec {}: {e}", job.spec_label())))?;
-        let process = oasys_process::techfile::parse(job.tech_text())
-            .map_err(|e| JobFailure::permanent(format!("tech {}: {e}", job.tech_label())))?;
-        let search = self
-            .search
-            .clone()
-            .with_deadline(deadline.clone())
-            .with_cache_namespace(format!("{:016x}", fingerprint("", job.tech_text())));
-        match synthesize_with_cache(&spec, &process, &search, tel, &self.cache) {
-            Ok(synthesis) => {
-                let styles = synthesis
-                    .outcomes()
-                    .iter()
-                    .map(|outcome| StyleEntry {
-                        style: outcome.style().to_string(),
-                        area_um2: outcome.design().map(|d| d.area().total_um2()),
-                        devices: outcome
-                            .design()
-                            .map(crate::styles::OpAmpDesign::device_count),
-                        notes: outcome
-                            .design()
-                            .map(|d| d.notes().to_vec())
-                            .unwrap_or_default(),
-                        reason: outcome.rejection(),
-                    })
-                    .collect();
-                let design = synthesis.selected();
-                let mut success =
-                    JobSuccess::feasible(design.style().to_string(), design.area().total_um2())
-                        .with_styles(styles);
-                let netlist = oasys_netlist::spice::to_spice(design.circuit(), &process);
-                let mut measured = None;
-                if self.verify {
-                    // The Monte-Carlo draw binds here — and only here.
-                    let mismatch = self
-                        .mismatches
-                        .get(job.id())
-                        .copied()
-                        .flatten()
-                        .unwrap_or_else(Mismatch::disabled);
-                    let verification = oasys_sim::mismatch::scoped(mismatch, || {
-                        verify_with(design, &process, spec.load().farads(), tel)
-                    })
-                    .map_err(|e| JobFailure::permanent(format!("verification failed: {e}")))?;
-                    let sheet = Datasheet::new(
-                        format!("{} × {}", job.spec_label(), job.tech_label()),
-                        &spec,
-                        design.predicted(),
-                        Some(&verification.measured),
-                    );
-                    success = success.with_meets_spec(sheet.all_measured_pass());
-                    measured = Some(verification.measured);
-                }
-                let detail = render_detail(&netlist, design.predicted(), measured.as_ref());
-                Ok(success.with_detail(detail))
-            }
-            Err(e) => {
-                if let Err(exceeded) = deadline.check() {
-                    return Err(JobFailure::timed_out(format!(
-                        "synthesis of {} × {} aborted: {exceeded}",
-                        job.spec_label(),
-                        job.tech_label()
-                    )));
-                }
-                let styles = e
-                    .rejections()
-                    .iter()
-                    .map(|(style, reason)| StyleEntry {
-                        style: style.to_string(),
-                        area_um2: None,
-                        devices: None,
-                        notes: Vec::new(),
-                        reason: Some(reason.clone()),
-                    })
-                    .collect();
-                Ok(JobSuccess::infeasible().with_styles(styles))
-            }
-        }
+        let draw = self
+            .mismatches
+            .get(job.id())
+            .copied()
+            .flatten()
+            .unwrap_or_else(Mismatch::disabled);
+        self.synth
+            .answer(job, tel, deadline, draw, Some(render_detail))
     }
 }
 
 /// Renders the per-record detail payload: the winning design's SPICE
 /// deck and its datasheet (predicted always; measured when verified).
-fn render_detail(
-    netlist: &str,
-    predicted: &crate::datasheet::Predicted,
-    measured: Option<&Measured>,
-) -> String {
-    let mut out = format!("{{\"netlist\":{}", json::string(netlist));
+fn render_detail(design: &OpAmpDesign, process: &Process, measured: Option<&Measured>) -> String {
+    let netlist = oasys_netlist::spice::to_spice(design.circuit(), process);
+    let predicted = design.predicted();
+    let mut out = format!("{{\"netlist\":{}", json::string(&netlist));
     out.push_str(&format!(
         concat!(
             ",\"predicted\":{{\"dc_gain_db\":{},\"unity_gain_hz\":{},",
