@@ -680,14 +680,19 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
             .with_search(search)
             .with_verify(verify),
     );
+    // A failed records write is latched, not ignored: the batch still
+    // finishes, and the command then fails naming the file.
+    let mut records_error: Option<std::io::Error> = None;
     let report = batch_run
         .run(&runner, &tel, |record| {
             let line = record.render_json();
             match &mut records_file {
-                Some(file) => {
-                    let _ = writeln!(file, "{line}");
-                    let _ = file.flush();
+                Some(file) if records_error.is_none() => {
+                    if let Err(error) = writeln!(file, "{line}").and_then(|()| file.flush()) {
+                        records_error = Some(error);
+                    }
                 }
+                Some(_) => {}
                 None => println!("{line}"),
             }
         })
@@ -709,6 +714,9 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     if opts.explain {
         println!("run trace:");
         print!("{}", tel.report().render_explain());
+    }
+    if let (Some(path), Some(error)) = (&opts.records_path, records_error) {
+        return Err(format!("{path}: {error}"));
     }
 
     Ok(if report.all_definitive() {

@@ -41,7 +41,8 @@ pub struct PointMeta {
     /// Derived process name (`<base> @ <corner label>`, or the base
     /// name at the nominal corner).
     pub tech_label: String,
-    /// Corner-derived technology text.
+    /// Corner-derived technology text (the tech file's own text at the
+    /// nominal corner).
     pub tech_text: String,
     /// Monte-Carlo instance index (0 = nominal, no mismatch draws).
     pub mc_index: usize,
@@ -141,11 +142,15 @@ impl DatasetPlan {
                                 label: path.display().to_string(),
                                 detail: format!("corner {corner}: {e}"),
                             })?;
-                        variants.push((
-                            corner,
-                            derived.name().to_owned(),
-                            techfile::write(&derived),
-                        ));
+                        // The nominal corner runs on the file's own
+                        // text: `techfile::write` does not round-trip
+                        // every parameter's last digits.
+                        let derived_text = if corner.is_nominal() {
+                            text.clone()
+                        } else {
+                            techfile::write(&derived)
+                        };
+                        variants.push((corner, derived.name().to_owned(), derived_text));
                     }
                 }
             }

@@ -10,6 +10,7 @@
 
 use crate::batch::{Sampling, SAMPLABLE_SPEC_FIELDS};
 use crate::dataset::DatasetError;
+use crate::integrity::{fnv1a64, mix64};
 
 /// One accepted specification draw: a canonical rendering plus the
 /// parsed field values (for dataset records).
@@ -25,28 +26,10 @@ pub struct SpecSample {
     pub fields: Vec<(String, f64)>,
 }
 
-/// SplitMix64 finalizer.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over a string.
-fn fnv1a(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A uniform draw in `[0, 1)` keyed on `(seed, draw index, field)` —
 /// pure, order-independent.
 fn unit_draw(seed: u64, index: usize, field: &str) -> f64 {
-    let key = mix64(mix64(seed ^ mix64(index as u64)) ^ fnv1a(field));
+    let key = mix64(mix64(seed ^ mix64(index as u64)) ^ fnv1a64(field.as_bytes()));
     ((key >> 11) as f64) / (1u64 << 53) as f64
 }
 

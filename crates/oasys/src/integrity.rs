@@ -17,17 +17,33 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// FNV-1a 64-bit hash — the same offset basis and prime as the batch
-/// manifest fingerprint, kept dependency-free and byte-stable forever
+/// FNV-1a 64-bit hash — the one behind line seals, job fingerprints
+/// and sampled draws, kept dependency-free and byte-stable forever
 /// (sealed files must verify across releases).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over more bytes:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+#[must_use]
+pub(crate) fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// SplitMix64 finalizer: mixes a word so nearby inputs (salts, seeds,
+/// indices) land far apart.
+#[must_use]
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Seals one payload line (no trailing newline) with its checksum
@@ -53,36 +69,47 @@ pub fn open_line(line: &str) -> Option<&str> {
 /// when `fill` succeeds. A crash leaves the old file or the new one,
 /// never a mix; a failed `fill` leaves `path` untouched. On Unix the
 /// directory is fsynced after the rename, so a power loss cannot drop
-/// the new directory entry either.
+/// the new directory entry either. A `path` that exists and is not a
+/// regular file — a symlink, a directory, a socket, a device node — is
+/// refused rather than replaced, and no error leaves the temp file
+/// behind.
 ///
 /// # Errors
 ///
-/// Propagates `fill`'s error and any failure creating, syncing or
-/// renaming the temp file, or syncing its directory.
+/// A destination that is not a regular file; `fill`'s error; any
+/// failure creating, syncing or renaming the temp file, or syncing its
+/// directory.
 pub fn write_atomic(
     path: &Path,
     fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if !meta.file_type().is_file() => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("refusing to replace {}: not a regular file", path.display()),
+            ));
+        }
+        Err(error) if error.kind() != io::ErrorKind::NotFound => return Err(error),
+        _ => {}
+    }
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(format!(".tmp.{}", std::process::id()));
     let tmp = path.with_file_name(name);
-    let written = File::create(&tmp).and_then(|file| {
-        let mut out = BufWriter::new(file);
-        fill(&mut out)?;
-        out.into_inner()
-            .map_err(io::IntoInnerError::into_error)?
-            .sync_all()
-    });
-    match written {
-        Ok(()) => {
-            std::fs::rename(&tmp, path)?;
-            sync_parent_dir(path)
-        }
-        Err(error) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(error)
-        }
+    let written = File::create(&tmp)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            fill(&mut out)?;
+            out.into_inner()
+                .map_err(io::IntoInnerError::into_error)?
+                .sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(error) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(error);
     }
+    sync_parent_dir(path)
 }
 
 /// Fsyncs the directory that holds `path`, making a rename into it
@@ -436,6 +463,65 @@ mod tests {
         assert_eq!(names, ["out.json"]);
         // A bare file name is in the working directory, which syncs too.
         sync_parent_dir(Path::new("out.json")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Asserts `write_atomic` refuses `path`, naming it, and leaves no
+    /// temp file in `dir`.
+    fn assert_refused(dir: &Path, path: &Path) {
+        let err = write_atomic(path, |out| out.write_all(b"new")).unwrap_err();
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
+        let temps: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(temps.is_empty(), "temp files left: {temps:?}");
+    }
+
+    #[test]
+    fn write_atomic_refuses_a_directory() {
+        let dir = crate::dataset::test_dir("write-atomic-dir");
+        let path = dir.join("out");
+        std::fs::create_dir(&path).unwrap();
+        assert_refused(&dir, &path);
+        assert!(path.is_dir());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn write_atomic_refuses_a_symlink_and_keeps_its_target() {
+        let dir = crate::dataset::test_dir("write-atomic-link");
+        let target = dir.join("target.json");
+        std::fs::write(&target, "old").unwrap();
+        let link = dir.join("link.json");
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        assert_refused(&dir, &link);
+        assert!(std::fs::symlink_metadata(&link)
+            .unwrap()
+            .file_type()
+            .is_symlink());
+        assert_eq!(std::fs::read_link(&link).unwrap(), target);
+        assert_eq!(std::fs::read_to_string(&target).unwrap(), "old");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn write_atomic_refuses_a_socket() {
+        use std::os::unix::fs::FileTypeExt as _;
+        let dir = crate::dataset::test_dir("write-atomic-sock");
+        let path = dir.join("s.sock");
+        let _listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        assert_refused(&dir, &path);
+        assert!(std::fs::symlink_metadata(&path)
+            .unwrap()
+            .file_type()
+            .is_socket());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

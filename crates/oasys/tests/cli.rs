@@ -217,3 +217,104 @@ fn serve_refuses_a_socket_path_that_is_a_regular_file() {
     assert_eq!(std::fs::read_to_string(&notes).unwrap(), "not a socket");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A records file that cannot be written fails the command, naming the
+/// path, instead of losing every record silently.
+#[cfg(target_os = "linux")]
+#[test]
+fn batch_fails_when_its_records_cannot_be_written() {
+    let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+        .current_dir(repo_root())
+        .args([
+            "batch",
+            "data/sweep.manifest",
+            "--no-verify",
+            "--records",
+            "/dev/full",
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("oasys: /dev/full: "), "{stderr}");
+}
+
+/// `oasys dataset` over the sweep manifest (nominal corner only) must
+/// answer each of its 9 spec × tech pairs exactly as `oasys batch`
+/// does: a nominal point measures the tech file it was given.
+#[test]
+fn batch_and_dataset_agree_on_the_sweep() {
+    use oasys_telemetry::json::{self, Json};
+
+    let dir = std::env::temp_dir().join(format!("oasys-cli-agree-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let records = dir.join("batch.jsonl");
+    let out = dir.join("ds");
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+            .current_dir(repo_root())
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+    };
+    let manifest = "data/sweep.manifest";
+    run(&[
+        "batch",
+        manifest,
+        "--workers",
+        "1",
+        "--records",
+        records.to_str().unwrap(),
+    ]);
+    run(&[
+        "dataset",
+        manifest,
+        "--workers",
+        "1",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    let batch: Vec<Json> = std::fs::read_to_string(&records)
+        .unwrap()
+        .lines()
+        .map(|line| json::parse(line).unwrap())
+        .collect();
+    let dataset: Vec<Json> = std::fs::read_to_string(out.join("shard-0-of-1.jsonl"))
+        .unwrap()
+        .lines()
+        .map(|line| json::parse(oasys::integrity::open_line(line).unwrap()).unwrap())
+        .collect();
+    assert_eq!((batch.len(), dataset.len()), (9, 9));
+
+    let num = |j: &Json, key: &str| j.get(key).and_then(Json::as_num).unwrap();
+    for b in &batch {
+        let id = num(b, "job");
+        let d = dataset.iter().find(|d| num(d, "id") == id).unwrap();
+        let pair = format!("job {id}");
+        let outcome = b.get("outcome").and_then(Json::as_str).unwrap();
+        assert_eq!(
+            Some(outcome),
+            d.get("outcome").and_then(Json::as_str),
+            "{pair}"
+        );
+        if outcome == "ok" {
+            let ok = d.get("ok").unwrap();
+            for key in ["style", "area_um2", "meets_spec"] {
+                assert_eq!(b.get(key), ok.get(key), "{pair}: {key}");
+            }
+        }
+        // Per-style areas and rejections, in search order.
+        let styles = b.get("styles").and_then(Json::as_arr).unwrap();
+        let trace = d.get("trace").and_then(Json::as_arr).unwrap();
+        assert_eq!(styles.len(), trace.len(), "{pair}");
+        for (s, t) in styles.iter().zip(trace) {
+            assert_eq!(s.get("style"), t.get("style"), "{pair}");
+            assert_eq!(s.get("area_um2"), t.get("area_um2"), "{pair}");
+            assert_eq!(s.get("reason"), t.get("rejected"), "{pair}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
