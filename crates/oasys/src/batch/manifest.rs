@@ -657,9 +657,8 @@ mod tests {
         assert_eq!(base.clone().with_salt(0).fingerprint(), base.fingerprint());
     }
 
-    /// Checkpoints and dataset records store these values, so the hash
-    /// behind them must never change; the expected values were taken
-    /// from the original implementation.
+    /// Checkpoints and dataset records store these values, so they must
+    /// never change.
     #[test]
     fn fingerprint_and_salt_known_answers() {
         let hex = |x: u64| format!("{x:016x}");

@@ -15,9 +15,10 @@
 //!    `oasys_process::corners` derives the corner technologies).
 //! 2. [`plan::DatasetPlan::shard_points`] — `id % shards` partitioning;
 //!    every shard count partitions the *same* plan.
-//! 3. [`generate`] — runs one shard through the batch engine
-//!    ([`runner::DatasetRunner`]) and streams records through the
-//!    crash-safe [`sink::ShardSink`].
+//! 3. [`generate`] — runs one shard through the batch engine, answering
+//!    each point with [`crate::batch::SynthRunner`]'s job answer under
+//!    the point's Monte-Carlo draw ([`runner::DatasetRunner`]), and
+//!    streams records through the crash-safe [`sink::ShardSink`].
 //! 4. [`merge()`] — k-way merges published shards into `dataset.jsonl` +
 //!    `dataset-summary.json`, byte-identical for every shard count.
 //!

@@ -245,9 +245,8 @@ mod tests {
         assert!(err.to_string().contains("bad"), "{err}");
     }
 
-    /// Dataset records and shard fingerprints store these draws, so
-    /// the mixers behind them must never change; the expected values
-    /// were taken from the original implementation.
+    /// Dataset records and plan fingerprints store these values, so
+    /// they must never change.
     #[test]
     fn seed_and_draw_known_answers() {
         let hex = |x: u64| format!("{x:016x}");

@@ -17,8 +17,8 @@
 //! anywhere its seed is known.
 //!
 //! Analyses consult the mismatch through an ambient, thread-scoped
-//! binding ([`scoped`]): the dataset runner wraps one verification run
-//! per Monte-Carlo instance, and every [`bind`] of a device model inside
+//! binding ([`scoped`]): `oasys`'s job answer wraps one verification
+//! run per Monte-Carlo instance, and every [`bind`] of a device model inside
 //! that scope (DC, AC, transient, noise — all model evaluation funnels
 //! through the same three binding sites) applies that instance's draws.
 //! Outside any scope, [`bind`] is exactly [`Mosfet::new`].
