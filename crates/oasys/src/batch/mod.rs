@@ -52,6 +52,7 @@ pub use runner::{
     Batch, BatchCounts, BatchReport, FailureKind, JobFailure, JobRecord, JobRunner, JobStatus,
     JobSuccess, StyleEntry,
 };
+pub(crate) use synth_runner::{AnswerFailure, Detail};
 pub use synth_runner::{SynthRunner, DEFAULT_CACHE_ENTRIES};
 
 use std::time::Duration;

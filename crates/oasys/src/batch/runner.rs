@@ -97,9 +97,9 @@ impl StyleEntry {
 #[derive(Clone, Debug)]
 pub struct JobSuccess {
     selected: Option<(String, f64)>,
-    styles: Vec<StyleEntry>,
-    meets_spec: Option<bool>,
-    detail: Option<String>,
+    pub(crate) styles: Vec<StyleEntry>,
+    pub(crate) meets_spec: Option<bool>,
+    pub(crate) detail: Option<String>,
 }
 
 impl JobSuccess {

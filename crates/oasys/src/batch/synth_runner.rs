@@ -1,13 +1,14 @@
 //! The production [`JobRunner`]: full OASYS synthesis per job, with one
-//! shared, bounded, fingerprint-namespaced [`MemoCache`].
+//! shared, bounded, fingerprint-namespaced [`MemoCache`]. Its `answer`
+//! answers every batch, dataset and `oasys serve` job.
 
 use super::manifest::{fingerprint, Job};
 use super::runner::{JobFailure, JobRunner, JobSuccess, StyleEntry};
 use crate::datasheet::Datasheet;
-use crate::synth::synthesize_with_cache;
-use crate::verify::{verify_with, Measured};
+use crate::synth::{synthesize_with_cache, SynthesisError};
+use crate::verify::{verify_with, Measured, VerifyError};
 use crate::{OpAmpDesign, SearchOptions};
-use oasys_faults::Deadline;
+use oasys_faults::{Deadline, DeadlineExceeded};
 use oasys_plan::MemoCache;
 use oasys_process::Process;
 use oasys_sim::mismatch::Mismatch;
@@ -97,7 +98,9 @@ impl JobRunner for SynthRunner {
         tel: &Telemetry,
         deadline: &Deadline,
     ) -> Result<JobSuccess, JobFailure> {
-        self.answer(job, tel, deadline, Mismatch::disabled(), None)
+        let verify = self.verify.then(Mismatch::disabled);
+        self.answer(job, tel, deadline, verify, None)
+            .map_err(|failure| failure.into_job_failure(job))
     }
 }
 
@@ -106,30 +109,59 @@ impl JobRunner for SynthRunner {
 /// and the measurement when the job verified.
 pub(crate) type Detail = fn(&OpAmpDesign, &Process, Option<&Measured>) -> String;
 
+/// The stage that stopped [`SynthRunner::answer`] short of an answer.
+/// Batch and dataset records word it with [`Self::into_job_failure`];
+/// `oasys serve` maps it onto its wire error kinds.
+pub(crate) enum AnswerFailure {
+    /// The spec text does not parse.
+    Spec(crate::specfile::ParseSpecError),
+    /// The tech text does not parse.
+    Tech(oasys_process::techfile::ParseTechfileError),
+    /// The deadline expired mid-search; its rejections are no verdict.
+    Deadline(DeadlineExceeded, SynthesisError),
+    /// The simulator could not verify the selected design.
+    Verify(VerifyError),
+}
+
+impl AnswerFailure {
+    /// The failure as a batch or dataset record words it.
+    pub(crate) fn into_job_failure(self, job: &Job) -> JobFailure {
+        let (spec, tech) = (job.spec_label(), job.tech_label());
+        match self {
+            Self::Spec(e) => JobFailure::permanent(format!("spec {spec}: {e}")),
+            Self::Tech(e) => JobFailure::permanent(format!("tech {tech}: {e}")),
+            Self::Deadline(exceeded, _) => {
+                JobFailure::timed_out(format!("synthesis of {spec} × {tech} aborted: {exceeded}"))
+            }
+            Self::Verify(e) => JobFailure::permanent(format!("verification failed: {e}")),
+        }
+    }
+}
+
 impl SynthRunner {
-    /// Answers one job: the one place a batch or dataset job is parsed,
-    /// searched, and judged.
+    /// Answers one job: the one place a batch or dataset job, or a
+    /// served request, is parsed, searched, and judged.
     ///
     /// Synthesis always runs on the *nominal* device models — the
     /// paper's design equations size a circuit for the process, not for
-    /// one mismatch draw. `draw` binds only around verification
+    /// one mismatch draw. `verify`, the draw to verify under (`None`
+    /// skips verification), binds only around verification
     /// ([`oasys_sim::mismatch::scoped`]): the simulator sees the
     /// perturbed devices, the plan does not, so the tech-namespaced
-    /// cache stays valid across Monte-Carlo siblings. A batch answers
-    /// with [`Mismatch::disabled`]. `detail`, when given, renders the
+    /// cache stays valid across Monte-Carlo siblings. A batch verifies
+    /// under [`Mismatch::disabled`]. `detail`, when given, renders the
     /// payload a feasible answer carries.
     pub(crate) fn answer(
         &self,
         job: &Job,
         tel: &Telemetry,
         deadline: &Deadline,
-        draw: Mismatch,
+        verify: Option<Mismatch>,
         detail: Option<Detail>,
-    ) -> Result<JobSuccess, JobFailure> {
-        let spec = crate::specfile::parse(job.spec_text())
-            .map_err(|e| JobFailure::permanent(format!("spec {}: {e}", job.spec_label())))?;
-        let process = oasys_process::techfile::parse(job.tech_text())
-            .map_err(|e| JobFailure::permanent(format!("tech {}: {e}", job.tech_label())))?;
+    ) -> Result<JobSuccess, AnswerFailure> {
+        let spec = crate::specfile::parse(job.spec_text()).map_err(AnswerFailure::Spec)?;
+        let process =
+            oasys_process::techfile::parse(job.tech_text()).map_err(AnswerFailure::Tech)?;
         let search = self
             .search
             .clone()
@@ -156,11 +188,11 @@ impl SynthRunner {
                     JobSuccess::feasible(design.style().to_string(), design.area().total_um2())
                         .with_styles(styles);
                 let mut measured = None;
-                if self.verify {
+                if let Some(draw) = verify {
                     let verification = oasys_sim::mismatch::scoped(draw, || {
                         verify_with(design, &process, spec.load().farads(), tel)
                     })
-                    .map_err(|e| JobFailure::permanent(format!("verification failed: {e}")))?;
+                    .map_err(AnswerFailure::Verify)?;
                     let sheet = Datasheet::new(
                         format!("{} × {}", job.spec_label(), job.tech_label()),
                         &spec,
@@ -180,11 +212,7 @@ impl SynthRunner {
                 // are an artifact of the abort, not a verdict on the
                 // spec — report a timeout instead of "infeasible".
                 if let Err(exceeded) = deadline.check() {
-                    return Err(JobFailure::timed_out(format!(
-                        "synthesis of {} × {} aborted: {exceeded}",
-                        job.spec_label(),
-                        job.tech_label()
-                    )));
+                    return Err(AnswerFailure::Deadline(exceeded, e));
                 }
                 let styles = e
                     .rejections()

@@ -20,6 +20,8 @@ use oasys_telemetry::{json, Telemetry};
 /// Monte-Carlo mismatch draw.
 pub struct DatasetRunner {
     synth: SynthRunner,
+    /// Whether each point's design is verified.
+    verify: bool,
     /// Per local-job mismatch draw (`None` = nominal instance), indexed
     /// by the shard-local job id.
     mismatches: Vec<Option<Mismatch>>,
@@ -31,9 +33,8 @@ impl DatasetRunner {
     #[must_use]
     pub fn new(plan: &DatasetPlan, pending: &[&PointMeta], options: &BatchOptions) -> Self {
         Self {
-            synth: SynthRunner::new()
-                .with_search(options.search().clone())
-                .with_verify(options.verify()),
+            synth: SynthRunner::new().with_search(options.search().clone()),
+            verify: options.verify(),
             mismatches: pending.iter().map(|p| plan.mismatch_for(p)).collect(),
         }
     }
@@ -52,14 +53,11 @@ impl JobRunner for DatasetRunner {
         tel: &Telemetry,
         deadline: &Deadline,
     ) -> Result<JobSuccess, JobFailure> {
-        let draw = self
-            .mismatches
-            .get(job.id())
-            .copied()
-            .flatten()
-            .unwrap_or_else(Mismatch::disabled);
+        let draw = self.mismatches.get(job.id()).copied().flatten();
+        let verify = self.verify.then(|| draw.unwrap_or_else(Mismatch::disabled));
         self.synth
-            .answer(job, tel, deadline, draw, Some(render_detail))
+            .answer(job, tel, deadline, verify, Some(render_detail))
+            .map_err(|failure| failure.into_job_failure(job))
     }
 }
 
