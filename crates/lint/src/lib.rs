@@ -8,6 +8,7 @@
 //! humans or as JSON for machine consumption (`oasys lint --format
 //! json`).
 
+use oasys_telemetry::json::string;
 use std::fmt;
 
 /// Stable diagnostic codes. The numeric part never changes meaning;
@@ -348,12 +349,12 @@ impl Report {
             }
             out.push_str(&format!(
                 "{{\"code\":{},\"severity\":{},\"title\":{},\"scope\":{},\"subject\":{},\"message\":{}}}",
-                json_string(d.code.as_str()),
-                json_string(d.severity.as_str()),
-                json_string(d.code.title()),
-                json_string(&d.scope),
-                json_string(&d.subject),
-                json_string(&d.message),
+                string(d.code.as_str()),
+                string(d.severity.as_str()),
+                string(d.code.title()),
+                string(&d.scope),
+                string(&d.subject),
+                string(&d.message),
             ));
         }
         out.push_str("]\n");
@@ -369,8 +370,6 @@ impl Report {
     /// appear in the report, in first-appearance order.
     #[must_use]
     pub fn render_sarif(&self) -> String {
-        use oasys_telemetry::json::string;
-
         let mut rule_ids: Vec<Code> = Vec::new();
         for d in &self.diagnostics {
             if !rule_ids.contains(&d.code) {
@@ -430,25 +429,6 @@ impl FromIterator<Diagnostic> for Report {
             diagnostics: iter.into_iter().collect(),
         }
     }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
