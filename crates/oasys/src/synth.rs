@@ -237,12 +237,20 @@ impl SynthesisError {
 
 impl fmt::Display for SynthesisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "no design style meets the specification:")?;
-        for (style, reason) in &self.rejections {
-            write!(f, " [{style}: {reason}]")?;
-        }
-        Ok(())
+        f.write_str(&no_style_fits(self.rejections.iter().map(|(s, r)| (s, r))))
     }
+}
+
+/// Words a search in which every style was rejected: each style with
+/// its reason. `oasys serve` words an infeasible answer the same way.
+pub(crate) fn no_style_fits(
+    rejections: impl IntoIterator<Item = (impl fmt::Display, impl fmt::Display)>,
+) -> String {
+    let mut out = "no design style meets the specification:".to_owned();
+    for (style, reason) in rejections {
+        out.push_str(&format!(" [{style}: {reason}]"));
+    }
+    out
 }
 
 impl Error for SynthesisError {}
