@@ -188,7 +188,7 @@ fn main() {
     }
 
     // Overload-shed latency: the client-observed round trip of a `busy`
-    // frame from a saturated server — the in-flight slot held by one
+    // frame from a saturated server — the one handler held by one
     // stalled connection, the one-deep queue filled by another — so the
     // cost of being turned away under overload stays visible
     // (summary::REQUIRED_ROWS keeps the row in the report).
@@ -199,7 +199,6 @@ fn main() {
         let server = Server::bind(
             ServeOptions::new(&socket)
                 .with_workers(1)
-                .with_max_inflight(1)
                 .with_queue_depth(1)
                 .with_cache_entries(16)
                 // Far past the bench window: the saturating connections
@@ -210,7 +209,7 @@ fn main() {
         let shutdown = server.shutdown_flag();
         let runner = std::thread::spawn(move || server.run().expect("bench server drains"));
         // Saturate in two steps so the first connection is dispatched
-        // (holding the only in-flight slot) before the second arrives
+        // (holding the only handler) before the second arrives
         // to fill the queue; from then on every connect is shed.
         let hold_inflight =
             std::os::unix::net::UnixStream::connect(&socket).expect("saturating connect");

@@ -48,6 +48,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome, CHECKPOINT_
 pub use manifest::{
     fingerprint, Job, Manifest, ManifestError, ManifestSettings, Sampling, SAMPLABLE_SPEC_FIELDS,
 };
+pub(crate) use runner::panic_text;
 pub use runner::{
     Batch, BatchCounts, BatchReport, FailureKind, JobFailure, JobRecord, JobRunner, JobStatus,
     JobSuccess, StyleEntry,

@@ -1159,17 +1159,17 @@ fn run_attempt<R: JobRunner>(
     let recording = tel.into_recording();
     match payload {
         Ok(result) => AttemptOutcome::Done(result, recording),
-        Err(payload) => AttemptOutcome::Panicked(panic_message(payload), recording),
+        Err(payload) => {
+            let message = panic_text(payload.as_ref()).unwrap_or("panic with a non-string payload");
+            AttemptOutcome::Panicked(message.to_owned(), recording)
+        }
     }
 }
 
-/// Extracts a printable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with a non-string payload".to_owned()
-    }
+/// The text a panic was raised with, when its payload is a string.
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
 }

@@ -12,8 +12,8 @@
 //! oasys dataset <manifest> --out <dir> [--shards <n>] [--shard-index <i>]
 //!       [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify]
 //! oasys dataset merge <dir>
-//! oasys serve --socket <path> [--workers <n>] [--max-inflight <n>]
-//!       [--cache-entries <n>] [--timeout-ms <n>]
+//! oasys serve --socket <path> [--workers <n>] [--queue-depth <n>]
+//!       [--io-timeout-ms <n>] [--cache-entries <n>] [--timeout-ms <n>]
 //! oasys client --socket <path> <spec-file> <tech-file> [--timeout-ms <n>]
 //! oasys client --socket <path> --ping|--shutdown
 //! ```
@@ -61,12 +61,13 @@
 //!
 //! The `serve` form starts a resident synthesis server on a Unix domain
 //! socket (see [`oasys::serve`] for the wire protocol): requests reuse
-//! one warm, bounded design cache across their lifetime, admission is
-//! bounded by `--max-inflight`, and SIGTERM (or a `shutdown` request)
-//! drains in-flight work before exiting. The `client` form sends one
-//! request — a spec × tech synthesis, `--ping`, or `--shutdown` — and
-//! prints the server's JSON response; the exit code is nonzero unless
-//! the server answered `ok`.
+//! one warm, bounded design cache across their lifetime, `--workers`
+//! handler threads answer at most that many connections at once while
+//! the rest wait in a `--queue-depth` admission queue, and SIGTERM (or
+//! a `shutdown` request) drains in-flight work before exiting. The
+//! `client` form sends one request — a spec × tech synthesis, `--ping`,
+//! or `--shutdown` — and prints the server's JSON response; the exit
+//! code is nonzero unless the server answered `ok`.
 
 use oasys::{
     batch, specfile, styles, synthesize_with, synthesize_with_options, verify_with, Datasheet,
@@ -82,7 +83,7 @@ const LINT_USAGE: &str =
     "usage: oasys lint [<spec-file> <tech-file>] [--deny-warnings] [--format human|json|sarif]";
 const BATCH_USAGE: &str = "usage: oasys batch <manifest> [--records <file.jsonl>] [--aggregate <file.json>] [--checkpoint <file>] [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify] [--styles <list>] [--explain] [--faults <list>]";
 const DATASET_USAGE: &str = "usage: oasys dataset <manifest> --out <dir> [--shards <n>] [--shard-index <i>] [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify] [--faults <list>]\n       oasys dataset merge <dir>";
-const SERVE_USAGE: &str = "usage: oasys serve --socket <path> [--workers <n>] [--max-inflight <n>] [--queue-depth <n>] [--io-timeout-ms <n>] [--cache-entries <n>] [--timeout-ms <n>] [--faults <list>]";
+const SERVE_USAGE: &str = "usage: oasys serve --socket <path> [--workers <n>] [--queue-depth <n>] [--io-timeout-ms <n>] [--cache-entries <n>] [--timeout-ms <n>] [--faults <list>]";
 const CLIENT_USAGE: &str = "usage: oasys client --socket <path> <spec-file> <tech-file> [--timeout-ms <n>] [--retries <n>] [--retry-seed <n>]\n       oasys client --socket <path> --ping|--health|--shutdown [--retries <n>] [--retry-seed <n>]";
 
 fn main() -> ExitCode {
@@ -849,7 +850,6 @@ fn run_dataset(
 struct ServeCliOptions {
     socket: String,
     workers: Option<usize>,
-    max_inflight: Option<usize>,
     queue_depth: Option<usize>,
     io_timeout_ms: Option<u64>,
     cache_entries: Option<usize>,
@@ -863,7 +863,6 @@ impl ServeCliOptions {
         let mut opts = ServeCliOptions {
             socket: String::new(),
             workers: None,
-            max_inflight: None,
             queue_depth: None,
             io_timeout_ms: None,
             cache_entries: None,
@@ -876,9 +875,6 @@ impl ServeCliOptions {
                     socket = Some(args.next().ok_or("--socket needs a path")?);
                 }
                 "--workers" => opts.workers = Some(number(&mut args, &flag, "a count", true)?),
-                "--max-inflight" => {
-                    opts.max_inflight = Some(number(&mut args, &flag, "a count", true)?);
-                }
                 "--queue-depth" => {
                     opts.queue_depth = Some(number(&mut args, &flag, "a count", true)?);
                 }
@@ -907,9 +903,6 @@ impl ServeCliOptions {
         if let Some(workers) = self.workers {
             options = options.with_workers(workers);
         }
-        if let Some(max_inflight) = self.max_inflight {
-            options = options.with_max_inflight(max_inflight);
-        }
         if let Some(depth) = self.queue_depth {
             options = options.with_queue_depth(depth);
         }
@@ -934,10 +927,9 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), String> {
     let server = oasys::serve::Server::bind(opts.serve_options())
         .map_err(|e| format!("{}: {e}", opts.socket))?;
     eprintln!(
-        "serve: listening on {} ({} workers, {} in-flight max)",
+        "serve: listening on {} ({} workers)",
         opts.socket,
-        server.options().workers(),
-        server.options().max_inflight()
+        server.options().workers()
     );
     let report = server.run().map_err(|e| format!("{}: {e}", opts.socket))?;
     eprintln!(
@@ -991,7 +983,7 @@ impl ClientCliOptions {
                     socket = Some(args.next().ok_or("--socket needs a path")?);
                 }
                 "--timeout-ms" => {
-                    opts.timeout_ms = Some(number(&mut args, &arg, "a value", false)?);
+                    opts.timeout_ms = Some(number(&mut args, &arg, TIMEOUT_VALUE, false)?);
                 }
                 "--retries" => opts.retries = number(&mut args, &arg, "a count", false)?,
                 "--retry-seed" => opts.retry_seed = number(&mut args, &arg, "a value", false)?,
@@ -1539,12 +1531,6 @@ mod tests {
             ("serve", "--workers", "--workers needs a count", true),
             (
                 "serve",
-                "--max-inflight",
-                "--max-inflight needs a count",
-                true,
-            ),
-            (
-                "serve",
                 "--queue-depth",
                 "--queue-depth needs a count",
                 true,
@@ -1570,7 +1556,7 @@ mod tests {
             (
                 "client",
                 "--timeout-ms",
-                "--timeout-ms needs a value",
+                "--timeout-ms needs a value (0 disables)",
                 false,
             ),
             ("client", "--retries", "--retries needs a count", false),
@@ -1637,14 +1623,12 @@ mod tests {
         let opts = ServeCliOptions::parse(argv(&["--socket", "/tmp/oasys.sock"])).unwrap();
         assert_eq!(opts.socket, "/tmp/oasys.sock");
         assert_eq!(opts.workers, None);
-        assert_eq!(opts.max_inflight, None);
         assert_eq!(opts.queue_depth, None);
         assert_eq!(opts.io_timeout_ms, None);
         assert_eq!(opts.cache_entries, None);
         assert_eq!(opts.timeout_ms, None);
         let options = opts.serve_options();
         assert_eq!(options.workers(), oasys::serve::DEFAULT_WORKERS);
-        assert_eq!(options.max_inflight(), oasys::serve::DEFAULT_MAX_INFLIGHT);
         assert_eq!(options.queue_depth(), oasys::serve::DEFAULT_QUEUE_DEPTH);
         assert_eq!(options.io_timeout(), oasys::serve::DEFAULT_IO_TIMEOUT);
         assert_eq!(options.cache_entries(), batch::DEFAULT_CACHE_ENTRIES);
@@ -1667,8 +1651,6 @@ mod tests {
             "srv.sock",
             "--workers",
             "3",
-            "--max-inflight",
-            "5",
             "--queue-depth",
             "9",
             "--io-timeout-ms",
@@ -1680,14 +1662,12 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(opts.workers, Some(3));
-        assert_eq!(opts.max_inflight, Some(5));
         assert_eq!(opts.queue_depth, Some(9));
         assert_eq!(opts.io_timeout_ms, Some(750));
         assert_eq!(opts.cache_entries, Some(128));
         assert_eq!(opts.timeout_ms, Some(2500));
         let options = opts.serve_options();
         assert_eq!(options.workers(), 3);
-        assert_eq!(options.max_inflight(), 5);
         assert_eq!(options.queue_depth(), 9);
         assert_eq!(options.io_timeout(), std::time::Duration::from_millis(750));
         assert_eq!(options.cache_entries(), 128);
@@ -1709,12 +1689,6 @@ mod tests {
     fn serve_rejects_bad_numbers_and_unknown_flags() {
         let err = ServeCliOptions::parse(argv(&["--socket", "s", "--workers", "0"])).unwrap_err();
         assert!(err.contains("--workers needs a positive integer"), "{err}");
-        let err =
-            ServeCliOptions::parse(argv(&["--socket", "s", "--max-inflight", "lots"])).unwrap_err();
-        assert!(
-            err.contains("--max-inflight needs a positive integer"),
-            "{err}"
-        );
         let err =
             ServeCliOptions::parse(argv(&["--socket", "s", "--cache-entries", "0"])).unwrap_err();
         assert!(

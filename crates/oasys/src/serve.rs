@@ -30,7 +30,10 @@
 //! Ops: `synth` (design the spec on the tech), `ping` (liveness probe),
 //! `health` (overload/supervision stats), `shutdown` (request a
 //! graceful drain). Unknown protos and ops are rejected with a
-//! structured error so the schema can grow.
+//! structured error so the schema can grow. A `synth` request's
+//! optional `timeout_ms` is its deadline in milliseconds, and `0`
+//! means no deadline; without the field the server's default
+//! ([`ServeOptions::with_timeout`]) applies.
 //!
 //! Responses are JSON objects keyed by `status`:
 //!
@@ -55,16 +58,17 @@
 //! Admitted connections carry socket read/write deadlines
 //! ([`ServeOptions::with_io_timeout`]): a client that connects and then
 //! stalls is **evicted** when the deadline fires, so a slow peer can
-//! hold an in-flight slot for at most one I/O timeout, never forever.
-//! Behind admission sits a bounded queue ([`ServeOptions::with_queue_depth`]);
-//! connections are shed with a `busy` frame when the queue overflows or
-//! when they have waited longer than the I/O deadline (their own socket
-//! deadline would expire mid-service anyway). Sustained congestion —
-//! the queue at or above half its depth, or any shed — trips
-//! **brownout**: synthesis keeps answering but skips simulator
-//! verification and marks responses `"degraded":true`. A request reads
-//! the brownout state when it starts. Brownout exits after the queue
-//! drains and stays empty for the cooldown.
+//! hold a handler for at most one I/O timeout, never forever.
+//! Connections wait for a free handler in one bounded queue
+//! ([`ServeOptions::with_queue_depth`]). They are shed with a `busy`
+//! frame when the queue overflows or when they have waited longer than
+//! the I/O deadline (their own socket deadline would expire mid-service
+//! anyway). Sustained congestion — the queue at or above half its
+//! depth, or any shed — trips **brownout**: synthesis keeps answering
+//! but skips simulator verification and marks responses
+//! `"degraded":true`. A request reads the brownout state when it
+//! starts. Brownout exits after the queue drains and stays empty for
+//! the cooldown.
 //!
 //! # Concurrency and drain
 //!
@@ -75,20 +79,24 @@
 //! handler frees its in-flight slot, so neither waits on a timer. A
 //! handler frees its slot and wakes the dispatcher once its answer is
 //! ready, before writing it: a client's next request must never find
-//! its previous one still holding the slot. So besides the in-flight
-//! bound, at most one answer per handler is being written. What no
-//! event announces is re-checked whenever the channel stays quiet for
-//! 10 ms: the shutdown flag (set by [`Server::shutdown_flag`] or by
-//! SIGTERM via [`install_sigterm_drain`]), queued connections past the
-//! I/O deadline, and the brownout cooldown. The `shutdown` op needs no
+//! its previous one still holding the slot. So besides the `workers`
+//! connections being answered, at most one answer per handler is being
+//! written. What no event announces is re-checked whenever the channel
+//! stays quiet for 10 ms: the shutdown flag (set by
+//! [`Server::shutdown_flag`] or by SIGTERM via
+//! [`install_sigterm_drain`]), queued connections past the I/O
+//! deadline, and the brownout cooldown. The `shutdown` op needs no
 //! timer: its handler's freed slot wakes the dispatcher.
 //!
 //! Requests are answered on `workers` **handler threads** of their own
 //! (at least one), so they never starve the dispatcher. `run` spawns
-//! them in a [`std::thread::scope`], and the dispatcher hands each
-//! admitted connection to them over a second channel, whose receiver
-//! they share. A panic that escapes a handler's loop restarts the loop
-//! on the same thread after a capped backoff, and the `health` op
+//! them in a [`std::thread::scope`], and the dispatcher hands a
+//! connection to them over a second channel, whose receiver they share,
+//! only while fewer than `workers` are being answered. The handler
+//! count is thus the in-flight bound: a connection that waits, waits in
+//! the admission queue, where shedding, brownout and the `health` op's
+//! `queued` see it. A panic that escapes a handler's loop restarts the
+//! loop on the same thread after a capped backoff, and the `health` op
 //! counts it in `workers_replaced`.
 //!
 //! On shutdown the dispatcher raises a stop flag and connects once to
@@ -106,7 +114,7 @@
 //! into a structured error response on its own connection while the
 //! server keeps serving.
 
-use crate::batch::{AnswerFailure, Detail, Job, SynthRunner};
+use crate::batch::{panic_text, AnswerFailure, Detail, Job, SynthRunner};
 use crate::synth::no_style_fits;
 use oasys_faults::{fail_point, Deadline};
 use oasys_netlist::spice::to_spice;
@@ -132,12 +140,11 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 /// KiB, so 4 MiB is pure headroom — and the cap bounds what a lying
 /// length prefix can make the server read.
 pub const MAX_REQUEST_BYTES: u32 = 4 * 1024 * 1024;
-/// Default number of handler threads.
+/// Default number of handler threads, which is also the admission
+/// bound: connections answered concurrently.
 pub const DEFAULT_WORKERS: usize = 2;
-/// Default admission bound: connections served concurrently.
-pub const DEFAULT_MAX_INFLIGHT: usize = 8;
-/// Default bounded admission-queue depth (connections waiting for an
-/// in-flight slot before new arrivals are shed).
+/// Default bounded admission-queue depth (connections waiting for a
+/// free handler before new arrivals are shed).
 pub const DEFAULT_QUEUE_DEPTH: usize = 16;
 /// Default socket read/write deadline for admitted connections.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(2);
@@ -163,7 +170,6 @@ const RESTART_BACKOFF_CAP: Duration = Duration::from_millis(250);
 pub struct ServeOptions {
     socket: PathBuf,
     workers: usize,
-    max_inflight: usize,
     queue_depth: usize,
     cache_entries: usize,
     timeout: Option<Duration>,
@@ -173,13 +179,12 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Options serving on `socket` with the default number of handler
-    /// threads, admission bound, queue depth, cache capacity and I/O
-    /// deadline, and no default per-request deadline.
+    /// threads, queue depth, cache capacity and I/O deadline, and no
+    /// default per-request deadline.
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         Self {
             socket: socket.into(),
             workers: DEFAULT_WORKERS,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             cache_entries: crate::batch::DEFAULT_CACHE_ENTRIES,
             timeout: None,
@@ -188,17 +193,11 @@ impl ServeOptions {
         }
     }
 
-    /// Sets the number of handler threads (clamped to at least 1).
+    /// Sets the number of handler threads (clamped to at least 1), and
+    /// with it the number of connections answered at once.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the admission bound (clamped to at least 1).
-    #[must_use]
-    pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
-        self.max_inflight = max_inflight.max(1);
         self
     }
 
@@ -250,12 +249,6 @@ impl ServeOptions {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Admission bound.
-    #[must_use]
-    pub fn max_inflight(&self) -> usize {
-        self.max_inflight
     }
 
     /// Admission-queue depth.
@@ -452,11 +445,11 @@ impl Server {
                     congested = true;
                     shed(stream, "queued past the I/O deadline", &stats);
                 }
-                // Dispatch while in-flight slots are free. The send
-                // cannot fail: the receiver outlives the scope.
-                while !queue.is_empty()
-                    && stats.inflight.load(Ordering::SeqCst) < options.max_inflight
-                {
+                // Hand over only while a handler is free, so every
+                // waiting connection waits here, in the one bounded
+                // queue. The send cannot fail: the receiver outlives
+                // the scope.
+                while !queue.is_empty() && stats.inflight.load(Ordering::SeqCst) < options.workers {
                     let (stream, _) = queue.pop_front().expect("queue is non-empty");
                     stats.inflight.fetch_add(1, Ordering::SeqCst);
                     let _ = handoff.send(stream);
@@ -676,10 +669,13 @@ fn handle_connection(mut stream: UnixStream, ctx: &RequestContext) {
     let outcome = catch_unwind(AssertUnwindSafe(|| process_request(&mut stream, ctx)));
     let (response, served) = match outcome {
         Ok(pair) => pair,
-        Err(payload) => (
-            error_response("panic", &panic_message(payload.as_ref())),
-            true,
-        ),
+        Err(payload) => {
+            let message = match panic_text(payload.as_ref()) {
+                Some(text) => format!("request handler panicked: {text}"),
+                None => "request handler panicked".to_owned(),
+            };
+            (error_response("panic", &message), true)
+        }
     };
     if served {
         ctx.stats.served.fetch_add(1, Ordering::Relaxed);
@@ -798,8 +794,9 @@ fn field<'a>(request: &'a Json, key: &str) -> Result<&'a str, Rejection> {
 
 fn synth(request: &Json, ctx: &RequestContext) -> Result<String, Rejection> {
     let job = Job::from_texts(0, "", field(request, "spec")?, "", field(request, "tech")?);
+    // `timeout_ms: 0` means no deadline, as `--timeout-ms 0` does.
     let timeout = match request.get("timeout_ms").map(Json::as_num) {
-        Some(Some(ms)) if ms >= 0.0 => Some(Duration::from_millis(ms as u64)),
+        Some(Some(ms)) if ms >= 0.0 => (ms > 0.0).then(|| Duration::from_millis(ms as u64)),
         Some(Some(_)) => return Err(Rejection::new("protocol", "timeout_ms must be >= 0")),
         Some(None) => return Err(Rejection::new("protocol", "timeout_ms must be a number")),
         None => ctx.options.timeout(),
@@ -908,16 +905,6 @@ fn error_response(kind: &str, message: &str) -> String {
         json::string(kind),
         json::string(message)
     )
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("request handler panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("request handler panicked: {s}")
-    } else {
-        "request handler panicked".to_owned()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1168,7 +1155,6 @@ mod tests {
         let server = Server::bind(
             ServeOptions::new(&socket)
                 .with_workers(1)
-                .with_max_inflight(2)
                 .with_cache_entries(64),
         )
         .unwrap();

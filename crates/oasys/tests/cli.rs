@@ -218,6 +218,57 @@ fn serve_refuses_a_socket_path_that_is_a_regular_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `oasys client --timeout-ms 0` sends `"timeout_ms":0`, which a
+/// server reads as no deadline, as `--timeout-ms 0` means for every
+/// other mode.
+#[test]
+fn client_timeout_zero_means_no_deadline() {
+    /// Kills the server if the test fails before it drains.
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("oasys-cli-timeout-0-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("s.sock");
+    let socket = socket.to_str().unwrap();
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_oasys"))
+            .args(["serve", "--socket", socket, "--workers", "1"])
+            .spawn()
+            .expect("binary runs"),
+    );
+    let started = std::time::Instant::now();
+    while !std::path::Path::new(socket).exists() {
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let client = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_oasys"))
+            .current_dir(repo_root())
+            .args(["client", "--socket", socket])
+            .args(args)
+            .output()
+            .expect("binary runs")
+    };
+    let output = client(&[
+        "--timeout-ms",
+        "0",
+        "data/spec-a.txt",
+        "data/generic-5um.tech",
+    ]);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stdout}");
+    assert!(stdout.starts_with("{\"status\":\"ok\""), "{stdout}");
+    assert!(client(&["--shutdown"]).status.success());
+    assert!(server.0.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A records file that cannot be written fails the command, naming the
 /// path, instead of losing every record silently.
 #[cfg(target_os = "linux")]

@@ -4,11 +4,13 @@
 //! on that connection — while the server keeps serving; stalled peers
 //! must be evicted by the socket I/O deadline; sustained overload must
 //! trip brownout (degraded, unverified synthesis) and recover; a
-//! panicking handler worker must be replaced; a `busy` answer written
-//! before the request must still reach the client; an idle server must
-//! answer without waiting on a timer; and a drained server must answer
-//! every connection its handlers were given, leave no thread behind, and
-//! finish even when every handler loop panics.
+//! connection that finds every handler busy must wait in the bounded
+//! admission queue, where overload sheds it; a panicking handler worker
+//! must be replaced; a `busy` answer written before the request must
+//! still reach the client; an idle server must answer without waiting
+//! on a timer; and a drained server must answer every connection its
+//! handlers were given, leave no thread behind, and finish even when
+//! every handler loop panics.
 //!
 //! The fault registry is process-global, so every test holds
 //! `FAULT_LOCK` and clears the registry on exit via [`FaultGuard`].
@@ -56,7 +58,6 @@ fn start_server(socket: &Path) -> JoinHandle<oasys::serve::ServeReport> {
     start_server_with(
         ServeOptions::new(socket)
             .with_workers(1)
-            .with_max_inflight(2)
             .with_cache_entries(64),
     )
 }
@@ -99,7 +100,14 @@ fn panicking_request_fails_alone_and_the_server_keeps_serving() {
     // First request panics inside the handler's read path…
     oasys_faults::set("serve.request.read", FaultSpec::Panic);
     let hit = ask(&socket, &op_request("ping"));
-    assert_eq!(status(&hit), ("error", Some("panic")));
+    assert_eq!(
+        error_of(&hit),
+        (
+            "error",
+            "panic",
+            "request handler panicked: injected panic at serve.request.read"
+        )
+    );
 
     // …and the dispatcher never noticed: the next requests — a ping
     // and a full synthesis — are served normally.
@@ -299,14 +307,13 @@ fn stalled_client_is_evicted_by_the_io_deadline_and_the_slot_is_reclaimed() {
     let server = start_server_with(
         ServeOptions::new(&socket)
             .with_workers(1)
-            .with_max_inflight(1)
             .with_cache_entries(64)
             .with_io_timeout(Duration::from_millis(150)),
     );
 
     // A slow-loris client: connects, then sleeps far past the server's
     // I/O deadline before sending its request. The server must evict
-    // it rather than let it hold the only in-flight slot forever. The
+    // it rather than let it hold the only handler forever. The
     // eviction's error frame lands before the stalled write, and the
     // client still reads it.
     oasys_faults::set("serve.client.stall", FaultSpec::Delay(600));
@@ -359,12 +366,11 @@ fn panicked_handler_worker_is_replaced_and_health_reports_it() {
 fn sustained_overload_trips_brownout_and_synthesis_degrades() {
     let _faults = FaultGuard::acquire();
     let socket = socket_path("brownout");
-    // One in-flight slot, a two-deep queue, and a cooldown far longer
-    // than the test: once brownout is entered it stays observable.
+    // One handler, a two-deep queue, and a cooldown far longer than the
+    // test: once brownout is entered it stays observable.
     let server = start_server_with(
         ServeOptions::new(&socket)
-            .with_workers(2)
-            .with_max_inflight(1)
+            .with_workers(1)
             .with_queue_depth(2)
             .with_cache_entries(64)
             .with_brownout_cooldown(Duration::from_secs(60)),
@@ -374,7 +380,7 @@ fn sustained_overload_trips_brownout_and_synthesis_degrades() {
     assert_eq!(status(&pong).0, "ok");
 
     // Every request's ingress stalls 400 ms, so concurrent pings pile
-    // up behind the single in-flight slot and congest the queue.
+    // up behind the single handler and congest the queue.
     oasys_faults::set("serve.request.read", FaultSpec::Delay(400));
     let clients: Vec<_> = (0..4)
         .map(|_| {
@@ -413,14 +419,54 @@ fn sustained_overload_trips_brownout_and_synthesis_degrades() {
     assert!(report.degraded >= 1, "{report:?}");
 }
 
+/// A connection that finds the one handler busy waits in the bounded
+/// admission queue, never in the handlers' channel, so overload sheds
+/// it and trips brownout.
+#[test]
+fn connections_beyond_the_handlers_wait_in_the_admission_queue() {
+    let _faults = FaultGuard::acquire();
+    let socket = socket_path("one-queue");
+    let server = start_server_with(
+        ServeOptions::new(&socket)
+            .with_workers(1)
+            .with_queue_depth(2)
+            .with_cache_entries(16)
+            .with_brownout_cooldown(Duration::from_secs(60)),
+    );
+    let pong = ask(&socket, &op_request("ping"));
+    assert_eq!(status(&pong).0, "ok");
+
+    // The handler reads each ping 300 ms late: one ping is answered,
+    // two fill the queue, and the fourth finds it full.
+    oasys_faults::set("serve.request.read", FaultSpec::Delay(300));
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let socket = socket.clone();
+            std::thread::spawn(move || ask(&socket, &op_request("ping")))
+        })
+        .collect();
+    let answers: Vec<String> = clients
+        .into_iter()
+        .map(|client| status(&client.join().unwrap()).0.to_owned())
+        .collect();
+    oasys_faults::remove("serve.request.read");
+    let count = |want: &str| answers.iter().filter(|answer| *answer == want).count();
+    assert!(count("busy") >= 1, "nothing was shed: {answers:?}");
+    assert_eq!(count("busy") + count("ok"), 4, "{answers:?}");
+
+    let drain = ask(&socket, &op_request("shutdown"));
+    assert_eq!(status(&drain).0, "ok");
+    let report = server.join().unwrap();
+    assert!(report.brownout_entries >= 1, "{report:?}");
+}
+
 #[test]
 fn brownout_exits_after_the_queue_drains_and_the_cooldown_elapses() {
     let _faults = FaultGuard::acquire();
     let socket = socket_path("brownout-exit");
     let server = start_server_with(
         ServeOptions::new(&socket)
-            .with_workers(2)
-            .with_max_inflight(1)
+            .with_workers(1)
             .with_queue_depth(2)
             .with_cache_entries(64)
             .with_brownout_cooldown(Duration::from_millis(100)),
@@ -467,7 +513,6 @@ fn busy_answer_that_arrives_before_the_request_still_reaches_the_client() {
     let server = Server::bind(
         ServeOptions::new(&socket)
             .with_workers(1)
-            .with_max_inflight(1)
             .with_queue_depth(1)
             .with_cache_entries(16)
             .with_io_timeout(Duration::from_secs(30)),
@@ -476,7 +521,7 @@ fn busy_answer_that_arrives_before_the_request_still_reaches_the_client() {
     let shutdown = server.shutdown_flag();
     let runner = std::thread::spawn(move || server.run().unwrap());
     // Saturate as the shed-latency bench does: one silent connection
-    // holds the only in-flight slot, a second fills the one-deep queue.
+    // holds the only handler, a second fills the one-deep queue.
     let hold_inflight = std::os::unix::net::UnixStream::connect(&socket).unwrap();
     let hold_queue = std::os::unix::net::UnixStream::connect(&socket).unwrap();
 
@@ -664,8 +709,7 @@ fn drain_answers_every_connection_already_handed_to_a_handler() {
     let socket = socket_path("drain-handed");
     let server = Server::bind(
         ServeOptions::new(&socket)
-            .with_workers(1)
-            .with_max_inflight(3)
+            .with_workers(3)
             .with_cache_entries(16),
     )
     .unwrap();
@@ -674,9 +718,8 @@ fn drain_answers_every_connection_already_handed_to_a_handler() {
     let pong = ask(&socket, &op_request("ping"));
     assert_eq!(status(&pong).0, "ok");
 
-    // Every request's ingress stalls 200 ms, so the one handler is
-    // still reading the first ping when the flag is raised, while the
-    // other two wait, already admitted, for it to take them.
+    // Every request's ingress stalls 200 ms, so each of the three
+    // handlers is still reading its ping when the flag is raised.
     oasys_faults::set("serve.request.read", FaultSpec::Delay(200));
     let clients: Vec<_> = (0..3)
         .map(|_| {

@@ -251,19 +251,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b't') => out.push('\t'),
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| err(*pos, "bad \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
-                        // Surrogates fall back to the replacement char;
-                        // the exporters never emit them.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(parse_unicode_escape(bytes, pos)?),
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
@@ -281,6 +269,32 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
             }
         }
     }
+}
+
+/// Decodes the `\u` escape whose `u` is at `pos`, leaving `pos` on its
+/// last hex digit. A character outside the BMP arrives as an escaped
+/// UTF-16 high surrogate followed by an escaped low one; a surrogate
+/// without its partner is not a character and is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, ParseError> {
+    let unit = |at: usize| hex4(bytes, at).ok_or_else(|| err(at, "bad \\u escape"));
+    let mut code = unit(*pos + 1)?;
+    *pos += 4;
+    if (0xD800..0xDC00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+        let low = unit(*pos + 3)?;
+        if (0xDC00..0xE000).contains(&low) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            *pos += 6;
+        }
+    }
+    char::from_u32(code).ok_or_else(|| err(*pos, "unpaired surrogate in \\u escape"))
+}
+
+/// The value of the four hex digits at `at`, if four are there.
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    let digits = bytes.get(at..at + 4)?;
+    digits
+        .iter()
+        .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
 }
 
 fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
@@ -396,6 +410,42 @@ mod tests {
             Some(text.as_str())
         );
         assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        // How encoders such as Python's `json.dumps` send U+1F600.
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap(),
+            Json::Str("\u{1f600}".to_owned())
+        );
+        assert_eq!(
+            parse(r#""a\uD83D\uDE00b\u00e9""#).unwrap(),
+            Json::Str("a\u{1f600}b\u{e9}".to_owned())
+        );
+    }
+
+    #[test]
+    fn unpaired_surrogates_are_errors() {
+        for doc in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(err.message, "unpaired surrogate in \\u escape", "{doc}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for doc in [r#""\u+041""#, r#""\u004""#, r#""\u00 41""#, r#""\u""#] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(err.message, "bad \\u escape", "{doc}");
+        }
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Json::Str("A".to_owned()));
     }
 
     #[test]

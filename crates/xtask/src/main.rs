@@ -25,7 +25,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask <command>\n\n\
                  commands:\n  \
-                 check          fmt --check, workspace clippy -D warnings, tier-1 build+test,\n                 \
+                 check          fmt --check, workspace clippy -D warnings, release build,\n                 \
+                 every workspace crate's tests,\n                 \
                  the panic-freedom gate over the core crates,\n                 \
                  `oasys lint --deny-warnings` over the example specs,\n                 \
                  the static-analysis gate over the builtin plans,\n                 \
@@ -79,7 +80,7 @@ fn check() -> ExitCode {
             ],
         ),
         ("build", &["build", "--release"]),
-        ("test", &["test", "-q"]),
+        ("test", &["test", "-q", "--workspace"]),
     ];
     for (name, cargo_args) in gates {
         if !run("cargo", cargo_args) {
@@ -658,7 +659,7 @@ fn smoke_serve() -> ExitCode {
 ///    `serve.worker.panic=fail_once` loses a handler at the top of its
 ///    first loop; the handler restarts, `--health` reports
 ///    `workers_replaced >= 1`, and traffic flows.
-/// 3. **Brownout leg** — with one in-flight slot, a two-deep queue,
+/// 3. **Brownout leg** — with one handler, a two-deep queue,
 ///    and stalled ingress, concurrent clients (retrying with seeded
 ///    backoff) congest the queue; `--health` must show a brownout
 ///    entry, then a brownout exit once the load is gone.
@@ -762,7 +763,8 @@ fn serve_robustness() -> ExitCode {
         bin,
         socket,
         &[
-            "--max-inflight",
+            // Overrides the base `--workers 2`: the later flag wins.
+            "--workers",
             "1",
             "--queue-depth",
             "2",
@@ -777,7 +779,7 @@ fn serve_robustness() -> ExitCode {
         }
     };
     let leg = (|| -> Result<(), String> {
-        // Concurrent clients behind one stalled slot; shed ones retry
+        // Concurrent clients behind one stalled handler; shed ones retry
         // with seeded jitter until served, exercising `--retries`.
         let clients: Vec<_> = (0..4)
             .map(|i| {
@@ -891,15 +893,7 @@ fn spawn_server_logged(
     stderr: Stdio,
 ) -> Result<std::process::Child, String> {
     let _ = std::fs::remove_file(socket);
-    let mut args = vec![
-        "serve",
-        "--socket",
-        socket,
-        "--workers",
-        "2",
-        "--max-inflight",
-        "4",
-    ];
+    let mut args = vec!["serve", "--socket", socket, "--workers", "2"];
     args.extend_from_slice(extra);
     println!("$ {bin} {}", args.join(" "));
     let mut server = Command::new(bin)
