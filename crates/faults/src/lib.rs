@@ -7,11 +7,12 @@
 //! macro compiled into `sim::dc`, the plan executor, the style-search
 //! engine, and the batch driver. With no faults configured the whole
 //! plane is one relaxed atomic load per site hit; configuring
-//! `site=spec` pairs (via [`configure`], the `OASYS_FAULTS` environment
-//! variable, or the CLI's `--faults` flag) arms it and injects panics,
-//! typed errors, delays, or deterministic failure rates at the named
-//! sites. See [`FaultSpec`] for the spec grammar and DESIGN.md §11 for
-//! the site-naming convention.
+//! `site=spec` pairs (via [`configure`] in-process, or the
+//! `OASYS_FAULTS` environment variable for an `oasys` process, the only
+//! way to arm one from outside) arms it and injects panics, typed
+//! errors, delays, or deterministic failure rates at the named sites.
+//! See [`FaultSpec`] for the spec grammar and DESIGN.md §11 for the
+//! site-naming convention.
 //!
 //! ```
 //! use oasys_faults as faults;

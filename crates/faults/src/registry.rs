@@ -68,9 +68,9 @@ pub fn clear() {
     ARMED.store(false, Ordering::Relaxed);
 }
 
-/// Parses and applies a `site=spec,site=spec` list (the `OASYS_FAULTS` /
-/// `--faults` syntax). Empty input configures nothing. Returns the
-/// number of sites configured.
+/// Parses and applies a `site=spec,site=spec` list (the `OASYS_FAULTS`
+/// syntax). Empty input configures nothing; a site listed twice takes
+/// its last spec. Returns the number of entries applied.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! The fault-spec grammar: what a configured site does when hit.
 //!
-//! One spec per site, written as `site=spec` in `OASYS_FAULTS` or
-//! `--faults`. The spec forms:
+//! One spec per site, written as `site=spec` in `OASYS_FAULTS`. The
+//! spec forms:
 //!
 //! | spec               | behavior on hit                                  |
 //! |--------------------|--------------------------------------------------|

@@ -42,6 +42,7 @@
 //! ```
 
 use crate::integrity::{fnv1a64, fnv1a64_extend, mix64};
+use crate::specfile;
 use oasys_process::CornerSpeed;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -163,21 +164,6 @@ pub struct ManifestSettings {
     /// Whether each feasible design is re-measured on the simulator.
     pub verify: Option<bool>,
 }
-
-/// The spec-file keys a `sample.<field>` range may target (the same
-/// vocabulary [`crate::specfile::parse`] accepts).
-pub const SAMPLABLE_SPEC_FIELDS: [&str; 10] = [
-    "dc_gain_db",
-    "unity_gain_mhz",
-    "phase_margin_deg",
-    "load_pf",
-    "slew_rate_v_per_us",
-    "output_swing_v",
-    "max_offset_mv",
-    "max_power_mw",
-    "min_cmrr_db",
-    "max_noise_nv_rthz",
-];
 
 /// Dataset-generation directives a manifest may carry (`sample.*`,
 /// `corners`/`corner.*`, `mc.*`). Plain batch expansion ignores them;
@@ -395,10 +381,10 @@ impl Manifest {
                 }
                 other => {
                     if let Some(field) = other.strip_prefix("sample.") {
-                        if !SAMPLABLE_SPEC_FIELDS.contains(&field) {
+                        if !specfile::KEYS.contains(&field) {
                             return Err(bad(format!(
                                 "`sample.{field}` is not a spec field (expected one of {})",
-                                SAMPLABLE_SPEC_FIELDS.join(", ")
+                                specfile::KEYS.join(", ")
                             )));
                         }
                         let (lo, hi) = parse_range(value, other).map_err(bad)?;

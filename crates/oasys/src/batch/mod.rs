@@ -45,9 +45,7 @@ mod runner;
 mod synth_runner;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome, CHECKPOINT_HEADER};
-pub use manifest::{
-    fingerprint, Job, Manifest, ManifestError, ManifestSettings, Sampling, SAMPLABLE_SPEC_FIELDS,
-};
+pub use manifest::{fingerprint, Job, Manifest, ManifestError, ManifestSettings, Sampling};
 pub(crate) use runner::panic_text;
 pub use runner::{
     Batch, BatchCounts, BatchReport, FailureKind, JobFailure, JobRecord, JobRunner, JobStatus,

@@ -311,7 +311,8 @@ pub struct JobRecord {
     /// Verification verdict, when the runner measured the design.
     pub meets_spec: Option<bool>,
     /// Opaque runner payload ([`JobSuccess::with_detail`]); not part of
-    /// the batch JSONL schema.
+    /// the batch JSONL schema. Only the `sink` of [`Batch::run`] sees it:
+    /// the [`BatchReport`] keeps every record with `detail: None`.
     pub detail: Option<String>,
     /// Flight-recorder tail: the last telemetry records of the failing
     /// attempt, rendered as short lines. Empty for jobs that succeeded
@@ -434,7 +435,8 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Every job's record, sorted by job id.
+    /// Every job's record, sorted by job id, each without its `detail`
+    /// (the sink of [`Batch::run`] had it).
     #[must_use]
     pub fn records(&self) -> &[JobRecord] {
         &self.records
@@ -770,7 +772,10 @@ impl Batch {
             }
             sink(&record);
             let slot = record.job;
-            records[slot] = Some(record);
+            records[slot] = Some(JobRecord {
+                detail: None,
+                ..record
+            });
         }
         job_recordings.sort_by_key(|(id, _)| *id);
         for (_, recording) in &job_recordings {

@@ -78,12 +78,12 @@ use oasys_process::techfile;
 use oasys_telemetry::Telemetry;
 use std::process::ExitCode;
 
-const SYNTH_USAGE: &str = "usage: oasys <spec-file> <tech-file> [--out <deck.sp>] [--no-verify] [--styles <list>] [--explain] [--trace-out <file.json>] [--trace-format json|chrome] [--metrics-out <file.json>] [--faults <list>]\n       oasys lint [<spec-file> <tech-file>] [--deny-warnings] [--format human|json|sarif]";
+const SYNTH_USAGE: &str = "usage: oasys <spec-file> <tech-file> [--out <deck.sp>] [--no-verify] [--styles <list>] [--explain] [--trace-out <file.json>] [--trace-format json|chrome] [--metrics-out <file.json>]\n       oasys lint [<spec-file> <tech-file>] [--deny-warnings] [--format human|json|sarif]";
 const LINT_USAGE: &str =
     "usage: oasys lint [<spec-file> <tech-file>] [--deny-warnings] [--format human|json|sarif]";
-const BATCH_USAGE: &str = "usage: oasys batch <manifest> [--records <file.jsonl>] [--aggregate <file.json>] [--checkpoint <file>] [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify] [--styles <list>] [--explain] [--faults <list>]";
-const DATASET_USAGE: &str = "usage: oasys dataset <manifest> --out <dir> [--shards <n>] [--shard-index <i>] [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify] [--faults <list>]\n       oasys dataset merge <dir>";
-const SERVE_USAGE: &str = "usage: oasys serve --socket <path> [--workers <n>] [--queue-depth <n>] [--io-timeout-ms <n>] [--cache-entries <n>] [--timeout-ms <n>] [--faults <list>]";
+const BATCH_USAGE: &str = "usage: oasys batch <manifest> [--records <file.jsonl>] [--aggregate <file.json>] [--checkpoint <file>] [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify] [--styles <list>] [--explain]";
+const DATASET_USAGE: &str = "usage: oasys dataset <manifest> --out <dir> [--shards <n>] [--shard-index <i>] [--workers <n>] [--timeout-ms <n>] [--retries <n>] [--no-verify]\n       oasys dataset merge <dir>";
+const SERVE_USAGE: &str = "usage: oasys serve --socket <path> [--workers <n>] [--queue-depth <n>] [--io-timeout-ms <n>] [--cache-entries <n>] [--timeout-ms <n>]";
 const CLIENT_USAGE: &str = "usage: oasys client --socket <path> <spec-file> <tech-file> [--timeout-ms <n>] [--retries <n>] [--retry-seed <n>]\n       oasys client --socket <path> --ping|--health|--shutdown [--retries <n>] [--retry-seed <n>]";
 
 fn main() -> ExitCode {
@@ -185,17 +185,6 @@ struct SynthOptions {
     trace_out: Option<String>,
     trace_format: TraceFormat,
     metrics_out: Option<String>,
-    faults: Option<String>,
-}
-
-/// Applies a `--faults site=spec,…` list to the process-global fault
-/// plane (the same syntax the `OASYS_FAULTS` environment variable takes;
-/// the flag is applied second, so it wins on overlapping sites).
-fn apply_faults(list: Option<&str>) -> Result<(), String> {
-    if let Some(list) = list {
-        oasys_faults::configure(list).map_err(|e| format!("--faults: {e}"))?;
-    }
-    Ok(())
 }
 
 impl SynthOptions {
@@ -212,15 +201,11 @@ impl SynthOptions {
             trace_out: None,
             trace_format: TraceFormat::Json,
             metrics_out: None,
-            faults: None,
         };
         while let Some(flag) = args.next() {
             match flag.as_str() {
                 "--out" => {
                     opts.out_path = Some(args.next().ok_or("--out needs a path")?);
-                }
-                "--faults" => {
-                    opts.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
                 }
                 "--no-verify" => opts.run_verify = false,
                 "--styles" => {
@@ -316,7 +301,6 @@ impl LintOptions {
 
 fn run_synth(args: impl Iterator<Item = String>) -> Result<(), String> {
     let opts = SynthOptions::parse(args)?;
-    apply_faults(opts.faults.as_deref())?;
     let (spec, process) = load_inputs(&opts.spec_path, &opts.tech_path)?;
 
     println!("specification: {spec}");
@@ -518,7 +502,6 @@ struct JobFlags {
     timeout_ms: Option<u64>,
     retries: Option<u32>,
     no_verify: bool,
-    faults: Option<String>,
 }
 
 impl JobFlags {
@@ -534,9 +517,6 @@ impl JobFlags {
             "--timeout-ms" => self.timeout_ms = Some(number(args, flag, TIMEOUT_VALUE, false)?),
             "--retries" => self.retries = Some(number(args, flag, "a count", false)?),
             "--no-verify" => self.no_verify = true,
-            "--faults" => {
-                self.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -631,7 +611,6 @@ fn run_batch(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     use std::io::Write as _;
 
     let opts = BatchCliOptions::parse(args)?;
-    apply_faults(opts.job.faults.as_deref())?;
     if let Some(msg) = injected_io_fault("io.manifest.read") {
         return Err(format!("{}: {msg}", opts.manifest_path));
     }
@@ -799,7 +778,6 @@ fn run_dataset(
     }
 
     let opts = DatasetCliOptions::parse(args)?;
-    apply_faults(opts.job.faults.as_deref())?;
     if let Some(msg) = injected_io_fault("io.manifest.read") {
         return Err(format!("{}: {msg}", opts.manifest_path));
     }
@@ -854,7 +832,6 @@ struct ServeCliOptions {
     io_timeout_ms: Option<u64>,
     cache_entries: Option<usize>,
     timeout_ms: Option<u64>,
-    faults: Option<String>,
 }
 
 impl ServeCliOptions {
@@ -867,7 +844,6 @@ impl ServeCliOptions {
             io_timeout_ms: None,
             cache_entries: None,
             timeout_ms: None,
-            faults: None,
         };
         while let Some(flag) = args.next() {
             match flag.as_str() {
@@ -886,9 +862,6 @@ impl ServeCliOptions {
                 }
                 "--timeout-ms" => {
                     opts.timeout_ms = Some(number(&mut args, &flag, TIMEOUT_VALUE, false)?);
-                }
-                "--faults" => {
-                    opts.faults = Some(args.next().ok_or("--faults needs a site=spec list")?);
                 }
                 other => return Err(format!("unknown flag `{other}`\n{SERVE_USAGE}")),
             }
@@ -922,7 +895,6 @@ impl ServeCliOptions {
 /// `oasys serve`: a resident synthesis server on a Unix socket.
 fn run_serve(args: impl Iterator<Item = String>) -> Result<(), String> {
     let opts = ServeCliOptions::parse(args)?;
-    apply_faults(opts.faults.as_deref())?;
     oasys::serve::install_sigterm_drain();
     let server = oasys::serve::Server::bind(opts.serve_options())
         .map_err(|e| format!("{}: {e}", opts.socket))?;
@@ -1417,8 +1389,6 @@ mod tests {
             "--retries",
             "1",
             "--no-verify",
-            "--faults",
-            "dataset.sink.record=fail_once",
         ]))
         .unwrap();
         assert_eq!(opts.shards, 4);
@@ -1427,10 +1397,6 @@ mod tests {
         assert_eq!(opts.job.timeout_ms, Some(5000));
         assert_eq!(opts.job.retries, Some(1));
         assert!(opts.job.no_verify);
-        assert_eq!(
-            opts.job.faults.as_deref(),
-            Some("dataset.sink.record=fail_once")
-        );
     }
 
     #[test]
@@ -1457,24 +1423,6 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         let err = DatasetCliOptions::parse(argv(&["m", "--out", "x", "--bogus"])).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
-    }
-
-    #[test]
-    fn faults_flag_parses_and_requires_value() {
-        let opts = SynthOptions::parse(argv(&["s", "t", "--faults", "sim.dc.solve=err"])).unwrap();
-        assert_eq!(opts.faults.as_deref(), Some("sim.dc.solve=err"));
-        let err = SynthOptions::parse(argv(&["s", "t", "--faults"])).unwrap_err();
-        assert!(err.contains("--faults needs"), "{err}");
-        let opts =
-            BatchCliOptions::parse(argv(&["m", "--faults", "batch.attempt=fail_once"])).unwrap();
-        assert_eq!(opts.job.faults.as_deref(), Some("batch.attempt=fail_once"));
-    }
-
-    #[test]
-    fn bad_faults_list_is_rejected_with_context() {
-        let err = apply_faults(Some("nonsense")).unwrap_err();
-        assert!(err.contains("--faults"), "{err}");
-        assert!(apply_faults(None).is_ok());
     }
 
     #[test]

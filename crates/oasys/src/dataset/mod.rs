@@ -262,11 +262,11 @@ pub fn generate(
             .collect();
         let runner = Arc::new(runner::DatasetRunner::new(&plan, &pending, &options.batch));
         let batch = Batch::new(jobs, options.batch.clone());
-        // Records stream into the shard sink as jobs finish. The batch
-        // still keeps every `JobRecord` (netlist-and-datasheet `detail`
-        // included) in its report, which is read here only for its
-        // length. A sink failure is latched and re-raised after the
-        // batch drains.
+        // Records stream into the shard sink as jobs finish, the only
+        // place their netlist-and-datasheet `detail` goes; the report
+        // keeps them without it and is read here only for its length.
+        // A sink failure is latched and re-raised after the batch
+        // drains.
         let mut sink_error: Option<std::io::Error> = None;
         let report = batch
             .run(&runner, tel, |record: &JobRecord| {

@@ -8,9 +8,10 @@
 //! can be reproduced without replaying the stream, and the sampled spec
 //! space is identical however the job space is later sharded.
 
-use crate::batch::{Sampling, SAMPLABLE_SPEC_FIELDS};
+use crate::batch::Sampling;
 use crate::dataset::DatasetError;
 use crate::integrity::{fnv1a64, mix64};
+use crate::specfile::{self, KEYS};
 
 /// One accepted specification draw: a canonical rendering plus the
 /// parsed field values (for dataset records).
@@ -19,8 +20,7 @@ pub struct SpecSample {
     /// Record label: the base label for literal specs, `sample-NNNNNN`
     /// for draws.
     pub label: String,
-    /// Canonical spec-file text (fields in [`SAMPLABLE_SPEC_FIELDS`]
-    /// order).
+    /// Canonical spec-file text (fields in [`specfile::KEYS`] order).
     pub text: String,
     /// The field values, in canonical order.
     pub fields: Vec<(String, f64)>,
@@ -39,46 +39,6 @@ fn unit_draw(seed: u64, index: usize, field: &str) -> f64 {
 pub fn point_seed(manifest_seed: u64, point_id: usize) -> u64 {
     // Never zero: zero is `Job::with_salt`'s "no salt" sentinel.
     mix64(manifest_seed ^ mix64(point_id as u64)) | 1
-}
-
-/// Parses a spec file's `key = value` lines into `(field, value)` pairs
-/// in canonical field order (the dialect of
-/// [`crate::specfile::parse`], which has already validated semantics by
-/// the time records are rendered — this keeps only the raw numbers).
-pub fn parse_spec_fields(label: &str, text: &str) -> Result<Vec<(String, f64)>, DatasetError> {
-    let mut by_key: Vec<(String, f64)> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |detail: String| DatasetError::Spec {
-            label: label.to_owned(),
-            detail: format!("line {}: {detail}", idx + 1),
-        };
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| bad(format!("expected `key = value`, got `{line}`")))?;
-        let key = key.trim().to_lowercase();
-        if !SAMPLABLE_SPEC_FIELDS.contains(&key.as_str()) {
-            return Err(bad(format!("unknown spec field `{key}`")));
-        }
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| bad(format!("`{key}` is not a number")))?;
-        if by_key.iter().any(|(k, _)| *k == key) {
-            return Err(bad(format!("duplicate spec field `{key}`")));
-        }
-        by_key.push((key, value));
-    }
-    let mut fields = Vec::with_capacity(by_key.len());
-    for &canonical in &SAMPLABLE_SPEC_FIELDS {
-        if let Some((k, v)) = by_key.iter().find(|(k, _)| k == canonical) {
-            fields.push((k.clone(), *v));
-        }
-    }
-    Ok(fields)
 }
 
 /// Renders fields back to canonical spec-file text.
@@ -108,12 +68,15 @@ pub fn sample_specs(
 ) -> Result<(Vec<SpecSample>, usize), DatasetError> {
     let mut parsed_bases = Vec::with_capacity(bases.len());
     for (label, text) in bases {
-        // Fail fast on base specs that do not even parse semantically.
-        crate::specfile::parse(text).map_err(|e| DatasetError::Spec {
+        let spec_error = |e: specfile::ParseSpecError| DatasetError::Spec {
             label: label.clone(),
             detail: e.to_string(),
-        })?;
-        parsed_bases.push((label.clone(), parse_spec_fields(label, text)?));
+        };
+        // Fail fast on base specs that do not even parse semantically.
+        specfile::parse(text).map_err(spec_error)?;
+        let fields = specfile::fields(text).map_err(spec_error)?;
+        let fields = fields.into_iter().map(|(k, v)| (k.to_owned(), v));
+        parsed_bases.push((label.clone(), fields.collect::<Vec<_>>()));
     }
     let Some(count) = sampling.count else {
         let samples = parsed_bases
@@ -143,15 +106,10 @@ pub fn sample_specs(
         }
         // Ranged fields not in the base must still land in canonical
         // order for a deterministic rendering.
-        fields.sort_by_key(|(k, _)| {
-            SAMPLABLE_SPEC_FIELDS
-                .iter()
-                .position(|c| c == k)
-                .unwrap_or(SAMPLABLE_SPEC_FIELDS.len())
-        });
+        fields.sort_by_key(|(k, _)| KEYS.iter().position(|c| c == k));
         let label = format!("sample-{draw:06}");
         let text = render_spec(&label, &fields);
-        if crate::specfile::parse(&text).is_err() {
+        if specfile::parse(&text).is_err() {
             rejected += 1;
             continue;
         }

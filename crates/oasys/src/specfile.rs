@@ -47,12 +47,78 @@ impl fmt::Display for ParseSpecError {
 
 impl Error for ParseSpecError {}
 
+/// Every key a specification file may set, in canonical order: the
+/// order [`fields`] yields them in and a dataset renders them in.
+pub const KEYS: [&str; 10] = [
+    "dc_gain_db",
+    "unity_gain_mhz",
+    "phase_margin_deg",
+    "load_pf",
+    "slew_rate_v_per_us",
+    "output_swing_v",
+    "max_offset_mv",
+    "max_power_mw",
+    "min_cmrr_db",
+    "max_noise_nv_rthz",
+];
+
+/// Parses the `key = value` lines of a specification file into its
+/// fields, in [`KEYS`] order. `#` starts a comment and keys are
+/// case-insensitive. Validates the grammar only; [`parse`] also
+/// validates the values as a whole.
+///
+/// # Errors
+///
+/// [`ParseSpecError::Line`] for a line that is not `key = value`, a
+/// value that is not a finite number, an unknown key, or a key set
+/// twice.
+pub fn fields(text: &str) -> Result<Vec<(&'static str, f64)>, ParseSpecError> {
+    let mut values: [Option<(usize, f64)>; KEYS.len()] = [None; KEYS.len()];
+    for (idx, raw) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let bad = |detail| ParseSpecError::Line {
+            line: lineno,
+            detail,
+        };
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| bad(format!("expected `key = value`, got `{line}`")))?;
+        let key = key.trim().to_lowercase();
+        let value: f64 = value
+            .trim()
+            .parse()
+            .map_err(|_| bad(format!("value for `{key}` is not a number")))?;
+        // `f64::from_str` accepts "inf"/"NaN" and overflows to ±inf;
+        // none of those are meaningful specification values.
+        if !value.is_finite() {
+            return Err(bad(format!("value for `{key}` is not finite")));
+        }
+        let slot = KEYS
+            .iter()
+            .position(|k| *k == key)
+            .ok_or_else(|| bad(format!("unknown key `{key}`")))?;
+        if let Some((first, _)) = values[slot] {
+            return Err(bad(format!("`{key}` is already set at line {first}")));
+        }
+        values[slot] = Some((lineno, value));
+    }
+    Ok(KEYS
+        .into_iter()
+        .zip(values)
+        .filter_map(|(key, value)| Some((key, value?.1)))
+        .collect())
+}
+
 /// Parses the `key = value` specification format into an [`OpAmpSpec`].
 ///
 /// # Errors
 ///
-/// Returns [`ParseSpecError`] for unknown keys, non-numeric values, or a
-/// set of values the [`OpAmpSpec`] builder rejects.
+/// Returns [`ParseSpecError`] for a line [`fields`] rejects, or a set
+/// of values the [`OpAmpSpec`] builder rejects.
 ///
 /// # Examples
 ///
@@ -67,30 +133,8 @@ impl Error for ParseSpecError {}
 /// ```
 pub fn parse(text: &str) -> Result<OpAmpSpec, ParseSpecError> {
     let mut builder = OpAmpSpec::builder();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (key, value) = line.split_once('=').ok_or_else(|| ParseSpecError::Line {
-            line: lineno,
-            detail: format!("expected `key = value`, got `{line}`"),
-        })?;
-        let key = key.trim().to_lowercase();
-        let value: f64 = value.trim().parse().map_err(|_| ParseSpecError::Line {
-            line: lineno,
-            detail: format!("value for `{key}` is not a number"),
-        })?;
-        // `f64::from_str` accepts "inf"/"NaN" and overflows to ±inf;
-        // none of those are meaningful specification values.
-        if !value.is_finite() {
-            return Err(ParseSpecError::Line {
-                line: lineno,
-                detail: format!("value for `{key}` is not finite"),
-            });
-        }
-        builder = match key.as_str() {
+    for (key, value) in fields(text)? {
+        builder = match key {
             "dc_gain_db" => builder.dc_gain_db(value),
             "unity_gain_mhz" => builder.unity_gain_mhz(value),
             "phase_margin_deg" => builder.phase_margin_deg(value),
@@ -101,12 +145,8 @@ pub fn parse(text: &str) -> Result<OpAmpSpec, ParseSpecError> {
             "max_power_mw" => builder.max_power_mw(value),
             "min_cmrr_db" => builder.min_cmrr_db(value),
             "max_noise_nv_rthz" => builder.max_noise_nv_rthz(value),
-            other => {
-                return Err(ParseSpecError::Line {
-                    line: lineno,
-                    detail: format!("unknown key `{other}`"),
-                })
-            }
+            // `fields` yields nothing but `KEYS`.
+            _ => builder,
         };
     }
     builder.build().map_err(ParseSpecError::Invalid)
@@ -159,6 +199,23 @@ max_noise_nv_rthz  = 200
     fn non_numeric_value_rejected() {
         let err = parse("dc_gain_db = sixty\n").unwrap_err();
         assert!(err.to_string().contains("not a number"));
+    }
+
+    #[test]
+    fn repeated_key_reports_both_lines() {
+        let err = parse("dc_gain_db = 60\nload_pf = 5\nDC_GAIN_DB = 70\n").unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("line 3"), "{text}");
+        assert!(
+            text.contains("`dc_gain_db` is already set at line 1"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn fields_come_in_key_order() {
+        let fields = fields("load_pf = 5\n# note\ndc_gain_db = 60 # trailing\n").unwrap();
+        assert_eq!(fields, [("dc_gain_db", 60.0), ("load_pf", 5.0)]);
     }
 
     #[test]

@@ -531,3 +531,39 @@ fn skipped_records_resolve_prior_outcomes_in_the_aggregate() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// Attaches a payload to every feasible answer, as the dataset runner
+/// attaches each record's netlist and datasheet.
+struct DetailRunner;
+
+impl JobRunner for DetailRunner {
+    fn run(
+        &self,
+        job: &Job,
+        tel: &Telemetry,
+        deadline: &Deadline,
+    ) -> Result<JobSuccess, JobFailure> {
+        let success = MockRunner.run(job, tel, deadline)?;
+        Ok(success.with_detail(format!("payload of job {}", job.id())))
+    }
+}
+
+#[test]
+fn only_the_sink_sees_a_records_detail() {
+    let streamed = Mutex::new(Vec::new());
+    let report = Batch::new(mock_jobs(), fast_options())
+        .run(
+            &Arc::new(DetailRunner),
+            &Telemetry::disabled(),
+            collect(&streamed),
+        )
+        .unwrap();
+    let streamed = streamed.into_inner().unwrap();
+    assert_eq!(streamed.len(), 9);
+    for record in &streamed {
+        let expected = format!("payload of job {}", record.job);
+        assert_eq!(record.detail.as_deref(), Some(expected.as_str()));
+    }
+    assert_eq!(report.records().len(), 9);
+    assert!(report.records().iter().all(|r| r.detail.is_none()));
+}

@@ -88,26 +88,21 @@ fn cli_lint_plans_only_is_clean_json() {
     assert_eq!(String::from_utf8_lossy(&output.stdout), "[]\n");
 }
 
+/// The example spec is linted on both kits it fits; the 1.2 µm kit
+/// cannot meet it.
 #[test]
 fn cli_lint_example_spec_passes_deny_warnings() {
-    let root = repo_root();
-    let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
-        .current_dir(&root)
-        .args([
-            "lint",
-            "data/example-spec.txt",
-            "data/generic-5um.tech",
-            "--deny-warnings",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        output.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&output.stdout),
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(String::from_utf8_lossy(&output.stdout).contains("no diagnostics"));
+    for tech in ["data/generic-5um.tech", "data/generic-3um.tech"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+            .current_dir(repo_root())
+            .args(["lint", "data/example-spec.txt", tech, "--deny-warnings"])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{tech}: {stdout}\n{stderr}");
+        assert!(stdout.contains("no diagnostics"), "{tech}: {stdout}");
+    }
 }
 
 #[test]
@@ -128,6 +123,31 @@ fn cli_lint_sarif_is_well_formed() {
     assert!(stdout.contains("\"name\":\"oasys-lint\""), "{stdout}");
     assert!(stdout.contains("\"results\":[]"), "{stdout}");
     assert!(stdout.ends_with('\n'), "SARIF output is newline-terminated");
+}
+
+/// `OASYS_FAULTS` is the one way to arm an `oasys` process's faults: a
+/// malformed plane fails the run, naming the variable, and there is no
+/// `--faults` flag.
+#[test]
+fn cli_rejects_a_malformed_fault_plane() {
+    let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+        .current_dir(repo_root())
+        .env("OASYS_FAULTS", "plan.step")
+        .args(["data/example-spec.txt", "data/generic-5um.tech"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("OASYS_FAULTS"), "{stderr}");
+    assert!(stderr.contains("plan.step"), "{stderr}");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+        .current_dir(repo_root())
+        .args(["batch", "data/sweep.manifest", "--faults", "x"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("unknown flag `--faults`"));
 }
 
 #[test]
