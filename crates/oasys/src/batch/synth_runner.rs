@@ -15,9 +15,13 @@ use oasys_sim::mismatch::Mismatch;
 use oasys_telemetry::Telemetry;
 use std::sync::Arc;
 
-/// Default capacity of the shared sub-block design cache: generous for
-/// any realistic sweep (the bundled 3×3 sweep caches a few dozen
-/// designs) while bounding the memory of a long-lived server.
+/// Default capacity of the shared sub-block design cache, which bounds
+/// the memory of a long-lived batch or server. One synthesis makes
+/// ≈ 21–24 sub-block lookups, most of them misses, so a resident server
+/// holds the designs of ≈ 170 distinct requests, and a sweep of a few
+/// hundred jobs overflows the cache (the benchmark's 453-job
+/// `synth_sweep` round, about twice). Past that each stored design
+/// evicts one, at a cost that does not grow with the capacity.
 pub const DEFAULT_CACHE_ENTRIES: usize = 4096;
 
 /// Runs each job through spec/tech parsing, breadth-first style search,

@@ -28,12 +28,14 @@
 //! ```
 //!
 //! Ops: `synth` (design the spec on the tech), `ping` (liveness probe),
-//! `health` (overload/supervision stats), `shutdown` (request a
-//! graceful drain). Unknown protos and ops are rejected with a
-//! structured error so the schema can grow. A `synth` request's
-//! optional `timeout_ms` is its deadline in milliseconds, and `0`
-//! means no deadline; without the field the server's default
-//! ([`ServeOptions::with_timeout`]) applies.
+//! `health` (overload/supervision stats so far, with the design
+//! cache's `cache_hits`, `cache_misses` and `cache_evictions`, the
+//! [`ServeReport`] counters; its `evicted` counts stalled connections,
+//! not designs), `shutdown` (request a graceful drain). Unknown protos
+//! and ops are rejected with a structured error so the schema can
+//! grow. A `synth` request's optional `timeout_ms` is its deadline in
+//! milliseconds, and `0` means no deadline; without the field the
+//! server's default ([`ServeOptions::with_timeout`]) applies.
 //!
 //! Responses are JSON objects keyed by `status`:
 //!
@@ -304,7 +306,8 @@ pub struct ServeReport {
     pub cache_hits: u64,
     /// Design-cache misses accumulated over the server's lifetime.
     pub cache_misses: u64,
-    /// Design-cache evictions accumulated over the server's lifetime.
+    /// Designs evicted from the cache to stay under its capacity, over
+    /// the server's lifetime (stalled connections are [`Self::evicted`]).
     pub cache_evictions: u64,
 }
 
@@ -867,12 +870,16 @@ fn ok_ping_response() -> String {
     format!("{{\"status\":\"ok\",\"proto\":{}}}", json::string(PROTOCOL))
 }
 
+/// The live counters. The design cache's are its atomics, the ones
+/// [`ServeReport`] gives at drain; its `len` would take the lock that
+/// every synth request's lookups contend for.
 fn health_response(ctx: &RequestContext) -> String {
-    let stats = ctx.stats;
+    let (stats, cache) = (ctx.stats, ctx.runner.cache());
     format!(
         "{{\"status\":\"ok\",\"proto\":{},\"brownout\":{},\"inflight\":{},\"queued\":{},\
          \"served\":{},\"shed\":{},\"evicted\":{},\"degraded_served\":{},\
-         \"brownout_entries\":{},\"brownout_exits\":{},\"workers\":{},\"workers_replaced\":{}}}",
+         \"brownout_entries\":{},\"brownout_exits\":{},\"workers\":{},\"workers_replaced\":{},\
+         \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{}}}",
         json::string(PROTOCOL),
         stats.brownout.load(Ordering::SeqCst),
         stats.inflight.load(Ordering::SeqCst),
@@ -884,7 +891,10 @@ fn health_response(ctx: &RequestContext) -> String {
         stats.brownout_entries.load(Ordering::Relaxed),
         stats.brownout_exits.load(Ordering::Relaxed),
         ctx.options.workers,
-        stats.workers_replaced.load(Ordering::Relaxed)
+        stats.workers_replaced.load(Ordering::Relaxed),
+        cache.hits(),
+        cache.misses(),
+        cache.evictions()
     )
 }
 

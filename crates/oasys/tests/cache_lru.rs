@@ -2,8 +2,10 @@
 //! cross-request hits on identical sub-specs, strict isolation between
 //! technology namespaces, and — above all — zero influence on results.
 
+use oasys::batch::{JobRunner, Manifest, SynthRunner};
 use oasys::spec::test_cases;
 use oasys::{synthesize_with_cache, synthesize_with_options, OpAmpSpec, SearchOptions};
+use oasys_faults::Deadline;
 use oasys_netlist::spice;
 use oasys_plan::MemoCache;
 use oasys_process::{builtin, techfile, Process};
@@ -113,4 +115,44 @@ fn tiny_cache_reports_evictions() {
         tiny.evictions() > 0,
         "a 2-entry cache under a full synthesis must evict"
     );
+}
+
+/// Runs the bundled 3×3 sweep (`data/sweep.manifest`) twice, without
+/// verification, through one runner whose shared cache holds `entries`
+/// designs. Returns the cache's hits, misses and evictions; the second
+/// pass must answer as the first did.
+fn sweep_twice(entries: usize) -> (u64, u64, u64) {
+    let manifest = Manifest::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../data/sweep.manifest"
+    ))
+    .unwrap();
+    let jobs = manifest.expand().unwrap();
+    let runner = SynthRunner::new()
+        .with_verify(false)
+        .with_cache_entries(entries);
+    let answers = || -> Vec<Option<(String, f64)>> {
+        jobs.iter()
+            .map(|job| {
+                let answer = runner
+                    .run(job, &Telemetry::disabled(), &Deadline::none())
+                    .unwrap();
+                answer
+                    .selected()
+                    .map(|(style, area)| (style.to_owned(), area))
+            })
+            .collect()
+    };
+    let first = answers();
+    assert_eq!(first, answers(), "a warm pass must answer as the cold one");
+    let cache = runner.cache();
+    (cache.hits(), cache.misses(), cache.evictions())
+}
+
+#[test]
+fn a_small_shared_cache_keeps_its_counts() {
+    // Counted with the scan-based LRU that preceded the linked one: an
+    // exact LRU evicts the same entries, so every count repeats.
+    assert_eq!(sweep_twice(32), (18, 284, 238));
+    assert_eq!(sweep_twice(64), (68, 234, 156));
 }

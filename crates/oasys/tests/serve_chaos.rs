@@ -6,7 +6,8 @@
 //! trip brownout (degraded, unverified synthesis) and recover; a
 //! connection that finds every handler busy must wait in the bounded
 //! admission queue, where overload sheds it; a panicking handler worker
-//! must be replaced; a `busy` answer written before the request must
+//! must be replaced; `health` must report the design cache's counters
+//! while the server runs; a `busy` answer written before the request must
 //! still reach the client; an idle server must answer without waiting
 //! on a timer; and a drained server must answer every connection its
 //! handlers were given, leave no thread behind, and finish even when
@@ -334,6 +335,39 @@ fn stalled_client_is_evicted_by_the_io_deadline_and_the_slot_is_reclaimed() {
     assert_eq!(status(&drain).0, "ok");
     let report = server.join().unwrap();
     assert!(report.evicted >= 1, "{report:?}");
+}
+
+#[test]
+fn health_reports_the_design_cache_counters_live() {
+    let _faults = FaultGuard::acquire();
+    let socket = socket_path("cache");
+    let server = start_server(&socket);
+    let synth = synth_request(&spec_text(), &tech_text(), None);
+
+    assert_eq!(status(&ask(&socket, &synth)).0, "ok");
+    let before = ask(&socket, &op_request("health"));
+    assert!(num(&before, "cache_misses") > 0.0, "{before:?}");
+    assert_eq!(status(&ask(&socket, &synth)).0, "ok");
+    let after = ask(&socket, &op_request("health"));
+    assert!(
+        num(&after, "cache_hits") > num(&before, "cache_hits"),
+        "the repeated request must hit the cache: {before:?} then {after:?}"
+    );
+    assert_eq!(num(&after, "evicted"), 0.0, "no connection stalled");
+
+    let drain = ask(&socket, &op_request("shutdown"));
+    assert_eq!(status(&drain).0, "ok");
+    let report = server.join().unwrap();
+    assert_eq!(
+        [
+            report.cache_hits,
+            report.cache_misses,
+            report.cache_evictions
+        ]
+        .map(|n| n as f64),
+        ["cache_hits", "cache_misses", "cache_evictions"].map(|key| num(&after, key)),
+        "the drained report must read as the last probe did"
+    );
 }
 
 #[test]

@@ -475,10 +475,13 @@ impl<'a> DesignContext<'a> {
 /// naturally limited by one synthesis. [`MemoCache::bounded`] caps the
 /// entry count and evicts the least-recently-used entry on overflow, so
 /// a long-lived process-wide cache (the batch runner, `oasys serve`)
-/// cannot grow without limit. Hit/miss/eviction totals are kept as
-/// cheap relaxed counters; the engine mirrors them into the telemetry
-/// metrics snapshot (`engine.cache_hits` / `engine.cache_misses` /
-/// `engine.cache_evictions`).
+/// cannot grow without limit. The LRU is exact: the victim is the entry
+/// least recently touched by a [`MemoCache::put`] or a
+/// [`MemoCache::get`] (a hit or a type mismatch), and a touch or an
+/// eviction costs the same at any capacity. Hit/miss/eviction totals
+/// are kept as cheap relaxed counters; the engine mirrors them into the
+/// telemetry metrics snapshot (`engine.cache_hits` /
+/// `engine.cache_misses` / `engine.cache_evictions`).
 ///
 /// Cache keys assume a fixed fabrication process. To share one cache
 /// across technologies, namespace the keys per process fingerprint —
@@ -491,19 +494,70 @@ pub struct MemoCache {
     capacity: usize,
 }
 
-/// The LRU bookkeeping behind the lock: entries stamped with a logical
-/// clock bumped on every touch. Eviction scans for the smallest stamp —
-/// O(n), which is fine at the capacities in play (hundreds to a few
-/// thousand entries) and keeps the hit path allocation-free.
-#[derive(Default)]
+/// The LRU bookkeeping behind the lock: a key → slot index beside the
+/// slots, which a doubly linked recency list threads by index from the
+/// most to the least recently used. A touch relinks one slot, and an
+/// eviction unlinks the tail and stores the new entry in its slot, so
+/// neither scans and `slots` only grows, up to the capacity. Each key
+/// is allocated once, as the `Arc<str>` the index and its slot share,
+/// and the hit path allocates nothing.
+///
+/// No update runs code of the cached type (its `clone` or `drop`) until
+/// the links and the index agree again, so a guard recovered from a
+/// poisoned lock still holds a well-formed list.
 struct LruEntries {
-    map: HashMap<String, LruEntry>,
-    tick: u64,
+    index: HashMap<Arc<str>, usize>,
+    slots: Vec<Slot>,
+    /// The most recently used slot, or [`NIL`] when empty.
+    head: usize,
+    /// The least recently used slot (the next victim), or [`NIL`].
+    tail: usize,
 }
 
-struct LruEntry {
+/// The link past either end of the recency list.
+const NIL: usize = usize::MAX;
+
+struct Slot {
+    key: Arc<str>,
     value: Arc<dyn Any + Send + Sync>,
-    last_used: u64,
+    /// The next more recently used slot, or [`NIL`] at the head.
+    newer: usize,
+    /// The next less recently used slot, or [`NIL`] at the tail.
+    older: usize,
+}
+
+impl LruEntries {
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let Slot { newer, older, .. } = self.slots[i];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o].newer = newer,
+        }
+    }
+
+    /// Links slot `i`, not in the list, in as the most recently used.
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].newer = NIL;
+        self.slots[i].older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].newer = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
 }
 
 impl Default for MemoCache {
@@ -536,7 +590,12 @@ impl MemoCache {
     #[must_use]
     pub fn bounded(capacity: usize) -> Self {
         Self {
-            entries: Mutex::new(LruEntries::default()),
+            entries: Mutex::new(LruEntries {
+                index: HashMap::new(),
+                slots: Vec::new(),
+                head: NIL,
+                tail: NIL,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -554,69 +613,63 @@ impl MemoCache {
     /// most-recently-used) on a hit.
     #[must_use]
     pub fn get<T: Clone + Send + Sync + 'static>(&self, key: &str) -> Option<T> {
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        entries.tick += 1;
-        let tick = entries.tick;
-        match entries.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                match entry.value.downcast_ref::<T>() {
-                    Some(value) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Some(value.clone())
-                    }
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let mut entries = self.lock();
+        let found = entries.index.get(key).copied().and_then(|i| {
+            entries.touch(i);
+            entries.slots[i].value.downcast_ref::<T>().cloned()
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Stores a design under `key`, replacing any earlier entry, and
     /// returns how many entries were evicted to stay under capacity
     /// (0 or 1; replacement is not an eviction).
     pub fn put<T: Send + Sync + 'static>(&self, key: String, value: T) -> usize {
-        let mut entries = self
-            .entries
+        let value: Arc<dyn Any + Send + Sync> = Arc::new(value);
+        let mut entries = self.lock();
+        if let Some(&i) = entries.index.get(key.as_str()) {
+            entries.slots[i].value = value;
+            entries.touch(i);
+            return 0;
+        }
+        let key: Arc<str> = key.into();
+        let slot = Slot {
+            key: Arc::clone(&key),
+            value,
+            newer: NIL,
+            older: NIL,
+        };
+        let (i, victim) = if entries.slots.len() < self.capacity {
+            entries.slots.push(slot);
+            (entries.slots.len() - 1, None)
+        } else {
+            let i = entries.tail;
+            entries.unlink(i);
+            let victim = std::mem::replace(&mut entries.slots[i], slot);
+            entries.index.remove(&victim.key);
+            (i, Some(victim))
+        };
+        entries.index.insert(key, i);
+        entries.push_front(i);
+        if victim.is_none() {
+            return 0;
+        }
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        1
+    }
+
+    /// The entries, recovered from a poisoned lock: every update leaves
+    /// them well formed (see [`LruEntries`]).
+    fn lock(&self) -> std::sync::MutexGuard<'_, LruEntries> {
+        self.entries
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        entries.tick += 1;
-        let tick = entries.tick;
-        entries.map.insert(
-            key,
-            LruEntry {
-                value: Arc::new(value),
-                last_used: tick,
-            },
-        );
-        let mut evicted = 0;
-        while entries.map.len() > self.capacity {
-            let oldest = entries
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match oldest {
-                Some(k) => {
-                    entries.map.remove(&k);
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        evicted
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Lookups that found a matching entry.
@@ -640,11 +693,7 @@ impl MemoCache {
     /// Number of cached designs.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .map
-            .len()
+        self.lock().index.len()
     }
 
     /// `true` when nothing is cached.
@@ -1495,6 +1544,159 @@ mod tests {
         }
         assert_eq!(cache.len(), 1000);
         assert_eq!(cache.evictions(), 0);
+    }
+
+    /// The scan-based LRU that [`MemoCache`] replaced, kept as the
+    /// reference for its eviction order: every lookup and store bumps a
+    /// logical clock and stamps the entry it finds or stores, and an
+    /// overflow evicts the smallest stamp, found by scanning every entry.
+    struct ScanCache {
+        map: HashMap<String, (Arc<dyn Any + Send + Sync>, u64)>,
+        tick: u64,
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl ScanCache {
+        fn bounded(capacity: usize) -> Self {
+            Self {
+                map: HashMap::new(),
+                tick: 0,
+                capacity: capacity.max(1),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn get<T: Clone + 'static>(&mut self, key: &str) -> Option<T> {
+            self.tick += 1;
+            let found = self.map.get_mut(key).and_then(|(value, last_used)| {
+                *last_used = self.tick;
+                value.downcast_ref::<T>().cloned()
+            });
+            match found {
+                Some(_) => self.hits += 1,
+                None => self.misses += 1,
+            }
+            found
+        }
+
+        fn put<T: Send + Sync + 'static>(&mut self, key: String, value: T) -> usize {
+            self.tick += 1;
+            self.map.insert(key, (Arc::new(value), self.tick));
+            let mut evicted = 0;
+            while self.map.len() > self.capacity {
+                let oldest = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (_, last_used))| *last_used)
+                    .map(|(k, _)| k.clone());
+                match oldest {
+                    Some(k) => {
+                        self.map.remove(&k);
+                        evicted += 1;
+                    }
+                    None => break,
+                }
+            }
+            self.evictions += evicted as u64;
+            evicted
+        }
+    }
+
+    #[test]
+    fn cache_agrees_with_the_scan_reference_after_every_operation() {
+        // get hit, get miss, get with the wrong type, put new, put replace
+        let mut seen = [0u32; 5];
+        for capacity in (1..=8).chain([usize::MAX]) {
+            // Twice as many keys as entries: evictions, hits and misses
+            // all stay common.
+            let keys = 2 * capacity.min(8) as u64 + 2;
+            for seed in 0..16 {
+                let mut rng = oasys_testutil::Rng::seeded(seed);
+                let cache = MemoCache::bounded(capacity);
+                let mut reference = ScanCache::bounded(capacity);
+                for step in 0..300u32 {
+                    let key = format!("k{}", rng.range_u64(0, keys));
+                    let present = reference.map.contains_key(&key);
+                    let what = match rng.range_u64(0, 3) {
+                        0 => {
+                            let got = cache.get::<u32>(&key);
+                            assert_eq!(got, reference.get::<u32>(&key));
+                            usize::from(got.is_none())
+                        }
+                        1 => {
+                            // Only `u32`s are stored: a present key is a
+                            // type mismatch.
+                            assert_eq!(cache.get::<u64>(&key), None);
+                            assert_eq!(reference.get::<u64>(&key), None);
+                            if present {
+                                2
+                            } else {
+                                1
+                            }
+                        }
+                        _ => {
+                            assert_eq!(cache.put(key.clone(), step), reference.put(key, step));
+                            if present {
+                                4
+                            } else {
+                                3
+                            }
+                        }
+                    };
+                    seen[what] += 1;
+                    assert_eq!(
+                        (cache.len(), cache.hits(), cache.misses(), cache.evictions()),
+                        (
+                            reference.map.len(),
+                            reference.hits,
+                            reference.misses,
+                            reference.evictions
+                        ),
+                        "capacity {capacity}, seed {seed}, step {step}"
+                    );
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "an operation never ran: {seen:?}"
+        );
+    }
+
+    /// The least time, over five batches, that 1 000 evicting puts take
+    /// in a full cache of `capacity` entries.
+    fn evicting_puts(capacity: usize) -> std::time::Duration {
+        let cache = MemoCache::bounded(capacity);
+        for i in 0..capacity {
+            cache.put(format!("fill{i}"), i);
+        }
+        (0..5)
+            .map(|batch| {
+                let keys: Vec<String> = (0..1000).map(|i| format!("{batch}/{i}")).collect();
+                let start = std::time::Instant::now();
+                for key in keys {
+                    assert_eq!(cache.put(key, 0usize), 1);
+                }
+                start.elapsed()
+            })
+            .min()
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn eviction_cost_does_not_grow_with_capacity() {
+        let small = evicting_puts(64);
+        let large = evicting_puts(65_536);
+        assert!(
+            large < small * 10,
+            "1 000 evicting puts took {large:?} in a full 65 536-entry cache \
+             and {small:?} in a full 64-entry one"
+        );
     }
 
     #[test]

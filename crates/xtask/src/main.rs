@@ -11,7 +11,7 @@ use oasys_telemetry::json::{self, Json};
 use oasys_telemetry::schema;
 use std::env;
 use std::path::Path;
-use std::process::{Child, Command, ExitCode, Output};
+use std::process::{Child, Command, ExitCode, Output, Stdio};
 use std::sync::OnceLock;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -657,17 +657,51 @@ fn oasys_command(bin: &str, args: &[&str], faults: &str) -> Command {
 }
 
 /// The release `oasys` binary, built once per xtask run on first use.
+/// Its path is the `executable` cargo reports for the build, so a
+/// `CARGO_TARGET_DIR` or `build.target-dir` puts it where cargo did.
 fn oasys_bin() -> Result<&'static str, String> {
     static BUILT: OnceLock<Result<String, String>> = OnceLock::new();
     BUILT
-        .get_or_init(|| {
-            cargo(
-                &["build", "--release", "-q", "-p", "oasys", "--bin", "oasys"],
-                &[],
-            )
+        .get_or_init(build_oasys)
+        .as_deref()
+        .map_err(Clone::clone)
+}
+
+fn build_oasys() -> Result<String, String> {
+    let args = [
+        "build",
+        "--release",
+        "-q",
+        "-p",
+        "oasys",
+        "--bin",
+        "oasys",
+        "--message-format=json-render-diagnostics",
+    ];
+    let shown = format!("cargo {}", args.join(" "));
+    println!("$ {shown}");
+    let output = Command::new("cargo")
+        .args(args)
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("failed to spawn cargo: {e}"))?;
+    if !output.status.success() {
+        return Err(format!("`{shown}` exited with {}", output.status));
+    }
+    String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .filter_map(|line| json::parse(line).ok())
+        .find_map(|message| {
+            // The `oasys` library artifact shares the name but has a
+            // null `executable`.
+            if message.get("reason")?.as_str()? != "compiler-artifact"
+                || message.get("target")?.get("name")?.as_str()? != "oasys"
+            {
+                return None;
+            }
+            message.get("executable")?.as_str().map(str::to_owned)
         })
-        .clone()
-        .map(|_| "target/release/oasys")
+        .ok_or_else(|| format!("`{shown}` reported no `oasys` executable"))
 }
 
 /// Runs `cargo args` with `envs` set and its output shown.
