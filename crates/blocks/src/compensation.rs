@@ -69,6 +69,29 @@ pub struct Compensation {
     zero: f64,
 }
 
+/// The phase the second pole and the RHP zero take beyond 95 % of the
+/// budget φ = 90° − PM, as a function of gm2: the root
+/// [`Compensation::required_gm2`] bisects for. The budget is split
+/// between pole and zero in the ratio they actually contribute: both
+/// atan arguments share gm2, with p2-term : z-term = C_L : Cc. Monotone
+/// decreasing in gm2.
+fn excess_phase(
+    gm1: f64,
+    load_cap: f64,
+    unity_gain_freq: f64,
+    phase_margin_deg: f64,
+) -> impl Fn(f64) -> f64 {
+    let two_pi = 2.0 * std::f64::consts::PI;
+    let cc = (gm1 / (two_pi * unity_gain_freq)).max(MIN_CC);
+    let fu = gm1 / (two_pi * cc);
+    let phase_budget = (90.0 - phase_margin_deg).to_radians();
+    move |gm2| {
+        let p2 = gm2 / (two_pi * load_cap);
+        let z = gm2 / (two_pi * cc);
+        (fu / p2).atan() + (fu / z).atan() - phase_budget * 0.95
+    }
+}
+
 impl Compensation {
     /// Sizes the Miller capacitor for the target unity-gain frequency and
     /// verifies the resulting phase margin.
@@ -169,19 +192,7 @@ impl Compensation {
                 format!("phase margin must be in (0°, 90°), got {phase_margin_deg}"),
             ));
         }
-        let two_pi = 2.0 * std::f64::consts::PI;
-        let cc = (gm1 / (two_pi * unity_gain_freq)).max(MIN_CC);
-        let fu = gm1 / (two_pi * cc);
-        // Split the total phase budget φ = 90 − PM between the pole and
-        // the zero in the same ratio they will actually contribute:
-        // both atan arguments share gm2, with p2-term : z-term = C_L : Cc.
-        // Solve by bisection on gm2 — monotone decreasing in gm2.
-        let phase_budget = (90.0 - phase_margin_deg).to_radians();
-        let margin = |gm2: f64| -> f64 {
-            let p2 = gm2 / (two_pi * load_cap);
-            let z = gm2 / (two_pi * cc);
-            (fu / p2).atan() + (fu / z).atan() - phase_budget * 0.95
-        };
+        let margin = excess_phase(gm1, load_cap, unity_gain_freq, phase_margin_deg);
         let mut lo = gm1 * 1e-2;
         let mut hi = gm1 * 1e5;
         if margin(hi) > 0.0 {
@@ -190,13 +201,21 @@ impl Compensation {
                 "no practical gm2 achieves the phase margin".to_owned(),
             ));
         }
+        // Geometric bisection, at most 200 steps, stopping at its fixed
+        // point: once the midpoint rounds to an end, a step changes
+        // neither end and every later step repeats it (57–59 steps from
+        // this bracket), so the answer is the 200-step one.
         for _ in 0..200 {
             let mid = (lo * hi).sqrt();
-            if margin(mid) > 0.0 {
-                lo = mid;
+            let (next_lo, next_hi) = if margin(mid) > 0.0 {
+                (mid, hi)
             } else {
-                hi = mid;
+                (lo, mid)
+            };
+            if (next_lo, next_hi) == (lo, hi) {
+                break;
             }
+            (lo, hi) = (next_lo, next_hi);
         }
         Ok(hi)
     }
@@ -331,6 +350,40 @@ mod tests {
         // beyond fu for a healthy margin.
         assert!(c.p2() > c.unity_gain_freq());
         assert!(c.zero() > c.unity_gain_freq());
+    }
+
+    #[test]
+    fn required_gm2_matches_the_full_200_step_bisection() {
+        let mut rng = oasys_testutil::Rng::seeded(24_701);
+        let mut feasible = 0;
+        for _ in 0..2_000 {
+            let gm1 = 10f64.powf(rng.range_f64(-6.0, -2.0));
+            let load_cap = 10f64.powf(rng.range_f64(-13.0, -10.0));
+            let unity_gain_freq = 10f64.powf(rng.range_f64(4.0, 8.0));
+            let phase_margin_deg = rng.range_f64(30.0, 85.0);
+            let Ok(gm2) =
+                Compensation::required_gm2(gm1, load_cap, unity_gain_freq, phase_margin_deg)
+            else {
+                continue;
+            };
+            feasible += 1;
+            let margin = excess_phase(gm1, load_cap, unity_gain_freq, phase_margin_deg);
+            let (mut lo, mut hi) = (gm1 * 1e-2, gm1 * 1e5);
+            for _ in 0..200 {
+                let mid = (lo * hi).sqrt();
+                if margin(mid) > 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            assert_eq!(
+                gm2.to_bits(),
+                hi.to_bits(),
+                "gm1 {gm1}, C_L {load_cap}, fu {unity_gain_freq}, PM {phase_margin_deg}"
+            );
+        }
+        assert!(feasible > 1_000, "{feasible} feasible draws");
     }
 
     #[test]

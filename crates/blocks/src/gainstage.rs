@@ -33,19 +33,26 @@ impl GainStageStyle {
     /// Both styles in escalation order (cheapest first).
     pub const ALL: [GainStageStyle; 2] = [GainStageStyle::Simple, GainStageStyle::Cascode];
 
+    /// The style's display name, which [`GainStageStyle::from_name`]
+    /// reads back.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            GainStageStyle::Simple => "simple",
+            GainStageStyle::Cascode => "cascode",
+        }
+    }
+
     /// Parses a style from its display name (`"simple"`, `"cascode"`).
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.to_string() == name)
+        Self::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
 impl fmt::Display for GainStageStyle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            GainStageStyle::Simple => "simple",
-            GainStageStyle::Cascode => "cascode",
-        })
+        f.write_str(self.name())
     }
 }
 

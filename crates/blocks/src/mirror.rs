@@ -50,21 +50,28 @@ impl MirrorStyle {
         MirrorStyle::WideSwing,
     ];
 
+    /// The style's display name, which [`MirrorStyle::from_name`] reads
+    /// back.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            MirrorStyle::Simple => "simple",
+            MirrorStyle::Cascode => "cascode",
+            MirrorStyle::WideSwing => "wide-swing",
+        }
+    }
+
     /// Parses a style from its display name (`"simple"`, `"cascode"`,
     /// `"wide-swing"`).
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.to_string() == name)
+        Self::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
 impl fmt::Display for MirrorStyle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MirrorStyle::Simple => "simple",
-            MirrorStyle::Cascode => "cascode",
-            MirrorStyle::WideSwing => "wide-swing",
-        })
+        f.write_str(self.name())
     }
 }
 

@@ -24,7 +24,9 @@
 //!   sub-block first is a race, and its `cache=hit` annotation follows
 //!   it.) Untraced batches still record each attempt into a small
 //!   always-on flight ring, and a failed job dumps its trace tail into
-//!   the structured record ([`JobRecord::flight`]).
+//!   the structured record ([`JobRecord::flight`]). An untraced attempt
+//!   keeps nothing else: the ring, and the per-job text it holds, are
+//!   dropped when the attempt ends, so every job costs the same.
 
 use super::checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome};
 use super::manifest::Job;
@@ -547,9 +549,10 @@ struct JobExecution {
     /// cooperative-deadline checkpoint. Surfaced as the
     /// `batch.jobs_stuck` telemetry counter.
     stuck: bool,
-    /// The final attempt's raw telemetry, absorbed into the batch trace
-    /// when the attempt ran to completion (panicked attempts only feed
-    /// the flight tail — their rings may hold unbalanced spans).
+    /// The final attempt's raw telemetry in a traced batch, absorbed
+    /// into the batch trace when the attempt ran to completion
+    /// (panicked attempts only feed the flight tail — their rings may
+    /// hold unbalanced spans).
     recording: Option<Recording>,
     /// Flight-recorder tail for failed jobs (see [`JobRecord::flight`]).
     flight: Vec<String>,
@@ -729,7 +732,8 @@ impl Batch {
         let slots = pending.len();
         let mut supervisor = Supervisor::new(pending, Arc::clone(runner), &options);
         // Absorb job telemetry in job order after the batch drains,
-        // so the batch trace is scheduling-independent.
+        // so the batch trace is scheduling-independent. Only a traced
+        // batch has recordings to absorb.
         let mut job_recordings: Vec<(usize, Recording)> = Vec::new();
         for _ in 0..slots {
             let (job, mut execution) = supervisor.next_result();
@@ -1060,12 +1064,13 @@ fn execute_job<R: JobRunner>(
                 cancel,
             });
         }
-        let outcome = run_attempt(job, seeds.next().flatten(), &*shared.runner, &deadline);
+        let (outcome, recording, flight) =
+            run_attempt(job, seeds.next().flatten(), &*shared.runner, &deadline);
         if watchdog.is_some() && lock(watch).take().is_none() {
             return None;
         }
         match outcome {
-            AttemptOutcome::Done(Ok(success), recording) => {
+            AttemptOutcome::Done(Ok(success)) => {
                 let status = match success.selected {
                     Some((style, area_um2)) => JobStatus::Ok { style, area_um2 },
                     None => JobStatus::Infeasible,
@@ -1079,11 +1084,11 @@ fn execute_job<R: JobRunner>(
                     detail: success.detail,
                     retried,
                     stuck: false,
-                    recording: Some(recording),
-                    flight: Vec::new(),
+                    recording,
+                    flight,
                 });
             }
-            AttemptOutcome::Done(Err(failure), recording) => {
+            AttemptOutcome::Done(Err(failure)) => {
                 if failure.transient && attempts <= options.retries() {
                     retried = true;
                     std::thread::sleep(options.backoff(attempts));
@@ -1095,16 +1100,14 @@ fn execute_job<R: JobRunner>(
                     FailureKind::Error
                 };
                 return Some(JobExecution {
-                    flight: recording.tail_lines(FLIGHT_TAIL_LINES),
-                    recording: Some(recording),
+                    flight,
+                    recording,
                     ..JobExecution::failed(kind, failure.message, attempts, start, retried)
                 });
             }
-            // A panicked ring may hold unbalanced spans; mine it for the
-            // flight tail but keep it out of the batch trace.
-            AttemptOutcome::Panicked(message, recording) => {
+            AttemptOutcome::Panicked(message) => {
                 return Some(JobExecution {
-                    flight: recording.tail_lines(FLIGHT_TAIL_LINES),
+                    flight,
                     ..JobExecution::failed(FailureKind::Panic, message, attempts, start, retried)
                 });
             }
@@ -1113,23 +1116,30 @@ fn execute_job<R: JobRunner>(
 }
 
 enum AttemptOutcome {
-    /// The runner returned; its telemetry recording rides along.
-    Done(Result<JobSuccess, JobFailure>, Recording),
+    /// The runner returned.
+    Done(Result<JobSuccess, JobFailure>),
     /// The runner panicked; the payload message survives, and — because
     /// the telemetry handle lives outside the unwind boundary — so does
-    /// the recording, whose tail becomes the job's flight dump.
-    Panicked(String, Recording),
+    /// the ring, whose tail becomes the job's flight dump.
+    Panicked(String),
 }
 
 /// Runs one attempt on the calling worker under `catch_unwind`. A job
 /// without a forked seed (untraced batch) still records into a small
 /// always-on flight ring.
+///
+/// Returns the outcome, the recording of a traced attempt that ran to
+/// completion, and the flight tail of one that failed or panicked. An
+/// untraced attempt keeps no recording: its ring, and the job id,
+/// labels and failure texts held beside it, go back to the handle pool
+/// here.
 fn run_attempt<R: JobRunner>(
     job: &Job,
     seed: Option<TelemetrySeed>,
     runner: &R,
     deadline: &Deadline,
-) -> AttemptOutcome {
+) -> (AttemptOutcome, Option<Recording>, Vec<String>) {
+    let traced = seed.is_some();
     let tel = seed.map_or_else(Telemetry::flight, TelemetrySeed::build);
     let payload = catch_unwind(AssertUnwindSafe(|| {
         let span = tel.span_display("job:", &job.id());
@@ -1161,14 +1171,20 @@ fn run_attempt<R: JobRunner>(
         });
         result
     }));
-    let recording = tel.into_recording();
-    match payload {
-        Ok(result) => AttemptOutcome::Done(result, recording),
+    let outcome = match payload {
+        Ok(result) => AttemptOutcome::Done(result),
         Err(payload) => {
             let message = panic_text(payload.as_ref()).unwrap_or("panic with a non-string payload");
-            AttemptOutcome::Panicked(message.to_owned(), recording)
+            AttemptOutcome::Panicked(message.to_owned())
         }
-    }
+    };
+    let flight = match &outcome {
+        AttemptOutcome::Done(Ok(_)) => Vec::new(),
+        _ => tel.tail_lines(FLIGHT_TAIL_LINES),
+    };
+    let recording =
+        (traced && matches!(outcome, AttemptOutcome::Done(_))).then(|| tel.into_recording());
+    (outcome, recording, flight)
 }
 
 /// The text a panic was raised with, when its payload is a string.

@@ -789,12 +789,13 @@ fn run_dataset(
         shard_index: opts.shard_index,
         batch: batch_options,
     };
-    let tel = Telemetry::new();
+    // Nothing reads a dataset's trace, so its jobs take the untraced
+    // path: a flight ring each, dropped when the job ends.
     let report = oasys::dataset::generate(
         &manifest,
         std::path::Path::new(&opts.out_dir),
         &options,
-        &tel,
+        &Telemetry::disabled(),
     )
     .map_err(|e| e.to_string())?;
     report_salvage(

@@ -46,12 +46,23 @@ impl OpAmpStyle {
         OpAmpStyle::FoldedCascode,
     ];
 
+    /// The style's display name, which [`OpAmpStyle::from_name`] reads
+    /// back.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            OpAmpStyle::OneStageOta => "one-stage OTA",
+            OpAmpStyle::TwoStage => "two-stage",
+            OpAmpStyle::FoldedCascode => "folded cascode",
+        }
+    }
+
     /// Resolves a style from its display name (`"one-stage OTA"`,
     /// `"two-stage"`, `"folded cascode"`), as used by the `--styles`
     /// filter and the [`oasys_plan::BlockDesigner`] string interface.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.to_string() == name)
+        Self::ALL.into_iter().find(|s| s.name() == name)
     }
 }
 
@@ -250,11 +261,7 @@ pub fn static_feasibility(
 
 impl fmt::Display for OpAmpStyle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            OpAmpStyle::OneStageOta => "one-stage OTA",
-            OpAmpStyle::TwoStage => "two-stage",
-            OpAmpStyle::FoldedCascode => "folded cascode",
-        })
+        f.write_str(self.name())
     }
 }
 

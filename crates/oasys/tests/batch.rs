@@ -7,6 +7,7 @@ use oasys::batch::{
     JobStatus, JobSuccess, Manifest, SynthRunner, CHECKPOINT_HEADER,
 };
 use oasys_faults::Deadline;
+use oasys_plan::{Plan, PlanExecutor, StepFailure, StepOutcome};
 use oasys_telemetry::{ManualClock, Telemetry};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -566,4 +567,57 @@ fn only_the_sink_sees_a_records_detail() {
     }
     assert_eq!(report.records().len(), 9);
     assert!(report.records().iter().all(|r| r.detail.is_none()));
+}
+
+/// A runner whose one-step plan fails with a number in its message, as
+/// a sizing step does, and no rule patches the failure.
+struct ShortGainRunner;
+
+fn short_gain(job: usize) -> String {
+    format!("gain {:.1} dB short of 60 dB", 40.5 + job as f64)
+}
+
+impl JobRunner for ShortGainRunner {
+    fn run(
+        &self,
+        job: &Job,
+        tel: &Telemetry,
+        _deadline: &Deadline,
+    ) -> Result<JobSuccess, JobFailure> {
+        let message = short_gain(job.id());
+        let plan = Plan::<()>::builder("gain-check")
+            .step("measure-gain", move |_: &mut ()| {
+                StepOutcome::Failed(StepFailure::new("gain-short", message.clone()))
+            })
+            .build();
+        let error = PlanExecutor::new()
+            .run_with(&plan, &mut (), tel)
+            .unwrap_err();
+        Err(JobFailure::permanent(error.to_string()))
+    }
+}
+
+#[test]
+fn an_untraced_failure_keeps_its_numeric_text_in_the_flight_tail() {
+    // The failure text differs job by job, so an untraced attempt keeps
+    // it beside its flight ring rather than in the symbol table; the
+    // tail must still render it, and the job id, verbatim.
+    let report = Batch::new(mock_jobs(), fast_options())
+        .run(&Arc::new(ShortGainRunner), &Telemetry::disabled(), |_| {})
+        .unwrap();
+    assert_eq!(report.counts().failed, 9);
+    for record in report.records() {
+        let gain = short_gain(record.job);
+        for line in [
+            format!("note outcome=failed: [gain-short] {gain}"),
+            format!("field message={gain}"),
+            format!("close job:{}", record.job),
+        ] {
+            assert!(
+                record.flight.contains(&line),
+                "{line:?} missing from {:?}",
+                record.flight
+            );
+        }
+    }
 }

@@ -80,7 +80,7 @@
 //! ```
 
 use oasys_faults::{fail_point, Deadline};
-use oasys_telemetry::{sym, sym2, sym_display, Sym, Telemetry};
+use oasys_telemetry::{sym, sym2, Sym, Telemetry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::error::Error;
@@ -909,20 +909,14 @@ fn attempt<D: BlockDesigner>(
     match &result {
         Ok(output) => {
             span.annotate_sym(syms.outcome, syms.feasible);
-            // One-decimal area as an interned value: the same spec and
-            // process yield the same text run over run, so after the
-            // first run this is a stack-format plus a table lookup —
-            // no `String` allocation on the hot path.
-            struct Area(f64);
-            impl fmt::Display for Area {
-                fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                    write!(f, "{:.1}", self.0)
-                }
+            // The one-decimal area differs from job to job: a flight
+            // handle keeps the text, a traced run interns it, and a
+            // disabled handle formats nothing. Neither allocates a
+            // `String` for it.
+            if tel.is_enabled() {
+                let area = designer.area_um2(output);
+                span.annotate_sym(syms.area_um2, tel.text(&format_args!("{area:.1}")));
             }
-            span.annotate_sym(
-                syms.area_um2,
-                sym_display("", &Area(designer.area_um2(output))),
-            );
         }
         Err(e) => {
             span.annotate_sym(syms.outcome, syms.rejected);

@@ -4,7 +4,7 @@ use crate::error::PlanError;
 use crate::plan::{PatchAction, Plan, StepFailure, StepOutcome};
 use crate::trace::{Trace, TraceEvent};
 use oasys_faults::{fail_point, Deadline};
-use oasys_telemetry::{sym, sym2, sym_display, Sym, Telemetry};
+use oasys_telemetry::{sym, sym2, Sym, Telemetry};
 
 /// Pre-interned symbols for the executor's fixed event kinds, field
 /// keys, annotation values, and counter names — resolved once per
@@ -315,7 +315,8 @@ impl PlanExecutor {
                 }
                 StepOutcome::Failed(failure) => {
                     if syms.is_some() {
-                        step_span.annotate_sym(c.outcome, sym_display("failed: ", &failure));
+                        step_span
+                            .annotate_sym(c.outcome, tel.text(&format_args!("failed: {failure}")));
                     }
                     record(
                         &mut trace,
@@ -429,7 +430,9 @@ impl PlanExecutor {
 /// `syms` is `Some` exactly when `tel` is enabled; `idx` is the step
 /// index for step events and the rule index for [`TraceEvent::RuleFired`]
 /// (unused otherwise), selecting pre-interned symbols so the hot path
-/// never hashes a name.
+/// never hashes a name. The failure and abort texts go through
+/// [`Telemetry::text`]: they differ from job to job, so a flight
+/// handle keeps them and only a traced run interns them.
 fn record(
     trace: &mut Trace,
     tel: &Telemetry,
@@ -450,8 +453,8 @@ fn record(
                     c.step_failed,
                     &[
                         (c.step, syms.steps[idx].1),
-                        (c.code, sym(failure.code())),
-                        (c.message, sym(failure.message())),
+                        (c.code, tel.text_str(failure.code())),
+                        (c.message, tel.text_str(failure.message())),
                     ],
                 );
             }
@@ -463,7 +466,7 @@ fn record(
                 let action_sym = match action {
                     PatchAction::Retry => c.retry,
                     PatchAction::RestartFrom(step) => sym2("restart-from:", step),
-                    PatchAction::Abort(reason) => sym2("abort:", reason),
+                    PatchAction::Abort(reason) => tel.text(&format_args!("abort:{reason}")),
                 };
                 tel.event_with(
                     c.rule_fired,
@@ -476,7 +479,7 @@ fn record(
             }
             TraceEvent::PlanAborted { reason } => {
                 tel.incr_sym(c.aborts);
-                tel.event_with(c.plan_aborted, &[(c.reason, sym(reason))]);
+                tel.event_with(c.plan_aborted, &[(c.reason, tel.text_str(reason))]);
             }
         }
     }

@@ -13,7 +13,7 @@ use crate::linalg::Matrix;
 use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
+use oasys_telemetry::{sym, sym_u64, Sym, Telemetry};
 use std::error::Error;
 use std::fmt;
 
@@ -256,7 +256,7 @@ pub fn solve_at_with(
             }
             Err(e) => {
                 tel.incr_sym(s.failures);
-                span.annotate_sym(s.error, sym_display("", e));
+                span.annotate_sym(s.error, tel.text(e));
             }
         }
     }

@@ -20,7 +20,7 @@ use oasys_faults::{fail_point, Deadline, DeadlineExceeded};
 use oasys_mos::OperatingPoint;
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
+use oasys_telemetry::{sym, sym_u64, Sym, Telemetry};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -260,7 +260,7 @@ pub fn solve_with_deadline(
             Ok(solution) => {
                 span.annotate_sym(s.iterations, sym_u64(solution.iterations() as u64));
             }
-            Err(e) => span.annotate_sym(s.error, sym_display("", e)),
+            Err(e) => span.annotate_sym(s.error, tel.text(e)),
         }
     }
     result

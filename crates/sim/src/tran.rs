@@ -27,7 +27,7 @@ use crate::mna::{volt, SourceRef, StampPlan};
 use oasys_faults::Deadline;
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_display, sym_u64, Sym, Telemetry};
+use oasys_telemetry::{sym, sym_u64, Sym, Telemetry};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -468,7 +468,7 @@ fn run(
             }
             Err(e) => {
                 tel.incr_sym(s.failures);
-                span.annotate_sym(s.error, sym_display("", e));
+                span.annotate_sym(s.error, tel.text(e));
             }
         }
     }

@@ -6,6 +6,11 @@
 //! carries plain integers in fixed-size binary records (the recorder's
 //! ring); strings reappear only at export time, via [`resolve`].
 //!
+//! The table only grows, so text that differs from job to job (a job
+//! id, an area, a failure message) goes through
+//! [`Telemetry::text`](crate::Telemetry::text) instead: a traced handle
+//! interns it, a flight handle keeps it beside its own ring.
+//!
 //! Symbol *values* depend on registration order and are therefore not
 //! deterministic across runs or thread schedules. That is fine by
 //! design: every exporter resolves symbols back to strings and orders
@@ -17,7 +22,10 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// An interned name: a cheap, `Copy`, process-wide handle to a string
 /// in the global table. Obtain one with [`sym`] (or the two-part
-/// [`sym2`]), turn it back into text with [`resolve`].
+/// [`sym2`]), turn it back into text with [`resolve`]. The one
+/// exception is a symbol a flight handle's
+/// [`Telemetry::text`](crate::Telemetry::text) returns: it names text
+/// that handle keeps to itself, and means nothing elsewhere.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub(crate) u32);
 

@@ -16,8 +16,10 @@
 //!   annotation is one fixed-size binary record appended to a
 //!   preallocated ring — rendering is deferred to export time. The same
 //!   ring doubles as the crash *flight recorder* ([`Telemetry::flight`],
-//!   [`Recording::tail_lines`]): a failing batch job dumps its last
-//!   records into the failure report.
+//!   [`Telemetry::tail_lines`]): a failing batch job dumps its last
+//!   records into the failure report. A flight handle keeps no metrics
+//!   and keeps per-job text ([`Telemetry::text`]) beside its ring, so
+//!   untraced jobs never grow the process-wide table.
 //! * Spans are monotonic-[`std::time::Instant`]-backed by default; tests
 //!   inject a [`ManualClock`] for deterministic durations. Span
 //!   durations also feed per-span-name log-bucketed latency histograms

@@ -14,6 +14,12 @@
 //! Chrome-trace rendering are reconstructed at export time by replaying
 //! the ring ([`Telemetry::report`]).
 //!
+//! A *flight* handle ([`Telemetry::flight`]) records the same records
+//! into a small ring but keeps no metric cells, and it stores text that
+//! differs job by job ([`Telemetry::text`]) beside its ring instead of
+//! interning it, so an untraced job costs the same whatever ran before
+//! it.
+//!
 //! The pipeline is single-threaded, so the recorder uses `RefCell`
 //! interior mutability and is shared as `&Telemetry`. Parallel stages
 //! use the fork/absorb protocol: [`Telemetry::fork_seed`] hands each
@@ -28,10 +34,12 @@ use crate::intern::{resolve, sym, sym_display, Sym};
 use crate::metrics::{Hist, MetricsRegistry};
 use crate::report::{EventData, RunReport, SpanData};
 use crate::ring::{
-    Record, RecordRing, Recording, Tag, DEFAULT_RING_CAPACITY, FLIGHT_RING_CAPACITY,
+    tail_lines, Record, RecordRing, Recording, Tag, Text, Texts, DEFAULT_RING_CAPACITY,
+    FLIGHT_RING_CAPACITY, LOCAL,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 
 /// Index of a span within one recording (equal to its open order; the
@@ -82,6 +90,11 @@ struct Inner {
     /// not ring positions — are what `SpanClose`/`Annotate` records
     /// target, so they survive splicing and wrap-around.
     next_seq: u32,
+    /// A flight handle: no metric cells (its tail never shows them),
+    /// and per-job text goes to `texts`, not the process-wide table.
+    flight: bool,
+    /// The flight handle's own texts (always empty otherwise).
+    texts: Texts,
     /// Metric cells live outside the ring, indexed densely by symbol
     /// id, so a wrapped ring can never corrupt totals.
     counters: Vec<Option<u64>>,
@@ -100,15 +113,16 @@ fn cell_mut<T>(cells: &mut Vec<Option<T>>, id: u32) -> &mut Option<T> {
     &mut cells[idx]
 }
 
-/// The recyclable allocations behind one handle: the ring buffer and
-/// the four metric-cell vectors. Short-lived handles (one per bench
-/// iteration, one per batch attempt) dominate recording cost with
-/// allocator traffic, not record writes — so dropped handles park their
-/// emptied bodies in a small thread-local pool and the next
-/// [`Telemetry::new`] picks one up warm.
+/// The recyclable allocations behind one handle: the ring buffer, the
+/// flight text store and the four metric-cell vectors. Short-lived
+/// handles (one per bench iteration, one per batch attempt) dominate
+/// recording cost with allocator traffic, not record writes — so
+/// dropped handles park their emptied bodies in a small thread-local
+/// pool and the next [`Telemetry::new`] picks one up warm.
 #[derive(Default)]
 struct Body {
     buf: Vec<Record>,
+    texts: Texts,
     counters: Vec<Option<u64>>,
     gauges: Vec<Option<f64>>,
     hists: Vec<Option<Box<Hist>>>,
@@ -135,12 +149,14 @@ fn pool_pop() -> Body {
 fn pool_put(inner: Inner) {
     let mut body = Body {
         buf: inner.ring.into_buffer(),
+        texts: inner.texts,
         counters: inner.counters,
         gauges: inner.gauges,
         hists: inner.hists,
         span_hists: inner.span_hists,
     };
     body.buf.clear();
+    body.texts.clear();
     body.counters.iter_mut().for_each(|c| *c = None);
     body.gauges.iter_mut().for_each(|c| *c = None);
     // Histogram boxes are kept alive and reset in place — re-allocating
@@ -177,9 +193,40 @@ impl Inner {
     }
 
     fn observe_span_hist(&mut self, name: Sym, value: u64) {
+        if self.flight {
+            return;
+        }
         cell_mut(&mut self.span_hists, name.0)
             .get_or_insert_with(Box::default)
             .observe(value);
+    }
+
+    /// Names `prefix` + `value` in a record: a flight handle keeps the
+    /// text itself, any other handle interns it.
+    fn text(&mut self, prefix: &str, value: &dyn fmt::Display) -> Sym {
+        if self.flight {
+            self.texts.push(prefix, value)
+        } else {
+            sym_display(prefix, value)
+        }
+    }
+
+    /// [`Inner::text`] for text already rendered.
+    fn text_str(&mut self, value: &str) -> Sym {
+        if self.flight {
+            self.texts.push(value, &"")
+        } else {
+            sym(value)
+        }
+    }
+
+    /// A record operand as text.
+    fn render(&self, operand: u32) -> String {
+        Text {
+            operand,
+            texts: &self.texts,
+        }
+        .to_string()
     }
 
     fn metrics_snapshot(&self) -> MetricsRegistry {
@@ -224,6 +271,7 @@ impl Telemetry {
         Self::from_source(
             ClockSource::Inline(MonotonicClock::new()),
             DEFAULT_RING_CAPACITY,
+            false,
         )
     }
 
@@ -239,10 +287,10 @@ impl Telemetry {
     /// and the exact drop count is carried into every export.
     #[must_use]
     pub fn with_clock_and_capacity(clock: Rc<dyn Clock>, capacity: usize) -> Self {
-        Self::from_source(ClockSource::Shared(clock), capacity)
+        Self::from_source(ClockSource::Shared(clock), capacity, false)
     }
 
-    fn from_source(clock: ClockSource, capacity: usize) -> Self {
+    fn from_source(clock: ClockSource, capacity: usize, flight: bool) -> Self {
         let body = pool_pop();
         Self {
             inner: Some(RefCell::new(Inner {
@@ -250,6 +298,8 @@ impl Telemetry {
                 ring: RecordRing::with_buffer(capacity, body.buf),
                 capacity,
                 next_seq: 0,
+                flight,
+                texts: body.texts,
                 counters: body.counters,
                 gauges: body.gauges,
                 hists: body.hists,
@@ -262,12 +312,19 @@ impl Telemetry {
     /// clock that holds the trace tail by construction. Batch workers
     /// run one of these even when nobody asked for a trace, so a
     /// failing job can dump its final records into the failure context
-    /// ([`Recording::tail_lines`]).
+    /// ([`Telemetry::tail_lines`]).
+    ///
+    /// It costs the same for every job: it keeps no metric cells (the
+    /// tail never shows them, and its report has no metrics), and the
+    /// text of its span names, annotation values and event fields that
+    /// is not a pre-interned [`Sym`] stays in the handle's own store
+    /// and is dropped with it, never entering the process-wide table.
     #[must_use]
     pub fn flight() -> Self {
         Self::from_source(
             ClockSource::Inline(MonotonicClock::new()),
             FLIGHT_RING_CAPACITY,
+            true,
         )
     }
 
@@ -284,12 +341,43 @@ impl Telemetry {
         self.inner.is_some()
     }
 
+    /// The recorder, when it keeps metric cells (not a flight handle).
+    fn metered(&self) -> Option<&RefCell<Inner>> {
+        self.inner.as_ref().filter(|cell| !cell.borrow().flight)
+    }
+
+    /// A symbol for `value`'s text as this handle records it: the way
+    /// to name text that differs job by job (a job id, an area, a
+    /// failure message) in [`SpanGuard::annotate_sym`] or
+    /// [`Telemetry::event_with`]. A flight handle stores the text
+    /// beside its ring, so the symbol means something only in this
+    /// handle's records (and the [`Recording`] drained from it) and the
+    /// process-wide table never sees it. Any other recording handle
+    /// interns the text ([`sym_display`]). A disabled handle formats
+    /// nothing and returns a placeholder it never records.
+    #[must_use]
+    pub fn text(&self, value: &dyn fmt::Display) -> Sym {
+        self.inner
+            .as_ref()
+            .map_or(Sym(u32::MAX), |cell| cell.borrow_mut().text("", value))
+    }
+
+    /// [`Telemetry::text`] for text already rendered: a traced handle
+    /// interns it without formatting it again.
+    #[must_use]
+    pub fn text_str(&self, value: &str) -> Sym {
+        self.inner
+            .as_ref()
+            .map_or(Sym(u32::MAX), |cell| cell.borrow_mut().text_str(value))
+    }
+
     /// Opens a span as a child of the innermost open span. The name
-    /// closure runs only when recording (its result is interned). The
-    /// span closes when the returned guard drops.
+    /// closure runs only when recording (its result is interned, or
+    /// kept by a flight handle). The span closes when the returned
+    /// guard drops.
     pub fn span(&self, name: impl FnOnce() -> String) -> SpanGuard<'_> {
         if self.inner.is_some() {
-            self.span_sym(sym(&name()))
+            self.span_sym(self.text_str(&name()))
         } else {
             SpanGuard {
                 tel: self,
@@ -384,10 +472,12 @@ impl Telemetry {
 
     /// Opens a span named `prefix` + the `Display` rendering of
     /// `value` (e.g. `style:` + a style name), interning the combined
-    /// name without allocating on the already-registered fast path.
-    pub fn span_display(&self, prefix: &str, value: &dyn std::fmt::Display) -> SpanGuard<'_> {
-        if self.inner.is_some() {
-            self.span_sym(sym_display(prefix, value))
+    /// name without allocating on the already-registered fast path (a
+    /// flight handle keeps it, like [`Telemetry::text`]).
+    pub fn span_display(&self, prefix: &str, value: &dyn fmt::Display) -> SpanGuard<'_> {
+        if let Some(cell) = &self.inner {
+            let name = cell.borrow_mut().text(prefix, value);
+            self.span_sym(name)
         } else {
             SpanGuard {
                 tel: self,
@@ -398,7 +488,7 @@ impl Telemetry {
 
     /// Records a timestamped event under the innermost open span. The
     /// field closure runs only when recording (kind, keys, and values
-    /// are interned).
+    /// are interned; a flight handle keeps the values).
     pub fn event(&self, kind: &str, fields: impl FnOnce() -> Vec<(&'static str, String)>) {
         if let Some(cell) = &self.inner {
             let mut inner = cell.borrow_mut();
@@ -411,10 +501,11 @@ impl Telemetry {
                 tag: Tag::Event,
             });
             for (key, value) in fields() {
+                let value = inner.text_str(&value);
                 inner.ring.push(Record {
                     t_ns,
                     a: sym(key).0,
-                    b: sym(&value).0,
+                    b: value.0,
                     c: 0,
                     tag: Tag::Field,
                 });
@@ -449,14 +540,14 @@ impl Telemetry {
 
     /// Adds `n` to a counter.
     pub fn add(&self, name: &str, n: u64) {
-        if let Some(cell) = &self.inner {
+        if let Some(cell) = self.metered() {
             cell.borrow_mut().add_counter(sym(name), n);
         }
     }
 
     /// Adds `n` to a counter by pre-interned symbol.
     pub fn add_sym(&self, name: Sym, n: u64) {
-        if let Some(cell) = &self.inner {
+        if let Some(cell) = self.metered() {
             cell.borrow_mut().add_counter(name, n);
         }
     }
@@ -473,7 +564,7 @@ impl Telemetry {
 
     /// Sets a gauge.
     pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(cell) = &self.inner {
+        if let Some(cell) = self.metered() {
             let mut inner = cell.borrow_mut();
             let id = sym(name).0;
             *cell_mut(&mut inner.gauges, id) = Some(value);
@@ -482,22 +573,23 @@ impl Telemetry {
 
     /// Records one observation into a log-bucketed latency histogram.
     pub fn observe(&self, name: &str, value: u64) {
-        if let Some(cell) = &self.inner {
+        if let Some(cell) = self.metered() {
             cell.borrow_mut().observe_hist(sym(name), value);
         }
     }
 
     /// Records one histogram observation by pre-interned symbol.
     pub fn observe_sym(&self, name: Sym, value: u64) {
-        if let Some(cell) = &self.inner {
+        if let Some(cell) = self.metered() {
             cell.borrow_mut().observe_hist(name, value);
         }
     }
 
-    /// Reads a counter back (0 when disabled or never touched).
+    /// Reads a counter back (0 when disabled, on a flight handle, or
+    /// never touched).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.as_ref().map_or(0, |cell| {
+        self.metered().map_or(0, |cell| {
             let inner = cell.borrow();
             inner
                 .counters
@@ -542,7 +634,7 @@ impl Telemetry {
                         Tag::SpanOpen => {
                             let idx = spans.len();
                             spans.push(SpanData {
-                                name: resolve(Sym(record.a)).to_string(),
+                                name: inner.render(record.a),
                                 parent: stack.last().map(|&(_, i)| i),
                                 start_ns: record.t_ns,
                                 end_ns: None,
@@ -564,17 +656,16 @@ impl Telemetry {
                         }
                         Tag::Annotate => {
                             if let Some(&idx) = open_map.get(&record.c) {
-                                spans[idx].attrs.push((
-                                    resolve(Sym(record.a)).to_string(),
-                                    resolve(Sym(record.b)).to_string(),
-                                ));
+                                spans[idx]
+                                    .attrs
+                                    .push((inner.render(record.a), inner.render(record.b)));
                             }
                         }
                         Tag::Event => {
                             events.push(EventData {
                                 t_ns: record.t_ns,
                                 span: stack.last().map(|&(_, i)| i),
-                                kind: resolve(Sym(record.a)).to_string(),
+                                kind: inner.render(record.a),
                                 fields: Vec::new(),
                             });
                         }
@@ -582,10 +673,9 @@ impl Telemetry {
                             // A field whose event was lost to
                             // wrap-around is dropped with it.
                             if let Some(event) = events.last_mut() {
-                                event.fields.push((
-                                    resolve(Sym(record.a)).to_string(),
-                                    resolve(Sym(record.b)).to_string(),
-                                ));
+                                event
+                                    .fields
+                                    .push((inner.render(record.a), inner.render(record.b)));
                             }
                         }
                     }
@@ -622,17 +712,30 @@ impl Telemetry {
         })
     }
 
+    /// The flight-recorder tail of this handle's ring: its last `n`
+    /// records as [`Recording::tail_lines`] renders them, without
+    /// draining the handle. Empty when disabled.
+    #[must_use]
+    pub fn tail_lines(&self, n: usize) -> Vec<String> {
+        self.inner.as_ref().map_or_else(Vec::new, |cell| {
+            let inner = cell.borrow();
+            tail_lines(inner.ring.iter(), inner.ring.len(), &inner.texts, n)
+        })
+    }
+
     /// Consumes the handle and detaches its raw state — ring records,
-    /// drop count, and metric cells — as a `Send` [`Recording`] the
-    /// parent can [`absorb`](Telemetry::absorb) or mine for a flight
-    /// tail. A disabled handle yields an empty recording.
+    /// drop count, metric cells, and a flight handle's own texts — as a
+    /// `Send` [`Recording`] the parent can
+    /// [`absorb`](Telemetry::absorb) or mine for a flight tail. A
+    /// disabled handle yields an empty recording.
     #[must_use]
     pub fn into_recording(mut self) -> Recording {
         let Some(cell) = self.inner.take() else {
             return Recording::default();
         };
-        let inner = cell.into_inner();
+        let mut inner = cell.into_inner();
         let recording = Recording {
+            texts: std::mem::take(&mut inner.texts),
             records: inner.ring.iter().copied().collect(),
             dropped: inner.ring.dropped(),
             next_seq: inner.next_seq,
@@ -686,6 +789,8 @@ impl Telemetry {
     /// splice point, exactly as they would have nested sequentially.
     /// Absorbing the same recordings in the same order always yields
     /// the same report, regardless of how the workers were scheduled.
+    /// A flight recording's own texts are interned (or, into another
+    /// flight handle, copied); a flight handle takes no metric cells.
     pub fn absorb(&self, recording: &Recording) {
         let Some(cell) = &self.inner else {
             return;
@@ -697,10 +802,22 @@ impl Telemetry {
             if matches!(record.tag, Tag::SpanOpen | Tag::SpanClose | Tag::Annotate) {
                 record.c = record.c.wrapping_add(base);
             }
+            for operand in [&mut record.a, &mut record.b] {
+                if *operand & LOCAL != 0 {
+                    let text = Text {
+                        operand: *operand,
+                        texts: &recording.texts,
+                    };
+                    *operand = inner.text("", &text).0;
+                }
+            }
             inner.ring.push(record);
         }
         inner.next_seq = base.wrapping_add(recording.next_seq);
         inner.ring.add_dropped(recording.dropped);
+        if inner.flight {
+            return;
+        }
         for &(name, n) in &recording.counters {
             inner.add_counter(name, n);
         }
@@ -863,11 +980,12 @@ impl SpanGuard<'_> {
     }
 
     /// Attaches a key/value attribute to the span. The value closure
-    /// runs only when recording; key and value are interned.
+    /// runs only when recording; key and value are interned (a flight
+    /// handle keeps the value, like [`Telemetry::text`]).
     pub fn annotate(&self, key: &str, value: impl FnOnce() -> String) {
         if let Some((_, seq, _)) = self.state {
-            let value = value();
-            self.tel.push_annotate(sym(key), sym(&value), seq);
+            let value = self.tel.text_str(&value());
+            self.tel.push_annotate(sym(key), value, seq);
         }
     }
 

@@ -12,10 +12,13 @@
 //! (`wrapped: true`, `events_dropped: N`) instead of hiding it. The
 //! same structure doubles as the crash flight recorder: a small ring
 //! holds the trace tail by construction, and [`Recording::tail_lines`]
-//! renders the last few records verbatim into failure context.
+//! renders the last few records verbatim into failure context. A
+//! flight ring keeps its per-job text beside it ([`Texts`]) instead of
+//! in the process-wide table.
 
 use crate::intern::{resolve, Sym};
 use crate::metrics::Hist;
+use std::fmt;
 
 /// Default per-handle ring capacity (records). At 24 bytes per record
 /// this is a ~384 KiB buffer — enough to hold every record of a full
@@ -26,6 +29,95 @@ pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 /// Ring capacity used by the always-on flight recorder: just enough to
 /// carry the trace tail into a failure report.
 pub const FLIGHT_RING_CAPACITY: usize = 256;
+
+/// Marks a record operand that names a text in the recording's own
+/// [`Texts`] (`LOCAL | index`) instead of a process-wide symbol.
+pub(crate) const LOCAL: u32 = 1 << 31;
+
+/// The text a flight handle keeps for itself instead of interning it
+/// process-wide: span names, annotation values and event fields that
+/// differ job by job (`job:<id>`, an area, a failure message). One
+/// buffer holds the texts end to end. The texts live as long as the
+/// handle, or the [`Recording`] drained from it, and are dropped with
+/// it, so untraced jobs never grow the global table.
+#[derive(Debug, Default)]
+pub(crate) struct Texts {
+    buf: String,
+    /// Where each text ends in `buf`; text `i` starts where `i - 1`
+    /// ends.
+    ends: Vec<usize>,
+}
+
+impl Texts {
+    /// Stores `prefix` followed by the rendering of `value` as one text
+    /// and returns the operand that names it.
+    pub fn push(&mut self, prefix: &str, value: &dyn fmt::Display) -> Sym {
+        use fmt::Write;
+        self.buf.push_str(prefix);
+        // Writing into a `String` fails only when `value`'s own
+        // `Display` does; the text keeps what it wrote, as `to_string`
+        // would have.
+        let _ = write!(self.buf, "{value}");
+        self.ends.push(self.buf.len());
+        Sym(LOCAL | u32::try_from(self.ends.len() - 1).unwrap_or(!LOCAL))
+    }
+
+    /// The text `operand` names (empty for an index never stored).
+    fn get(&self, operand: u32) -> &str {
+        let index = (operand & !LOCAL) as usize;
+        let start = match index {
+            0 => Some(0),
+            _ => self.ends.get(index - 1).copied(),
+        };
+        start
+            .zip(self.ends.get(index).copied())
+            .and_then(|(start, end)| self.buf.get(start..end))
+            .unwrap_or("")
+    }
+
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.ends.clear();
+    }
+}
+
+/// A record operand rendered as text: a process-wide symbol, or one of
+/// the recording's own [`Texts`].
+pub(crate) struct Text<'a> {
+    pub operand: u32,
+    pub texts: &'a Texts,
+}
+
+impl fmt::Display for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.operand & LOCAL == 0 {
+            f.write_str(&resolve(Sym(self.operand)))
+        } else {
+            f.write_str(self.texts.get(self.operand))
+        }
+    }
+}
+
+/// The last `n` of `records` (`len` of them, oldest first) rendered as
+/// the flight recorder's short lines.
+pub(crate) fn tail_lines<'a>(
+    records: impl Iterator<Item = &'a Record>,
+    len: usize,
+    texts: &Texts,
+    n: usize,
+) -> Vec<String> {
+    let text = |operand| Text { operand, texts };
+    records
+        .skip(len.saturating_sub(n))
+        .map(|r| match r.tag {
+            Tag::SpanOpen => format!("open {}", text(r.a)),
+            Tag::SpanClose => format!("close {}", text(r.a)),
+            Tag::Annotate => format!("note {}={}", text(r.a), text(r.b)),
+            Tag::Event => format!("event {}", text(r.a)),
+            Tag::Field => format!("field {}={}", text(r.a), text(r.b)),
+        })
+        .collect()
+}
 
 /// Discriminates the meaning of a [`Record`]'s operand fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,7 +219,6 @@ impl RecordRing {
             .chain(self.buf[..self.start].iter())
     }
 
-    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -150,6 +241,8 @@ pub struct Recording {
     pub(crate) gauges: Vec<(Sym, f64)>,
     pub(crate) hists: Vec<(Sym, Hist)>,
     pub(crate) span_hists: Vec<(Sym, Hist)>,
+    /// A flight handle's own texts, named by `LOCAL` operands.
+    pub(crate) texts: Texts,
 }
 
 impl Recording {
@@ -176,21 +269,7 @@ impl Recording {
     /// job dumps into its structured failure record.
     #[must_use]
     pub fn tail_lines(&self, n: usize) -> Vec<String> {
-        let start = self.records.len().saturating_sub(n);
-        self.records[start..]
-            .iter()
-            .map(|r| match r.tag {
-                Tag::SpanOpen => format!("open {}", resolve(Sym(r.a))),
-                Tag::SpanClose => format!("close {}", resolve(Sym(r.a))),
-                Tag::Annotate => {
-                    format!("note {}={}", resolve(Sym(r.a)), resolve(Sym(r.b)))
-                }
-                Tag::Event => format!("event {}", resolve(Sym(r.a))),
-                Tag::Field => {
-                    format!("field {}={}", resolve(Sym(r.a)), resolve(Sym(r.b)))
-                }
-            })
-            .collect()
+        tail_lines(self.records.iter(), self.records.len(), &self.texts, n)
     }
 }
 
