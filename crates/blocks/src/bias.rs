@@ -11,8 +11,7 @@ use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym2, Sym};
-use std::sync::OnceLock;
+use oasys_telemetry::sym;
 
 /// Specification for a bias generator.
 ///
@@ -148,9 +147,9 @@ impl BiasGenerator {
             .tag("pol", format!("{:?}", spec.polarity))
             .num("iref", spec.iref)
             .num("vov", spec.vov);
-        static LEVEL: OnceLock<Sym> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| sym2("block:", "bias"));
-        ctx.design_child_sym(level, "bias", Some(key), || Self::design(spec, process))
+        ctx.design_child_sym(sym!("block:bias"), "bias", Some(key), || {
+            Self::design(spec, process)
+        })
     }
 
     /// The specification.

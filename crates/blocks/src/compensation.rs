@@ -19,8 +19,7 @@
 
 use crate::common::{require_positive, DesignError};
 use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
-use oasys_telemetry::{sym2, Sym};
-use std::sync::OnceLock;
+use oasys_telemetry::sym;
 
 /// Smallest compensation capacitor worth drawing, F.
 const MIN_CC: f64 = 0.2e-12;
@@ -164,9 +163,12 @@ impl Compensation {
             .num("cl", spec.load_cap)
             .num("fu", spec.unity_gain_freq)
             .num("pm", spec.phase_margin_deg);
-        static LEVEL: OnceLock<Sym> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| sym2("block:", "compensation"));
-        ctx.design_child_sym(level, "compensation", Some(key), || Self::design(spec))
+        ctx.design_child_sym(
+            sym!("block:compensation"),
+            "compensation",
+            Some(key),
+            || Self::design(spec),
+        )
     }
 
     /// Required second-stage transconductance for a compensation spec to

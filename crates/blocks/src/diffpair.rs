@@ -12,8 +12,7 @@ use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym2, Sym};
-use std::sync::OnceLock;
+use oasys_telemetry::sym;
 
 /// Highest W/L the pair designer will use; beyond this the input
 /// capacitance and offset sensitivity are unreasonable.
@@ -175,9 +174,7 @@ impl DiffPair {
             .num("gm", spec.gm)
             .num("itail", spec.tail_current)
             .num("l_um", spec.length_um.unwrap_or(f64::NEG_INFINITY));
-        static LEVEL: OnceLock<Sym> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| sym2("block:", "diff pair"));
-        ctx.design_child_sym(level, "diff pair", Some(key), || {
+        ctx.design_child_sym(sym!("block:diff pair"), "diff pair", Some(key), || {
             Self::design(spec, process)
         })
     }

@@ -13,9 +13,8 @@ use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_plan::{BlockDesigner, CacheKey, DesignContext, Selected, StyleRejection};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym2, Sym, Telemetry};
+use oasys_telemetry::{sym, Telemetry};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Overdrive floor for the driver device.
 const MIN_VOV: f64 = 0.10;
@@ -204,11 +203,12 @@ impl GainStage {
         process: &Process,
         ctx: &DesignContext<'_>,
     ) -> Result<Self, DesignError> {
-        static LEVEL: OnceLock<Sym> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| sym2("block:", "gain stage"));
-        ctx.design_child_sym(level, "gain stage", Some(Self::cache_key(spec)), || {
-            Self::select(spec, process, ctx)
-        })
+        ctx.design_child_sym(
+            sym!("block:gain stage"),
+            "gain stage",
+            Some(Self::cache_key(spec)),
+            || Self::select(spec, process, ctx),
+        )
     }
 
     fn select(

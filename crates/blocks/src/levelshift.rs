@@ -12,8 +12,7 @@ use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym2, Sym};
-use std::sync::OnceLock;
+use oasys_telemetry::sym;
 
 /// Overdrive bounds for a useful follower.
 const MIN_VOV: f64 = 0.08;
@@ -173,11 +172,12 @@ impl LevelShifter {
             .num("shift", spec.shift)
             .num("ibias", spec.bias_current)
             .num("vsb", spec.vsb_estimate);
-        static LEVEL: OnceLock<Sym> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| sym2("block:", "level shifter"));
-        ctx.design_child_sym(level, "level shifter", Some(key), || {
-            Self::design(spec, process)
-        })
+        ctx.design_child_sym(
+            sym!("block:level shifter"),
+            "level shifter",
+            Some(key),
+            || Self::design(spec, process),
+        )
     }
 
     /// The specification.

@@ -17,9 +17,8 @@ use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_plan::{BlockDesigner, CacheKey, DesignContext, Selected};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym2, Sym, Telemetry};
+use oasys_telemetry::{sym, Telemetry};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Minimum usable gate overdrive; below this, matching and modeling
 /// accuracy collapse.
@@ -241,11 +240,12 @@ impl CurrentMirror {
         process: &Process,
         ctx: &DesignContext<'_>,
     ) -> Result<Self, DesignError> {
-        static LEVEL: OnceLock<Sym> = OnceLock::new();
-        let level = *LEVEL.get_or_init(|| sym2("block:", "mirror"));
-        ctx.design_child_sym(level, "mirror", Some(Self::cache_key(spec)), || {
-            Self::select(spec, process, ctx)
-        })
+        ctx.design_child_sym(
+            sym!("block:mirror"),
+            "mirror",
+            Some(Self::cache_key(spec)),
+            || Self::select(spec, process, ctx),
+        )
     }
 
     /// Runs the engine's breadth-first selection and maps its structured

@@ -89,8 +89,11 @@ impl Job {
         }
     }
 
-    /// Position of this job in the batch (stable across resumes, since
-    /// the job list is a deterministic expansion of the manifest).
+    /// The caller's id for this job: it labels the job's record and
+    /// its `job:<id>` span. [`Manifest::expand`] numbers jobs by their
+    /// position (stable across resumes, since the job list is a
+    /// deterministic expansion of the manifest), but a batch needs ids
+    /// neither unique nor dense: it keeps its jobs' input order.
     #[must_use]
     pub fn id(&self) -> usize {
         self.id
@@ -136,9 +139,7 @@ impl Job {
     /// untouched.
     #[must_use]
     pub fn with_salt(mut self, salt: u64) -> Self {
-        if salt != 0 {
-            self.fingerprint ^= mix64(salt);
-        }
+        self.fingerprint = salted(self.fingerprint, salt);
         self
     }
 }
@@ -149,6 +150,16 @@ impl Job {
 pub fn fingerprint(spec_text: &str, tech_text: &str) -> u64 {
     let spec = fnv1a64_extend(fnv1a64(spec_text.as_bytes()), &[0x1f]);
     fnv1a64_extend(spec, tech_text.as_bytes())
+}
+
+/// `fingerprint` with `salt` folded in through a SplitMix64 finalizer
+/// ([`Job::with_salt`]); a salt of zero leaves it untouched.
+pub(crate) fn salted(fingerprint: u64, salt: u64) -> u64 {
+    if salt == 0 {
+        fingerprint
+    } else {
+        fingerprint ^ mix64(salt)
+    }
 }
 
 /// Execution settings a manifest may carry (all optional — the CLI and

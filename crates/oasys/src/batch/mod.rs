@@ -45,6 +45,7 @@ mod runner;
 mod synth_runner;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointOutcome, CHECKPOINT_HEADER};
+pub(crate) use manifest::salted;
 pub use manifest::{fingerprint, Job, Manifest, ManifestError, ManifestSettings, Sampling};
 pub(crate) use runner::panic_text;
 pub use runner::{

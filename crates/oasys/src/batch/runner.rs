@@ -430,15 +430,17 @@ pub struct BatchCounts {
     pub skipped: usize,
 }
 
-/// A finished batch: every job's record, in job order.
+/// A finished batch: every job's record, in the order the batch was
+/// given its jobs.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
     records: Vec<JobRecord>,
 }
 
 impl BatchReport {
-    /// Every job's record, sorted by job id, each without its `detail`
-    /// (the sink of [`Batch::run`] had it).
+    /// Every job's record, in the order [`Batch::new`] was given the
+    /// jobs, each without its `detail` (the sink of [`Batch::run`] had
+    /// it).
     #[must_use]
     pub fn records(&self) -> &[JobRecord] {
         &self.records
@@ -657,10 +659,12 @@ impl Batch {
     /// Runs the batch to completion and returns the report.
     ///
     /// `sink` is invoked once per job, in **completion order** (the
-    /// streaming view); the returned report is sorted by job id (the
-    /// deterministic view). Opens a root `batch` span on `tel`, one
-    /// `job:<id>` child per executed job (absorbed in job order), and
-    /// maintains the `batch.jobs_{ok,failed,retried,skipped}` counters.
+    /// streaming view); the returned report holds one record per job in
+    /// the order [`Batch::new`] was given them (the deterministic view),
+    /// whatever ids they carry. Opens a root `batch` span on `tel`, one
+    /// `job:<id>` child per executed job (absorbed in that same order),
+    /// and maintains the `batch.jobs_{ok,failed,retried,skipped}`
+    /// counters.
     ///
     /// # Errors
     ///
@@ -696,7 +700,9 @@ impl Batch {
         let mut records: Vec<Option<JobRecord>> = Vec::new();
         records.resize_with(jobs.len(), || None);
         let mut pending: Vec<(Job, Vec<Option<TelemetrySeed>>)> = Vec::new();
-        for job in jobs {
+        // Each pending job's position in `jobs`, where its record goes.
+        let mut positions: Vec<usize> = Vec::new();
+        for (position, job) in jobs.into_iter().enumerate() {
             if let Some(prior) = checkpoint
                 .as_ref()
                 .and_then(|cp| cp.completed(job.fingerprint()))
@@ -718,27 +724,28 @@ impl Batch {
                 };
                 tel.incr("batch.jobs_skipped");
                 sink(&record);
-                let slot = record.job;
-                records[slot] = Some(record);
+                records[position] = Some(record);
             } else {
                 let seeds = (0..=options.retries())
                     .map(|_| tel.fork_seed())
                     .collect::<Vec<_>>();
                 pending.push((job, seeds));
+                positions.push(position);
             }
         }
 
         let mut checkpoint_error = None;
         let slots = pending.len();
         let mut supervisor = Supervisor::new(pending, Arc::clone(runner), &options);
-        // Absorb job telemetry in job order after the batch drains,
+        // Absorb job telemetry in input order after the batch drains,
         // so the batch trace is scheduling-independent. Only a traced
         // batch has recordings to absorb.
         let mut job_recordings: Vec<(usize, Recording)> = Vec::new();
         for _ in 0..slots {
-            let (job, mut execution) = supervisor.next_result();
+            let (index, job, mut execution) = supervisor.next_result();
+            let position = positions[index];
             if let Some(recording) = execution.recording.take() {
-                job_recordings.push((job.id(), recording));
+                job_recordings.push((position, recording));
             }
             let record = JobRecord {
                 job: job.id(),
@@ -775,13 +782,12 @@ impl Batch {
                 }
             }
             sink(&record);
-            let slot = record.job;
-            records[slot] = Some(JobRecord {
+            records[position] = Some(JobRecord {
                 detail: None,
                 ..record
             });
         }
-        job_recordings.sort_by_key(|(id, _)| *id);
+        job_recordings.sort_by_key(|(position, _)| *position);
         for (_, recording) in &job_recordings {
             tel.absorb(recording);
         }
@@ -889,12 +895,13 @@ impl<R: JobRunner> Supervisor<R> {
         }
     }
 
-    /// The next finished job, in completion order. Call it once per
+    /// The next finished job, in completion order, with its index in
+    /// the pending list [`Supervisor::new`] was given. Call it once per
     /// job.
-    fn next_result(&mut self) -> (&Job, JobExecution) {
+    fn next_result(&mut self) -> (usize, &Job, JobExecution) {
         loop {
             if let Some((index, execution)) = self.staff().or_else(|| self.wait()) {
-                return (&self.shared.jobs[index], execution);
+                return (index, &self.shared.jobs[index], execution);
             }
         }
     }

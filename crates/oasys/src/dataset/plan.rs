@@ -19,7 +19,7 @@
 
 use super::sample::{point_seed, sample_specs};
 use super::DatasetError;
-use crate::batch::{Job, Manifest};
+use crate::batch::{self, salted, Job, Manifest};
 use oasys_process::{corners, techfile, Corner};
 use std::path::PathBuf;
 
@@ -162,13 +162,11 @@ impl DatasetPlan {
         for sample in &samples {
             for (tech_base, variants) in &tech_variants {
                 for (corner, tech_label, tech_text) in variants {
+                    let texts_fp = batch::fingerprint(&sample.text, tech_text);
                     for mc_index in 0..sampling.mc_samples {
                         let id = points.len();
                         let mc_seed = point_seed(sampling.seed, id);
-                        let job_fp =
-                            Job::from_texts(id, "", sample.text.clone(), "", tech_text.clone())
-                                .with_salt(mc_seed)
-                                .fingerprint();
+                        let job_fp = salted(texts_fp, mc_seed);
                         fingerprint ^= job_fp.rotate_left((id % 63) as u32);
                         fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
                         points.push(PointMeta {

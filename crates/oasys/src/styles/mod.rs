@@ -20,7 +20,7 @@ use oasys_blocks::AreaEstimate;
 use oasys_netlist::Circuit;
 use oasys_plan::{first_infeasible, DesignContext, PerfRelation, PlanError, PlanExecutor, Trace};
 use oasys_process::Process;
-use oasys_telemetry::Telemetry;
+use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
 use std::fmt;
 
@@ -113,8 +113,7 @@ pub(crate) fn run_style<D: StyleDef>(
     let deadline = ctx.deadline().clone();
     let mut state = D::init(spec, process, ctx.clone());
     let trace = PlanExecutor::new().run_with_deadline(&plan, &mut state, tel, &deadline)?;
-    static ASSEMBLE: std::sync::OnceLock<oasys_telemetry::Sym> = std::sync::OnceLock::new();
-    let assembly = tel.span_sym(*ASSEMBLE.get_or_init(|| oasys_telemetry::sym("assemble-netlist")));
+    let assembly = tel.span_sym(sym!("assemble-netlist"));
     let circuit = state
         .emit()
         .map_err(|e| StyleError::Netlist(e.to_string()))?;

@@ -30,9 +30,8 @@ use oasys_plan::{
     CacheKey, DesignContext, Expr, Interval, PatchAction, PerfRelation, Plan, StepOutcome,
 };
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym2, Sym, Telemetry};
+use oasys_telemetry::{sym, Telemetry};
 use oasys_units::Dimension;
-use std::sync::OnceLock;
 
 /// Longest channel, in multiples of the process minimum.
 const MAX_L_FACTOR: f64 = 4.0;
@@ -499,11 +498,11 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 .num("ibias", s.i2)
                 .num("l_um", s.l6_um)
                 .num("load_gds", 1.0 / sink.rout());
-            static LEVEL: OnceLock<Sym> = OnceLock::new();
-            let level = *LEVEL.get_or_init(|| sym2("block:", "gain stage"));
-            let result = s.ctx.design_child_sym(level, "gain stage", Some(key), || {
-                GainStage::design_style(&spec, &s.process, GainStageStyle::Simple)
-            });
+            let result =
+                s.ctx
+                    .design_child_sym(sym!("block:gain stage"), "gain stage", Some(key), || {
+                        GainStage::design_style(&spec, &s.process, GainStageStyle::Simple)
+                    });
             match result {
                 Ok(st) => {
                     s.driver = Some(st);

@@ -22,30 +22,9 @@ use oasys_plan::{
     design_candidates, BlockDesigner, DesignContext, MemoCache, SearchOptions, Trace,
 };
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_display, Sym, Telemetry};
+use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
 use std::fmt;
-
-/// Pre-interned symbols for the synthesis driver's root span, counters,
-/// and annotation keys.
-struct SynthSyms {
-    root: Sym,
-    attempted: Sym,
-    feasible: Sym,
-    selected: Sym,
-    none: Sym,
-}
-
-fn synth_syms() -> &'static SynthSyms {
-    static SYMS: std::sync::OnceLock<SynthSyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| SynthSyms {
-        root: sym("synthesize"),
-        attempted: sym("synth.styles_attempted"),
-        feasible: sym("synth.styles_feasible"),
-        selected: sym("selected"),
-        none: sym("none"),
-    })
-}
 
 /// The name of a former style-search worker-count override. Nothing
 /// reads it: the search is always sequential. Kept so callers that
@@ -335,16 +314,15 @@ pub fn synthesize_with_cache(
     tel: &Telemetry,
     cache: &MemoCache,
 ) -> Result<Synthesis, SynthesisError> {
-    let s = synth_syms();
-    let root = tel.span_sym(s.root);
+    let root = tel.span_sym(sym!("synthesize"));
     let designer = OpAmpDesigner::new(process);
     let outcomes: Vec<StyleOutcome> = design_candidates(&designer, spec, options, tel, cache)
         .into_iter()
         .map(|(name, result)| {
             let style = OpAmpStyle::from_name(&name).expect("engine preserves style names");
-            tel.incr_sym(s.attempted);
+            tel.incr_sym(sym!("synth.styles_attempted"));
             if result.is_ok() {
-                tel.incr_sym(s.feasible);
+                tel.incr_sym(sym!("synth.styles_feasible"));
             }
             StyleOutcome { style, result }
         })
@@ -367,12 +345,12 @@ pub fn synthesize_with_cache(
     match selected {
         Some(selected) => {
             if tel.is_enabled() {
-                root.annotate_sym(s.selected, sym_display("", &outcomes[selected].style()));
+                root.annotate_sym(sym!("selected"), sym(outcomes[selected].style().name()));
             }
             Ok(Synthesis { outcomes, selected })
         }
         None => {
-            root.annotate_sym(s.selected, s.none);
+            root.annotate_sym(sym!("selected"), sym!("none"));
             Err(SynthesisError {
                 rejections: outcomes
                     .into_iter()

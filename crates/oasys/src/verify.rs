@@ -20,42 +20,9 @@ use oasys_sim::dc::{self, DcSolution, SolveDcError};
 use oasys_sim::metrics::{output_swing, AcMetrics, Bode};
 use oasys_sim::sweep;
 use oasys_sim::tran;
-use oasys_telemetry::{sym, sym_display, Sym, Telemetry};
+use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
 use std::fmt;
-
-/// Pre-interned symbols for the verifier's root span, its nine phase
-/// spans, and the `style` annotation key.
-struct VerifySyms {
-    root: Sym,
-    style: Sym,
-    erc: Sym,
-    offset_null: Sym,
-    dc: Sym,
-    ac: Sym,
-    swing: Sym,
-    slew: Sym,
-    cmrr: Sym,
-    noise: Sym,
-    psrr: Sym,
-}
-
-fn verify_syms() -> &'static VerifySyms {
-    static SYMS: std::sync::OnceLock<VerifySyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| VerifySyms {
-        root: sym("verify"),
-        style: sym("style"),
-        erc: sym("verify:erc"),
-        offset_null: sym("verify:offset-null"),
-        dc: sym("verify:dc"),
-        ac: sym("verify:ac"),
-        swing: sym("verify:swing"),
-        slew: sym("verify:slew"),
-        cmrr: sym("verify:cmrr"),
-        noise: sym("verify:noise"),
-        psrr: sym("verify:psrr"),
-    })
-}
 
 /// Error returned when the verification bench cannot be built or solved.
 #[derive(Debug)]
@@ -212,16 +179,15 @@ pub fn verify_with(
     load_f: f64,
     tel: &Telemetry,
 ) -> Result<Verification, VerifyError> {
-    let v = verify_syms();
-    let root = tel.span_sym(v.root);
+    let root = tel.span_sym(sym!("verify"));
     if tel.is_enabled() {
-        root.annotate_sym(v.style, sym_display("", &design.style()));
+        root.annotate_sym(sym!("style"), sym(design.style().name()));
     }
 
     // Static electrical-rule check of the raw design (before the bench
     // adds supplies — the checker treats declared ports as driven).
     let erc = {
-        let _s = tel.span_sym(v.erc);
+        let _s = tel.span_sym(sym!("verify:erc"));
         oasys_netlist::lint::lint(design.circuit(), Some(process))
     };
 
@@ -230,7 +196,7 @@ pub fn verify_with(
     // Null the systematic offset. The open-loop gain makes the transfer
     // essentially a step; ±0.5 V of differential input always brackets it.
     let offset = {
-        let _s = tel.span_sym(v.offset_null);
+        let _s = tel.span_sym(sym!("verify:offset-null"));
         sweep::bisect_input_with(&bench, process, "VIP", out, 0.0, -0.5, 0.5, tel).ok()
     };
     if let Some(v) = offset {
@@ -241,7 +207,7 @@ pub fn verify_with(
 
     // DC point for power.
     let dc_solution = {
-        let _s = tel.span_sym(v.dc);
+        let _s = tel.span_sym(sym!("verify:dc"));
         dc::solve_with(&bench, process, tel)?
     };
     let power = dc_solution.supply_power(&bench).abs();
@@ -249,7 +215,7 @@ pub fn verify_with(
     // AC response at the nulled bias.
     let spec = AcSweepSpec::standard();
     let ac_solution = {
-        let _s = tel.span_sym(v.ac);
+        let _s = tel.span_sym(sym!("verify:ac"));
         ac::solve_at_with(&bench, process, &dc_solution, &spec, tel)?
     };
     let bode = Bode::from_ac(&ac_solution, out);
@@ -258,27 +224,27 @@ pub fn verify_with(
     // Output swing from a DC transfer sweep in an inverting
     // configuration (fixed input common mode, the datasheet method).
     let swing = {
-        let _s = tel.span_sym(v.swing);
+        let _s = tel.span_sym(sym!("verify:swing"));
         measure_swing(design, process, tel)
     };
 
     // Slew rate from a large-signal step in an inverting unity-gain
     // bench (transient analysis).
     let slew = {
-        let _s = tel.span_sym(v.slew);
+        let _s = tel.span_sym(sym!("verify:slew"));
         measure_slew(design, process, load_f, tel)
     };
 
     // Common-mode gain: re-run the low-frequency point with the AC
     // stimulus on both inputs; CMRR = A_dm / A_cm.
     let cmrr = {
-        let _s = tel.span_sym(v.cmrr);
+        let _s = tel.span_sym(sym!("verify:cmrr"));
         measure_cmrr(&bench, process, &dc_solution, out, metrics.dc_gain.db())
     };
 
     // Input-referred noise at 1 kHz (well inside the open-loop passband).
     let noise = {
-        let _s = tel.span_sym(v.noise);
+        let _s = tel.span_sym(sym!("verify:noise"));
         oasys_sim::noise::analyze(&bench, process, &dc_solution, out, 1e3)
             .ok()
             .map(|r| r.input_density)
@@ -286,7 +252,7 @@ pub fn verify_with(
 
     // Positive-supply rejection: re-excite with the AC stimulus on VDD.
     let psrr = {
-        let _s = tel.span_sym(v.psrr);
+        let _s = tel.span_sym(sym!("verify:psrr"));
         measure_rejection(
             &bench,
             process,

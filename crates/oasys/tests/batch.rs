@@ -91,7 +91,7 @@ fn real_sweep_streams_one_record_per_job() {
     let streamed = streamed.into_inner().unwrap();
     assert_eq!(streamed.len(), 9, "one streamed record per job");
     assert_eq!(report.records().len(), 9);
-    // The report is sorted by job id whatever the completion order.
+    // The report keeps input order whatever the completion order.
     for (idx, record) in report.records().iter().enumerate() {
         assert_eq!(record.job, idx);
         assert!(record.attempts >= 1);
@@ -567,6 +567,46 @@ fn only_the_sink_sees_a_records_detail() {
     }
     assert_eq!(report.records().len(), 9);
     assert!(report.records().iter().all(|r| r.detail.is_none()));
+}
+
+#[test]
+fn records_keep_input_order_whatever_the_job_ids() {
+    // Ids are the caller's labels: a repeated and a sparse one still
+    // give one record per job, in the order the jobs were given, and a
+    // traced batch absorbs their spans in that order too.
+    let jobs: Vec<Job> = [5, 5, 9]
+        .into_iter()
+        .enumerate()
+        .map(|(n, id)| {
+            Job::from_texts(
+                id,
+                format!("spec-{n}"),
+                format!("spec text {n}"),
+                "tech-0",
+                "tech text 0",
+            )
+        })
+        .collect();
+    let tel = Telemetry::with_clock(Rc::new(ManualClock::new()));
+    let report = Batch::new(jobs, fast_options())
+        .run(&Arc::new(MockRunner), &tel, |_| {})
+        .unwrap();
+    let order: Vec<(usize, &str)> = report
+        .records()
+        .iter()
+        .map(|r| (r.job, r.spec.as_str()))
+        .collect();
+    assert_eq!(order, [(5, "spec-0"), (5, "spec-1"), (9, "spec-2")]);
+    assert_eq!(report.counts().ok, 2);
+    assert_eq!(report.counts().infeasible, 1);
+    let spans = tel.report();
+    let jobs: Vec<&str> = spans
+        .spans()
+        .iter()
+        .filter(|s| s.name.starts_with("job:"))
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(jobs, ["job:5", "job:5", "job:9"]);
 }
 
 /// A runner whose one-step plan fails with a number in its message, as

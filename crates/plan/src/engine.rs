@@ -80,7 +80,7 @@
 //! ```
 
 use oasys_faults::{fail_point, Deadline};
-use oasys_telemetry::{sym, sym2, Sym, Telemetry};
+use oasys_telemetry::{sym, Sym, Telemetry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::error::Error;
@@ -352,7 +352,7 @@ impl<'a> DesignContext<'a> {
         }
     }
 
-    /// Attaches a memo cache for [`DesignContext::design_child`].
+    /// Attaches a memo cache for [`DesignContext::design_child_sym`].
     #[must_use]
     pub fn with_cache(mut self, cache: &'a MemoCache) -> Self {
         self.cache = Some(cache);
@@ -396,28 +396,18 @@ impl<'a> DesignContext<'a> {
         &self.scope
     }
 
-    /// Invokes a child designer: opens a `block:<level>` span under the
-    /// current one, consults the memo cache when `key` is given (serving
-    /// a clone and counting `engine.cache_hits` on a hit), and caches
-    /// successful results. Failures are never cached — a parent patch
-    /// rule may change the sub-spec and retry.
+    /// Invokes a child designer: opens the `block:<level>` span
+    /// `span_name` under the current one, consults the memo cache when
+    /// `key` is given (serving a clone and counting `engine.cache_hits`
+    /// on a hit), and caches successful results. Failures are never
+    /// cached — a parent patch rule may change the sub-spec and retry.
+    /// Callers write the span name where they call this, as
+    /// `sym!("block:<level>")`; `level` is the bare level text behind
+    /// it, which still keys the memo cache.
     ///
     /// # Errors
     ///
     /// Whatever `f` returns; the error passes through untouched.
-    pub fn design_child<T, E, F>(&self, level: &str, key: Option<CacheKey>, f: F) -> Result<T, E>
-    where
-        T: Clone + Send + Sync + 'static,
-        F: FnOnce() -> Result<T, E>,
-    {
-        self.design_child_sym(sym2("block:", level), level, key, f)
-    }
-
-    /// [`DesignContext::design_child`] with the `block:<level>` span
-    /// name pre-interned by the caller (a `OnceLock<Sym>` at the call
-    /// site), so repeated child designs skip the interning hash and
-    /// table lock entirely. `level` must be the bare level text behind
-    /// `span_name` — it still keys the memo cache.
     pub fn design_child_sym<T, E, F>(
         &self,
         span_name: Sym,
@@ -430,7 +420,6 @@ impl<'a> DesignContext<'a> {
         F: FnOnce() -> Result<T, E>,
     {
         fail_point!("engine.cache");
-        let syms = engine_syms();
         let span = self.tel.span_sym(span_name);
         let full_key = key.map(|k| {
             if self.scope.is_empty() {
@@ -441,24 +430,29 @@ impl<'a> DesignContext<'a> {
         });
         if let (Some(cache), Some(full)) = (self.cache, full_key.as_deref()) {
             if let Some(hit) = cache.get::<T>(full) {
-                self.tel.incr_sym(syms.cache_hits);
-                span.annotate_sym(syms.cache, syms.hit);
+                self.tel.incr_sym(sym!("engine.cache_hits"));
+                span.annotate_sym(sym!("cache"), sym!("hit"));
                 return Ok(hit);
             }
-            self.tel.incr_sym(syms.cache_misses);
+            self.tel.incr_sym(sym!("engine.cache_misses"));
         }
         let result = f();
         match &result {
             Ok(value) => {
                 if let (Some(cache), Some(full)) = (self.cache, full_key) {
+                    // Evictions begin only once the cache is full, late
+                    // in a long batch. The `&str` form interns the name
+                    // only on a handle that keeps counters, so an
+                    // untraced job's flight handle never adds it to the
+                    // table then.
                     let evicted = cache.put(full, value.clone());
-                    for _ in 0..evicted {
-                        self.tel.incr_sym(syms.cache_evictions);
+                    if evicted > 0 {
+                        self.tel.add("engine.cache_evictions", evicted as u64);
                     }
                 }
-                span.annotate_sym(syms.outcome, syms.designed);
+                span.annotate_sym(sym!("outcome"), sym!("designed"));
             }
-            Err(_) => span.annotate_sym(syms.outcome, syms.failed),
+            Err(_) => span.annotate_sym(sym!("outcome"), sym!("failed")),
         }
         result
     }
@@ -833,52 +827,13 @@ impl SearchOptions {
     }
 }
 
-/// Pre-interned symbols for the engine's fixed annotation keys/values
-/// and counters, resolved once per process so the per-candidate hot
-/// path never hashes a name.
-struct EngineSyms {
-    outcome: Sym,
-    cache: Sym,
-    hit: Sym,
-    designed: Sym,
-    failed: Sym,
-    feasible: Sym,
-    rejected: Sym,
-    pruned: Sym,
-    cache_hits: Sym,
-    cache_misses: Sym,
-    cache_evictions: Sym,
-    pruned_counter: Sym,
-    area_um2: Sym,
-}
-
-fn engine_syms() -> &'static EngineSyms {
-    static SYMS: std::sync::OnceLock<EngineSyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| EngineSyms {
-        outcome: sym("outcome"),
-        cache: sym("cache"),
-        hit: sym("hit"),
-        designed: sym("designed"),
-        failed: sym("failed"),
-        feasible: sym("feasible"),
-        rejected: sym("rejected"),
-        pruned: sym("pruned"),
-        cache_hits: sym("engine.cache_hits"),
-        cache_misses: sym("engine.cache_misses"),
-        cache_evictions: sym("engine.cache_evictions"),
-        pruned_counter: sym("engine.pruned"),
-        area_um2: sym("area_um2"),
-    })
-}
-
 /// Records a statically pruned style: a `style:<name>` span annotated
 /// `outcome=pruned` with the reason, plus the `engine.pruned` counter.
 fn prune<E: fmt::Display>(tel: &Telemetry, style: &str, error: &E) {
-    let syms = engine_syms();
     let span = tel.span_display("style:", &style);
-    span.annotate_sym(syms.outcome, syms.pruned);
+    span.annotate_sym(sym!("outcome"), sym!("pruned"));
     span.annotate("reason", || error.to_string());
-    tel.incr_sym(syms.pruned_counter);
+    tel.incr_sym(sym!("engine.pruned"));
 }
 
 /// Designs one candidate style under its own `style:<name>` span,
@@ -892,7 +847,6 @@ fn attempt<D: BlockDesigner>(
     opts: &SearchOptions,
 ) -> Result<D::Output, D::Error> {
     fail_point!("engine.style");
-    let syms = engine_syms();
     let span = tel.span_display("style:", &style);
     // The cache scope is the style name, optionally under the sweep's
     // namespace (a technology fingerprint when one bounded cache is
@@ -908,18 +862,18 @@ fn attempt<D: BlockDesigner>(
     let result = designer.design_style(spec, style, &ctx);
     match &result {
         Ok(output) => {
-            span.annotate_sym(syms.outcome, syms.feasible);
+            span.annotate_sym(sym!("outcome"), sym!("feasible"));
             // The one-decimal area differs from job to job: a flight
             // handle keeps the text, a traced run interns it, and a
             // disabled handle formats nothing. Neither allocates a
             // `String` for it.
             if tel.is_enabled() {
                 let area = designer.area_um2(output);
-                span.annotate_sym(syms.area_um2, tel.text(&format_args!("{area:.1}")));
+                span.annotate_sym(sym!("area_um2"), tel.text(&format_args!("{area:.1}")));
             }
         }
         Err(e) => {
-            span.annotate_sym(syms.outcome, syms.rejected);
+            span.annotate_sym(sym!("outcome"), sym!("rejected"));
             span.annotate("reason", || e.to_string());
         }
     }
@@ -1236,7 +1190,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let key = || Some(CacheKey::new().num("i", 1e-6).tag("pol", "nmos"));
         let run = |ctx: &DesignContext<'_>| {
-            ctx.design_child("mirror", key(), || {
+            ctx.design_child_sym(sym!("block:mirror"), "mirror", key(), || {
                 calls.fetch_add(1, Ordering::SeqCst);
                 Ok::<f64, String>(42.0)
             })
@@ -1276,11 +1230,15 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let ctx = DesignContext::new(&tel).with_cache(&cache).with_scope("s");
         for _ in 0..2 {
-            let r: Result<f64, String> =
-                ctx.design_child("bias", Some(CacheKey::new().num("i", 1.0)), || {
+            let r: Result<f64, String> = ctx.design_child_sym(
+                sym!("block:bias"),
+                "bias",
+                Some(CacheKey::new().num("i", 1.0)),
+                || {
                     calls.fetch_add(1, Ordering::SeqCst);
                     Err("infeasible".to_owned())
-                });
+                },
+            );
             assert!(r.is_err());
         }
         assert_eq!(calls.load(Ordering::SeqCst), 2, "failures re-run");
@@ -1694,6 +1652,26 @@ mod tests {
     }
 
     #[test]
+    fn design_child_counts_evictions_on_a_metered_handle_only() {
+        let run = |tel: &Telemetry| {
+            let cache = MemoCache::bounded(1);
+            let ctx = DesignContext::new(tel).with_cache(&cache);
+            for i in 0..3 {
+                let key = Some(CacheKey::new().num("i", f64::from(i)));
+                let _: Result<u32, ()> =
+                    ctx.design_child_sym(sym!("block:leaf"), "leaf", key, || Ok(i));
+            }
+            assert_eq!(cache.evictions(), 2);
+        };
+        let tel = Telemetry::new();
+        run(&tel);
+        assert_eq!(tel.counter("engine.cache_evictions"), 2);
+        let flight = Telemetry::flight();
+        run(&flight);
+        assert_eq!(flight.counter("engine.cache_evictions"), 0);
+    }
+
+    #[test]
     fn cache_namespace_isolates_identical_specs() {
         let tel = Telemetry::disabled();
         let cache = MemoCache::new();
@@ -1703,10 +1681,11 @@ mod tests {
                 .with_cache(&cache)
                 .with_scope(format!("{ns}/style"));
             let key = CacheKey::new().num("r", 1.0);
-            let _: Result<u32, ()> = ctx.design_child("leaf", Some(key), || {
-                calls += 1;
-                Ok(7)
-            });
+            let _: Result<u32, ()> =
+                ctx.design_child_sym(sym!("block:leaf"), "leaf", Some(key), || {
+                    calls += 1;
+                    Ok(7)
+                });
         }
         assert_eq!(
             calls, 2,

@@ -6,73 +6,6 @@ use crate::trace::{Trace, TraceEvent};
 use oasys_faults::{fail_point, Deadline};
 use oasys_telemetry::{sym, sym2, Sym, Telemetry};
 
-/// Pre-interned symbols for the executor's fixed event kinds, field
-/// keys, annotation values, and counter names — resolved once per
-/// process so the per-step hot path writes ring records from plain
-/// `u32`s.
-struct CommonSyms {
-    step_started: Sym,
-    step_completed: Sym,
-    step_failed: Sym,
-    rule_fired: Sym,
-    plan_completed: Sym,
-    plan_aborted: Sym,
-    step: Sym,
-    code: Sym,
-    message: Sym,
-    rule: Sym,
-    action: Sym,
-    reason: Sym,
-    retry: Sym,
-    result: Sym,
-    outcome: Sym,
-    completed: Sym,
-    unpatched: Sym,
-    patch_budget: Sym,
-    aborted: Sym,
-    unknown_restart: Sym,
-    deadline: Sym,
-    step_executions: Sym,
-    step_failures: Sym,
-    rule_firings: Sym,
-    restarts: Sym,
-    completions: Sym,
-    aborts: Sym,
-}
-
-fn common_syms() -> &'static CommonSyms {
-    static SYMS: std::sync::OnceLock<CommonSyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| CommonSyms {
-        step_started: sym("step_started"),
-        step_completed: sym("step_completed"),
-        step_failed: sym("step_failed"),
-        rule_fired: sym("rule_fired"),
-        plan_completed: sym("plan_completed"),
-        plan_aborted: sym("plan_aborted"),
-        step: sym("step"),
-        code: sym("code"),
-        message: sym("message"),
-        rule: sym("rule"),
-        action: sym("action"),
-        reason: sym("reason"),
-        retry: sym("retry"),
-        result: sym("result"),
-        outcome: sym("outcome"),
-        completed: sym("completed"),
-        unpatched: sym("unpatched"),
-        patch_budget: sym("patch-budget"),
-        aborted: sym("aborted"),
-        unknown_restart: sym("unknown-restart"),
-        deadline: sym("deadline"),
-        step_executions: sym("plan.step_executions"),
-        step_failures: sym("plan.step_failures"),
-        rule_firings: sym("plan.rule_firings"),
-        restarts: sym("plan.restarts"),
-        completions: sym("plan.completions"),
-        aborts: sym("plan.aborts"),
-    })
-}
-
 /// Per-plan symbol cache: the span name and bare name of every step,
 /// plus every rule name. Built at most once per distinct
 /// plan (plans are rebuilt per style run, so the cache is keyed by the
@@ -245,7 +178,6 @@ impl PlanExecutor {
         tel: &Telemetry,
         deadline: &Deadline,
     ) -> Result<Trace, PlanError> {
-        let c = common_syms();
         let syms = tel.is_enabled().then(|| PlanSyms::shared(plan));
         let plan_span = match &syms {
             Some(s) => tel.span_sym(s.span),
@@ -263,7 +195,7 @@ impl PlanExecutor {
         while pc < plan.steps.len() {
             let step = &plan.steps[pc];
             if let Err(exceeded) = deadline.check() {
-                plan_span.annotate_sym(c.result, c.deadline);
+                plan_span.annotate_sym(sym!("result"), sym!("deadline"));
                 return Err(PlanError::DeadlineExceeded {
                     plan: plan.name().to_owned(),
                     step: step.name.clone(),
@@ -278,10 +210,10 @@ impl PlanExecutor {
             // neither event carries fields.
             let step_span = match &syms {
                 Some(s) => {
-                    tel.incr_sym(c.step_executions);
+                    tel.incr_sym(sym!("plan.step_executions"));
                     tel.span_sym_with_event_at(
                         s.steps[pc].0,
-                        c.step_started,
+                        sym!("step_started"),
                         &[],
                         boundary_ns.take(),
                     )
@@ -307,7 +239,7 @@ impl PlanExecutor {
 
             match outcome {
                 StepOutcome::Done => {
-                    boundary_ns = step_span.close_with_event(c.step_completed, &[]);
+                    boundary_ns = step_span.close_with_event(sym!("step_completed"), &[]);
                     trace.push(TraceEvent::StepCompleted {
                         name: step.name.clone(),
                     });
@@ -315,8 +247,10 @@ impl PlanExecutor {
                 }
                 StepOutcome::Failed(failure) => {
                     if syms.is_some() {
-                        step_span
-                            .annotate_sym(c.outcome, tel.text(&format_args!("failed: {failure}")));
+                        step_span.annotate_sym(
+                            sym!("outcome"),
+                            tel.text(&format_args!("failed: {failure}")),
+                        );
                     }
                     record(
                         &mut trace,
@@ -336,7 +270,7 @@ impl PlanExecutor {
                     });
 
                     let Some((k, rule)) = matched else {
-                        plan_span.annotate_sym(c.result, c.unpatched);
+                        plan_span.annotate_sym(sym!("result"), sym!("unpatched"));
                         return Err(PlanError::Unpatched {
                             plan: plan.name().to_owned(),
                             step: step.name.clone(),
@@ -346,7 +280,7 @@ impl PlanExecutor {
                     };
 
                     if total_firings >= self.config.patch_budget {
-                        plan_span.annotate_sym(c.result, c.patch_budget);
+                        plan_span.annotate_sym(sym!("result"), sym!("patch-budget"));
                         return Err(PlanError::PatchBudgetExhausted {
                             plan: plan.name().to_owned(),
                             step: step.name.clone(),
@@ -375,7 +309,7 @@ impl PlanExecutor {
                         PatchAction::RestartFrom(target) => match plan.step_index(&target) {
                             Some(idx) => pc = idx,
                             None => {
-                                plan_span.annotate_sym(c.result, c.unknown_restart);
+                                plan_span.annotate_sym(sym!("result"), sym!("unknown-restart"));
                                 return Err(PlanError::UnknownRestartTarget {
                                     plan: plan.name().to_owned(),
                                     rule: rule.name.clone(),
@@ -394,7 +328,7 @@ impl PlanExecutor {
                                     reason: reason.clone(),
                                 },
                             );
-                            plan_span.annotate_sym(c.result, c.aborted);
+                            plan_span.annotate_sym(sym!("result"), sym!("aborted"));
                             return Err(PlanError::Aborted {
                                 plan: plan.name().to_owned(),
                                 rule: rule.name.clone(),
@@ -410,10 +344,10 @@ impl PlanExecutor {
         // The completion event is fused into the plan span's close, the
         // same boundary fusion the per-step events use.
         if syms.is_some() {
-            tel.incr_sym(c.completions);
+            tel.incr_sym(sym!("plan.completions"));
         }
-        plan_span.annotate_sym(c.result, c.completed);
-        plan_span.close_with_event(c.plan_completed, &[]);
+        plan_span.annotate_sym(sym!("result"), sym!("completed"));
+        plan_span.close_with_event(sym!("plan_completed"), &[]);
         trace.push(TraceEvent::PlanCompleted);
         Ok(trace)
     }
@@ -441,45 +375,50 @@ fn record(
     event: TraceEvent,
 ) {
     if let Some(syms) = syms {
-        let c = common_syms();
         match &event {
             // Step start/completion events are emitted fused into the
             // step span's boundary records at the execution site (see
             // `run_with_deadline`), not through this choke point.
             TraceEvent::StepStarted { .. } | TraceEvent::StepCompleted { .. } => {}
             TraceEvent::StepFailed { failure, .. } => {
-                tel.incr_sym(c.step_failures);
+                tel.incr_sym(sym!("plan.step_failures"));
                 tel.event_with(
-                    c.step_failed,
+                    sym!("step_failed"),
                     &[
-                        (c.step, syms.steps[idx].1),
-                        (c.code, tel.text_str(failure.code())),
-                        (c.message, tel.text_str(failure.message())),
+                        (sym!("step"), syms.steps[idx].1),
+                        (sym!("code"), tel.text_str(failure.code())),
+                        (sym!("message"), tel.text_str(failure.message())),
                     ],
                 );
             }
             TraceEvent::RuleFired { action, .. } => {
-                tel.incr_sym(c.rule_firings);
+                tel.incr_sym(sym!("plan.rule_firings"));
                 if matches!(action, PatchAction::RestartFrom(_)) {
-                    tel.incr_sym(c.restarts);
+                    tel.incr_sym(sym!("plan.restarts"));
                 }
                 let action_sym = match action {
-                    PatchAction::Retry => c.retry,
+                    PatchAction::Retry => sym!("retry"),
                     PatchAction::RestartFrom(step) => sym2("restart-from:", step),
                     PatchAction::Abort(reason) => tel.text(&format_args!("abort:{reason}")),
                 };
                 tel.event_with(
-                    c.rule_fired,
-                    &[(c.rule, syms.rules[idx]), (c.action, action_sym)],
+                    sym!("rule_fired"),
+                    &[
+                        (sym!("rule"), syms.rules[idx]),
+                        (sym!("action"), action_sym),
+                    ],
                 );
             }
             TraceEvent::PlanCompleted => {
-                tel.incr_sym(c.completions);
-                tel.event_with(c.plan_completed, &[]);
+                tel.incr_sym(sym!("plan.completions"));
+                tel.event_with(sym!("plan_completed"), &[]);
             }
             TraceEvent::PlanAborted { reason } => {
-                tel.incr_sym(c.aborts);
-                tel.event_with(c.plan_aborted, &[(c.reason, tel.text_str(reason))]);
+                tel.incr_sym(sym!("plan.aborts"));
+                tel.event_with(
+                    sym!("plan_aborted"),
+                    &[(sym!("reason"), tel.text_str(reason))],
+                );
             }
         }
     }

@@ -13,31 +13,9 @@ use crate::linalg::Matrix;
 use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_u64, Sym, Telemetry};
+use oasys_telemetry::{sym, sym_u64, Telemetry};
 use std::error::Error;
 use std::fmt;
-
-/// Pre-interned symbols for the AC solver's span and counter names.
-struct AcSyms {
-    span: Sym,
-    sweeps: Sym,
-    points: Sym,
-    failures: Sym,
-    points_key: Sym,
-    error: Sym,
-}
-
-fn ac_syms() -> &'static AcSyms {
-    static SYMS: std::sync::OnceLock<AcSyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| AcSyms {
-        span: sym("sim:ac"),
-        sweeps: sym("sim.ac.sweeps"),
-        points: sym("sim.ac.points"),
-        failures: sym("sim.ac.failures"),
-        points_key: sym("points"),
-        error: sym("error"),
-    })
-}
 
 /// Error returned by AC analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,19 +222,19 @@ pub fn solve_at_with(
     spec: &AcSweepSpec,
     tel: &Telemetry,
 ) -> Result<AcSolution, SolveAcError> {
-    let s = ac_syms();
-    let span = tel.span_sym(s.span);
-    tel.incr_sym(s.sweeps);
+    let span = tel.span_sym(sym!("sim:ac"));
+    tel.incr_sym(sym!("sim.ac.sweeps"));
     let result = solve_at_inner(circuit, process, dc, spec);
     if tel.is_enabled() {
         match &result {
             Ok(solution) => {
-                tel.add_sym(s.points, solution.frequencies().len() as u64);
-                span.annotate_sym(s.points_key, sym_u64(solution.frequencies().len() as u64));
+                let points = solution.frequencies().len() as u64;
+                tel.add_sym(sym!("sim.ac.points"), points);
+                span.annotate_sym(sym!("points"), sym_u64(points));
             }
             Err(e) => {
-                tel.incr_sym(s.failures);
-                span.annotate_sym(s.error, tel.text(e));
+                tel.incr_sym(sym!("sim.ac.failures"));
+                span.annotate_sym(sym!("error"), tel.text(e));
             }
         }
     }

@@ -20,35 +20,10 @@ use oasys_faults::{fail_point, Deadline, DeadlineExceeded};
 use oasys_mos::OperatingPoint;
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_u64, Sym, Telemetry};
+use oasys_telemetry::{sym, sym_u64, Telemetry};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-
-/// Pre-interned symbols for the DC solver's span and counter names, so
-/// the per-solve telemetry path never hashes a string.
-struct DcSyms {
-    span: Sym,
-    solves: Sym,
-    newton: Sym,
-    failures: Sym,
-    warm_fallbacks: Sym,
-    iterations: Sym,
-    error: Sym,
-}
-
-fn dc_syms() -> &'static DcSyms {
-    static SYMS: std::sync::OnceLock<DcSyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| DcSyms {
-        span: sym("sim:dc"),
-        solves: sym("sim.dc.solves"),
-        newton: sym("sim.dc.newton_iterations"),
-        failures: sym("sim.dc.failures"),
-        warm_fallbacks: sym("sim.dc.warm_fallbacks"),
-        iterations: sym("iterations"),
-        error: sym("error"),
-    })
-}
 
 /// Error returned when DC analysis fails. Every variant that comes out
 /// of a solve names the circuit it failed on, so the message survives
@@ -245,8 +220,7 @@ pub fn solve_with_deadline(
     tel: &Telemetry,
     deadline: &Deadline,
 ) -> Result<DcSolution, SolveDcError> {
-    let s = dc_syms();
-    let span = tel.span_sym(s.span);
+    let span = tel.span_sym(sym!("sim:dc"));
     let result = Engine::compile(circuit, process).and_then(|mut engine| {
         let solved = engine.solve(None, deadline)?;
         Ok(engine.package(&solved))
@@ -258,9 +232,9 @@ pub fn solve_with_deadline(
     if tel.is_enabled() {
         match &result {
             Ok(solution) => {
-                span.annotate_sym(s.iterations, sym_u64(solution.iterations() as u64));
+                span.annotate_sym(sym!("iterations"), sym_u64(solution.iterations() as u64));
             }
-            Err(e) => span.annotate_sym(s.error, tel.text(e)),
+            Err(e) => span.annotate_sym(sym!("error"), tel.text(e)),
         }
     }
     result
@@ -275,18 +249,17 @@ fn count_solve(tel: &Telemetry, outcome: Option<(usize, bool)>) {
     if !tel.is_enabled() {
         return;
     }
-    let s = dc_syms();
-    tel.incr_sym(s.solves);
+    tel.incr_sym(sym!("sim.dc.solves"));
     match outcome {
         Some((iterations, warm_fallback)) => {
-            let iters = iterations as u64;
-            tel.add_sym(s.newton, iters);
-            tel.observe_sym(s.newton, iters);
+            let (newton, iters) = (sym!("sim.dc.newton_iterations"), iterations as u64);
+            tel.add_sym(newton, iters);
+            tel.observe_sym(newton, iters);
             if warm_fallback {
-                tel.incr_sym(s.warm_fallbacks);
+                tel.incr_sym(sym!("sim.dc.warm_fallbacks"));
             }
         }
-        None => tel.incr_sym(s.failures),
+        None => tel.incr_sym(sym!("sim.dc.failures")),
     }
 }
 

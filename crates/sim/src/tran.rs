@@ -27,34 +27,11 @@ use crate::mna::{volt, SourceRef, StampPlan};
 use oasys_faults::Deadline;
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
-use oasys_telemetry::{sym, sym_u64, Sym, Telemetry};
+use oasys_telemetry::{sym, sym_u64, Telemetry};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
-
-/// Pre-interned symbols for the transient solver's span and counter
-/// names.
-struct TranSyms {
-    span: Sym,
-    runs: Sym,
-    steps: Sym,
-    failures: Sym,
-    steps_key: Sym,
-    error: Sym,
-}
-
-fn tran_syms() -> &'static TranSyms {
-    static SYMS: std::sync::OnceLock<TranSyms> = std::sync::OnceLock::new();
-    SYMS.get_or_init(|| TranSyms {
-        span: sym("sim:tran"),
-        runs: sym("sim.tran.runs"),
-        steps: sym("sim.tran.steps"),
-        failures: sym("sim.tran.failures"),
-        steps_key: sym("steps"),
-        error: sym("error"),
-    })
-}
 
 /// Error returned by transient analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -456,19 +433,18 @@ fn run(
     tel: &Telemetry,
     mut observe: impl FnMut(f64, &[f64]) -> ControlFlow<()>,
 ) -> Result<(), SolveTranError> {
-    let s = tran_syms();
-    let span = tel.span_sym(s.span);
-    tel.incr_sym(s.runs);
+    let span = tel.span_sym(sym!("sim:tran"));
+    tel.incr_sym(sym!("sim.tran.runs"));
     let result = integrate(circuit, process, spec, stimuli, &mut observe);
     if tel.is_enabled() {
         match &result {
             Ok(points) => {
-                tel.add_sym(s.steps, *points);
-                span.annotate_sym(s.steps_key, sym_u64(*points));
+                tel.add_sym(sym!("sim.tran.steps"), *points);
+                span.annotate_sym(sym!("steps"), sym_u64(*points));
             }
             Err(e) => {
-                tel.incr_sym(s.failures);
-                span.annotate_sym(s.error, tel.text(e));
+                tel.incr_sym(sym!("sim.tran.failures"));
+                span.annotate_sym(sym!("error"), tel.text(e));
             }
         }
     }

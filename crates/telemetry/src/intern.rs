@@ -2,9 +2,11 @@
 //!
 //! Every span, step, counter, event-kind, and attribute name used by the
 //! pipeline resolves to a [`Sym`] — a `u32` index into one process-wide
-//! table — exactly once, at registration. The hot recording path then
-//! carries plain integers in fixed-size binary records (the recorder's
-//! ring); strings reappear only at export time, via [`resolve`].
+//! table — exactly once, at registration. A fixed name registers where
+//! it is recorded, through [`sym!`](crate::sym!), the first time that
+//! call site runs. The hot recording path then carries plain integers
+//! in fixed-size binary records (the recorder's ring); strings reappear
+//! only at export time, via [`resolve`].
 //!
 //! The table only grows, so text that differs from job to job (a job
 //! id, an area, a failure message) goes through
@@ -21,8 +23,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// An interned name: a cheap, `Copy`, process-wide handle to a string
-/// in the global table. Obtain one with [`sym`] (or the two-part
-/// [`sym2`]), turn it back into text with [`resolve`]. The one
+/// in the global table. Obtain one with [`sym!`](crate::sym!) for a
+/// fixed name, or [`sym`] / the two-part [`sym2`] for a built one, and
+/// turn it back into text with [`resolve`]. The one
 /// exception is a symbol a flight handle's
 /// [`Telemetry::text`](crate::Telemetry::text) returns: it names text
 /// that handle keeps to itself, and means nothing elsewhere.
@@ -121,11 +124,35 @@ pub fn sym2(prefix: &str, suffix: &str) -> Sym {
     Sym(id)
 }
 
+/// Interns a fixed name once per call site and returns its [`Sym`]:
+/// the first call through the site interns the literal, and a static
+/// beside the site keeps the symbol, so every later call is one atomic
+/// load. Write each span, event, field, annotation and counter name
+/// this way where it is recorded. Names built from a plan go through
+/// [`sym2`], and text that differs job by job through
+/// [`Telemetry::text`](crate::Telemetry::text).
+///
+/// ```
+/// use oasys_telemetry::{sym, Telemetry};
+///
+/// let tel = Telemetry::new();
+/// tel.incr_sym(sym!("plan.restarts"));
+/// assert_eq!(tel.counter("plan.restarts"), 1);
+/// assert_eq!(sym!("plan.restarts"), sym("plan.restarts"));
+/// ```
+#[macro_export]
+macro_rules! sym {
+    ($name:literal) => {{
+        static SYM: ::std::sync::OnceLock<$crate::Sym> = ::std::sync::OnceLock::new();
+        *SYM.get_or_init(|| $crate::intern::sym($name))
+    }};
+}
+
 /// Interns `prefix` + the `Display` rendering of `value`, formatting
 /// into a stack buffer so the common (already-registered) case does not
 /// touch the heap.
 #[must_use]
-pub fn sym_display(prefix: &str, value: &dyn std::fmt::Display) -> Sym {
+pub(crate) fn sym_display(prefix: &str, value: &dyn std::fmt::Display) -> Sym {
     let mut buf = StackStr::default();
     if std::fmt::write(&mut buf, format_args!("{value}")).is_ok() {
         sym2(prefix, buf.as_str())
@@ -138,7 +165,7 @@ pub fn sym_display(prefix: &str, value: &dyn std::fmt::Display) -> Sym {
 /// Interns the decimal rendering of `value`, serving small values from
 /// a pre-registered table — annotation values like Newton iteration
 /// counts are almost always tiny, and this skips even the hash lookup
-/// [`sym_display`] would do.
+/// and formatting that interning the rendered number would do.
 #[must_use]
 pub fn sym_u64(value: u64) -> Sym {
     static SMALL: OnceLock<[Sym; 64]> = OnceLock::new();

@@ -65,7 +65,7 @@ mod ring;
 pub mod schema;
 
 pub use clock::{Clock, FrozenClock, ManualClock, MonotonicClock};
-pub use intern::{sym, sym2, sym_display, sym_u64, Sym};
+pub use intern::{sym, sym2, sym_u64, Sym};
 pub use metrics::{HistogramSnapshot, MetricsRegistry};
 pub use recorder::{SpanGuard, SpanId, Telemetry, TelemetrySeed};
 pub use report::{EventData, RunReport, SpanData, SCHEMA_NAME, SCHEMA_VERSION};

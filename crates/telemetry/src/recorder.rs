@@ -353,8 +353,8 @@ impl Telemetry {
     /// beside its ring, so the symbol means something only in this
     /// handle's records (and the [`Recording`] drained from it) and the
     /// process-wide table never sees it. Any other recording handle
-    /// interns the text ([`sym_display`]). A disabled handle formats
-    /// nothing and returns a placeholder it never records.
+    /// interns the text. A disabled handle formats nothing and returns
+    /// a placeholder it never records.
     #[must_use]
     pub fn text(&self, value: &dyn fmt::Display) -> Sym {
         self.inner
@@ -414,22 +414,13 @@ impl Telemetry {
     /// path for the plan executor's per-step `step_started` events,
     /// where the extra clock read and call round-trip of a separate
     /// [`Telemetry::event_with`] are measurable.
-    pub fn span_sym_with_event(
-        &self,
-        name: Sym,
-        kind: Sym,
-        fields: &[(Sym, Sym)],
-    ) -> SpanGuard<'_> {
-        self.span_sym_with_event_at(name, kind, fields, None)
-    }
-
-    /// [`Telemetry::span_sym_with_event`] with an optional caller-carried
-    /// start time: a timestamp this handle itself returned moments ago
-    /// (from [`SpanGuard::close_with_event`]) stands in for a fresh
-    /// clock read. The plan executor chains step spans this way — the
-    /// instant one step's span closes is the instant the next one
-    /// opens, so the whole boundary costs a single read. `None` reads
-    /// the clock.
+    ///
+    /// `at_ns` is an optional caller-carried start time: a timestamp
+    /// this handle itself returned moments ago (from
+    /// [`SpanGuard::close_with_event`]) stands in for a fresh clock
+    /// read. The plan executor chains step spans this way — the instant
+    /// one step's span closes is the instant the next one opens, so the
+    /// whole boundary costs a single read. `None` reads the clock.
     pub fn span_sym_with_event_at(
         &self,
         name: Sym,
@@ -865,7 +856,7 @@ impl Telemetry {
 
     /// [`Telemetry::close_span`] with a final event spliced in before
     /// the close record, sharing its clock read — the dual of
-    /// [`Telemetry::span_sym_with_event`] (a step *is* completed when
+    /// [`Telemetry::span_sym_with_event_at`] (a step *is* completed when
     /// its span closes). One borrow, one read; the event anchors inside
     /// the closing span.
     fn close_span_with_event(
@@ -999,7 +990,7 @@ impl SpanGuard<'_> {
 
     /// Closes the span now, recording a final event stamped with the
     /// span's end time inside it — one borrow, one clock read for both
-    /// (see [`Telemetry::span_sym_with_event`] for the opening dual).
+    /// (see [`Telemetry::span_sym_with_event_at`] for the opening dual).
     /// On a disabled handle this is a no-op, like the drop it replaces.
     ///
     /// Returns the close timestamp when recording, so an immediately
