@@ -26,6 +26,7 @@ use oasys_netlist::Circuit;
 use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome, Trace};
 use oasys_process::{Polarity, Process};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Most cascaded stages the designer will use (regeneration and offset
 /// accumulation make longer chains useless).
@@ -262,7 +263,7 @@ impl std::error::Error for ComparatorError {}
 
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("comparator")
-        .step("stage-count", |s: &mut State| {
+        .step("stage-count", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let a_req = span / s.spec.resolution_v();
             let stages = (a_req.ln() / STAGE_GAIN.ln()).ceil() as usize;
@@ -279,7 +280,7 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
-        .step("stage-current", |s: &mut State| {
+        .step("stage-current", |s: &mut State, _| {
             // Each stage must slew roughly half the supply span within its
             // share of the decision budget, into the next stage's input
             // plus its own junctions — estimated, then refined below.
@@ -290,7 +291,7 @@ fn build_plan() -> Plan<State> {
             s.gm1 = s.i_tail / VOV1;
             StepOutcome::Done
         })
-        .step("design-stage", |s: &mut State| {
+        .step("design-stage", |s: &mut State, _| {
             let pair_spec = DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail);
             let pair = match DiffPair::design(&pair_spec, &s.process) {
                 Ok(p) => p,
@@ -317,7 +318,7 @@ fn build_plan() -> Plan<State> {
             s.tail = Some(tail);
             StepOutcome::Done
         })
-        .step("check-speed", |s: &mut State| {
+        .step("check-speed", |s: &mut State, _| {
             // Refine the per-stage capacitance from the designed devices
             // and verify the ramp model against the budget.
             let pair = s.pair.as_ref().expect("stage designed");
@@ -351,7 +352,7 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
-        .step("predict", |s: &mut State| {
+        .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("stage designed");
             let load = s.load.as_ref().expect("stage designed");
             let a1 = s.gm1 / (pair.gds() + 1.0 / load.rout());
@@ -361,7 +362,7 @@ fn build_plan() -> Plan<State> {
         .rule(
             "speed-up",
             |s: &State, f| f.code() == "too-slow" && s.speed_boost < 16.0,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.speed_boost *= 1.6;
                 PatchAction::RestartFrom("stage-current".into())
             },
@@ -369,7 +370,7 @@ fn build_plan() -> Plan<State> {
         .rule(
             "give-up",
             |_, f| matches!(f.code(), "too-many-stages" | "stage-design" | "too-slow"),
-            |_s: &mut State| PatchAction::Abort("comparator infeasible".into()),
+            |_s: &mut State, _| PatchAction::Abort("comparator infeasible".into()),
         )
         .build()
 }
@@ -384,10 +385,10 @@ pub fn design_comparator(
     spec: &ComparatorSpec,
     process: &Process,
 ) -> Result<ComparatorDesign, ComparatorError> {
-    let plan = build_plan();
+    static PLAN: OnceLock<Plan<State>> = OnceLock::new();
     let mut state = State::new(spec, process);
     let trace = PlanExecutor::new()
-        .run(&plan, &mut state)
+        .run(PLAN.get_or_init(build_plan), &mut state)
         .map_err(|e| ComparatorError {
             reason: e.to_string(),
         })?;

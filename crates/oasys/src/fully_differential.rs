@@ -25,6 +25,7 @@ use oasys_netlist::Circuit;
 use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome, Trace};
 use oasys_process::{Polarity, Process};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Load-device overdrive, V.
 const VOV_LOAD: f64 = 0.25;
@@ -297,13 +298,13 @@ impl State {
 
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("fully differential")
-        .step("size-input", |s: &mut State| {
+        .step("size-input", |s: &mut State, _| {
             let gm_min = 2.0 * std::f64::consts::PI * s.spec.unity_gain_hz() * s.spec.load_f();
             s.i_tail = (gm_min * s.vov1).max(2e-6);
             s.gm1 = s.i_tail / s.vov1;
             StepOutcome::Done
         })
-        .step("gain-budget", |s: &mut State| {
+        .step("gain-budget", |s: &mut State, _| {
             // The output conductance budget covers three loads per side:
             // the pair device, the current-source load, and the CM sense
             // resistor (which sees a virtual ground differentially). Give
@@ -328,7 +329,7 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
-        .step("design-pair", |s: &mut State| {
+        .step("design-pair", |s: &mut State, _| {
             let spec =
                 DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail).with_length_um(s.pair_l_um);
             match DiffPair::design(&spec, &s.process) {
@@ -339,7 +340,7 @@ fn build_plan() -> Plan<State> {
                 Err(e) => StepOutcome::failed("block-design", e.to_string()),
             }
         })
-        .step("design-loads", |s: &mut State| {
+        .step("design-loads", |s: &mut State, _| {
             // Plain PMOS current sources sized for half the tail each.
             let p = s.process.pmos();
             let wl = sizing::w_over_l_from_id_vov(s.i_tail / 2.0, VOV_LOAD, p.kprime());
@@ -353,7 +354,7 @@ fn build_plan() -> Plan<State> {
                 Err(e) => StepOutcome::failed("block-design", e.to_string()),
             }
         })
-        .step("design-tail", |s: &mut State| {
+        .step("design-tail", |s: &mut State, _| {
             let spec = MirrorSpec::new(Polarity::Nmos, s.i_tail)
                 .with_headroom(1.5)
                 .with_only_style(MirrorStyle::Simple);
@@ -367,7 +368,7 @@ fn build_plan() -> Plan<State> {
                 Err(e) => StepOutcome::failed("block-design", e.to_string()),
             }
         })
-        .step("design-cmfb", |s: &mut State| {
+        .step("design-cmfb", |s: &mut State, _| {
             // A small 5T OTA: enough gain to hold the CM error inside the
             // budget (error ≈ required gate offset / loop gain).
             let i = s.cmfb_current();
@@ -396,7 +397,7 @@ fn build_plan() -> Plan<State> {
             s.cmfb_tail = Some(t);
             StepOutcome::Done
         })
-        .step("predict", |s: &mut State| {
+        .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("pair designed");
             let id = s.i_tail / 2.0;
             let gds_load = s.process.pmos().lambda(s.load_l_um) * id;
@@ -412,7 +413,7 @@ fn build_plan() -> Plan<State> {
         .rule(
             "lower-pair-overdrive",
             |s: &State, f| f.code() == "gain-short" && s.vov1 > 0.08,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.vov1 /= 1.5;
                 PatchAction::RestartFrom("size-input".into())
             },
@@ -420,7 +421,7 @@ fn build_plan() -> Plan<State> {
         .rule(
             "give-up",
             |_, f| matches!(f.code(), "gain-short" | "block-design"),
-            |_s: &mut State| PatchAction::Abort("fully-differential style infeasible".into()),
+            |_s: &mut State, _| PatchAction::Abort("fully-differential style infeasible".into()),
         )
         .build()
 }
@@ -432,10 +433,10 @@ fn build_plan() -> Plan<State> {
 /// Returns [`FdError`] when the single-stage template cannot reach the
 /// gain, or a sub-block designer rejects its translated spec.
 pub fn design_fully_differential(spec: &FdSpec, process: &Process) -> Result<FdDesign, FdError> {
-    let plan = build_plan();
+    static PLAN: OnceLock<Plan<State>> = OnceLock::new();
     let mut state = State::new(spec, process);
     let trace = PlanExecutor::new()
-        .run(&plan, &mut state)
+        .run(PLAN.get_or_init(build_plan), &mut state)
         .map_err(|e| FdError {
             reason: e.to_string(),
         })?;

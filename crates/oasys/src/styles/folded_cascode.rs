@@ -27,6 +27,7 @@ use oasys_plan::{DesignContext, Expr, Interval, PatchAction, PerfRelation, Plan,
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::Telemetry;
 use oasys_units::Dimension;
+use std::sync::OnceLock;
 
 /// Initial pair overdrive target, V.
 const VOV1_INIT: f64 = 0.20;
@@ -38,12 +39,9 @@ const BIAS_SHEET_OHMS: f64 = 10_000.0;
 /// Empty annotation list (the builder cannot infer element types from `[]`).
 const NONE: [&str; 0] = [];
 
-pub(super) struct State<'a> {
+pub(super) struct State {
     spec: OpAmpSpec,
     process: Process,
-    /// The invoking design context: sub-block design steps record
-    /// `block:<level>` spans and memoize through it.
-    ctx: DesignContext<'a>,
     vov1: f64,
     gm1: f64,
     i_tail: f64,
@@ -71,12 +69,11 @@ pub(super) struct State<'a> {
     notes: Vec<String>,
 }
 
-impl<'a> State<'a> {
-    fn new(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> Self {
+impl State {
+    fn new(spec: &OpAmpSpec, process: &Process) -> Self {
         Self {
             spec: *spec,
             process: process.clone(),
-            ctx,
             vov1: VOV1_INIT,
             gm1: 0.0,
             i_tail: 0.0,
@@ -113,11 +110,6 @@ impl<'a> State<'a> {
     }
 }
 
-/// Statically analyzes the stored plan (see [`oasys_plan::analyze`]).
-pub(super) fn analyze_plan() -> oasys_lint::Report {
-    oasys_plan::analyze(&build_plan())
-}
-
 /// The folded-cascode style's declared performance relations (see
 /// [`super::perf_relations`]).
 ///
@@ -149,13 +141,13 @@ pub(super) fn perf_relations(spec: &OpAmpSpec, process: &Process) -> Vec<PerfRel
     relations
 }
 
-fn build_plan<'a>() -> Plan<State<'a>> {
+fn build_plan() -> Plan<State> {
     Plan::<State>::builder("folded cascode")
-        .inputs(["spec", "process", "ctx", "vov1", "notes"])
+        .inputs(["spec", "process", "vov1", "notes"])
         // Knob domain for the interval analyzer: the lower-overdrive
         // rule divides by 1.5 while above 0.06 V, so 0.04 V bounds it.
         .input_domain("vov1", Interval::new(0.04, 0.5), Dimension::VOLTAGE)
-        .step("check-spec", |s: &mut State| {
+        .step("check-spec", |s: &mut State, _| {
             // Two stacked overdrives on each side of the output.
             let span = s.process.supply_span().volts();
             if s.spec.has_swing() && 2.0 * s.spec.output_swing().volts() > span - 4.0 * VOV_C - 0.4
@@ -170,7 +162,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process"])
         .writes(NONE)
         .emits(["spec-unsupported"])
-        .step("size-input", |s: &mut State| {
+        .step("size-input", |s: &mut State, _| {
             let gm_min = 2.0
                 * std::f64::consts::PI
                 * s.spec.unity_gain_freq().hertz()
@@ -192,13 +184,13 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         )
         .transfer("gm1", Expr::var("i_tail").div(Expr::var("vov1")))
         .emits(NONE)
-        .step("design-pair", |s: &mut State| {
+        .step("design-pair", |s: &mut State, ctx| {
             // The pair's r_o barely matters (the fold node is low
             // impedance), so minimum length serves.
             s.pair_l_um = s.process.min_length().micrometers();
             let spec =
                 DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail).with_length_um(s.pair_l_um);
-            match DiffPair::design_with(&spec, &s.process, &s.ctx) {
+            match DiffPair::design_with(&spec, &s.process, ctx) {
                 Ok(p) => {
                     s.pair = Some(p);
                     StepOutcome::Done
@@ -206,10 +198,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("pair-design", e.to_string()),
             }
         })
-        .reads(["process", "ctx", "gm1", "i_tail"])
+        .reads(["process", "gm1", "i_tail"])
         .writes(["pair_l_um", "pair"])
         .emits(["pair-design"])
-        .step("design-branches", |s: &mut State| {
+        .step("design-branches", |s: &mut State, _| {
             // PMOS current sources (carry i_fold) and cascodes (carry the
             // branch current), both at the cascode overdrive.
             let p = s.process.pmos();
@@ -232,7 +224,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["process", "i_tail"])
         .writes(["p_source", "p_cascode"])
         .emits(["branch-design"])
-        .step("design-output-mirror", |s: &mut State| {
+        .step("design-output-mirror", |s: &mut State, ctx| {
             // Wide-swing NMOS cascode mirror at the bottom: its r_out and
             // the PMOS cascode's r_out form the output resistance the
             // gain needs.
@@ -246,7 +238,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 .with_min_rout(need_rout)
                 .with_headroom(vss_budget.max(0.5))
                 .with_only_style(MirrorStyle::WideSwing);
-            match CurrentMirror::design_with(&spec, &s.process, &s.ctx) {
+            match CurrentMirror::design_with(&spec, &s.process, ctx) {
                 Ok(m) => {
                     s.out_mirror = Some(m);
                     StepOutcome::Done
@@ -254,10 +246,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("gain-short", e.to_string()),
             }
         })
-        .reads(["spec", "process", "ctx", "gm1", "i_tail"])
+        .reads(["spec", "process", "gm1", "i_tail"])
         .writes(["out_mirror"])
         .emits(["gain-short"])
-        .step("check-gain", |s: &mut State| {
+        .step("check-gain", |s: &mut State, _| {
             // Rout = (gm·ro·ro_eff of the PMOS side) ∥ (mirror r_out).
             let p = s.process.pmos();
             let l_min = s.process.min_length().micrometers();
@@ -297,14 +289,14 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         ])
         .writes(["rout"])
         .emits(["gain-short"])
-        .step("design-bias", |s: &mut State| {
+        .step("design-bias", |s: &mut State, ctx| {
             // Four bias branches: tail mirror reference, PMOS source
             // reference, PMOS cascode-gate chain, NMOS cascode-gate chain.
             let span = s.process.supply_span().volts();
             let tail_spec = MirrorSpec::new(Polarity::Nmos, s.i_tail)
                 .with_headroom(1.5)
                 .with_only_style(MirrorStyle::Simple);
-            let tail = match CurrentMirror::design_with(&tail_spec, &s.process, &s.ctx) {
+            let tail = match CurrentMirror::design_with(&tail_spec, &s.process, ctx) {
                 Ok(t) => t,
                 Err(e) => return StepOutcome::failed("bias-design", e.to_string()),
             };
@@ -335,12 +327,12 @@ fn build_plan<'a>() -> Plan<State<'a>> {
             s.tail = Some(tail);
             StepOutcome::Done
         })
-        .reads(["process", "ctx", "i_tail"])
+        .reads(["process", "i_tail"])
         .writes([
             "tail", "p_diode", "n_diode", "r_tail", "r_psrc", "r_pcasc", "r_ncasc",
         ])
         .emits(["bias-design"])
-        .step("check-swing", |s: &mut State| {
+        .step("check-swing", |s: &mut State, _| {
             let vdd = s.process.vdd().volts();
             let vss = s.process.vss().volts();
             // Top: the source device plus the cascode each need an
@@ -365,7 +357,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "out_mirror"])
         .writes(["swing"])
         .emits(["swing-short"])
-        .step("check-offset", |s: &mut State| {
+        .step("check-offset", |s: &mut State, _| {
             // Fully cascoded: the residual is ΔV·g_out/gm1 like the
             // cascode OTA.
             let delta_v = 2.5;
@@ -381,7 +373,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "gm1", "rout"])
         .writes(["offset_v"])
         .emits(["offset-high"])
-        .step("check-phase", |s: &mut State| {
+        .step("check-phase", |s: &mut State, _| {
             // Non-dominant pole at the folding node: the cascode's gm
             // over the junk parked there (pair drain, source drain,
             // cascode source).
@@ -424,7 +416,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         ])
         .writes(["pm_deg"])
         .emits(["pm-short"])
-        .step("check-noise", |s: &mut State| {
+        .step("check-noise", |s: &mut State, _| {
             if !s.spec.has_noise() {
                 return StepOutcome::Done;
             }
@@ -446,7 +438,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "gm1", "i_tail"])
         .writes(NONE)
         .emits(["noise-high"])
-        .step("check-power", |s: &mut State| {
+        .step("check-power", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let power = span * s.total_current();
             if s.spec.has_power() && power > s.spec.max_power().watts() {
@@ -460,7 +452,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "i_tail"])
         .writes(NONE)
         .emits(["power-high"])
-        .step("predict", |s: &mut State| {
+        .step("predict", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let gain = s.gm1 * s.rout;
             let tail = s.tail.as_ref().expect("bias designed");
@@ -495,7 +487,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "lower-pair-overdrive",
             |s: &State, f| matches!(f.code(), "gain-short" | "noise-high") && s.vov1 > 0.06,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.vov1 /= 1.5;
                 s.notes
                     .push(format!("lowered pair overdrive to {:.2} V", s.vov1));
@@ -524,7 +516,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                         | "noise-high"
                 )
             },
-            |_s: &mut State| PatchAction::Abort("folded-cascode style infeasible".into()),
+            |_s: &mut State, _| PatchAction::Abort("folded-cascode style infeasible".into()),
         )
         .on_codes([
             "spec-unsupported",
@@ -543,7 +535,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .build()
 }
 
-impl State<'_> {
+impl State {
     /// All quiescent branches: tail + two fold branches + four bias
     /// references.
     fn total_current(&self) -> f64 {
@@ -585,18 +577,19 @@ pub(super) struct FoldedCascodeDef;
 
 impl StyleDef for FoldedCascodeDef {
     const STYLE: OpAmpStyle = OpAmpStyle::FoldedCascode;
-    type State<'a> = State<'a>;
+    type State = State;
 
-    fn build_plan<'a>() -> Plan<State<'a>> {
-        build_plan()
+    fn plan() -> &'static Plan<State> {
+        static PLAN: OnceLock<Plan<State>> = OnceLock::new();
+        PLAN.get_or_init(build_plan)
     }
 
-    fn init<'a>(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> State<'a> {
-        State::new(spec, process, ctx)
+    fn init(spec: &OpAmpSpec, process: &Process) -> State {
+        State::new(spec, process)
     }
 }
 
-impl StyleState for State<'_> {
+impl StyleState for State {
     fn emit(&self) -> Result<Circuit, oasys_netlist::ValidateError> {
         emit(self)
     }
@@ -724,7 +717,7 @@ mod tests {
 
     #[test]
     fn plan_analyzes_clean() {
-        let report = analyze_plan();
+        let report = oasys_plan::analyze(FoldedCascodeDef::plan());
         assert!(report.is_empty(), "{}", report.render_human());
     }
 

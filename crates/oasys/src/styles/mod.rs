@@ -18,7 +18,9 @@ use crate::datasheet::Predicted;
 use crate::spec::OpAmpSpec;
 use oasys_blocks::AreaEstimate;
 use oasys_netlist::Circuit;
-use oasys_plan::{first_infeasible, DesignContext, PerfRelation, PlanError, PlanExecutor, Trace};
+use oasys_plan::{
+    analyze, first_infeasible, DesignContext, PerfRelation, Plan, PlanError, PlanExecutor, Trace,
+};
 use oasys_process::Process;
 use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
@@ -73,14 +75,15 @@ impl OpAmpStyle {
 pub(crate) trait StyleDef {
     /// The style this definition realizes.
     const STYLE: OpAmpStyle;
-    /// The mutable design state the plan threads; borrows the invoking
-    /// [`DesignContext`] so steps can reach sub-block designers with
-    /// spans and memoization.
-    type State<'a>: StyleState;
-    /// Builds the stored translation plan (steps and patch rules).
-    fn build_plan<'a>() -> oasys_plan::Plan<Self::State<'a>>;
+    /// The mutable design state the plan threads. It holds no run
+    /// context: steps reach sub-block designers, spans and memoization
+    /// through the [`DesignContext`] the executor passes them.
+    type State: StyleState + 'static;
+    /// The stored translation plan (steps and patch rules), built on
+    /// first use and shared by every attempt in the process.
+    fn plan() -> &'static Plan<Self::State>;
     /// Initial state for one run against `spec` on `process`.
-    fn init<'a>(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> Self::State<'a>;
+    fn init(spec: &OpAmpSpec, process: &Process) -> Self::State;
 }
 
 /// What a completed style run must yield: the assembled netlist, the
@@ -97,9 +100,10 @@ pub(crate) trait StyleState {
     fn take_notes(&mut self) -> Vec<String>;
 }
 
-/// Runs one style definition end to end: executes its plan on the
-/// context's telemetry, assembles and validates the netlist under an
-/// `assemble-netlist` span, and packages the [`OpAmpDesign`].
+/// Runs one style definition end to end: executes its stored plan in
+/// `ctx` (its telemetry, cache and deadline), assembles and validates
+/// the netlist under an `assemble-netlist` span, and packages the
+/// [`OpAmpDesign`].
 ///
 /// This is the single engine behind all three `design_*` entry points;
 /// the per-style modules contribute only their [`StyleDef`].
@@ -108,12 +112,9 @@ pub(crate) fn run_style<D: StyleDef>(
     process: &Process,
     ctx: &DesignContext<'_>,
 ) -> Result<OpAmpDesign, StyleError> {
-    let tel = ctx.telemetry();
-    let plan = D::build_plan();
-    let deadline = ctx.deadline().clone();
-    let mut state = D::init(spec, process, ctx.clone());
-    let trace = PlanExecutor::new().run_with_deadline(&plan, &mut state, tel, &deadline)?;
-    let assembly = tel.span_sym(sym!("assemble-netlist"));
+    let mut state = D::init(spec, process);
+    let trace = PlanExecutor::new().run_in(D::plan(), &mut state, ctx)?;
+    let assembly = ctx.telemetry().span_sym(sym!("assemble-netlist"));
     let circuit = state
         .emit()
         .map_err(|e| StyleError::Netlist(e.to_string()))?;
@@ -168,7 +169,8 @@ pub fn design_style_with(
     design_style_in(style, spec, process, &DesignContext::new(tel))
 }
 
-/// Runs the static plan analyzer over a style's stored synthesis plan.
+/// Runs the static plan analyzer over a style's stored synthesis plan,
+/// the one every attempt runs.
 ///
 /// The built-in plans declare their dataflow (reads/writes/emitted failure
 /// codes), so [`oasys_plan::analyze()`] can check them for use-before-def,
@@ -178,9 +180,9 @@ pub fn design_style_with(
 #[must_use]
 pub fn analyze_plan(style: OpAmpStyle) -> oasys_lint::Report {
     match style {
-        OpAmpStyle::OneStageOta => one_stage::analyze_plan(),
-        OpAmpStyle::TwoStage => two_stage::analyze_plan(),
-        OpAmpStyle::FoldedCascode => folded_cascode::analyze_plan(),
+        OpAmpStyle::OneStageOta => analyze(one_stage::OneStageDef::plan()),
+        OpAmpStyle::TwoStage => analyze(two_stage::TwoStageDef::plan()),
+        OpAmpStyle::FoldedCascode => analyze(folded_cascode::FoldedCascodeDef::plan()),
     }
 }
 
@@ -397,5 +399,22 @@ mod tests {
         assert_eq!(OpAmpStyle::TwoStage.to_string(), "two-stage");
         assert_eq!(OpAmpStyle::FoldedCascode.to_string(), "folded cascode");
         assert_eq!(OpAmpStyle::ALL.len(), 3);
+    }
+
+    #[test]
+    fn attempts_of_a_style_run_one_stored_plan() {
+        fn attempt_twice<D: StyleDef>() {
+            let spec = crate::spec::test_cases::spec_a();
+            let process = oasys_process::builtin::cmos_5um();
+            let tel = Telemetry::disabled();
+            let first = D::plan();
+            for _ in 0..2 {
+                let _ = run_style::<D>(&spec, &process, &DesignContext::new(&tel));
+                assert!(std::ptr::eq(first, D::plan()), "{}", D::STYLE);
+            }
+        }
+        attempt_twice::<one_stage::OneStageDef>();
+        attempt_twice::<two_stage::TwoStageDef>();
+        attempt_twice::<folded_cascode::FoldedCascodeDef>();
     }
 }

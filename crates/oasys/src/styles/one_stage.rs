@@ -26,6 +26,7 @@ use oasys_plan::{DesignContext, Expr, Interval, PatchAction, PerfRelation, Plan,
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::Telemetry;
 use oasys_units::Dimension;
+use std::sync::OnceLock;
 
 /// Longest pair channel, in multiples of the process minimum.
 const MAX_L_FACTOR: f64 = 4.0;
@@ -44,12 +45,9 @@ const BIAS_SHEET_OHMS: f64 = 10_000.0;
 const NONE: [&str; 0] = [];
 
 /// Mutable design state threaded through the plan.
-pub(super) struct State<'a> {
+pub(super) struct State {
     spec: OpAmpSpec,
     process: Process,
-    /// The invoking design context: sub-block design steps record
-    /// `block:<level>` spans and memoize through it.
-    ctx: DesignContext<'a>,
     // Heuristic knobs the patch rules adjust.
     vov1: f64,
     alpha: f64,
@@ -74,12 +72,11 @@ pub(super) struct State<'a> {
     notes: Vec<String>,
 }
 
-impl<'a> State<'a> {
-    fn new(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> Self {
+impl State {
+    fn new(spec: &OpAmpSpec, process: &Process) -> Self {
         Self {
             spec: *spec,
             process: process.clone(),
-            ctx,
             vov1: VOV1_INIT,
             alpha: ALPHA_INIT,
             load_cascoded: false,
@@ -127,11 +124,6 @@ impl<'a> State<'a> {
     }
 }
 
-/// Statically analyzes the stored plan (see [`oasys_plan::analyze`]).
-pub(super) fn analyze_plan() -> oasys_lint::Report {
-    oasys_plan::analyze(&build_plan())
-}
-
 /// The one-stage style's declared performance relations (see
 /// [`super::perf_relations`]).
 ///
@@ -166,12 +158,11 @@ pub(super) fn perf_relations(spec: &OpAmpSpec, process: &Process) -> Vec<PerfRel
 }
 
 /// Builds the one-stage translation plan (steps and patch rules).
-fn build_plan<'a>() -> Plan<State<'a>> {
+fn build_plan() -> Plan<State> {
     Plan::<State>::builder("one-stage OTA")
         .inputs([
             "spec",
             "process",
-            "ctx",
             "vov1",
             "alpha",
             "load_cascoded",
@@ -187,7 +178,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
             Dimension::NONE,
         )
         .input_domain("slew_boost", Interval::new(1.0, 8.0), Dimension::NONE)
-        .step("check-spec", |s: &mut State| {
+        .step("check-spec", |s: &mut State, _| {
             let vdd = s.process.vdd().volts();
             if s.spec.has_swing() && s.spec.output_swing().volts() > vdd - 0.4 {
                 return StepOutcome::failed(
@@ -203,7 +194,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process"])
         .writes(NONE)
         .emits(["spec-unsupported"])
-        .step("size-input-gm", |s: &mut State| {
+        .step("size-input-gm", |s: &mut State, _| {
             // gm floor from the unity-gain spec (the OTA's f_u = gm1/2πC_L),
             // current floor from the slew spec; keep the pair at its target
             // overdrive, letting f_u exceed its minimum if slew dominates.
@@ -232,7 +223,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         )
         .transfer("gm1", Expr::var("i_tail").div(Expr::var("vov1")))
         .emits(NONE)
-        .step("gain-budget", |s: &mut State| {
+        .step("gain-budget", |s: &mut State, _| {
             // Split the allowed output conductance between pair and load,
             // then pick the pair channel length that fits its share.
             let pair_budget = s.alpha * s.gout_total();
@@ -256,10 +247,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "alpha", "gm1", "i_tail"])
         .writes(["pair_l_um"])
         .emits(["pair-gain-short"])
-        .step("design-pair", |s: &mut State| {
+        .step("design-pair", |s: &mut State, ctx| {
             let spec =
                 DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail).with_length_um(s.pair_l_um);
-            match DiffPair::design_with(&spec, &s.process, &s.ctx) {
+            match DiffPair::design_with(&spec, &s.process, ctx) {
                 Ok(pair) => {
                     s.pair = Some(pair);
                     StepOutcome::Done
@@ -267,10 +258,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("pair-design", e.to_string()),
             }
         })
-        .reads(["process", "ctx", "gm1", "i_tail", "pair_l_um"])
+        .reads(["process", "gm1", "i_tail", "pair_l_um"])
         .writes(["pair"])
         .emits(["pair-design"])
-        .step("design-load", |s: &mut State| {
+        .step("design-load", |s: &mut State, ctx| {
             let load_budget = (1.0 - s.alpha) * s.gout_total();
             let vdd = s.process.vdd().volts();
             // Headroom: the load stack must stay saturated up to the most
@@ -289,7 +280,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 .with_min_rout(1.0 / load_budget)
                 .with_headroom(headroom)
                 .with_only_style(style);
-            match CurrentMirror::design_with(&spec, &s.process, &s.ctx) {
+            match CurrentMirror::design_with(&spec, &s.process, ctx) {
                 Ok(m) => {
                     s.load = Some(m);
                     StepOutcome::Done
@@ -297,22 +288,14 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("load-design", e.to_string()),
             }
         })
-        .reads([
-            "spec",
-            "process",
-            "ctx",
-            "alpha",
-            "gm1",
-            "i_tail",
-            "load_cascoded",
-        ])
+        .reads(["spec", "process", "alpha", "gm1", "i_tail", "load_cascoded"])
         .writes(["load"])
         .emits(["load-design"])
-        .step("design-tail", |s: &mut State| {
+        .step("design-tail", |s: &mut State, ctx| {
             let spec = MirrorSpec::new(Polarity::Nmos, s.i_tail)
                 .with_headroom(1.5)
                 .with_only_style(MirrorStyle::Simple);
-            match CurrentMirror::design_with(&spec, &s.process, &s.ctx) {
+            match CurrentMirror::design_with(&spec, &s.process, ctx) {
                 Ok(m) => {
                     s.tail = Some(m);
                     StepOutcome::Done
@@ -320,10 +303,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("tail-design", e.to_string()),
             }
         })
-        .reads(["process", "ctx", "i_tail"])
+        .reads(["process", "i_tail"])
         .writes(["tail"])
         .emits(["tail-design"])
-        .step("bias-resistor", |s: &mut State| {
+        .step("bias-resistor", |s: &mut State, _| {
             let tail = s.tail.as_ref().expect("design-tail ran");
             let span = s.process.supply_span().volts();
             let drop = span - tail.input_voltage();
@@ -339,7 +322,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["process", "tail"])
         .writes(["r_bias"])
         .emits(["bias-headroom"])
-        .step("check-swing", |s: &mut State| {
+        .step("check-swing", |s: &mut State, _| {
             let load = s.load.as_ref().expect("design-load ran");
             let tail = s.tail.as_ref().expect("design-tail ran");
             let pair = s.pair.as_ref().expect("design-pair ran");
@@ -376,7 +359,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "pair", "load", "tail"])
         .writes(["swing"])
         .emits(["swing-short"])
-        .step("check-offset", |s: &mut State| {
+        .step("check-offset", |s: &mut State, _| {
             // The 5T OTA's inherent systematic offset: the two load-mirror
             // devices see different V_DS (diode voltage vs. the output at
             // mid-rail), so their currents mismatch by λ·ΔV_DS; referred
@@ -407,7 +390,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "gm1", "i_tail", "load", "load_cascoded"])
         .writes(["offset_v"])
         .emits(["offset-high"])
-        .step("check-phase", |s: &mut State| {
+        .step("check-phase", |s: &mut State, _| {
             // Non-dominant pole at the mirror node: gm3 over the
             // capacitance hanging there (both mirror gates plus the pair
             // drain junction).
@@ -441,7 +424,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "gm1", "i_tail", "pair", "load"])
         .writes(["pm_deg"])
         .emits(["pm-short"])
-        .step("check-power", |s: &mut State| {
+        .step("check-power", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let power = span * 2.0 * s.i_tail; // tail branch + reference branch
             if s.spec.has_power() && power > s.spec.max_power().watts() {
@@ -459,7 +442,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "i_tail"])
         .writes(NONE)
         .emits(["power-high"])
-        .step("check-noise", |s: &mut State| {
+        .step("check-noise", |s: &mut State, _| {
             if !s.spec.has_noise() {
                 return StepOutcome::Done;
             }
@@ -482,7 +465,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "gm1", "i_tail", "load"])
         .writes(NONE)
         .emits(["noise-high"])
-        .step("check-slew", |s: &mut State| {
+        .step("check-slew", |s: &mut State, _| {
             if !s.spec.has_slew() {
                 return StepOutcome::Done;
             }
@@ -501,7 +484,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "i_tail", "pair", "load"])
         .writes(NONE)
         .emits(["slew-short"])
-        .step("predict", |s: &mut State| {
+        .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("design-pair ran");
             let load = s.load.as_ref().expect("design-load ran");
             let tail = s.tail.as_ref().expect("design-tail ran");
@@ -546,7 +529,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                         "pair-gain-short" | "load-design" | "offset-high" | "pm-short"
                     )
             },
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.load_cascoded = true;
                 s.alpha = ALPHA_CASCODE;
                 s.notes
@@ -562,7 +545,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "boost-tail-for-slew",
             |s: &State, f| f.code() == "slew-short" && s.slew_boost < 2.5,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.slew_boost *= 1.25;
                 PatchAction::RestartFrom("size-input-gm".into())
             },
@@ -590,7 +573,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                     && fu > 1.3 * s.spec.unity_gain_freq().hertz()
                     && l_projected <= MAX_L_FACTOR * s.process.min_length().micrometers()
             },
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.vov1 *= 1.4;
                 s.notes.push(format!(
                     "raised pair overdrive to {:.2} V, trading excess bandwidth \
@@ -608,7 +591,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "lower-pair-overdrive",
             |s: &State, f| matches!(f.code(), "pair-gain-short" | "noise-high") && s.vov1 > 0.11,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.vov1 /= 2.0;
                 s.notes.push(format!(
                     "lowered pair overdrive to {:.2} V for gain",
@@ -625,7 +608,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "swing-gain-conflict",
             |s: &State, f| f.code() == "swing-short" && s.load_cascoded,
-            |_s: &mut State| {
+            |_s: &mut State, _| {
                 PatchAction::Abort(
                     "the cascoded load the gain requires cannot meet the output \
                      swing — one-stage style cannot satisfy gain and swing \
@@ -642,7 +625,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "inherent-offset",
             |s: &State, f| f.code() == "offset-high" && s.load_cascoded,
-            |_s: &mut State| {
+            |_s: &mut State, _| {
                 PatchAction::Abort(
                     "the one-stage style's inherent systematic offset exceeds the \
                      specification"
@@ -658,7 +641,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "give-up-gain",
             |_, f| matches!(f.code(), "pair-gain-short" | "load-design"),
-            |_s: &mut State| {
+            |_s: &mut State, _| {
                 PatchAction::Abort(
                     "gain infeasible for the one-stage style (with swing and \
                      offset constraints limiting the load)"
@@ -685,7 +668,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                         | "noise-high"
                 )
             },
-            |_s: &mut State| PatchAction::Abort("one-stage style infeasible".into()),
+            |_s: &mut State, _| PatchAction::Abort("one-stage style infeasible".into()),
         )
         .on_codes([
             "spec-unsupported",
@@ -734,18 +717,19 @@ pub(super) struct OneStageDef;
 
 impl StyleDef for OneStageDef {
     const STYLE: OpAmpStyle = OpAmpStyle::OneStageOta;
-    type State<'a> = State<'a>;
+    type State = State;
 
-    fn build_plan<'a>() -> Plan<State<'a>> {
-        build_plan()
+    fn plan() -> &'static Plan<State> {
+        static PLAN: OnceLock<Plan<State>> = OnceLock::new();
+        PLAN.get_or_init(build_plan)
     }
 
-    fn init<'a>(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> State<'a> {
-        State::new(spec, process, ctx)
+    fn init(spec: &OpAmpSpec, process: &Process) -> State {
+        State::new(spec, process)
     }
 }
 
-impl StyleState for State<'_> {
+impl StyleState for State {
     fn emit(&self) -> Result<Circuit, oasys_netlist::ValidateError> {
         emit(self)
     }
@@ -812,7 +796,7 @@ mod tests {
 
     #[test]
     fn plan_analyzes_clean() {
-        let report = analyze_plan();
+        let report = oasys_plan::analyze(OneStageDef::plan());
         assert!(report.is_empty(), "{}", report.render_human());
     }
 

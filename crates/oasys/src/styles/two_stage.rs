@@ -32,6 +32,7 @@ use oasys_plan::{
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::{sym, Telemetry};
 use oasys_units::Dimension;
+use std::sync::OnceLock;
 
 /// Longest channel, in multiples of the process minimum.
 const MAX_L_FACTOR: f64 = 4.0;
@@ -56,12 +57,9 @@ const BIAS_SHEET_OHMS: f64 = 10_000.0;
 /// Empty annotation list (the builder cannot infer element types from `[]`).
 const NONE: [&str; 0] = [];
 
-pub(super) struct State<'a> {
+pub(super) struct State {
     spec: OpAmpSpec,
     process: Process,
-    /// The invoking design context: sub-block design steps record
-    /// `block:<level>` spans and memoize through it.
-    ctx: DesignContext<'a>,
     // Patch-rule knobs.
     vov1: f64,
     alpha1: f64,
@@ -106,12 +104,11 @@ pub(super) struct State<'a> {
     notes: Vec<String>,
 }
 
-impl<'a> State<'a> {
-    fn new(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> Self {
+impl State {
+    fn new(spec: &OpAmpSpec, process: &Process) -> Self {
         Self {
             spec: *spec,
             process: process.clone(),
-            ctx,
             vov1: VOV1_INIT,
             alpha1: 0.5,
             alpha2: 0.5,
@@ -203,11 +200,6 @@ impl<'a> State<'a> {
     }
 }
 
-/// Statically analyzes the stored plan (see [`oasys_plan::analyze`]).
-pub(super) fn analyze_plan() -> oasys_lint::Report {
-    oasys_plan::analyze(&build_plan())
-}
-
 /// The two-stage style's declared performance relations (see
 /// [`super::perf_relations`]).
 ///
@@ -237,12 +229,11 @@ pub(super) fn perf_relations(spec: &OpAmpSpec, process: &Process) -> Vec<PerfRel
     relations
 }
 
-fn build_plan<'a>() -> Plan<State<'a>> {
+fn build_plan() -> Plan<State> {
     Plan::<State>::builder("two-stage")
         .inputs([
             "spec",
             "process",
-            "ctx",
             "vov1",
             "alpha1",
             "alpha2",
@@ -261,7 +252,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .input_domain("skew", Interval::new(1.0, CASCODE_SKEW), Dimension::NONE)
         .input_domain("i2_boost", Interval::new(1.0, 16.0), Dimension::NONE)
         .input_domain("slew_boost", Interval::new(1.0, 8.0), Dimension::NONE)
-        .step("check-spec", |s: &mut State| {
+        .step("check-spec", |s: &mut State, _| {
             let vdd = s.process.vdd().volts();
             if s.spec.has_swing() && s.spec.output_swing().volts() > vdd - 0.3 {
                 return StepOutcome::failed(
@@ -277,14 +268,14 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process"])
         .writes(NONE)
         .emits(["spec-unsupported"])
-        .step("choose-cc", |s: &mut State| {
+        .step("choose-cc", |s: &mut State, _| {
             s.cc = (CC_FACTOR * s.spec.load().farads()).max(0.5e-12);
             StepOutcome::Done
         })
         .reads(["spec"])
         .writes(["cc"])
         .emits(NONE)
-        .step("partition-gain", |s: &mut State| {
+        .step("partition-gain", |s: &mut State, _| {
             // The paper's heuristic: √gain to each stage, skewed toward
             // the cascoded stage when a rule demands it.
             let total = s.spec.dc_gain_linear() * GAIN_MARGIN;
@@ -295,7 +286,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "skew"])
         .writes(["a1_target", "a2_target"])
         .emits(NONE)
-        .step("size-input", |s: &mut State| {
+        .step("size-input", |s: &mut State, _| {
             let gm_floor = 2.0 * std::f64::consts::PI * s.spec.unity_gain_freq().hertz() * s.cc;
             let i_slew = s.spec.slew_rate().volts_per_second() * s.cc * s.slew_boost;
             s.i_tail = i_slew.max(gm_floor * s.vov1).max(1e-6);
@@ -314,7 +305,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         )
         .transfer("gm1", Expr::var("i_tail").div(Expr::var("vov1")))
         .emits(NONE)
-        .step("stage1-budget", |s: &mut State| {
+        .step("stage1-budget", |s: &mut State, _| {
             let pair_budget = s.alpha1 * s.gm1 / s.a1_target;
             let mos = s.process.nmos();
             let l_min = s.process.min_length().micrometers();
@@ -333,9 +324,9 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["process", "alpha1", "gm1", "i_tail", "a1_target"])
         .writes(["l1_um"])
         .emits(["stage1-gain-short"])
-        .step("design-pair", |s: &mut State| {
+        .step("design-pair", |s: &mut State, ctx| {
             let spec = DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail).with_length_um(s.l1_um);
-            match DiffPair::design_with(&spec, &s.process, &s.ctx) {
+            match DiffPair::design_with(&spec, &s.process, ctx) {
                 Ok(p) => {
                     s.pair = Some(p);
                     StepOutcome::Done
@@ -343,10 +334,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("pair-design", e.to_string()),
             }
         })
-        .reads(["process", "ctx", "gm1", "i_tail", "l1_um"])
+        .reads(["process", "gm1", "i_tail", "l1_um"])
         .writes(["pair"])
         .emits(["pair-design"])
-        .step("design-stage1-load", |s: &mut State| {
+        .step("design-stage1-load", |s: &mut State, ctx| {
             let load_budget = (1.0 - s.alpha1) * s.gm1 / s.a1_target;
             let style = if s.s1_cascoded {
                 MirrorStyle::Cascode
@@ -357,7 +348,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 .with_min_rout(1.0 / load_budget)
                 .with_headroom(2.6)
                 .with_only_style(style);
-            match CurrentMirror::design_with(&spec, &s.process, &s.ctx) {
+            match CurrentMirror::design_with(&spec, &s.process, ctx) {
                 Ok(m) => {
                     s.load1 = Some(m);
                     StepOutcome::Done
@@ -367,7 +358,6 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         })
         .reads([
             "process",
-            "ctx",
             "alpha1",
             "gm1",
             "i_tail",
@@ -376,7 +366,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         ])
         .writes(["load1"])
         .emits(["stage1-gain-short"])
-        .step("design-tail", |s: &mut State| {
+        .step("design-tail", |s: &mut State, ctx| {
             // The paper's case C cascodes the input current bias together
             // with the first-stage load.
             let style = if s.s1_cascoded {
@@ -387,7 +377,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
             let spec = MirrorSpec::new(Polarity::Nmos, s.i_tail)
                 .with_headroom(2.0)
                 .with_only_style(style);
-            match CurrentMirror::design_with(&spec, &s.process, &s.ctx) {
+            match CurrentMirror::design_with(&spec, &s.process, ctx) {
                 Ok(m) => {
                     s.tail = Some(m);
                     StepOutcome::Done
@@ -395,10 +385,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("tail-design", e.to_string()),
             }
         })
-        .reads(["process", "ctx", "i_tail", "s1_cascoded"])
+        .reads(["process", "i_tail", "s1_cascoded"])
         .writes(["tail"])
         .emits(["tail-design"])
-        .step("stage2-requirements", |s: &mut State| {
+        .step("stage2-requirements", |s: &mut State, _| {
             // gm2 from the phase-margin equation (with 5° of headroom),
             // current from gm2 at the stage-2 overdrive, floored by the
             // output slew requirement.
@@ -447,7 +437,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         ])
         .writes(["gm2", "i2", "l6_um"])
         .emits(["compensation", "stage2-gain-short"])
-        .step("design-stage2-sink", |s: &mut State| {
+        .step("design-stage2-sink", |s: &mut State, ctx| {
             let sink_budget = (1.0 - s.alpha2) * s.gm2 / s.a2_target;
             let vss = s.process.vss().volts();
             let headroom = if s.spec.has_swing() {
@@ -463,7 +453,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 .with_min_rout(1.0 / sink_budget)
                 .with_headroom(headroom.max(0.4))
                 .without_style(MirrorStyle::WideSwing);
-            match CurrentMirror::design_with(&spec, &s.process, &s.ctx) {
+            match CurrentMirror::design_with(&spec, &s.process, ctx) {
                 Ok(m) => {
                     s.sink = Some(m);
                     StepOutcome::Done
@@ -474,7 +464,6 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads([
             "spec",
             "process",
-            "ctx",
             "alpha2",
             "gm2",
             "a2_target",
@@ -483,7 +472,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         ])
         .writes(["sink"])
         .emits(["stage2-gain-short"])
-        .step("design-stage2-driver", |s: &mut State| {
+        .step("design-stage2-driver", |s: &mut State, ctx| {
             let sink = s.sink.as_ref().expect("sink designed");
             let spec = GainStageSpec::new(Polarity::Pmos, s.gm2, s.i2)
                 .with_length_um(s.l6_um)
@@ -499,10 +488,9 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 .num("l_um", s.l6_um)
                 .num("load_gds", 1.0 / sink.rout());
             let result =
-                s.ctx
-                    .design_child_sym(sym!("block:gain stage"), "gain stage", Some(key), || {
-                        GainStage::design_style(&spec, &s.process, GainStageStyle::Simple)
-                    });
+                ctx.design_child_sym(sym!("block:gain stage"), "gain stage", Some(key), || {
+                    GainStage::design_style(&spec, &s.process, GainStageStyle::Simple)
+                });
             match result {
                 Ok(st) => {
                     s.driver = Some(st);
@@ -511,10 +499,10 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 Err(e) => StepOutcome::failed("stage2-design", e.to_string()),
             }
         })
-        .reads(["process", "ctx", "gm2", "i2", "l6_um", "sink"])
+        .reads(["process", "gm2", "i2", "l6_um", "sink"])
         .writes(["driver"])
         .emits(["stage2-design"])
-        .step("dc-match", |s: &mut State| {
+        .step("dc-match", |s: &mut State, _| {
             // Compare the first-stage output DC with what the PMOS driver
             // gate wants; a level shifter (already inserted by the patch
             // rule, if any) closes the gap.
@@ -537,7 +525,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["process", "shifter", "load1"])
         .writes(["dc_mismatch"])
         .emits(["dc-mismatch"])
-        .step("compensate", |s: &mut State| {
+        .step("compensate", |s: &mut State, ctx| {
             // The output node carries the drain junctions of the driver
             // and sink on top of the specified load; the compensation
             // must be designed against that effective capacitance, and
@@ -551,7 +539,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 unity_gain_freq: s.fu_achieved(),
                 phase_margin_deg: s.spec.phase_margin().degrees(),
             };
-            let comp = match Compensation::design_with(&comp_spec, &s.ctx) {
+            let comp = match Compensation::design_with(&comp_spec, ctx) {
                 Ok(c) => c,
                 Err(e) => return StepOutcome::failed("pm-short", e.to_string()),
             };
@@ -578,12 +566,12 @@ fn build_plan<'a>() -> Plan<State<'a>> {
             StepOutcome::Done
         })
         .reads([
-            "spec", "process", "ctx", "gm1", "gm2", "cc", "i_tail", "pair", "load1", "driver",
-            "sink", "shifter",
+            "spec", "process", "gm1", "gm2", "cc", "i_tail", "pair", "load1", "driver", "sink",
+            "shifter",
         ])
         .writes(["cc", "pm_net", "compensation"])
         .emits(["pm-short"])
-        .step("bias-resistors", |s: &mut State| {
+        .step("bias-resistors", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let tail = s.tail.as_ref().expect("tail designed");
             let sink = s.sink.as_ref().expect("sink designed");
@@ -612,7 +600,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["process", "tail", "sink", "shifter_bias"])
         .writes(["r_bias1", "r_bias2", "r_bias3"])
         .emits(["bias-headroom"])
-        .step("check-noise", |s: &mut State| {
+        .step("check-noise", |s: &mut State, _| {
             if !s.spec.has_noise() {
                 return StepOutcome::Done;
             }
@@ -635,7 +623,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "gm1", "i_tail", "load1"])
         .writes(NONE)
         .emits(["noise-high"])
-        .step("check-slew", |s: &mut State| {
+        .step("check-slew", |s: &mut State, _| {
             if !s.spec.has_slew() {
                 return StepOutcome::Done;
             }
@@ -655,7 +643,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "i_tail", "cc", "i2", "driver", "sink"])
         .writes(NONE)
         .emits(["slew-short"])
-        .step("check-swing", |s: &mut State| {
+        .step("check-swing", |s: &mut State, _| {
             let sink = s.sink.as_ref().expect("sink designed");
             let vdd = s.process.vdd().volts();
             let vss = s.process.vss().volts();
@@ -676,7 +664,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "sink"])
         .writes(["swing"])
         .emits(["swing-short"])
-        .step("check-offset", |s: &mut State| {
+        .step("check-offset", |s: &mut State, _| {
             // Residual inter-stage DC error, referred to the input through
             // the first-stage gain.
             let pair = s.pair.as_ref().expect("pair designed");
@@ -698,7 +686,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "gm1", "pair", "load1", "dc_mismatch"])
         .writes(["offset_v"])
         .emits(["offset-high"])
-        .step("check-power", |s: &mut State| {
+        .step("check-power", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let mut current = 2.0 * s.i_tail + s.i_tail + s.i2; // bias1+tail, bias2, stage2
             if s.shifter.is_some() {
@@ -720,7 +708,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .reads(["spec", "process", "i_tail", "i2", "shifter", "i_ls"])
         .writes(NONE)
         .emits(["power-high"])
-        .step("predict", |s: &mut State| {
+        .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("pair designed");
             let load = s.load1.as_ref().expect("load designed");
             let tail = s.tail.as_ref().expect("tail designed");
@@ -788,7 +776,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
             |s: &State, f| {
                 !s.s1_cascoded && matches!(f.code(), "stage1-gain-short" | "stage2-gain-short")
             },
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.s1_cascoded = true;
                 s.alpha1 = 0.85;
                 s.skew = CASCODE_SKEW;
@@ -809,7 +797,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "lower-pair-overdrive",
             |s: &State, f| matches!(f.code(), "stage1-gain-short" | "noise-high") && s.vov1 > 0.11,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.vov1 /= 2.0;
                 s.notes
                     .push(format!("lowered pair overdrive to {:.2} V", s.vov1));
@@ -824,7 +812,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "insert-level-shifter",
             |s: &State, f| f.code() == "dc-mismatch" && s.shifter.is_none(),
-            |s: &mut State| {
+            |s: &mut State, ctx| {
                 // The driver gate must sit above the stage-1 output: a
                 // PMOS source follower (bulk tied to source, so no body
                 // effect) shifts up by its V_SG.
@@ -840,20 +828,20 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 // output pole gm_ls/(Cc + C_gate2) must clear the
                 // crossover by ~10×, which sets the bias current.
                 let probe = LevelShiftSpec::new(Polarity::Pmos, needed, 1e-6);
-                let vov_ls = match LevelShifter::design_with(&probe, &s.process, &s.ctx) {
+                let vov_ls = match LevelShifter::design_with(&probe, &s.process, ctx) {
                     Ok(ls) => ls.vov(),
                     Err(e) => return PatchAction::Abort(format!("level shifter infeasible: {e}")),
                 };
                 let gm_req = 2.0 * std::f64::consts::PI * (10.0 * s.fu_achieved()) * (2.0 * s.cc);
                 s.i_ls = (gm_req * vov_ls / 2.0).max(s.i_tail / 2.0);
                 let ls_spec = LevelShiftSpec::new(Polarity::Pmos, needed, s.i_ls);
-                match LevelShifter::design_with(&ls_spec, &s.process, &s.ctx) {
+                match LevelShifter::design_with(&ls_spec, &s.process, ctx) {
                     Ok(ls) => {
                         s.shifter = Some(ls);
                         let bias_spec = MirrorSpec::new(Polarity::Pmos, s.i_ls)
                             .with_headroom(1.0)
                             .with_only_style(MirrorStyle::Simple);
-                        match CurrentMirror::design_with(&bias_spec, &s.process, &s.ctx) {
+                        match CurrentMirror::design_with(&bias_spec, &s.process, ctx) {
                             Ok(m) => s.shifter_bias = Some(m),
                             Err(e) => {
                                 return PatchAction::Abort(format!(
@@ -872,16 +860,14 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         )
         .on_codes(["dc-mismatch"])
         .guarded()
-        .reads([
-            "spec", "process", "ctx", "load1", "gm1", "cc", "i_tail", "shifter",
-        ])
+        .reads(["spec", "process", "load1", "gm1", "cc", "i_tail", "shifter"])
         .writes(["shifter", "shifter_bias", "i_ls", "notes"])
         .retries()
         .aborts()
         .rule(
             "boost-for-slew",
             |s: &State, f| f.code() == "slew-short" && s.slew_boost < 2.5,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.slew_boost *= 1.25;
                 PatchAction::RestartFrom("size-input".into())
             },
@@ -904,7 +890,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                     && s.fu_achieved() > 1.3 * s.spec.unity_gain_freq().hertz()
                     && l_projected <= MAX_L_FACTOR * s.process.min_length().micrometers()
             },
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.vov1 *= 1.4;
                 s.notes.push(format!(
                     "raised pair overdrive to {:.2} V, trading excess bandwidth \
@@ -936,7 +922,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                 // raises the pole ceiling.
                 f.code() == "pm-short" && !s.s1_cascoded && s.i2_boost > 4.0
             },
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.s1_cascoded = true;
                 s.alpha1 = 0.85;
                 s.skew = CASCODE_SKEW;
@@ -957,7 +943,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "boost-second-stage",
             |s: &State, f| f.code() == "pm-short" && s.i2_boost < 8.0,
-            |s: &mut State| {
+            |s: &mut State, _| {
                 s.i2_boost *= 1.5;
                 s.notes.push(format!(
                     "raised the second-stage current budget (×{:.1}) for phase margin",
@@ -974,7 +960,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
         .rule(
             "give-up-gain",
             |_, f| matches!(f.code(), "stage1-gain-short" | "stage2-gain-short"),
-            |_s: &mut State| {
+            |_s: &mut State, _| {
                 PatchAction::Abort(
                     "gain infeasible for the two-stage style even with cascoding".into(),
                 )
@@ -1003,7 +989,7 @@ fn build_plan<'a>() -> Plan<State<'a>> {
                         | "noise-high"
                 )
             },
-            |_s: &mut State| PatchAction::Abort("two-stage style infeasible".into()),
+            |_s: &mut State, _| PatchAction::Abort("two-stage style infeasible".into()),
         )
         .on_codes([
             "spec-unsupported",
@@ -1055,18 +1041,19 @@ pub(super) struct TwoStageDef;
 
 impl StyleDef for TwoStageDef {
     const STYLE: OpAmpStyle = OpAmpStyle::TwoStage;
-    type State<'a> = State<'a>;
+    type State = State;
 
-    fn build_plan<'a>() -> Plan<State<'a>> {
-        build_plan()
+    fn plan() -> &'static Plan<State> {
+        static PLAN: OnceLock<Plan<State>> = OnceLock::new();
+        PLAN.get_or_init(build_plan)
     }
 
-    fn init<'a>(spec: &OpAmpSpec, process: &Process, ctx: DesignContext<'a>) -> State<'a> {
-        State::new(spec, process, ctx)
+    fn init(spec: &OpAmpSpec, process: &Process) -> State {
+        State::new(spec, process)
     }
 }
 
-impl StyleState for State<'_> {
+impl StyleState for State {
     fn emit(&self) -> Result<Circuit, oasys_netlist::ValidateError> {
         emit(self)
     }
@@ -1177,7 +1164,7 @@ mod tests {
 
     #[test]
     fn plan_analyzes_clean() {
-        let report = analyze_plan();
+        let report = oasys_plan::analyze(TwoStageDef::plan());
         assert!(report.is_empty(), "{}", report.render_human());
     }
 

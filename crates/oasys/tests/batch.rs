@@ -626,7 +626,7 @@ impl JobRunner for ShortGainRunner {
     ) -> Result<JobSuccess, JobFailure> {
         let message = short_gain(job.id());
         let plan = Plan::<()>::builder("gain-check")
-            .step("measure-gain", move |_: &mut ()| {
+            .step("measure-gain", move |_: &mut (), _| {
                 StepOutcome::Failed(StepFailure::new("gain-short", message.clone()))
             })
             .build();

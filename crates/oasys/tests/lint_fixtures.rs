@@ -9,7 +9,7 @@
 use oasys_lint::{Code, Report};
 use oasys_mos::Geometry;
 use oasys_netlist::{lint, Circuit, SourceValue};
-use oasys_plan::{analyze, Expr, Interval, PatchAction, Plan, StepOutcome};
+use oasys_plan::{analyze, DesignContext, Expr, Interval, PatchAction, Plan, StepOutcome};
 use oasys_process::{builtin, Polarity};
 use oasys_units::Dimension;
 
@@ -27,14 +27,14 @@ fn seeded_use_before_def_yields_ol001() {
     // `consume` reads `x`, but the only writer runs after it.
     let plan = Plan::<State>::builder("seeded-use-before-def")
         .inputs(NONE)
-        .step("consume", |s: &mut State| {
+        .step("consume", |s: &mut State, _| {
             s.x += 1.0;
             StepOutcome::Done
         })
         .reads(["x"])
         .writes(NONE)
         .emits(NONE)
-        .step("produce", |s: &mut State| {
+        .step("produce", |s: &mut State, _| {
             s.x = 1.0;
             StepOutcome::Done
         })
@@ -53,14 +53,14 @@ fn seeded_use_before_def_yields_ol001() {
 #[test]
 fn seeded_dangling_restart_yields_ol003() {
     let plan = Plan::<State>::builder("seeded-dangling-restart")
-        .step("only", |_s: &mut State| {
+        .step("only", |_s: &mut State, _| {
             StepOutcome::failed("too-big", "fixture failure")
         })
         .emits(["too-big"])
         .rule(
             "patch",
             |_s: &State, f| f.code() == "too-big",
-            |_s: &mut State| PatchAction::RestartFrom("no-such-step".into()),
+            |_s: &mut State, _| PatchAction::RestartFrom("no-such-step".into()),
         )
         .on_codes(["too-big"])
         .restarts_from("no-such-step")
@@ -81,21 +81,21 @@ fn seeded_shadowed_rule_yields_ol004() {
     // The unguarded first rule claims `too-big` unconditionally, so the
     // second can never fire on it.
     let plan = Plan::<State>::builder("seeded-shadowed-rule")
-        .step("only", |_s: &mut State| {
+        .step("only", |_s: &mut State, _| {
             StepOutcome::failed("too-big", "fixture failure")
         })
         .emits(["too-big"])
         .rule(
             "greedy",
             |_s: &State, _f| true,
-            |_s: &mut State| PatchAction::Abort("fixture give-up".into()),
+            |_s: &mut State, _| PatchAction::Abort("fixture give-up".into()),
         )
         .on_codes(["too-big"])
         .aborts()
         .rule(
             "shadowed",
             |_s: &State, f| f.code() == "too-big",
-            |_s: &mut State| PatchAction::Retry,
+            |_s: &mut State, _| PatchAction::Retry,
         )
         .on_codes(["too-big"])
         .retries()
@@ -111,7 +111,7 @@ fn seeded_shadowed_rule_yields_ol004() {
 
 // ------------------------------------- interval/unit dataflow (OL2xx)
 
-fn done(_s: &mut State) -> StepOutcome {
+fn done(_s: &mut State, _ctx: &DesignContext<'_>) -> StepOutcome {
     StepOutcome::Done
 }
 

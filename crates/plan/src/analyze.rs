@@ -673,9 +673,9 @@ fn merge_env(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Expr, Interval, PatchAction, StepOutcome};
+    use crate::{DesignContext, Expr, Interval, PatchAction, StepOutcome};
 
-    fn done(_s: &mut ()) -> StepOutcome {
+    fn done(_s: &mut (), _ctx: &DesignContext<'_>) -> StepOutcome {
         StepOutcome::Done
     }
 
@@ -684,7 +684,7 @@ mod tests {
         let plan = Plan::<()>::builder("bare")
             .step("a", done)
             .step("b", done)
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .build();
         assert!(analyze(&plan).is_empty());
     }
@@ -743,7 +743,7 @@ mod tests {
             .rule(
                 "skip-ahead",
                 |_, _| true,
-                |_| PatchAction::RestartFrom("use".into()),
+                |_, _| PatchAction::RestartFrom("use".into()),
             )
             .on_codes(["boom"])
             .writes(Vec::<String>::new())
@@ -767,7 +767,7 @@ mod tests {
             .reads(["knob"])
             .writes(["out"])
             .emits(["miss"])
-            .rule("adjust", |_, _| true, |_| PatchAction::Retry)
+            .rule("adjust", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["miss"])
             .writes(["knob"])
             .retries()
@@ -782,7 +782,7 @@ mod tests {
             .rule(
                 "r",
                 |_, _| true,
-                |_| PatchAction::RestartFrom("missing".into()),
+                |_, _| PatchAction::RestartFrom("missing".into()),
             )
             .on_codes(["x"])
             .restarts_from("missing")
@@ -817,7 +817,7 @@ mod tests {
             .rule(
                 "resume",
                 |_, _| true,
-                |_| PatchAction::RestartFrom("after".into()),
+                |_, _| PatchAction::RestartFrom("after".into()),
             )
             .on_codes(["stop"])
             .restarts_from("after")
@@ -830,10 +830,10 @@ mod tests {
         let plan = Plan::<()>::builder("shadow")
             .step("a", done)
             .emits(["x", "y"])
-            .rule("catch-all", |_, _| true, |_| PatchAction::Retry)
+            .rule("catch-all", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["x", "y"])
             .retries()
-            .rule("specific", |_, _| true, |_| PatchAction::Retry)
+            .rule("specific", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["x"])
             .retries()
             .build();
@@ -848,11 +848,11 @@ mod tests {
         let plan = Plan::<()>::builder("guarded")
             .step("a", done)
             .emits(["x"])
-            .rule("conditional", |_, _| false, |_| PatchAction::Retry)
+            .rule("conditional", |_, _| false, |_, _| PatchAction::Retry)
             .on_codes(["x"])
             .guarded()
             .retries()
-            .rule("fallback", |_, _| true, |_| PatchAction::Retry)
+            .rule("fallback", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["x"])
             .retries()
             .build();
@@ -864,7 +864,7 @@ mod tests {
         let plan = Plan::<()>::builder("stuck")
             .step("a", done)
             .emits(["x"])
-            .rule("spin", |_, _| true, |_| PatchAction::Retry)
+            .rule("spin", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["x"])
             .writes(Vec::<String>::new())
             .retries()
@@ -878,7 +878,11 @@ mod tests {
         let plan = Plan::<()>::builder("bail")
             .step("a", done)
             .emits(["x"])
-            .rule("give-up", |_, _| true, |_| PatchAction::Abort("no".into()))
+            .rule(
+                "give-up",
+                |_, _| true,
+                |_, _| PatchAction::Abort("no".into()),
+            )
             .on_codes(["x"])
             .writes(Vec::<String>::new())
             .aborts()
@@ -891,7 +895,7 @@ mod tests {
         let plan = Plan::<()>::builder("deadrule")
             .step("a", done)
             .emits(["only-this"])
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["never-emitted"])
             .retries()
             .build();
@@ -904,7 +908,7 @@ mod tests {
         let plan = Plan::<()>::builder("escape")
             .step("a", done)
             .emits(["handled", "loose"])
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["handled"])
             .retries()
             .build();
@@ -1012,7 +1016,7 @@ mod tests {
             .transfer("y", Expr::num(1.0).div(Expr::var("x")))
             .requires("y", Interval::new(100.0, 200.0))
             .emits(["miss"])
-            .rule("nudge", |_, _| true, |_| PatchAction::Retry)
+            .rule("nudge", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["miss"])
             .writes(["x"])
             .retries()
@@ -1047,7 +1051,7 @@ mod tests {
             .rule(
                 "again",
                 |_, _| true,
-                |_| PatchAction::RestartFrom("grow".into()),
+                |_, _| PatchAction::RestartFrom("grow".into()),
             )
             .on_codes(["miss"])
             .writes(["scratch"])
@@ -1065,7 +1069,7 @@ mod tests {
             .reads(["ghost"])
             .writes(["x"])
             .step("b", done)
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .build();
         assert!(analyze(&plan).is_empty());
     }

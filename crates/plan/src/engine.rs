@@ -369,8 +369,9 @@ impl<'a> DesignContext<'a> {
         self
     }
 
-    /// Attaches a cooperative deadline. Designers pass it into their plan
-    /// executors and simulator calls so a diverging job aborts at the
+    /// Attaches a cooperative deadline. The plan executor checks it
+    /// before every step ([`crate::PlanExecutor::run_in`]) and designers
+    /// pass it into simulator calls, so a diverging job aborts at the
     /// next checkpoint instead of running to completion.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {

@@ -1,18 +1,18 @@
 //! Bounded plan execution.
 
+use crate::engine::DesignContext;
 use crate::error::PlanError;
 use crate::plan::{PatchAction, Plan, StepFailure, StepOutcome};
 use crate::trace::{Trace, TraceEvent};
-use oasys_faults::{fail_point, Deadline};
+use oasys_faults::fail_point;
 use oasys_telemetry::{sym, sym2, Sym, Telemetry};
 
-/// Per-plan symbol cache: the span name and bare name of every step,
-/// plus every rule name. Built at most once per distinct
-/// plan (plans are rebuilt per style run, so the cache is keyed by the
-/// interned plan name globally, not stored on the plan) and only for
-/// enabled telemetry handles, so re-executed steps — and re-executed
-/// plans — cost no interning lookups.
-struct PlanSyms {
+/// A plan's interned names: the span name and bare name of every step,
+/// plus every rule name. A plan keeps its own table
+/// ([`Plan`]'s `syms`), built on its first run with an enabled
+/// telemetry handle, so re-executed steps and re-run plans cost no
+/// interning lookups, and each plan records its own step names.
+pub(crate) struct PlanSyms {
     /// The `plan:<name>` span symbol.
     span: Sym,
     /// Per step: (`step:<name>` span symbol, `<name>`).
@@ -21,8 +21,9 @@ struct PlanSyms {
 }
 
 impl PlanSyms {
-    fn build<S>(plan: &Plan<S>) -> Self {
-        Self {
+    /// `plan`'s table, built on first use.
+    fn of<S>(plan: &Plan<S>) -> &Self {
+        plan.syms.get_or_init(|| Self {
             span: sym2("plan:", plan.name()),
             steps: plan
                 .steps
@@ -30,52 +31,7 @@ impl PlanSyms {
                 .map(|s| (sym2("step:", &s.name), sym(&s.name)))
                 .collect(),
             rules: plan.rules.iter().map(|r| sym(&r.name)).collect(),
-        }
-    }
-
-    /// Whether a cached entry can stand in for `plan`'s symbols. A plan
-    /// name identifies its shape everywhere in this workspace (errors,
-    /// traces, the style registry), so the check is shape-only — full
-    /// name-by-name validation would re-resolve every step on every run,
-    /// which is exactly the cost the cache exists to avoid. A same-named
-    /// plan with a different step or rule count falls back to a fresh
-    /// (uncached) build; a same-named, same-shaped plan with different
-    /// step names would record the cached names, which is a telemetry
-    /// labeling inaccuracy, never a correctness hazard.
-    fn matches<S>(&self, plan: &Plan<S>) -> bool {
-        self.steps.len() == plan.steps.len() && self.rules.len() == plan.rules.len()
-    }
-
-    /// The shared symbol table for `plan`, from the global cache when a
-    /// plan of this name (and shape) has run before.
-    fn shared<S>(plan: &Plan<S>) -> std::sync::Arc<Self> {
-        use std::collections::HashMap;
-        use std::sync::{Arc, OnceLock, PoisonError, RwLock};
-        static CACHE: OnceLock<RwLock<HashMap<u32, Arc<PlanSyms>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-        let key = sym(plan.name()).index();
-        if let Some(cached) = cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            if cached.matches(plan) {
-                return Arc::clone(cached);
-            }
-        }
-        let built = Arc::new(Self::build(plan));
-        let mut map = cache.write().unwrap_or_else(PoisonError::into_inner);
-        match map.get(&key) {
-            // Raced with another builder, or a same-named plan with a
-            // different shape already owns the slot: use ours without
-            // evicting (the cache stays stable for the common shape).
-            Some(existing) if !existing.matches(plan) => built,
-            Some(existing) => Arc::clone(existing),
-            None => {
-                map.insert(key, Arc::clone(&built));
-                built
-            }
-        }
+        })
     }
 }
 
@@ -144,7 +100,8 @@ impl PlanExecutor {
         self.run_with(plan, state, &Telemetry::disabled())
     }
 
-    /// [`PlanExecutor::run_with`] without a deadline.
+    /// [`PlanExecutor::run_in`] a fresh context that records into `tel`
+    /// and has no deadline.
     ///
     /// # Errors
     ///
@@ -155,31 +112,33 @@ impl PlanExecutor {
         state: &mut S,
         tel: &Telemetry,
     ) -> Result<Trace, PlanError> {
-        self.run_with_deadline(plan, state, tel, &Deadline::none())
+        self.run_in(plan, state, &DesignContext::new(tel))
     }
 
-    /// [`PlanExecutor::run`] with telemetry: every step execution is
-    /// wrapped in a `step:<name>` span, every trace event is mirrored as
-    /// a structured telemetry event (the single `record` choke point
-    /// feeds both sinks, so the counters in the metrics registry —
+    /// [`PlanExecutor::run`] inside a [`DesignContext`], which every
+    /// step body and rule patch receives beside the state. The context's
+    /// telemetry records the run: every step execution is wrapped in a
+    /// `step:<name>` span, every trace event is mirrored as a structured
+    /// telemetry event (the single `record` choke point feeds both
+    /// sinks, so the counters in the metrics registry —
     /// `plan.step_executions`, `plan.rule_firings`, `plan.restarts` —
     /// exactly match the [`Trace`] counts by construction).
     ///
     /// # Errors
     ///
     /// Same contract as [`PlanExecutor::run`], plus
-    /// [`PlanError::DeadlineExceeded`] when the cooperative `deadline`
-    /// expires (checked before every step, so a long plan aborts at the
-    /// next step boundary instead of running to completion).
-    pub fn run_with_deadline<S>(
+    /// [`PlanError::DeadlineExceeded`] when the context's cooperative
+    /// deadline expires (checked before every step, so a long plan aborts
+    /// at the next step boundary instead of running to completion).
+    pub fn run_in<S>(
         &self,
         plan: &Plan<S>,
         state: &mut S,
-        tel: &Telemetry,
-        deadline: &Deadline,
+        ctx: &DesignContext<'_>,
     ) -> Result<Trace, PlanError> {
-        let syms = tel.is_enabled().then(|| PlanSyms::shared(plan));
-        let plan_span = match &syms {
+        let tel = ctx.telemetry();
+        let syms = tel.is_enabled().then(|| PlanSyms::of(plan));
+        let plan_span = match syms {
             Some(s) => tel.span_sym(s.span),
             None => tel.span(String::new),
         };
@@ -194,7 +153,7 @@ impl PlanExecutor {
 
         while pc < plan.steps.len() {
             let step = &plan.steps[pc];
-            if let Err(exceeded) = deadline.check() {
+            if let Err(exceeded) = ctx.deadline().check() {
                 plan_span.annotate_sym(sym!("result"), sym!("deadline"));
                 return Err(PlanError::DeadlineExceeded {
                     plan: plan.name().to_owned(),
@@ -208,7 +167,7 @@ impl PlanExecutor {
             // one recorder borrow (the counter rides separately). The
             // step name rides on the enclosing `step:<name>` span, so
             // neither event carries fields.
-            let step_span = match &syms {
+            let step_span = match syms {
                 Some(s) => {
                     tel.incr_sym(sym!("plan.step_executions"));
                     tel.span_sym_with_event_at(
@@ -231,10 +190,10 @@ impl PlanExecutor {
             let outcome = if oasys_faults::armed() {
                 match oasys_faults::eval_err("plan.step") {
                     Some(msg) => StepOutcome::Failed(StepFailure::new("fault-injected", msg)),
-                    None => (step.run)(state),
+                    None => (step.run)(state, ctx),
                 }
             } else {
-                (step.run)(state)
+                (step.run)(state, ctx)
             };
 
             match outcome {
@@ -255,7 +214,7 @@ impl PlanExecutor {
                     record(
                         &mut trace,
                         tel,
-                        syms.as_deref(),
+                        syms,
                         pc,
                         TraceEvent::StepFailed {
                             name: step.name.clone(),
@@ -292,11 +251,11 @@ impl PlanExecutor {
                     total_firings += 1;
 
                     fail_point!("plan.rule");
-                    let action = (rule.patch)(state);
+                    let action = (rule.patch)(state, ctx);
                     record(
                         &mut trace,
                         tel,
-                        syms.as_deref(),
+                        syms,
                         k,
                         TraceEvent::RuleFired {
                             rule: rule.name.clone(),
@@ -322,7 +281,7 @@ impl PlanExecutor {
                             record(
                                 &mut trace,
                                 tel,
-                                syms.as_deref(),
+                                syms,
                                 pc,
                                 TraceEvent::PlanAborted {
                                     reason: reason.clone(),
@@ -378,7 +337,7 @@ fn record(
         match &event {
             // Step start/completion events are emitted fused into the
             // step span's boundary records at the execution site (see
-            // `run_with_deadline`), not through this choke point.
+            // `run_in`), not through this choke point.
             TraceEvent::StepStarted { .. } | TraceEvent::StepCompleted { .. } => {}
             TraceEvent::StepFailed { failure, .. } => {
                 tel.incr_sym(sym!("plan.step_failures"));
@@ -429,6 +388,8 @@ fn record(
 mod tests {
     use super::*;
     use crate::plan::{PatchAction, Plan, StepOutcome};
+    use oasys_faults::Deadline;
+    use std::time::Duration;
 
     #[derive(Default)]
     struct Counter {
@@ -440,11 +401,11 @@ mod tests {
     #[test]
     fn straight_line_plan_completes() {
         let plan = Plan::<Counter>::builder("p")
-            .step("a", |s: &mut Counter| {
+            .step("a", |s: &mut Counter, _| {
                 s.total += 1;
                 StepOutcome::Done
             })
-            .step("b", |s: &mut Counter| {
+            .step("b", |s: &mut Counter, _| {
                 s.total += 10;
                 StepOutcome::Done
             })
@@ -460,7 +421,7 @@ mod tests {
     #[test]
     fn retry_patch_reruns_failed_step() {
         let plan = Plan::<Counter>::builder("p")
-            .step("flaky", |s: &mut Counter| {
+            .step("flaky", |s: &mut Counter, _| {
                 s.attempts += 1;
                 if s.attempts >= 3 {
                     StepOutcome::Done
@@ -471,7 +432,7 @@ mod tests {
             .rule(
                 "try-again",
                 |_, f| f.code() == "not-yet",
-                |_| PatchAction::Retry,
+                |_, _| PatchAction::Retry,
             )
             .build();
         let mut state = Counter::default();
@@ -484,11 +445,11 @@ mod tests {
     fn restart_from_earlier_step() {
         // Step "check" fails until "setup" has run twice.
         let plan = Plan::<Counter>::builder("p")
-            .step("setup", |s: &mut Counter| {
+            .step("setup", |s: &mut Counter, _| {
                 s.total += 1;
                 StepOutcome::Done
             })
-            .step("check", |s: &mut Counter| {
+            .step("check", |s: &mut Counter, _| {
                 if s.total >= 2 {
                     StepOutcome::Done
                 } else {
@@ -498,7 +459,7 @@ mod tests {
             .rule(
                 "redo-setup",
                 |_, f| f.code() == "under",
-                |_| PatchAction::RestartFrom("setup".into()),
+                |_, _| PatchAction::RestartFrom("setup".into()),
             )
             .build();
         let mut state = Counter::default();
@@ -510,10 +471,14 @@ mod tests {
     #[test]
     fn unmatched_failure_is_error_with_trace() {
         let plan = Plan::<Counter>::builder("p")
-            .step("fail", |_| {
+            .step("fail", |_, _| {
                 StepOutcome::failed("mystery", "nobody handles this")
             })
-            .rule("other", |_, f| f.code() == "known", |_| PatchAction::Retry)
+            .rule(
+                "other",
+                |_, f| f.code() == "known",
+                |_, _| PatchAction::Retry,
+            )
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::new().run(&plan, &mut state).unwrap_err();
@@ -524,11 +489,11 @@ mod tests {
     #[test]
     fn abort_action_propagates_reason() {
         let plan = Plan::<Counter>::builder("p")
-            .step("fail", |_| StepOutcome::failed("impossible", ""))
+            .step("fail", |_, _| StepOutcome::failed("impossible", ""))
             .rule(
                 "give-up",
                 |_, f| f.code() == "impossible",
-                |_| PatchAction::Abort("spec infeasible for this style".into()),
+                |_, _| PatchAction::Abort("spec infeasible for this style".into()),
             )
             .build();
         let mut state = Counter::default();
@@ -544,8 +509,8 @@ mod tests {
     #[test]
     fn per_rule_budget_prevents_livelock() {
         let plan = Plan::<Counter>::builder("p")
-            .step("always-fails", |_| StepOutcome::failed("loop", ""))
-            .rule("futile", |_, _| true, |_| PatchAction::Retry)
+            .step("always-fails", |_, _| StepOutcome::failed("loop", ""))
+            .rule("futile", |_, _| true, |_, _| PatchAction::Retry)
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::with_config(ExecutorConfig {
@@ -562,9 +527,9 @@ mod tests {
     #[test]
     fn total_budget_prevents_thrash_between_rules() {
         let plan = Plan::<Counter>::builder("p")
-            .step("always-fails", |_| StepOutcome::failed("loop", ""))
-            .rule("r1", |_, _| true, |_| PatchAction::Retry)
-            .rule("r2", |_, _| true, |_| PatchAction::Retry)
+            .step("always-fails", |_, _| StepOutcome::failed("loop", ""))
+            .rule("r1", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("r2", |_, _| true, |_, _| PatchAction::Retry)
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::with_config(ExecutorConfig {
@@ -579,11 +544,11 @@ mod tests {
     #[test]
     fn unknown_restart_target_is_reported() {
         let plan = Plan::<Counter>::builder("p")
-            .step("fail", |_| StepOutcome::failed("x", ""))
+            .step("fail", |_, _| StepOutcome::failed("x", ""))
             .rule(
                 "bad-rule",
                 |_, _| true,
-                |_| PatchAction::RestartFrom("no-such-step".into()),
+                |_, _| PatchAction::RestartFrom("no-such-step".into()),
             )
             .build();
         let mut state = Counter::default();
@@ -594,7 +559,7 @@ mod tests {
     #[test]
     fn rules_consulted_in_declaration_order() {
         let plan = Plan::<Counter>::builder("p")
-            .step("fail-once", |s: &mut Counter| {
+            .step("fail-once", |s: &mut Counter, _| {
                 s.attempts += 1;
                 if s.attempts > 1 {
                     StepOutcome::Done
@@ -605,7 +570,7 @@ mod tests {
             .rule(
                 "first",
                 |_, _| true,
-                |s: &mut Counter| {
+                |s: &mut Counter, _| {
                     s.budget += 1;
                     PatchAction::Retry
                 },
@@ -613,7 +578,7 @@ mod tests {
             .rule(
                 "second",
                 |_, _| true,
-                |s: &mut Counter| {
+                |s: &mut Counter, _| {
                     s.budget += 100;
                     PatchAction::Retry
                 },
@@ -628,11 +593,11 @@ mod tests {
     fn telemetry_counters_mirror_trace_counts() {
         // A plan that retries once and restarts once before completing.
         let plan = Plan::<Counter>::builder("telemetered")
-            .step("setup", |s: &mut Counter| {
+            .step("setup", |s: &mut Counter, _| {
                 s.total += 1;
                 StepOutcome::Done
             })
-            .step("work", |s: &mut Counter| {
+            .step("work", |s: &mut Counter, _| {
                 s.attempts += 1;
                 match (s.attempts, s.total) {
                     (1, _) => StepOutcome::failed("transient", "retry me"),
@@ -643,12 +608,12 @@ mod tests {
             .rule(
                 "try-again",
                 |_, f| f.code() == "transient",
-                |_| PatchAction::Retry,
+                |_, _| PatchAction::Retry,
             )
             .rule(
                 "redo-setup",
                 |_, f| f.code() == "under",
-                |_| PatchAction::RestartFrom("setup".into()),
+                |_, _| PatchAction::RestartFrom("setup".into()),
             )
             .build();
         let tel = Telemetry::new();
@@ -684,10 +649,30 @@ mod tests {
     }
 
     #[test]
+    fn each_plan_records_its_own_step_names() {
+        // Two plans of one name and shape: each run's span must carry
+        // its own plan's step name, not the first plan's.
+        let step_span = |step: &str| {
+            let plan = Plan::<Counter>::builder("p")
+                .step(step, |_, _| StepOutcome::Done)
+                .build();
+            let tel = Telemetry::new();
+            PlanExecutor::new()
+                .run_with(&plan, &mut Counter::default(), &tel)
+                .unwrap();
+            let report = tel.report();
+            let span = report.spans().iter().find(|s| s.name.starts_with("step:"));
+            span.map(|s| s.name.clone())
+        };
+        assert_eq!(step_span("a").as_deref(), Some("step:a"));
+        assert_eq!(step_span("b").as_deref(), Some("step:b"));
+    }
+
+    #[test]
     fn disabled_telemetry_matches_plain_run() {
         let build = || {
             Plan::<Counter>::builder("p")
-                .step("flaky", |s: &mut Counter| {
+                .step("flaky", |s: &mut Counter, _| {
                     s.attempts += 1;
                     if s.attempts >= 2 {
                         StepOutcome::Done
@@ -698,7 +683,7 @@ mod tests {
                 .rule(
                     "again",
                     |_, f| f.code() == "not-yet",
-                    |_| PatchAction::Retry,
+                    |_, _| PatchAction::Retry,
                 )
                 .build()
         };
@@ -714,19 +699,20 @@ mod tests {
     #[test]
     fn expired_deadline_stops_before_the_next_step() {
         let plan = Plan::<Counter>::builder("slow")
-            .step("first", |s: &mut Counter| {
+            .step("first", |s: &mut Counter, _| {
                 s.total += 1;
                 StepOutcome::Done
             })
-            .step("second", |s: &mut Counter| {
+            .step("second", |s: &mut Counter, _| {
                 s.total += 10;
                 StepOutcome::Done
             })
             .build();
         let mut state = Counter::default();
-        let deadline = Deadline::within(std::time::Duration::ZERO);
+        let tel = Telemetry::disabled();
+        let ctx = DesignContext::new(&tel).with_deadline(Deadline::within(Duration::ZERO));
         let err = PlanExecutor::new()
-            .run_with_deadline(&plan, &mut state, &Telemetry::disabled(), &deadline)
+            .run_in(&plan, &mut state, &ctx)
             .unwrap_err();
         assert_eq!(err.kind(), "deadline");
         assert_eq!(state.total, 0, "no step ran after expiry");
@@ -745,18 +731,18 @@ mod tests {
         use std::sync::Arc;
         let flag = Arc::new(AtomicBool::new(true));
         let plan = Plan::<Counter>::builder("p")
-            .step("a", |_| StepOutcome::Done)
+            .step("a", |_, _| StepOutcome::Done)
             .build();
         let mut state = Counter::default();
-        let deadline = Deadline::none().with_cancel(Arc::clone(&flag));
+        let tel = Telemetry::disabled();
+        let ctx =
+            DesignContext::new(&tel).with_deadline(Deadline::none().with_cancel(Arc::clone(&flag)));
         let err = PlanExecutor::new()
-            .run_with_deadline(&plan, &mut state, &Telemetry::disabled(), &deadline)
+            .run_in(&plan, &mut state, &ctx)
             .unwrap_err();
         assert!(err.to_string().contains("cancelled"), "{err}");
         flag.store(false, Ordering::Relaxed);
-        PlanExecutor::new()
-            .run_with_deadline(&plan, &mut state, &Telemetry::disabled(), &deadline)
-            .unwrap();
+        PlanExecutor::new().run_in(&plan, &mut state, &ctx).unwrap();
     }
 
     #[test]
@@ -767,14 +753,14 @@ mod tests {
         // `fault-injected`; the rule retries and the rerun succeeds.
         oasys_faults::set(site, FaultSpec::FailOnce);
         let plan = Plan::<Counter>::builder("p")
-            .step("work", |s: &mut Counter| {
+            .step("work", |s: &mut Counter, _| {
                 s.attempts += 1;
                 StepOutcome::Done
             })
             .rule(
                 "absorb-fault",
                 |_, f| f.code() == "fault-injected",
-                |_| PatchAction::Retry,
+                |_, _| PatchAction::Retry,
             )
             .build();
         let mut state = Counter::default();
@@ -793,16 +779,20 @@ mod tests {
         // Rule only fires when attempts are low; after that a second rule
         // aborts.
         let plan = Plan::<Counter>::builder("p")
-            .step("fail", |s: &mut Counter| {
+            .step("fail", |s: &mut Counter, _| {
                 s.attempts += 1;
                 StepOutcome::failed("f", "")
             })
             .rule(
                 "early",
                 |s: &Counter, _| s.attempts < 3,
-                |_| PatchAction::Retry,
+                |_, _| PatchAction::Retry,
             )
-            .rule("late", |_, _| true, |_| PatchAction::Abort("done".into()))
+            .rule(
+                "late",
+                |_, _| true,
+                |_, _| PatchAction::Abort("done".into()),
+            )
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::new().run(&plan, &mut state).unwrap_err();

@@ -19,7 +19,10 @@
 //!
 //! # Examples
 //!
-//! A two-step plan with a patch rule that retries with a relaxed target:
+//! A plan with a patch rule that retries with a relaxed target. Step
+//! bodies and patches get the run's [`DesignContext`] beside the state
+//! (unused here), so a plan keeps no run's data and one stored plan
+//! serves every run:
 //!
 //! ```
 //! use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
@@ -27,7 +30,7 @@
 //! struct State { target: f64, achieved: f64 }
 //!
 //! let plan = Plan::<State>::builder("toy")
-//!     .step("attempt", |s: &mut State| {
+//!     .step("attempt", |s: &mut State, _ctx| {
 //!         s.achieved = 10.0; // the best this topology can do
 //!         if s.achieved >= s.target {
 //!             StepOutcome::Done
@@ -38,7 +41,7 @@
 //!     .rule(
 //!         "relax-target",
 //!         |_s: &State, failure| failure.code() == "gain-short",
-//!         |s: &mut State| {
+//!         |s: &mut State, _ctx| {
 //!             s.target /= 2.0;
 //!             PatchAction::RestartFrom("attempt".into())
 //!         },

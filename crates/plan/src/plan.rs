@@ -1,8 +1,11 @@
 //! Plan, step and rule definitions.
 
+use crate::engine::DesignContext;
+use crate::executor::PlanSyms;
 use crate::interval::{Expr, Interval};
 use oasys_units::Dimension;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The outcome a plan step reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,12 +73,13 @@ pub enum PatchAction {
     Abort(String),
 }
 
-/// Boxed step body.
-type StepFn<S> = Box<dyn Fn(&mut S) -> StepOutcome + Send + Sync>;
+/// Boxed step body. The executor passes the run's [`DesignContext`]
+/// beside the state, so a stored plan serves every run.
+type StepFn<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> StepOutcome + Send + Sync>;
 /// Boxed rule predicate.
 type RulePredicate<S> = Box<dyn Fn(&S, &StepFailure) -> bool + Send + Sync>;
-/// Boxed rule patch action.
-type RulePatch<S> = Box<dyn Fn(&mut S) -> PatchAction + Send + Sync>;
+/// Boxed rule patch action, given the run's context like a step body.
+type RulePatch<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> PatchAction + Send + Sync>;
 
 /// A declared transfer function: the abstract effect of a step on one
 /// state variable, set with [`PlanBuilder::transfer`].
@@ -191,12 +195,19 @@ pub(crate) struct Rule<S> {
 /// An ordered sequence of named steps plus the patch rules that repair
 /// failures. Build with [`Plan::builder`]; execute with
 /// [`crate::PlanExecutor`].
+///
+/// A plan holds no run's data: the state and the [`DesignContext`] are
+/// executor arguments. So one plan, built once and stored (a `static`
+/// `OnceLock`, say), serves every run in the process.
 pub struct Plan<S> {
     name: String,
     pub(crate) steps: Vec<Step<S>>,
     pub(crate) rules: Vec<Rule<S>>,
     pub(crate) inputs: Vec<String>,
     pub(crate) input_domains: Vec<InputDomain>,
+    /// The interned span, step and rule names, filled on the plan's
+    /// first recorded run.
+    pub(crate) syms: OnceLock<PlanSyms>,
 }
 
 impl<S> Plan<S> {
@@ -318,7 +329,8 @@ pub struct PlanBuilder<S> {
 }
 
 impl<S> PlanBuilder<S> {
-    /// Appends a named step.
+    /// Appends a named step. Its body gets the state and the run's
+    /// [`DesignContext`].
     ///
     /// # Panics
     ///
@@ -328,7 +340,7 @@ impl<S> PlanBuilder<S> {
     pub fn step(
         mut self,
         name: impl Into<String>,
-        run: impl Fn(&mut S) -> StepOutcome + Send + Sync + 'static,
+        run: impl Fn(&mut S, &DesignContext<'_>) -> StepOutcome + Send + Sync + 'static,
     ) -> Self {
         let name = name.into();
         assert!(
@@ -616,7 +628,7 @@ impl<S> PlanBuilder<S> {
         mut self,
         name: impl Into<String>,
         applies: impl Fn(&S, &StepFailure) -> bool + Send + Sync + 'static,
-        patch: impl Fn(&mut S) -> PatchAction + Send + Sync + 'static,
+        patch: impl Fn(&mut S, &DesignContext<'_>) -> PatchAction + Send + Sync + 'static,
     ) -> Self {
         self.rules.push(Rule {
             name: name.into(),
@@ -642,6 +654,7 @@ impl<S> PlanBuilder<S> {
             rules: self.rules,
             inputs: self.inputs,
             input_domains: self.input_domains,
+            syms: OnceLock::new(),
         }
     }
 }
@@ -655,7 +668,7 @@ mod tests {
         let plan = Plan::<i32>::builder("annotated")
             .inputs(["x"])
             .input_domain("x", Interval::new(0.5, 2.0), Dimension::VOLTAGE)
-            .step("compute", |_| StepOutcome::Done)
+            .step("compute", |_, _| StepOutcome::Done)
             .transfer("y", Expr::div(Expr::num(1.0), Expr::var("x")))
             .requires("y", Interval::new(0.0, 10.0))
             .build();
@@ -683,9 +696,9 @@ mod tests {
     #[test]
     fn builder_collects_steps_and_rules() {
         let plan = Plan::<i32>::builder("p")
-            .step("a", |_| StepOutcome::Done)
-            .step("b", |_| StepOutcome::Done)
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .step("a", |_, _| StepOutcome::Done)
+            .step("b", |_, _| StepOutcome::Done)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .build();
         assert_eq!(plan.name(), "p");
         assert_eq!(plan.step_count(), 2);
@@ -699,8 +712,8 @@ mod tests {
     #[should_panic(expected = "duplicate step name")]
     fn duplicate_step_names_rejected() {
         let _ = Plan::<i32>::builder("p")
-            .step("a", |_| StepOutcome::Done)
-            .step("a", |_| StepOutcome::Done);
+            .step("a", |_, _| StepOutcome::Done)
+            .step("a", |_, _| StepOutcome::Done);
     }
 
     #[test]
@@ -713,16 +726,16 @@ mod tests {
     fn metadata_modifiers_annotate_last_item() {
         let plan = Plan::<i32>::builder("p")
             .inputs(["spec"])
-            .step("a", |_| StepOutcome::Done)
+            .step("a", |_, _| StepOutcome::Done)
             .reads(["spec"])
             .writes(["x", "y"])
             .emits(["a-failed"])
-            .step("b", |_| StepOutcome::Done)
+            .step("b", |_, _| StepOutcome::Done)
             .reads(["x"])
             .writes(["z"])
             .emits(Vec::<String>::new())
             .diverges()
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .on_codes(["a-failed"])
             .guarded()
             .reads(["x"])
@@ -762,7 +775,7 @@ mod tests {
     #[test]
     fn unannotated_metadata_stays_undeclared() {
         let plan = Plan::<i32>::builder("p")
-            .step("a", |_| StepOutcome::Done)
+            .step("a", |_, _| StepOutcome::Done)
             .build();
         let meta = plan.step_meta(0);
         assert_eq!(meta.reads, None);
@@ -775,8 +788,8 @@ mod tests {
     #[should_panic(expected = ".emits() must follow a step")]
     fn emits_after_rule_panics() {
         let _ = Plan::<i32>::builder("p")
-            .step("a", |_| StepOutcome::Done)
-            .rule("r", |_, _| true, |_| PatchAction::Retry)
+            .step("a", |_, _| StepOutcome::Done)
+            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
             .emits(["x"]);
     }
 
@@ -784,7 +797,7 @@ mod tests {
     #[should_panic(expected = ".on_codes() must follow a rule")]
     fn on_codes_after_step_panics() {
         let _ = Plan::<i32>::builder("p")
-            .step("a", |_| StepOutcome::Done)
+            .step("a", |_, _| StepOutcome::Done)
             .on_codes(["x"]);
     }
 
@@ -799,7 +812,7 @@ mod tests {
     #[test]
     fn debug_lists_structure() {
         let plan = Plan::<i32>::builder("p")
-            .step("a", |_| StepOutcome::Done)
+            .step("a", |_, _| StepOutcome::Done)
             .build();
         let dbg = format!("{plan:?}");
         assert!(dbg.contains("\"a\""));

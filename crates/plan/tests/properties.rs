@@ -17,7 +17,7 @@ struct FlakyState {
 fn flaky_plan(step_count: usize) -> Plan<FlakyState> {
     let mut builder = Plan::<FlakyState>::builder("flaky");
     for k in 0..step_count {
-        builder = builder.step(format!("s{k}"), move |s: &mut FlakyState| {
+        builder = builder.step(format!("s{k}"), move |s: &mut FlakyState, _| {
             s.executions += 1;
             if s.remaining_failures[k] > 0 {
                 s.remaining_failures[k] -= 1;
@@ -28,7 +28,11 @@ fn flaky_plan(step_count: usize) -> Plan<FlakyState> {
         });
     }
     builder
-        .rule("retry", |_, f| f.code() == "again", |_| PatchAction::Retry)
+        .rule(
+            "retry",
+            |_, f| f.code() == "again",
+            |_, _| PatchAction::Retry,
+        )
         .build()
 }
 
