@@ -143,10 +143,10 @@ impl BiasGenerator {
         process: &Process,
         ctx: &DesignContext<'_>,
     ) -> Result<Self, DesignError> {
-        let key = CacheKey::new()
-            .tag("pol", format!("{:?}", spec.polarity))
-            .num("iref", spec.iref)
-            .num("vov", spec.vov);
+        let key = CacheKey::new("pol iref vov")
+            .tag(spec.polarity as u64)
+            .num(spec.iref)
+            .num(spec.vov);
         ctx.design_child_sym(sym!("block:bias"), "bias", Some(key), || {
             Self::design(spec, process)
         })

@@ -157,12 +157,12 @@ impl Compensation {
         spec: &CompensationSpec,
         ctx: &DesignContext<'_>,
     ) -> Result<Self, DesignError> {
-        let key = CacheKey::new()
-            .num("gm1", spec.gm1)
-            .num("gm2", spec.gm2)
-            .num("cl", spec.load_cap)
-            .num("fu", spec.unity_gain_freq)
-            .num("pm", spec.phase_margin_deg);
+        let key = CacheKey::new("gm1 gm2 cl fu pm")
+            .num(spec.gm1)
+            .num(spec.gm2)
+            .num(spec.load_cap)
+            .num(spec.unity_gain_freq)
+            .num(spec.phase_margin_deg);
         ctx.design_child_sym(
             sym!("block:compensation"),
             "compensation",

@@ -169,11 +169,11 @@ impl DiffPair {
         process: &Process,
         ctx: &DesignContext<'_>,
     ) -> Result<Self, DesignError> {
-        let key = CacheKey::new()
-            .tag("pol", format!("{:?}", spec.polarity))
-            .num("gm", spec.gm)
-            .num("itail", spec.tail_current)
-            .num("l_um", spec.length_um.unwrap_or(f64::NEG_INFINITY));
+        let key = CacheKey::new("pol gm itail l_um")
+            .tag(spec.polarity as u64)
+            .num(spec.gm)
+            .num(spec.tail_current)
+            .num(spec.length_um.unwrap_or(f64::NEG_INFINITY));
         ctx.design_child_sym(sym!("block:diff pair"), "diff pair", Some(key), || {
             Self::design(spec, process)
         })

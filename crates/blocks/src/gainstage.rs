@@ -234,13 +234,13 @@ impl GainStage {
     /// Bit-exact fingerprint of everything the designer reads from the
     /// spec (the process is fixed per synthesis run).
     fn cache_key(spec: &GainStageSpec) -> CacheKey {
-        CacheKey::new()
-            .tag("pol", format!("{:?}", spec.polarity))
-            .num("gm", spec.gm)
-            .num("ibias", spec.bias_current)
-            .num("min_gain", spec.min_gain)
-            .num("load_gds", spec.load_gds.unwrap_or(f64::NEG_INFINITY))
-            .num("l_um", spec.length_um.unwrap_or(f64::NEG_INFINITY))
+        CacheKey::new("pol gm ibias min_gain load_gds l_um")
+            .tag(spec.polarity as u64)
+            .num(spec.gm)
+            .num(spec.bias_current)
+            .num(spec.min_gain)
+            .num(spec.load_gds.unwrap_or(f64::NEG_INFINITY))
+            .num(spec.length_um.unwrap_or(f64::NEG_INFINITY))
     }
 
     /// Designs one specific style.

@@ -167,11 +167,11 @@ impl LevelShifter {
         process: &Process,
         ctx: &DesignContext<'_>,
     ) -> Result<Self, DesignError> {
-        let key = CacheKey::new()
-            .tag("pol", format!("{:?}", spec.polarity))
-            .num("shift", spec.shift)
-            .num("ibias", spec.bias_current)
-            .num("vsb", spec.vsb_estimate);
+        let key = CacheKey::new("pol shift ibias vsb")
+            .tag(spec.polarity as u64)
+            .num(spec.shift)
+            .num(spec.bias_current)
+            .num(spec.vsb_estimate);
         ctx.design_child_sym(
             sym!("block:level shifter"),
             "level shifter",

@@ -267,19 +267,18 @@ impl CurrentMirror {
     /// Bit-exact fingerprint of everything [`CurrentMirror::design`] reads
     /// from the spec (the process is fixed per synthesis run).
     fn cache_key(spec: &MirrorSpec) -> CacheKey {
-        CacheKey::new()
-            .tag("pol", format!("{:?}", spec.polarity))
-            .num("iout", spec.iout)
-            .num("ratio", spec.ratio)
-            .num("min_rout", spec.min_rout)
-            .num("headroom", spec.headroom)
-            .tag(
-                "allowed",
-                spec.allowed
-                    .iter()
-                    .map(|&b| if b { '1' } else { '0' })
-                    .collect::<String>(),
-            )
+        let allowed = spec
+            .allowed
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (bit, &on)| mask | (u64::from(on) << bit));
+        CacheKey::new("pol iout ratio min_rout headroom allowed")
+            .tag(spec.polarity as u64)
+            .num(spec.iout)
+            .num(spec.ratio)
+            .num(spec.min_rout)
+            .num(spec.headroom)
+            .tag(allowed)
     }
 
     /// Designs one specific style (used by the selector and by ablation

@@ -3,7 +3,7 @@
 //! A resident server turns the one-shot CLI into a long-lived synthesis
 //! daemon. It answers `synth` requests with the [`SynthRunner`] answer
 //! a batch job gets, and keeps that runner's warm, bounded,
-//! fingerprint-namespaced design cache across requests: a client asking
+//! technology-namespaced design cache across requests: a client asking
 //! for a spec the server has (partly) designed before gets sub-block
 //! hits immediately.
 //!

@@ -481,12 +481,12 @@ fn build_plan() -> Plan<State> {
             // style (the sink mirror carries the r_out budget), so this
             // bypasses style selection but still records/memoizes through
             // the context.
-            let key = CacheKey::new()
-                .tag("style", "simple")
-                .num("gm", s.gm2)
-                .num("ibias", s.i2)
-                .num("l_um", s.l6_um)
-                .num("load_gds", 1.0 / sink.rout());
+            let key = CacheKey::new("style gm ibias l_um load_gds")
+                .tag(GainStageStyle::Simple as u64)
+                .num(s.gm2)
+                .num(s.i2)
+                .num(s.l6_um)
+                .num(1.0 / sink.rout());
             let result =
                 ctx.design_child_sym(sym!("block:gain stage"), "gain stage", Some(key), || {
                     GainStage::design_style(&spec, &s.process, GainStageStyle::Simple)

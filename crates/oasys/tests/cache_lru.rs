@@ -11,8 +11,9 @@ use oasys_plan::MemoCache;
 use oasys_process::{builtin, techfile, Process};
 use oasys_telemetry::Telemetry;
 
-/// The namespace the batch layer and `oasys serve` use: the technology
-/// text's fingerprint.
+/// A namespace per process: its technology text's fingerprint. (The
+/// batch runner, which `oasys serve` answers through, numbers the
+/// distinct texts it meets instead; see the collision test below.)
 fn tech_namespace(process: &Process) -> String {
     format!(
         "{:016x}",
@@ -155,4 +156,48 @@ fn a_small_shared_cache_keeps_its_counts() {
     // exact LRU evicts the same entries, so every count repeats.
     assert_eq!(sweep_twice(32), (18, 284, 238));
     assert_eq!(sweep_twice(64), (68, 234, 156));
+}
+
+/// Two technology texts whose 64-bit FNV-1a fingerprints collide: the
+/// 5 µm kit with a faster NMOS, and the kit as shipped, each under a
+/// comment line found by a birthday search.
+fn colliding_texts() -> (String, String) {
+    let kit = include_str!("../../../data/generic-5um.tech");
+    let faster = kit.replacen("kprime_ua    = 24.999999999999996", "kprime_ua    = 30", 1);
+    assert_ne!(faster, kit, "the NMOS k' line is where the search left it");
+    (
+        format!("{faster}# e4afc22516e8746b\n"),
+        format!("{kit}# cbc4bd68fa8d9888\n"),
+    )
+}
+
+#[test]
+fn colliding_fingerprints_never_share_entries() {
+    let (fast, slow) = colliding_texts();
+    assert_eq!(oasys::batch::fingerprint("", &fast), 0x0248_dc3f_fcb5_caf4);
+    assert_eq!(oasys::batch::fingerprint("", &slow), 0x0248_dc3f_fcb5_caf4);
+
+    let answer = |runner: &SynthRunner, spec: &str, tech: &str| {
+        let job = oasys::batch::Job::from_texts(0, "spec", spec, "tech", tech);
+        runner
+            .run(&job, &Telemetry::disabled(), &Deadline::none())
+            .unwrap()
+            .selected()
+            .map(|(style, area)| (style.to_owned(), area))
+    };
+    let shared = SynthRunner::new().with_verify(false);
+    for spec in [
+        include_str!("../../../data/spec-a.txt"),
+        include_str!("../../../data/spec-b.txt"),
+        include_str!("../../../data/spec-c.txt"),
+    ] {
+        let fast_answer = answer(&shared, spec, &fast);
+        let slow_after_fast = answer(&shared, spec, &slow);
+        let slow_alone = answer(&SynthRunner::new().with_verify(false), spec, &slow);
+        assert_eq!(
+            slow_after_fast, slow_alone,
+            "the slow kit must not reuse the fast kit's sub-blocks"
+        );
+        assert_ne!(fast_answer, slow_alone, "the two kits size differently");
+    }
 }

@@ -1,7 +1,9 @@
 //! A warm untraced synthesis allocates a pinned number of times. Every
 //! style attempt runs its style's stored plan, so an attempt builds no
-//! steps, rules or annotations of its own; what it allocates is its
-//! design state, the sub-block designs, the netlist and the report.
+//! steps, rules or annotations of its own; its trace shares the plan's
+//! step and rule names, and a design-cache lookup builds no string key.
+//! What it allocates is its design state, the sub-block designs, the
+//! netlist and the report.
 //!
 //! A counting global allocator counts allocation calls, so this binary
 //! holds one test: no other test may allocate while it counts.
@@ -52,9 +54,10 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// The allocation calls of a warm case-A synthesis on the 5 µm kit,
-/// 880–884 with stored plans (1 808 when each attempt built its own),
-/// plus 10 %.
-const CEILING: usize = 970;
+/// 360 with fixed-size cache keys and shared plan names (880–884 when
+/// each lookup formatted its key and each trace event copied its name,
+/// 1 808 when each attempt also built its own plan), plus 10 %.
+const CEILING: usize = 396;
 
 #[test]
 fn warm_case_a_synthesis_allocates_a_pinned_count() {

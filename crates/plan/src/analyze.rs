@@ -67,16 +67,8 @@ impl<'p> PlanView<'p> {
             plan_name: plan.name(),
             inputs: plan.inputs(),
             input_domains: plan.input_domains(),
-            steps: plan
-                .steps
-                .iter()
-                .map(|s| (s.name.as_str(), &s.meta))
-                .collect(),
-            rules: plan
-                .rules
-                .iter()
-                .map(|r| (r.name.as_str(), &r.meta))
-                .collect(),
+            steps: plan.steps.iter().map(|s| (&*s.name, &s.meta)).collect(),
+            rules: plan.rules.iter().map(|r| (&*r.name, &r.meta)).collect(),
         }
     }
 

@@ -85,7 +85,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -327,7 +327,9 @@ impl<E: fmt::Display + fmt::Debug> Error for SelectionFailure<E> {}
 pub struct DesignContext<'a> {
     tel: &'a Telemetry,
     cache: Option<&'a MemoCache>,
-    scope: String,
+    /// Built once per attempt; every cached design of the attempt
+    /// shares it.
+    scope: Arc<str>,
     deadline: Deadline,
 }
 
@@ -347,7 +349,7 @@ impl<'a> DesignContext<'a> {
         Self {
             tel,
             cache: None,
-            scope: String::new(),
+            scope: Arc::default(),
             deadline: Deadline::none(),
         }
     }
@@ -359,12 +361,12 @@ impl<'a> DesignContext<'a> {
         self
     }
 
-    /// Sets the scope (normally the invoking style's name). Cache keys
-    /// are prefixed with it, so styles never share entries — hits only
-    /// come from deterministic within-style rework (plan restarts
-    /// re-deriving an unchanged sub-block).
+    /// Sets the scope (normally the invoking style's name). Every cache
+    /// entry carries it, so styles never share entries — hits only come
+    /// from deterministic within-style rework (plan restarts re-deriving
+    /// an unchanged sub-block).
     #[must_use]
-    pub fn with_scope(mut self, scope: impl Into<String>) -> Self {
+    pub fn with_scope(mut self, scope: impl Into<Arc<str>>) -> Self {
         self.scope = scope.into();
         self
     }
@@ -404,7 +406,7 @@ impl<'a> DesignContext<'a> {
     /// cached — a parent patch rule may change the sub-spec and retry.
     /// Callers write the span name where they call this, as
     /// `sym!("block:<level>")`; `level` is the bare level text behind
-    /// it, which still keys the memo cache.
+    /// it, which an entry matches beside the scope and the key.
     ///
     /// # Errors
     ///
@@ -412,7 +414,7 @@ impl<'a> DesignContext<'a> {
     pub fn design_child_sym<T, E, F>(
         &self,
         span_name: Sym,
-        level: &str,
+        level: &'static str,
         key: Option<CacheKey>,
         f: F,
     ) -> Result<T, E>
@@ -422,15 +424,12 @@ impl<'a> DesignContext<'a> {
     {
         fail_point!("engine.cache");
         let span = self.tel.span_sym(span_name);
-        let full_key = key.map(|k| {
-            if self.scope.is_empty() {
-                format!("{level}:{}", k.finish())
-            } else {
-                format!("{}/{level}:{}", self.scope, k.finish())
-            }
+        let entry = self.cache.zip(key).map(|(cache, key)| {
+            let scope = Arc::clone(&self.scope);
+            (cache, EntryKey { scope, level, key })
         });
-        if let (Some(cache), Some(full)) = (self.cache, full_key.as_deref()) {
-            if let Some(hit) = cache.get::<T>(full) {
+        if let Some((cache, key)) = &entry {
+            if let Some(hit) = cache.get::<T>(key) {
                 self.tel.incr_sym(sym!("engine.cache_hits"));
                 span.annotate_sym(sym!("cache"), sym!("hit"));
                 return Ok(hit);
@@ -440,13 +439,13 @@ impl<'a> DesignContext<'a> {
         let result = f();
         match &result {
             Ok(value) => {
-                if let (Some(cache), Some(full)) = (self.cache, full_key) {
+                if let Some((cache, key)) = entry {
                     // Evictions begin only once the cache is full, late
                     // in a long batch. The `&str` form interns the name
                     // only on a handle that keeps counters, so an
                     // untraced job's flight handle never adds it to the
                     // table then.
-                    let evicted = cache.put(full, value.clone());
+                    let evicted = cache.put(key, value.clone());
                     if evicted > 0 {
                         self.tel.add("engine.cache_evictions", evicted as u64);
                     }
@@ -463,24 +462,28 @@ impl<'a> DesignContext<'a> {
 /// of one synthesis run, or (bounded) across many runs in a batch sweep
 /// or a resident server.
 ///
-/// Entries are type-erased; [`MemoCache::get`] returns a clone only when
-/// both the key and the concrete type match.
+/// An entry sits under its attempt's scope (the style, under the
+/// sweep's namespace), its block level and its sub-spec [`CacheKey`],
+/// and is served only for all three, and the stored value's type,
+/// matching exactly. Values are type-erased. A lookup builds its entry
+/// key from the context's shared scope and the key's fixed-size words,
+/// so it allocates nothing, and storing a design allocates only its
+/// `Arc`.
 ///
 /// [`MemoCache::new`] is unbounded, for single-run caches whose size is
 /// naturally limited by one synthesis. [`MemoCache::bounded`] caps the
 /// entry count and evicts the least-recently-used entry on overflow, so
 /// a long-lived process-wide cache (the batch runner, `oasys serve`)
 /// cannot grow without limit. The LRU is exact: the victim is the entry
-/// least recently touched by a [`MemoCache::put`] or a
-/// [`MemoCache::get`] (a hit or a type mismatch), and a touch or an
-/// eviction costs the same at any capacity. Hit/miss/eviction totals
-/// are kept as cheap relaxed counters; the engine mirrors them into the
-/// telemetry metrics snapshot (`engine.cache_hits` /
+/// least recently stored or looked up (a hit or a type mismatch), and a
+/// touch or an eviction costs the same at any capacity. Hit/miss/eviction
+/// totals are kept as cheap relaxed counters; the engine mirrors them
+/// into the telemetry metrics snapshot (`engine.cache_hits` /
 /// `engine.cache_misses` / `engine.cache_evictions`).
 ///
 /// Cache keys assume a fixed fabrication process. To share one cache
-/// across technologies, namespace the keys per process fingerprint —
-/// see [`SearchOptions::with_cache_namespace`].
+/// across technologies, give each process its own namespace — see
+/// [`SearchOptions::with_cache_namespace`].
 pub struct MemoCache {
     entries: Mutex<LruEntries>,
     hits: AtomicU64,
@@ -489,19 +492,41 @@ pub struct MemoCache {
     capacity: usize,
 }
 
+/// Where one design sits in a [`MemoCache`]: the attempt's scope, the
+/// block level and the sub-spec key. Only the scope's text and the key's
+/// words are hashed, in one pass each; the level and the key's layout
+/// are compared but not hashed, since each belongs to one call site.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct EntryKey {
+    scope: Arc<str>,
+    level: &'static str,
+    key: CacheKey,
+}
+
+impl Hash for EntryKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.scope.as_bytes());
+        let mut bytes = [0u8; 8 * CacheKey::MAX_FIELDS];
+        let words = &self.key.words[..self.key.len];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        state.write(&bytes[..8 * self.key.len]);
+    }
+}
+
 /// The LRU bookkeeping behind the lock: a key → slot index beside the
 /// slots, which a doubly linked recency list threads by index from the
 /// most to the least recently used. A touch relinks one slot, and an
 /// eviction unlinks the tail and stores the new entry in its slot, so
-/// neither scans and `slots` only grows, up to the capacity. Each key
-/// is allocated once, as the `Arc<str>` the index and its slot share,
-/// and the hit path allocates nothing.
+/// neither scans and `slots` only grows, up to the capacity. The index
+/// and the slot each hold the fixed-size key, sharing its scope.
 ///
 /// No update runs code of the cached type (its `clone` or `drop`) until
 /// the links and the index agree again, so a guard recovered from a
 /// poisoned lock still holds a well-formed list.
 struct LruEntries {
-    index: HashMap<Arc<str>, usize>,
+    index: HashMap<EntryKey, usize>,
     slots: Vec<Slot>,
     /// The most recently used slot, or [`NIL`] when empty.
     head: usize,
@@ -513,7 +538,7 @@ struct LruEntries {
 const NIL: usize = usize::MAX;
 
 struct Slot {
-    key: Arc<str>,
+    key: EntryKey,
     value: Arc<dyn Any + Send + Sync>,
     /// The next more recently used slot, or [`NIL`] at the head.
     newer: usize,
@@ -606,8 +631,7 @@ impl MemoCache {
 
     /// Looks up a cached design, cloning it out (and marking the entry
     /// most-recently-used) on a hit.
-    #[must_use]
-    pub fn get<T: Clone + Send + Sync + 'static>(&self, key: &str) -> Option<T> {
+    fn get<T: Clone + Send + Sync + 'static>(&self, key: &EntryKey) -> Option<T> {
         let mut entries = self.lock();
         let found = entries.index.get(key).copied().and_then(|i| {
             entries.touch(i);
@@ -625,17 +649,16 @@ impl MemoCache {
     /// Stores a design under `key`, replacing any earlier entry, and
     /// returns how many entries were evicted to stay under capacity
     /// (0 or 1; replacement is not an eviction).
-    pub fn put<T: Send + Sync + 'static>(&self, key: String, value: T) -> usize {
+    fn put<T: Send + Sync + 'static>(&self, key: EntryKey, value: T) -> usize {
         let value: Arc<dyn Any + Send + Sync> = Arc::new(value);
         let mut entries = self.lock();
-        if let Some(&i) = entries.index.get(key.as_str()) {
+        if let Some(&i) = entries.index.get(&key) {
             entries.slots[i].value = value;
             entries.touch(i);
             return 0;
         }
-        let key: Arc<str> = key.into();
         let slot = Slot {
-            key: Arc::clone(&key),
+            key: key.clone(),
             value,
             newer: NIL,
             older: NIL,
@@ -698,41 +721,70 @@ impl MemoCache {
     }
 }
 
-/// Builds a cache key from a sub-specification, field by field.
+/// A sub-specification's cache key: its call site's layout and up to
+/// [`CacheKey::MAX_FIELDS`] fields, one `u64` word each.
 ///
 /// Floats are fingerprinted via [`f64::to_bits`], so two specs collide
 /// only when every field is bit-identical — the cache can never serve a
-/// design for a merely *similar* spec.
-#[derive(Clone, Debug, Default)]
+/// design for a merely *similar* spec (`0.0` and `-0.0`, or two NaN
+/// payloads, are different keys). The layout names the fields in the
+/// order the call site pushes them, say `"pol gm ibias"`; keys of two
+/// layouts never match, whatever their words. Building a key allocates
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheKey {
-    parts: String,
+    layout: &'static str,
+    words: [u64; CacheKey::MAX_FIELDS],
+    len: usize,
 }
 
 impl CacheKey {
-    /// An empty key.
+    /// The most fields one key holds.
+    pub const MAX_FIELDS: usize = 6;
+
+    /// An empty key for the call site whose fields `layout` names.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new(layout: &'static str) -> Self {
+        Self {
+            layout,
+            words: [0; Self::MAX_FIELDS],
+            len: 0,
+        }
     }
 
-    /// Appends a named `f64` field, fingerprinted bit-exactly.
+    /// Appends an `f64` field, fingerprinted bit-exactly.
+    ///
+    /// # Panics
+    ///
+    /// Past [`CacheKey::MAX_FIELDS`] fields: a call site that needs more
+    /// must raise the bound.
     #[must_use]
-    pub fn num(mut self, name: &str, value: f64) -> Self {
-        let _ = write!(self.parts, "{name}={:016x};", value.to_bits());
+    pub fn num(self, value: f64) -> Self {
+        self.push(value.to_bits())
+    }
+
+    /// Appends a discrete field (a polarity, a style, a bitmask…) as a
+    /// small integer.
+    ///
+    /// # Panics
+    ///
+    /// Past [`CacheKey::MAX_FIELDS`] fields, as for [`CacheKey::num`].
+    #[must_use]
+    pub fn tag(self, value: u64) -> Self {
+        self.push(value)
+    }
+
+    /// Appends one field's word.
+    fn push(mut self, word: u64) -> Self {
+        assert!(
+            self.len < Self::MAX_FIELDS,
+            "cache key `{}` holds at most {} fields",
+            self.layout,
+            Self::MAX_FIELDS
+        );
+        self.words[self.len] = word;
+        self.len += 1;
         self
-    }
-
-    /// Appends a named discrete field (polarity, style, flag…).
-    #[must_use]
-    pub fn tag(mut self, name: &str, value: impl fmt::Display) -> Self {
-        let _ = write!(self.parts, "{name}={value};");
-        self
-    }
-
-    /// The finished key text.
-    #[must_use]
-    pub fn finish(self) -> String {
-        self.parts
     }
 }
 
@@ -742,7 +794,7 @@ pub struct SearchOptions {
     styles: Option<Vec<String>>,
     deadline: Deadline,
     skip_static_check: bool,
-    cache_namespace: Option<String>,
+    cache_namespace: Option<Arc<str>>,
 }
 
 impl SearchOptions {
@@ -809,14 +861,15 @@ impl SearchOptions {
         &self.deadline
     }
 
-    /// Prefixes every cache key of this sweep with `namespace`. Cache
+    /// Prefixes every cache scope of this sweep with `namespace`. Cache
     /// keys cover the sub-block specification but assume a fixed
     /// fabrication process; a sweep sharing one [`MemoCache`] across
-    /// processes (the batch runner, a resident server) must namespace
-    /// each process's keys — conventionally with the technology text's
-    /// fingerprint — so entries can never leak between technologies.
+    /// processes (the batch runner, a resident server) must give each
+    /// process its own namespace, so entries can never leak between
+    /// technologies. The batch runner numbers each distinct technology
+    /// text it meets.
     #[must_use]
-    pub fn with_cache_namespace(mut self, namespace: impl Into<String>) -> Self {
+    pub fn with_cache_namespace(mut self, namespace: impl Into<Arc<str>>) -> Self {
         self.cache_namespace = Some(namespace.into());
         self
     }
@@ -850,11 +903,11 @@ fn attempt<D: BlockDesigner>(
     fail_point!("engine.style");
     let span = tel.span_display("style:", &style);
     // The cache scope is the style name, optionally under the sweep's
-    // namespace (a technology fingerprint when one bounded cache is
-    // shared across processes).
-    let scope = match opts.cache_namespace() {
-        Some(ns) => format!("{ns}/{style}"),
-        None => style.to_owned(),
+    // namespace (the technology's, when one bounded cache is shared
+    // across processes), built once for every lookup of the attempt.
+    let scope: Arc<str> = match opts.cache_namespace() {
+        Some(ns) => format!("{ns}/{style}").into(),
+        None => style.into(),
     };
     let ctx = DesignContext::new(tel)
         .with_cache(cache)
@@ -1189,7 +1242,7 @@ mod tests {
         let tel = Telemetry::new();
         let cache = MemoCache::new();
         let calls = AtomicUsize::new(0);
-        let key = || Some(CacheKey::new().num("i", 1e-6).tag("pol", "nmos"));
+        let key = || Some(CacheKey::new("i pol").num(1e-6).tag(0));
         let run = |ctx: &DesignContext<'_>| {
             ctx.design_child_sym(sym!("block:mirror"), "mirror", key(), || {
                 calls.fetch_add(1, Ordering::SeqCst);
@@ -1234,7 +1287,7 @@ mod tests {
             let r: Result<f64, String> = ctx.design_child_sym(
                 sym!("block:bias"),
                 "bias",
-                Some(CacheKey::new().num("i", 1.0)),
+                Some(CacheKey::new("i").num(1.0)),
                 || {
                     calls.fetch_add(1, Ordering::SeqCst);
                     Err("infeasible".to_owned())
@@ -1246,12 +1299,93 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// The entry key of test entry `id`: one tag under a fixed scope
+    /// and level.
+    fn entry(id: u64) -> EntryKey {
+        EntryKey {
+            scope: "s".into(),
+            level: "leaf",
+            key: CacheKey::new("id").tag(id),
+        }
+    }
+
+    /// Whether a value stored under (`scope`, `level`, `key`) is served
+    /// to a lookup of (`scope2`, `level2`, `key2`).
+    fn shares_entry(
+        stored: (&str, &'static str, CacheKey),
+        looked_up: (&str, &'static str, CacheKey),
+    ) -> bool {
+        let entry = |(scope, level, key): (&str, &'static str, CacheKey)| EntryKey {
+            scope: scope.into(),
+            level,
+            key,
+        };
+        let cache = MemoCache::new();
+        cache.put(entry(stored), 1u32);
+        cache.get::<u32>(&entry(looked_up)).is_some()
+    }
+
     #[test]
-    fn cache_keys_fingerprint_floats_bit_exactly() {
-        let a = CacheKey::new().num("i", 1.0).finish();
-        let b = CacheKey::new().num("i", 1.0 + f64::EPSILON).finish();
-        assert_ne!(a, b, "one-ulp changes must miss");
-        assert_eq!(a, CacheKey::new().num("i", 1.0).finish());
+    fn cache_keys_match_bit_exactly() {
+        let num = |v: f64| CacheKey::new("x").num(v);
+        let quiet_nan = f64::from_bits(0x7ff8_0000_0000_0000);
+        let other_nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        for (a, b, why) in [
+            (0.0, -0.0, "signed zeros"),
+            (quiet_nan, other_nan, "two NaN payloads"),
+            (1.0, 1.0 + f64::EPSILON, "a one-ulp change"),
+        ] {
+            assert!(
+                !shares_entry(("s", "leaf", num(a)), ("s", "leaf", num(b))),
+                "{why} must miss"
+            );
+        }
+        for v in [0.0, -0.0, quiet_nan, 1.0] {
+            assert!(
+                shares_entry(("s", "leaf", num(v)), ("s", "leaf", num(v))),
+                "identical bits must hit: {v}"
+            );
+        }
+        assert!(
+            !shares_entry(("s", "leaf", num(1.0)), ("s", "other", num(1.0))),
+            "levels are isolated"
+        );
+        assert!(
+            !shares_entry(("s", "leaf", num(1.0)), ("t", "leaf", num(1.0))),
+            "scopes are isolated"
+        );
+        assert!(
+            !shares_entry(
+                ("ns-a/style", "leaf", num(1.0)),
+                ("ns-b/style", "leaf", num(1.0))
+            ),
+            "namespaces are isolated"
+        );
+        assert!(
+            !shares_entry(("s", "leaf", num(1.0)), ("s", "leaf", num(1.0).num(0.0))),
+            "a longer key is another key"
+        );
+    }
+
+    #[test]
+    fn the_two_gain_stage_layouts_never_match() {
+        // The two call sites that key the `gain stage` level: the gain
+        // stage's own selector and the two-stage plan's fixed driver.
+        // Filled with the same words, they still must not share an entry.
+        let selector = CacheKey::new("pol gm ibias min_gain load_gds l_um");
+        let driver = CacheKey::new("style gm ibias l_um load_gds");
+        for words in [[0u64; 6], [1, 2, 3, 4, 5, 6]] {
+            let fill = |key: CacheKey, n: usize| words[..n].iter().fold(key, |key, &w| key.tag(w));
+            for n in [5, 6] {
+                assert!(
+                    !shares_entry(
+                        ("ns/two-stage", "gain stage", fill(selector, n)),
+                        ("ns/two-stage", "gain stage", fill(driver, n))
+                    ),
+                    "{n} equal words"
+                );
+            }
+        }
     }
 
     /// Three styles; "mid" is statically infeasible and must be pruned
@@ -1450,50 +1584,51 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
+        let (a, b, c) = (entry(1), entry(2), entry(3));
         let cache = MemoCache::bounded(2);
         assert_eq!(cache.capacity(), 2);
-        assert_eq!(cache.put("a".to_owned(), 1u32), 0);
-        assert_eq!(cache.put("b".to_owned(), 2u32), 0);
+        assert_eq!(cache.put(a.clone(), 1u32), 0);
+        assert_eq!(cache.put(b.clone(), 2u32), 0);
         // Touch `a`, making `b` the least recently used entry.
-        assert_eq!(cache.get::<u32>("a"), Some(1));
-        assert_eq!(cache.put("c".to_owned(), 3u32), 1);
+        assert_eq!(cache.get::<u32>(&a), Some(1));
+        assert_eq!(cache.put(c.clone(), 3u32), 1);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get::<u32>("b"), None, "b was the LRU entry");
-        assert_eq!(cache.get::<u32>("a"), Some(1));
-        assert_eq!(cache.get::<u32>("c"), Some(3));
+        assert_eq!(cache.get::<u32>(&b), None, "b was the LRU entry");
+        assert_eq!(cache.get::<u32>(&a), Some(1));
+        assert_eq!(cache.get::<u32>(&c), Some(3));
     }
 
     #[test]
     fn bounded_cache_eviction_order_follows_recency_chain() {
         let cache = MemoCache::bounded(3);
-        for (k, v) in [("a", 1u32), ("b", 2), ("c", 3)] {
-            cache.put(k.to_owned(), v);
+        for (k, v) in [(1, 1u32), (2, 2), (3, 3)] {
+            cache.put(entry(k), v);
         }
-        // Recency now c > b > a; touch a and b so c becomes LRU.
-        assert_eq!(cache.get::<u32>("a"), Some(1));
-        assert_eq!(cache.get::<u32>("b"), Some(2));
-        cache.put("d".to_owned(), 4u32);
-        assert_eq!(cache.get::<u32>("c"), None, "c was the LRU entry");
-        cache.put("e".to_owned(), 5u32);
-        assert_eq!(cache.get::<u32>("a"), None, "then a");
+        // Recency now 3 > 2 > 1; touch 1 and 2 so 3 becomes LRU.
+        assert_eq!(cache.get::<u32>(&entry(1)), Some(1));
+        assert_eq!(cache.get::<u32>(&entry(2)), Some(2));
+        cache.put(entry(4), 4u32);
+        assert_eq!(cache.get::<u32>(&entry(3)), None, "3 was the LRU entry");
+        cache.put(entry(5), 5u32);
+        assert_eq!(cache.get::<u32>(&entry(1)), None, "then 1");
         assert_eq!(cache.evictions(), 2);
     }
 
     #[test]
     fn replacing_an_entry_is_not_an_eviction() {
         let cache = MemoCache::bounded(1);
-        cache.put("k".to_owned(), 1u32);
-        assert_eq!(cache.put("k".to_owned(), 2u32), 0);
+        cache.put(entry(1), 1u32);
+        assert_eq!(cache.put(entry(1), 2u32), 0);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.get::<u32>("k"), Some(2));
+        assert_eq!(cache.get::<u32>(&entry(1)), Some(2));
     }
 
     #[test]
     fn unbounded_cache_never_evicts() {
         let cache = MemoCache::new();
         for i in 0..1000 {
-            cache.put(format!("k{i}"), i);
+            cache.put(entry(i), i);
         }
         assert_eq!(cache.len(), 1000);
         assert_eq!(cache.evictions(), 0);
@@ -1504,7 +1639,7 @@ mod tests {
     /// logical clock and stamps the entry it finds or stores, and an
     /// overflow evicts the smallest stamp, found by scanning every entry.
     struct ScanCache {
-        map: HashMap<String, (Arc<dyn Any + Send + Sync>, u64)>,
+        map: HashMap<u64, (Arc<dyn Any + Send + Sync>, u64)>,
         tick: u64,
         capacity: usize,
         hits: u64,
@@ -1524,9 +1659,9 @@ mod tests {
             }
         }
 
-        fn get<T: Clone + 'static>(&mut self, key: &str) -> Option<T> {
+        fn get<T: Clone + 'static>(&mut self, key: u64) -> Option<T> {
             self.tick += 1;
-            let found = self.map.get_mut(key).and_then(|(value, last_used)| {
+            let found = self.map.get_mut(&key).and_then(|(value, last_used)| {
                 *last_used = self.tick;
                 value.downcast_ref::<T>().cloned()
             });
@@ -1537,7 +1672,7 @@ mod tests {
             found
         }
 
-        fn put<T: Send + Sync + 'static>(&mut self, key: String, value: T) -> usize {
+        fn put<T: Send + Sync + 'static>(&mut self, key: u64, value: T) -> usize {
             self.tick += 1;
             self.map.insert(key, (Arc::new(value), self.tick));
             let mut evicted = 0;
@@ -1546,7 +1681,7 @@ mod tests {
                     .map
                     .iter()
                     .min_by_key(|(_, (_, last_used))| *last_used)
-                    .map(|(k, _)| k.clone());
+                    .map(|(&k, _)| k);
                 match oldest {
                     Some(k) => {
                         self.map.remove(&k);
@@ -1573,19 +1708,20 @@ mod tests {
                 let cache = MemoCache::bounded(capacity);
                 let mut reference = ScanCache::bounded(capacity);
                 for step in 0..300u32 {
-                    let key = format!("k{}", rng.range_u64(0, keys));
-                    let present = reference.map.contains_key(&key);
+                    let id = rng.range_u64(0, keys);
+                    let key = entry(id);
+                    let present = reference.map.contains_key(&id);
                     let what = match rng.range_u64(0, 3) {
                         0 => {
                             let got = cache.get::<u32>(&key);
-                            assert_eq!(got, reference.get::<u32>(&key));
+                            assert_eq!(got, reference.get::<u32>(id));
                             usize::from(got.is_none())
                         }
                         1 => {
                             // Only `u32`s are stored: a present key is a
                             // type mismatch.
                             assert_eq!(cache.get::<u64>(&key), None);
-                            assert_eq!(reference.get::<u64>(&key), None);
+                            assert_eq!(reference.get::<u64>(id), None);
                             if present {
                                 2
                             } else {
@@ -1593,7 +1729,7 @@ mod tests {
                             }
                         }
                         _ => {
-                            assert_eq!(cache.put(key.clone(), step), reference.put(key, step));
+                            assert_eq!(cache.put(key, step), reference.put(id, step));
                             if present {
                                 4
                             } else {
@@ -1626,11 +1762,13 @@ mod tests {
     fn evicting_puts(capacity: usize) -> std::time::Duration {
         let cache = MemoCache::bounded(capacity);
         for i in 0..capacity {
-            cache.put(format!("fill{i}"), i);
+            cache.put(entry(i as u64), i);
         }
         (0..5)
             .map(|batch| {
-                let keys: Vec<String> = (0..1000).map(|i| format!("{batch}/{i}")).collect();
+                // Past the fill's ids, so every put evicts.
+                let first = (capacity + 1000 * batch) as u64;
+                let keys: Vec<EntryKey> = (first..first + 1000).map(entry).collect();
                 let start = std::time::Instant::now();
                 for key in keys {
                     assert_eq!(cache.put(key, 0usize), 1);
@@ -1658,7 +1796,7 @@ mod tests {
             let cache = MemoCache::bounded(1);
             let ctx = DesignContext::new(tel).with_cache(&cache);
             for i in 0..3 {
-                let key = Some(CacheKey::new().num("i", f64::from(i)));
+                let key = Some(CacheKey::new("i").num(f64::from(i)));
                 let _: Result<u32, ()> =
                     ctx.design_child_sym(sym!("block:leaf"), "leaf", key, || Ok(i));
             }
@@ -1681,7 +1819,7 @@ mod tests {
             let ctx = DesignContext::new(&tel)
                 .with_cache(&cache)
                 .with_scope(format!("{ns}/style"));
-            let key = CacheKey::new().num("r", 1.0);
+            let key = CacheKey::new("r").num(1.0);
             let _: Result<u32, ()> =
                 ctx.design_child_sym(sym!("block:leaf"), "leaf", Some(key), || {
                     calls += 1;

@@ -6,6 +6,7 @@ use crate::plan::{PatchAction, Plan, StepFailure, StepOutcome};
 use crate::trace::{Trace, TraceEvent};
 use oasys_faults::fail_point;
 use oasys_telemetry::{sym, sym2, Sym, Telemetry};
+use std::sync::Arc;
 
 /// A plan's interned names: the span name and bare name of every step,
 /// plus every rule name. A plan keeps its own table
@@ -157,7 +158,7 @@ impl PlanExecutor {
                 plan_span.annotate_sym(sym!("result"), sym!("deadline"));
                 return Err(PlanError::DeadlineExceeded {
                     plan: plan.name().to_owned(),
-                    step: step.name.clone(),
+                    step: step.name.to_string(),
                     exceeded,
                     trace,
                 });
@@ -181,7 +182,7 @@ impl PlanExecutor {
             };
             trace.push(TraceEvent::StepStarted {
                 index: pc,
-                name: step.name.clone(),
+                name: Arc::clone(&step.name),
             });
 
             // Fault plane: an armed `plan.step` site turns this step's
@@ -200,7 +201,7 @@ impl PlanExecutor {
                 StepOutcome::Done => {
                     boundary_ns = step_span.close_with_event(sym!("step_completed"), &[]);
                     trace.push(TraceEvent::StepCompleted {
-                        name: step.name.clone(),
+                        name: Arc::clone(&step.name),
                     });
                     pc += 1;
                 }
@@ -217,7 +218,7 @@ impl PlanExecutor {
                         syms,
                         pc,
                         TraceEvent::StepFailed {
-                            name: step.name.clone(),
+                            name: Arc::clone(&step.name),
                             failure: failure.clone(),
                         },
                     );
@@ -232,7 +233,7 @@ impl PlanExecutor {
                         plan_span.annotate_sym(sym!("result"), sym!("unpatched"));
                         return Err(PlanError::Unpatched {
                             plan: plan.name().to_owned(),
-                            step: step.name.clone(),
+                            step: step.name.to_string(),
                             failure,
                             trace,
                         });
@@ -242,7 +243,7 @@ impl PlanExecutor {
                         plan_span.annotate_sym(sym!("result"), sym!("patch-budget"));
                         return Err(PlanError::PatchBudgetExhausted {
                             plan: plan.name().to_owned(),
-                            step: step.name.clone(),
+                            step: step.name.to_string(),
                             budget: self.config.patch_budget,
                             trace,
                         });
@@ -258,7 +259,7 @@ impl PlanExecutor {
                         syms,
                         k,
                         TraceEvent::RuleFired {
-                            rule: rule.name.clone(),
+                            rule: Arc::clone(&rule.name),
                             action: action.clone(),
                         },
                     );
@@ -271,8 +272,8 @@ impl PlanExecutor {
                                 plan_span.annotate_sym(sym!("result"), sym!("unknown-restart"));
                                 return Err(PlanError::UnknownRestartTarget {
                                     plan: plan.name().to_owned(),
-                                    rule: rule.name.clone(),
-                                    step: target,
+                                    rule: rule.name.to_string(),
+                                    step: target.into_owned(),
                                     trace,
                                 });
                             }
@@ -290,7 +291,7 @@ impl PlanExecutor {
                             plan_span.annotate_sym(sym!("result"), sym!("aborted"));
                             return Err(PlanError::Aborted {
                                 plan: plan.name().to_owned(),
-                                rule: rule.name.clone(),
+                                rule: rule.name.to_string(),
                                 reason,
                                 trace,
                             });
@@ -666,6 +667,43 @@ mod tests {
         };
         assert_eq!(step_span("a").as_deref(), Some("step:a"));
         assert_eq!(step_span("b").as_deref(), Some("step:b"));
+    }
+
+    #[test]
+    fn trace_events_share_the_plans_names() {
+        let plan = Plan::<Counter>::builder("p")
+            .step("flaky", |s: &mut Counter, _| {
+                s.attempts += 1;
+                if s.attempts >= 2 {
+                    StepOutcome::Done
+                } else {
+                    StepOutcome::failed("not-yet", "")
+                }
+            })
+            .rule("again", |_, _| true, |_, _| PatchAction::Retry)
+            .build();
+        let trace = PlanExecutor::new()
+            .run(&plan, &mut Counter::default())
+            .unwrap();
+        let (step, rule) = (&plan.steps[0].name, &plan.rules[0].name);
+        let mut named = 0;
+        for event in trace.events() {
+            match event {
+                TraceEvent::StepStarted { name, .. }
+                | TraceEvent::StepCompleted { name }
+                | TraceEvent::StepFailed { name, .. } => assert!(Arc::ptr_eq(name, step)),
+                TraceEvent::RuleFired { rule: name, .. } => assert!(Arc::ptr_eq(name, rule)),
+                _ => continue,
+            }
+            named += 1;
+        }
+        // Two starts, one failure, one firing and one completion.
+        assert_eq!(named, 5);
+        assert_eq!(
+            trace.to_string(),
+            "→ step 0: flaky\n  ✗ flaky: [not-yet] \n  ⚡ rule `again` fired → retry step\n\
+             → step 0: flaky\n  ✓ flaky\nplan completed\n"
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@ use crate::engine::DesignContext;
 use crate::executor::PlanSyms;
 use crate::interval::{Expr, Interval};
 use oasys_units::Dimension;
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The outcome a plan step reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,8 +68,9 @@ impl fmt::Display for StepFailure {
 pub enum PatchAction {
     /// Re-run the step that failed.
     Retry,
-    /// Restart execution from the named (earlier or later) step.
-    RestartFrom(String),
+    /// Restart execution from the named (earlier or later) step. A
+    /// literal target is borrowed, so firing the rule copies no name.
+    RestartFrom(Cow<'static, str>),
     /// Give up on this plan; the design style cannot meet the spec.
     Abort(String),
 }
@@ -179,14 +181,16 @@ pub struct RuleMeta {
     pub actions: Vec<DeclaredAction>,
 }
 
+/// A step. Its name is shared with every trace event of it.
 pub(crate) struct Step<S> {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) run: StepFn<S>,
     pub(crate) meta: StepMeta,
 }
 
+/// A patch rule. Its name is shared with every trace event of it.
 pub(crate) struct Rule<S> {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) applies: RulePredicate<S>,
     pub(crate) patch: RulePatch<S>,
     pub(crate) meta: RuleMeta,
@@ -245,13 +249,13 @@ impl<S> Plan<S> {
     /// The step names, in execution order.
     #[must_use]
     pub fn step_names(&self) -> Vec<&str> {
-        self.steps.iter().map(|s| s.name.as_str()).collect()
+        self.steps.iter().map(|s| &*s.name).collect()
     }
 
     /// Index of a step by name.
     #[must_use]
     pub fn step_index(&self, name: &str) -> Option<usize> {
-        self.steps.iter().position(|s| s.name == name)
+        self.steps.iter().position(|s| &*s.name == name)
     }
 
     /// Declared plan inputs: state variables whose initial value is
@@ -284,7 +288,7 @@ impl<S> Plan<S> {
     /// The rule names, in consultation order.
     #[must_use]
     pub fn rule_names(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.name.as_str()).collect()
+        self.rules.iter().map(|r| &*r.name).collect()
     }
 }
 
@@ -342,14 +346,14 @@ impl<S> PlanBuilder<S> {
         name: impl Into<String>,
         run: impl Fn(&mut S, &DesignContext<'_>) -> StepOutcome + Send + Sync + 'static,
     ) -> Self {
-        let name = name.into();
+        let name: String = name.into();
         assert!(
-            !self.steps.iter().any(|s| s.name == name),
+            !self.steps.iter().any(|s| *s.name == *name),
             "duplicate step name `{name}` in plan `{}`",
             self.name
         );
         self.steps.push(Step {
-            name,
+            name: name.into(),
             run: Box::new(run),
             meta: StepMeta::default(),
         });
@@ -631,7 +635,7 @@ impl<S> PlanBuilder<S> {
         patch: impl Fn(&mut S, &DesignContext<'_>) -> PatchAction + Send + Sync + 'static,
     ) -> Self {
         self.rules.push(Rule {
-            name: name.into(),
+            name: name.into().into(),
             applies: Box::new(applies),
             patch: Box::new(patch),
             meta: RuleMeta::default(),

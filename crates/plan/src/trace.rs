@@ -7,8 +7,10 @@
 
 use crate::plan::{PatchAction, StepFailure};
 use std::fmt;
+use std::sync::Arc;
 
-/// One event during plan execution.
+/// One event during plan execution. Step and rule names are the stored
+/// plan's own, shared rather than copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A step began.
@@ -16,24 +18,24 @@ pub enum TraceEvent {
         /// Step index in the plan.
         index: usize,
         /// Step name.
-        name: String,
+        name: Arc<str>,
     },
     /// A step achieved its goals.
     StepCompleted {
         /// Step name.
-        name: String,
+        name: Arc<str>,
     },
     /// A step failed its goals.
     StepFailed {
         /// Step name.
-        name: String,
+        name: Arc<str>,
         /// Why.
         failure: StepFailure,
     },
     /// A rule fired to patch the plan.
     RuleFired {
         /// Rule name.
-        rule: String,
+        rule: Arc<str>,
         /// What the rule told the executor to do.
         action: PatchAction,
     },

@@ -26,6 +26,15 @@ impl Polarity {
     /// Both polarities, NMOS first.
     pub const ALL: [Polarity; 2] = [Polarity::Nmos, Polarity::Pmos];
 
+    /// The polarity's display name, `"NMOS"` or `"PMOS"`.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            Polarity::Nmos => "NMOS",
+            Polarity::Pmos => "PMOS",
+        }
+    }
+
     /// Returns the opposite polarity.
     #[must_use]
     pub fn other(self) -> Self {
@@ -49,10 +58,7 @@ impl Polarity {
 
 impl fmt::Display for Polarity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Polarity::Nmos => "NMOS",
-            Polarity::Pmos => "PMOS",
-        })
+        f.write_str(self.name())
     }
 }
 
