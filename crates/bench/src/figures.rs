@@ -1,9 +1,11 @@
 //! Figure regeneration: the data series behind Figures 1, 3–7.
 
 use oasys::spec::test_cases;
-use oasys::{synthesize, verify};
+use oasys::{synthesize, synthesize_with_options, verify, OpAmpStyle, SearchOptions};
 use oasys_netlist::{report, spice};
 use oasys_process::builtin;
+use oasys_telemetry::{ManualClock, Telemetry};
+use std::rc::Rc;
 
 /// Figure 1: the successive-approximation A/D hierarchy, rendered.
 #[must_use]
@@ -18,8 +20,11 @@ pub fn figure1_text() -> String {
     )
 }
 
-/// Figure 3: the planning mechanism, shown as the real execution trace of
-/// the case-C two-stage plan (failures, rule firings, restarts).
+/// Figure 3: the planning mechanism, shown as the recorded run of the
+/// case-C two-stage plan (steps, goal failures, rule firings, restarts):
+/// the `--explain` span tree of a two-stage-only synthesis, recorded
+/// under a [`ManualClock`] so the figure holds what ran, never when,
+/// followed by the run's rule-firing and step-execution counters.
 ///
 /// # Panics
 ///
@@ -27,15 +32,17 @@ pub fn figure1_text() -> String {
 #[must_use]
 pub fn figure3_text() -> String {
     let process = builtin::cmos_5um();
-    let result = synthesize(&test_cases::spec_c(), &process).expect("case C synthesizes");
-    let design = result.selected();
+    let options = SearchOptions::new().with_styles([OpAmpStyle::TwoStage.name()]);
+    let tel = Telemetry::with_clock(Rc::new(ManualClock::new()));
+    synthesize_with_options(&test_cases::spec_c(), &process, &options, &tel)
+        .expect("case C synthesizes");
     format!(
-        "Figure 3: planning in analog synthesis — execution trace of the\n\
+        "Figure 3: planning in analog synthesis — the recorded run of the\n\
          two-stage plan for test case C (steps, goal failures, rule\n\
          firings, plan restarts)\n\n{}\nrules fired: {}, step executions: {}\n",
-        design.trace(),
-        design.trace().rule_firings(),
-        design.trace().step_executions()
+        tel.report().render_explain(),
+        tel.counter("plan.rule_firings"),
+        tel.counter("plan.step_executions")
     )
 }
 
@@ -239,11 +246,30 @@ mod tests {
         assert!(text.contains("sample-and-hold"));
     }
 
+    /// Figure 3 is pinned whole in `tests/golden/figure3.txt`: every
+    /// step execution, failure, rule firing and restart of the case-C
+    /// two-stage plan. Regenerate with `OASYS_BLESS=1 cargo test -p
+    /// oasys-bench --lib figure3`, and only for an intended change of
+    /// the plan or of the rendering.
     #[test]
-    fn figure3_trace_shows_rule_firings() {
+    fn figure3_matches_golden() {
         let text = figure3_text();
-        assert!(text.contains("rule"));
-        assert!(text.contains("plan completed"));
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/figure3.txt"
+        );
+        if std::env::var_os("OASYS_BLESS").is_some() {
+            std::fs::write(path, &text).unwrap();
+            return;
+        }
+        let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            panic!("missing golden fixture {path} ({e}); run with OASYS_BLESS=1 to create it")
+        });
+        let first_difference = golden.lines().zip(text.lines()).find(|(g, r)| g != r);
+        assert!(
+            text == golden,
+            "Figure 3 changed; first differing (golden, rendered) lines: {first_difference:?}"
+        );
     }
 
     #[test]
