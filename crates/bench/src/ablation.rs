@@ -5,8 +5,8 @@
 //! 1. **Plan patching** — the paper's central claim is that rule-based
 //!    patching turns failing plans into successes. Ablation: count how
 //!    many specs across a gain sweep each style can meet, versus how many
-//!    it could meet if the *first* failure were fatal (no rule firings ≈
-//!    designs whose trace shows zero firings).
+//!    it could meet if the *first* failure were fatal (≈ designs whose
+//!    notes record no structural patch).
 //! 2. **Breadth-first selection vs. first-feasible** — how often the
 //!    smallest-area design is *not* the first feasible style.
 //! 3. **Hierarchical translation vs. flat sizing** — the hierarchy prunes

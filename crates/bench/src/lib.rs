@@ -10,7 +10,7 @@
 //! | `table1`  | Table 1 — process parameters |
 //! | `table2`  | Table 2 — specs and results for cases A, B, C |
 //! | `figure1` | Figure 1 — A/D converter hierarchy |
-//! | `figure3` | Figure 3 — plan execution with rule patching (trace) |
+//! | `figure3` | Figure 3 — plan execution with rule patching (recorded run) |
 //! | `figure4` | Figure 4 — two-stage topology template |
 //! | `figure5` | Figure 5 — synthesized schematics |
 //! | `figure6` | Figure 6 — gain-phase plot for test circuit C |

@@ -71,7 +71,7 @@
 
 use oasys::{
     batch, specfile, styles, synthesize_with, synthesize_with_options, verify_with, Datasheet,
-    OpAmpStyle, SearchOptions, Synthesis,
+    OpAmpStyle, SearchOptions,
 };
 use oasys_netlist::{lint, report, spice};
 use oasys_process::techfile;
@@ -317,7 +317,7 @@ fn run_synth(args: impl Iterator<Item = String>) -> Result<(), String> {
         Err(e) => {
             // The trace is most valuable exactly when synthesis fails:
             // emit the report before propagating the error.
-            emit_telemetry(&opts, &tel, None)?;
+            emit_telemetry(&opts, &tel)?;
             return Err(e.to_string());
         }
     };
@@ -356,20 +356,14 @@ fn run_synth(args: impl Iterator<Item = String>) -> Result<(), String> {
         println!("SPICE deck written to {path}");
     }
 
-    emit_telemetry(&opts, &tel, Some(&result))
+    emit_telemetry(&opts, &tel)
 }
 
-/// Prints the `--explain` tree and/or writes the `--trace-out` file.
-///
-/// `synthesis` is `None` when synthesis itself failed — the report still
-/// goes out (that run's trace is the diagnosis), but the summary line's
-/// restart count then comes from the metrics registry instead of the
-/// per-style traces.
-fn emit_telemetry(
-    opts: &SynthOptions,
-    tel: &Telemetry,
-    synthesis: Option<&Synthesis>,
-) -> Result<(), String> {
+/// Prints the `--explain` tree and/or writes the `--trace-out` and
+/// `--metrics-out` files. It runs whether or not synthesis succeeded:
+/// a failed run's trace is its diagnosis. The summary line reads the
+/// run's counters.
+fn emit_telemetry(opts: &SynthOptions, tel: &Telemetry) -> Result<(), String> {
     if !tel.is_enabled() {
         return Ok(());
     }
@@ -382,17 +376,13 @@ fn emit_telemetry(
             println!("latency histograms (log2 ns buckets):");
             print!("{histograms}");
         }
-        let restarts = synthesis.map_or_else(
-            || usize::try_from(tel.counter("plan.restarts")).unwrap_or(usize::MAX),
-            Synthesis::restarts,
-        );
         println!(
             "summary: {} styles attempted, {} feasible, {} statically pruned, \
              {} plan restarts, {} step executions",
             tel.counter("synth.styles_attempted"),
             tel.counter("synth.styles_feasible"),
             tel.counter("engine.pruned"),
-            restarts,
+            tel.counter("plan.restarts"),
             tel.counter("plan.step_executions"),
         );
     }

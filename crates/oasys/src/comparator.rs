@@ -23,7 +23,7 @@ use oasys_blocks::area::AreaEstimate;
 use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::Circuit;
-use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome, Trace};
+use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
 use oasys_process::{Polarity, Process};
 use std::fmt;
 use std::sync::OnceLock;
@@ -158,7 +158,6 @@ pub struct ComparatorDesign {
     predicted_gain: f64,
     predicted_decision_s: f64,
     area: AreaEstimate,
-    trace: Trace,
 }
 
 impl ComparatorDesign {
@@ -196,12 +195,6 @@ impl ComparatorDesign {
     #[must_use]
     pub fn area(&self) -> AreaEstimate {
         self.area
-    }
-
-    /// The plan trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Number of MOSFETs.
@@ -387,7 +380,7 @@ pub fn design_comparator(
 ) -> Result<ComparatorDesign, ComparatorError> {
     static PLAN: OnceLock<Plan<State>> = OnceLock::new();
     let mut state = State::new(spec, process);
-    let trace = PlanExecutor::new()
+    PlanExecutor::new()
         .run(PLAN.get_or_init(build_plan), &mut state)
         .map_err(|e| ComparatorError {
             reason: e.to_string(),
@@ -414,7 +407,6 @@ pub fn design_comparator(
         predicted_gain: state.predicted_gain,
         predicted_decision_s: state.predicted_decision_s,
         area,
-        trace,
     })
 }
 

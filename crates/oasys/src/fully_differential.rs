@@ -22,7 +22,7 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::{sizing, Geometry};
 use oasys_netlist::Circuit;
-use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome, Trace};
+use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
 use oasys_process::{Polarity, Process};
 use std::fmt;
 use std::sync::OnceLock;
@@ -184,7 +184,6 @@ pub struct FdDesign {
     predicted_gain: f64,
     predicted_unity_hz: f64,
     area: AreaEstimate,
-    trace: Trace,
 }
 
 impl FdDesign {
@@ -216,12 +215,6 @@ impl FdDesign {
     #[must_use]
     pub fn area(&self) -> AreaEstimate {
         self.area
-    }
-
-    /// The plan trace.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Number of MOSFETs.
@@ -435,7 +428,7 @@ fn build_plan() -> Plan<State> {
 pub fn design_fully_differential(spec: &FdSpec, process: &Process) -> Result<FdDesign, FdError> {
     static PLAN: OnceLock<Plan<State>> = OnceLock::new();
     let mut state = State::new(spec, process);
-    let trace = PlanExecutor::new()
+    PlanExecutor::new()
         .run(PLAN.get_or_init(build_plan), &mut state)
         .map_err(|e| FdError {
             reason: e.to_string(),
@@ -469,7 +462,6 @@ pub fn design_fully_differential(spec: &FdSpec, process: &Process) -> Result<FdD
         predicted_gain: state.predicted_gain,
         predicted_unity_hz: gm1 / (2.0 * std::f64::consts::PI * spec.load_f()),
         area,
-        trace,
     })
 }
 

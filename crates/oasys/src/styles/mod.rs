@@ -19,7 +19,7 @@ use crate::spec::OpAmpSpec;
 use oasys_blocks::AreaEstimate;
 use oasys_netlist::Circuit;
 use oasys_plan::{
-    analyze, first_infeasible, DesignContext, PerfRelation, Plan, PlanError, PlanExecutor, Trace,
+    analyze, first_infeasible, DesignContext, PerfRelation, Plan, PlanError, PlanExecutor,
 };
 use oasys_process::Process;
 use oasys_telemetry::{sym, Telemetry};
@@ -113,7 +113,7 @@ pub(crate) fn run_style<D: StyleDef>(
     ctx: &DesignContext<'_>,
 ) -> Result<OpAmpDesign, StyleError> {
     let mut state = D::init(spec, process);
-    let trace = PlanExecutor::new().run_in(D::plan(), &mut state, ctx)?;
+    PlanExecutor::new().run_in(D::plan(), &mut state, ctx)?;
     let assembly = ctx.telemetry().span_sym(sym!("assemble-netlist"));
     let circuit = state
         .emit()
@@ -127,7 +127,6 @@ pub(crate) fn run_style<D: StyleDef>(
         circuit,
         area: state.area(),
         predicted: state.predicted(),
-        trace,
         notes: state.take_notes(),
     })
 }
@@ -278,7 +277,6 @@ pub struct OpAmpDesign {
     pub(crate) circuit: Circuit,
     pub(crate) area: AreaEstimate,
     pub(crate) predicted: Predicted,
-    pub(crate) trace: Trace,
     pub(crate) notes: Vec<String>,
 }
 
@@ -306,12 +304,6 @@ impl OpAmpDesign {
     #[must_use]
     pub fn predicted(&self) -> &Predicted {
         &self.predicted
-    }
-
-    /// The plan-execution trace (the paper's Figure 3 in data form).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Human-readable design decisions taken by patch rules
@@ -343,7 +335,8 @@ impl fmt::Display for OpAmpDesign {
 /// Why a style could not meet a specification.
 #[derive(Debug, Clone)]
 pub enum StyleError {
-    /// The style's plan failed (carries the trace, which explains where).
+    /// The style's plan failed (names the plan and the failing step or
+    /// rule; the run's telemetry holds the history).
     Plan(PlanError),
     /// The assembled netlist failed validation — a template bug, not a
     /// spec problem.
@@ -362,15 +355,6 @@ impl StyleError {
             StyleError::Plan(e) => e.to_string(),
             StyleError::Netlist(e) => format!("netlist assembly failed: {e}"),
             StyleError::Infeasible(e) => format!("statically-infeasible: {e}"),
-        }
-    }
-
-    /// The plan trace, when the failure came from plan execution.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        match self {
-            StyleError::Plan(e) => Some(e.trace()),
-            StyleError::Netlist(_) | StyleError::Infeasible(_) => None,
         }
     }
 }

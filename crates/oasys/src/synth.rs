@@ -18,9 +18,7 @@
 
 use crate::spec::OpAmpSpec;
 use crate::styles::{design_style_in, OpAmpDesign, OpAmpStyle, StyleError};
-use oasys_plan::{
-    design_candidates, BlockDesigner, DesignContext, MemoCache, SearchOptions, Trace,
-};
+use oasys_plan::{design_candidates, BlockDesigner, DesignContext, MemoCache, SearchOptions};
 use oasys_process::Process;
 use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
@@ -118,18 +116,6 @@ impl StyleOutcome {
             }
         })
     }
-
-    /// The plan-execution trace for this attempt, successful or not.
-    ///
-    /// `None` only for netlist-assembly failures, which happen after plan
-    /// execution and carry no trace.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        match &self.result {
-            Ok(design) => Some(design.trace()),
-            Err(e) => e.trace(),
-        }
-    }
 }
 
 /// A completed synthesis: every style outcome plus the selected design.
@@ -161,17 +147,6 @@ impl Synthesis {
             .iter()
             .filter(|o| o.design().is_some())
             .count()
-    }
-
-    /// Total plan restarts across every style attempt
-    /// (see [`Trace::restarts`]).
-    #[must_use]
-    pub fn restarts(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter_map(StyleOutcome::trace)
-            .map(Trace::restarts)
-            .sum()
     }
 }
 
@@ -432,13 +407,8 @@ mod tests {
             tel.counter("synth.styles_feasible"),
             result.feasible_count() as u64
         );
-        // Counters mirror the traces exactly.
-        let steps: usize = result
-            .outcomes()
-            .iter()
-            .filter_map(StyleOutcome::trace)
-            .map(Trace::step_executions)
-            .sum();
+        // One `step:` span per counted step execution.
+        let steps = names.iter().filter(|n| n.starts_with("step:")).count();
         assert_eq!(tel.counter("plan.step_executions"), steps as u64);
     }
 

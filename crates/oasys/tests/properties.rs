@@ -2,7 +2,8 @@
 //! succeeds, the predicted performance satisfies the specification it was
 //! given, across a randomized slice of the spec space.
 
-use oasys::{synthesize, synthesize_with_options, OpAmpSpec, SearchOptions};
+use oasys::styles::design_style_with;
+use oasys::{synthesize, synthesize_with_options, OpAmpSpec, OpAmpStyle, SearchOptions};
 use oasys_process::builtin;
 use oasys_telemetry::Telemetry;
 use oasys_testutil::prelude::*;
@@ -138,17 +139,16 @@ proptest! {
         }
     }
 
-    /// Every trace the synthesizer returns is bounded: the executor's
+    /// Every plan run that yields a design is bounded: the executor's
     /// budgets guarantee no runaway plans regardless of the spec.
     #[test]
-    fn traces_are_bounded(spec in spec_strategy()) {
+    fn plan_runs_are_bounded(spec in spec_strategy()) {
         let process = builtin::cmos_5um();
-        if let Ok(result) = synthesize(&spec, &process) {
-            for outcome in result.outcomes() {
-                if let Some(d) = outcome.design() {
-                    prop_assert!(d.trace().rule_firings() <= 32);
-                    prop_assert!(d.trace().step_executions() <= 400);
-                }
+        for style in OpAmpStyle::ALL {
+            let tel = Telemetry::new();
+            if design_style_with(style, &spec, &process, &tel).is_ok() {
+                prop_assert!(tel.counter("plan.rule_firings") <= 32);
+                prop_assert!(tel.counter("plan.step_executions") <= 400);
             }
         }
     }

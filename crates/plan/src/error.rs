@@ -1,18 +1,17 @@
 //! Plan execution errors.
 
 use crate::plan::StepFailure;
-use crate::trace::Trace;
 use oasys_faults::DeadlineExceeded;
 use std::error::Error;
 use std::fmt;
 
 /// Why a plan execution did not complete.
 ///
-/// Every variant carries the [`Trace`] up to the failure, because a failed
-/// synthesis plan is a *result* in OASYS (it proves a design style cannot
-/// meet a spec) and the trace says why. Variants also carry the plan name
-/// and the step/rule involved, so batch failure records can name the
-/// failing site without re-parsing display strings.
+/// A failed synthesis plan is a *result* in OASYS (it proves a design
+/// style cannot meet a spec). Every variant carries the plan name and
+/// the step or rule involved, so batch failure records can name the
+/// failing site without re-parsing display strings; the run's telemetry
+/// holds the history that led there.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// A step failed and no rule matched the failure.
@@ -23,8 +22,6 @@ pub enum PlanError {
         step: String,
         /// The unmatched failure.
         failure: StepFailure,
-        /// Execution history up to the failure.
-        trace: Trace,
     },
     /// A rule requested an abort (the style cannot meet the spec).
     Aborted {
@@ -34,8 +31,6 @@ pub enum PlanError {
         rule: String,
         /// The abort reason.
         reason: String,
-        /// Execution history up to the abort.
-        trace: Trace,
     },
     /// The patch budget was exhausted — the knowledge base is thrashing.
     PatchBudgetExhausted {
@@ -45,8 +40,6 @@ pub enum PlanError {
         step: String,
         /// The configured budget.
         budget: usize,
-        /// Execution history.
-        trace: Trace,
     },
     /// A rule named a restart target that does not exist.
     UnknownRestartTarget {
@@ -56,8 +49,6 @@ pub enum PlanError {
         rule: String,
         /// The missing step name.
         step: String,
-        /// Execution history.
-        trace: Trace,
     },
     /// The cooperative deadline expired (or the job was cancelled) at a
     /// step boundary.
@@ -68,24 +59,10 @@ pub enum PlanError {
         step: String,
         /// Whether the clock ran out or the job was cancelled.
         exceeded: DeadlineExceeded,
-        /// Execution history up to the abort point.
-        trace: Trace,
     },
 }
 
 impl PlanError {
-    /// The execution trace up to the failure.
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        match self {
-            PlanError::Unpatched { trace, .. }
-            | PlanError::Aborted { trace, .. }
-            | PlanError::PatchBudgetExhausted { trace, .. }
-            | PlanError::UnknownRestartTarget { trace, .. }
-            | PlanError::DeadlineExceeded { trace, .. } => trace,
-        }
-    }
-
     /// The name of the plan that failed.
     #[must_use]
     pub fn plan(&self) -> &str {
@@ -132,28 +109,23 @@ impl fmt::Display for PlanError {
                 plan,
                 step,
                 failure,
-                ..
             } => {
                 write!(
                     f,
                     "plan `{plan}` step `{step}` failed with no matching rule: {failure}"
                 )
             }
-            PlanError::Aborted {
-                plan, rule, reason, ..
-            } => write!(f, "plan `{plan}` aborted by rule `{rule}`: {reason}"),
-            PlanError::PatchBudgetExhausted {
-                plan, step, budget, ..
-            } => {
+            PlanError::Aborted { plan, rule, reason } => {
+                write!(f, "plan `{plan}` aborted by rule `{rule}`: {reason}")
+            }
+            PlanError::PatchBudgetExhausted { plan, step, budget } => {
                 write!(
                     f,
                     "plan `{plan}` exceeded its patch budget of {budget} rule firings \
                      (last failing step `{step}`)"
                 )
             }
-            PlanError::UnknownRestartTarget {
-                plan, rule, step, ..
-            } => {
+            PlanError::UnknownRestartTarget { plan, rule, step } => {
                 write!(
                     f,
                     "plan `{plan}` rule `{rule}` requested restart from unknown step `{step}`"
@@ -163,7 +135,6 @@ impl fmt::Display for PlanError {
                 plan,
                 step,
                 exceeded,
-                ..
             } => {
                 write!(f, "plan `{plan}` stopped before step `{step}`: {exceeded}")
             }
@@ -179,37 +150,31 @@ mod tests {
 
     #[test]
     fn kinds_and_display() {
-        let t = Trace::default();
         let errors = [
             PlanError::Unpatched {
                 plan: "p".into(),
                 step: "s".into(),
                 failure: StepFailure::new("c", "m"),
-                trace: t.clone(),
             },
             PlanError::Aborted {
                 plan: "p".into(),
                 rule: "giveup".into(),
                 reason: "r".into(),
-                trace: t.clone(),
             },
             PlanError::PatchBudgetExhausted {
                 plan: "p".into(),
                 step: "s".into(),
                 budget: 8,
-                trace: t.clone(),
             },
             PlanError::UnknownRestartTarget {
                 plan: "p".into(),
                 rule: "bad".into(),
                 step: "x".into(),
-                trace: t.clone(),
             },
             PlanError::DeadlineExceeded {
                 plan: "p".into(),
                 step: "s".into(),
                 exceeded: DeadlineExceeded::TimedOut,
-                trace: t,
             },
         ];
         let kinds: Vec<&str> = errors.iter().map(PlanError::kind).collect();
@@ -227,7 +192,6 @@ mod tests {
             assert!(!e.to_string().is_empty());
             assert_eq!(e.plan(), "p");
             assert!(!e.site().is_empty());
-            let _ = e.trace();
         }
     }
 
@@ -237,7 +201,6 @@ mod tests {
             plan: "two-stage".into(),
             step: "size-input-pair".into(),
             failure: StepFailure::new("gm-too-low", "gm 1e-5 < 2e-5"),
-            trace: Trace::default(),
         };
         let text = e.to_string();
         assert!(text.contains("two-stage"));
@@ -248,7 +211,6 @@ mod tests {
             plan: "two-stage".into(),
             rule: "infeasible-spec".into(),
             reason: "gain unreachable".into(),
-            trace: Trace::default(),
         };
         assert!(a.to_string().contains("infeasible-spec"));
         assert_eq!(a.site(), "rule:infeasible-spec");

@@ -3,10 +3,8 @@
 use crate::engine::DesignContext;
 use crate::error::PlanError;
 use crate::plan::{PatchAction, Plan, StepFailure, StepOutcome};
-use crate::trace::{Trace, TraceEvent};
 use oasys_faults::fail_point;
 use oasys_telemetry::{sym, sym2, Sym, Telemetry};
-use std::sync::Arc;
 
 /// A plan's interned names: the span name and bare name of every step,
 /// plus every rule name. A plan keeps its own table
@@ -88,7 +86,8 @@ impl PlanExecutor {
     /// is not exhausted) fires, mutates the state, and directs execution
     /// (retry / restart / abort). The state is left in whatever condition
     /// the last executed step produced — on success that is the completed
-    /// design.
+    /// design. Nothing is recorded; [`PlanExecutor::run_with`] records
+    /// the run's history into a telemetry handle.
     ///
     /// # Errors
     ///
@@ -97,7 +96,7 @@ impl PlanExecutor {
     ///   for this plan;
     /// * [`PlanError::PatchBudgetExhausted`] — the knowledge base thrashed;
     /// * [`PlanError::UnknownRestartTarget`] — a rule bug.
-    pub fn run<S>(&self, plan: &Plan<S>, state: &mut S) -> Result<Trace, PlanError> {
+    pub fn run<S>(&self, plan: &Plan<S>, state: &mut S) -> Result<(), PlanError> {
         self.run_with(plan, state, &Telemetry::disabled())
     }
 
@@ -112,18 +111,23 @@ impl PlanExecutor {
         plan: &Plan<S>,
         state: &mut S,
         tel: &Telemetry,
-    ) -> Result<Trace, PlanError> {
+    ) -> Result<(), PlanError> {
         self.run_in(plan, state, &DesignContext::new(tel))
     }
 
     /// [`PlanExecutor::run`] inside a [`DesignContext`], which every
-    /// step body and rule patch receives beside the state. The context's
-    /// telemetry records the run: every step execution is wrapped in a
-    /// `step:<name>` span, every trace event is mirrored as a structured
-    /// telemetry event (the single `record` choke point feeds both
-    /// sinks, so the counters in the metrics registry —
-    /// `plan.step_executions`, `plan.rule_firings`, `plan.restarts` —
-    /// exactly match the [`Trace`] counts by construction).
+    /// step body and rule patch receives beside the state.
+    ///
+    /// The context's telemetry is the run's only history. The plan runs
+    /// under a `plan:<name>` span annotated with its `result`, and every
+    /// step execution under a `step:<name>` span that opens with a
+    /// `step_started` event and closes with `step_completed`. A failed
+    /// step records `step_failed` (step, code, message), each firing
+    /// `rule_fired` (rule, action), an abort `plan_aborted` (reason) and
+    /// completion `plan_completed`. The counters `plan.step_executions`,
+    /// `plan.step_failures`, `plan.rule_firings`, `plan.restarts` (the
+    /// firings that restart from an earlier step), `plan.completions`
+    /// and `plan.aborts` count them.
     ///
     /// # Errors
     ///
@@ -136,14 +140,13 @@ impl PlanExecutor {
         plan: &Plan<S>,
         state: &mut S,
         ctx: &DesignContext<'_>,
-    ) -> Result<Trace, PlanError> {
+    ) -> Result<(), PlanError> {
         let tel = ctx.telemetry();
         let syms = tel.is_enabled().then(|| PlanSyms::of(plan));
         let plan_span = match syms {
             Some(s) => tel.span_sym(s.span),
             None => tel.span(String::new),
         };
-        let mut trace = Trace::new();
         let mut rule_firings = vec![0usize; plan.rules.len()];
         let mut total_firings = 0usize;
         let mut pc = 0usize;
@@ -160,7 +163,6 @@ impl PlanExecutor {
                     plan: plan.name().to_owned(),
                     step: step.name.to_string(),
                     exceeded,
-                    trace,
                 });
             }
             // Step start/completion events are fused into the step
@@ -180,10 +182,6 @@ impl PlanExecutor {
                 }
                 None => tel.span(String::new),
             };
-            trace.push(TraceEvent::StepStarted {
-                index: pc,
-                name: Arc::clone(&step.name),
-            });
 
             // Fault plane: an armed `plan.step` site turns this step's
             // outcome into a failure with code `fault-injected`, so the
@@ -200,28 +198,28 @@ impl PlanExecutor {
             match outcome {
                 StepOutcome::Done => {
                     boundary_ns = step_span.close_with_event(sym!("step_completed"), &[]);
-                    trace.push(TraceEvent::StepCompleted {
-                        name: Arc::clone(&step.name),
-                    });
                     pc += 1;
                 }
                 StepOutcome::Failed(failure) => {
-                    if syms.is_some() {
+                    // The failure and abort texts differ from job to job:
+                    // they go through `Telemetry::text`/`text_str`, so a
+                    // flight handle keeps them and only a traced run
+                    // interns them.
+                    if let Some(s) = syms {
                         step_span.annotate_sym(
                             sym!("outcome"),
                             tel.text(&format_args!("failed: {failure}")),
                         );
+                        tel.incr_sym(sym!("plan.step_failures"));
+                        tel.event_with(
+                            sym!("step_failed"),
+                            &[
+                                (sym!("step"), s.steps[pc].1),
+                                (sym!("code"), tel.text_str(failure.code())),
+                                (sym!("message"), tel.text_str(failure.message())),
+                            ],
+                        );
                     }
-                    record(
-                        &mut trace,
-                        tel,
-                        syms,
-                        pc,
-                        TraceEvent::StepFailed {
-                            name: Arc::clone(&step.name),
-                            failure: failure.clone(),
-                        },
-                    );
 
                     // Consult the rules in declaration order.
                     let matched = plan.rules.iter().enumerate().find(|(k, rule)| {
@@ -235,7 +233,6 @@ impl PlanExecutor {
                             plan: plan.name().to_owned(),
                             step: step.name.to_string(),
                             failure,
-                            trace,
                         });
                     };
 
@@ -245,7 +242,6 @@ impl PlanExecutor {
                             plan: plan.name().to_owned(),
                             step: step.name.to_string(),
                             budget: self.config.patch_budget,
-                            trace,
                         });
                     }
                     rule_firings[k] += 1;
@@ -253,16 +249,21 @@ impl PlanExecutor {
 
                     fail_point!("plan.rule");
                     let action = (rule.patch)(state, ctx);
-                    record(
-                        &mut trace,
-                        tel,
-                        syms,
-                        k,
-                        TraceEvent::RuleFired {
-                            rule: Arc::clone(&rule.name),
-                            action: action.clone(),
-                        },
-                    );
+                    if let Some(s) = syms {
+                        tel.incr_sym(sym!("plan.rule_firings"));
+                        let action_sym = match &action {
+                            PatchAction::Retry => sym!("retry"),
+                            PatchAction::RestartFrom(step) => {
+                                tel.incr_sym(sym!("plan.restarts"));
+                                sym2("restart-from:", step)
+                            }
+                            PatchAction::Abort(reason) => tel.text(&format_args!("abort:{reason}")),
+                        };
+                        tel.event_with(
+                            sym!("rule_fired"),
+                            &[(sym!("rule"), s.rules[k]), (sym!("action"), action_sym)],
+                        );
+                    }
 
                     match action {
                         PatchAction::Retry => { /* pc unchanged */ }
@@ -274,26 +275,22 @@ impl PlanExecutor {
                                     plan: plan.name().to_owned(),
                                     rule: rule.name.to_string(),
                                     step: target.into_owned(),
-                                    trace,
                                 });
                             }
                         },
                         PatchAction::Abort(reason) => {
-                            record(
-                                &mut trace,
-                                tel,
-                                syms,
-                                pc,
-                                TraceEvent::PlanAborted {
-                                    reason: reason.clone(),
-                                },
-                            );
+                            if syms.is_some() {
+                                tel.incr_sym(sym!("plan.aborts"));
+                                tel.event_with(
+                                    sym!("plan_aborted"),
+                                    &[(sym!("reason"), tel.text_str(&reason))],
+                                );
+                            }
                             plan_span.annotate_sym(sym!("result"), sym!("aborted"));
                             return Err(PlanError::Aborted {
                                 plan: plan.name().to_owned(),
                                 rule: rule.name.to_string(),
                                 reason,
-                                trace,
                             });
                         }
                     }
@@ -308,81 +305,8 @@ impl PlanExecutor {
         }
         plan_span.annotate_sym(sym!("result"), sym!("completed"));
         plan_span.close_with_event(sym!("plan_completed"), &[]);
-        trace.push(TraceEvent::PlanCompleted);
-        Ok(trace)
+        Ok(())
     }
-}
-
-/// The choke point where execution history is recorded: the event goes
-/// to the telemetry sink (structured event + counters) and then into
-/// the [`Trace`], so both views are backed by the same stream. The two
-/// per-step events are the exception — they are fused into the step
-/// span's boundary records at the execution site, where the trace
-/// entries are pushed directly; this function leaves them eventless in
-/// case a future site routes them through.
-///
-/// `syms` is `Some` exactly when `tel` is enabled; `idx` is the step
-/// index for step events and the rule index for [`TraceEvent::RuleFired`]
-/// (unused otherwise), selecting pre-interned symbols so the hot path
-/// never hashes a name. The failure and abort texts go through
-/// [`Telemetry::text`]: they differ from job to job, so a flight
-/// handle keeps them and only a traced run interns them.
-fn record(
-    trace: &mut Trace,
-    tel: &Telemetry,
-    syms: Option<&PlanSyms>,
-    idx: usize,
-    event: TraceEvent,
-) {
-    if let Some(syms) = syms {
-        match &event {
-            // Step start/completion events are emitted fused into the
-            // step span's boundary records at the execution site (see
-            // `run_in`), not through this choke point.
-            TraceEvent::StepStarted { .. } | TraceEvent::StepCompleted { .. } => {}
-            TraceEvent::StepFailed { failure, .. } => {
-                tel.incr_sym(sym!("plan.step_failures"));
-                tel.event_with(
-                    sym!("step_failed"),
-                    &[
-                        (sym!("step"), syms.steps[idx].1),
-                        (sym!("code"), tel.text_str(failure.code())),
-                        (sym!("message"), tel.text_str(failure.message())),
-                    ],
-                );
-            }
-            TraceEvent::RuleFired { action, .. } => {
-                tel.incr_sym(sym!("plan.rule_firings"));
-                if matches!(action, PatchAction::RestartFrom(_)) {
-                    tel.incr_sym(sym!("plan.restarts"));
-                }
-                let action_sym = match action {
-                    PatchAction::Retry => sym!("retry"),
-                    PatchAction::RestartFrom(step) => sym2("restart-from:", step),
-                    PatchAction::Abort(reason) => tel.text(&format_args!("abort:{reason}")),
-                };
-                tel.event_with(
-                    sym!("rule_fired"),
-                    &[
-                        (sym!("rule"), syms.rules[idx]),
-                        (sym!("action"), action_sym),
-                    ],
-                );
-            }
-            TraceEvent::PlanCompleted => {
-                tel.incr_sym(sym!("plan.completions"));
-                tel.event_with(sym!("plan_completed"), &[]);
-            }
-            TraceEvent::PlanAborted { reason } => {
-                tel.incr_sym(sym!("plan.aborts"));
-                tel.event_with(
-                    sym!("plan_aborted"),
-                    &[(sym!("reason"), tel.text_str(reason))],
-                );
-            }
-        }
-    }
-    trace.push(event);
 }
 
 #[cfg(test)]
@@ -412,11 +336,14 @@ mod tests {
             })
             .build();
         let mut state = Counter::default();
-        let trace = PlanExecutor::new().run(&plan, &mut state).unwrap();
+        let tel = Telemetry::new();
+        PlanExecutor::new()
+            .run_with(&plan, &mut state, &tel)
+            .unwrap();
         assert_eq!(state.total, 11);
-        assert!(trace.completed());
-        assert_eq!(trace.step_executions(), 2);
-        assert_eq!(trace.rule_firings(), 0);
+        assert_eq!(tel.counter("plan.completions"), 1);
+        assert_eq!(tel.counter("plan.step_executions"), 2);
+        assert_eq!(tel.counter("plan.rule_firings"), 0);
     }
 
     #[test]
@@ -437,9 +364,13 @@ mod tests {
             )
             .build();
         let mut state = Counter::default();
-        let trace = PlanExecutor::new().run(&plan, &mut state).unwrap();
+        let tel = Telemetry::new();
+        PlanExecutor::new()
+            .run_with(&plan, &mut state, &tel)
+            .unwrap();
         assert_eq!(state.attempts, 3);
-        assert_eq!(trace.rule_firings(), 2);
+        assert_eq!(tel.counter("plan.rule_firings"), 2);
+        assert_eq!(tel.counter("plan.restarts"), 0, "a retry is not a restart");
     }
 
     #[test]
@@ -464,13 +395,17 @@ mod tests {
             )
             .build();
         let mut state = Counter::default();
-        let trace = PlanExecutor::new().run(&plan, &mut state).unwrap();
+        let tel = Telemetry::new();
+        PlanExecutor::new()
+            .run_with(&plan, &mut state, &tel)
+            .unwrap();
         assert_eq!(state.total, 2);
-        assert!(trace.completed());
+        assert_eq!(tel.counter("plan.restarts"), 1);
+        assert_eq!(tel.counter("plan.completions"), 1);
     }
 
     #[test]
-    fn unmatched_failure_is_error_with_trace() {
+    fn unmatched_failure_is_an_error() {
         let plan = Plan::<Counter>::builder("p")
             .step("fail", |_, _| {
                 StepOutcome::failed("mystery", "nobody handles this")
@@ -482,9 +417,13 @@ mod tests {
             )
             .build();
         let mut state = Counter::default();
-        let err = PlanExecutor::new().run(&plan, &mut state).unwrap_err();
+        let tel = Telemetry::new();
+        let err = PlanExecutor::new()
+            .run_with(&plan, &mut state, &tel)
+            .unwrap_err();
         assert_eq!(err.kind(), "unpatched");
-        assert_eq!(err.trace().step_failures(), 1);
+        assert_eq!(tel.counter("plan.step_failures"), 1);
+        assert_eq!(tel.counter("plan.completions"), 0);
     }
 
     #[test]
@@ -514,15 +453,16 @@ mod tests {
             .rule("futile", |_, _| true, |_, _| PatchAction::Retry)
             .build();
         let mut state = Counter::default();
+        let tel = Telemetry::new();
         let err = PlanExecutor::with_config(ExecutorConfig {
             patch_budget: 100,
             per_rule_budget: 5,
         })
-        .run(&plan, &mut state)
+        .run_with(&plan, &mut state, &tel)
         .unwrap_err();
         // After 5 firings the rule stops matching → unpatched.
         assert_eq!(err.kind(), "unpatched");
-        assert_eq!(err.trace().rule_firings(), 5);
+        assert_eq!(tel.counter("plan.rule_firings"), 5);
     }
 
     #[test]
@@ -591,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counters_mirror_trace_counts() {
+    fn telemetry_records_every_execution_event() {
         // A plan that retries once and restarts once before completing.
         let plan = Plan::<Counter>::builder("telemetered")
             .step("setup", |s: &mut Counter, _| {
@@ -619,34 +559,51 @@ mod tests {
             .build();
         let tel = Telemetry::new();
         let mut state = Counter::default();
-        let trace = PlanExecutor::new()
+        PlanExecutor::new()
             .run_with(&plan, &mut state, &tel)
             .unwrap();
 
-        assert_eq!(trace.restarts(), 1);
-        assert_eq!(trace.rule_firings(), 2);
         let counters = [
-            ("plan.step_executions", trace.step_executions()),
-            ("plan.rule_firings", trace.rule_firings()),
-            ("plan.restarts", trace.restarts()),
-            ("plan.step_failures", trace.step_failures()),
+            ("plan.step_executions", 5),
+            ("plan.rule_firings", 2),
+            ("plan.restarts", 1),
+            ("plan.step_failures", 2),
             ("plan.completions", 1),
+            ("plan.aborts", 0),
         ];
         for (name, expected) in counters {
-            assert_eq!(tel.counter(name), expected as u64, "{name}");
+            assert_eq!(tel.counter(name), expected, "{name}");
         }
 
-        // Spans: one per plan, one per step execution; events mirror the
-        // trace one-for-one.
+        // Spans: one per plan, one per step execution; the events tell
+        // the run's history in order.
         let report = tel.report();
         let step_spans = report
             .spans()
             .iter()
             .filter(|s| s.name.starts_with("step:"))
             .count();
-        assert_eq!(step_spans, trace.step_executions());
+        assert_eq!(step_spans, 5);
         assert_eq!(report.spans()[0].name, "plan:telemetered");
-        assert_eq!(report.events().len(), trace.events().len());
+        let kinds: Vec<&str> = report.events().iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            [
+                "step_started",
+                "step_completed",
+                "step_started",
+                "step_failed",
+                "rule_fired",
+                "step_started",
+                "step_failed",
+                "rule_fired",
+                "step_started",
+                "step_completed",
+                "step_started",
+                "step_completed",
+                "plan_completed",
+            ]
+        );
     }
 
     #[test]
@@ -670,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_events_share_the_plans_names() {
+    fn events_name_the_failing_step_and_the_rule() {
         let plan = Plan::<Counter>::builder("p")
             .step("flaky", |s: &mut Counter, _| {
                 s.attempts += 1;
@@ -682,56 +639,32 @@ mod tests {
             })
             .rule("again", |_, _| true, |_, _| PatchAction::Retry)
             .build();
-        let trace = PlanExecutor::new()
-            .run(&plan, &mut Counter::default())
+        let tel = Telemetry::new();
+        PlanExecutor::new()
+            .run_with(&plan, &mut Counter::default(), &tel)
             .unwrap();
-        let (step, rule) = (&plan.steps[0].name, &plan.rules[0].name);
-        let mut named = 0;
-        for event in trace.events() {
-            match event {
-                TraceEvent::StepStarted { name, .. }
-                | TraceEvent::StepCompleted { name }
-                | TraceEvent::StepFailed { name, .. } => assert!(Arc::ptr_eq(name, step)),
-                TraceEvent::RuleFired { rule: name, .. } => assert!(Arc::ptr_eq(name, rule)),
-                _ => continue,
-            }
-            named += 1;
-        }
-        // Two starts, one failure, one firing and one completion.
-        assert_eq!(named, 5);
-        assert_eq!(
-            trace.to_string(),
-            "→ step 0: flaky\n  ✗ flaky: [not-yet] \n  ⚡ rule `again` fired → retry step\n\
-             → step 0: flaky\n  ✓ flaky\nplan completed\n"
-        );
-    }
-
-    #[test]
-    fn disabled_telemetry_matches_plain_run() {
-        let build = || {
-            Plan::<Counter>::builder("p")
-                .step("flaky", |s: &mut Counter, _| {
-                    s.attempts += 1;
-                    if s.attempts >= 2 {
-                        StepOutcome::Done
-                    } else {
-                        StepOutcome::failed("not-yet", "")
-                    }
-                })
-                .rule(
-                    "again",
-                    |_, f| f.code() == "not-yet",
-                    |_, _| PatchAction::Retry,
-                )
-                .build()
+        let report = tel.report();
+        let fields = |kind: &str| {
+            report
+                .events()
+                .iter()
+                .find(|e| e.kind == kind)
+                .map(|e| e.fields.clone())
+                .unwrap_or_default()
         };
-        let mut a = Counter::default();
-        let trace_plain = PlanExecutor::new().run(&build(), &mut a).unwrap();
-        let mut b = Counter::default();
-        let trace_tel = PlanExecutor::new()
-            .run_with(&build(), &mut b, &Telemetry::disabled())
-            .unwrap();
-        assert_eq!(trace_plain, trace_tel);
+        let pair = |k: &str, v: &str| (k.to_owned(), v.to_owned());
+        assert_eq!(
+            fields("step_failed"),
+            [
+                pair("step", "flaky"),
+                pair("code", "not-yet"),
+                pair("message", "")
+            ]
+        );
+        assert_eq!(
+            fields("rule_fired"),
+            [pair("rule", "again"), pair("action", "retry")]
+        );
     }
 
     #[test]
@@ -802,10 +735,11 @@ mod tests {
             )
             .build();
         let mut state = Counter::default();
-        let trace = PlanExecutor::new().run(&plan, &mut state);
+        let tel = Telemetry::new();
+        let result = PlanExecutor::new().run_with(&plan, &mut state, &tel);
         oasys_faults::remove(site);
-        let trace = trace.unwrap();
-        assert_eq!(trace.rule_firings(), 1);
+        result.unwrap();
+        assert_eq!(tel.counter("plan.rule_firings"), 1);
         assert_eq!(
             state.attempts, 1,
             "the faulted execution never ran the step body"

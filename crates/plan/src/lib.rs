@@ -22,10 +22,11 @@
 //! A plan with a patch rule that retries with a relaxed target. Step
 //! bodies and patches get the run's [`DesignContext`] beside the state
 //! (unused here), so a plan keeps no run's data and one stored plan
-//! serves every run:
+//! serves every run. The run's telemetry is its history:
 //!
 //! ```
 //! use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
+//! use oasys_telemetry::Telemetry;
 //!
 //! struct State { target: f64, achieved: f64 }
 //!
@@ -49,9 +50,12 @@
 //!     .build();
 //!
 //! let mut state = State { target: 30.0, achieved: 0.0 };
-//! let trace = PlanExecutor::new().run(&plan, &mut state).expect("plan converges");
+//! let tel = Telemetry::new();
+//! PlanExecutor::new()
+//!     .run_with(&plan, &mut state, &tel)
+//!     .expect("plan converges");
 //! assert!(state.achieved >= state.target);
-//! assert_eq!(trace.rule_firings(), 2); // 30 → 15 → 7.5 ≤ 10
+//! assert_eq!(tel.counter("plan.rule_firings"), 2); // 30 → 15 → 7.5 ≤ 10
 //! ```
 
 #![warn(missing_docs)]
@@ -62,7 +66,6 @@ mod error;
 mod executor;
 pub mod interval;
 mod plan;
-mod trace;
 
 pub use analyze::analyze;
 pub use engine::{
@@ -80,4 +83,3 @@ pub use plan::{
     DeclaredAction, InputDomain, PatchAction, Plan, PlanBuilder, Requirement, RuleMeta,
     StepFailure, StepMeta, StepOutcome, Transfer,
 };
-pub use trace::{Trace, TraceEvent};

@@ -6,7 +6,7 @@ use crate::interval::{Expr, Interval};
 use oasys_units::Dimension;
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The outcome a plan step reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +27,7 @@ impl StepOutcome {
 }
 
 /// Why a step failed. The `code` is what rules match on; the `message` is
-/// for humans reading the trace.
+/// for humans reading the run's history.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepFailure {
     code: String,
@@ -181,16 +181,16 @@ pub struct RuleMeta {
     pub actions: Vec<DeclaredAction>,
 }
 
-/// A step. Its name is shared with every trace event of it.
+/// A step.
 pub(crate) struct Step<S> {
-    pub(crate) name: Arc<str>,
+    pub(crate) name: Box<str>,
     pub(crate) run: StepFn<S>,
     pub(crate) meta: StepMeta,
 }
 
-/// A patch rule. Its name is shared with every trace event of it.
+/// A patch rule.
 pub(crate) struct Rule<S> {
-    pub(crate) name: Arc<str>,
+    pub(crate) name: Box<str>,
     pub(crate) applies: RulePredicate<S>,
     pub(crate) patch: RulePatch<S>,
     pub(crate) meta: RuleMeta,

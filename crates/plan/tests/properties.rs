@@ -1,7 +1,8 @@
 //! Property-based tests on the plan executor: termination, budget
-//! enforcement, and trace consistency for randomized plans.
+//! enforcement, and a well-formed recorded history for randomized plans.
 
-use oasys_plan::{ExecutorConfig, PatchAction, Plan, PlanExecutor, StepOutcome, TraceEvent};
+use oasys_plan::{ExecutorConfig, PatchAction, Plan, PlanExecutor, StepOutcome};
+use oasys_telemetry::Telemetry;
 use oasys_testutil::prelude::*;
 
 /// State: a counter per step that decides how many failures each step
@@ -55,13 +56,14 @@ proptest! {
             patch_budget: 64,
             per_rule_budget: 64,
         };
-        let result = PlanExecutor::with_config(config).run(&plan, &mut state);
-        let trace = result.expect("budget is ample");
-        prop_assert!(trace.completed());
-        prop_assert_eq!(trace.rule_firings() as u32, total_failures);
+        let tel = Telemetry::new();
+        let result = PlanExecutor::with_config(config).run_with(&plan, &mut state, &tel);
+        result.expect("budget is ample");
+        prop_assert_eq!(tel.counter("plan.completions"), 1);
+        prop_assert_eq!(tel.counter("plan.rule_firings"), u64::from(total_failures));
         prop_assert_eq!(state.executions, steps as u32 + total_failures);
-        prop_assert_eq!(trace.step_executions() as u32, state.executions);
-        prop_assert_eq!(trace.step_failures() as u32, total_failures);
+        prop_assert_eq!(tel.counter("plan.step_executions"), u64::from(state.executions));
+        prop_assert_eq!(tel.counter("plan.step_failures"), u64::from(total_failures));
     }
 
     /// With an insufficient per-rule budget the executor reports an
@@ -77,17 +79,19 @@ proptest! {
             patch_budget: 1000,
             per_rule_budget: budget,
         };
-        let err = PlanExecutor::with_config(config)
-            .run(&plan, &mut state)
+        let tel = Telemetry::new();
+        PlanExecutor::with_config(config)
+            .run_with(&plan, &mut state, &tel)
             .expect_err("budget too small");
-        prop_assert!(err.trace().rule_firings() <= budget);
-        prop_assert!(!err.trace().completed());
+        prop_assert!(tel.counter("plan.rule_firings") <= budget as u64);
+        prop_assert_eq!(tel.counter("plan.completions"), 0);
     }
 
-    /// Every trace is well-formed: starts with a step start, rule firings
-    /// are immediately preceded by a failure, and completion is terminal.
+    /// Every recorded history is well-formed: it starts with a step
+    /// start, rule firings are immediately preceded by a failure, and
+    /// completion is terminal.
     #[test]
-    fn traces_are_well_formed(
+    fn histories_are_well_formed(
         failure_counts in prop::collection::vec(0u32..3, 1..5),
     ) {
         let plan = flaky_plan(failure_counts.len());
@@ -95,17 +99,15 @@ proptest! {
             remaining_failures: failure_counts,
             executions: 0,
         };
-        let trace = PlanExecutor::new().run(&plan, &mut state).unwrap();
-        let events = trace.events();
-        let starts_with_step = matches!(events[0], TraceEvent::StepStarted { .. });
-        prop_assert!(starts_with_step);
-        let ends_completed = matches!(events.last(), Some(TraceEvent::PlanCompleted));
-        prop_assert!(ends_completed);
-        for window in events.windows(2) {
-            if matches!(window[1], TraceEvent::RuleFired { .. }) {
-                let preceded_by_failure =
-                    matches!(window[0], TraceEvent::StepFailed { .. });
-                prop_assert!(preceded_by_failure, "rule firing must follow a failure");
+        let tel = Telemetry::new();
+        PlanExecutor::new().run_with(&plan, &mut state, &tel).unwrap();
+        let report = tel.report();
+        let kinds: Vec<&str> = report.events().iter().map(|e| e.kind.as_str()).collect();
+        prop_assert_eq!(kinds.first().copied(), Some("step_started"));
+        prop_assert_eq!(kinds.last().copied(), Some("plan_completed"));
+        for window in kinds.windows(2) {
+            if window[1] == "rule_fired" {
+                prop_assert_eq!(window[0], "step_failed", "rule firing must follow a failure");
             }
         }
     }

@@ -1,16 +1,19 @@
 //! End-to-end telemetry pipeline tests: an instrumented synthesis +
-//! verification run must produce a report whose counters exactly mirror
-//! the plan traces, whose exporters validate against their own schemas,
-//! and whose Chrome export covers every style attempt and step
-//! execution.
+//! verification run must produce a report whose counters exactly match
+//! the spans and events it recorded, whose exporters validate against
+//! their own schemas, and whose Chrome export covers every style attempt
+//! and step execution.
 
 use oasys::spec::test_cases;
-use oasys::{synthesize_with, verify_with, StyleOutcome};
-use oasys_plan::Trace;
+use oasys::{synthesize_with, verify_with};
 use oasys_process::builtin;
 use oasys_telemetry::{json, schema, ManualClock, Telemetry};
 use std::rc::Rc;
 
+/// The plan counters count exactly what the run's trace records: one
+/// `step:` span and `step_started` event per step execution, one
+/// `step_failed` event per failure, one `rule_fired` event per firing,
+/// and a restart for every firing whose action restarts from a step.
 #[test]
 fn counters_exactly_match_trace_counts() {
     let process = builtin::cmos_5um();
@@ -22,21 +25,34 @@ fn counters_exactly_match_trace_counts() {
         let tel = Telemetry::new();
         let result = synthesize_with(&spec, &process, &tel).expect("paper cases synthesize");
 
-        let traces: Vec<&Trace> = result
-            .outcomes()
+        let report = tel.report();
+        let count = |kind: &str| report.events().iter().filter(|e| e.kind == kind).count();
+        let step_spans = report
+            .spans()
             .iter()
-            .filter_map(StyleOutcome::trace)
-            .collect();
-        let steps: usize = traces.iter().map(|t| t.step_executions()).sum();
-        let failures: usize = traces.iter().map(|t| t.step_failures()).sum();
-        let firings: usize = traces.iter().map(|t| t.rule_firings()).sum();
-        let restarts: usize = traces.iter().map(|t| t.restarts()).sum();
+            .filter(|s| s.name.starts_with("step:"))
+            .count();
+        let restarts = report
+            .events()
+            .iter()
+            .filter(|e| e.kind == "rule_fired")
+            .filter(|e| {
+                e.fields
+                    .iter()
+                    .any(|(k, v)| k == "action" && v.starts_with("restart-from:"))
+            })
+            .count();
 
-        assert_eq!(tel.counter("plan.step_executions"), steps as u64);
-        assert_eq!(tel.counter("plan.step_failures"), failures as u64);
-        assert_eq!(tel.counter("plan.rule_firings"), firings as u64);
+        let steps = tel.counter("plan.step_executions");
+        assert!(steps > 0);
+        assert_eq!(steps, step_spans as u64);
+        assert_eq!(steps, count("step_started") as u64);
+        assert_eq!(
+            tel.counter("plan.step_failures"),
+            count("step_failed") as u64
+        );
+        assert_eq!(tel.counter("plan.rule_firings"), count("rule_fired") as u64);
         assert_eq!(tel.counter("plan.restarts"), restarts as u64);
-        assert_eq!(result.restarts(), restarts);
         assert_eq!(
             tel.counter("synth.styles_attempted"),
             result.outcomes().len() as u64
@@ -73,18 +89,16 @@ fn chrome_trace_covers_styles_and_steps() {
             "chrome trace missing {name}"
         );
     }
-    // ...and one `step:` span per step execution across all traces.
-    let steps: usize = result
-        .outcomes()
-        .iter()
-        .filter_map(StyleOutcome::trace)
-        .map(Trace::step_executions)
-        .sum();
+    // ...and one `step:` span per counted step execution.
     let step_spans = complete_names
         .iter()
         .filter(|n| n.starts_with("step:"))
         .count();
-    assert_eq!(step_spans, steps, "one chrome span per step execution");
+    assert_eq!(
+        step_spans as u64,
+        tel.counter("plan.step_executions"),
+        "one chrome span per step execution"
+    );
 }
 
 #[test]
