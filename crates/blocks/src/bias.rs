@@ -262,8 +262,8 @@ impl BlockDesigner for BiasDesigner<'_> {
         "bias"
     }
 
-    fn styles(&self) -> Vec<String> {
-        vec!["resistor reference".to_owned()]
+    fn styles(&self) -> &'static [&'static str] {
+        &["resistor reference"]
     }
 
     fn design_style(

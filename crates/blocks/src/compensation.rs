@@ -270,8 +270,8 @@ impl BlockDesigner for CompensationDesigner {
         "compensation"
     }
 
-    fn styles(&self) -> Vec<String> {
-        vec!["miller".to_owned()]
+    fn styles(&self) -> &'static [&'static str] {
+        &["miller"]
     }
 
     fn design_style(

@@ -303,8 +303,8 @@ impl BlockDesigner for DiffPairDesigner<'_> {
         "diff pair"
     }
 
-    fn styles(&self) -> Vec<String> {
-        vec!["matched pair".to_owned()]
+    fn styles(&self) -> &'static [&'static str] {
+        &["matched pair"]
     }
 
     fn design_style(

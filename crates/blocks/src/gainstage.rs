@@ -32,6 +32,9 @@ impl GainStageStyle {
     /// Both styles in escalation order (cheapest first).
     pub const ALL: [GainStageStyle; 2] = [GainStageStyle::Simple, GainStageStyle::Cascode];
 
+    /// Every style's [`name`](Self::name), in [`ALL`](Self::ALL) order.
+    pub const NAMES: [&'static str; Self::ALL.len()] = [Self::ALL[0].name(), Self::ALL[1].name()];
+
     /// The style's display name, which [`GainStageStyle::from_name`]
     /// reads back.
     #[must_use]
@@ -476,11 +479,8 @@ impl BlockDesigner for GainStageDesigner<'_> {
         "gain stage"
     }
 
-    fn styles(&self) -> Vec<String> {
-        GainStageStyle::ALL
-            .iter()
-            .map(ToString::to_string)
-            .collect()
+    fn styles(&self) -> &'static [&'static str] {
+        &GainStageStyle::NAMES
     }
 
     fn design_style(

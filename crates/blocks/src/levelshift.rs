@@ -277,8 +277,8 @@ impl BlockDesigner for LevelShiftDesigner<'_> {
         "level shifter"
     }
 
-    fn styles(&self) -> Vec<String> {
-        vec!["source follower".to_owned()]
+    fn styles(&self) -> &'static [&'static str] {
+        &["source follower"]
     }
 
     fn design_style(

@@ -94,7 +94,7 @@ mod registry_tests {
     fn registry_matches_designer_declarations() {
         let p = builtin::cmos_5um();
         let registry = designer_registry();
-        let declared: Vec<(&str, Vec<String>)> = vec![
+        let declared: Vec<(&str, &[&str])> = vec![
             (
                 mirror::MirrorDesigner::new(&p).level(),
                 mirror::MirrorDesigner::new(&p).styles(),
@@ -125,7 +125,7 @@ mod registry_tests {
             let descriptor = registry
                 .get(level)
                 .unwrap_or_else(|| panic!("level {level:?} missing from registry"));
-            assert_eq!(descriptor.styles(), styles.as_slice(), "styles for {level}");
+            assert_eq!(descriptor.styles(), styles, "styles for {level}");
         }
     }
 }

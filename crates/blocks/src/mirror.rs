@@ -49,6 +49,13 @@ impl MirrorStyle {
         MirrorStyle::WideSwing,
     ];
 
+    /// Every style's [`name`](Self::name), in [`ALL`](Self::ALL) order.
+    pub const NAMES: [&'static str; Self::ALL.len()] = [
+        Self::ALL[0].name(),
+        Self::ALL[1].name(),
+        Self::ALL[2].name(),
+    ];
+
     /// The style's display name, which [`MirrorStyle::from_name`] reads
     /// back.
     #[must_use]
@@ -653,8 +660,8 @@ impl BlockDesigner for MirrorDesigner<'_> {
         "mirror"
     }
 
-    fn styles(&self) -> Vec<String> {
-        MirrorStyle::ALL.iter().map(ToString::to_string).collect()
+    fn styles(&self) -> &'static [&'static str] {
+        &MirrorStyle::NAMES
     }
 
     fn allowed(&self, spec: &MirrorSpec, style: &str) -> bool {

@@ -48,6 +48,13 @@ impl OpAmpStyle {
         OpAmpStyle::FoldedCascode,
     ];
 
+    /// Every style's [`name`](Self::name), in [`ALL`](Self::ALL) order.
+    pub const NAMES: [&'static str; Self::ALL.len()] = [
+        Self::ALL[0].name(),
+        Self::ALL[1].name(),
+        Self::ALL[2].name(),
+    ];
+
     /// The style's display name, which [`OpAmpStyle::from_name`] reads
     /// back.
     #[must_use]

@@ -56,8 +56,8 @@ impl BlockDesigner for OpAmpDesigner<'_> {
         "op amp"
     }
 
-    fn styles(&self) -> Vec<String> {
-        OpAmpStyle::ALL.iter().map(ToString::to_string).collect()
+    fn styles(&self) -> &'static [&'static str] {
+        &OpAmpStyle::NAMES
     }
 
     fn static_check(&self, spec: &OpAmpSpec, style: &str) -> Result<(), StyleError> {
@@ -294,7 +294,7 @@ pub fn synthesize_with_cache(
     let outcomes: Vec<StyleOutcome> = design_candidates(&designer, spec, options, tel, cache)
         .into_iter()
         .map(|(name, result)| {
-            let style = OpAmpStyle::from_name(&name).expect("engine preserves style names");
+            let style = OpAmpStyle::from_name(name).expect("engine preserves style names");
             tel.incr_sym(sym!("synth.styles_attempted"));
             if result.is_ok() {
                 tel.incr_sym(sym!("synth.styles_feasible"));

@@ -38,6 +38,60 @@ fn cli_synthesizes_the_example_spec() {
     let _ = std::fs::remove_file(deck_path);
 }
 
+/// `--explain` prints the run's span tree and a summary line read from
+/// the same counters `--metrics-out` writes, on case C (8 restarts and
+/// 66 step executions across the attempted styles).
+#[test]
+fn cli_explain_summary_reads_the_run_counters() {
+    use oasys_telemetry::json::{self, Json};
+
+    let metrics_path =
+        std::env::temp_dir().join(format!("oasys-cli-explain-{}.json", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_oasys"))
+        .current_dir(repo_root())
+        .args([
+            "data/spec-c.txt",
+            "data/generic-5um.tech",
+            "--no-verify",
+            "--explain",
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("run trace:\nsynthesize ("), "{stdout}");
+    assert!(stdout.contains("step:"), "{stdout}");
+
+    let metrics = json::parse(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&metrics_path);
+    let counter = |name: &str| {
+        metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_num)
+            .unwrap_or(0.0)
+    };
+    let (restarts, steps) = (counter("plan.restarts"), counter("plan.step_executions"));
+    assert_eq!((restarts, steps), (8.0, 66.0));
+    let summary = stdout
+        .lines()
+        .find(|l| l.starts_with("summary:"))
+        .expect("a summary line");
+    assert_eq!(
+        summary,
+        format!(
+            "summary: 3 styles attempted, 1 feasible, 1 statically pruned, \
+             {restarts} plan restarts, {steps} step executions"
+        )
+    );
+}
+
 #[test]
 fn cli_reports_missing_files() {
     let output = Command::new(env!("CARGO_BIN_EXE_oasys"))

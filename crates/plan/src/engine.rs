@@ -40,8 +40,8 @@
 //!     type Error = String;
 //!
 //!     fn level(&self) -> &'static str { "resistor" }
-//!     fn styles(&self) -> Vec<String> {
-//!         vec!["single".into(), "series".into()]
+//!     fn styles(&self) -> &'static [&'static str] {
+//!         &["single", "series"]
 //!     }
 //!     fn design_style(
 //!         &self,
@@ -106,8 +106,9 @@ pub trait BlockDesigner {
     /// reports, telemetry span names, and cache keys.
     fn level(&self) -> &'static str;
 
-    /// Style alternatives in declaration (trial) order.
-    fn styles(&self) -> Vec<String>;
+    /// Style alternatives in declaration (trial) order. The names are
+    /// fixed by the designer, so a sweep copies none of them.
+    fn styles(&self) -> &'static [&'static str];
 
     /// Whether a style may be attempted for this spec (e.g. the caller
     /// restricted the mirror to one style). Defaults to `true`.
@@ -173,21 +174,20 @@ pub trait BlockDesigner {
     ) -> Result<Selected<Self::Output>, SelectionFailure<Self::Error>> {
         let mut best: Option<Selected<Self::Output>> = None;
         let mut rejections = Vec::new();
-        for style in self.styles() {
-            if !self.allowed(spec, &style) {
+        for &style in self.styles() {
+            if !self.allowed(spec, style) {
                 continue;
             }
-            if let Err(error) = self.static_check(spec, &style) {
-                prune(ctx.telemetry(), &style, &error);
+            if let Err(error) = self.static_check(spec, style) {
+                prune(ctx.telemetry(), style, &error);
                 rejections.push(StyleRejection { style, error });
                 continue;
             }
-            match self.design_style(spec, &style, ctx) {
+            match self.design_style(spec, style, ctx) {
                 Ok(output) => {
                     let area_um2 = self.area_um2(&output);
                     let wins = best.as_ref().is_none_or(|b| {
-                        area_um2 < b.area_um2
-                            || (area_um2 == b.area_um2 && style.as_str() < b.style.as_str())
+                        area_um2 < b.area_um2 || (area_um2 == b.area_um2 && style < b.style)
                     });
                     if wins {
                         best = Some(Selected {
@@ -210,7 +210,7 @@ pub trait BlockDesigner {
 /// A winning design plus how it won.
 #[derive(Clone, Debug)]
 pub struct Selected<T> {
-    style: String,
+    style: &'static str,
     area_um2: f64,
     output: T,
 }
@@ -218,8 +218,8 @@ pub struct Selected<T> {
 impl<T> Selected<T> {
     /// The winning style's name.
     #[must_use]
-    pub fn style(&self) -> &str {
-        &self.style
+    pub fn style(&self) -> &'static str {
+        self.style
     }
 
     /// The winning design's estimated area, µm².
@@ -244,15 +244,15 @@ impl<T> Selected<T> {
 /// One style's rejection inside a [`SelectionFailure`].
 #[derive(Clone, Debug)]
 pub struct StyleRejection<E> {
-    style: String,
+    style: &'static str,
     error: E,
 }
 
 impl<E> StyleRejection<E> {
     /// The rejected style's name.
     #[must_use]
-    pub fn style(&self) -> &str {
-        &self.style
+    pub fn style(&self) -> &'static str {
+        self.style
     }
 
     /// The style's own error.
@@ -936,7 +936,7 @@ fn attempt<D: BlockDesigner>(
 
 /// Every attempted style's result, in declaration order — the return
 /// shape of [`design_candidates`].
-pub type CandidateResults<O, E> = Vec<(String, Result<O, E>)>;
+pub type CandidateResults<O, E> = Vec<(&'static str, Result<O, E>)>;
 
 /// Runs the breadth-first candidate sweep for one block level,
 /// returning every attempted style's result in declaration order.
@@ -956,22 +956,23 @@ pub fn design_candidates<D: BlockDesigner>(
     tel: &Telemetry,
     cache: &MemoCache,
 ) -> CandidateResults<D::Output, D::Error> {
-    let verdicts: Vec<(String, Result<(), D::Error>)> = designer
+    let verdicts: Vec<(&'static str, Result<(), D::Error>)> = designer
         .styles()
-        .into_iter()
-        .filter(|s| {
+        .iter()
+        .copied()
+        .filter(|&s| {
             opts.styles()
                 .is_none_or(|wanted| wanted.iter().any(|w| w == s))
         })
         .filter(|s| designer.allowed(spec, s))
         .map(|style| {
             let verdict = if opts.static_pruning() {
-                designer.static_check(spec, &style)
+                designer.static_check(spec, style)
             } else {
                 Ok(())
             };
             if let Err(error) = &verdict {
-                prune(tel, &style, error);
+                prune(tel, style, error);
             }
             (style, verdict)
         })
@@ -980,7 +981,7 @@ pub fn design_candidates<D: BlockDesigner>(
         .into_iter()
         .map(|(style, verdict)| {
             let result = match verdict {
-                Ok(()) => attempt(designer, spec, &style, tel, cache, opts),
+                Ok(()) => attempt(designer, spec, style, tel, cache, opts),
                 Err(error) => Err(error),
             };
             (style, result)
@@ -1111,8 +1112,8 @@ mod tests {
             "toy"
         }
 
-        fn styles(&self) -> Vec<String> {
-            vec!["big".into(), "small".into()]
+        fn styles(&self) -> &'static [&'static str] {
+            &["big", "small"]
         }
 
         fn design_style(
@@ -1173,8 +1174,8 @@ mod tests {
             fn level(&self) -> &'static str {
                 "mirror"
             }
-            fn styles(&self) -> Vec<String> {
-                vec!["simple".into(), "cascode".into()]
+            fn styles(&self) -> &'static [&'static str] {
+                &["simple", "cascode"]
             }
             fn design_style(
                 &self,
@@ -1213,8 +1214,8 @@ mod tests {
             fn level(&self) -> &'static str {
                 "picky"
             }
-            fn styles(&self) -> Vec<String> {
-                vec!["a".into(), "b".into()]
+            fn styles(&self) -> &'static [&'static str] {
+                &["a", "b"]
             }
             fn allowed(&self, _spec: &(), style: &str) -> bool {
                 style == "b"
@@ -1403,8 +1404,8 @@ mod tests {
             "prunable"
         }
 
-        fn styles(&self) -> Vec<String> {
-            vec!["cheap".into(), "mid".into(), "fancy".into()]
+        fn styles(&self) -> &'static [&'static str] {
+            &["cheap", "mid", "fancy"]
         }
 
         fn static_check(&self, _spec: &(), style: &str) -> Result<(), String> {
@@ -1441,7 +1442,7 @@ mod tests {
         let results = design_candidates(&toy, &(), &SearchOptions::new(), &tel, &cache);
         assert_eq!(toy.runs.load(Ordering::SeqCst), 2);
         assert_eq!(tel.counter("engine.pruned"), 1);
-        let names: Vec<String> = results.iter().map(|(s, _)| s.clone()).collect();
+        let names: Vec<&str> = results.iter().map(|(s, _)| *s).collect();
         assert_eq!(
             names,
             vec!["cheap", "mid", "fancy"],
@@ -1484,8 +1485,8 @@ mod tests {
                 "audit"
             }
 
-            fn styles(&self) -> Vec<String> {
-                vec!["cheap".into(), "mid".into(), "fancy".into()]
+            fn styles(&self) -> &'static [&'static str] {
+                &["cheap", "mid", "fancy"]
             }
 
             fn static_check(&self, _spec: &(), style: &str) -> Result<(), String> {

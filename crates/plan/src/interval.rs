@@ -727,24 +727,26 @@ fn combine_dim(
 /// pruning sound: a pruned style could never have produced a design.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PerfRelation {
-    name: String,
-    unit: String,
+    name: &'static str,
+    unit: &'static str,
     required: Interval,
     achievable: Interval,
 }
 
 impl PerfRelation {
     /// A relation named `name`, in display unit `unit` (e.g. `"dB"`).
+    /// Both are fixed by the style that declares the relation; only the
+    /// intervals change from spec to spec.
     #[must_use]
     pub fn new(
-        name: impl Into<String>,
-        unit: impl Into<String>,
+        name: &'static str,
+        unit: &'static str,
         required: Interval,
         achievable: Interval,
     ) -> Self {
         Self {
-            name: name.into(),
-            unit: unit.into(),
+            name,
+            unit,
             required,
             achievable,
         }
@@ -752,8 +754,8 @@ impl PerfRelation {
 
     /// The relation's name, e.g. `"dc-gain"`.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// What the spec demands.

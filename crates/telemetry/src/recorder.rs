@@ -477,35 +477,11 @@ impl Telemetry {
         }
     }
 
-    /// Records a timestamped event under the innermost open span. The
-    /// field closure runs only when recording (kind, keys, and values
-    /// are interned; a flight handle keeps the values).
-    pub fn event(&self, kind: &str, fields: impl FnOnce() -> Vec<(&'static str, String)>) {
-        if let Some(cell) = &self.inner {
-            let mut inner = cell.borrow_mut();
-            let t_ns = inner.clock.now_ns();
-            inner.ring.push(Record {
-                t_ns,
-                a: sym(kind).0,
-                b: 0,
-                c: 0,
-                tag: Tag::Event,
-            });
-            for (key, value) in fields() {
-                let value = inner.text_str(&value);
-                inner.ring.push(Record {
-                    t_ns,
-                    a: sym(key).0,
-                    b: value.0,
-                    c: 0,
-                    tag: Tag::Field,
-                });
-            }
-        }
-    }
-
-    /// Records a timestamped event from pre-interned symbols — the
-    /// allocation-free hot path (one clock read, one record per field).
+    /// Records a timestamped event under the innermost open span, from
+    /// interned symbols (one clock read, one record per field). A value
+    /// that differs from run to run goes through [`Telemetry::text`] or
+    /// [`Telemetry::text_str`], so a flight handle keeps it and only a
+    /// traced run interns it.
     pub fn event_with(&self, kind: Sym, fields: &[(Sym, Sym)]) {
         if let Some(cell) = &self.inner {
             let mut inner = cell.borrow_mut();
@@ -1030,7 +1006,7 @@ mod tests {
         {
             let span = tel.span(|| panic!("name closure must not run"));
             span.annotate("k", || panic!("annotate closure must not run"));
-            tel.event("e", || panic!("field closure must not run"));
+            tel.event_with(sym("e"), &[(sym("k"), tel.text_str("v"))]);
         }
         tel.incr("c");
         tel.gauge("g", 1.0);
@@ -1104,11 +1080,11 @@ mod tests {
     #[test]
     fn events_attach_to_the_innermost_open_span() {
         let (clock, tel) = manual();
-        tel.event("orphan", Vec::new);
+        tel.event_with(sym("orphan"), &[]);
         {
             let _root = tel.span(|| "root".into());
             clock.advance_ns(10);
-            tel.event("fired", || vec![("rule", "cascode".to_owned())]);
+            tel.event_with(sym("fired"), &[(sym("rule"), sym("cascode"))]);
         }
         let report = tel.report();
         assert_eq!(report.events().len(), 2);
@@ -1176,7 +1152,7 @@ mod tests {
                 style.annotate("outcome", || "feasible".into());
             }
             worker.incr("plan.step_executions");
-            worker.event("note", || vec![("k", "v".into())]);
+            worker.event_with(sym("note"), &[(sym("k"), sym("v"))]);
             worker.into_recording()
         })
         .join()
@@ -1249,7 +1225,7 @@ mod tests {
         let _root = tel.span(|| "root".into());
         for i in 0..20 {
             clock.advance_ns(1);
-            tel.event("tick", || vec![("i", i.to_string())]);
+            tel.event_with(sym("tick"), &[(sym("i"), tel.text(&i))]);
         }
         let report = tel.report();
         // 1 open + 20 * (event + field) = 41 records into capacity 8.
@@ -1271,7 +1247,7 @@ mod tests {
         {
             let span = tel.span(|| "plan:demo".into());
             span.annotate("spec", || "a".into());
-            tel.event("step_started", || vec![("step", "bias".to_owned())]);
+            tel.event_with(sym("step_started"), &[(sym("step"), tel.text_str("bias"))]);
         }
         let recording = tel.into_recording();
         let tail = recording.tail_lines(8);

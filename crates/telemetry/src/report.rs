@@ -453,6 +453,7 @@ fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::intern::sym;
     use crate::recorder::Telemetry;
     use std::rc::Rc;
 
@@ -467,7 +468,7 @@ mod tests {
                 let style = tel.span(|| "style:two-stage".into());
                 style.annotate("outcome", || "feasible".into());
                 clock.advance_ns(2_500);
-                tel.event("rule_fired", || vec![("rule", "cascode \"load\"".into())]);
+                tel.event_with(sym("rule_fired"), &[(sym("rule"), sym("cascode \"load\""))]);
                 clock.advance_ns(500);
             }
             clock.advance_ns(100);

@@ -277,6 +277,7 @@ pub fn validate_chrome(text: &str) -> Result<ChromeSummary, SchemaError> {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::intern::sym;
     use crate::recorder::Telemetry;
     use std::rc::Rc;
 
@@ -286,7 +287,7 @@ mod tests {
         {
             let _root = tel.span(|| "root".into());
             clock.advance_ns(10);
-            tel.event("ping", || vec![("n", "1".into())]);
+            tel.event_with(sym("ping"), &[(sym("n"), sym("1"))]);
             let _child = tel.span(|| "child".into());
             clock.advance_ns(5);
         }
