@@ -33,7 +33,8 @@ impl GainStageStyle {
     pub const ALL: [GainStageStyle; 2] = [GainStageStyle::Simple, GainStageStyle::Cascode];
 
     /// Every style's [`name`](Self::name), in [`ALL`](Self::ALL) order.
-    pub const NAMES: [&'static str; Self::ALL.len()] = [Self::ALL[0].name(), Self::ALL[1].name()];
+    pub(crate) const NAMES: [&'static str; Self::ALL.len()] =
+        [Self::ALL[0].name(), Self::ALL[1].name()];
 
     /// The style's display name, which [`GainStageStyle::from_name`]
     /// reads back.

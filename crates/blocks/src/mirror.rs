@@ -50,7 +50,7 @@ impl MirrorStyle {
     ];
 
     /// Every style's [`name`](Self::name), in [`ALL`](Self::ALL) order.
-    pub const NAMES: [&'static str; Self::ALL.len()] = [
+    pub(crate) const NAMES: [&'static str; Self::ALL.len()] = [
         Self::ALL[0].name(),
         Self::ALL[1].name(),
         Self::ALL[2].name(),

@@ -49,7 +49,7 @@ impl OpAmpStyle {
     ];
 
     /// Every style's [`name`](Self::name), in [`ALL`](Self::ALL) order.
-    pub const NAMES: [&'static str; Self::ALL.len()] = [
+    pub(crate) const NAMES: [&'static str; Self::ALL.len()] = [
         Self::ALL[0].name(),
         Self::ALL[1].name(),
         Self::ALL[2].name(),

@@ -50,11 +50,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// The allocation calls per job of a warm untraced, unverified batch
-/// over `data/sweep.manifest`, 217 (256 when each plan run also kept a
-/// trace of its events and the pruner and the style sweep copied their
-/// names; 591 when each job also parsed its technology text and
-/// formatted its namespace, and the design cache built strings), plus
-/// 10 %.
+/// over `data/sweep.manifest`, 217, plus 10 %.
 const CEILING_PER_JOB: usize = 238;
 
 #[test]

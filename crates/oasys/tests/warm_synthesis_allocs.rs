@@ -54,10 +54,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// The allocation calls of a warm case-A synthesis on the 5 µm kit,
-/// 319 (360 when each plan run also kept a trace of its events and the
-/// pruner and the style sweep copied their names; 880–884 when each
-/// cache lookup also formatted its key; 1 808 when each attempt also
-/// built its own plan), plus 10 %.
+/// 319, plus 10 %.
 const CEILING: usize = 350;
 
 #[test]
