@@ -9,7 +9,7 @@ use crate::area::AreaEstimate;
 use crate::common::{require_positive, snap_width_um, DesignError, DEFAULT_VOV};
 use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
-use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
+use oasys_plan::{CacheKey, DesignContext};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::sym;
 
@@ -234,49 +234,6 @@ impl BiasGenerator {
             }
         }
         Ok(bias_node)
-    }
-}
-
-/// The bias generator's single-style [`BlockDesigner`] implementation
-/// (a resistor-defined reference; the paper's templates use no
-/// alternative).
-#[derive(Clone, Copy, Debug)]
-pub struct BiasDesigner<'a> {
-    process: &'a Process,
-}
-
-impl<'a> BiasDesigner<'a> {
-    /// A designer sizing against `process`.
-    #[must_use]
-    pub fn new(process: &'a Process) -> Self {
-        Self { process }
-    }
-}
-
-impl BlockDesigner for BiasDesigner<'_> {
-    type Spec = BiasSpec;
-    type Output = BiasGenerator;
-    type Error = DesignError;
-
-    fn level(&self) -> &'static str {
-        "bias"
-    }
-
-    fn styles(&self) -> &'static [&'static str] {
-        &["resistor reference"]
-    }
-
-    fn design_style(
-        &self,
-        spec: &BiasSpec,
-        _style: &str,
-        _ctx: &DesignContext<'_>,
-    ) -> Result<BiasGenerator, DesignError> {
-        BiasGenerator::design(spec, self.process)
-    }
-
-    fn area_um2(&self, output: &BiasGenerator) -> f64 {
-        output.area.total_um2()
     }
 }
 

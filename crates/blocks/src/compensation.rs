@@ -18,7 +18,7 @@
 //! ```
 
 use crate::common::{require_positive, DesignError};
-use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
+use oasys_plan::{CacheKey, DesignContext};
 use oasys_telemetry::sym;
 
 /// Smallest compensation capacitor worth drawing, F.
@@ -250,43 +250,6 @@ impl Compensation {
     #[must_use]
     pub fn zero(&self) -> f64 {
         self.zero
-    }
-}
-
-/// The compensation scheme's single-style [`BlockDesigner`]
-/// implementation. The paper places compensation *"conceptually one level
-/// higher in the hierarchy than the other sub-blocks"*; registering it
-/// alongside them lets the hierarchy link every block to a designer while
-/// the two-stage plan keeps invoking it directly.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CompensationDesigner;
-
-impl BlockDesigner for CompensationDesigner {
-    type Spec = CompensationSpec;
-    type Output = Compensation;
-    type Error = DesignError;
-
-    fn level(&self) -> &'static str {
-        "compensation"
-    }
-
-    fn styles(&self) -> &'static [&'static str] {
-        &["miller"]
-    }
-
-    fn design_style(
-        &self,
-        spec: &CompensationSpec,
-        _style: &str,
-        _ctx: &DesignContext<'_>,
-    ) -> Result<Compensation, DesignError> {
-        Compensation::design(spec)
-    }
-
-    fn area_um2(&self, _output: &Compensation) -> f64 {
-        // The Miller capacitor's area belongs to the op-amp level (it is
-        // process-dependent); the network itself adds no device area.
-        0.0
     }
 }
 

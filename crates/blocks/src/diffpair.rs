@@ -10,7 +10,7 @@ use crate::area::AreaEstimate;
 use crate::common::{require_positive, snap_width_um, DesignError};
 use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
-use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
+use oasys_plan::{CacheKey, DesignContext};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::sym;
 
@@ -275,49 +275,6 @@ impl DiffPair {
             bulk,
         )?;
         Ok(())
-    }
-}
-
-/// The differential pair's single-style [`BlockDesigner`] implementation
-/// (the paper's op-amp templates fix the pair topology; only its sizing
-/// varies).
-#[derive(Clone, Copy, Debug)]
-pub struct DiffPairDesigner<'a> {
-    process: &'a Process,
-}
-
-impl<'a> DiffPairDesigner<'a> {
-    /// A designer sizing against `process`.
-    #[must_use]
-    pub fn new(process: &'a Process) -> Self {
-        Self { process }
-    }
-}
-
-impl BlockDesigner for DiffPairDesigner<'_> {
-    type Spec = DiffPairSpec;
-    type Output = DiffPair;
-    type Error = DesignError;
-
-    fn level(&self) -> &'static str {
-        "diff pair"
-    }
-
-    fn styles(&self) -> &'static [&'static str] {
-        &["matched pair"]
-    }
-
-    fn design_style(
-        &self,
-        spec: &DiffPairSpec,
-        _style: &str,
-        _ctx: &DesignContext<'_>,
-    ) -> Result<DiffPair, DesignError> {
-        DiffPair::design(spec, self.process)
-    }
-
-    fn area_um2(&self, output: &DiffPair) -> f64 {
-        output.area.total_um2()
     }
 }
 

@@ -476,10 +476,6 @@ impl BlockDesigner for GainStageDesigner<'_> {
     type Output = GainStage;
     type Error = DesignError;
 
-    fn level(&self) -> &'static str {
-        "gain stage"
-    }
-
     fn styles(&self) -> &'static [&'static str] {
         &GainStageStyle::NAMES
     }

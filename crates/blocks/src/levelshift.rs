@@ -10,7 +10,7 @@ use crate::area::AreaEstimate;
 use crate::common::{require_positive, snap_width_um, DesignError};
 use oasys_mos::{sizing, Geometry};
 use oasys_netlist::{Circuit, NodeId, ValidateError};
-use oasys_plan::{BlockDesigner, CacheKey, DesignContext};
+use oasys_plan::{CacheKey, DesignContext};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::sym;
 
@@ -250,48 +250,6 @@ impl LevelShifter {
             bulk,
         )?;
         Ok(())
-    }
-}
-
-/// The level shifter's single-style [`BlockDesigner`] implementation (the
-/// paper's case C inserts it as a source follower; no alternatives).
-#[derive(Clone, Copy, Debug)]
-pub struct LevelShiftDesigner<'a> {
-    process: &'a Process,
-}
-
-impl<'a> LevelShiftDesigner<'a> {
-    /// A designer sizing against `process`.
-    #[must_use]
-    pub fn new(process: &'a Process) -> Self {
-        Self { process }
-    }
-}
-
-impl BlockDesigner for LevelShiftDesigner<'_> {
-    type Spec = LevelShiftSpec;
-    type Output = LevelShifter;
-    type Error = DesignError;
-
-    fn level(&self) -> &'static str {
-        "level shifter"
-    }
-
-    fn styles(&self) -> &'static [&'static str] {
-        &["source follower"]
-    }
-
-    fn design_style(
-        &self,
-        spec: &LevelShiftSpec,
-        _style: &str,
-        _ctx: &DesignContext<'_>,
-    ) -> Result<LevelShifter, DesignError> {
-        LevelShifter::design(spec, self.process)
-    }
-
-    fn area_um2(&self, output: &LevelShifter) -> f64 {
-        output.area.total_um2()
     }
 }
 

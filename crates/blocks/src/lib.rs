@@ -55,77 +55,3 @@ mod common;
 
 pub use area::AreaEstimate;
 pub use common::{DesignError, DEFAULT_VOV};
-
-use oasys_plan::{DesignerDescriptor, DesignerRegistry};
-
-/// The catalog of this crate's block designers: each level name with its
-/// style alternatives, in trial order. The hierarchy layer uses it to
-/// link the paper's Figure 1 decomposition blocks to the designers that
-/// can realize them; callers can extend the returned registry with
-/// higher-level designers (the op amp itself).
-#[must_use]
-pub fn designer_registry() -> DesignerRegistry {
-    let mut registry = DesignerRegistry::new();
-    registry.register(DesignerDescriptor::new(
-        "mirror",
-        ["simple", "cascode", "wide-swing"],
-    ));
-    registry.register(DesignerDescriptor::new("diff pair", ["matched pair"]));
-    registry.register(DesignerDescriptor::new("gain stage", ["simple", "cascode"]));
-    registry.register(DesignerDescriptor::new(
-        "level shifter",
-        ["source follower"],
-    ));
-    registry.register(DesignerDescriptor::new("bias", ["resistor reference"]));
-    registry.register(DesignerDescriptor::new("compensation", ["miller"]));
-    registry
-}
-
-#[cfg(test)]
-mod registry_tests {
-    use super::*;
-    use oasys_plan::BlockDesigner as _;
-    use oasys_process::builtin;
-
-    /// The registry's declared styles must match what each designer
-    /// actually implements — a drifted registry would lie to the
-    /// hierarchy layer.
-    #[test]
-    fn registry_matches_designer_declarations() {
-        let p = builtin::cmos_5um();
-        let registry = designer_registry();
-        let declared: Vec<(&str, &[&str])> = vec![
-            (
-                mirror::MirrorDesigner::new(&p).level(),
-                mirror::MirrorDesigner::new(&p).styles(),
-            ),
-            (
-                diffpair::DiffPairDesigner::new(&p).level(),
-                diffpair::DiffPairDesigner::new(&p).styles(),
-            ),
-            (
-                gainstage::GainStageDesigner::new(&p).level(),
-                gainstage::GainStageDesigner::new(&p).styles(),
-            ),
-            (
-                levelshift::LevelShiftDesigner::new(&p).level(),
-                levelshift::LevelShiftDesigner::new(&p).styles(),
-            ),
-            (
-                bias::BiasDesigner::new(&p).level(),
-                bias::BiasDesigner::new(&p).styles(),
-            ),
-            (
-                compensation::CompensationDesigner.level(),
-                compensation::CompensationDesigner.styles(),
-            ),
-        ];
-        assert_eq!(registry.len(), declared.len());
-        for (level, styles) in declared {
-            let descriptor = registry
-                .get(level)
-                .unwrap_or_else(|| panic!("level {level:?} missing from registry"));
-            assert_eq!(descriptor.styles(), styles, "styles for {level}");
-        }
-    }
-}

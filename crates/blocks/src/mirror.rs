@@ -656,10 +656,6 @@ impl BlockDesigner for MirrorDesigner<'_> {
     type Output = CurrentMirror;
     type Error = DesignError;
 
-    fn level(&self) -> &'static str {
-        "mirror"
-    }
-
     fn styles(&self) -> &'static [&'static str] {
         &MirrorStyle::NAMES
     }
@@ -899,7 +895,6 @@ mod tests {
     fn designer_trait_exposes_styles_and_selection() {
         let p = process();
         let d = MirrorDesigner::new(&p);
-        assert_eq!(d.level(), "mirror");
         assert_eq!(d.styles(), ["simple", "cascode", "wide-swing"]);
         let spec = MirrorSpec::new(Polarity::Nmos, 20e-6)
             .with_headroom(1.5)

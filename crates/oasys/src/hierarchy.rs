@@ -7,13 +7,14 @@
 //! wildly in complexity (a sample-and-hold may be three devices while the
 //! comparator next to it has twenty).
 //!
-//! Blocks that OASYS can actually design carry a link to a designer
-//! *level* in a [`DesignerRegistry`] — the catalog of
-//! [`oasys_plan::BlockDesigner`] implementations. [`design_registry`]
-//! returns the full catalog: every [`oasys_blocks`] sub-block designer
-//! plus the op-amp level itself ([`crate::OpAmpDesigner`]).
+//! Blocks that OASYS can actually design carry a link to the designer
+//! *level* that realizes them: `"op amp"` for the op amp itself, which
+//! [`crate::synthesize`] designs, and for a sub-block the level of the
+//! `block:<level>` telemetry span a synthesis records each time it
+//! designs one (`"mirror"`, `"diff pair"`, …). The links are labels;
+//! `tests/hierarchy_figure1.rs` checks each against what a traced
+//! synthesis records.
 
-use oasys_plan::{DesignerDescriptor, DesignerRegistry};
 use std::fmt;
 
 /// A node in an analog design hierarchy.
@@ -53,10 +54,10 @@ impl Block {
         self
     }
 
-    /// Links this block to a designer level (builder style) — the level
-    /// name a [`DesignerRegistry`] knows, e.g. `"mirror"` or `"op amp"`.
-    /// Blocks without a link are structural or device-level (switches,
-    /// capacitor arrays) and have no automated designer.
+    /// Links this block to a designer level (builder style), e.g.
+    /// `"mirror"` or `"op amp"`. Blocks without a link are structural or
+    /// device-level (switches, capacitor arrays) and have no automated
+    /// designer.
     #[must_use]
     pub fn with_designer(mut self, level: impl Into<String>) -> Self {
         self.designer = Some(level.into());
@@ -102,37 +103,6 @@ impl Block {
         self.children.iter().find_map(|c| c.find(name))
     }
 
-    /// Resolves this block's designer link against a registry.
-    ///
-    /// `None` when the block declares no designer *or* the registry does
-    /// not know the level — use [`unresolved`](Block::unresolved) to tell
-    /// the two apart across a whole tree.
-    #[must_use]
-    pub fn resolve<'r>(&self, registry: &'r DesignerRegistry) -> Option<&'r DesignerDescriptor> {
-        registry.get(self.designer.as_deref()?)
-    }
-
-    /// Walks the subtree and returns `(block name, designer level)` for
-    /// every block whose declared designer the registry does *not* know.
-    /// An empty result means the hierarchy is fully linked.
-    #[must_use]
-    pub fn unresolved(&self, registry: &DesignerRegistry) -> Vec<(String, String)> {
-        let mut missing = Vec::new();
-        self.collect_unresolved(registry, &mut missing);
-        missing
-    }
-
-    fn collect_unresolved(&self, registry: &DesignerRegistry, out: &mut Vec<(String, String)>) {
-        if let Some(level) = self.designer() {
-            if registry.get(level).is_none() {
-                out.push((self.name.clone(), level.to_string()));
-            }
-        }
-        for child in &self.children {
-            child.collect_unresolved(registry, out);
-        }
-    }
-
     fn render(&self, indent: usize, out: &mut String) {
         out.push_str(&"  ".repeat(indent));
         out.push_str(&self.name);
@@ -156,22 +126,9 @@ impl fmt::Display for Block {
     }
 }
 
-/// The full designer catalog: every [`oasys_blocks`] sub-block level plus
-/// the `"op amp"` level realized by [`crate::OpAmpDesigner`]. This is the
-/// registry the Figure 1 hierarchy links against.
-#[must_use]
-pub fn design_registry() -> DesignerRegistry {
-    let mut registry = oasys_blocks::designer_registry();
-    registry.register(DesignerDescriptor::new(
-        "op amp",
-        ["one-stage OTA", "two-stage", "folded cascode"],
-    ));
-    registry
-}
-
 /// The paper's Figure 1: the hierarchy of a successive-approximation A/D
 /// converter, down to the transistor-group level, with each designable
-/// block linked to its [`design_registry`] level.
+/// block linked to its designer level.
 #[must_use]
 pub fn successive_approximation_adc() -> Block {
     let op_amp = Block::new("op amp")
@@ -248,35 +205,5 @@ mod tests {
         assert!(text.contains("\n    switch") || text.contains("\n      switch"));
         // Linked blocks show their designer level.
         assert!(text.contains("op amp [op amp]"));
-    }
-
-    #[test]
-    fn figure1_links_fully_against_the_registry() {
-        let registry = design_registry();
-        let adc = successive_approximation_adc();
-        assert_eq!(adc.unresolved(&registry), Vec::new());
-        let amp = adc.find("op amp").unwrap();
-        let descriptor = amp.resolve(&registry).unwrap();
-        assert_eq!(descriptor.level(), "op amp");
-        assert_eq!(descriptor.styles().len(), 3);
-    }
-
-    #[test]
-    fn registry_op_amp_styles_match_the_synthesizer() {
-        use crate::styles::OpAmpStyle;
-        let registry = design_registry();
-        let styles = registry.get("op amp").unwrap().styles();
-        let expected: Vec<String> = OpAmpStyle::ALL.iter().map(ToString::to_string).collect();
-        assert_eq!(styles, expected.as_slice());
-    }
-
-    #[test]
-    fn dangling_designer_links_are_reported() {
-        let registry = design_registry();
-        let block = Block::new("mystery").with_designer("warp drive");
-        assert_eq!(
-            block.unresolved(&registry),
-            vec![("mystery".to_string(), "warp drive".to_string())]
-        );
     }
 }

@@ -13,12 +13,14 @@
 //! [`OpAmpDesigner`] implementing [`oasys_plan::BlockDesigner`], the
 //! candidates run one after another in declaration order, and repeated
 //! sub-block designs within a run are memoized through a shared
-//! [`MemoCache`]. Selection is deterministic: smallest estimated area
-//! wins, exact ties break by style name.
+//! [`MemoCache`]. Selection is the engine's [`smallest_area`] rule:
+//! smallest estimated area wins, exact ties break by style name.
 
 use crate::spec::OpAmpSpec;
 use crate::styles::{design_style_in, OpAmpDesign, OpAmpStyle, StyleError};
-use oasys_plan::{design_candidates, BlockDesigner, DesignContext, MemoCache, SearchOptions};
+use oasys_plan::{
+    design_candidates, smallest_area, BlockDesigner, DesignContext, MemoCache, SearchOptions,
+};
 use oasys_process::Process;
 use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
@@ -32,9 +34,9 @@ pub const STYLE_THREADS_ENV: &str = "OASYS_STYLE_THREADS";
 /// The op-amp level as a reusable [`BlockDesigner`] — the root block of
 /// the paper's Figure 1 hierarchy. Its styles are the [`OpAmpStyle`]
 /// display names, its failures are [`StyleError`]s, and its area metric
-/// is the total estimated layout area the selector ranks on. Both the
-/// breadth-first selector here and the hierarchy layer drive op-amp
-/// synthesis through this designer.
+/// is the total estimated layout area the selector ranks on. The
+/// breadth-first selector here drives op-amp synthesis through this
+/// designer.
 pub struct OpAmpDesigner<'a> {
     process: &'a Process,
 }
@@ -51,10 +53,6 @@ impl BlockDesigner for OpAmpDesigner<'_> {
     type Spec = OpAmpSpec;
     type Output = OpAmpDesign;
     type Error = StyleError;
-
-    fn level(&self) -> &'static str {
-        "op amp"
-    }
 
     fn styles(&self) -> &'static [&'static str] {
         &OpAmpStyle::NAMES
@@ -303,21 +301,7 @@ pub fn synthesize_with_cache(
         })
         .collect();
 
-    let selected = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, o)| {
-            o.design()
-                .map(|d| (idx, d.area().total_um2(), o.style().to_string()))
-        })
-        .min_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("areas are finite")
-                .then_with(|| a.2.cmp(&b.2))
-        })
-        .map(|(idx, _, _)| idx);
-
-    match selected {
+    match winner(&outcomes) {
         Some(selected) => {
             if tel.is_enabled() {
                 root.annotate_sym(sym!("selected"), sym(outcomes[selected].style().name()));
@@ -338,6 +322,16 @@ pub fn synthesize_with_cache(
             })
         }
     }
+}
+
+/// The index of the winning outcome under the engine's [`smallest_area`]
+/// rule.
+fn winner(outcomes: &[StyleOutcome]) -> Option<usize> {
+    smallest_area(outcomes.iter().enumerate().filter_map(|(idx, o)| {
+        o.design()
+            .map(|d| (o.style().name(), d.area().total_um2(), idx))
+    }))
+    .map(|(.., idx)| idx)
 }
 
 #[cfg(test)]
@@ -370,6 +364,26 @@ mod tests {
         let d = result.selected();
         assert_eq!(d.style(), OpAmpStyle::TwoStage);
         assert!(d.notes().iter().any(|n| n.contains("level shifter")));
+    }
+
+    #[test]
+    fn area_ties_go_to_the_smaller_style_name() {
+        // One design under two styles ties their areas exactly. The
+        // later-tried "folded cascode" has the smaller name, so it must
+        // win whichever style is tried first.
+        let design = synthesize(&test_cases::spec_a(), &builtin::cmos_5um())
+            .unwrap()
+            .selected()
+            .clone();
+        let outcome = |style| StyleOutcome {
+            style,
+            result: Ok(design.clone()),
+        };
+        let outcomes = [
+            outcome(OpAmpStyle::TwoStage),
+            outcome(OpAmpStyle::FoldedCascode),
+        ];
+        assert_eq!(winner(&outcomes), Some(1));
     }
 
     #[test]

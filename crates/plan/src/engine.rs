@@ -17,10 +17,11 @@
 //! that re-derive an unchanged sub-block reuse the earlier design.
 //!
 //! [`design_candidates`] is the breadth-first search itself: a
-//! sequential loop over the styles in declaration order. Ties in the
-//! area comparison break by style name, and cache keys are scoped per
-//! candidate style, so the winner, the rejection table, and a
-//! manually-clocked telemetry report are byte-identical run over run.
+//! sequential loop over the styles in declaration order.
+//! [`smallest_area`] picks the winner, breaking exact area ties by style
+//! name, and cache keys are scoped per candidate style, so the winner,
+//! the rejection table, and a manually-clocked telemetry report are
+//! byte-identical run over run.
 //!
 //! # Examples
 //!
@@ -39,7 +40,6 @@
 //!     type Output = f64;      // area, µm²
 //!     type Error = String;
 //!
-//!     fn level(&self) -> &'static str { "resistor" }
 //!     fn styles(&self) -> &'static [&'static str] {
 //!         &["single", "series"]
 //!     }
@@ -83,7 +83,6 @@ use oasys_faults::{fail_point, Deadline};
 use oasys_telemetry::{sym, Sym, Telemetry};
 use std::any::Any;
 use std::collections::HashMap;
-use std::error::Error;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,10 +100,6 @@ pub trait BlockDesigner {
     type Output;
     /// Why one style could not meet the spec.
     type Error: fmt::Display;
-
-    /// The level name, e.g. `"mirror"` or `"op amp"` — used in failure
-    /// reports, telemetry span names, and cache keys.
-    fn level(&self) -> &'static str;
 
     /// Style alternatives in declaration (trial) order. The names are
     /// fixed by the designer, so a sweep copies none of them.
@@ -160,8 +155,7 @@ pub trait BlockDesigner {
     fn area_um2(&self, output: &Self::Output) -> f64;
 
     /// Breadth-first selection: designs every allowed style and keeps
-    /// the smallest-area success, breaking exact area ties by style name
-    /// so selection is deterministic under any execution order.
+    /// the [`smallest_area`] success.
     ///
     /// # Errors
     ///
@@ -172,39 +166,49 @@ pub trait BlockDesigner {
         spec: &Self::Spec,
         ctx: &DesignContext<'_>,
     ) -> Result<Selected<Self::Output>, SelectionFailure<Self::Error>> {
-        let mut best: Option<Selected<Self::Output>> = None;
         let mut rejections = Vec::new();
-        for &style in self.styles() {
-            if !self.allowed(spec, style) {
-                continue;
-            }
-            if let Err(error) = self.static_check(spec, style) {
-                prune(ctx.telemetry(), style, &error);
-                rejections.push(StyleRejection { style, error });
-                continue;
-            }
-            match self.design_style(spec, style, ctx) {
-                Ok(output) => {
-                    let area_um2 = self.area_um2(&output);
-                    let wins = best.as_ref().is_none_or(|b| {
-                        area_um2 < b.area_um2 || (area_um2 == b.area_um2 && style < b.style)
-                    });
-                    if wins {
-                        best = Some(Selected {
-                            style,
-                            area_um2,
-                            output,
-                        });
+        let feasible = self
+            .styles()
+            .iter()
+            .filter(|style| self.allowed(spec, style))
+            .filter_map(|&style| {
+                let designed = self
+                    .static_check(spec, style)
+                    .inspect_err(|error| prune(ctx.telemetry(), style, error))
+                    .and_then(|()| self.design_style(spec, style, ctx));
+                match designed {
+                    Ok(output) => Some((style, self.area_um2(&output), output)),
+                    Err(error) => {
+                        rejections.push(StyleRejection { style, error });
+                        None
                     }
                 }
-                Err(error) => rejections.push(StyleRejection { style, error }),
-            }
+            });
+        match smallest_area(feasible) {
+            Some((style, area_um2, output)) => Ok(Selected {
+                style,
+                area_um2,
+                output,
+            }),
+            None => Err(SelectionFailure { rejections }),
         }
-        best.ok_or(SelectionFailure {
-            level: self.level(),
-            rejections,
-        })
     }
+}
+
+/// The paper's selection rule over feasible `(style, area_um2, design)`
+/// candidates: the smallest estimated area wins, and an exact tie goes
+/// to the smaller style name, so the winner never depends on trial
+/// order. `None` when there is no candidate.
+pub fn smallest_area<T>(
+    candidates: impl IntoIterator<Item = (&'static str, f64, T)>,
+) -> Option<(&'static str, f64, T)> {
+    candidates.into_iter().reduce(|best, next| {
+        if next.1 < best.1 || (next.1 == best.1 && next.0 < best.0) {
+            next
+        } else {
+            best
+        }
+    })
 }
 
 /// A winning design plus how it won.
@@ -274,17 +278,10 @@ impl<E> StyleRejection<E> {
 /// alternative was ruled out rather than a flattened string.
 #[derive(Clone, Debug)]
 pub struct SelectionFailure<E> {
-    level: &'static str,
     rejections: Vec<StyleRejection<E>>,
 }
 
 impl<E> SelectionFailure<E> {
-    /// The failing block level.
-    #[must_use]
-    pub fn level(&self) -> &'static str {
-        self.level
-    }
-
     /// Per-style rejections in trial order (empty when every style was
     /// filtered out before being attempted).
     #[must_use]
@@ -311,14 +308,6 @@ impl<E> SelectionFailure<E> {
             .join("; ")
     }
 }
-
-impl<E: fmt::Display> fmt::Display for SelectionFailure<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: no style fits: {}", self.level, self.reasons())
-    }
-}
-
-impl<E: fmt::Display + fmt::Debug> Error for SelectionFailure<E> {}
 
 /// Cross-cutting context threaded through recursive designer
 /// invocations: the telemetry handle, the memo cache, and the scope
@@ -946,9 +935,8 @@ pub type CandidateResults<O, E> = Vec<(&'static str, Result<O, E>)>;
 /// order, so every pruned style's `style:<name>` span opens before any
 /// executed style's.
 ///
-/// The caller picks the winner (smallest area, ties by style name) from
-/// the returned results; see [`BlockDesigner::design`] for the
-/// convenience that does both at once.
+/// The caller picks the winner from the returned results with
+/// [`smallest_area`]; [`BlockDesigner::design`] does both at once.
 pub fn design_candidates<D: BlockDesigner>(
     designer: &D,
     spec: &D::Spec,
@@ -989,95 +977,6 @@ pub fn design_candidates<D: BlockDesigner>(
         .collect()
 }
 
-/// What one registered designer offers: its level name and its style
-/// alternatives. The registry is the link between the paper's Figure 1
-/// hierarchy blocks and the designers that can realize them.
-#[derive(Clone, Debug)]
-pub struct DesignerDescriptor {
-    level: &'static str,
-    styles: Vec<&'static str>,
-}
-
-impl DesignerDescriptor {
-    /// A descriptor for `level` with its style alternatives.
-    #[must_use]
-    pub fn new(level: &'static str, styles: impl IntoIterator<Item = &'static str>) -> Self {
-        Self {
-            level,
-            styles: styles.into_iter().collect(),
-        }
-    }
-
-    /// The block-level name.
-    #[must_use]
-    pub fn level(&self) -> &'static str {
-        self.level
-    }
-
-    /// The style alternatives, in trial order.
-    #[must_use]
-    pub fn styles(&self) -> &[&'static str] {
-        &self.styles
-    }
-}
-
-/// The catalog of registered block designers, keyed by level name.
-#[derive(Clone, Debug, Default)]
-pub struct DesignerRegistry {
-    descriptors: Vec<DesignerDescriptor>,
-}
-
-impl DesignerRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a descriptor (last registration wins on lookup only if
-    /// levels are unique; duplicates are a caller bug and panic).
-    ///
-    /// # Panics
-    ///
-    /// When `descriptor.level()` is already registered.
-    pub fn register(&mut self, descriptor: DesignerDescriptor) {
-        assert!(
-            self.get(descriptor.level()).is_none(),
-            "designer level {:?} registered twice",
-            descriptor.level()
-        );
-        self.descriptors.push(descriptor);
-    }
-
-    /// Looks a designer up by level name.
-    #[must_use]
-    pub fn get(&self, level: &str) -> Option<&DesignerDescriptor> {
-        self.descriptors.iter().find(|d| d.level == level)
-    }
-
-    /// Every registered descriptor, in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &DesignerDescriptor> {
-        self.descriptors.iter()
-    }
-
-    /// Registered level names, in registration order.
-    pub fn levels(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.descriptors.iter().map(|d| d.level)
-    }
-
-    /// Number of registered designers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.descriptors.len()
-    }
-
-    /// `true` when nothing is registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.descriptors.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1087,6 +986,7 @@ mod tests {
     /// fits only when the spec allows it, at the spec's area.
     struct Toy {
         runs: AtomicUsize,
+        styles: &'static [&'static str],
     }
 
     #[derive(Clone, Copy)]
@@ -1097,8 +997,14 @@ mod tests {
 
     impl Toy {
         fn new() -> Self {
+            Self::declaring(&["big", "small"])
+        }
+
+        /// A toy that tries its two styles in `styles` order.
+        fn declaring(styles: &'static [&'static str]) -> Self {
             Self {
                 runs: AtomicUsize::new(0),
+                styles,
             }
         }
     }
@@ -1108,12 +1014,8 @@ mod tests {
         type Output = f64;
         type Error = String;
 
-        fn level(&self) -> &'static str {
-            "toy"
-        }
-
         fn styles(&self) -> &'static [&'static str] {
-            &["big", "small"]
+            self.styles
         }
 
         fn design_style(
@@ -1160,8 +1062,11 @@ mod tests {
             small_feasible: true,
             small_area: 100.0, // exact tie with "big"
         };
-        let sel = Toy::new().design(&spec, &ctx(&tel)).unwrap();
-        assert_eq!(sel.style(), "big", "tie must break lexicographically");
+        // "big" wins whether it is tried first or last.
+        for styles in [&["big", "small"], &["small", "big"]] {
+            let sel = Toy::declaring(styles).design(&spec, &ctx(&tel)).unwrap();
+            assert_eq!(sel.style(), "big", "tried {styles:?}");
+        }
     }
 
     #[test]
@@ -1171,9 +1076,6 @@ mod tests {
             type Spec = ();
             type Output = f64;
             type Error = String;
-            fn level(&self) -> &'static str {
-                "mirror"
-            }
             fn styles(&self) -> &'static [&'static str] {
                 &["simple", "cascode"]
             }
@@ -1191,16 +1093,11 @@ mod tests {
         }
         let tel = Telemetry::disabled();
         let err = Hopeless.design(&(), &ctx(&tel)).unwrap_err();
-        assert_eq!(err.level(), "mirror");
         assert_eq!(err.rejections().len(), 2);
         assert_eq!(err.rejections()[0].style(), "simple");
         assert_eq!(
             err.reasons(),
             "simple: simple broke; cascode: cascode broke"
-        );
-        assert_eq!(
-            err.to_string(),
-            "mirror: no style fits: simple: simple broke; cascode: cascode broke"
         );
     }
 
@@ -1211,9 +1108,6 @@ mod tests {
             type Spec = ();
             type Output = f64;
             type Error = String;
-            fn level(&self) -> &'static str {
-                "picky"
-            }
             fn styles(&self) -> &'static [&'static str] {
                 &["a", "b"]
             }
@@ -1400,10 +1294,6 @@ mod tests {
         type Output = f64;
         type Error = String;
 
-        fn level(&self) -> &'static str {
-            "prunable"
-        }
-
         fn styles(&self) -> &'static [&'static str] {
             &["cheap", "mid", "fancy"]
         }
@@ -1481,10 +1371,6 @@ mod tests {
             type Output = f64;
             type Error = String;
 
-            fn level(&self) -> &'static str {
-                "audit"
-            }
-
             fn styles(&self) -> &'static [&'static str] {
                 &["cheap", "mid", "fancy"]
             }
@@ -1556,31 +1442,6 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].0, "small");
         assert_eq!(toy.runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn registry_links_levels_to_styles() {
-        let mut reg = DesignerRegistry::new();
-        reg.register(DesignerDescriptor::new(
-            "mirror",
-            ["simple", "cascode", "wide-swing"],
-        ));
-        reg.register(DesignerDescriptor::new("diff pair", ["nmos pair"]));
-        assert_eq!(reg.len(), 2);
-        assert!(!reg.is_empty());
-        let mirror = reg.get("mirror").unwrap();
-        assert_eq!(mirror.styles(), ["simple", "cascode", "wide-swing"]);
-        assert!(reg.get("op amp").is_none());
-        let levels: Vec<_> = reg.levels().collect();
-        assert_eq!(levels, ["mirror", "diff pair"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn registry_rejects_duplicate_levels() {
-        let mut reg = DesignerRegistry::new();
-        reg.register(DesignerDescriptor::new("mirror", ["simple"]));
-        reg.register(DesignerDescriptor::new("mirror", ["cascode"]));
     }
 
     #[test]

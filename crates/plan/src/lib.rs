@@ -69,9 +69,8 @@ mod plan;
 
 pub use analyze::analyze;
 pub use engine::{
-    design_candidates, BlockDesigner, CacheKey, CandidateResults, DesignContext,
-    DesignerDescriptor, DesignerRegistry, MemoCache, SearchOptions, Selected, SelectionFailure,
-    StyleRejection,
+    design_candidates, smallest_area, BlockDesigner, CacheKey, CandidateResults, DesignContext,
+    MemoCache, SearchOptions, Selected, SelectionFailure, StyleRejection,
 };
 pub use error::PlanError;
 pub use executor::{ExecutorConfig, PlanExecutor};

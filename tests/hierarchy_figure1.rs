@@ -1,14 +1,50 @@
 //! End-to-end test of the paper's Figure 1 decomposition: the
-//! successive-approximation A/D converter hierarchy, linked block by
-//! block to registered designers, with the op-amp subtree actually
-//! synthesized through the shared `BlockDesigner` engine.
+//! successive-approximation A/D converter hierarchy, its designer links
+//! checked against the levels a traced synthesis records, with the
+//! op-amp subtree actually synthesized through the shared
+//! `BlockDesigner` engine.
 
-use oasys::hierarchy::{design_registry, successive_approximation_adc, Block};
-use oasys::{spec::test_cases, synthesize_with_options, OpAmpStyle, SearchOptions};
+use oasys::hierarchy::{successive_approximation_adc, Block};
+use oasys::{spec::test_cases, synthesize_with, OpAmpDesigner};
 use oasys_blocks::mirror::{MirrorDesigner, MirrorSpec};
 use oasys_plan::{BlockDesigner, DesignContext};
 use oasys_process::{builtin, Polarity};
 use oasys_telemetry::Telemetry;
+use std::collections::BTreeSet;
+
+/// Every `(block name, designer level)` link in the subtree.
+fn links(block: &Block) -> Vec<(&str, &str)> {
+    let mut out: Vec<(&str, &str)> = block
+        .designer()
+        .map(|level| (block.name(), level))
+        .into_iter()
+        .collect();
+    for child in block.children() {
+        out.extend(links(child));
+    }
+    out
+}
+
+/// The levels of the `block:<level>` spans that traced syntheses of the
+/// paper's cases A, B and C record on the 5 µm kit.
+fn recorded_block_levels() -> BTreeSet<String> {
+    let process = builtin::cmos_5um();
+    let mut levels = BTreeSet::new();
+    for spec in [
+        test_cases::spec_a(),
+        test_cases::spec_b(),
+        test_cases::spec_c(),
+    ] {
+        let tel = Telemetry::new();
+        synthesize_with(&spec, &process, &tel).expect("the paper's cases synthesize");
+        for span in tel.report().spans() {
+            if let Some(level) = span.name.strip_prefix("block:") {
+                levels.insert(level.to_owned());
+            }
+        }
+    }
+    levels
+}
 
 /// Figure 1's tree is deep (≥ 3 levels) and *not strict*: siblings at
 /// the same level differ wildly in complexity.
@@ -27,63 +63,56 @@ fn figure1_decomposition_shape() {
     assert!(sh.depth() >= 3);
 }
 
-/// Every designer-linked block in the tree resolves against the full
-/// registry — no dangling levels, and the sub-block levels under the op
-/// amp are exactly the reusable designers the blocks crate exports.
+/// Every designer link in the tree names a level synthesis records: the
+/// op-amp block links to `"op amp"`, the level `synthesize` designs, and
+/// every other link `L` shows up as a `block:L` span when the paper's
+/// cases are synthesized (case C designs the level shifter).
 #[test]
-fn figure1_blocks_link_to_registered_designers() {
-    let registry = design_registry();
+fn figure1_links_name_levels_synthesis_records() {
     let adc = successive_approximation_adc();
-    assert_eq!(
-        adc.unresolved(&registry),
-        Vec::new(),
-        "every designer link must resolve"
-    );
-
-    let amp = adc.find("op amp").unwrap();
-    for child in amp.children() {
-        let descriptor = child
-            .resolve(&registry)
-            .unwrap_or_else(|| panic!("{} should link to a designer", child.name()));
-        assert!(
-            !descriptor.styles().is_empty(),
-            "{} offers no styles",
-            descriptor.level()
-        );
+    let links = links(&adc);
+    assert!(links.contains(&("op amp", "op amp")), "{links:?}");
+    let recorded = recorded_block_levels();
+    for (block, level) in links {
+        if block == "op amp" {
+            assert_eq!(level, "op amp");
+        } else {
+            assert!(
+                recorded.contains(level),
+                "{block} links to {level:?}, but synthesis records only {recorded:?}"
+            );
+        }
     }
 }
 
 /// Designing the hierarchy's op-amp block end to end: the engine sweeps
-/// the styles the registry advertises, and the telemetry shows the
-/// recursion — `style:<name>` spans at the op-amp level with
-/// `block:<level>` child spans for every sub-block invocation.
+/// the op-amp designer's styles, and the telemetry shows the recursion —
+/// `style:<name>` spans at the op-amp level with `block:<level>` child
+/// spans for every sub-block invocation.
 #[test]
 fn figure1_op_amp_block_designs_end_to_end() {
-    let registry = design_registry();
     let adc = successive_approximation_adc();
     let amp = adc.find("op amp").unwrap();
-    let descriptor = amp.resolve(&registry).unwrap();
+    assert_eq!(amp.designer(), Some("op amp"));
 
     let tel = Telemetry::new();
     let process = builtin::cmos_5um();
-    let result =
-        synthesize_with_options(&test_cases::spec_a(), &process, &SearchOptions::new(), &tel)
-            .unwrap();
+    let result = synthesize_with(&test_cases::spec_a(), &process, &tel).unwrap();
 
-    // The winner is one of the styles the registry advertised.
-    let winner = result.selected().style().to_string();
+    // The winner is one of the styles the op-amp designer tries.
+    let styles = OpAmpDesigner::new(&process).styles();
+    let winner = result.selected().style().name();
     assert!(
-        descriptor.styles().iter().any(|s| *s == winner),
-        "winner {winner:?} not in registry styles {:?}",
-        descriptor.styles()
+        styles.contains(&winner),
+        "winner {winner:?} not among {styles:?}"
     );
 
-    // Telemetry covers the whole recursion: one style span per
-    // advertised style, and block spans for the sub-block designers the
-    // hierarchy links under the op amp.
+    // Telemetry covers the whole recursion: one style span per style,
+    // and block spans for the sub-blocks the hierarchy links under the
+    // op amp.
     let report = tel.report();
     let names: Vec<&str> = report.spans().iter().map(|s| s.name.as_str()).collect();
-    for style in OpAmpStyle::ALL {
+    for style in styles {
         let span = format!("style:{style}");
         assert!(names.contains(&span.as_str()), "missing {span}");
     }
@@ -93,15 +122,13 @@ fn figure1_op_amp_block_designs_end_to_end() {
     }
 }
 
-/// A leaf-level designer from the registry works through the same
-/// engine trait the op amp uses — the paper's reuse claim, mechanized.
+/// A leaf-level block designs through the same engine trait the op amp
+/// uses — the paper's reuse claim, mechanized.
 #[test]
 fn figure1_leaf_block_designs_through_the_same_trait() {
-    let registry = design_registry();
     let adc = successive_approximation_adc();
     let mirror_block = adc.find("current mirror").unwrap();
-    let descriptor = mirror_block.resolve(&registry).unwrap();
-    assert_eq!(descriptor.level(), "mirror");
+    assert_eq!(mirror_block.designer(), Some("mirror"));
 
     let process = builtin::cmos_5um();
     let designer = MirrorDesigner::new(&process);
@@ -110,8 +137,8 @@ fn figure1_leaf_block_designs_through_the_same_trait() {
     let spec = MirrorSpec::new(Polarity::Nmos, 20e-6).with_headroom(1.5);
     let selected = designer.design(&spec, &ctx).expect("mirror designs");
     assert!(
-        descriptor.styles().iter().any(|s| *s == selected.style()),
-        "selected style {:?} not advertised by the registry",
+        designer.styles().contains(&selected.style()),
+        "selected style {:?} is not one the mirror designer tries",
         selected.style()
     );
     assert!(selected.area_um2() > 0.0);
