@@ -11,10 +11,11 @@
 //! `dropped` counter advances, so exporters can report truncation
 //! (`wrapped: true`, `events_dropped: N`) instead of hiding it. The
 //! same structure doubles as the crash flight recorder: a small ring
-//! holds the trace tail by construction, and [`Recording::tail_lines`]
-//! renders the last few records verbatim into failure context. A
-//! flight ring keeps its per-job text beside it ([`Texts`]) instead of
-//! in the process-wide table.
+//! holds the trace tail by construction, and
+//! [`Telemetry::tail_lines`](crate::Telemetry::tail_lines) renders the
+//! last few records verbatim into failure context. A flight ring keeps
+//! its per-job text beside it ([`Texts`]) instead of in the
+//! process-wide table.
 
 use crate::intern::{resolve, Sym};
 use crate::metrics::Hist;
@@ -96,27 +97,6 @@ impl fmt::Display for Text<'_> {
             f.write_str(self.texts.get(self.operand))
         }
     }
-}
-
-/// The last `n` of `records` (`len` of them, oldest first) rendered as
-/// the flight recorder's short lines.
-pub(crate) fn tail_lines<'a>(
-    records: impl Iterator<Item = &'a Record>,
-    len: usize,
-    texts: &Texts,
-    n: usize,
-) -> Vec<String> {
-    let text = |operand| Text { operand, texts };
-    records
-        .skip(len.saturating_sub(n))
-        .map(|r| match r.tag {
-            Tag::SpanOpen => format!("open {}", text(r.a)),
-            Tag::SpanClose => format!("close {}", text(r.a)),
-            Tag::Annotate => format!("note {}={}", text(r.a), text(r.b)),
-            Tag::Event => format!("event {}", text(r.a)),
-            Tag::Field => format!("field {}={}", text(r.a), text(r.b)),
-        })
-        .collect()
 }
 
 /// Discriminates the meaning of a [`Record`]'s operand fields.
@@ -222,16 +202,31 @@ impl RecordRing {
     pub fn len(&self) -> usize {
         self.buf.len()
     }
+
+    /// The flight-recorder tail: the last `n` records rendered as short
+    /// lines (`open plan:x`, `event step_started`, `field step=bias`,
+    /// …), oldest first, with `LOCAL` operands read from `texts`.
+    pub fn tail_lines(&self, texts: &Texts, n: usize) -> Vec<String> {
+        let text = |operand| Text { operand, texts };
+        self.iter()
+            .skip(self.len().saturating_sub(n))
+            .map(|r| match r.tag {
+                Tag::SpanOpen => format!("open {}", text(r.a)),
+                Tag::SpanClose => format!("close {}", text(r.a)),
+                Tag::Annotate => format!("note {}={}", text(r.a), text(r.b)),
+                Tag::Event => format!("event {}", text(r.a)),
+                Tag::Field => format!("field {}={}", text(r.a), text(r.b)),
+            })
+            .collect()
+    }
 }
 
 /// A detached, `Send` snapshot of one telemetry handle's raw state:
 /// the ring's records in logical order plus the handle's metric cells.
 ///
 /// Produced by [`Telemetry::into_recording`](crate::Telemetry::into_recording)
-/// on a worker handle; spliced into the parent with
-/// [`Telemetry::absorb`](crate::Telemetry::absorb), or mined for its
-/// trace tail with [`tail_lines`](Self::tail_lines) when the work it
-/// instrumented failed.
+/// on a worker handle and spliced into the parent with
+/// [`Telemetry::absorb`](crate::Telemetry::absorb).
 #[derive(Debug, Default)]
 pub struct Recording {
     pub(crate) records: Vec<Record>,
@@ -261,15 +256,6 @@ impl Recording {
     #[must_use]
     pub fn events_dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The flight-recorder tail: the last `n` records rendered as short
-    /// human-readable lines (`open plan:x`, `event step_started`,
-    /// `field step=bias`, …), oldest first. This is what a failed batch
-    /// job dumps into its structured failure record.
-    #[must_use]
-    pub fn tail_lines(&self, n: usize) -> Vec<String> {
-        tail_lines(self.records.iter(), self.records.len(), &self.texts, n)
     }
 }
 
@@ -360,40 +346,29 @@ mod tests {
         let kind = sym("step_started");
         let key = sym("step");
         let val = sym("bias");
-        let recording = Recording {
-            records: vec![
-                Record {
-                    t_ns: 0,
-                    a: open.index(),
-                    b: 0,
-                    c: 0,
-                    tag: Tag::SpanOpen,
-                },
-                Record {
-                    t_ns: 1,
-                    a: kind.index(),
-                    b: 0,
-                    c: 0,
-                    tag: Tag::Event,
-                },
-                Record {
-                    t_ns: 1,
-                    a: key.index(),
-                    b: val.index(),
-                    c: 0,
-                    tag: Tag::Field,
-                },
-            ],
-            ..Recording::default()
-        };
+        let mut ring = RecordRing::with_capacity(8);
+        for (tag, a, b) in [
+            (Tag::SpanOpen, open, None),
+            (Tag::Event, kind, None),
+            (Tag::Field, key, Some(val)),
+        ] {
+            ring.push(Record {
+                t_ns: 1,
+                a: a.index(),
+                b: b.map_or(0, Sym::index),
+                c: 0,
+                tag,
+            });
+        }
+        let texts = Texts::default();
         assert_eq!(
-            recording.tail_lines(2),
+            ring.tail_lines(&texts, 2),
             vec![
                 "event step_started".to_owned(),
                 "field step=bias".to_owned()
             ]
         );
-        assert_eq!(recording.tail_lines(10).len(), 3);
-        assert_eq!(recording.tail_lines(10)[0], "open plan:demo");
+        assert_eq!(ring.tail_lines(&texts, 10).len(), 3);
+        assert_eq!(ring.tail_lines(&texts, 10)[0], "open plan:demo");
     }
 }
