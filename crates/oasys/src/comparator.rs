@@ -23,7 +23,7 @@ use oasys_blocks::area::AreaEstimate;
 use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::Circuit;
-use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
+use oasys_plan::{Plan, PlanExecutor, StepOutcome};
 use oasys_process::{Polarity, Process};
 use std::fmt;
 use std::sync::OnceLock;
@@ -352,19 +352,15 @@ fn build_plan() -> Plan<State> {
             s.predicted_gain = a1.powi(s.stages as i32);
             StepOutcome::Done
         })
-        .rule(
-            "speed-up",
-            |s: &State, f| f.code() == "too-slow" && s.speed_boost < 16.0,
-            |s: &mut State, _| {
-                s.speed_boost *= 1.6;
-                PatchAction::RestartFrom("stage-current".into())
-            },
-        )
-        .rule(
-            "give-up",
-            |_, f| matches!(f.code(), "too-many-stages" | "stage-design" | "too-slow"),
-            |_s: &mut State, _| PatchAction::Abort("comparator infeasible".into()),
-        )
+        .rule("speed-up", ["too-slow"])
+        .when(|s: &State| s.speed_boost < 16.0)
+        .patch(|s: &mut State, _| {
+            s.speed_boost *= 1.6;
+            Ok(())
+        })
+        .restarts_from("stage-current")
+        .rule("give-up", ["too-many-stages", "stage-design", "too-slow"])
+        .aborts("comparator infeasible")
         .build()
 }
 

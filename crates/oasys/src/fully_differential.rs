@@ -22,7 +22,7 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::{sizing, Geometry};
 use oasys_netlist::Circuit;
-use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
+use oasys_plan::{Plan, PlanExecutor, StepOutcome};
 use oasys_process::{Polarity, Process};
 use std::fmt;
 use std::sync::OnceLock;
@@ -403,19 +403,15 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
-        .rule(
-            "lower-pair-overdrive",
-            |s: &State, f| f.code() == "gain-short" && s.vov1 > 0.08,
-            |s: &mut State, _| {
-                s.vov1 /= 1.5;
-                PatchAction::RestartFrom("size-input".into())
-            },
-        )
-        .rule(
-            "give-up",
-            |_, f| matches!(f.code(), "gain-short" | "block-design"),
-            |_s: &mut State, _| PatchAction::Abort("fully-differential style infeasible".into()),
-        )
+        .rule("lower-pair-overdrive", ["gain-short"])
+        .when(|s: &State| s.vov1 > 0.08)
+        .patch(|s: &mut State, _| {
+            s.vov1 /= 1.5;
+            Ok(())
+        })
+        .restarts_from("size-input")
+        .rule("give-up", ["gain-short", "block-design"])
+        .aborts("fully-differential style infeasible")
         .build()
 }
 

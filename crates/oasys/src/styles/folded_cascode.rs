@@ -23,7 +23,7 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::{sizing, Geometry, Mosfet};
 use oasys_netlist::Circuit;
-use oasys_plan::{DesignContext, Expr, Interval, PatchAction, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{DesignContext, Expr, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::Telemetry;
 use oasys_units::Dimension;
@@ -484,54 +484,34 @@ fn build_plan() -> Plan<State> {
         .writes(["predicted"])
         .emits(NONE)
         // ---- patch rules ----
-        .rule(
-            "lower-pair-overdrive",
-            |s: &State, f| matches!(f.code(), "gain-short" | "noise-high") && s.vov1 > 0.06,
-            |s: &mut State, _| {
-                s.vov1 /= 1.5;
-                s.notes
-                    .push(format!("lowered pair overdrive to {:.2} V", s.vov1));
-                PatchAction::RestartFrom("size-input".into())
-            },
-        )
-        .on_codes(["gain-short", "noise-high"])
-        .guarded()
+        .rule("lower-pair-overdrive", ["gain-short", "noise-high"])
+        .when(|s: &State| s.vov1 > 0.06)
+        .patch(|s: &mut State, _| {
+            s.vov1 /= 1.5;
+            s.notes
+                .push(format!("lowered pair overdrive to {:.2} V", s.vov1));
+            Ok(())
+        })
         .reads(["vov1"])
         .writes(["vov1", "notes"])
         .restarts_from("size-input")
         .rule(
             "give-up",
-            |_, f| {
-                matches!(
-                    f.code(),
-                    "spec-unsupported"
-                        | "pair-design"
-                        | "branch-design"
-                        | "gain-short"
-                        | "bias-design"
-                        | "swing-short"
-                        | "offset-high"
-                        | "pm-short"
-                        | "power-high"
-                        | "noise-high"
-                )
-            },
-            |_s: &mut State, _| PatchAction::Abort("folded-cascode style infeasible".into()),
+            [
+                "spec-unsupported",
+                "pair-design",
+                "branch-design",
+                "gain-short",
+                "bias-design",
+                "swing-short",
+                "offset-high",
+                "pm-short",
+                "power-high",
+                "noise-high",
+            ],
         )
-        .on_codes([
-            "spec-unsupported",
-            "pair-design",
-            "branch-design",
-            "gain-short",
-            "bias-design",
-            "swing-short",
-            "offset-high",
-            "pm-short",
-            "power-high",
-            "noise-high",
-        ])
         .writes(NONE)
-        .aborts()
+        .aborts("folded-cascode style infeasible")
         .build()
 }
 

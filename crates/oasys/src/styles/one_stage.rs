@@ -22,7 +22,7 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::Mosfet;
 use oasys_netlist::Circuit;
-use oasys_plan::{DesignContext, Expr, Interval, PatchAction, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{DesignContext, Expr, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::Telemetry;
 use oasys_units::Dimension;
@@ -522,167 +522,108 @@ fn build_plan() -> Plan<State> {
         // ---- patch rules (consulted in order) ----
         .rule(
             "cascode-load",
-            |s: &State, f| {
-                !s.load_cascoded
-                    && matches!(
-                        f.code(),
-                        "pair-gain-short" | "load-design" | "offset-high" | "pm-short"
-                    )
-            },
-            |s: &mut State, _| {
-                s.load_cascoded = true;
-                s.alpha = ALPHA_CASCODE;
-                s.notes
-                    .push("cascoded the load mirror for gain/offset".to_owned());
-                PatchAction::RestartFrom("gain-budget".into())
-            },
+            ["pair-gain-short", "load-design", "offset-high", "pm-short"],
         )
-        .on_codes(["pair-gain-short", "load-design", "offset-high", "pm-short"])
-        .guarded()
+        .when(|s: &State| !s.load_cascoded)
+        .patch(|s: &mut State, _| {
+            s.load_cascoded = true;
+            s.alpha = ALPHA_CASCODE;
+            s.notes
+                .push("cascoded the load mirror for gain/offset".to_owned());
+            Ok(())
+        })
         .reads(["load_cascoded"])
         .writes(["load_cascoded", "alpha", "notes"])
         .restarts_from("gain-budget")
-        .rule(
-            "boost-tail-for-slew",
-            |s: &State, f| f.code() == "slew-short" && s.slew_boost < 2.5,
-            |s: &mut State, _| {
-                s.slew_boost *= 1.25;
-                PatchAction::RestartFrom("size-input-gm".into())
-            },
-        )
-        .on_codes(["slew-short"])
-        .guarded()
+        .rule("boost-tail-for-slew", ["slew-short"])
+        .when(|s: &State| s.slew_boost < 2.5)
+        .patch(|s: &mut State, _| {
+            s.slew_boost *= 1.25;
+            Ok(())
+        })
         .reads(["slew_boost"])
         .writes(["slew_boost"])
         .restarts_from("size-input-gm")
-        .rule(
-            "relax-input-overdrive",
-            |s: &State, f| {
-                // When slew (not bandwidth) set the tail current, f_u
-                // overshoots its spec; trading that excess back (higher
-                // V_ov → lower gm1) buys phase margin for free.
-                let fu = s.gm1 / (2.0 * std::f64::consts::PI * s.spec.load().farads());
-                // Guard against fighting the gain rules: raising V_ov
-                // lengthens the pair the gain budget demands; only fire
-                // while that stays manufacturable.
-                let l_projected =
-                    s.process.nmos().lambda_l() * (s.vov1 * 1.4) * s.spec.dc_gain_linear()
-                        / (2.0 * s.alpha);
-                f.code() == "pm-short"
-                    && s.vov1 < 0.45
-                    && fu > 1.3 * s.spec.unity_gain_freq().hertz()
-                    && l_projected <= MAX_L_FACTOR * s.process.min_length().micrometers()
-            },
-            |s: &mut State, _| {
-                s.vov1 *= 1.4;
-                s.notes.push(format!(
-                    "raised pair overdrive to {:.2} V, trading excess bandwidth \
-                     for phase margin",
-                    s.vov1
-                ));
-                PatchAction::RestartFrom("size-input-gm".into())
-            },
-        )
-        .on_codes(["pm-short"])
-        .guarded()
+        .rule("relax-input-overdrive", ["pm-short"])
+        .when(|s: &State| {
+            // When slew (not bandwidth) set the tail current, f_u
+            // overshoots its spec; trading that excess back (higher
+            // V_ov → lower gm1) buys phase margin for free.
+            let fu = s.gm1 / (2.0 * std::f64::consts::PI * s.spec.load().farads());
+            // Guard against fighting the gain rules: raising V_ov
+            // lengthens the pair the gain budget demands; only fire
+            // while that stays manufacturable.
+            let l_projected =
+                s.process.nmos().lambda_l() * (s.vov1 * 1.4) * s.spec.dc_gain_linear()
+                    / (2.0 * s.alpha);
+            s.vov1 < 0.45
+                && fu > 1.3 * s.spec.unity_gain_freq().hertz()
+                && l_projected <= MAX_L_FACTOR * s.process.min_length().micrometers()
+        })
+        .patch(|s: &mut State, _| {
+            s.vov1 *= 1.4;
+            s.notes.push(format!(
+                "raised pair overdrive to {:.2} V, trading excess bandwidth \
+                 for phase margin",
+                s.vov1
+            ));
+            Ok(())
+        })
         .reads(["spec", "process", "gm1", "vov1", "alpha"])
         .writes(["vov1", "notes"])
         .restarts_from("size-input-gm")
-        .rule(
-            "lower-pair-overdrive",
-            |s: &State, f| matches!(f.code(), "pair-gain-short" | "noise-high") && s.vov1 > 0.11,
-            |s: &mut State, _| {
-                s.vov1 /= 2.0;
-                s.notes.push(format!(
-                    "lowered pair overdrive to {:.2} V for gain",
-                    s.vov1
-                ));
-                PatchAction::RestartFrom("size-input-gm".into())
-            },
-        )
-        .on_codes(["pair-gain-short", "noise-high"])
-        .guarded()
+        .rule("lower-pair-overdrive", ["pair-gain-short", "noise-high"])
+        .when(|s: &State| s.vov1 > 0.11)
+        .patch(|s: &mut State, _| {
+            s.vov1 /= 2.0;
+            s.notes.push(format!(
+                "lowered pair overdrive to {:.2} V for gain",
+                s.vov1
+            ));
+            Ok(())
+        })
         .reads(["vov1"])
         .writes(["vov1", "notes"])
         .restarts_from("size-input-gm")
-        .rule(
-            "swing-gain-conflict",
-            |s: &State, f| f.code() == "swing-short" && s.load_cascoded,
-            |_s: &mut State, _| {
-                PatchAction::Abort(
-                    "the cascoded load the gain requires cannot meet the output \
-                     swing — one-stage style cannot satisfy gain and swing \
-                     simultaneously"
-                        .into(),
-                )
-            },
-        )
-        .on_codes(["swing-short"])
-        .guarded()
+        .rule("swing-gain-conflict", ["swing-short"])
+        .when(|s: &State| s.load_cascoded)
         .reads(["load_cascoded"])
         .writes(NONE)
-        .aborts()
-        .rule(
-            "inherent-offset",
-            |s: &State, f| f.code() == "offset-high" && s.load_cascoded,
-            |_s: &mut State, _| {
-                PatchAction::Abort(
-                    "the one-stage style's inherent systematic offset exceeds the \
-                     specification"
-                        .into(),
-                )
-            },
+        .aborts(
+            "the cascoded load the gain requires cannot meet the output \
+             swing — one-stage style cannot satisfy gain and swing \
+             simultaneously",
         )
-        .on_codes(["offset-high"])
-        .guarded()
+        .rule("inherent-offset", ["offset-high"])
+        .when(|s: &State| s.load_cascoded)
         .reads(["load_cascoded"])
         .writes(NONE)
-        .aborts()
-        .rule(
-            "give-up-gain",
-            |_, f| matches!(f.code(), "pair-gain-short" | "load-design"),
-            |_s: &mut State, _| {
-                PatchAction::Abort(
-                    "gain infeasible for the one-stage style (with swing and \
-                     offset constraints limiting the load)"
-                        .into(),
-                )
-            },
+        .aborts(
+            "the one-stage style's inherent systematic offset exceeds the \
+             specification",
         )
-        .on_codes(["pair-gain-short", "load-design"])
+        .rule("give-up-gain", ["pair-gain-short", "load-design"])
         .writes(NONE)
-        .aborts()
+        .aborts(
+            "gain infeasible for the one-stage style (with swing and \
+             offset constraints limiting the load)",
+        )
         .rule(
             "give-up",
-            |_, f| {
-                matches!(
-                    f.code(),
-                    "spec-unsupported"
-                        | "pair-design"
-                        | "tail-design"
-                        | "bias-headroom"
-                        | "swing-short"
-                        | "pm-short"
-                        | "power-high"
-                        | "slew-short"
-                        | "noise-high"
-                )
-            },
-            |_s: &mut State, _| PatchAction::Abort("one-stage style infeasible".into()),
+            [
+                "spec-unsupported",
+                "pair-design",
+                "tail-design",
+                "bias-headroom",
+                "swing-short",
+                "pm-short",
+                "power-high",
+                "slew-short",
+                "noise-high",
+            ],
         )
-        .on_codes([
-            "spec-unsupported",
-            "pair-design",
-            "tail-design",
-            "bias-headroom",
-            "swing-short",
-            "pm-short",
-            "power-high",
-            "slew-short",
-            "noise-high",
-        ])
         .writes(NONE)
-        .aborts()
+        .aborts("one-stage style infeasible")
         .build()
 }
 

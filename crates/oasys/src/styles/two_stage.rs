@@ -26,9 +26,7 @@ use oasys_blocks::gainstage::{GainStage, GainStageSpec, GainStageStyle};
 use oasys_blocks::levelshift::{LevelShiftSpec, LevelShifter};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::Circuit;
-use oasys_plan::{
-    CacheKey, DesignContext, Expr, Interval, PatchAction, PerfRelation, Plan, StepOutcome,
-};
+use oasys_plan::{CacheKey, DesignContext, Expr, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::{sym, Telemetry};
 use oasys_units::Dimension;
@@ -773,135 +771,106 @@ fn build_plan() -> Plan<State> {
         // ---- patch rules ----
         .rule(
             "cascode-first-stage",
-            |s: &State, f| {
-                !s.s1_cascoded && matches!(f.code(), "stage1-gain-short" | "stage2-gain-short")
-            },
-            |s: &mut State, _| {
-                s.s1_cascoded = true;
-                s.alpha1 = 0.85;
-                s.skew = CASCODE_SKEW;
-                s.i2_boost = 1.0;
-                s.notes.push(
-                    "cascoded the first-stage load and tail; skewed the gain \
-                     partition toward the cascoded stage"
-                        .to_owned(),
-                );
-                PatchAction::RestartFrom("partition-gain".into())
-            },
+            ["stage1-gain-short", "stage2-gain-short"],
         )
-        .on_codes(["stage1-gain-short", "stage2-gain-short"])
-        .guarded()
+        .when(|s: &State| !s.s1_cascoded)
+        .patch(|s: &mut State, _| {
+            s.s1_cascoded = true;
+            s.alpha1 = 0.85;
+            s.skew = CASCODE_SKEW;
+            s.i2_boost = 1.0;
+            s.notes.push(
+                "cascoded the first-stage load and tail; skewed the gain \
+                 partition toward the cascoded stage"
+                    .to_owned(),
+            );
+            Ok(())
+        })
         .reads(["s1_cascoded"])
         .writes(["s1_cascoded", "alpha1", "skew", "i2_boost", "notes"])
         .restarts_from("partition-gain")
-        .rule(
-            "lower-pair-overdrive",
-            |s: &State, f| matches!(f.code(), "stage1-gain-short" | "noise-high") && s.vov1 > 0.11,
-            |s: &mut State, _| {
-                s.vov1 /= 2.0;
-                s.notes
-                    .push(format!("lowered pair overdrive to {:.2} V", s.vov1));
-                PatchAction::RestartFrom("size-input".into())
-            },
-        )
-        .on_codes(["stage1-gain-short", "noise-high"])
-        .guarded()
+        .rule("lower-pair-overdrive", ["stage1-gain-short", "noise-high"])
+        .when(|s: &State| s.vov1 > 0.11)
+        .patch(|s: &mut State, _| {
+            s.vov1 /= 2.0;
+            s.notes
+                .push(format!("lowered pair overdrive to {:.2} V", s.vov1));
+            Ok(())
+        })
         .reads(["vov1"])
         .writes(["vov1", "notes"])
         .restarts_from("size-input")
-        .rule(
-            "insert-level-shifter",
-            |s: &State, f| f.code() == "dc-mismatch" && s.shifter.is_none(),
-            |s: &mut State, ctx| {
-                // The driver gate must sit above the stage-1 output: a
-                // PMOS source follower (bulk tied to source, so no body
-                // effect) shifts up by its V_SG.
-                let needed = s.v_gate2_required() - s.v1_out();
-                if needed <= 0.0 {
-                    return PatchAction::Abort(format!(
-                        "stage-1 output is above the driver gate level by \
-                         {:.2} V; no follower polarity fits",
-                        -needed
-                    ));
-                }
-                // The follower sits inside the compensation loop: its
-                // output pole gm_ls/(Cc + C_gate2) must clear the
-                // crossover by ~10×, which sets the bias current.
-                let probe = LevelShiftSpec::new(Polarity::Pmos, needed, 1e-6);
-                let vov_ls = match LevelShifter::design_with(&probe, &s.process, ctx) {
-                    Ok(ls) => ls.vov(),
-                    Err(e) => return PatchAction::Abort(format!("level shifter infeasible: {e}")),
-                };
-                let gm_req = 2.0 * std::f64::consts::PI * (10.0 * s.fu_achieved()) * (2.0 * s.cc);
-                s.i_ls = (gm_req * vov_ls / 2.0).max(s.i_tail / 2.0);
-                let ls_spec = LevelShiftSpec::new(Polarity::Pmos, needed, s.i_ls);
-                match LevelShifter::design_with(&ls_spec, &s.process, ctx) {
-                    Ok(ls) => {
-                        s.shifter = Some(ls);
-                        let bias_spec = MirrorSpec::new(Polarity::Pmos, s.i_ls)
-                            .with_headroom(1.0)
-                            .with_only_style(MirrorStyle::Simple);
-                        match CurrentMirror::design_with(&bias_spec, &s.process, ctx) {
-                            Ok(m) => s.shifter_bias = Some(m),
-                            Err(e) => {
-                                return PatchAction::Abort(format!(
-                                    "level-shifter bias infeasible: {e}"
-                                ))
-                            }
-                        }
-                        s.notes.push(format!(
-                            "inserted a {needed:.2} V level shifter between the stages"
-                        ));
-                        PatchAction::Retry
-                    }
-                    Err(e) => PatchAction::Abort(format!("level shifter infeasible: {e}")),
-                }
-            },
-        )
-        .on_codes(["dc-mismatch"])
-        .guarded()
+        .rule("insert-level-shifter", ["dc-mismatch"])
+        .when(|s: &State| s.shifter.is_none())
+        .patch(|s: &mut State, ctx| {
+            // The driver gate must sit above the stage-1 output: a
+            // PMOS source follower (bulk tied to source, so no body
+            // effect) shifts up by its V_SG.
+            let needed = s.v_gate2_required() - s.v1_out();
+            if needed <= 0.0 {
+                return Err(format!(
+                    "stage-1 output is above the driver gate level by \
+                     {:.2} V; no follower polarity fits",
+                    -needed
+                ));
+            }
+            // The follower sits inside the compensation loop: its
+            // output pole gm_ls/(Cc + C_gate2) must clear the
+            // crossover by ~10×, which sets the bias current.
+            let infeasible = |e| format!("level shifter infeasible: {e}");
+            let probe = LevelShiftSpec::new(Polarity::Pmos, needed, 1e-6);
+            let vov_ls = LevelShifter::design_with(&probe, &s.process, ctx)
+                .map_err(infeasible)?
+                .vov();
+            let gm_req = 2.0 * std::f64::consts::PI * (10.0 * s.fu_achieved()) * (2.0 * s.cc);
+            s.i_ls = (gm_req * vov_ls / 2.0).max(s.i_tail / 2.0);
+            let ls_spec = LevelShiftSpec::new(Polarity::Pmos, needed, s.i_ls);
+            s.shifter =
+                Some(LevelShifter::design_with(&ls_spec, &s.process, ctx).map_err(infeasible)?);
+            let bias_spec = MirrorSpec::new(Polarity::Pmos, s.i_ls)
+                .with_headroom(1.0)
+                .with_only_style(MirrorStyle::Simple);
+            s.shifter_bias = Some(
+                CurrentMirror::design_with(&bias_spec, &s.process, ctx)
+                    .map_err(|e| format!("level-shifter bias infeasible: {e}"))?,
+            );
+            s.notes.push(format!(
+                "inserted a {needed:.2} V level shifter between the stages"
+            ));
+            Ok(())
+        })
         .reads(["spec", "process", "load1", "gm1", "cc", "i_tail", "shifter"])
         .writes(["shifter", "shifter_bias", "i_ls", "notes"])
         .retries()
-        .aborts()
-        .rule(
-            "boost-for-slew",
-            |s: &State, f| f.code() == "slew-short" && s.slew_boost < 2.5,
-            |s: &mut State, _| {
-                s.slew_boost *= 1.25;
-                PatchAction::RestartFrom("size-input".into())
-            },
-        )
-        .on_codes(["slew-short"])
-        .guarded()
+        .rule("boost-for-slew", ["slew-short"])
+        .when(|s: &State| s.slew_boost < 2.5)
+        .patch(|s: &mut State, _| {
+            s.slew_boost *= 1.25;
+            Ok(())
+        })
         .reads(["slew_boost"])
         .writes(["slew_boost"])
         .restarts_from("size-input")
-        .rule(
-            "relax-input-overdrive",
-            |s: &State, f| {
-                // Guard against fighting the stage-1 gain rules: raising
-                // V_ov lengthens the pair; only fire while that stays
-                // manufacturable for the current gain partition.
-                let l_projected =
-                    s.process.nmos().lambda_l() * (s.vov1 * 1.4) * s.a1_target / (2.0 * s.alpha1);
-                f.code() == "pm-short"
-                    && s.vov1 < 0.45
-                    && s.fu_achieved() > 1.3 * s.spec.unity_gain_freq().hertz()
-                    && l_projected <= MAX_L_FACTOR * s.process.min_length().micrometers()
-            },
-            |s: &mut State, _| {
-                s.vov1 *= 1.4;
-                s.notes.push(format!(
-                    "raised pair overdrive to {:.2} V, trading excess bandwidth \
-                     for phase margin",
-                    s.vov1
-                ));
-                PatchAction::RestartFrom("size-input".into())
-            },
-        )
-        .on_codes(["pm-short"])
-        .guarded()
+        .rule("relax-input-overdrive", ["pm-short"])
+        .when(|s: &State| {
+            // Guard against fighting the stage-1 gain rules: raising
+            // V_ov lengthens the pair; only fire while that stays
+            // manufacturable for the current gain partition.
+            let l_projected =
+                s.process.nmos().lambda_l() * (s.vov1 * 1.4) * s.a1_target / (2.0 * s.alpha1);
+            s.vov1 < 0.45
+                && s.fu_achieved() > 1.3 * s.spec.unity_gain_freq().hertz()
+                && l_projected <= MAX_L_FACTOR * s.process.min_length().micrometers()
+        })
+        .patch(|s: &mut State, _| {
+            s.vov1 *= 1.4;
+            s.notes.push(format!(
+                "raised pair overdrive to {:.2} V, trading excess bandwidth \
+                 for phase margin",
+                s.vov1
+            ));
+            Ok(())
+        })
         .reads([
             "spec",
             "process",
@@ -913,101 +882,63 @@ fn build_plan() -> Plan<State> {
         ])
         .writes(["vov1", "notes"])
         .restarts_from("size-input")
-        .rule(
-            "cascode-for-phase-margin",
-            |s: &State, f| {
-                // Boosting gm2 saturates once the driver's own junction
-                // capacitance dominates the output pole; shifting gain
-                // into a cascoded first stage shrinks the driver and
-                // raises the pole ceiling.
-                f.code() == "pm-short" && !s.s1_cascoded && s.i2_boost > 4.0
-            },
-            |s: &mut State, _| {
-                s.s1_cascoded = true;
-                s.alpha1 = 0.85;
-                s.skew = CASCODE_SKEW;
-                s.i2_boost = 1.0;
-                s.notes.push(
-                    "cascoded the first stage and skewed the partition to shrink \
-                     the second-stage driver for phase margin"
-                        .to_owned(),
-                );
-                PatchAction::RestartFrom("partition-gain".into())
-            },
-        )
-        .on_codes(["pm-short"])
-        .guarded()
+        .rule("cascode-for-phase-margin", ["pm-short"])
+        // Boosting gm2 saturates once the driver's own junction
+        // capacitance dominates the output pole; shifting gain into a
+        // cascoded first stage shrinks the driver and raises the pole
+        // ceiling.
+        .when(|s: &State| !s.s1_cascoded && s.i2_boost > 4.0)
+        .patch(|s: &mut State, _| {
+            s.s1_cascoded = true;
+            s.alpha1 = 0.85;
+            s.skew = CASCODE_SKEW;
+            s.i2_boost = 1.0;
+            s.notes.push(
+                "cascoded the first stage and skewed the partition to shrink \
+                 the second-stage driver for phase margin"
+                    .to_owned(),
+            );
+            Ok(())
+        })
         .reads(["s1_cascoded", "i2_boost"])
         .writes(["s1_cascoded", "alpha1", "skew", "i2_boost", "notes"])
         .restarts_from("partition-gain")
-        .rule(
-            "boost-second-stage",
-            |s: &State, f| f.code() == "pm-short" && s.i2_boost < 8.0,
-            |s: &mut State, _| {
-                s.i2_boost *= 1.5;
-                s.notes.push(format!(
-                    "raised the second-stage current budget (×{:.1}) for phase margin",
-                    s.i2_boost
-                ));
-                PatchAction::RestartFrom("stage2-requirements".into())
-            },
-        )
-        .on_codes(["pm-short"])
-        .guarded()
+        .rule("boost-second-stage", ["pm-short"])
+        .when(|s: &State| s.i2_boost < 8.0)
+        .patch(|s: &mut State, _| {
+            s.i2_boost *= 1.5;
+            s.notes.push(format!(
+                "raised the second-stage current budget (×{:.1}) for phase margin",
+                s.i2_boost
+            ));
+            Ok(())
+        })
         .reads(["i2_boost"])
         .writes(["i2_boost", "notes"])
         .restarts_from("stage2-requirements")
-        .rule(
-            "give-up-gain",
-            |_, f| matches!(f.code(), "stage1-gain-short" | "stage2-gain-short"),
-            |_s: &mut State, _| {
-                PatchAction::Abort(
-                    "gain infeasible for the two-stage style even with cascoding".into(),
-                )
-            },
-        )
-        .on_codes(["stage1-gain-short", "stage2-gain-short"])
+        .rule("give-up-gain", ["stage1-gain-short", "stage2-gain-short"])
         .writes(NONE)
-        .aborts()
+        .aborts("gain infeasible for the two-stage style even with cascoding")
         .rule(
             "give-up",
-            |_, f| {
-                matches!(
-                    f.code(),
-                    "spec-unsupported"
-                        | "pair-design"
-                        | "tail-design"
-                        | "stage2-design"
-                        | "compensation"
-                        | "dc-mismatch"
-                        | "bias-headroom"
-                        | "swing-short"
-                        | "offset-high"
-                        | "pm-short"
-                        | "power-high"
-                        | "slew-short"
-                        | "noise-high"
-                )
-            },
-            |_s: &mut State, _| PatchAction::Abort("two-stage style infeasible".into()),
+            [
+                "spec-unsupported",
+                "pair-design",
+                "tail-design",
+                "stage2-design",
+                "compensation",
+                "dc-mismatch",
+                "bias-headroom",
+                "swing-short",
+                "offset-high",
+                "pm-short",
+                "power-high",
+                "slew-short",
+                "noise-high",
+            ],
         )
-        .on_codes([
-            "spec-unsupported",
-            "pair-design",
-            "tail-design",
-            "stage2-design",
-            "compensation",
-            "dc-mismatch",
-            "bias-headroom",
-            "swing-short",
-            "offset-high",
-            "pm-short",
-            "power-high",
-            "slew-short",
-            "noise-high",
-        ])
         .writes(NONE)
-        .aborts()
+        .aborts("two-stage style infeasible")
         .build()
 }
 

@@ -183,6 +183,69 @@ fn failed_jobs_dump_a_flight_recorder_tail_into_their_records() {
 }
 
 #[test]
+fn rule_panics_fail_only_the_jobs_whose_plans_fire_a_rule() {
+    let _guard = FaultGuard::acquire();
+    // The `plan.rule` site fires after a rule is chosen and before its
+    // patch runs. Which jobs fire a rule, and what every job answers,
+    // comes from runs without the fault.
+    let runner = Arc::new(SynthRunner::new().with_verify(false));
+    let fires: Vec<bool> = paper_jobs()
+        .iter()
+        .map(|job| {
+            let tel = Telemetry::new();
+            let _ = runner.run(job, &tel, &Deadline::none());
+            tel.counter("plan.rule_firings") > 0
+        })
+        .collect();
+    assert!(
+        fires.contains(&true) && fires.contains(&false),
+        "the sweep has jobs of both kinds: {fires:?}"
+    );
+    let by_job = |report: oasys::batch::BatchReport| {
+        let mut records = report.records().to_vec();
+        records.sort_by_key(|r| r.job);
+        records
+    };
+    let clean = by_job(
+        Batch::new(paper_jobs(), fast_options())
+            .run(&runner, &Telemetry::disabled(), |_| {})
+            .unwrap(),
+    );
+
+    oasys_faults::set("plan.rule", FaultSpec::Panic);
+    let faulted = by_job(
+        Batch::new(paper_jobs(), fast_options())
+            .run(&runner, &Telemetry::disabled(), |_| {})
+            .unwrap(),
+    );
+
+    assert_eq!(faulted.len(), 9, "no job takes down the batch");
+    for ((record, before), fires) in faulted.iter().zip(&clean).zip(&fires) {
+        if *fires {
+            match &record.status {
+                JobStatus::Failed { kind, message } => {
+                    assert_eq!(*kind, FailureKind::Panic);
+                    assert!(message.contains("injected panic at plan.rule"), "{message}");
+                }
+                other => panic!("expected a panic failure, got {other:?}"),
+            }
+            // The tail ends on the failure the rule was chosen for.
+            let last_event = record.flight.iter().rev().find(|l| l.starts_with("event "));
+            assert_eq!(
+                last_event.map(String::as_str),
+                Some("event step_failed"),
+                "{:?}",
+                record.flight
+            );
+        } else {
+            let (mut a, mut b) = (record.clone(), before.clone());
+            (a.duration_ns, b.duration_ns) = (0, 0);
+            assert_eq!(a.render_json(), b.render_json());
+        }
+    }
+}
+
+#[test]
 fn delay_fault_trips_the_cooperative_deadline_not_the_backstop() {
     let _guard = FaultGuard::acquire();
     // Each style attempt stalls for 450 ms against a 300 ms budget. The

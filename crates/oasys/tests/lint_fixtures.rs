@@ -9,7 +9,7 @@
 use oasys_lint::{Code, Report};
 use oasys_mos::Geometry;
 use oasys_netlist::{lint, Circuit, SourceValue};
-use oasys_plan::{analyze, DesignContext, Expr, Interval, PatchAction, Plan, StepOutcome};
+use oasys_plan::{analyze, DesignContext, Expr, Interval, Plan, StepOutcome};
 use oasys_process::{builtin, Polarity};
 use oasys_units::Dimension;
 
@@ -57,12 +57,7 @@ fn seeded_dangling_restart_yields_ol003() {
             StepOutcome::failed("too-big", "fixture failure")
         })
         .emits(["too-big"])
-        .rule(
-            "patch",
-            |_s: &State, f| f.code() == "too-big",
-            |_s: &mut State, _| PatchAction::RestartFrom("no-such-step".into()),
-        )
-        .on_codes(["too-big"])
+        .rule("patch", ["too-big"])
         .restarts_from("no-such-step")
         .build();
     let report = analyze(&plan);
@@ -85,19 +80,9 @@ fn seeded_shadowed_rule_yields_ol004() {
             StepOutcome::failed("too-big", "fixture failure")
         })
         .emits(["too-big"])
-        .rule(
-            "greedy",
-            |_s: &State, _f| true,
-            |_s: &mut State, _| PatchAction::Abort("fixture give-up".into()),
-        )
-        .on_codes(["too-big"])
-        .aborts()
-        .rule(
-            "shadowed",
-            |_s: &State, f| f.code() == "too-big",
-            |_s: &mut State, _| PatchAction::Retry,
-        )
-        .on_codes(["too-big"])
+        .rule("greedy", ["too-big"])
+        .aborts("fixture give-up")
+        .rule("shadowed", ["too-big"])
         .retries()
         .build();
     let report = analyze(&plan);

@@ -13,19 +13,22 @@
 //!
 //! - **sequential**: step *i* → step *i+1*, unless *i* is declared
 //!   [`StepMeta::diverges`];
-//! - **failure**: for each failure code step *i* emits, the first rule
-//!   whose `on_codes` covers it may fire; a `RestartFrom(t)` action adds
-//!   *i* → *t*, `Retry` adds *i* → *i*, `Abort` adds nothing. Guarded
-//!   rules may decline, so analysis continues down the rule list past
-//!   them (a "may fire" approximation on reachability, and a
-//!   pessimistic one on definite assignment).
+//! - **failure**: for each failure code step *i* emits, every rule whose
+//!   codes cover it may fire; a `RestartFrom(t)` continuation adds
+//!   *i* → *t*, `Retry` adds *i* → *i*, `Abort` adds nothing (a patch
+//!   that fails only aborts, so it adds nothing either). Guarded rules
+//!   may decline, so analysis continues down the rule list past them (a
+//!   "may fire" approximation on reachability, and a pessimistic one on
+//!   definite assignment).
 //!
-//! Checks degrade gracefully: a fact that was never declared disables
-//! only the checks that need it, so unannotated plans (e.g. quick
-//! experiments) analyze as clean rather than drowning in noise.
+//! A rule's codes and continuation are the ones the executor dispatches
+//! on, so they are always known. The steps' dataflow facts are
+//! optional: a fact that was never declared disables only the checks
+//! that need it, so unannotated plans (e.g. quick experiments) analyze
+//! as clean rather than drowning in noise.
 
 use crate::interval::{eval, AbstractValue, EvalIssueKind};
-use crate::plan::{DeclaredAction, InputDomain, Plan, RuleMeta, StepMeta};
+use crate::plan::{InputDomain, PatchAction, Plan, RuleMeta, StepMeta};
 use oasys_lint::{Code, Diagnostic, Report};
 use oasys_units::Dimension;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -58,7 +61,8 @@ struct PlanView<'p> {
     inputs: &'p [String],
     input_domains: &'p [InputDomain],
     steps: Vec<(&'p str, &'p StepMeta)>,
-    rules: Vec<(&'p str, &'p RuleMeta)>,
+    /// Per rule: its name, its metadata and whether it has a guard.
+    rules: Vec<(&'p str, &'p RuleMeta, bool)>,
 }
 
 impl<'p> PlanView<'p> {
@@ -68,7 +72,11 @@ impl<'p> PlanView<'p> {
             inputs: plan.inputs(),
             input_domains: plan.input_domains(),
             steps: plan.steps.iter().map(|s| (&*s.name, &s.meta)).collect(),
-            rules: plan.rules.iter().map(|r| (&*r.name, &r.meta)).collect(),
+            rules: plan
+                .rules
+                .iter()
+                .map(|r| (&*r.name, &r.meta, r.guard.is_some()))
+                .collect(),
         }
     }
 
@@ -80,22 +88,20 @@ impl<'p> PlanView<'p> {
         format!("plan {}", self.plan_name)
     }
 
-    /// OL003: every declared `RestartFrom` target must name a step.
+    /// OL003: every `RestartFrom` target must name a step.
     fn check_restart_targets(&self, report: &mut Report) {
-        for (rule_name, meta) in &self.rules {
-            for action in &meta.actions {
-                if let DeclaredAction::RestartFrom(target) = action {
-                    if self.step_index(target).is_none() {
-                        report.push(Diagnostic::new(
-                            Code::DanglingRestartTarget,
-                            self.scope(),
-                            format!("rule {rule_name}"),
-                            format!(
-                                "restart target `{target}` is not a step of this plan \
-                                 (the executor would abort with an unknown-target error)"
-                            ),
-                        ));
-                    }
+        for (rule_name, meta, _) in &self.rules {
+            if let PatchAction::RestartFrom(target) = &meta.continuation {
+                if self.step_index(target).is_none() {
+                    report.push(Diagnostic::new(
+                        Code::DanglingRestartTarget,
+                        self.scope(),
+                        format!("rule {rule_name}"),
+                        format!(
+                            "restart target `{target}` is not a step of this plan \
+                             (the executor would abort with an unknown-target error)"
+                        ),
+                    ));
                 }
             }
         }
@@ -117,11 +123,9 @@ impl<'p> PlanView<'p> {
         let Some(emitted) = self.emitted_codes() else {
             return;
         };
-        for (rule_name, meta) in &self.rules {
-            let Some(codes) = &meta.on_codes else {
-                continue;
-            };
-            if !codes.is_empty() && codes.iter().all(|c| !emitted.contains(c.as_str())) {
+        for (rule_name, meta, _) in &self.rules {
+            let codes = &meta.codes;
+            if !codes.is_empty() && codes.iter().all(|c| !emitted.contains(c)) {
                 report.push(Diagnostic::new(
                     Code::RuleNeverFires,
                     self.scope(),
@@ -138,16 +142,11 @@ impl<'p> PlanView<'p> {
     /// OL007: a failure code with no rule listing it escapes the patch
     /// system and fails the plan outright.
     fn check_unhandled_codes(&self, report: &mut Report) {
-        // A rule with undeclared codes might handle anything: skip.
-        if self.rules.iter().any(|(_, m)| m.on_codes.is_none()) {
-            return;
-        }
-        let mut handled: HashSet<&str> = HashSet::new();
-        for (_, meta) in &self.rules {
-            if let Some(codes) = &meta.on_codes {
-                handled.extend(codes.iter().map(String::as_str));
-            }
-        }
+        let handled: HashSet<&str> = self
+            .rules
+            .iter()
+            .flat_map(|(_, meta, _)| meta.codes.iter().copied())
+            .collect();
         for (step_name, meta) in &self.steps {
             let Some(emits) = &meta.emits else {
                 continue;
@@ -173,35 +172,22 @@ impl<'p> PlanView<'p> {
     /// order and the first match wins).
     fn check_shadowed_rules(&self, report: &mut Report) {
         let mut claimed: HashSet<&str> = HashSet::new();
-        for (rule_name, meta) in &self.rules {
-            if let Some(codes) = &meta.on_codes {
-                if !codes.is_empty() {
-                    let uncovered: Vec<&str> = codes
-                        .iter()
-                        .map(String::as_str)
-                        .filter(|c| !claimed.contains(c))
-                        .collect();
-                    if uncovered.is_empty() {
-                        report.push(Diagnostic::new(
-                            Code::ShadowedRule,
-                            self.scope(),
-                            format!("rule {rule_name}"),
-                            format!(
-                                "every failure code this rule matches ({}) is claimed by an \
-                                 earlier unguarded rule, so it can never fire",
-                                codes.join(", ")
-                            ),
-                        ));
-                    }
-                }
-                if !meta.guarded {
-                    claimed.extend(codes.iter().map(String::as_str));
-                }
-            } else if !meta.guarded {
-                // Unknown codes on an unguarded rule: it may claim
-                // anything, so later shadowing verdicts would be
-                // unsound. Stop here.
-                return;
+        for (rule_name, meta, guarded) in &self.rules {
+            let codes = &meta.codes;
+            if !codes.is_empty() && codes.iter().all(|c| claimed.contains(c)) {
+                report.push(Diagnostic::new(
+                    Code::ShadowedRule,
+                    self.scope(),
+                    format!("rule {rule_name}"),
+                    format!(
+                        "every failure code this rule matches ({}) is claimed by an \
+                         earlier unguarded rule, so it can never fire",
+                        codes.join(", ")
+                    ),
+                ));
+            }
+            if !guarded {
+                claimed.extend(codes.iter().copied());
             }
         }
     }
@@ -210,18 +196,11 @@ impl<'p> PlanView<'p> {
     /// state re-runs deterministic steps on identical inputs — the same
     /// failure recurs until the patch budget exhausts.
     fn check_non_progress_rules(&self, report: &mut Report) {
-        for (rule_name, meta) in &self.rules {
+        for (rule_name, meta, _) in &self.rules {
             let Some(writes) = &meta.writes else {
                 continue;
             };
-            if !writes.is_empty() || meta.actions.is_empty() {
-                continue;
-            }
-            let loops = meta
-                .actions
-                .iter()
-                .any(|a| !matches!(a, DeclaredAction::Abort));
-            if loops {
+            if writes.is_empty() && !matches!(meta.continuation, PatchAction::Abort(_)) {
                 report.push(Diagnostic::new(
                     Code::NonProgressRule,
                     self.scope(),
@@ -249,31 +228,23 @@ impl<'p> PlanView<'p> {
                 return edges;
             }
         }
-        for (rule_idx, (_, rule_meta)) in self.rules.iter().enumerate() {
-            let matches = match (&rule_meta.on_codes, &emits) {
-                (Some(codes), Some(emits)) => emits.iter().any(|e| codes.iter().any(|c| c == e)),
-                // Unknown on either side: conservatively assume a match.
-                _ => true,
+        for (rule_idx, (_, rule_meta, _)) in self.rules.iter().enumerate() {
+            let matches = match &emits {
+                Some(emits) => emits.iter().any(|e| rule_meta.codes.iter().any(|c| c == e)),
+                // Unknown codes: conservatively assume a match.
+                None => true,
             };
             if !matches {
                 continue;
             }
-            for action in &rule_meta.actions {
-                match action {
-                    DeclaredAction::Retry => edges.push((index, rule_idx)),
-                    DeclaredAction::RestartFrom(target) => {
-                        if let Some(t) = self.step_index(target) {
-                            edges.push((t, rule_idx));
-                        }
+            match &rule_meta.continuation {
+                PatchAction::Retry => edges.push((index, rule_idx)),
+                PatchAction::RestartFrom(target) => {
+                    if let Some(t) = self.step_index(target) {
+                        edges.push((t, rule_idx));
                     }
-                    DeclaredAction::Abort => {}
                 }
-            }
-            if rule_meta.actions.is_empty() {
-                // Undeclared actions: the rule could retry or restart
-                // anywhere. Assume retry so dataflow stays sound without
-                // inventing edges to every step.
-                edges.push((index, rule_idx));
+                PatchAction::Abort(_) => {}
             }
         }
         edges
@@ -338,7 +309,7 @@ impl<'p> PlanView<'p> {
             vars.extend(meta.reads.iter().flatten().map(String::as_str));
             vars.extend(meta.writes.iter().flatten().map(String::as_str));
         }
-        for (_, meta) in &self.rules {
+        for (_, meta, _) in &self.rules {
             vars.extend(meta.reads.iter().flatten().map(String::as_str));
             vars.extend(meta.writes.iter().flatten().map(String::as_str));
         }
@@ -360,7 +331,7 @@ impl<'p> PlanView<'p> {
         let rule_writes: Vec<BTreeSet<usize>> = self
             .rules
             .iter()
-            .map(|(_, m)| to_set(m.writes.as_ref()))
+            .map(|(_, m, _)| to_set(m.writes.as_ref()))
             .collect();
         let entry: BTreeSet<usize> = self.inputs.iter().map(|v| index[v.as_str()]).collect();
 
@@ -665,7 +636,7 @@ fn merge_env(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DesignContext, Expr, Interval, PatchAction, StepOutcome};
+    use crate::{DesignContext, Expr, Interval, StepOutcome};
 
     fn done(_s: &mut (), _ctx: &DesignContext<'_>) -> StepOutcome {
         StepOutcome::Done
@@ -676,7 +647,8 @@ mod tests {
         let plan = Plan::<()>::builder("bare")
             .step("a", done)
             .step("b", done)
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("r", ["x"])
+            .retries()
             .build();
         assert!(analyze(&plan).is_empty());
     }
@@ -732,12 +704,7 @@ mod tests {
             .reads(["x"])
             .writes(Vec::<String>::new())
             .emits(Vec::<String>::new())
-            .rule(
-                "skip-ahead",
-                |_, _| true,
-                |_, _| PatchAction::RestartFrom("use".into()),
-            )
-            .on_codes(["boom"])
+            .rule("skip-ahead", ["boom"])
             .writes(Vec::<String>::new())
             .restarts_from("use")
             .build();
@@ -759,8 +726,7 @@ mod tests {
             .reads(["knob"])
             .writes(["out"])
             .emits(["miss"])
-            .rule("adjust", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["miss"])
+            .rule("adjust", ["miss"])
             .writes(["knob"])
             .retries()
             .build();
@@ -771,12 +737,7 @@ mod tests {
     fn dangling_restart_target_detected() {
         let plan = Plan::<()>::builder("dangle")
             .step("a", done)
-            .rule(
-                "r",
-                |_, _| true,
-                |_, _| PatchAction::RestartFrom("missing".into()),
-            )
-            .on_codes(["x"])
+            .rule("r", ["x"])
             .restarts_from("missing")
             .build();
         let report = analyze(&plan);
@@ -806,12 +767,7 @@ mod tests {
             .diverges()
             .step("after", done)
             .emits(Vec::<String>::new())
-            .rule(
-                "resume",
-                |_, _| true,
-                |_, _| PatchAction::RestartFrom("after".into()),
-            )
-            .on_codes(["stop"])
+            .rule("resume", ["stop"])
             .restarts_from("after")
             .build();
         assert!(!analyze(&plan).contains(Code::UnreachableStep));
@@ -822,11 +778,9 @@ mod tests {
         let plan = Plan::<()>::builder("shadow")
             .step("a", done)
             .emits(["x", "y"])
-            .rule("catch-all", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["x", "y"])
+            .rule("catch-all", ["x", "y"])
             .retries()
-            .rule("specific", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["x"])
+            .rule("specific", ["x"])
             .retries()
             .build();
         let report = analyze(&plan);
@@ -840,12 +794,10 @@ mod tests {
         let plan = Plan::<()>::builder("guarded")
             .step("a", done)
             .emits(["x"])
-            .rule("conditional", |_, _| false, |_, _| PatchAction::Retry)
-            .on_codes(["x"])
-            .guarded()
+            .rule("conditional", ["x"])
+            .when(|_| false)
             .retries()
-            .rule("fallback", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["x"])
+            .rule("fallback", ["x"])
             .retries()
             .build();
         assert!(!analyze(&plan).contains(Code::ShadowedRule));
@@ -856,8 +808,7 @@ mod tests {
         let plan = Plan::<()>::builder("stuck")
             .step("a", done)
             .emits(["x"])
-            .rule("spin", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["x"])
+            .rule("spin", ["x"])
             .writes(Vec::<String>::new())
             .retries()
             .build();
@@ -870,14 +821,9 @@ mod tests {
         let plan = Plan::<()>::builder("bail")
             .step("a", done)
             .emits(["x"])
-            .rule(
-                "give-up",
-                |_, _| true,
-                |_, _| PatchAction::Abort("no".into()),
-            )
-            .on_codes(["x"])
+            .rule("give-up", ["x"])
             .writes(Vec::<String>::new())
-            .aborts()
+            .aborts("no")
             .build();
         assert!(!analyze(&plan).contains(Code::NonProgressRule));
     }
@@ -887,8 +833,7 @@ mod tests {
         let plan = Plan::<()>::builder("deadrule")
             .step("a", done)
             .emits(["only-this"])
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["never-emitted"])
+            .rule("r", ["never-emitted"])
             .retries()
             .build();
         let report = analyze(&plan);
@@ -900,8 +845,7 @@ mod tests {
         let plan = Plan::<()>::builder("escape")
             .step("a", done)
             .emits(["handled", "loose"])
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["handled"])
+            .rule("r", ["handled"])
             .retries()
             .build();
         let report = analyze(&plan);
@@ -1008,8 +952,7 @@ mod tests {
             .transfer("y", Expr::num(1.0).div(Expr::var("x")))
             .requires("y", Interval::new(100.0, 200.0))
             .emits(["miss"])
-            .rule("nudge", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["miss"])
+            .rule("nudge", ["miss"])
             .writes(["x"])
             .retries()
             .build();
@@ -1040,12 +983,7 @@ mod tests {
             .reads(["x"])
             .writes(Vec::<String>::new())
             .emits(["miss"])
-            .rule(
-                "again",
-                |_, _| true,
-                |_, _| PatchAction::RestartFrom("grow".into()),
-            )
-            .on_codes(["miss"])
+            .rule("again", ["miss"])
             .writes(["scratch"])
             .restarts_from("grow")
             .build();
@@ -1061,7 +999,8 @@ mod tests {
             .reads(["ghost"])
             .writes(["x"])
             .step("b", done)
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("r", ["x"])
+            .retries()
             .build();
         assert!(analyze(&plan).is_empty());
     }

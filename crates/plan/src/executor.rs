@@ -82,12 +82,15 @@ impl PlanExecutor {
     ///
     /// Steps execute in order. When a step reports
     /// [`StepOutcome::Failed`], rules are consulted in declaration order;
-    /// the first rule whose predicate matches (and whose per-rule budget
-    /// is not exhausted) fires, mutates the state, and directs execution
-    /// (retry / restart / abort). The state is left in whatever condition
-    /// the last executed step produced — on success that is the completed
-    /// design. Nothing is recorded; [`PlanExecutor::run_with`] records
-    /// the run's history into a telemetry handle.
+    /// the first rule within its per-rule budget whose codes contain the
+    /// failure's code and whose guard (if any) accepts the state fires:
+    /// its patch (if any) mutates the state, then the executor performs
+    /// the rule's declared continuation (retry / restart / abort), or
+    /// aborts with the reason a failing patch returned. The state is
+    /// left in whatever condition the last executed step produced — on
+    /// success that is the completed design. Nothing is recorded;
+    /// [`PlanExecutor::run_with`] records the run's history into a
+    /// telemetry handle.
     ///
     /// # Errors
     ///
@@ -224,7 +227,8 @@ impl PlanExecutor {
                     // Consult the rules in declaration order.
                     let matched = plan.rules.iter().enumerate().find(|(k, rule)| {
                         rule_firings[*k] < self.config.per_rule_budget
-                            && (rule.applies)(&*state, &failure)
+                            && rule.meta.codes.contains(&failure.code())
+                            && rule.guard.as_ref().is_none_or(|guard| guard(&*state))
                     });
 
                     let Some((k, rule)) = matched else {
@@ -248,10 +252,15 @@ impl PlanExecutor {
                     total_firings += 1;
 
                     fail_point!("plan.rule");
-                    let action = (rule.patch)(state, ctx);
+                    let patch_abort = rule
+                        .patch
+                        .as_ref()
+                        .and_then(|patch| patch(state, ctx).err())
+                        .map(PatchAction::Abort);
+                    let action = patch_abort.as_ref().unwrap_or(&rule.meta.continuation);
                     if let Some(s) = syms {
                         tel.incr_sym(sym!("plan.rule_firings"));
-                        let action_sym = match &action {
+                        let action_sym = match action {
                             PatchAction::Retry => sym!("retry"),
                             PatchAction::RestartFrom(step) => {
                                 tel.incr_sym(sym!("plan.restarts"));
@@ -267,14 +276,14 @@ impl PlanExecutor {
 
                     match action {
                         PatchAction::Retry => { /* pc unchanged */ }
-                        PatchAction::RestartFrom(target) => match plan.step_index(&target) {
+                        PatchAction::RestartFrom(target) => match plan.step_index(target) {
                             Some(idx) => pc = idx,
                             None => {
                                 plan_span.annotate_sym(sym!("result"), sym!("unknown-restart"));
                                 return Err(PlanError::UnknownRestartTarget {
                                     plan: plan.name().to_owned(),
                                     rule: rule.name.to_string(),
-                                    step: target.into_owned(),
+                                    step: target.clone(),
                                 });
                             }
                         },
@@ -283,14 +292,14 @@ impl PlanExecutor {
                                 tel.incr_sym(sym!("plan.aborts"));
                                 tel.event_with(
                                     sym!("plan_aborted"),
-                                    &[(sym!("reason"), tel.text_str(&reason))],
+                                    &[(sym!("reason"), tel.text_str(reason))],
                                 );
                             }
                             plan_span.annotate_sym(sym!("result"), sym!("aborted"));
                             return Err(PlanError::Aborted {
                                 plan: plan.name().to_owned(),
                                 rule: rule.name.to_string(),
-                                reason,
+                                reason: reason.clone(),
                             });
                         }
                     }
@@ -312,7 +321,7 @@ impl PlanExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{PatchAction, Plan, StepOutcome};
+    use crate::plan::{Plan, StepOutcome};
     use oasys_faults::Deadline;
     use std::time::Duration;
 
@@ -357,11 +366,8 @@ mod tests {
                     StepOutcome::failed("not-yet", "needs another try")
                 }
             })
-            .rule(
-                "try-again",
-                |_, f| f.code() == "not-yet",
-                |_, _| PatchAction::Retry,
-            )
+            .rule("try-again", ["not-yet"])
+            .retries()
             .build();
         let mut state = Counter::default();
         let tel = Telemetry::new();
@@ -388,11 +394,8 @@ mod tests {
                     StepOutcome::failed("under", "setup insufficient")
                 }
             })
-            .rule(
-                "redo-setup",
-                |_, f| f.code() == "under",
-                |_, _| PatchAction::RestartFrom("setup".into()),
-            )
+            .rule("redo-setup", ["under"])
+            .restarts_from("setup")
             .build();
         let mut state = Counter::default();
         let tel = Telemetry::new();
@@ -406,15 +409,17 @@ mod tests {
 
     #[test]
     fn unmatched_failure_is_an_error() {
+        // Rules that name other codes never fire, whatever their guards
+        // would say.
         let plan = Plan::<Counter>::builder("p")
             .step("fail", |_, _| {
                 StepOutcome::failed("mystery", "nobody handles this")
             })
-            .rule(
-                "other",
-                |_, f| f.code() == "known",
-                |_, _| PatchAction::Retry,
-            )
+            .rule("other", ["known"])
+            .retries()
+            .rule("open-guard", ["also-known"])
+            .when(|_| true)
+            .aborts("never")
             .build();
         let mut state = Counter::default();
         let tel = Telemetry::new();
@@ -423,6 +428,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), "unpatched");
         assert_eq!(tel.counter("plan.step_failures"), 1);
+        assert_eq!(tel.counter("plan.rule_firings"), 0);
         assert_eq!(tel.counter("plan.completions"), 0);
     }
 
@@ -430,11 +436,8 @@ mod tests {
     fn abort_action_propagates_reason() {
         let plan = Plan::<Counter>::builder("p")
             .step("fail", |_, _| StepOutcome::failed("impossible", ""))
-            .rule(
-                "give-up",
-                |_, f| f.code() == "impossible",
-                |_, _| PatchAction::Abort("spec infeasible for this style".into()),
-            )
+            .rule("give-up", ["impossible"])
+            .aborts("spec infeasible for this style")
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::new().run(&plan, &mut state).unwrap_err();
@@ -450,7 +453,8 @@ mod tests {
     fn per_rule_budget_prevents_livelock() {
         let plan = Plan::<Counter>::builder("p")
             .step("always-fails", |_, _| StepOutcome::failed("loop", ""))
-            .rule("futile", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("futile", ["loop"])
+            .retries()
             .build();
         let mut state = Counter::default();
         let tel = Telemetry::new();
@@ -469,8 +473,10 @@ mod tests {
     fn total_budget_prevents_thrash_between_rules() {
         let plan = Plan::<Counter>::builder("p")
             .step("always-fails", |_, _| StepOutcome::failed("loop", ""))
-            .rule("r1", |_, _| true, |_, _| PatchAction::Retry)
-            .rule("r2", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("r1", ["loop"])
+            .retries()
+            .rule("r2", ["loop"])
+            .retries()
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::with_config(ExecutorConfig {
@@ -486,11 +492,8 @@ mod tests {
     fn unknown_restart_target_is_reported() {
         let plan = Plan::<Counter>::builder("p")
             .step("fail", |_, _| StepOutcome::failed("x", ""))
-            .rule(
-                "bad-rule",
-                |_, _| true,
-                |_, _| PatchAction::RestartFrom("no-such-step".into()),
-            )
+            .rule("bad-rule", ["x"])
+            .restarts_from("no-such-step")
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::new().run(&plan, &mut state).unwrap_err();
@@ -508,22 +511,18 @@ mod tests {
                     StepOutcome::failed("f", "")
                 }
             })
-            .rule(
-                "first",
-                |_, _| true,
-                |s: &mut Counter, _| {
-                    s.budget += 1;
-                    PatchAction::Retry
-                },
-            )
-            .rule(
-                "second",
-                |_, _| true,
-                |s: &mut Counter, _| {
-                    s.budget += 100;
-                    PatchAction::Retry
-                },
-            )
+            .rule("first", ["f"])
+            .patch(|s: &mut Counter, _| {
+                s.budget += 1;
+                Ok(())
+            })
+            .retries()
+            .rule("second", ["f"])
+            .patch(|s: &mut Counter, _| {
+                s.budget += 100;
+                Ok(())
+            })
+            .retries()
             .build();
         let mut state = Counter::default();
         PlanExecutor::new().run(&plan, &mut state).unwrap();
@@ -546,16 +545,10 @@ mod tests {
                     _ => StepOutcome::Done,
                 }
             })
-            .rule(
-                "try-again",
-                |_, f| f.code() == "transient",
-                |_, _| PatchAction::Retry,
-            )
-            .rule(
-                "redo-setup",
-                |_, f| f.code() == "under",
-                |_, _| PatchAction::RestartFrom("setup".into()),
-            )
+            .rule("try-again", ["transient"])
+            .retries()
+            .rule("redo-setup", ["under"])
+            .restarts_from("setup")
             .build();
         let tel = Telemetry::new();
         let mut state = Counter::default();
@@ -637,7 +630,8 @@ mod tests {
                     StepOutcome::failed("not-yet", "")
                 }
             })
-            .rule("again", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("again", ["not-yet"])
+            .retries()
             .build();
         let tel = Telemetry::new();
         PlanExecutor::new()
@@ -728,11 +722,8 @@ mod tests {
                 s.attempts += 1;
                 StepOutcome::Done
             })
-            .rule(
-                "absorb-fault",
-                |_, f| f.code() == "fault-injected",
-                |_, _| PatchAction::Retry,
-            )
+            .rule("absorb-fault", ["fault-injected"])
+            .retries()
             .build();
         let mut state = Counter::default();
         let tel = Telemetry::new();
@@ -748,27 +739,54 @@ mod tests {
 
     #[test]
     fn rule_state_predicate_can_inspect_state() {
-        // Rule only fires when attempts are low; after that a second rule
-        // aborts.
+        // Rule only fires when attempts are low; after that its guard
+        // declines and the failure goes to the next rule naming its
+        // code, past one that names another.
         let plan = Plan::<Counter>::builder("p")
             .step("fail", |s: &mut Counter, _| {
                 s.attempts += 1;
                 StepOutcome::failed("f", "")
             })
-            .rule(
-                "early",
-                |s: &Counter, _| s.attempts < 3,
-                |_, _| PatchAction::Retry,
-            )
-            .rule(
-                "late",
-                |_, _| true,
-                |_, _| PatchAction::Abort("done".into()),
-            )
+            .rule("early", ["f"])
+            .when(|s: &Counter| s.attempts < 3)
+            .retries()
+            .rule("other-code", ["g"])
+            .aborts("wrong rule")
+            .rule("late", ["f"])
+            .aborts("done")
             .build();
         let mut state = Counter::default();
         let err = PlanExecutor::new().run(&plan, &mut state).unwrap_err();
-        assert_eq!(err.kind(), "aborted");
+        assert_eq!(err.site(), "rule:late");
         assert_eq!(state.attempts, 3);
+    }
+
+    #[test]
+    fn failing_patch_aborts_with_its_reason() {
+        let plan = Plan::<Counter>::builder("p")
+            .step("fail", |_, _| StepOutcome::failed("f", ""))
+            .rule("compute", ["f"])
+            .patch(|s: &mut Counter, _| Err(format!("needs {} more", 3 - s.total)))
+            .retries()
+            .build();
+        let tel = Telemetry::new();
+        let err = PlanExecutor::new()
+            .run_with(&plan, &mut Counter::default(), &tel)
+            .unwrap_err();
+        match err {
+            PlanError::Aborted { rule, reason, .. } => {
+                assert_eq!(rule, "compute");
+                assert_eq!(reason, "needs 3 more");
+            }
+            other => panic!("expected abort, got {other:?}"),
+        }
+        assert_eq!(tel.counter("plan.aborts"), 1);
+        let report = tel.report();
+        let action = report
+            .events()
+            .iter()
+            .find(|e| e.kind == "rule_fired")
+            .map(|e| e.fields[1].1.clone());
+        assert_eq!(action.as_deref(), Some("abort:needs 3 more"));
     }
 }

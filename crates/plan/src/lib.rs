@@ -19,13 +19,18 @@
 //!
 //! # Examples
 //!
-//! A plan with a patch rule that retries with a relaxed target. Step
-//! bodies and patches get the run's [`DesignContext`] beside the state
-//! (unused here), so a plan keeps no run's data and one stored plan
-//! serves every run. The run's telemetry is its history:
+//! A plan with a patch rule that relaxes the target and restarts. A rule
+//! is written once: the failure codes it handles, an optional guard on
+//! the state (`.when`), an optional patch (`.patch`), and one
+//! continuation (`.retries()`, `.restarts_from(step)` or
+//! `.aborts(reason)`). The executor runs exactly that, and
+//! [`analyze()`] reads the same declaration. Step bodies and patches get
+//! the run's [`DesignContext`] beside the state (unused here), so a plan
+//! keeps no run's data and one stored plan serves every run. The run's
+//! telemetry is its history:
 //!
 //! ```
-//! use oasys_plan::{PatchAction, Plan, PlanExecutor, StepOutcome};
+//! use oasys_plan::{Plan, PlanExecutor, StepOutcome};
 //! use oasys_telemetry::Telemetry;
 //!
 //! struct State { target: f64, achieved: f64 }
@@ -39,14 +44,13 @@
 //!             StepOutcome::failed("gain-short", "target unreachable")
 //!         }
 //!     })
-//!     .rule(
-//!         "relax-target",
-//!         |_s: &State, failure| failure.code() == "gain-short",
-//!         |s: &mut State, _ctx| {
-//!             s.target /= 2.0;
-//!             PatchAction::RestartFrom("attempt".into())
-//!         },
-//!     )
+//!     .rule("relax-target", ["gain-short"])
+//!     .when(|s: &State| s.target > 1.0)
+//!     .patch(|s: &mut State, _ctx| {
+//!         s.target /= 2.0;
+//!         Ok(())
+//!     })
+//!     .restarts_from("attempt")
 //!     .build();
 //!
 //! let mut state = State { target: 30.0, achieved: 0.0 };
@@ -79,6 +83,6 @@ pub use interval::{
     PerfRelation,
 };
 pub use plan::{
-    DeclaredAction, InputDomain, PatchAction, Plan, PlanBuilder, Requirement, RuleMeta,
-    StepFailure, StepMeta, StepOutcome, Transfer,
+    InputDomain, PatchAction, Plan, PlanBuilder, Requirement, RuleMeta, StepFailure, StepMeta,
+    StepOutcome, Transfer,
 };

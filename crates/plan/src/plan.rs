@@ -4,7 +4,6 @@ use crate::engine::DesignContext;
 use crate::executor::PlanSyms;
 use crate::interval::{Expr, Interval};
 use oasys_units::Dimension;
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -21,33 +20,34 @@ impl StepOutcome {
     /// Shorthand for a failure with a machine-matchable code and a
     /// human-readable message.
     #[must_use]
-    pub fn failed(code: impl Into<String>, message: impl Into<String>) -> Self {
+    pub fn failed(code: &'static str, message: impl Into<String>) -> Self {
         StepOutcome::Failed(StepFailure::new(code, message))
     }
 }
 
-/// Why a step failed. The `code` is what rules match on; the `message` is
-/// for humans reading the run's history.
+/// Why a step failed. The `code` is what rules match on, a literal
+/// shared with the rules' declared codes; the `message` is for humans
+/// reading the run's history.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepFailure {
-    code: String,
+    code: &'static str,
     message: String,
 }
 
 impl StepFailure {
     /// Creates a failure record.
     #[must_use]
-    pub fn new(code: impl Into<String>, message: impl Into<String>) -> Self {
+    pub fn new(code: &'static str, message: impl Into<String>) -> Self {
         Self {
-            code: code.into(),
+            code,
             message: message.into(),
         }
     }
 
     /// The machine-matchable failure code, e.g. `"gain-short"`.
     #[must_use]
-    pub fn code(&self) -> &str {
-        &self.code
+    pub fn code(&self) -> &'static str {
+        self.code
     }
 
     /// The human-readable explanation.
@@ -63,14 +63,16 @@ impl fmt::Display for StepFailure {
     }
 }
 
-/// What a fired rule tells the executor to do next.
+/// A rule's continuation: what the executor does once the rule's patch
+/// has run. Each rule declares exactly one, with
+/// [`PlanBuilder::retries`], [`PlanBuilder::restarts_from`] or
+/// [`PlanBuilder::aborts`]; a patch that returns `Err` aborts instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatchAction {
     /// Re-run the step that failed.
     Retry,
-    /// Restart execution from the named (earlier or later) step. A
-    /// literal target is borrowed, so firing the rule copies no name.
-    RestartFrom(Cow<'static, str>),
+    /// Restart execution from the named (earlier or later) step.
+    RestartFrom(String),
     /// Give up on this plan; the design style cannot meet the spec.
     Abort(String),
 }
@@ -78,10 +80,11 @@ pub enum PatchAction {
 /// Boxed step body. The executor passes the run's [`DesignContext`]
 /// beside the state, so a stored plan serves every run.
 type StepFn<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> StepOutcome + Send + Sync>;
-/// Boxed rule predicate.
-type RulePredicate<S> = Box<dyn Fn(&S, &StepFailure) -> bool + Send + Sync>;
-/// Boxed rule patch action, given the run's context like a step body.
-type RulePatch<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> PatchAction + Send + Sync>;
+/// Boxed rule guard: the state test a rule makes beyond its codes.
+type RuleGuard<S> = Box<dyn Fn(&S) -> bool + Send + Sync>;
+/// Boxed rule patch, given the run's context like a step body. An `Err`
+/// aborts the plan with that reason.
+type RulePatch<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> Result<(), String> + Send + Sync>;
 
 /// A declared transfer function: the abstract effect of a step on one
 /// state variable, set with [`PlanBuilder::transfer`].
@@ -148,37 +151,22 @@ pub struct StepMeta {
     pub requires: Option<Vec<Requirement>>,
 }
 
-/// What a rule's patch closure may tell the executor to do, declared
-/// statically for the analyzer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeclaredAction {
-    /// The patch may return [`PatchAction::Retry`].
-    Retry,
-    /// The patch may return [`PatchAction::RestartFrom`] this target.
-    RestartFrom(String),
-    /// The patch may return [`PatchAction::Abort`].
-    Abort,
-}
-
-/// Declared facts about a patch rule, set with the
-/// [`PlanBuilder::on_codes`]/[`PlanBuilder::guarded`]/
+/// Declared facts about a patch rule. The codes come from
+/// [`PlanBuilder::rule`] and the continuation from
 /// [`PlanBuilder::retries`]/[`PlanBuilder::restarts_from`]/
-/// [`PlanBuilder::aborts`] chained modifiers (plus
-/// [`PlanBuilder::reads`]/[`PlanBuilder::writes`], which apply to the
-/// last-added rule as well as the last-added step).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// [`PlanBuilder::aborts`]; the executor dispatches on both.
+/// [`PlanBuilder::reads`]/[`PlanBuilder::writes`] apply to the
+/// last-added rule as well as the last-added step.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleMeta {
-    /// Failure codes the predicate matches.
-    pub on_codes: Option<Vec<String>>,
-    /// True when the predicate also tests state, so a matching code does
-    /// not guarantee the rule fires.
-    pub guarded: bool,
-    /// State variables the predicate or patch reads.
+    /// The failure codes the rule handles.
+    pub codes: Vec<&'static str>,
+    /// State variables the guard or patch reads.
     pub reads: Option<Vec<String>>,
     /// State variables the patch writes.
     pub writes: Option<Vec<String>>,
-    /// Every action the patch can return.
-    pub actions: Vec<DeclaredAction>,
+    /// What the executor does after the patch.
+    pub continuation: PatchAction,
 }
 
 /// A step.
@@ -188,11 +176,12 @@ pub(crate) struct Step<S> {
     pub(crate) meta: StepMeta,
 }
 
-/// A patch rule.
+/// A patch rule. It fires on a failure whose code it lists when its
+/// guard (if any) accepts the state.
 pub(crate) struct Rule<S> {
     pub(crate) name: Box<str>,
-    pub(crate) applies: RulePredicate<S>,
-    pub(crate) patch: RulePatch<S>,
+    pub(crate) guard: Option<RuleGuard<S>>,
+    pub(crate) patch: Option<RulePatch<S>>,
     pub(crate) meta: RuleMeta,
 }
 
@@ -224,6 +213,7 @@ impl<S> Plan<S> {
             rules: Vec::new(),
             inputs: Vec::new(),
             input_domains: Vec::new(),
+            continuations: Vec::new(),
             last: LastAdded::None,
         }
     }
@@ -317,18 +307,25 @@ enum LastAdded {
 /// Builder for [`Plan`]. Steps execute in insertion order; rules are
 /// consulted in insertion order when a step fails.
 ///
-/// Chained metadata modifiers ([`Self::reads`], [`Self::writes`],
-/// [`Self::emits`], [`Self::diverges`], [`Self::on_codes`],
-/// [`Self::guarded`], [`Self::retries`], [`Self::restarts_from`],
-/// [`Self::aborts`]) annotate the most recently added step or rule for
-/// the static dataflow analyzer (`crate::analyze`). Annotations are
-/// optional; undeclared facts disable the checks that need them.
+/// A rule is written once, and the executor runs what the analyzer
+/// (`crate::analyze`) reads: [`Self::rule`] names it and lists the
+/// failure codes it handles, [`Self::when`] adds an optional guard on
+/// the state, [`Self::patch`] an optional change to the state, and
+/// exactly one of [`Self::retries`], [`Self::restarts_from`] or
+/// [`Self::aborts`] says how the plan continues.
+///
+/// The chained dataflow modifiers ([`Self::reads`], [`Self::writes`],
+/// [`Self::emits`], [`Self::diverges`]) annotate the most recently added
+/// step or rule for the analyzer only. They are optional; undeclared
+/// facts disable the checks that need them.
 pub struct PlanBuilder<S> {
     name: String,
     steps: Vec<Step<S>>,
     rules: Vec<Rule<S>>,
     inputs: Vec<String>,
     input_domains: Vec<InputDomain>,
+    /// How many continuations each rule declared; `build` wants one.
+    continuations: Vec<usize>,
     last: LastAdded,
 }
 
@@ -539,81 +536,97 @@ impl<S> PlanBuilder<S> {
         self
     }
 
-    /// Declares the failure codes the last-added rule's predicate
-    /// matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the last-added item is not a rule.
+    /// Appends a patch rule that handles failures with any of `codes`.
+    /// Chain [`Self::when`] and [`Self::patch`] as needed, then one
+    /// continuation.
     #[must_use]
-    pub fn on_codes<I, T>(mut self, codes: I) -> Self
+    pub fn rule<I>(mut self, name: impl Into<String>, codes: I) -> Self
     where
-        I: IntoIterator<Item = T>,
-        T: Into<String>,
+        I: IntoIterator<Item = &'static str>,
     {
-        let meta = self.last_rule_meta("on_codes");
-        meta.on_codes
-            .get_or_insert_with(Vec::new)
-            .extend(codes.into_iter().map(Into::into));
+        self.rules.push(Rule {
+            name: name.into().into(),
+            guard: None,
+            patch: None,
+            meta: RuleMeta {
+                codes: codes.into_iter().collect(),
+                reads: None,
+                writes: None,
+                continuation: PatchAction::Retry,
+            },
+        });
+        self.continuations.push(0);
+        self.last = LastAdded::Rule;
         self
     }
 
-    /// Declares that the last-added rule's predicate also tests state,
-    /// so a matching failure code does not guarantee it fires.
+    /// Guards the last-added rule: it fires only when `guard` accepts
+    /// the state, and otherwise leaves the failure to the later rules.
     ///
     /// # Panics
     ///
     /// Panics when the last-added item is not a rule.
     #[must_use]
-    pub fn guarded(mut self) -> Self {
-        self.last_rule_meta("guarded").guarded = true;
+    pub fn when(mut self, guard: impl Fn(&S) -> bool + Send + Sync + 'static) -> Self {
+        self.last_rule("when").guard = Some(Box::new(guard));
         self
     }
 
-    /// Declares that the last-added rule's patch may return
-    /// [`PatchAction::Retry`].
+    /// Gives the last-added rule a patch, run on the state and the run's
+    /// [`DesignContext`] when the rule fires. An `Err` aborts the plan
+    /// with that reason instead of the rule's continuation.
     ///
     /// # Panics
     ///
     /// Panics when the last-added item is not a rule.
     #[must_use]
-    pub fn retries(mut self) -> Self {
-        self.last_rule_meta("retries")
-            .actions
-            .push(DeclaredAction::Retry);
+    pub fn patch(
+        mut self,
+        patch: impl Fn(&mut S, &DesignContext<'_>) -> Result<(), String> + Send + Sync + 'static,
+    ) -> Self {
+        self.last_rule("patch").patch = Some(Box::new(patch));
         self
     }
 
-    /// Declares that the last-added rule's patch may return
-    /// [`PatchAction::RestartFrom`] the named step.
+    /// Continues the last-added rule by re-running the step that failed.
     ///
     /// # Panics
     ///
     /// Panics when the last-added item is not a rule.
     #[must_use]
-    pub fn restarts_from(mut self, target: impl Into<String>) -> Self {
-        let target = target.into();
-        self.last_rule_meta("restarts_from")
-            .actions
-            .push(DeclaredAction::RestartFrom(target));
-        self
+    pub fn retries(self) -> Self {
+        self.continue_with("retries", PatchAction::Retry)
     }
 
-    /// Declares that the last-added rule's patch may return
-    /// [`PatchAction::Abort`].
+    /// Continues the last-added rule by restarting from the named step.
     ///
     /// # Panics
     ///
     /// Panics when the last-added item is not a rule.
     #[must_use]
-    pub fn aborts(mut self) -> Self {
-        self.last_rule_meta("aborts")
-            .actions
-            .push(DeclaredAction::Abort);
+    pub fn restarts_from(self, target: impl Into<String>) -> Self {
+        self.continue_with("restarts_from", PatchAction::RestartFrom(target.into()))
+    }
+
+    /// Continues the last-added rule by aborting the plan with `reason`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the last-added item is not a rule.
+    #[must_use]
+    pub fn aborts(self, reason: impl Into<String>) -> Self {
+        self.continue_with("aborts", PatchAction::Abort(reason.into()))
+    }
+
+    fn continue_with(mut self, modifier: &str, continuation: PatchAction) -> Self {
+        self.last_rule(modifier).meta.continuation = continuation;
+        if let Some(count) = self.continuations.last_mut() {
+            *count += 1;
+        }
         self
     }
 
-    fn last_rule_meta(&mut self, modifier: &str) -> &mut RuleMeta {
+    fn last_rule(&mut self, modifier: &str) -> &mut Rule<S> {
         let Some(rule) = self
             .rules
             .last_mut()
@@ -621,37 +634,27 @@ impl<S> PlanBuilder<S> {
         else {
             panic!("plan `{}`: .{modifier}() must follow a rule", self.name);
         };
-        &mut rule.meta
-    }
-
-    /// Appends a patch rule: `applies` decides whether the rule matches a
-    /// failure; `patch` mutates the state and chooses how execution
-    /// resumes.
-    #[must_use]
-    pub fn rule(
-        mut self,
-        name: impl Into<String>,
-        applies: impl Fn(&S, &StepFailure) -> bool + Send + Sync + 'static,
-        patch: impl Fn(&mut S, &DesignContext<'_>) -> PatchAction + Send + Sync + 'static,
-    ) -> Self {
-        self.rules.push(Rule {
-            name: name.into().into(),
-            applies: Box::new(applies),
-            patch: Box::new(patch),
-            meta: RuleMeta::default(),
-        });
-        self.last = LastAdded::Rule;
-        self
+        rule
     }
 
     /// Finalizes the plan.
     ///
     /// # Panics
     ///
-    /// Panics if the plan has no steps.
+    /// Panics if the plan has no steps, or a rule declares no
+    /// continuation or more than one.
     #[must_use]
     pub fn build(self) -> Plan<S> {
         assert!(!self.steps.is_empty(), "plan `{}` has no steps", self.name);
+        for (rule, &count) in self.rules.iter().zip(&self.continuations) {
+            assert!(
+                count == 1,
+                "plan `{}`: rule `{}` declares {count} continuations; it needs exactly one \
+                 of .retries(), .restarts_from() or .aborts()",
+                self.name,
+                rule.name
+            );
+        }
         Plan {
             name: self.name,
             steps: self.steps,
@@ -702,7 +705,8 @@ mod tests {
         let plan = Plan::<i32>::builder("p")
             .step("a", |_, _| StepOutcome::Done)
             .step("b", |_, _| StepOutcome::Done)
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("r", ["x"])
+            .retries()
             .build();
         assert_eq!(plan.name(), "p");
         assert_eq!(plan.step_count(), 2);
@@ -739,14 +743,11 @@ mod tests {
             .writes(["z"])
             .emits(Vec::<String>::new())
             .diverges()
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
-            .on_codes(["a-failed"])
-            .guarded()
+            .rule("r", ["a-failed"])
+            .when(|_| true)
             .reads(["x"])
             .writes(["y"])
-            .retries()
             .restarts_from("a")
-            .aborts()
             .build();
         assert_eq!(plan.inputs(), ["spec".to_string()]);
         let a = plan.step_meta(0);
@@ -761,18 +762,11 @@ mod tests {
         assert_eq!(b.emits.as_deref(), Some(&[][..]));
         assert!(b.diverges);
         let r = plan.rule_meta(0);
-        assert_eq!(r.on_codes.as_deref(), Some(&["a-failed".to_string()][..]));
-        assert!(r.guarded);
+        assert_eq!(r.codes, ["a-failed"]);
+        assert!(plan.rules[0].guard.is_some());
         assert_eq!(r.reads.as_deref(), Some(&["x".to_string()][..]));
         assert_eq!(r.writes.as_deref(), Some(&["y".to_string()][..]));
-        assert_eq!(
-            r.actions,
-            vec![
-                DeclaredAction::Retry,
-                DeclaredAction::RestartFrom("a".to_string()),
-                DeclaredAction::Abort
-            ]
-        );
+        assert_eq!(r.continuation, PatchAction::RestartFrom("a".to_string()));
         assert_eq!(plan.rule_names(), vec!["r"]);
     }
 
@@ -793,16 +787,37 @@ mod tests {
     fn emits_after_rule_panics() {
         let _ = Plan::<i32>::builder("p")
             .step("a", |_, _| StepOutcome::Done)
-            .rule("r", |_, _| true, |_, _| PatchAction::Retry)
+            .rule("r", ["x"])
             .emits(["x"]);
     }
 
     #[test]
-    #[should_panic(expected = ".on_codes() must follow a rule")]
-    fn on_codes_after_step_panics() {
+    #[should_panic(expected = ".when() must follow a rule")]
+    fn guard_after_step_panics() {
         let _ = Plan::<i32>::builder("p")
             .step("a", |_, _| StepOutcome::Done)
-            .on_codes(["x"]);
+            .when(|_| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "rule `r` declares 0 continuations")]
+    fn rule_without_a_continuation_rejected() {
+        let _ = Plan::<i32>::builder("p")
+            .step("a", |_, _| StepOutcome::Done)
+            .rule("r", ["x"])
+            .patch(|_, _| Ok(()))
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "rule `r` declares 2 continuations")]
+    fn rule_with_two_continuations_rejected() {
+        let _ = Plan::<i32>::builder("p")
+            .step("a", |_, _| StepOutcome::Done)
+            .rule("r", ["x"])
+            .retries()
+            .aborts("no")
+            .build();
     }
 
     #[test]

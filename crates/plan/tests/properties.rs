@@ -1,7 +1,7 @@
 //! Property-based tests on the plan executor: termination, budget
 //! enforcement, and a well-formed recorded history for randomized plans.
 
-use oasys_plan::{ExecutorConfig, PatchAction, Plan, PlanExecutor, StepOutcome};
+use oasys_plan::{ExecutorConfig, Plan, PlanExecutor, StepOutcome};
 use oasys_telemetry::Telemetry;
 use oasys_testutil::prelude::*;
 
@@ -28,13 +28,7 @@ fn flaky_plan(step_count: usize) -> Plan<FlakyState> {
             }
         });
     }
-    builder
-        .rule(
-            "retry",
-            |_, f| f.code() == "again",
-            |_, _| PatchAction::Retry,
-        )
-        .build()
+    builder.rule("retry", ["again"]).retries().build()
 }
 
 proptest! {
