@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod bias;
 pub mod compensation;
 pub mod diffpair;
 pub mod gainstage;
