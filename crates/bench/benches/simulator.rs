@@ -2,7 +2,7 @@
 //! (offset bisection, DC operating point, AC sweep, swing sweep, slew
 //! transients and the AC-family phases), plus the kernels it is built
 //! from: case C's two slew transients, one cold Newton solve and the
-//! 241-point warm swing sweep.
+//! 241-point warm-started swing sweep.
 
 use oasys::spec::test_cases;
 use oasys::{synthesize, verify};
@@ -44,10 +44,16 @@ fn main() {
             .unwrap()
     });
 
-    let (swing, _, points) = oasys::verify::swing_bench(&design, &process).unwrap();
+    let (swing, swing_out, points) = oasys::verify::swing_bench(&design, &process).unwrap();
     b.bench("sim/dc_sweep_241", || {
-        oasys_sim::sweep::dc_transfer(black_box(&swing), black_box(&process), "VSW", &points)
-            .unwrap()
+        oasys_sim::sweep::dc_transfer(
+            black_box(&swing),
+            black_box(&process),
+            "VSW",
+            swing_out,
+            &points,
+        )
+        .unwrap()
     });
 
     let circuit = dc_chain();

@@ -340,6 +340,9 @@ const SWING_GAIN: f64 = 10.0;
 /// Points of the swing measurement's input sweep.
 const SWING_POINTS: usize = 241;
 
+/// The share of the sweep's peak incremental gain that bounds the swing.
+const SWING_GAIN_FRACTION: f64 = 0.25;
+
 /// The swing-measurement bench: the amp in an inverting gain-of-10
 /// configuration, whose feedback holds the input common mode at the
 /// mid-rail virtual ground, so the measurement reflects the output
@@ -407,11 +410,11 @@ fn inverting_bench(
 }
 
 /// Measures the output swing on the [`swing_bench`]: a DC transfer
-/// sweep, counted into `tel`'s `sim.dc.*` counters.
+/// sweep of the output node, counted into `tel`'s `sim.dc.*` counters.
 fn measure_swing(design: &OpAmpDesign, process: &Process, tel: &Telemetry) -> Option<f64> {
     let (bench, out, points) = swing_bench(design, process).ok()?;
-    let swept = sweep::dc_transfer_with(&bench, process, "VSW", &points, tel).ok()?;
-    let (lo, hi) = output_swing(&swept, out, 0.25)?;
+    let swept = sweep::dc_transfer_with(&bench, process, "VSW", out, &points, tel).ok()?;
+    let (lo, hi) = output_swing(&swept, SWING_GAIN_FRACTION)?;
     Some(lo.abs().min(hi.abs()))
 }
 
@@ -552,30 +555,41 @@ mod tests {
 
     /// Runs the warm analyses on a design's swing and offset benches,
     /// built exactly as [`verify`] builds them, against their cold
-    /// references. Returns the swing sweep's Newton iterations, warm and
-    /// cold.
+    /// references: each swept point and the swing measured from the
+    /// sweep within 1e-12 V, the offset within 1e-9 V. Returns the swing
+    /// sweep's Newton iterations, warm and cold.
     fn assert_warm_matches_cold(
         label: &str,
         design: &OpAmpDesign,
         process: &Process,
         load_f: f64,
-    ) -> (usize, usize) {
+    ) -> (u64, u64) {
         let (bench, out, points) = swing_bench(design, process).unwrap();
-        let warm = sweep::dc_transfer(&bench, process, "VSW", &points).unwrap();
+        let tel = Telemetry::new();
+        let warm = sweep::dc_transfer_with(&bench, process, "VSW", out, &points, &tel).unwrap();
         assert_eq!(warm.len(), points.len(), "{label}: a warm point failed");
         let mut work = bench.clone();
         let mut cold_iterations = 0;
-        for (point, &vin) in warm.iter().zip(&points) {
+        let mut cold_points = Vec::with_capacity(points.len());
+        for (&(vin, w), &input) in warm.iter().zip(&points) {
+            assert_eq!(vin, input, "{label}: the sweep reordered its points");
             work.set_source_dc("VSW", vin).unwrap();
             let cold = dc::solve(&work, process).unwrap();
-            cold_iterations += cold.iterations();
-            let (w, c) = (point.solution.voltage(out), cold.voltage(out));
+            cold_iterations += cold.iterations() as u64;
+            let c = cold.voltage(out);
             assert!(
-                (w - c).abs() <= 1e-6,
+                (w - c).abs() <= 1e-12,
                 "{label}: swing point {vin} V: warm {w} V, cold {c} V"
             );
+            cold_points.push((vin, c));
         }
-        let warm_iterations = warm.iter().map(|p| p.solution.iterations()).sum();
+        let (warm_lo, warm_hi) = output_swing(&warm, SWING_GAIN_FRACTION).unwrap();
+        let (cold_lo, cold_hi) = output_swing(&cold_points, SWING_GAIN_FRACTION).unwrap();
+        assert!(
+            (warm_lo - cold_lo).abs() <= 1e-12 && (warm_hi - cold_hi).abs() <= 1e-12,
+            "{label}: swing warm {warm_lo}..{warm_hi} V, cold {cold_lo}..{cold_hi} V"
+        );
+        let warm_iterations = tel.counter("sim.dc.newton_iterations");
 
         let (bench, out) = build_bench(design, process, load_f).unwrap();
         let warm_offset = sweep::bisect_input(&bench, process, "VIP", out, 0.0, -0.5, 0.5).unwrap();

@@ -711,33 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_step_fault_flows_through_the_patch_plane() {
-        use oasys_faults::FaultSpec;
-        let site = "plan.step";
-        // fail_once: the first step execution fails with code
-        // `fault-injected`; the rule retries and the rerun succeeds.
-        oasys_faults::set(site, FaultSpec::FailOnce);
-        let plan = Plan::<Counter>::builder("p")
-            .step("work", |s: &mut Counter, _| {
-                s.attempts += 1;
-                StepOutcome::Done
-            })
-            .rule("absorb-fault", ["fault-injected"])
-            .retries()
-            .build();
-        let mut state = Counter::default();
-        let tel = Telemetry::new();
-        let result = PlanExecutor::new().run_with(&plan, &mut state, &tel);
-        oasys_faults::remove(site);
-        result.unwrap();
-        assert_eq!(tel.counter("plan.rule_firings"), 1);
-        assert_eq!(
-            state.attempts, 1,
-            "the faulted execution never ran the step body"
-        );
-    }
-
-    #[test]
     fn rule_state_predicate_can_inspect_state() {
         // Rule only fires when attempts are low; after that its guard
         // declines and the failure goes to the next rule naming its

@@ -438,8 +438,10 @@ impl AcSystem {
                 }
             }
         }
-        y.solve(b)
-            .map_err(|_| SolveAcError::Singular { frequency: freq })
+        let mut x = b.to_vec();
+        y.solve_in_place(&mut x)
+            .map_err(|_| SolveAcError::Singular { frequency: freq })?;
+        Ok(x)
     }
 
     /// Expands an unknown vector into per-node voltages (ground at

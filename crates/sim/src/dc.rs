@@ -9,10 +9,10 @@
 //! The work that does not depend on the operating point — validating
 //! the circuit, indexing its unknowns, binding every MOSFET, allocating
 //! the Jacobian — happens once per compiled engine. A DC sweep
-//! compiles once and starts each point's Newton iteration from the
-//! previous point's solution; only when that stalls does it fall back to
-//! the cold continuation above. [`solve`] and its `*_with` variants
-//! compile and solve cold.
+//! compiles once and starts each point's Newton iteration from a start
+//! its earlier points give (see [`crate::sweep`]); only when that stalls
+//! does it fall back to the cold continuation above. [`solve`] and its
+//! `*_with` variants compile and solve cold.
 
 use crate::linalg::Matrix;
 use crate::mna::{DeviceNames, SourceRef, StampPlan};

@@ -16,7 +16,7 @@
 //! * [`ac`] — small-signal frequency sweeps linearized at the DC point
 //!   (the module also exposes the reusable [`ac::AcSystem`]),
 //! * [`sweep`] — DC transfer sweeps and bisections, each point
-//!   warm-started from the previous solution,
+//!   warm-started from the points before it,
 //! * [`tran`] — fixed-step backward-Euler transient analysis (slew-rate
 //!   measurements),
 //! * [`metrics`] — datasheet-style measurements: DC gain, unity-gain

@@ -8,6 +8,11 @@
 //! row whose multiplier is exactly zero. MNA rows are mostly zeros, so
 //! that skip removes most of the work, and it cannot change a finite
 //! result: subtracting `0·u` leaves each entry equal under `==`.
+//!
+//! The pivot search compares [`Scalar::pivot_key`]s: `|z|²` for a
+//! complex entry, which orders entries as `|z|` does without a square
+//! root per candidate. Only the chosen pivot's `|z|` is tested against
+//! the singular threshold, so a singular column is detected as before.
 
 use crate::complex::Complex;
 use std::fmt;
@@ -30,8 +35,12 @@ pub trait Scalar:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Magnitude used for pivot selection.
+    /// Magnitude `|z|`, tested against the singular threshold.
     fn norm(self) -> f64;
+    /// A key that orders entries by magnitude, for pivot selection:
+    /// `|x|` for a real, `|z|²` for a complex, which needs no square
+    /// root.
+    fn pivot_key(self) -> f64;
 }
 
 mod private {
@@ -46,6 +55,9 @@ impl Scalar for f64 {
     fn norm(self) -> f64 {
         self.abs()
     }
+    fn pivot_key(self) -> f64 {
+        self.abs()
+    }
 }
 
 impl Scalar for Complex {
@@ -53,6 +65,9 @@ impl Scalar for Complex {
     const ONE: Self = Complex::ONE;
     fn norm(self) -> f64 {
         self.abs()
+    }
+    fn pivot_key(self) -> f64 {
+        self.norm_sqr()
     }
 }
 
@@ -159,16 +174,17 @@ impl<T: Scalar> Matrix<T> {
         let n = self.n;
         assert_eq!(b.len(), n, "rhs length must match matrix dimension");
         for k in 0..n {
-            // Find the pivot row: the first largest magnitude in column k.
+            // Find the pivot row: the first largest key in column k.
             let mut best = k;
-            let mut best_norm = self.data[k * n + k].norm();
+            let mut best_key = self.data[k * n + k].pivot_key();
             for row in k + 1..n {
-                let candidate = self.data[row * n + k].norm();
-                if candidate > best_norm {
+                let candidate = self.data[row * n + k].pivot_key();
+                if candidate > best_key {
                     best = row;
-                    best_norm = candidate;
+                    best_key = candidate;
                 }
             }
+            let best_norm = self.data[best * n + k].norm();
             if best_norm < 1e-300 || !best_norm.is_finite() {
                 return Err(SingularMatrixError { column: k });
             }
@@ -251,7 +267,10 @@ mod tests {
     use oasys_testutil::Rng;
 
     /// The permutation-indexed LU this module shipped before the kernel
-    /// swapped rows physically: the oracle the kernel must match.
+    /// swapped rows physically: the oracle the kernel must match. It
+    /// picks pivots by [`Scalar::norm`] (`hypot` for a complex), so the
+    /// complex comparison also holds the kernel's `|z|²` pivot key to
+    /// the magnitude it stands for.
     fn reference_solve<T: Scalar>(m: &Matrix<T>, b: &[T]) -> Result<Vec<T>, SingularMatrixError> {
         let n = m.n;
         let mut a = m.data.clone();
@@ -397,9 +416,15 @@ mod tests {
 
     /// Runs every family through both implementations and demands equal
     /// solutions under `==` (so `±0` compare equal) or the same singular
-    /// column. The draws must reach singular columns and skipped
-    /// multipliers, or the comparison proves less than it says.
-    fn check_against_oracle<T: Scalar>(name: &str, entry: &dyn Fn(&mut Rng, f64) -> T) {
+    /// column. The draws must reach singular columns, skipped
+    /// multipliers and at least `min_ties` first columns whose largest
+    /// magnitude is shared by two entries, or the comparison proves less
+    /// than it says.
+    fn check_against_oracle<T: Scalar>(
+        name: &str,
+        min_ties: usize,
+        entry: &dyn Fn(&mut Rng, f64) -> T,
+    ) {
         let families = [
             Family::Dense,
             Family::PivotForcing,
@@ -408,11 +433,17 @@ mod tests {
         ];
         let mut singular = 0;
         let mut zero_multipliers = 0;
+        let mut ties = 0;
         for case in 0..400u64 {
             let mut rng = Rng::for_case(name, case);
             let family = families[(case % 4) as usize];
             let n = rng.range_u64(1, 25) as usize;
             let m = draw(&mut rng, family, n, entry);
+            let first_column: Vec<f64> = (0..n).map(|i| m[(i, 0)].norm()).collect();
+            let largest = first_column.iter().copied().fold(0.0, f64::max);
+            if largest > 0.0 && first_column.iter().filter(|&&v| v == largest).count() >= 2 {
+                ties += 1;
+            }
             let b: Vec<T> = (0..n)
                 .map(|_| {
                     let v = rng.range_f64(-1.0, 1.0);
@@ -438,18 +469,30 @@ mod tests {
             zero_multipliers >= 1000,
             "only {zero_multipliers} zero multipliers"
         );
+        assert!(ties >= min_ties, "only {ties} tied first columns");
     }
 
     #[test]
     fn kernel_matches_permutation_indexed_oracle_on_real_systems() {
-        check_against_oracle::<f64>("lu-oracle-real", &|_, v| v);
+        check_against_oracle::<f64>("lu-oracle-real", 0, &|_, v| v);
     }
+
+    /// Equal magnitudes with different components: `|z| = 5` exactly for
+    /// each, and `|z|² = 25` exactly, so neither key breaks the tie.
+    const FIVES: [Complex; 4] = [
+        Complex::new(5.0, 0.0),
+        Complex::new(3.0, 4.0),
+        Complex::new(-4.0, 3.0),
+        Complex::new(0.0, -5.0),
+    ];
 
     #[test]
     fn kernel_matches_permutation_indexed_oracle_on_complex_systems() {
-        check_against_oracle::<Complex>("lu-oracle-complex", &|rng, v| {
+        check_against_oracle::<Complex>("lu-oracle-complex", 50, &|rng, v| {
             if v == 0.0 {
                 Complex::ZERO
+            } else if rng.range_u64(0, 8) == 0 {
+                FIVES[rng.range_u64(0, 4) as usize]
             } else {
                 Complex::new(v, rng.range_f64(-1.0, 1.0) * v.abs())
             }

@@ -7,7 +7,6 @@
 
 use crate::ac::AcSolution;
 use crate::complex::Complex;
-use crate::sweep::SweepPoint;
 use oasys_netlist::NodeId;
 use oasys_units::{Decibels, Degrees, Frequency};
 
@@ -231,32 +230,41 @@ fn interp_log(freqs: &[f64], values: &[f64], hz: f64) -> f64 {
     last
 }
 
-/// Output swing measured from a DC transfer sweep: the output range over
-/// which the incremental gain stays above `gain_fraction` of its peak.
+/// Output swing measured from a DC transfer sweep's `(input, output
+/// voltage)` points, as [`crate::sweep::dc_transfer`] returns them: the
+/// output range over which the incremental gain stays above
+/// `gain_fraction` of its peak.
 ///
 /// Returns `(v_low, v_high)` — e.g. `(-2.5, 2.5)` for a symmetric ±2.5 V
 /// swing — or `None` if the sweep has fewer than three points.
 ///
 /// # Examples
 ///
-/// A saturating amplifier's linear region is recovered:
-/// see the module tests for a worked inverter example.
+/// A clipping amplifier's linear region is recovered:
+///
+/// ```
+/// use oasys_sim::metrics::output_swing;
+/// // Gain −10, clipped at ±2 V, swept over ±0.5 V.
+/// let points: Vec<(f64, f64)> = (0..=100)
+///     .map(|k| {
+///         let vin = -0.5 + k as f64 / 100.0;
+///         (vin, (-10.0 * vin).clamp(-2.0, 2.0))
+///     })
+///     .collect();
+/// let (lo, hi) = output_swing(&points, 0.25).unwrap();
+/// assert!((lo + 2.0).abs() < 1e-9 && (hi - 2.0).abs() < 1e-9);
+/// ```
 #[must_use]
-pub fn output_swing(
-    points: &[SweepPoint],
-    output: NodeId,
-    gain_fraction: f64,
-) -> Option<(f64, f64)> {
+pub fn output_swing(points: &[(f64, f64)], gain_fraction: f64) -> Option<(f64, f64)> {
     if points.len() < 3 {
         return None;
     }
-    let vin: Vec<f64> = points.iter().map(|p| p.input).collect();
-    let vout: Vec<f64> = points.iter().map(|p| p.solution.voltage(output)).collect();
     // Central-difference incremental gain.
     let n = points.len();
     let mut gains = vec![0.0; n];
     for k in 1..n - 1 {
-        gains[k] = ((vout[k + 1] - vout[k - 1]) / (vin[k + 1] - vin[k - 1])).abs();
+        let ((vin0, vout0), (vin1, vout1)) = (points[k - 1], points[k + 1]);
+        gains[k] = ((vout1 - vout0) / (vin1 - vin0)).abs();
     }
     gains[0] = gains[1];
     gains[n - 1] = gains[n - 2];
@@ -268,10 +276,10 @@ pub fn output_swing(
     // The output values reached while the gain is above threshold.
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for k in 0..n {
-        if gains[k] >= threshold {
-            lo = lo.min(vout[k]);
-            hi = hi.max(vout[k]);
+    for (&(_, vout), &gain) in points.iter().zip(&gains) {
+        if gain >= threshold {
+            lo = lo.min(vout);
+            hi = hi.max(vout);
         }
     }
     if lo.is_finite() && hi.is_finite() {

@@ -5,35 +5,35 @@
 //! following) and systematic input offset (bisect for the input voltage
 //! that centers the output).
 //!
-//! Both compile the circuit once and solve it many times. Only the first
-//! point is solved cold; every later point starts Newton from the last
-//! converged solution, which sits a small input step away, and falls back
-//! to the cold continuation only if that stalls.
+//! Both compile the circuit once and solve it many times, and fall back
+//! to the cold continuation only where a warm start stalls. A sweep
+//! solves its first point cold and starts its second from the first.
+//! Every later point starts Newton from the straight line through the
+//! last two converged solutions, extended to the new input: a swept
+//! output moves smoothly, so that start sits closer than the last
+//! solution alone. A bisection starts each evaluation from the previous
+//! one.
 
-use crate::dc::{DcSolution, Engine, SolveDcError};
+use crate::dc::{Engine, SolveDcError};
 use crate::mna::volt;
 use oasys_netlist::{Circuit, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::Telemetry;
 
-/// One point of a DC transfer sweep.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// The swept source's DC value at this point.
-    pub input: f64,
-    /// The full DC solution at this point.
-    pub solution: DcSolution,
-}
-
-/// Sweeps the DC value of source `source_name` over `values` and solves at
-/// each point. Points that fail to converge are skipped (deep saturation
-/// corners occasionally defeat continuation; the swing extraction only
-/// needs the converged shape).
+/// Sweeps the DC value of source `source_name` over `values`, solves at
+/// each point and returns `(input, voltage of output)` for every point
+/// that converged. Points that fail to converge are skipped (deep
+/// saturation corners occasionally defeat continuation; the swing
+/// extraction only needs the converged shape).
 ///
 /// # Errors
 ///
 /// Returns an error if the source does not exist, or if *no* point
 /// converges.
+///
+/// # Panics
+///
+/// Panics if `output` is not a node of `circuit`.
 ///
 /// # Examples
 ///
@@ -53,10 +53,11 @@ pub struct SweepPoint {
 ///     &c,
 ///     &builtin::cmos_5um(),
 ///     "VIN",
+///     out,
 ///     &[-1.0, 0.0, 1.0],
 /// )?;
 /// assert_eq!(pts.len(), 3);
-/// assert!((pts[2].solution.voltage(out) - 0.5).abs() < 1e-6);
+/// assert!((pts[2].1 - 0.5).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
@@ -64,12 +65,14 @@ pub fn dc_transfer(
     circuit: &Circuit,
     process: &Process,
     source_name: &str,
+    output: NodeId,
     values: &[f64],
-) -> Result<Vec<SweepPoint>, SolveDcError> {
+) -> Result<Vec<(f64, f64)>, SolveDcError> {
     dc_transfer_with(
         circuit,
         process,
         source_name,
+        output,
         values,
         &Telemetry::disabled(),
     )
@@ -83,28 +86,47 @@ pub fn dc_transfer(
 /// # Errors
 ///
 /// Same failure modes as [`dc_transfer`].
+///
+/// # Panics
+///
+/// Same as [`dc_transfer`].
 pub fn dc_transfer_with(
     circuit: &Circuit,
     process: &Process,
     source_name: &str,
+    output: NodeId,
     values: &[f64],
     tel: &Telemetry,
-) -> Result<Vec<SweepPoint>, SolveDcError> {
+) -> Result<Vec<(f64, f64)>, SolveDcError> {
     let mut engine = Engine::compile(circuit, process)?;
     let source = engine.source(source_name)?;
+    let output_var = engine.plan().index().node_var(output);
 
     let mut points = Vec::with_capacity(values.len());
     let mut last_err = None;
-    let mut last_x: Option<Vec<f64>> = None;
+    // The last two converged points, `(input, solution)`, newest last.
+    let mut older: Option<(f64, Vec<f64>)> = None;
+    let mut newer: Option<(f64, Vec<f64>)> = None;
+    let mut guess = Vec::new();
     for &value in values {
         engine.set_source(source, value);
-        match engine.solve_counted(last_x.as_deref(), tel) {
+        let start = match (&older, &newer) {
+            (Some((v0, x0)), Some((v1, x1))) => {
+                // A repeated input leaves the ratio undefined: start
+                // from x₁ then.
+                let r = (value - v1) / (v1 - v0);
+                let r = if r.is_finite() { r } else { 0.0 };
+                guess.clear();
+                guess.extend(x1.iter().zip(x0).map(|(&a, &b)| a + r * (a - b)));
+                Some(guess.as_slice())
+            }
+            (None, Some((_, x1))) => Some(x1.as_slice()),
+            _ => None,
+        };
+        match engine.solve_counted(start, tel) {
             Ok(solved) => {
-                points.push(SweepPoint {
-                    input: value,
-                    solution: engine.package(&solved),
-                });
-                last_x = Some(solved.x);
+                points.push((value, volt(&solved.x, output_var)));
+                older = newer.replace((value, solved.x));
             }
             Err(e) => last_err = Some(e),
         }
@@ -284,15 +306,46 @@ mod tests {
     #[test]
     fn inverter_transfer_is_monotone_decreasing() {
         let (c, out) = inverter();
-        let pts = dc_transfer(&c, &builtin::cmos_5um(), "VIN", &linspace(0.0, 5.0, 11)).unwrap();
+        let pts = dc_transfer(
+            &c,
+            &builtin::cmos_5um(),
+            "VIN",
+            out,
+            &linspace(0.0, 5.0, 11),
+        )
+        .unwrap();
         assert_eq!(pts.len(), 11);
-        let vouts: Vec<f64> = pts.iter().map(|p| p.solution.voltage(out)).collect();
+        let vouts: Vec<f64> = pts.iter().map(|&(_, v)| v).collect();
         for pair in vouts.windows(2) {
             assert!(pair[1] <= pair[0] + 1e-6, "not monotone: {vouts:?}");
         }
         // Rail-ish at the ends.
         assert!(vouts[0] > 4.5);
         assert!(vouts[10] < 0.5);
+    }
+
+    #[test]
+    fn extrapolated_starts_match_cold_solves_on_uneven_and_repeated_inputs() {
+        // Uneven steps give ratios other than 1; the repeated 0.5 V leaves
+        // the next ratio undefined, which must start from the last point
+        // rather than stall into the cold continuation.
+        let (c, out) = inverter();
+        let process = builtin::cmos_5um();
+        let values = [0.0, 0.5, 0.5, 1.0, 1.2, 2.0, 2.1, 2.4, 3.0, 5.0];
+        let tel = Telemetry::new();
+        let pts = dc_transfer_with(&c, &process, "VIN", out, &values, &tel).unwrap();
+        assert_eq!(pts.len(), values.len());
+        assert_eq!(tel.counter("sim.dc.warm_fallbacks"), 0);
+        let mut work = c.clone();
+        for (&(vin, warm), &value) in pts.iter().zip(&values) {
+            assert_eq!(vin, value);
+            work.set_source_dc("VIN", vin).unwrap();
+            let cold = dc::solve(&work, &process).unwrap().voltage(out);
+            assert!(
+                (warm - cold).abs() <= 1e-12,
+                "{vin} V: warm {warm} V, cold {cold} V"
+            );
+        }
     }
 
     #[test]
@@ -329,9 +382,10 @@ mod tests {
         c.add_resistor("R1", inp, out, 1e3).unwrap();
         c.add_resistor("R2", out, c.ground(), 1e3).unwrap();
         let tel = Telemetry::new();
-        let pts = dc_transfer_with(&c, &builtin::cmos_5um(), "VIN", &[0.0, 1000.0], &tel).unwrap();
+        let pts =
+            dc_transfer_with(&c, &builtin::cmos_5um(), "VIN", out, &[0.0, 1000.0], &tel).unwrap();
         assert_eq!(pts.len(), 2);
-        assert!((pts[1].solution.voltage(out) - 500.0).abs() < 1e-6);
+        assert!((pts[1].1 - 500.0).abs() < 1e-6);
         assert_eq!(tel.counter("sim.dc.solves"), 2);
         assert_eq!(tel.counter("sim.dc.warm_fallbacks"), 1);
         assert_eq!(tel.counter("sim.dc.failures"), 0);
@@ -339,8 +393,8 @@ mod tests {
 
     #[test]
     fn unknown_source_is_reported() {
-        let (c, _) = inverter();
-        let err = dc_transfer(&c, &builtin::cmos_5um(), "NOPE", &[0.0]).unwrap_err();
+        let (c, out) = inverter();
+        let err = dc_transfer(&c, &builtin::cmos_5um(), "NOPE", out, &[0.0]).unwrap_err();
         assert!(matches!(err, SolveDcError::Invalid(_)));
     }
 }

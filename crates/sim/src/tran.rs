@@ -5,8 +5,10 @@
 //! at their `t = 0` operating-point values) become backward-Euler
 //! companion models: a conductance `C/h` in parallel with a history
 //! current source. Every step solves the full nonlinear system by Newton,
-//! warm-started from the previous step, so large-signal behaviour (the
-//! slewing of an op amp) is captured exactly as the level-1 model allows.
+//! so large-signal behaviour (the slewing of an op amp) is captured
+//! exactly as the level-1 model allows. The first step starts Newton
+//! from the initial point, and every later one from the line through
+//! the last two points, extended by one fixed step.
 //!
 //! Time-varying stimuli are supplied per source name through [`Stimuli`];
 //! sources without an override hold their DC value.
@@ -350,8 +352,8 @@ pub fn solve(
 }
 
 /// [`solve`] with run telemetry recorded into `tel`: a `sim:tran` span
-/// plus the `sim.tran.runs` / `sim.tran.steps` / `sim.tran.failures`
-/// counters.
+/// plus the `sim.tran.runs` / `sim.tran.steps` /
+/// `sim.tran.newton_iterations` / `sim.tran.failures` counters.
 ///
 /// # Errors
 ///
@@ -424,7 +426,9 @@ pub fn slew_between_with(
 /// first, and ends the run early when `observe` breaks. `x` is the
 /// solution vector: node `k`'s voltage is `x[k − 1]`.
 ///
-/// `sim.tran.steps` counts the points handed to `observe`.
+/// `sim.tran.steps` counts the points handed to `observe`, and
+/// `sim.tran.newton_iterations` the Newton iterations of the timesteps
+/// among them (the initial point is a DC solve).
 fn run(
     circuit: &Circuit,
     process: &Process,
@@ -438,8 +442,9 @@ fn run(
     let result = integrate(circuit, process, spec, stimuli, &mut observe);
     if tel.is_enabled() {
         match &result {
-            Ok(points) => {
+            Ok((points, iterations)) => {
                 tel.add_sym(sym!("sim.tran.steps"), *points);
+                tel.add_sym(sym!("sim.tran.newton_iterations"), *iterations);
                 span.annotate_sym(sym!("steps"), sym_u64(*points));
             }
             Err(e) => {
@@ -451,14 +456,15 @@ fn run(
     result.map(|_| ())
 }
 
-/// [`run`]'s loop. Returns the number of points observed.
+/// [`run`]'s loop. Returns the number of points observed and the Newton
+/// iterations their timesteps took.
 fn integrate(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
     stimuli: &Stimuli,
     observe: &mut impl FnMut(f64, &[f64]) -> ControlFlow<()>,
-) -> Result<u64, SolveTranError> {
+) -> Result<(u64, u64), SolveTranError> {
     let mut engine = Engine::compile(circuit, process)?;
     let mut sources = SourceTable::new(engine.plan(), stimuli);
 
@@ -467,7 +473,7 @@ fn integrate(
     sources.apply(&mut engine);
     let mut x = engine.solve(None, &Deadline::none())?.x;
     if observe(0.0, &x).is_break() {
-        return Ok(1);
+        return Ok((1, 0));
     }
     let plan = engine.plan();
 
@@ -480,14 +486,25 @@ fn integrate(
     let mut jac: Matrix<f64> = Matrix::zeros(dim);
     let mut residual = vec![0.0; dim];
     let mut delta = vec![0.0; dim];
+    // The last two accepted points: `x_prev` is also the history the
+    // companion models integrate from.
     let mut x_prev = x.clone();
+    let mut x_older = Vec::new();
+    let mut iterations = 0;
 
     for step in 1..=steps {
         let t = step as f64 * spec.dt;
         sources.at(t);
-        // Newton at this timestep, warm-started from the previous one.
+        // Newton at this timestep, started from the previous point
+        // extrapolated by one step (`x` holds the previous point).
+        if step >= 2 {
+            for (xi, (&p, &o)) in x.iter_mut().zip(x_prev.iter().zip(&x_older)) {
+                *xi = 2.0 * p - o;
+            }
+        }
         let mut converged = false;
         for _ in 0..MAX_NEWTON {
+            iterations += 1;
             jac.clear();
             residual.fill(0.0);
             plan.stamp_gmin(GMIN, &x, &mut jac, &mut residual);
@@ -517,11 +534,12 @@ fn integrate(
             return Err(SolveTranError::StepNotConverged { time: t });
         }
         if observe(t, &x).is_break() {
-            return Ok(step as u64 + 1);
+            return Ok((step as u64 + 1, iterations));
         }
+        std::mem::swap(&mut x_older, &mut x_prev);
         x_prev.clone_from(&x);
     }
-    Ok(steps as u64 + 1)
+    Ok((steps as u64 + 1, iterations))
 }
 
 /// The source values of a compiled circuit at one instant: each

@@ -5,11 +5,11 @@
 
 use oasys_faults::FaultSpec;
 use oasys_mos::Geometry;
-use oasys_netlist::{Circuit, SourceValue};
+use oasys_netlist::{Circuit, NodeId, SourceValue};
 use oasys_process::{builtin, Polarity};
 use oasys_sim::sweep;
 
-fn inverter() -> Circuit {
+fn inverter() -> (Circuit, NodeId) {
     let mut c = Circuit::new("inv");
     let vdd = c.node("vdd");
     let out = c.node("out");
@@ -38,20 +38,20 @@ fn inverter() -> Circuit {
         vdd,
     )
     .unwrap();
-    c
+    (c, out)
 }
 
 #[test]
 fn warm_sweeps_keep_their_fault_sites() {
-    let circuit = inverter();
+    let (circuit, out) = inverter();
     let process = builtin::cmos_5um();
     let values = sweep::linspace(0.0, 5.0, 21);
     oasys_faults::clear();
 
     // One hit per solve: a seeded 50 % rate fails some points, and the
-    // rest still converge, warm from the last converged point.
+    // rest still converge, warm from the last converged points.
     oasys_faults::set("sim.dc.solve", FaultSpec::FailRate { p: 0.5, seed: 3 });
-    let points = sweep::dc_transfer(&circuit, &process, "VIN", &values);
+    let points = sweep::dc_transfer(&circuit, &process, "VIN", out, &values);
     oasys_faults::clear();
     let points = points.unwrap();
     assert!(
@@ -63,7 +63,7 @@ fn warm_sweeps_keep_their_fault_sites() {
 
     // A site that always fails fails every point; the sweep reports it.
     oasys_faults::set("sim.dc.solve", FaultSpec::Err(Some("boom".to_owned())));
-    let err = sweep::dc_transfer(&circuit, &process, "VIN", &values);
+    let err = sweep::dc_transfer(&circuit, &process, "VIN", out, &values);
     oasys_faults::clear();
     assert!(err.unwrap_err().to_string().contains("boom"));
 
@@ -71,12 +71,12 @@ fn warm_sweeps_keep_their_fault_sites() {
     // site.
     oasys_faults::set("sim.dc.newton", FaultSpec::Panic);
     let caught = std::panic::catch_unwind(|| {
-        sweep::dc_transfer(&circuit, &process, "VIN", &values).map(|p| p.len())
+        sweep::dc_transfer(&circuit, &process, "VIN", out, &values).map(|p| p.len())
     });
     oasys_faults::clear();
     assert!(caught.is_err(), "an armed sim.dc.newton panic must fire");
 
     // Disarmed, the same sweep converges at every point.
-    let points = sweep::dc_transfer(&circuit, &process, "VIN", &values).unwrap();
+    let points = sweep::dc_transfer(&circuit, &process, "VIN", out, &values).unwrap();
     assert_eq!(points.len(), values.len());
 }
