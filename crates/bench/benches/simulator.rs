@@ -1,8 +1,9 @@
 //! Simulator benchmarks: the verification cost per synthesized op amp
 //! (offset bisection, DC operating point, AC sweep, swing sweep, slew
 //! transients and the AC-family phases), plus the kernels it is built
-//! from: case C's two slew transients, one cold Newton solve and the
-//! 241-point warm-started swing sweep.
+//! from: case C's two slew transients (cold initial points), case C's
+//! 81-point AC sweep at its nulled operating point, one cold Newton
+//! solve and the 241-point warm-started swing sweep.
 
 use oasys::spec::test_cases;
 use oasys::{synthesize, verify};
@@ -40,8 +41,33 @@ fn main() {
         oasys::verify::slew_bench(&design_c, &process, spec_c.load().farads()).unwrap();
     let tel = oasys_telemetry::Telemetry::disabled();
     b.bench("sim/tran_slew_case_c", || {
-        oasys::verify::slew_rate(black_box(&slew), black_box(&process), out, &slew_spec, &tel)
-            .unwrap()
+        oasys::verify::slew_rate(
+            black_box(&slew),
+            black_box(&process),
+            out,
+            &slew_spec,
+            None,
+            &tel,
+        )
+        .unwrap()
+    });
+
+    let (mut open_loop, ac_out) =
+        oasys::verify::open_loop_bench(&design_c, &process, spec_c.load().farads()).unwrap();
+    let offset =
+        oasys_sim::sweep::bisect_input(&open_loop, &process, "VIP", ac_out, 0.0, -0.5, 0.5)
+            .unwrap();
+    open_loop.set_source_dc("VIP", offset).unwrap();
+    let nulled = oasys_sim::dc::solve(&open_loop, &process).unwrap();
+    let ac_spec = oasys_sim::AcSweepSpec::standard();
+    b.bench("sim/ac_sweep_case_c", || {
+        oasys_sim::ac::solve_at(
+            black_box(&open_loop),
+            black_box(&process),
+            &nulled,
+            &ac_spec,
+        )
+        .unwrap()
     });
 
     let (swing, swing_out, points) = oasys::verify::swing_bench(&design, &process).unwrap();

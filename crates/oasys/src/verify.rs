@@ -5,7 +5,9 @@
 //! simulation; this module does the same with [`oasys_sim`]: it builds an
 //! open-loop test bench around the design's ports, nulls the systematic
 //! input offset by bisection, sweeps the small-signal frequency response,
-//! and extracts the Table 2 measured columns.
+//! and extracts the Table 2 measured columns. One linearization of the
+//! open-loop bench serves the sweep, the rejection ratios and the noise
+//! analysis.
 //!
 //! Before any simulation runs, the design's netlist goes through the
 //! electrical-rule checker ([`oasys_netlist::lint`]); the resulting
@@ -15,11 +17,12 @@
 use crate::styles::OpAmpDesign;
 use oasys_netlist::{Circuit, NodeId, SourceValue};
 use oasys_process::Process;
-use oasys_sim::ac::{self, AcSweepSpec, SolveAcError};
+use oasys_sim::ac::{AcSweepSpec, AcSystem, SolveAcError};
 use oasys_sim::dc::{self, DcSolution, SolveDcError};
 use oasys_sim::metrics::{output_swing, AcMetrics, Bode};
 use oasys_sim::sweep;
 use oasys_sim::tran;
+use oasys_sim::Complex;
 use oasys_telemetry::{sym, Telemetry};
 use std::error::Error;
 use std::fmt;
@@ -105,10 +108,16 @@ pub struct Verification {
 }
 
 /// Builds the open-loop bench around a design: supplies, a differential
-/// input pair of sources, and the specified load capacitor.
+/// input pair of sources (`VIP` carries the unit AC stimulus, `VIN`
+/// none), and the specified load capacitor.
 ///
 /// Returns the bench circuit and its output node.
-fn build_bench(
+///
+/// # Errors
+///
+/// [`VerifyError::MissingPort`] or [`VerifyError::Bench`] when the bench
+/// cannot be assembled around the design.
+pub fn open_loop_bench(
     design: &OpAmpDesign,
     process: &Process,
     load_f: f64,
@@ -191,7 +200,7 @@ pub fn verify_with(
         oasys_netlist::lint::lint(design.circuit(), Some(process))
     };
 
-    let (mut bench, out) = build_bench(design, process, load_f)?;
+    let (mut bench, out) = open_loop_bench(design, process, load_f)?;
 
     // Null the systematic offset. The open-loop gain makes the transfer
     // essentially a step; ±0.5 V of differential input always brackets it.
@@ -212,11 +221,14 @@ pub fn verify_with(
     };
     let power = dc_solution.supply_power(&bench).abs();
 
-    // AC response at the nulled bias.
+    // AC response at the nulled bias, on the open-loop system the
+    // rejection ratios and the noise analysis reuse below.
     let spec = AcSweepSpec::standard();
-    let ac_solution = {
+    let (mut system, ac_solution) = {
         let _s = tel.span_sym(sym!("verify:ac"));
-        ac::solve_at_with(&bench, process, &dc_solution, &spec, tel)?
+        let mut system = AcSystem::new(&bench, process, &dc_solution);
+        let solution = system.sweep_with(&spec, tel)?;
+        (system, solution)
     };
     let bode = Bode::from_ac(&ac_solution, out);
     let metrics = AcMetrics::extract(&bode);
@@ -232,36 +244,40 @@ pub fn verify_with(
     // bench (transient analysis).
     let slew = {
         let _s = tel.span_sym(sym!("verify:slew"));
-        measure_slew(design, process, load_f, tel)
+        measure_slew(design, process, load_f, &dc_solution, tel)
     };
 
-    // Common-mode gain: re-run the low-frequency point with the AC
-    // stimulus on both inputs; CMRR = A_dm / A_cm.
-    let cmrr = {
-        let _s = tel.span_sym(sym!("verify:cmrr"));
-        measure_cmrr(&bench, process, &dc_solution, out, metrics.dc_gain.db())
+    // Rejection ratios at 1 Hz: `xRR = A_dm − A_x` in dB, with the unit
+    // AC stimulus on both inputs (common mode), then moved from the input
+    // onto VDD (positive supply). AC magnitudes enter only the
+    // right-hand side, so both solve on one factorization of the
+    // open-loop system.
+    let out_var = system.index().node_var(out);
+    let common_mode = stimulus_with(&system, &[("VIN", 1.0)]);
+    let supply = stimulus_with(&system, &[("VIP", 0.0), ("VDD", 1.0)]);
+    let cmrr_span = tel.span_sym(sym!("verify:cmrr"));
+    let low = system.factor(REJECTION_HZ).ok();
+    let rejection = |b: Option<Vec<Complex>>| -> Option<f64> {
+        let (factors, mut b) = (low.as_ref()?, b?);
+        factors.solve_in_place(&mut b);
+        let gain = out_var.map_or(Complex::ZERO, |i| b[i]).abs().max(1e-12);
+        Some(metrics.dc_gain.db() - 20.0 * gain.log10())
+    };
+    let cmrr = rejection(common_mode);
+    drop(cmrr_span);
+    let psrr = {
+        let _s = tel.span_sym(sym!("verify:psrr"));
+        rejection(supply)
     };
 
     // Input-referred noise at 1 kHz (well inside the open-loop passband).
     let noise = {
         let _s = tel.span_sym(sym!("verify:noise"));
-        oasys_sim::noise::analyze(&bench, process, &dc_solution, out, 1e3)
+        oasys_sim::noise::analyze(&mut system, &bench, &dc_solution, out, 1e3)
             .ok()
             .map(|r| r.input_density)
     };
-
-    // Positive-supply rejection: re-excite with the AC stimulus on VDD.
-    let psrr = {
-        let _s = tel.span_sym(sym!("verify:psrr"));
-        measure_rejection(
-            &bench,
-            process,
-            &dc_solution,
-            out,
-            metrics.dc_gain.db(),
-            "VDD",
-        )
-    };
+    system.record_lu(tel);
 
     let measured = Measured {
         dc_gain_db: metrics.dc_gain.db(),
@@ -282,56 +298,19 @@ pub fn verify_with(
     })
 }
 
-/// Measures the common-mode rejection ratio: the open-loop bench is
-/// re-excited with the AC stimulus on *both* inputs, and
-/// `CMRR = A_dm − A_cm` in dB at low frequency. AC magnitudes never
-/// enter DC assembly, so the re-excited bench shares the open-loop
-/// bench's operating point `dc`.
-fn measure_cmrr(
-    bench: &Circuit,
-    process: &Process,
-    dc: &DcSolution,
-    out: NodeId,
-    adm_db: f64,
-) -> Option<f64> {
-    let mut cm_bench = bench.clone();
-    // VIN gets the same unit AC stimulus VIP already carries.
-    if let Some(oasys_netlist::Element::Vsource(v)) = cm_bench.element_mut("VIN") {
-        v.value = SourceValue::new(v.value.dc_value(), 1.0);
-    } else {
-        return None;
-    }
-    let spec = AcSweepSpec::new(1.0, 100.0, 1).ok()?;
-    let ac_solution = ac::solve_at(&cm_bench, process, dc, &spec).ok()?;
-    let acm = ac_solution.transfer(out)[0].abs().max(1e-12);
-    Some(adm_db - 20.0 * acm.log10())
-}
+/// The frequency of the rejection-ratio measurements, Hz: the low end of
+/// the standard sweep.
+const REJECTION_HZ: f64 = 1.0;
 
-/// Measures a supply-rejection ratio: move the unit AC stimulus from the
-/// input onto the named supply source and compare against the
-/// differential gain: `xSRR = A_dm − A_supply` in dB. Like
-/// [`measure_cmrr`], it reuses the open-loop operating point `dc`.
-fn measure_rejection(
-    bench: &Circuit,
-    process: &Process,
-    dc: &DcSolution,
-    out: NodeId,
-    adm_db: f64,
-    supply: &str,
-) -> Option<f64> {
-    let mut sr_bench = bench.clone();
-    if let Some(oasys_netlist::Element::Vsource(v)) = sr_bench.element_mut("VIP") {
-        v.value = SourceValue::new(v.value.dc_value(), 0.0);
+/// The open-loop system's stimulus with the AC magnitudes of the named
+/// voltage sources replaced: the right-hand side the bench with those
+/// magnitudes would give. `None` if a source is missing.
+fn stimulus_with(system: &AcSystem, magnitudes: &[(&str, f64)]) -> Option<Vec<Complex>> {
+    let mut b = system.stimulus().to_vec();
+    for &(source, magnitude) in magnitudes {
+        b[system.index().branch_var_by_name(source)?] = Complex::from_real(magnitude);
     }
-    if let Some(oasys_netlist::Element::Vsource(v)) = sr_bench.element_mut(supply) {
-        v.value = SourceValue::new(v.value.dc_value(), 1.0);
-    } else {
-        return None;
-    }
-    let spec = AcSweepSpec::new(1.0, 100.0, 1).ok()?;
-    let ac_solution = ac::solve_at(&sr_bench, process, dc, &spec).ok()?;
-    let a_supply = ac_solution.transfer(out)[0].abs().max(1e-12);
-    Some(adm_db - 20.0 * a_supply.log10())
+    Some(b)
 }
 
 /// Closed-loop gain of the swing-measurement amplifier.
@@ -423,6 +402,9 @@ fn measure_swing(design: &OpAmpDesign, process: &Process, tel: &Telemetry) -> Op
 /// enough to stay inside every design's output range).
 const SLEW_STEP_V: f64 = 2.0;
 
+/// The node `VSW` drives on the slew bench.
+const SLEW_INPUT: &str = "slew_vin";
+
 /// The two input steps of the slew measurement, `VSW` from the first
 /// value to the second: the output rises, then falls.
 const SLEW_STEPS: [(f64, f64); 2] = [(SLEW_STEP_V, -SLEW_STEP_V), (-SLEW_STEP_V, SLEW_STEP_V)];
@@ -448,7 +430,7 @@ pub fn slew_bench(
     process: &Process,
     load_f: f64,
 ) -> Result<(Circuit, NodeId, tran::TranSpec), VerifyError> {
-    let (mut bench, out) = inverting_bench(design, process, "slew_vin", 1.0)?;
+    let (mut bench, out) = inverting_bench(design, process, SLEW_INPUT, 1.0)?;
     let gnd = bench.ground();
     bench
         .add_capacitor("CLOAD", out, gnd, load_f)
@@ -486,33 +468,79 @@ fn slew_run(
 /// Measures the slew rate on a [`slew_bench`]: the slower of the rising
 /// and the falling transition, each run stopped when its window closes.
 /// The transient runs are counted into `tel`'s `sim.tran.*` counters.
+///
+/// With a `start` (node voltages by [`NodeId::index`], one per bench
+/// node), each run's initial point starts Newton from it, with the
+/// bench's input set to the step's first value and `out` to its
+/// negative, the inverting stage's output. Either way the initial point
+/// converges to the same operating point, within Newton's tolerances.
+///
+/// # Panics
+///
+/// Panics if `start` does not hold one voltage per bench node.
 pub fn slew_rate(
     bench: &Circuit,
     process: &Process,
     out: NodeId,
     spec: &tran::TranSpec,
+    start: Option<&[f64]>,
     tel: &Telemetry,
 ) -> Option<f64> {
-    let run = |(v0, v1): (f64, f64)| -> Option<f64> {
-        let (stimuli, window) = slew_run(out, spec, v0, v1);
-        tran::slew_between_with(bench, process, spec, &stimuli, &window, tel)
-            .ok()
-            .flatten()
-    };
+    let run = |step| slew_step(bench, process, out, spec, start, step, tel);
     let rising = run(SLEW_STEPS[0])?;
     let falling = run(SLEW_STEPS[1])?;
     Some(rising.min(falling))
 }
 
-/// Measures the slew rate of a design on its [`slew_bench`].
+/// One run of [`slew_rate`]: `VSW` steps from `v0` to `v1`, and the
+/// initial point starts from `start` as [`slew_rate`] describes.
+fn slew_step(
+    bench: &Circuit,
+    process: &Process,
+    out: NodeId,
+    spec: &tran::TranSpec,
+    start: Option<&[f64]>,
+    (v0, v1): (f64, f64),
+    tel: &Telemetry,
+) -> Option<f64> {
+    let (stimuli, window) = slew_run(out, spec, v0, v1);
+    let start = start.map(|nodes| {
+        let mut nodes = nodes.to_vec();
+        if let Some(input) = bench.find_node(SLEW_INPUT) {
+            nodes[input.index()] = v0;
+        }
+        nodes[out.index()] = -v0;
+        nodes
+    });
+    tran::slew_between_with(
+        bench,
+        process,
+        spec,
+        &stimuli,
+        &window,
+        start.as_deref(),
+        tel,
+    )
+    .ok()
+    .flatten()
+}
+
+/// Measures the slew rate of a design on its [`slew_bench`], each run's
+/// initial point started from `open_loop`, the open-loop bench's nulled
+/// operating point. Both benches clone the design's circuit, so its
+/// nodes keep their ids; the slew bench's own input node comes last and
+/// [`slew_rate`] sets it.
 fn measure_slew(
     design: &OpAmpDesign,
     process: &Process,
     load_f: f64,
+    open_loop: &DcSolution,
     tel: &Telemetry,
 ) -> Option<f64> {
     let (bench, out, spec) = slew_bench(design, process, load_f).ok()?;
-    slew_rate(&bench, process, out, &spec, tel)
+    let mut start = open_loop.node_voltages().to_vec();
+    start.resize(bench.node_count(), 0.0);
+    slew_rate(&bench, process, out, &spec, Some(&start), tel)
 }
 
 #[cfg(test)]
@@ -591,7 +619,7 @@ mod tests {
         );
         let warm_iterations = tel.counter("sim.dc.newton_iterations");
 
-        let (bench, out) = build_bench(design, process, load_f).unwrap();
+        let (bench, out) = open_loop_bench(design, process, load_f).unwrap();
         let warm_offset = sweep::bisect_input(&bench, process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
         let cold_offset = cold_bisect(&bench, process, out);
         assert!(
@@ -718,10 +746,17 @@ mod tests {
         for (v0, v1) in SLEW_STEPS {
             let (stimuli, window) = slew_run(out, &spec, v0, v1);
             let stop_tel = Telemetry::new();
-            let stopped =
-                tran::slew_between_with(&bench, &case.process, &spec, &stimuli, &window, &stop_tel)
-                    .ok()
-                    .flatten();
+            let stopped = tran::slew_between_with(
+                &bench,
+                &case.process,
+                &spec,
+                &stimuli,
+                &window,
+                None,
+                &stop_tel,
+            )
+            .ok()
+            .flatten();
             let full_tel = Telemetry::new();
             let full = tran::solve_with(&bench, &case.process, &spec, &stimuli, &full_tel)
                 .ok()
@@ -753,6 +788,60 @@ mod tests {
     fn stopped_slew_runs_match_full_runs() {
         for case in &differential_cases() {
             in_scope(case, || assert_stop_matches_full_run(case));
+        }
+    }
+
+    /// Both slew runs of a design, their initial points started as
+    /// [`verify`] starts them, from the open-loop bench's nulled
+    /// operating point: each must measure what the cold start measures,
+    /// under `==`, and the two initial solves must take fewer Newton
+    /// iterations and never fall back to the cold continuation.
+    fn assert_warm_slew_matches_cold(case: &Case) {
+        let (mut open_loop, out) =
+            open_loop_bench(&case.design, &case.process, case.load_f).unwrap();
+        let offset =
+            sweep::bisect_input(&open_loop, &case.process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+        open_loop.set_source_dc("VIP", offset).unwrap();
+        let nulled = dc::solve(&open_loop, &case.process).unwrap();
+        let (bench, out, spec) = slew_bench(&case.design, &case.process, case.load_f).unwrap();
+        let mut start = nulled.node_voltages().to_vec();
+        start.resize(bench.node_count(), 0.0);
+        let (warm_tel, cold_tel) = (Telemetry::new(), Telemetry::new());
+        for step in SLEW_STEPS {
+            let warm = slew_step(
+                &bench,
+                &case.process,
+                out,
+                &spec,
+                Some(&start),
+                step,
+                &warm_tel,
+            );
+            let cold = slew_step(&bench, &case.process, out, &spec, None, step, &cold_tel);
+            let label = format!("{}: VSW {} V → {} V", case.label, step.0, step.1);
+            assert!(cold.is_some(), "{label}: no slew measured");
+            assert_eq!(warm, cold, "{label}");
+        }
+        let iterations = |tel: &Telemetry| tel.counter("sim.dc.newton_iterations");
+        let (warm, cold) = (iterations(&warm_tel), iterations(&cold_tel));
+        eprintln!(
+            "{}: initial-point Newton iterations warm {warm}, cold {cold}",
+            case.label
+        );
+        assert!(warm < cold, "{}: warm {warm}, cold {cold}", case.label);
+        assert_eq!(warm_tel.counter("sim.dc.solves"), 2, "{}", case.label);
+        assert_eq!(
+            warm_tel.counter("sim.dc.warm_fallbacks"),
+            0,
+            "{}",
+            case.label
+        );
+    }
+
+    #[test]
+    fn warm_slew_starts_match_cold_ones() {
+        for case in &differential_cases() {
+            in_scope(case, || assert_warm_slew_matches_cold(case));
         }
     }
 

@@ -6,11 +6,17 @@
 //! logarithmic sweep. The AC magnitudes of the circuit's sources form the
 //! stimulus vector `b`; with a unit-magnitude input source, the node
 //! values are transfer functions directly.
+//!
+//! An [`AcSystem`] keeps one LU plan for its whole life: every frequency
+//! of a sweep, and every further factorization its callers ask for,
+//! factors `Y(jω)` through it (see [`crate::linalg`]). The pattern is the
+//! conductance matrix's nonzeros, fixed at linearization, plus the
+//! capacitors' positions.
 
 use crate::complex::Complex;
 use crate::dc::{DcSolution, SolveDcError};
-use crate::linalg::Matrix;
-use crate::mna::{bound_mosfets, mos_stamp, MnaIndex};
+use crate::linalg::{Lu, LuPlan, Matrix};
+use crate::mna::{bound_mosfets, mark_two_terminal, mos_stamp, MnaIndex};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::{sym, sym_u64, Telemetry};
@@ -209,8 +215,8 @@ pub fn solve_at(
 }
 
 /// [`solve_at`] with run telemetry recorded into `tel`: a `sim:ac` span
-/// plus the `sim.ac.sweeps` / `sim.ac.points` / `sim.ac.failures`
-/// counters.
+/// plus the `sim.ac.sweeps` / `sim.ac.points` / `sim.ac.failures` and
+/// `sim.lu.*` counters.
 ///
 /// # Errors
 ///
@@ -222,55 +228,24 @@ pub fn solve_at_with(
     spec: &AcSweepSpec,
     tel: &Telemetry,
 ) -> Result<AcSolution, SolveAcError> {
-    let span = tel.span_sym(sym!("sim:ac"));
-    tel.incr_sym(sym!("sim.ac.sweeps"));
-    let result = solve_at_inner(circuit, process, dc, spec);
-    if tel.is_enabled() {
-        match &result {
-            Ok(solution) => {
-                let points = solution.frequencies().len() as u64;
-                tel.add_sym(sym!("sim.ac.points"), points);
-                span.annotate_sym(sym!("points"), sym_u64(points));
-            }
-            Err(e) => {
-                tel.incr_sym(sym!("sim.ac.failures"));
-                span.annotate_sym(sym!("error"), tel.text(e));
-            }
-        }
-    }
-    result
-}
-
-fn solve_at_inner(
-    circuit: &Circuit,
-    process: &Process,
-    dc: &DcSolution,
-    spec: &AcSweepSpec,
-) -> Result<AcSolution, SolveAcError> {
-    let system = AcSystem::new(circuit, process, dc);
-    let frequencies = spec.frequencies();
-    let mut node_values = Vec::with_capacity(frequencies.len());
-    for &freq in &frequencies {
-        let x = system.solve(freq, system.stimulus())?;
-        node_values.push(system.to_node_voltages(&x));
-    }
-    Ok(AcSolution {
-        frequencies,
-        node_values,
-    })
+    AcSystem::new(circuit, process, dc).sweep_with(spec, tel)
 }
 
 /// The linearized small-signal system of a circuit at its DC operating
 /// point: the frequency-independent conductance stamps, the capacitance
 /// list, and the source stimulus vector. Lets callers (the AC sweep, the
-/// noise analysis) solve the same system against arbitrary right-hand
-/// sides.
+/// noise analysis, a verification's rejection ratios) factor `Y(jω)` at
+/// any frequency and solve it against any number of right-hand sides,
+/// all through one LU plan.
 pub struct AcSystem {
     index: MnaIndex,
     node_count: usize,
     g_matrix: Matrix<Complex>,
     caps: Vec<(Option<usize>, Option<usize>, f64)>,
     stimulus: Vec<Complex>,
+    /// `Y(jω)` at the last factored frequency, in its LU factors.
+    y: Matrix<Complex>,
+    lu: LuPlan,
 }
 
 impl AcSystem {
@@ -373,12 +348,27 @@ impl AcSystem {
             }
         }
 
+        // The conductances are fixed from here on, so their nonzeros are
+        // the stamps' positions; the capacitors add theirs.
+        let mut lu = LuPlan::new(dim);
+        for i in 0..dim {
+            for j in 0..dim {
+                if g_matrix[(i, j)] != Complex::ZERO {
+                    lu.mark(i, j);
+                }
+            }
+        }
+        for &(a, b, _) in &caps {
+            mark_two_terminal(&mut lu, a, b);
+        }
         Self {
             index,
             node_count: circuit.node_count(),
+            y: Matrix::zeros(dim),
             g_matrix,
             caps,
             stimulus: b,
+            lu,
         }
     }
 
@@ -415,33 +405,97 @@ impl AcSystem {
         b
     }
 
-    /// Solves `Y(f)·x = b` at one frequency.
+    /// Assembles `Y(f)` and factors it through the system's LU plan. The
+    /// factorization solves any number of right-hand sides.
     ///
     /// # Errors
     ///
     /// Reports a singular admittance matrix.
-    pub fn solve(&self, freq: f64, b: &[Complex]) -> Result<Vec<Complex>, SolveAcError> {
+    pub fn factor(&mut self, freq: f64) -> Result<Lu<'_, Complex>, SolveAcError> {
         let omega = 2.0 * std::f64::consts::PI * freq;
-        let mut y = self.g_matrix.clone();
+        self.y.clone_from(&self.g_matrix);
         for &(ia, ib, farads) in &self.caps {
             let jwc = Complex::new(0.0, omega * farads);
             if let Some(i) = ia {
-                y.stamp(i, i, jwc);
+                self.y.stamp(i, i, jwc);
                 if let Some(j) = ib {
-                    y.stamp(i, j, -jwc);
+                    self.y.stamp(i, j, -jwc);
                 }
             }
             if let Some(i) = ib {
-                y.stamp(i, i, jwc);
+                self.y.stamp(i, i, jwc);
                 if let Some(j) = ia {
-                    y.stamp(i, j, -jwc);
+                    self.y.stamp(i, j, -jwc);
                 }
             }
         }
-        let mut x = b.to_vec();
-        y.solve_in_place(&mut x)
-            .map_err(|_| SolveAcError::Singular { frequency: freq })?;
-        Ok(x)
+        self.lu
+            .factor(&mut self.y)
+            .map_err(|_| SolveAcError::Singular { frequency: freq })
+    }
+
+    /// Sweeps the circuit's own stimulus over `spec`'s frequencies, with
+    /// run telemetry recorded into `tel`: a `sim:ac` span plus the
+    /// `sim.ac.sweeps` / `sim.ac.points` / `sim.ac.failures` counters,
+    /// and the system's factorizations so far in the `sim.lu.*` counters
+    /// (as [`AcSystem::record_lu`]).
+    ///
+    /// # Errors
+    ///
+    /// Reports a singular admittance matrix.
+    pub fn sweep_with(
+        &mut self,
+        spec: &AcSweepSpec,
+        tel: &Telemetry,
+    ) -> Result<AcSolution, SolveAcError> {
+        let span = tel.span_sym(sym!("sim:ac"));
+        tel.incr_sym(sym!("sim.ac.sweeps"));
+        let frequencies = spec.frequencies();
+        let mut node_values = Vec::with_capacity(frequencies.len());
+        let mut x = Vec::with_capacity(self.dim());
+        let mut failure = None;
+        for &freq in &frequencies {
+            x.clone_from(&self.stimulus);
+            match self.factor(freq) {
+                Ok(factors) => factors.solve_in_place(&mut x),
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
+            node_values.push(self.to_node_voltages(&x));
+        }
+        let result = match failure {
+            None => Ok(AcSolution {
+                frequencies,
+                node_values,
+            }),
+            Some(e) => Err(e),
+        };
+        self.record_lu(tel);
+        if tel.is_enabled() {
+            match &result {
+                Ok(solution) => {
+                    let points = solution.frequencies().len() as u64;
+                    tel.add_sym(sym!("sim.ac.points"), points);
+                    span.annotate_sym(sym!("points"), sym_u64(points));
+                }
+                Err(e) => {
+                    tel.incr_sym(sym!("sim.ac.failures"));
+                    span.annotate_sym(sym!("error"), tel.text(e));
+                }
+            }
+        }
+        result
+    }
+
+    /// Adds the factorizations made since the last record to `tel`'s
+    /// `sim.lu.factorizations` and `sim.lu.repivots` counters.
+    pub fn record_lu(&mut self, tel: &Telemetry) {
+        let counts = self.lu.take_counts();
+        if tel.is_enabled() {
+            counts.record(tel);
+        }
     }
 
     /// Expands an unknown vector into per-node voltages (ground at

@@ -8,13 +8,15 @@
 //!
 //! The work that does not depend on the operating point — validating
 //! the circuit, indexing its unknowns, binding every MOSFET, allocating
-//! the Jacobian — happens once per compiled engine. A DC sweep
+//! the Jacobian and marking its pattern in the engine's LU plan — happens
+//! once per compiled engine, and every Newton iteration factors its
+//! Jacobian through that plan (see [`crate::linalg`]). A DC sweep
 //! compiles once and starts each point's Newton iteration from a start
 //! its earlier points give (see [`crate::sweep`]); only when that stalls
 //! does it fall back to the cold continuation above. [`solve`] and its
 //! `*_with` variants compile and solve cold.
 
-use crate::linalg::Matrix;
+use crate::linalg::{LuCounts, LuPlan, Matrix};
 use crate::mna::{DeviceNames, SourceRef, StampPlan};
 use oasys_faults::{fail_point, Deadline, DeadlineExceeded};
 use oasys_mos::OperatingPoint;
@@ -192,7 +194,7 @@ pub fn solve(circuit: &Circuit, process: &Process) -> Result<DcSolution, SolveDc
 
 /// [`solve`] with run telemetry recorded into `tel`: a `sim:dc` span plus
 /// the `sim.dc.solves` / `sim.dc.newton_iterations` / `sim.dc.failures`
-/// counters.
+/// and `sim.lu.*` counters.
 ///
 /// # Errors
 ///
@@ -221,13 +223,17 @@ pub fn solve_with_deadline(
     deadline: &Deadline,
 ) -> Result<DcSolution, SolveDcError> {
     let span = tel.span_sym(sym!("sim:dc"));
-    let result = Engine::compile(circuit, process).and_then(|mut engine| {
-        let solved = engine.solve(None, deadline)?;
-        Ok(engine.package(&solved))
-    });
+    let (result, lu) = match Engine::compile(circuit, process) {
+        Ok(mut engine) => {
+            let result = engine.solve(None, deadline).map(|s| engine.package(&s));
+            (result, engine.lu.take_counts())
+        }
+        Err(e) => (Err(e), LuCounts::default()),
+    };
     count_solve(
         tel,
         result.as_ref().ok().map(|sol| (sol.iterations(), false)),
+        lu,
     );
     if tel.is_enabled() {
         match &result {
@@ -244,12 +250,14 @@ pub fn solve_with_deadline(
 /// a converged `(newton iterations, warm fallback)` outcome,
 /// `newton_iterations` (total and per-solve histogram) and
 /// `warm_fallbacks` when a warm start stalled into the cold
-/// continuation, or `failures` for `None`.
-fn count_solve(tel: &Telemetry, outcome: Option<(usize, bool)>) {
+/// continuation, or `failures` for `None`. The solve's factorizations go
+/// into the `sim.lu.*` counters.
+fn count_solve(tel: &Telemetry, outcome: Option<(usize, bool)>, lu: LuCounts) {
     if !tel.is_enabled() {
         return;
     }
     tel.incr_sym(sym!("sim.dc.solves"));
+    lu.record(tel);
     match outcome {
         Some((iterations, warm_fallback)) => {
             let (newton, iters) = (sym!("sim.dc.newton_iterations"), iterations as u64);
@@ -276,13 +284,14 @@ pub(crate) struct Solved {
 
 /// A circuit compiled once for DC analysis: validated, indexed, every
 /// MOSFET bound (inside the caller's Monte-Carlo scope, so its draws
-/// hold for every solve), and the Newton workspace allocated. Lives for
-/// one analysis — a sweep, a bisection, a transient run — and never
-/// beyond it.
+/// hold for every solve), and the Newton workspace allocated, with the
+/// Jacobian's LU plan. Lives for one analysis — a sweep, a bisection, a
+/// transient run — and never beyond it.
 pub(crate) struct Engine<'c> {
     circuit: &'c Circuit,
     plan: StampPlan,
     jac: Matrix<f64>,
+    lu: LuPlan,
     residual: Vec<f64>,
     delta: Vec<f64>,
 }
@@ -295,10 +304,13 @@ impl<'c> Engine<'c> {
             .map_err(|e| SolveDcError::Invalid(e.to_string()))?;
         let plan = StampPlan::compile(circuit, process);
         let dim = plan.index().dim();
+        let mut lu = LuPlan::new(dim);
+        plan.mark_pattern(&mut lu);
         Ok(Self {
             circuit,
             plan,
             jac: Matrix::zeros(dim),
+            lu,
             residual: vec![0.0; dim],
             delta: vec![0.0; dim],
         })
@@ -322,7 +334,8 @@ impl<'c> Engine<'c> {
     }
 
     /// [`Engine::solve`] without a deadline, counted into `tel`'s
-    /// `sim.dc.*` counters: the per-point solve of a sweep.
+    /// `sim.dc.*` and `sim.lu.*` counters: the per-point solve of a
+    /// sweep.
     pub(crate) fn solve_counted(
         &mut self,
         start: Option<&[f64]>,
@@ -335,8 +348,24 @@ impl<'c> Engine<'c> {
                 .as_ref()
                 .ok()
                 .map(|s| (s.iterations, s.warm_fallback)),
+            self.lu.take_counts(),
         );
         result
+    }
+
+    /// A Newton start from node voltages indexed by [`NodeId::index`]
+    /// (ground first, as [`DcSolution::node_voltages`]), with every branch
+    /// current at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` does not hold one voltage per node.
+    pub(crate) fn start_from_nodes(&self, nodes: &[f64]) -> Vec<f64> {
+        let count = self.circuit.node_count();
+        assert_eq!(nodes.len(), count, "one start voltage per node");
+        let mut x = vec![0.0; self.plan.index().dim()];
+        x[..count - 1].copy_from_slice(&nodes[1..]);
+        x
     }
 
     /// Solves for the operating point. With a `start` vector, Newton runs
@@ -478,11 +507,14 @@ impl<'c> Engine<'c> {
             for (d, r) in self.delta.iter_mut().zip(&self.residual) {
                 *d = -r;
             }
-            if self.jac.solve_in_place(&mut self.delta).is_err() {
-                return Err(StageFailure::Stuck {
-                    residual: best_residual,
-                    singular: true,
-                });
+            match self.lu.factor(&mut self.jac) {
+                Ok(factors) => factors.solve_in_place(&mut self.delta),
+                Err(_) => {
+                    return Err(StageFailure::Stuck {
+                        residual: best_residual,
+                        singular: true,
+                    })
+                }
             }
 
             // Damped update.

@@ -7,8 +7,9 @@
 //! model the synthesis equations assume:
 //!
 //! * [`complex`] — complex arithmetic (no external dependency),
-//! * [`linalg`] — dense LU factorization with partial pivoting, generic
-//!   over real and complex scalars,
+//! * [`linalg`] — LU factorization with partial pivoting, generic over
+//!   real and complex scalars, replayed along each matrix's sparsity
+//!   pattern and last pivot order,
 //! * [`mna`] — modified nodal analysis stamps,
 //! * [`dc`] — Newton–Raphson DC operating point with damping, `gmin`
 //!   stepping and source stepping fallbacks, over a circuit compiled

@@ -1,20 +1,43 @@
-//! Dense LU factorization with partial pivoting, generic over real and
-//! complex scalars.
+//! LU factorization with partial pivoting, generic over real and complex
+//! scalars, along each matrix's sparsity pattern.
 //!
-//! MNA matrices for the circuits OASYS synthesizes are tiny (tens of
-//! unknowns), so a dense O(n³) solver is the right tool; sparse machinery
-//! would be pure overhead. The kernel swaps pivot rows physically, so
-//! every elimination runs over two contiguous row slices, and it skips a
-//! row whose multiplier is exactly zero. MNA rows are mostly zeros, so
-//! that skip removes most of the work, and it cannot change a finite
-//! result: subtracting `0·u` leaves each entry equal under `==`.
+//! An MNA matrix here has 16 unknowns on average but only ≈ 58 of its
+//! ≈ 260 entries are ever written, and a Newton loop or an AC sweep
+//! factors the same structure hundreds of times. An [`LuPlan`] holds
+//! what every factorization of one such matrix shares: its structural
+//! pattern (the positions its stamps write) and the pivot order of its
+//! last factorization, with the lists that order implies. In column `k`
+//! those are the rows that may hold the pivot, the rows to eliminate and
+//! the pivot row's entries, fill included. Refactoring replays them, as
+//! SPICE's sparse refactorization (Kundert's Sparse 1.3, KLU's
+//! `refactor`) does: partial pivoting still picks every pivot, and the
+//! plan only saves the work that the pattern proves to be zero.
 //!
-//! The pivot search compares [`Scalar::pivot_key`]s: `|z|²` for a
-//! complex entry, which orders entries as `|z|` does without a square
-//! root per candidate. Only the chosen pivot's `|z|` is tested against
-//! the singular threshold, so a singular column is detected as before.
+//! There is one elimination loop. Without a plan it visits every row and
+//! column: that is the dense kernel, [`Matrix::solve_in_place`]. Through
+//! a plan it first checks, in each column, that partial pivoting picks
+//! the plan's row: the first largest [`Scalar::pivot_key`] among the
+//! pattern's candidates, scanned in the dense kernel's row order. Every
+//! other entry of that column is exactly zero, so the dense scan would
+//! pick the same row. The loop then eliminates only the pattern's rows
+//! and columns, and the substitution applies only its nonzero terms, in
+//! the dense kernel's order, so every solution equals the dense kernel's
+//! under `==`. Skipped terms are `a − 0·u`, which leaves a finite `a`
+//! unchanged; at most the sign of a zero can differ, and a signed zero
+//! never reaches a nonzero value, because every division is by a nonzero
+//! pivot. When a column's pivot differs, the factorization continues
+//! with the dense loop from that column, and the plan is re-derived for
+//! the new order in its own buffers.
+//!
+//! The kernel swaps pivot rows physically, so the factors sit in pivot
+//! order and a plan's lists are row positions. It skips a row whose
+//! multiplier is exactly zero. The pivot search compares
+//! [`Scalar::pivot_key`]s: `|z|²` for a complex entry, which orders
+//! entries as `|z|` does without a square root per candidate. Only the
+//! chosen pivot's `|z|` is tested against the singular threshold.
 
 use crate::complex::Complex;
+use oasys_telemetry::{sym, Telemetry};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -100,10 +123,25 @@ impl std::error::Error for SingularMatrixError {}
 /// assert!((x[1] - 2.0).abs() < 1e-12);
 /// # Ok::<(), oasys_sim::linalg::SingularMatrixError>(())
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 pub struct Matrix<T: Scalar> {
     n: usize,
     data: Vec<T>,
+}
+
+impl<T: Scalar> Clone for Matrix<T> {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into the receiver's allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -156,75 +194,27 @@ impl<T: Scalar> Matrix<T> {
         Ok(x)
     }
 
-    /// Solves `A·x = b` in place: on success `b` holds `x` and the matrix
-    /// holds its LU factors, rows in pivot order. Newton loops reassemble
-    /// the matrix every iteration anyway, so they hand it over here
-    /// instead of paying for a copy.
+    /// Solves `A·x = b` in place with the dense kernel: the elimination
+    /// loop run without a plan, over every row and column. On success
+    /// `b` holds `x` and the matrix holds its LU factors, rows in pivot
+    /// order. A matrix factored repeatedly goes through an [`LuPlan`]
+    /// instead, which computes the same solution with less work.
     ///
     /// # Errors
     ///
     /// Returns [`SingularMatrixError`] if no pivot above the absolute
-    /// threshold `1e-300` exists in some column; the matrix and `b` are
-    /// then partially eliminated.
+    /// threshold `1e-300` exists in some column; the matrix is then
+    /// partially eliminated and `b` untouched.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
     pub fn solve_in_place(&mut self, b: &mut [T]) -> Result<(), SingularMatrixError> {
-        let n = self.n;
-        assert_eq!(b.len(), n, "rhs length must match matrix dimension");
-        for k in 0..n {
-            // Find the pivot row: the first largest key in column k.
-            let mut best = k;
-            let mut best_key = self.data[k * n + k].pivot_key();
-            for row in k + 1..n {
-                let candidate = self.data[row * n + k].pivot_key();
-                if candidate > best_key {
-                    best = row;
-                    best_key = candidate;
-                }
-            }
-            let best_norm = self.data[best * n + k].norm();
-            if best_norm < 1e-300 || !best_norm.is_finite() {
-                return Err(SingularMatrixError { column: k });
-            }
-            if best != k {
-                let (upper, lower) = self.data.split_at_mut(best * n);
-                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
-                b.swap(k, best);
-            }
-            let (done, below) = self.data.split_at_mut((k + 1) * n);
-            let pivot_row = &done[k * n..];
-            let pivot = pivot_row[k];
-            for row in below.chunks_exact_mut(n) {
-                let factor = row[k] / pivot;
-                row[k] = factor;
-                if factor == T::ZERO {
-                    continue;
-                }
-                for (entry, &upper) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
-                    *entry = *entry - factor * upper;
-                }
-            }
-        }
-        // Forward: L·y = P·b (unit diagonal L; `b` is already permuted).
-        for k in 0..n {
-            let row = &self.data[k * n..k * n + k];
-            let y = row
-                .iter()
-                .zip(&b[..k])
-                .fold(b[k], |acc, (&l, &yj)| acc - l * yj);
-            b[k] = y;
-        }
-        // Back: U·x = y.
-        for k in (0..n).rev() {
-            let row = &self.data[k * n..(k + 1) * n];
-            let acc = row[k + 1..]
-                .iter()
-                .zip(&b[k + 1..])
-                .fold(b[k], |acc, (&u, &xj)| acc - u * xj);
-            b[k] = acc / row[k];
-        }
+        assert_eq!(b.len(), self.n, "rhs length must match matrix dimension");
+        let every: Vec<usize> = (0..self.n).collect();
+        let mut pivots = vec![0; self.n];
+        eliminate(self, &mut pivots, &every, Along::Dense(&every)).0?;
+        substitute(self, &pivots, Along::Dense(&every), b);
         Ok(())
     }
 
@@ -258,6 +248,422 @@ impl<T: Scalar> std::ops::Index<(usize, usize)> for Matrix<T> {
 impl<T: Scalar> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
     fn index_mut(&mut self, (row, col): (usize, usize)) -> &mut T {
         &mut self.data[row * self.n + col]
+    }
+}
+
+/// Factorizations an [`LuPlan`] made since its counts were last taken.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LuCounts {
+    /// Factorizations started, singular ones included.
+    pub factorizations: u64,
+    /// Factorizations that left the plan's pivot order, the first one of
+    /// each plan included: each ran the dense loop from the column where
+    /// it left.
+    pub repivots: u64,
+}
+
+impl LuCounts {
+    /// Adds the counts to `tel`'s `sim.lu.factorizations` and
+    /// `sim.lu.repivots` counters.
+    pub(crate) fn record(self, tel: &Telemetry) {
+        tel.add_sym(sym!("sim.lu.factorizations"), self.factorizations);
+        tel.add_sym(sym!("sim.lu.repivots"), self.repivots);
+    }
+}
+
+/// The LU plan of one matrix that is factored again and again: its
+/// structural pattern and the pivot order of its last factorization.
+///
+/// Mark every position a stamp may write with [`LuPlan::mark`], then
+/// factor each assembled matrix with [`LuPlan::factor`]. The first
+/// factorization runs the dense loop and derives the plan from the order
+/// it found; each later one replays that order while partial pivoting
+/// agrees with it. An entry marked but zero is allowed. A nonzero entry
+/// outside the pattern is a stamp the pattern missed: debug builds
+/// assert against it.
+///
+/// # Examples
+///
+/// ```
+/// use oasys_sim::linalg::{LuPlan, Matrix};
+/// let mut plan = LuPlan::new(2);
+/// plan.mark(0, 0);
+/// plan.mark(1, 1);
+/// plan.mark(1, 0);
+/// let mut m: Matrix<f64> = Matrix::zeros(2);
+/// for scale in [1.0, 2.0] {
+///     m.clear();
+///     m.stamp(0, 0, 2.0 * scale);
+///     m.stamp(1, 0, 1.0);
+///     m.stamp(1, 1, 4.0);
+///     let mut x = [2.0, 9.0];
+///     plan.factor(&mut m)?.solve_in_place(&mut x);
+///     assert_eq!(x[0], 1.0 / scale);
+/// }
+/// let counts = plan.take_counts();
+/// assert_eq!((counts.factorizations, counts.repivots), (2, 1));
+/// # Ok::<(), oasys_sim::linalg::SingularMatrixError>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct LuPlan {
+    n: usize,
+    /// Row-major: `true` where a stamp may write.
+    pattern: Vec<bool>,
+    /// `0..n`: the dense loop's rows and columns, sliced per column.
+    every: Vec<usize>,
+    /// The row swapped into place at each column by the last
+    /// factorization.
+    pivots: Vec<usize>,
+    /// Whether `order` holds a derived plan.
+    derived: bool,
+    order: Order,
+    /// Derivation scratch: the pattern with fill, rows in pivot order.
+    filled: Vec<bool>,
+    /// Derivation scratch: the pattern row at each position.
+    origin: Vec<usize>,
+    /// Derivation scratch: the final position of each pattern row.
+    position: Vec<usize>,
+    counts: LuCounts,
+}
+
+/// A pivot order with the lists it implies, one list per column.
+#[derive(Clone, Debug, Default)]
+struct Order {
+    /// The row swapped into place at each column.
+    pivots: Vec<usize>,
+    /// Rows below the column that may hold its pivot, before the swap.
+    candidates: Lists,
+    /// Rows below the column that it eliminates, after the swap.
+    lower: Lists,
+    /// The pivot row's columns right of the diagonal, ascending.
+    upper: Lists,
+    /// The final positions of the rows that hold a multiplier in the
+    /// column, for the forward substitution.
+    multipliers: Lists,
+}
+
+/// One list of indices per column, stored end to end.
+#[derive(Clone, Debug, Default)]
+struct Lists {
+    starts: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Lists {
+    /// Empties the lists of an `n`-column order, reserving room for the
+    /// largest: one item per position off the diagonal's one side. A
+    /// fresh plan then allocates each buffer once.
+    fn clear(&mut self, n: usize) {
+        self.starts.clear();
+        self.starts.reserve(n + 1);
+        self.starts.push(0);
+        self.items.clear();
+        self.items.reserve(n * n / 2);
+    }
+
+    /// Ends the current column's list.
+    fn close(&mut self) {
+        self.starts.push(self.items.len());
+    }
+
+    fn get(&self, k: usize) -> &[usize] {
+        &self.items[self.starts[k]..self.starts[k + 1]]
+    }
+}
+
+/// The rows and columns each step of the elimination loop visits.
+#[derive(Clone, Copy)]
+enum Along<'a> {
+    /// Every one: the dense kernel. Holds `0..n`.
+    Dense(&'a [usize]),
+    /// A plan's lists.
+    Plan(&'a Order),
+}
+
+impl<'a> Along<'a> {
+    fn candidates(self, k: usize) -> &'a [usize] {
+        match self {
+            Along::Dense(every) => &every[k + 1..],
+            Along::Plan(order) => order.candidates.get(k),
+        }
+    }
+
+    fn lower(self, k: usize) -> &'a [usize] {
+        match self {
+            Along::Dense(every) => &every[k + 1..],
+            Along::Plan(order) => order.lower.get(k),
+        }
+    }
+
+    fn upper(self, k: usize) -> &'a [usize] {
+        match self {
+            Along::Dense(every) => &every[k + 1..],
+            Along::Plan(order) => order.upper.get(k),
+        }
+    }
+
+    fn multipliers(self, k: usize) -> &'a [usize] {
+        match self {
+            Along::Dense(every) => &every[k + 1..],
+            Along::Plan(order) => order.multipliers.get(k),
+        }
+    }
+}
+
+/// The elimination loop. Factors `a` in place, recording in `pivots`
+/// the row swapped into place at each column. Along a plan, a column
+/// whose pivot differs from the plan's switches the loop to `every`
+/// (`0..n`), the dense kernel, for the rest of the factorization.
+/// Returns the outcome and whether every column followed `along`'s
+/// plan.
+fn eliminate<'a, T: Scalar>(
+    a: &mut Matrix<T>,
+    pivots: &mut [usize],
+    every: &'a [usize],
+    mut along: Along<'a>,
+) -> (Result<(), SingularMatrixError>, bool) {
+    let n = a.n;
+    let data = &mut a.data;
+    for k in 0..n {
+        // The pivot: the first largest key in column k, from row k down.
+        let mut best = k;
+        let mut best_key = data[k * n + k].pivot_key();
+        for &row in along.candidates(k) {
+            let candidate = data[row * n + k].pivot_key();
+            if candidate > best_key {
+                best = row;
+                best_key = candidate;
+            }
+        }
+        if let Along::Plan(order) = along {
+            if order.pivots[k] != best {
+                along = Along::Dense(every);
+            }
+        }
+        let on_plan = matches!(along, Along::Plan(_));
+        let best_norm = data[best * n + k].norm();
+        if best_norm < 1e-300 || !best_norm.is_finite() {
+            return (Err(SingularMatrixError { column: k }), on_plan);
+        }
+        pivots[k] = best;
+        if best != k {
+            let (upper, lower) = data.split_at_mut(best * n);
+            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+        }
+        let (done, below) = data.split_at_mut((k + 1) * n);
+        let pivot_row = &done[k * n..];
+        let pivot = pivot_row[k];
+        let columns = along.upper(k);
+        for &row in along.lower(k) {
+            let entries = &mut below[(row - k - 1) * n..(row - k) * n];
+            let factor = entries[k] / pivot;
+            entries[k] = factor;
+            if factor == T::ZERO {
+                continue;
+            }
+            for &col in columns {
+                entries[col] = entries[col] - factor * pivot_row[col];
+            }
+        }
+    }
+    let on_plan = matches!(along, Along::Plan(_));
+    (Ok(()), on_plan)
+}
+
+/// Solves with the factors [`eliminate`] left in `a`: applies the row
+/// swaps to `b`, then the forward substitution column by column (each
+/// entry takes its terms in ascending column order, as a row-by-row
+/// sweep would) and the back substitution row by row.
+fn substitute<T: Scalar>(a: &Matrix<T>, pivots: &[usize], along: Along<'_>, b: &mut [T]) {
+    let n = a.n;
+    assert_eq!(b.len(), n, "rhs length must match matrix dimension");
+    for (k, &row) in pivots.iter().enumerate() {
+        b.swap(k, row);
+    }
+    // Forward: L·y = P·b (unit diagonal L).
+    for k in 0..n {
+        let y = b[k];
+        for &row in along.multipliers(k) {
+            b[row] = b[row] - a.data[row * n + k] * y;
+        }
+    }
+    // Back: U·x = y.
+    for k in (0..n).rev() {
+        let row = &a.data[k * n..(k + 1) * n];
+        let acc = along
+            .upper(k)
+            .iter()
+            .fold(b[k], |acc, &col| acc - row[col] * b[col]);
+        b[k] = acc / row[k];
+    }
+}
+
+impl LuPlan {
+    /// A plan for an `n×n` matrix with an empty pattern.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            n,
+            pattern: vec![false; n * n],
+            every: (0..n).collect(),
+            pivots: vec![0; n],
+            derived: false,
+            order: Order::default(),
+            filled: vec![false; n * n],
+            origin: vec![0; n],
+            position: vec![0; n],
+            counts: LuCounts::default(),
+        }
+    }
+
+    /// Adds `(row, col)` to the pattern: a position some stamp writes.
+    /// The next factorization runs the dense loop and re-derives the
+    /// plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `col` is out of bounds.
+    pub fn mark(&mut self, row: usize, col: usize) {
+        let n = self.n;
+        assert!(row < n && col < n, "mark ({row},{col}) outside {n}×{n}");
+        if !self.pattern[row * n + col] {
+            self.pattern[row * n + col] = true;
+            self.derived = false;
+        }
+    }
+
+    /// Factors `a` in place, along the plan while partial pivoting picks
+    /// its pivots, and returns the factorization, which solves any
+    /// number of right-hand sides. Its solutions equal the dense
+    /// kernel's ([`Matrix::solve_in_place`]) under `==`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] at the column where the dense
+    /// kernel would: no pivot above `1e-300`. The plan is then left as
+    /// it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not `n×n`. Debug builds also panic if `a` has a
+    /// nonzero entry outside the pattern.
+    pub fn factor<'a, T: Scalar>(
+        &'a mut self,
+        a: &'a mut Matrix<T>,
+    ) -> Result<Lu<'a, T>, SingularMatrixError> {
+        assert_eq!(a.n, self.n, "matrix dimension must match the plan's");
+        debug_assert!(
+            a.data
+                .iter()
+                .zip(&self.pattern)
+                .all(|(&v, &marked)| marked || v == T::ZERO),
+            "matrix has a nonzero entry outside its LU plan's pattern"
+        );
+        self.counts.factorizations += 1;
+        let along = if self.derived {
+            Along::Plan(&self.order)
+        } else {
+            Along::Dense(&self.every)
+        };
+        let (outcome, replayed) = eliminate(a, &mut self.pivots, &self.every, along);
+        if !replayed {
+            self.counts.repivots += 1;
+        }
+        outcome?;
+        if !replayed {
+            self.derive();
+        }
+        Ok(Lu {
+            a,
+            pivots: &self.pivots,
+            order: &self.order,
+        })
+    }
+
+    /// Returns the counts since the last call and resets them.
+    pub fn take_counts(&mut self) -> LuCounts {
+        std::mem::take(&mut self.counts)
+    }
+
+    /// Derives the plan's lists for the pivot order in `pivots`: a
+    /// symbolic elimination of the pattern along that order. Reuses the
+    /// plan's buffers.
+    fn derive(&mut self) {
+        let n = self.n;
+        let order = &mut self.order;
+        order.pivots.clone_from(&self.pivots);
+        for lists in [
+            &mut order.candidates,
+            &mut order.lower,
+            &mut order.upper,
+            &mut order.multipliers,
+        ] {
+            lists.clear(n);
+        }
+        let filled = &mut self.filled;
+        filled.copy_from_slice(&self.pattern);
+        for (position, origin) in self.origin.iter_mut().enumerate() {
+            *origin = position;
+        }
+        for k in 0..n {
+            for row in k + 1..n {
+                if filled[row * n + k] {
+                    order.candidates.items.push(row);
+                }
+            }
+            order.candidates.close();
+            let best = self.pivots[k];
+            if best != k {
+                let (upper, lower) = filled.split_at_mut(best * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+                self.origin.swap(k, best);
+            }
+            let first = order.upper.items.len();
+            for col in k + 1..n {
+                if filled[k * n + col] {
+                    order.upper.items.push(col);
+                }
+            }
+            order.upper.close();
+            for row in k + 1..n {
+                if filled[row * n + k] {
+                    order.lower.items.push(row);
+                    // The pattern row for now; its final position below.
+                    order.multipliers.items.push(self.origin[row]);
+                    for &col in &order.upper.items[first..] {
+                        filled[row * n + col] = true;
+                    }
+                }
+            }
+            order.lower.close();
+            order.multipliers.close();
+        }
+        for (position, &origin) in self.origin.iter().enumerate() {
+            self.position[origin] = position;
+        }
+        for row in &mut order.multipliers.items {
+            *row = self.position[*row];
+        }
+        self.derived = true;
+    }
+}
+
+/// A matrix factored by [`LuPlan::factor`], borrowed with its plan.
+#[derive(Debug)]
+pub struct Lu<'a, T: Scalar> {
+    a: &'a Matrix<T>,
+    pivots: &'a [usize],
+    order: &'a Order,
+}
+
+impl<T: Scalar> Lu<'_, T> {
+    /// Solves `A·x = b` in place: on return `b` holds `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the matrix dimension.
+    pub fn solve_in_place(&self, b: &mut [T]) {
+        substitute(self.a, self.pivots, Along::Plan(self.order), b);
     }
 }
 
@@ -497,6 +903,259 @@ mod tests {
                 Complex::new(v, rng.range_f64(-1.0, 1.0) * v.abs())
             }
         });
+    }
+
+    /// How a sequence perturbs its base system before the next solve.
+    #[derive(Clone, Copy, Debug)]
+    enum Perturb {
+        /// Every column scaled by its own power of two: the pivot order
+        /// and every tie hold exactly.
+        Rescale,
+        /// Every entry moved by up to 0.1 %, as a Newton step moves a
+        /// Jacobian.
+        Jitter,
+        /// Columns from a random `c ≥ 1` on redrawn inside the pattern:
+        /// the pivots of the columns before `c` cannot change, later
+        /// ones may.
+        Redraw,
+        /// One column's entries zeroed: singular at that column, or at
+        /// an earlier one.
+        ZeroColumn,
+        /// A fifth of the entries set to exact zeros.
+        Zeros,
+    }
+
+    /// `base` perturbed inside the plan's pattern.
+    fn perturb<T: Scalar>(
+        rng: &mut Rng,
+        base: &Matrix<T>,
+        plan: &LuPlan,
+        how: Perturb,
+        entry: &dyn Fn(&mut Rng, f64) -> T,
+        scale: &dyn Fn(T, f64) -> T,
+    ) -> Matrix<T> {
+        let n = base.n;
+        let mut m = base.clone();
+        let column = rng.range_u64(0, n as u64) as usize;
+        let from = column.max(1);
+        let powers: Vec<f64> = (0..n)
+            .map(|_| 2f64.powi(rng.range_i64(-3, 4) as i32))
+            .collect();
+        for i in 0..n {
+            for j in 0..n {
+                if !plan.pattern[i * n + j] {
+                    continue;
+                }
+                let v = m[(i, j)];
+                m[(i, j)] = match how {
+                    Perturb::Rescale => scale(v, powers[j]),
+                    Perturb::Jitter => scale(v, 1.0 + 1e-3 * rng.range_f64(-1.0, 1.0)),
+                    Perturb::Redraw if j >= from => {
+                        let fresh = rng.range_f64(-1.0, 1.0);
+                        entry(rng, fresh)
+                    }
+                    Perturb::ZeroColumn if j == column => T::ZERO,
+                    Perturb::Zeros if rng.range_u64(0, 5) == 0 => T::ZERO,
+                    _ => v,
+                };
+            }
+        }
+        m
+    }
+
+    /// What the plan sequences went through, for the minimum counts.
+    #[derive(Debug, Default)]
+    struct Seen {
+        /// Factorizations that followed a derived plan to the end.
+        replays: usize,
+        /// Factorizations that left a derived plan at a column `k > 0`
+        /// and finished on the dense loop.
+        mid_repivots: usize,
+        /// Singular systems reported while still on a derived plan.
+        singular_replays: usize,
+        /// Exact zeros inside the pattern of matrices factored along a
+        /// derived plan.
+        zeros_in_pattern: usize,
+        /// Replayed factorizations whose first column's largest
+        /// magnitude is shared by two entries.
+        tied_replays: usize,
+    }
+
+    /// Runs every family through one plan per case as a sequence: the
+    /// base system, then perturbations of it, each factored through the
+    /// plan and solved for two right-hand sides. Every solution must
+    /// equal the dense loop's under `==`, and every singular system must
+    /// be reported at the dense loop's column.
+    fn check_plan_sequences<T: Scalar>(
+        name: &str,
+        entry: &dyn Fn(&mut Rng, f64) -> T,
+        scale: &dyn Fn(T, f64) -> T,
+    ) -> Seen {
+        let families = [
+            Family::Dense,
+            Family::PivotForcing,
+            Family::Singular,
+            Family::Mna,
+        ];
+        let sequence = [
+            Perturb::Rescale,
+            Perturb::Jitter,
+            Perturb::Redraw,
+            Perturb::ZeroColumn,
+            Perturb::Jitter,
+            Perturb::Zeros,
+            Perturb::Rescale,
+        ];
+        let mut seen = Seen::default();
+        for case in 0..400u64 {
+            let mut rng = Rng::for_case(name, case);
+            let family = families[(case % 4) as usize];
+            let n = rng.range_u64(1, 25) as usize;
+            let base = draw(&mut rng, family, n, entry);
+            // The pattern: the draw's nonzeros plus some zero positions.
+            let mut plan = LuPlan::new(n);
+            for i in 0..n {
+                for j in 0..n {
+                    if base[(i, j)] != T::ZERO || rng.range_u64(0, 8) == 0 {
+                        plan.mark(i, j);
+                    }
+                }
+            }
+            for (step, &how) in std::iter::once(&Perturb::Rescale)
+                .chain(&sequence)
+                .enumerate()
+            {
+                let m = if step == 0 {
+                    base.clone()
+                } else {
+                    perturb(&mut rng, &base, &plan, how, entry, scale)
+                };
+                let rhs: Vec<Vec<T>> = (0..2)
+                    .map(|_| {
+                        (0..n)
+                            .map(|_| {
+                                let v = rng.range_f64(-1.0, 1.0);
+                                entry(&mut rng, v)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let dense: Vec<_> = rhs
+                    .iter()
+                    .map(|b| {
+                        let mut lu = m.clone();
+                        let mut x = b.clone();
+                        lu.solve_in_place(&mut x).map(|()| x)
+                    })
+                    .collect();
+                let planned = plan.derived.then(|| plan.order.pivots.clone());
+                let mut lu = m.clone();
+                let actual: Vec<_> = match plan.factor(&mut lu) {
+                    Ok(factors) => rhs
+                        .iter()
+                        .map(|b| {
+                            let mut x = b.clone();
+                            factors.solve_in_place(&mut x);
+                            Ok(x)
+                        })
+                        .collect(),
+                    Err(e) => vec![Err(e); rhs.len()],
+                };
+                let label = format!("case {case} step {step} ({family:?}, {how:?}, n = {n})");
+                assert_eq!(actual, dense, "{label}");
+                let counts = plan.take_counts();
+                assert_eq!(counts.factorizations, 1, "{label}");
+                let Some(planned) = planned else {
+                    assert_eq!(counts.repivots, 1, "{label}: no plan to replay");
+                    continue;
+                };
+                seen.zeros_in_pattern += (0..n * n)
+                    .filter(|&ij| plan.pattern[ij] && m.data[ij] == T::ZERO)
+                    .count();
+                match (counts.repivots, actual[0].is_ok()) {
+                    (0, true) => {
+                        seen.replays += 1;
+                        let first: Vec<f64> = (0..n).map(|i| m[(i, 0)].norm()).collect();
+                        let largest = first.iter().copied().fold(0.0, f64::max);
+                        if first.iter().filter(|&&v| v == largest).count() >= 2 {
+                            seen.tied_replays += 1;
+                        }
+                    }
+                    (0, false) => seen.singular_replays += 1,
+                    (_, true) => {
+                        let left = (0..n).find(|&k| planned[k] != plan.pivots[k]);
+                        assert!(left.is_some(), "{label}: a repivot kept every pivot");
+                        if left > Some(0) {
+                            seen.mid_repivots += 1;
+                        }
+                    }
+                    (_, false) => {}
+                }
+            }
+        }
+        assert!(seen.replays >= 500, "{seen:?}");
+        assert!(seen.mid_repivots >= 400, "{seen:?}");
+        assert!(seen.singular_replays >= 80, "{seen:?}");
+        assert!(seen.zeros_in_pattern >= 10_000, "{seen:?}");
+        seen
+    }
+
+    #[test]
+    fn plans_match_the_dense_loop_on_real_sequences() {
+        check_plan_sequences::<f64>("lu-plan-real", &|_, v| v, &|v, s| v * s);
+    }
+
+    #[test]
+    fn plans_match_the_dense_loop_on_complex_sequences() {
+        let seen = check_plan_sequences::<Complex>(
+            "lu-plan-complex",
+            &|rng, v| {
+                if v == 0.0 {
+                    Complex::ZERO
+                } else if rng.range_u64(0, 8) == 0 {
+                    FIVES[rng.range_u64(0, 4) as usize]
+                } else {
+                    Complex::new(v, rng.range_f64(-1.0, 1.0) * v.abs())
+                }
+            },
+            &|v, s| v * Complex::from_real(s),
+        );
+        assert!(seen.tied_replays >= 50, "{seen:?}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its LU plan's pattern")]
+    fn a_nonzero_outside_the_pattern_trips_the_debug_check() {
+        let mut plan = LuPlan::new(2);
+        plan.mark(0, 0);
+        plan.mark(1, 1);
+        let mut m: Matrix<f64> = Matrix::zeros(2);
+        m.stamp(0, 0, 1.0);
+        m.stamp(1, 1, 1.0);
+        m.stamp(0, 1, 0.5);
+        let _ = plan.factor(&mut m);
+    }
+
+    #[test]
+    fn marking_a_position_re_derives_the_plan() {
+        let mut plan = LuPlan::new(2);
+        plan.mark(0, 0);
+        plan.mark(1, 1);
+        let mut m: Matrix<f64> = Matrix::zeros(2);
+        m[(0, 0)] = 1.0;
+        m[(1, 1)] = 2.0;
+        for _ in 0..2 {
+            let mut lu = m.clone();
+            plan.factor(&mut lu).unwrap();
+        }
+        assert_eq!(plan.take_counts().repivots, 1);
+        plan.mark(1, 0);
+        m[(1, 0)] = 4.0;
+        let mut x = [1.0, 2.0];
+        plan.factor(&mut m.clone()).unwrap().solve_in_place(&mut x);
+        assert_eq!(x.to_vec(), m.solve(&[1.0, 2.0]).unwrap());
+        assert_eq!(plan.take_counts().repivots, 1, "a new position, a new plan");
     }
 
     #[test]

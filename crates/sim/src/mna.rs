@@ -7,9 +7,11 @@
 //! respect to the four terminal voltages (handling polarity and mode
 //! reversal), which is what both the Newton Jacobian and the AC admittance
 //! matrix stamp. `StampPlan` is a circuit compiled for repeated Newton
-//! assembly, which the DC and transient engines build once per analysis.
+//! assembly, which the DC and transient engines build once per analysis;
+//! it also marks the positions its stamps write into the analysis's
+//! [`LuPlan`].
 
-use crate::linalg::Matrix;
+use crate::linalg::{LuPlan, Matrix};
 use oasys_mos::{Mosfet, OperatingPoint};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
@@ -361,6 +363,36 @@ impl StampPlan {
         (&self.isource_names, &self.isource_values)
     }
 
+    /// Marks every position [`StampPlan::stamp_gmin`] and
+    /// [`StampPlan::stamp_elements`] write, whatever the operating point.
+    pub(crate) fn mark_pattern(&self, lu: &mut LuPlan) {
+        for node_idx in 0..self.index.node_count - 1 {
+            lu.mark(node_idx, node_idx);
+        }
+        for stamp in &self.stamps {
+            match *stamp {
+                Stamp::Resistor { a, b, .. } => mark_two_terminal(lu, a, b),
+                Stamp::Isource { .. } => {}
+                Stamp::Vsource { pos, neg, k } => {
+                    let branch = self.index.branch_var(k);
+                    for node in [pos, neg].into_iter().flatten() {
+                        lu.mark(node, branch);
+                        lu.mark(branch, node);
+                    }
+                }
+                Stamp::Mos(m) => {
+                    let m = &self.mosfets[m];
+                    let terminals = [m.drain, m.gate, m.source, m.bulk];
+                    for row in [m.drain, m.source].into_iter().flatten() {
+                        for col in terminals.into_iter().flatten() {
+                            lu.mark(row, col);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Stamps `gmin` from every node to ground.
     pub(crate) fn stamp_gmin(
         &self,
@@ -467,6 +499,19 @@ impl StampPlan {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Marks the four positions a two-terminal admittance between unknowns
+/// `a` and `b` writes (`None` is ground).
+pub(crate) fn mark_two_terminal(lu: &mut LuPlan, a: Option<usize>, b: Option<usize>) {
+    for (i, j) in [(a, b), (b, a)] {
+        if let Some(i) = i {
+            lu.mark(i, i);
+            if let Some(j) = j {
+                lu.mark(i, j);
             }
         }
     }

@@ -4,8 +4,9 @@
 //! every saturated MOSFET (`S_id = (8/3)·kT·gm` A²/Hz) and the Johnson
 //! noise of every resistor (`S_i = 4kT/R`) — a unit AC current is injected
 //! across the element and the transfer to the output node is solved on
-//! the shared [`crate::ac::AcSystem`]. The per-generator contributions
-//! add in power:
+//! the caller's [`crate::ac::AcSystem`], factored once at the analysis
+//! frequency for every generator. The per-generator contributions add in
+//! power:
 //!
 //! ```text
 //! S_out(f) = Σ_k  S_k · |H_k(f)|²          (V²/Hz at the output)
@@ -17,9 +18,9 @@
 //! a 1987 datasheet quotes.
 
 use crate::ac::{AcSystem, SolveAcError};
+use crate::complex::Complex;
 use crate::dc::DcSolution;
 use oasys_netlist::{Circuit, Element, NodeId};
-use oasys_process::Process;
 
 /// Boltzmann constant times 300 K, joules.
 const KT: f64 = 1.380649e-23 * 300.0;
@@ -61,30 +62,32 @@ impl NoiseReport {
     }
 }
 
-/// Runs a noise analysis at `frequency`, measuring at `output`. The
-/// circuit must carry its own AC stimulus (a unit-magnitude source on the
-/// input under test) so the input-referred division is meaningful.
+/// Runs a noise analysis at `frequency` on `system`, the linearization
+/// of `circuit` at `dc`, measuring at `output`. The circuit must carry
+/// its own AC stimulus (a unit-magnitude source on the input under test)
+/// so the input-referred division is meaningful. `Y(f)` is factored once,
+/// and every generator is one more right-hand side.
 ///
 /// # Errors
 ///
 /// Reports a singular admittance matrix.
+///
+/// # Panics
+///
+/// Panics if `dc` has no bias point for one of the circuit's MOSFETs.
 pub fn analyze(
+    system: &mut AcSystem,
     circuit: &Circuit,
-    process: &Process,
     dc: &DcSolution,
     output: NodeId,
     frequency: f64,
 ) -> Result<NoiseReport, SolveAcError> {
-    let system = AcSystem::new(circuit, process, dc);
-
-    // Gain from the circuit's own stimulus, for input referral.
-    let x = system.solve(frequency, system.stimulus())?;
-    let gain = system.to_node_voltages(&x)[output.index()].abs().max(1e-18);
-
-    let mut contributions: Vec<NoiseContribution> = Vec::new();
-
-    // MOSFET channel thermal noise: a current source between drain and
-    // source with PSD (8/3)kT·gm.
+    // The right-hand sides, the circuit's own stimulus first (the gain,
+    // for input referral), then one per generator with its current PSD:
+    // MOSFET channel thermal noise, a current source between drain and
+    // source with PSD (8/3)kT·gm, and resistor Johnson noise.
+    let mut gain = system.stimulus().to_vec();
+    let mut generators = Vec::new();
     for element in circuit.elements() {
         match element {
             Element::Mos(m) => {
@@ -96,28 +99,33 @@ pub fn analyze(
                 if gm_eff <= 0.0 {
                     continue;
                 }
-                let psd_current = (8.0 / 3.0) * KT * gm_eff;
                 let b = system.current_injection(m.drain, m.source);
-                let h = system.solve(frequency, &b)?;
-                let transfer = system.to_node_voltages(&h)[output.index()].abs();
-                contributions.push(NoiseContribution {
-                    element: m.name.clone(),
-                    output_psd: psd_current * transfer * transfer,
-                });
+                generators.push((&m.name, (8.0 / 3.0) * KT * gm_eff, b));
             }
             Element::Resistor(r) => {
-                let psd_current = 4.0 * KT / r.ohms;
                 let b = system.current_injection(r.a, r.b);
-                let h = system.solve(frequency, &b)?;
-                let transfer = system.to_node_voltages(&h)[output.index()].abs();
-                contributions.push(NoiseContribution {
-                    element: r.name.clone(),
-                    output_psd: psd_current * transfer * transfer,
-                });
+                generators.push((&r.name, 4.0 * KT / r.ohms, b));
             }
             _ => {}
         }
     }
+    let output_var = system.index().node_var(output);
+    let at_output = |x: &[Complex]| output_var.map_or(Complex::ZERO, |i| x[i]).abs();
+
+    let factors = system.factor(frequency)?;
+    factors.solve_in_place(&mut gain);
+    let gain = at_output(&gain).max(1e-18);
+    let mut contributions: Vec<NoiseContribution> = generators
+        .into_iter()
+        .map(|(element, psd_current, mut h)| {
+            factors.solve_in_place(&mut h);
+            let transfer = at_output(&h);
+            NoiseContribution {
+                element: element.clone(),
+                output_psd: psd_current * transfer * transfer,
+            }
+        })
+        .collect();
 
     contributions.sort_by(|a, b| b.output_psd.total_cmp(&a.output_psd));
     let output_psd: f64 = contributions.iter().map(|c| c.output_psd).sum();
@@ -134,7 +142,19 @@ pub fn analyze(
 mod tests {
     use super::*;
     use oasys_netlist::SourceValue;
-    use oasys_process::builtin;
+    use oasys_process::{builtin, Process};
+
+    /// [`analyze`] on a fresh linearization of `c` at `dc`.
+    fn noise_at(
+        c: &Circuit,
+        process: &Process,
+        dc: &DcSolution,
+        output: NodeId,
+        frequency: f64,
+    ) -> NoiseReport {
+        let mut system = AcSystem::new(c, process, dc);
+        analyze(&mut system, c, dc, output, frequency).unwrap()
+    }
 
     /// A bare resistor divider: output noise equals the Johnson noise of
     /// the parallel combination, 4kT·(R1∥R2).
@@ -150,7 +170,7 @@ mod tests {
 
         let process = builtin::cmos_5um();
         let dc = crate::dc::solve(&c, &process).unwrap();
-        let report = analyze(&c, &process, &dc, b, 1e3).unwrap();
+        let report = noise_at(&c, &process, &dc, b, 1e3);
 
         let r_par = 5e3;
         let expected = 4.0 * KT * r_par;
@@ -196,7 +216,7 @@ mod tests {
         let process = builtin::cmos_5um();
         let dc = crate::dc::solve(&c, &process).unwrap();
         let op = *dc.device_op("M1").unwrap();
-        let report = analyze(&c, &process, &dc, out, 1e3).unwrap();
+        let report = noise_at(&c, &process, &dc, out, 1e3);
 
         // Input-referred: channel noise 8kT/(3gm) plus the load resistor
         // 4kT·RL referred through the gain (gm·RL)².
@@ -227,8 +247,8 @@ mod tests {
 
         let process = builtin::cmos_5um();
         let dc = crate::dc::solve(&c, &process).unwrap();
-        let low = analyze(&c, &process, &dc, b, 10.0).unwrap();
-        let high = analyze(&c, &process, &dc, b, 1e6).unwrap();
+        let low = noise_at(&c, &process, &dc, b, 10.0);
+        let high = noise_at(&c, &process, &dc, b, 1e6);
         assert!(high.output_psd < low.output_psd / 100.0);
     }
 
@@ -243,7 +263,7 @@ mod tests {
         c.add_resistor("RSMALL", b, c.ground(), 1e3).unwrap();
         let process = builtin::cmos_5um();
         let dc = crate::dc::solve(&c, &process).unwrap();
-        let report = analyze(&c, &process, &dc, b, 1e3).unwrap();
+        let report = noise_at(&c, &process, &dc, b, 1e3);
         let sum: f64 = report.contributions.iter().map(|c| c.output_psd).sum();
         assert!((sum / report.output_psd - 1.0).abs() < 1e-12);
         for pair in report.contributions.windows(2) {

@@ -14,7 +14,11 @@
 //! sources without an override hold their DC value.
 //!
 //! A run compiles the circuit once: the initial operating point and every
-//! timestep stamp from the same device list, bound at compile time.
+//! timestep stamp from the same device list, bound at compile time. The
+//! initial point is a DC solve, counted into the `sim.dc.*` counters,
+//! from zero or from a start the caller gives; the timesteps factor
+//! their Jacobian through one LU plan per run (see [`crate::linalg`]),
+//! whose pattern is the compiled stamps' plus the capacitor companions'.
 //!
 //! One stepping loop serves every entry point. It hands each accepted
 //! time point to an observer, which may end the run. [`solve`] observes
@@ -24,9 +28,8 @@
 //! fixed-step form of SPICE's "autostop").
 
 use crate::dc::{Engine, SolveDcError};
-use crate::linalg::Matrix;
-use crate::mna::{volt, SourceRef, StampPlan};
-use oasys_faults::Deadline;
+use crate::linalg::{LuCounts, LuPlan, Matrix};
+use crate::mna::{mark_two_terminal, volt, SourceRef, StampPlan};
 use oasys_netlist::{Circuit, Element, NodeId};
 use oasys_process::Process;
 use oasys_telemetry::{sym, sym_u64, Telemetry};
@@ -353,7 +356,8 @@ pub fn solve(
 
 /// [`solve`] with run telemetry recorded into `tel`: a `sim:tran` span
 /// plus the `sim.tran.runs` / `sim.tran.steps` /
-/// `sim.tran.newton_iterations` / `sim.tran.failures` counters.
+/// `sim.tran.newton_iterations` / `sim.tran.failures` and `sim.lu.*`
+/// counters, and the initial point's solve in the `sim.dc.*` counters.
 ///
 /// # Errors
 ///
@@ -368,7 +372,7 @@ pub fn solve_with(
     let nodes = circuit.node_count();
     let mut times = Vec::new();
     let mut voltages = Vec::new();
-    run(circuit, process, spec, stimuli, tel, |t, x| {
+    run(circuit, process, spec, stimuli, None, tel, |t, x| {
         let mut v = vec![0.0; nodes];
         v[1..nodes].copy_from_slice(&x[..nodes - 1]);
         times.push(t);
@@ -380,6 +384,13 @@ pub fn solve_with(
 
 /// Measures a slew window on a transient run without storing the
 /// waveform, and stops the run at the window's upper crossing.
+///
+/// With a `start`, the initial point's Newton iteration starts from
+/// those node voltages, indexed by [`NodeId::index`] (ground first, as
+/// [`crate::DcSolution::node_voltages`]), with every branch current at
+/// zero. If it stalls, the cold continuation runs as it would without
+/// one. Either way it converges to the same operating point, within
+/// Newton's tolerances.
 ///
 /// The result equals `solve_with(..)?.slew_between(..)` on the full run
 /// under `==`: the same points, the same thresholds and the same rule.
@@ -394,14 +405,16 @@ pub fn solve_with(
 ///
 /// # Panics
 ///
-/// Panics if `window.node` is not from `circuit` or the fractions are
-/// not ordered in `(0, 1)`.
+/// Panics if `window.node` is not from `circuit`, the fractions are
+/// not ordered in `(0, 1)`, or `start` does not hold one voltage per
+/// node.
 pub fn slew_between_with(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
     stimuli: &Stimuli,
     window: &SlewWindow,
+    start: Option<&[f64]>,
     tel: &Telemetry,
 ) -> Result<Option<f64>, SolveTranError> {
     let node = window.node;
@@ -410,7 +423,7 @@ pub fn slew_between_with(
         "node is not from the analyzed circuit"
     );
     let mut crossings = Crossings::new(window);
-    run(circuit, process, spec, stimuli, tel, |t, x| {
+    run(circuit, process, spec, stimuli, start, tel, |t, x| {
         let v = if node.is_ground() {
             0.0
         } else {
@@ -428,23 +441,28 @@ pub fn slew_between_with(
 ///
 /// `sim.tran.steps` counts the points handed to `observe`, and
 /// `sim.tran.newton_iterations` the Newton iterations of the timesteps
-/// among them (the initial point is a DC solve).
+/// among them. The initial point is a DC solve from `start` (node
+/// voltages by [`NodeId::index`]) or from zero, counted into the
+/// `sim.dc.*` counters; `sim.lu.*` counts the timesteps'
+/// factorizations once the run ends.
 fn run(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
     stimuli: &Stimuli,
+    start: Option<&[f64]>,
     tel: &Telemetry,
     mut observe: impl FnMut(f64, &[f64]) -> ControlFlow<()>,
 ) -> Result<(), SolveTranError> {
     let span = tel.span_sym(sym!("sim:tran"));
     tel.incr_sym(sym!("sim.tran.runs"));
-    let result = integrate(circuit, process, spec, stimuli, &mut observe);
+    let result = integrate(circuit, process, spec, stimuli, start, tel, &mut observe);
     if tel.is_enabled() {
         match &result {
-            Ok((points, iterations)) => {
+            Ok((points, iterations, lu)) => {
                 tel.add_sym(sym!("sim.tran.steps"), *points);
                 tel.add_sym(sym!("sim.tran.newton_iterations"), *iterations);
+                lu.record(tel);
                 span.annotate_sym(sym!("steps"), sym_u64(*points));
             }
             Err(e) => {
@@ -456,24 +474,27 @@ fn run(
     result.map(|_| ())
 }
 
-/// [`run`]'s loop. Returns the number of points observed and the Newton
-/// iterations their timesteps took.
+/// [`run`]'s loop. Returns the number of points observed, the Newton
+/// iterations their timesteps took and the timesteps' factorizations.
 fn integrate(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
     stimuli: &Stimuli,
+    start: Option<&[f64]>,
+    tel: &Telemetry,
     observe: &mut impl FnMut(f64, &[f64]) -> ControlFlow<()>,
-) -> Result<(u64, u64), SolveTranError> {
+) -> Result<(u64, u64, LuCounts), SolveTranError> {
     let mut engine = Engine::compile(circuit, process)?;
     let mut sources = SourceTable::new(engine.plan(), stimuli);
 
     // Initial condition: the DC point with every stimulus at t = 0.
     sources.at(0.0);
     sources.apply(&mut engine);
-    let mut x = engine.solve(None, &Deadline::none())?.x;
+    let start = start.map(|nodes| engine.start_from_nodes(nodes));
+    let mut x = engine.solve_counted(start.as_deref(), tel)?.x;
     if observe(0.0, &x).is_break() {
-        return Ok((1, 0));
+        return Ok((1, 0, LuCounts::default()));
     }
     let plan = engine.plan();
 
@@ -484,6 +505,11 @@ fn integrate(
     let steps = (spec.t_stop / spec.dt).ceil() as usize;
     let dim = plan.index().dim();
     let mut jac: Matrix<f64> = Matrix::zeros(dim);
+    let mut lu = LuPlan::new(dim);
+    plan.mark_pattern(&mut lu);
+    for &(a, b, _) in &caps {
+        mark_two_terminal(&mut lu, a, b);
+    }
     let mut residual = vec![0.0; dim];
     let mut delta = vec![0.0; dim];
     // The last two accepted points: `x_prev` is also the history the
@@ -513,8 +539,9 @@ fn integrate(
             for (d, r) in delta.iter_mut().zip(&residual) {
                 *d = -r;
             }
-            if jac.solve_in_place(&mut delta).is_err() {
-                return Err(SolveTranError::StepNotConverged { time: t });
+            match lu.factor(&mut jac) {
+                Ok(factors) => factors.solve_in_place(&mut delta),
+                Err(_) => return Err(SolveTranError::StepNotConverged { time: t }),
             }
             let max_delta = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
             let damp = if max_delta > MAX_STEP_V {
@@ -534,12 +561,12 @@ fn integrate(
             return Err(SolveTranError::StepNotConverged { time: t });
         }
         if observe(t, &x).is_break() {
-            return Ok((step as u64 + 1, iterations));
+            return Ok((step as u64 + 1, iterations, lu.take_counts()));
         }
         std::mem::swap(&mut x_older, &mut x_prev);
         x_prev.clone_from(&x);
     }
-    Ok((steps as u64 + 1, iterations))
+    Ok((steps as u64 + 1, iterations, lu.take_counts()))
 }
 
 /// The source values of a compiled circuit at one instant: each
@@ -810,14 +837,22 @@ mod tests {
     ) -> (Vec<(f64, f64)>, u64) {
         let tel = Telemetry::new();
         let mut seen = Vec::new();
-        run(c, &builtin::cmos_5um(), spec, stimuli, &tel, |t, x| {
-            seen.push((t, x[node.index() - 1]));
-            if seen.len() == k {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
+        run(
+            c,
+            &builtin::cmos_5um(),
+            spec,
+            stimuli,
+            None,
+            &tel,
+            |t, x| {
+                seen.push((t, x[node.index() - 1]));
+                if seen.len() == k {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            },
+        )
         .unwrap();
         (seen, tel.counter("sim.tran.steps"))
     }
@@ -869,7 +904,8 @@ mod tests {
         };
         let tel = Telemetry::new();
         let process = builtin::cmos_5um();
-        let stopped = slew_between_with(&c, &process, &spec, &stimuli, &window, &tel).unwrap();
+        let stopped =
+            slew_between_with(&c, &process, &spec, &stimuli, &window, None, &tel).unwrap();
         let full = solve(&c, &process, &spec, &stimuli).unwrap();
         assert_eq!(stopped, full.slew_between(out, 0.0, 1.0, 0.15, 0.65));
         assert!(stopped.is_some());
@@ -891,8 +927,16 @@ mod tests {
             frac_b: 0.65,
         };
         let tel = Telemetry::new();
-        let slew =
-            slew_between_with(&c, &builtin::cmos_5um(), &spec, &stimuli, &window, &tel).unwrap();
+        let slew = slew_between_with(
+            &c,
+            &builtin::cmos_5um(),
+            &spec,
+            &stimuli,
+            &window,
+            None,
+            &tel,
+        )
+        .unwrap();
         assert_eq!(slew, None);
         assert_eq!(tel.counter("sim.tran.steps"), 1, "only the initial point");
     }
@@ -910,7 +954,7 @@ mod tests {
         };
         let tel = Telemetry::new();
         let process = builtin::cmos_5um();
-        let slew = slew_between_with(&c, &process, &spec, &stimuli, &window, &tel).unwrap();
+        let slew = slew_between_with(&c, &process, &spec, &stimuli, &window, None, &tel).unwrap();
         assert_eq!(slew, None);
         let full = solve(&c, &process, &spec, &stimuli).unwrap();
         assert_eq!(tel.counter("sim.tran.steps"), full.len() as u64);
