@@ -13,6 +13,10 @@ use std::fmt;
 
 /// Stable diagnostic codes. The numeric part never changes meaning;
 /// retired codes are not reused.
+///
+/// Retired, never to be reused: OL201–OL205 (possible division by
+/// zero, possibly non-finite result, provably negative geometry, unit
+/// mismatch, provably infeasible requirement).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum Code {
@@ -43,22 +47,6 @@ pub enum Code {
     MirrorLengthMismatch,
     /// OL105: a component value outside any physically plausible range.
     ImplausibleValue,
-    /// OL201: a divisor's derived interval contains zero, so the plan
-    /// may divide by zero at runtime.
-    PossibleDivideByZero,
-    /// OL202: an arithmetic result derived from bounded operands is
-    /// unbounded (overflow to ±∞) on some input in the declared domain.
-    PossiblyNonFinite,
-    /// OL203: a geometric quantity (length/area) whose derived interval
-    /// is entirely negative — statically impossible silicon.
-    NegativeGeometry,
-    /// OL204: an addition or subtraction mixes operands of different
-    /// physical dimensions (e.g. volts + amps).
-    UnitMismatch,
-    /// OL205: a step requirement's interval provably cannot intersect
-    /// the variable's derived interval — the plan is infeasible for the
-    /// whole declared input domain.
-    InfeasibleInterval,
 }
 
 impl Code {
@@ -78,11 +66,6 @@ impl Code {
             Code::SubMinimumGeometry => "OL103",
             Code::MirrorLengthMismatch => "OL104",
             Code::ImplausibleValue => "OL105",
-            Code::PossibleDivideByZero => "OL201",
-            Code::PossiblyNonFinite => "OL202",
-            Code::NegativeGeometry => "OL203",
-            Code::UnitMismatch => "OL204",
-            Code::InfeasibleInterval => "OL205",
         }
     }
 
@@ -102,11 +85,6 @@ impl Code {
             Code::SubMinimumGeometry => "below process minimum geometry",
             Code::MirrorLengthMismatch => "mirror length mismatch",
             Code::ImplausibleValue => "implausible component value",
-            Code::PossibleDivideByZero => "possible division by zero",
-            Code::PossiblyNonFinite => "possibly non-finite result",
-            Code::NegativeGeometry => "provably negative geometry",
-            Code::UnitMismatch => "unit dimension mismatch",
-            Code::InfeasibleInterval => "requirement provably infeasible",
         }
     }
 
@@ -116,11 +94,7 @@ impl Code {
     #[must_use]
     pub fn default_severity(self) -> Severity {
         match self {
-            Code::UseBeforeDef
-            | Code::DanglingRestartTarget
-            | Code::NegativeGeometry
-            | Code::UnitMismatch
-            | Code::InfeasibleInterval => Severity::Error,
+            Code::UseBeforeDef | Code::DanglingRestartTarget => Severity::Error,
             _ => Severity::Warning,
         }
     }
@@ -441,59 +415,39 @@ mod tests {
         assert_eq!(Code::UnhandledFailureCode.as_str(), "OL007");
         assert_eq!(Code::FloatingGate.as_str(), "OL101");
         assert_eq!(Code::ImplausibleValue.as_str(), "OL105");
-        assert_eq!(Code::PossibleDivideByZero.as_str(), "OL201");
-        assert_eq!(Code::PossiblyNonFinite.as_str(), "OL202");
-        assert_eq!(Code::NegativeGeometry.as_str(), "OL203");
-        assert_eq!(Code::UnitMismatch.as_str(), "OL204");
-        assert_eq!(Code::InfeasibleInterval.as_str(), "OL205");
-    }
-
-    #[test]
-    fn interval_codes_carry_expected_severities() {
-        assert_eq!(
-            Code::PossibleDivideByZero.default_severity(),
-            Severity::Warning
-        );
-        assert_eq!(
-            Code::PossiblyNonFinite.default_severity(),
-            Severity::Warning
-        );
-        assert_eq!(Code::NegativeGeometry.default_severity(), Severity::Error);
-        assert_eq!(Code::UnitMismatch.default_severity(), Severity::Error);
-        assert_eq!(Code::InfeasibleInterval.default_severity(), Severity::Error);
     }
 
     #[test]
     fn normalize_orders_by_code_then_site_and_dedups() {
         let mut r = Report::new();
         r.push(Diagnostic::new(
-            Code::UnitMismatch,
+            Code::ShadowedRule,
             "plan b",
-            "step s2",
+            "rule r2",
             "m",
         ));
         r.push(Diagnostic::new(
-            Code::PossibleDivideByZero,
+            Code::UseBeforeDef,
             "plan b",
             "step s9",
             "m",
         ));
         r.push(Diagnostic::new(
-            Code::UnitMismatch,
+            Code::ShadowedRule,
             "plan a",
-            "step s1",
+            "rule r1",
             "m",
         ));
         r.push(Diagnostic::new(
-            Code::UnitMismatch,
+            Code::ShadowedRule,
             "plan b",
-            "step s2",
+            "rule r2",
             "m",
         ));
         r.normalize();
         assert_eq!(r.len(), 3, "exact duplicate removed");
         let codes: Vec<&str> = r.diagnostics().iter().map(|d| d.code.as_str()).collect();
-        assert_eq!(codes, ["OL201", "OL204", "OL204"]);
+        assert_eq!(codes, ["OL001", "OL004", "OL004"]);
         assert_eq!(r.diagnostics()[1].scope, "plan a");
         assert_eq!(r.diagnostics()[2].scope, "plan b");
     }
@@ -502,16 +456,16 @@ mod tests {
     fn sarif_rendering_is_valid_json_with_required_shape() {
         let mut r = Report::new();
         r.push(Diagnostic::new(
-            Code::InfeasibleInterval,
+            Code::UseBeforeDef,
             "plan one-stage",
             "step gain-budget",
-            "gain ∈ [80, 80] dB but ceiling is [0, 76.5]",
+            "reads i_tail before any path defines it",
         ));
         r.push(Diagnostic::new(
-            Code::PossibleDivideByZero,
+            Code::ShadowedRule,
             "plan one-stage",
-            "step design-load",
-            "divisor vov1 spans zero: [0, 0.5]",
+            "rule relax-input-overdrive",
+            "every failure code this rule matches (pm-short) is claimed by an earlier rule",
         ));
         let sarif = r.render_sarif();
         let doc = oasys_telemetry::json::parse(&sarif).expect("sarif parses");
@@ -525,11 +479,15 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(
             results[0].get("ruleId").and_then(|v| v.as_str()),
-            Some("OL205")
+            Some("OL001")
         );
         assert_eq!(
             results[0].get("level").and_then(|v| v.as_str()),
             Some("error")
+        );
+        assert_eq!(
+            results[1].get("level").and_then(|v| v.as_str()),
+            Some("warning")
         );
         let rules = runs[0]
             .get("tool")

@@ -31,7 +31,8 @@
 //! `--trace-format chrome`.
 //!
 //! The `lint` form runs the static analyzers: the plan dataflow checks
-//! over every built-in style plan, and — when a spec and tech file are
+//! over every stored plan (the three op-amp styles', the comparator's
+//! and the fully-differential amplifier's), and — when a spec and tech file are
 //! given — the netlist electrical-rule checks over each successfully
 //! synthesized design. Diagnostics go to stdout (human-readable or as a
 //! JSON array); the exit code is nonzero when any error fires, or, under
@@ -406,7 +407,7 @@ fn emit_telemetry(opts: &SynthOptions, tel: &Telemetry) -> Result<(), String> {
 fn run_lint(args: impl Iterator<Item = String>) -> Result<ExitCode, String> {
     let opts = LintOptions::parse(args)?;
 
-    // Prong 1: the plan dataflow analyzer over every built-in style.
+    // Prong 1: the plan dataflow analyzer over every stored plan.
     let mut merged = styles::analyze_all_plans();
 
     // Prong 2: electrical-rule checks over each design the spec

@@ -23,7 +23,7 @@ use oasys_blocks::area::AreaEstimate;
 use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::Circuit;
-use oasys_plan::{Plan, PlanExecutor, StepOutcome};
+use oasys_plan::{analyze, Plan, PlanExecutor, StepOutcome};
 use oasys_process::{Polarity, Process};
 use std::fmt;
 use std::sync::OnceLock;
@@ -254,8 +254,12 @@ impl fmt::Display for ComparatorError {
 
 impl std::error::Error for ComparatorError {}
 
+/// Empty annotation list (the builder cannot infer element types from `[]`).
+const NONE: [&str; 0] = [];
+
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("comparator")
+        .inputs(["spec", "process", "speed_boost", "stage_cap"])
         .step("stage-count", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
             let a_req = span / s.spec.resolution_v();
@@ -273,6 +277,9 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
+        .reads(["spec", "process"])
+        .writes(["stages"])
+        .emits(["too-many-stages"])
         .step("stage-current", |s: &mut State, _| {
             // Each stage must slew roughly half the supply span within its
             // share of the decision budget, into the next stage's input
@@ -284,6 +291,9 @@ fn build_plan() -> Plan<State> {
             s.gm1 = s.i_tail / VOV1;
             StepOutcome::Done
         })
+        .reads(["spec", "process", "stages", "stage_cap", "speed_boost"])
+        .writes(["i_tail", "gm1"])
+        .emits(NONE)
         .step("design-stage", |s: &mut State, _| {
             let pair_spec = DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail);
             let pair = match DiffPair::design(&pair_spec, &s.process) {
@@ -311,6 +321,9 @@ fn build_plan() -> Plan<State> {
             s.tail = Some(tail);
             StepOutcome::Done
         })
+        .reads(["process", "gm1", "i_tail"])
+        .writes(["r_bias", "pair", "load", "tail"])
+        .emits(["stage-design"])
         .step("check-speed", |s: &mut State, _| {
             // Refine the per-stage capacitance from the designed devices
             // and verify the ramp model against the budget.
@@ -345,6 +358,9 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
+        .reads(["spec", "process", "stages", "i_tail", "pair", "load"])
+        .writes(["stage_cap", "predicted_decision_s"])
+        .emits(["too-slow"])
         .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("stage designed");
             let load = s.load.as_ref().expect("stage designed");
@@ -352,16 +368,36 @@ fn build_plan() -> Plan<State> {
             s.predicted_gain = a1.powi(s.stages as i32);
             StepOutcome::Done
         })
+        .reads(["gm1", "stages", "pair", "load"])
+        .writes(["predicted_gain"])
+        .emits(NONE)
         .rule("speed-up", ["too-slow"])
         .when(|s: &State| s.speed_boost < 16.0)
         .patch(|s: &mut State, _| {
             s.speed_boost *= 1.6;
             Ok(())
         })
+        .reads(["speed_boost"])
+        .writes(["speed_boost"])
         .restarts_from("stage-current")
         .rule("give-up", ["too-many-stages", "stage-design", "too-slow"])
+        .writes(NONE)
         .aborts("comparator infeasible")
         .build()
+}
+
+/// The comparator plan, built once per process.
+fn plan() -> &'static Plan<State> {
+    static PLAN: OnceLock<Plan<State>> = OnceLock::new();
+    PLAN.get_or_init(build_plan)
+}
+
+/// Runs the static plan analyzer over the comparator's stored plan,
+/// which declares its dataflow like the op-amp plans (see
+/// [`crate::analyze_plan`]). A non-empty report is a knowledge-base bug.
+#[must_use]
+pub fn analyze_plan() -> oasys_lint::Report {
+    analyze(plan())
 }
 
 /// Synthesizes a comparator for `spec` on `process`.
@@ -374,10 +410,9 @@ pub fn design_comparator(
     spec: &ComparatorSpec,
     process: &Process,
 ) -> Result<ComparatorDesign, ComparatorError> {
-    static PLAN: OnceLock<Plan<State>> = OnceLock::new();
     let mut state = State::new(spec, process);
     PlanExecutor::new()
-        .run(PLAN.get_or_init(build_plan), &mut state)
+        .run(plan(), &mut state)
         .map_err(|e| ComparatorError {
             reason: e.to_string(),
         })?;

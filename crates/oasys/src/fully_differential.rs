@@ -22,7 +22,7 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::{sizing, Geometry};
 use oasys_netlist::Circuit;
-use oasys_plan::{Plan, PlanExecutor, StepOutcome};
+use oasys_plan::{analyze, Plan, PlanExecutor, StepOutcome};
 use oasys_process::{Polarity, Process};
 use std::fmt;
 use std::sync::OnceLock;
@@ -289,14 +289,21 @@ impl State {
     }
 }
 
+/// Empty annotation list (the builder cannot infer element types from `[]`).
+const NONE: [&str; 0] = [];
+
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("fully differential")
+        .inputs(["spec", "process", "vov1"])
         .step("size-input", |s: &mut State, _| {
             let gm_min = 2.0 * std::f64::consts::PI * s.spec.unity_gain_hz() * s.spec.load_f();
             s.i_tail = (gm_min * s.vov1).max(2e-6);
             s.gm1 = s.i_tail / s.vov1;
             StepOutcome::Done
         })
+        .reads(["spec", "vov1"])
+        .writes(["i_tail", "gm1"])
+        .emits(NONE)
         .step("gain-budget", |s: &mut State, _| {
             // The output conductance budget covers three loads per side:
             // the pair device, the current-source load, and the CM sense
@@ -322,6 +329,9 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
+        .reads(["spec", "process", "gm1", "i_tail"])
+        .writes(["r_sense", "pair_l_um", "load_l_um"])
+        .emits(["gain-short"])
         .step("design-pair", |s: &mut State, _| {
             let spec =
                 DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail).with_length_um(s.pair_l_um);
@@ -333,6 +343,9 @@ fn build_plan() -> Plan<State> {
                 Err(e) => StepOutcome::failed("block-design", e.to_string()),
             }
         })
+        .reads(["process", "gm1", "i_tail", "pair_l_um"])
+        .writes(["pair"])
+        .emits(["block-design"])
         .step("design-loads", |s: &mut State, _| {
             // Plain PMOS current sources sized for half the tail each.
             let p = s.process.pmos();
@@ -347,6 +360,9 @@ fn build_plan() -> Plan<State> {
                 Err(e) => StepOutcome::failed("block-design", e.to_string()),
             }
         })
+        .reads(["process", "i_tail", "load_l_um"])
+        .writes(["load_geom"])
+        .emits(["block-design"])
         .step("design-tail", |s: &mut State, _| {
             let spec = MirrorSpec::new(Polarity::Nmos, s.i_tail)
                 .with_headroom(1.5)
@@ -361,6 +377,9 @@ fn build_plan() -> Plan<State> {
                 Err(e) => StepOutcome::failed("block-design", e.to_string()),
             }
         })
+        .reads(["process", "i_tail"])
+        .writes(["r_bias", "tail"])
+        .emits(["block-design"])
         .step("design-cmfb", |s: &mut State, _| {
             // A small 5T OTA: enough gain to hold the CM error inside the
             // budget (error ≈ required gate offset / loop gain).
@@ -390,6 +409,9 @@ fn build_plan() -> Plan<State> {
             s.cmfb_tail = Some(t);
             StepOutcome::Done
         })
+        .reads(["process", "i_tail"])
+        .writes(["r_bias_cmfb", "cmfb_pair", "cmfb_load", "cmfb_tail"])
+        .emits(["block-design"])
         .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("pair designed");
             let id = s.i_tail / 2.0;
@@ -403,16 +425,45 @@ fn build_plan() -> Plan<State> {
             }
             StepOutcome::Done
         })
+        .reads([
+            "spec",
+            "process",
+            "gm1",
+            "i_tail",
+            "load_l_um",
+            "r_sense",
+            "pair",
+        ])
+        .writes(["predicted_gain"])
+        .emits(["gain-short"])
         .rule("lower-pair-overdrive", ["gain-short"])
         .when(|s: &State| s.vov1 > 0.08)
         .patch(|s: &mut State, _| {
             s.vov1 /= 1.5;
             Ok(())
         })
+        .reads(["vov1"])
+        .writes(["vov1"])
         .restarts_from("size-input")
         .rule("give-up", ["gain-short", "block-design"])
+        .writes(NONE)
         .aborts("fully-differential style infeasible")
         .build()
+}
+
+/// The fully-differential plan, built once per process.
+fn plan() -> &'static Plan<State> {
+    static PLAN: OnceLock<Plan<State>> = OnceLock::new();
+    PLAN.get_or_init(build_plan)
+}
+
+/// Runs the static plan analyzer over the fully-differential
+/// amplifier's stored plan, which declares its dataflow like the op-amp
+/// plans (see [`crate::analyze_plan`]). A non-empty report is a
+/// knowledge-base bug.
+#[must_use]
+pub fn analyze_plan() -> oasys_lint::Report {
+    analyze(plan())
 }
 
 /// Synthesizes a fully-differential amplifier.
@@ -422,10 +473,9 @@ fn build_plan() -> Plan<State> {
 /// Returns [`FdError`] when the single-stage template cannot reach the
 /// gain, or a sub-block designer rejects its translated spec.
 pub fn design_fully_differential(spec: &FdSpec, process: &Process) -> Result<FdDesign, FdError> {
-    static PLAN: OnceLock<Plan<State>> = OnceLock::new();
     let mut state = State::new(spec, process);
     PlanExecutor::new()
-        .run(PLAN.get_or_init(build_plan), &mut state)
+        .run(plan(), &mut state)
         .map_err(|e| FdError {
             reason: e.to_string(),
         })?;

@@ -23,10 +23,9 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::{sizing, Geometry, Mosfet};
 use oasys_netlist::Circuit;
-use oasys_plan::{DesignContext, Expr, Interval, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{DesignContext, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::Telemetry;
-use oasys_units::Dimension;
 use std::sync::OnceLock;
 
 /// Initial pair overdrive target, V.
@@ -144,9 +143,6 @@ pub(super) fn perf_relations(spec: &OpAmpSpec, process: &Process) -> Vec<PerfRel
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("folded cascode")
         .inputs(["spec", "process", "vov1", "notes"])
-        // Knob domain for the interval analyzer: the lower-overdrive
-        // rule divides by 1.5 while above 0.06 V, so 0.04 V bounds it.
-        .input_domain("vov1", Interval::new(0.04, 0.5), Dimension::VOLTAGE)
         .step("check-spec", |s: &mut State, _| {
             // Two stacked overdrives on each side of the output.
             let span = s.process.supply_span().volts();
@@ -174,15 +170,6 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "vov1"])
         .writes(["gm1", "i_tail"])
-        // Spec-derived floors are opaque, so `i_tail` degrades to
-        // unknown; the divisor `vov1` has a declared zero-free domain.
-        .transfer(
-            "i_tail",
-            Expr::var("i_slew")
-                .max(Expr::var("gm_min").mul(Expr::var("vov1")))
-                .max(Expr::qty(1e-6, Dimension::CURRENT)),
-        )
-        .transfer("gm1", Expr::var("i_tail").div(Expr::var("vov1")))
         .emits(NONE)
         .step("design-pair", |s: &mut State, ctx| {
             // The pair's r_o barely matters (the fold node is low

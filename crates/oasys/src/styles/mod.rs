@@ -192,15 +192,20 @@ pub fn analyze_plan(style: OpAmpStyle) -> oasys_lint::Report {
     }
 }
 
-/// Runs [`analyze_plan`] over every built-in style and merges the reports.
-/// The merged report is re-normalized so diagnostics across plans come out
-/// in stable (code, site) order with duplicates removed.
+/// Runs the static plan analyzer over every stored plan and merges the
+/// reports: [`analyze_plan`] for each op-amp style, then
+/// [`crate::comparator::analyze_plan`] and
+/// [`crate::fully_differential::analyze_plan`]. The merged report is
+/// re-normalized so diagnostics across plans come out in stable (code,
+/// site) order with duplicates removed.
 #[must_use]
 pub fn analyze_all_plans() -> oasys_lint::Report {
     let mut report = oasys_lint::Report::default();
     for style in OpAmpStyle::ALL {
         report.merge(analyze_plan(style));
     }
+    report.merge(crate::comparator::analyze_plan());
+    report.merge(crate::fully_differential::analyze_plan());
     report.normalize();
     report
 }

@@ -22,10 +22,9 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::Mosfet;
 use oasys_netlist::Circuit;
-use oasys_plan::{DesignContext, Expr, Interval, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{DesignContext, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::Telemetry;
-use oasys_units::Dimension;
 use std::sync::OnceLock;
 
 /// Longest pair channel, in multiples of the process minimum.
@@ -169,15 +168,6 @@ fn build_plan() -> Plan<State> {
             "slew_boost",
             "notes",
         ])
-        // Knob domains for the interval analyzer: the initial values,
-        // widened to the whole range the patch rules can steer through.
-        .input_domain("vov1", Interval::new(0.05, 0.5), Dimension::VOLTAGE)
-        .input_domain(
-            "alpha",
-            Interval::new(ALPHA_INIT, ALPHA_CASCODE),
-            Dimension::NONE,
-        )
-        .input_domain("slew_boost", Interval::new(1.0, 8.0), Dimension::NONE)
         .step("check-spec", |s: &mut State, _| {
             let vdd = s.process.vdd().volts();
             if s.spec.has_swing() && s.spec.output_swing().volts() > vdd - 0.4 {
@@ -210,18 +200,6 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "vov1", "slew_boost"])
         .writes(["gm1", "i_tail"])
-        // Interval transfers mirroring the step's arithmetic. The
-        // spec-derived floors are opaque to the analyzer (`i_slew`,
-        // `gm_min` are not state variables), so `i_tail` degrades to
-        // unknown — what matters is that `gm1 = i_tail / vov1` shows the
-        // divisor, whose declared domain excludes zero.
-        .transfer(
-            "i_tail",
-            Expr::var("i_slew")
-                .max(Expr::var("gm_min").mul(Expr::var("vov1")))
-                .max(Expr::qty(1e-6, Dimension::CURRENT)),
-        )
-        .transfer("gm1", Expr::var("i_tail").div(Expr::var("vov1")))
         .emits(NONE)
         .step("gain-budget", |s: &mut State, _| {
             // Split the allowed output conductance between pair and load,

@@ -26,10 +26,9 @@ use oasys_blocks::gainstage::{GainStage, GainStageSpec, GainStageStyle};
 use oasys_blocks::levelshift::{LevelShiftSpec, LevelShifter};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::Circuit;
-use oasys_plan::{CacheKey, DesignContext, Expr, Interval, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{CacheKey, DesignContext, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
 use oasys_telemetry::{sym, Telemetry};
-use oasys_units::Dimension;
 use std::sync::OnceLock;
 
 /// Longest channel, in multiples of the process minimum.
@@ -244,12 +243,6 @@ fn build_plan() -> Plan<State> {
             "i_ls",
             "notes",
         ])
-        // Knob domains for the interval analyzer, spanning what the
-        // patch rules can steer through.
-        .input_domain("vov1", Interval::new(0.05, 0.5), Dimension::VOLTAGE)
-        .input_domain("skew", Interval::new(1.0, CASCODE_SKEW), Dimension::NONE)
-        .input_domain("i2_boost", Interval::new(1.0, 16.0), Dimension::NONE)
-        .input_domain("slew_boost", Interval::new(1.0, 8.0), Dimension::NONE)
         .step("check-spec", |s: &mut State, _| {
             let vdd = s.process.vdd().volts();
             if s.spec.has_swing() && s.spec.output_swing().volts() > vdd - 0.3 {
@@ -293,15 +286,6 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "cc", "vov1", "slew_boost"])
         .writes(["gm1", "i_tail"])
-        // Spec-derived floors are opaque, so `i_tail` degrades to
-        // unknown; the divisor `vov1` has a declared zero-free domain.
-        .transfer(
-            "i_tail",
-            Expr::var("i_slew")
-                .max(Expr::var("gm_floor").mul(Expr::var("vov1")))
-                .max(Expr::qty(1e-6, Dimension::CURRENT)),
-        )
-        .transfer("gm1", Expr::var("i_tail").div(Expr::var("vov1")))
         .emits(NONE)
         .step("stage1-budget", |s: &mut State, _| {
             let pair_budget = s.alpha1 * s.gm1 / s.a1_target;

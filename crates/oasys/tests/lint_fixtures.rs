@@ -3,15 +3,20 @@
 //! Each fixture plants exactly one class of defect in an otherwise
 //! healthy plan or netlist and asserts the analyzer reports the exact
 //! `OLnnn` code — and nothing louder. The complementary direction, that
-//! every built-in style plan and every synthesized netlist comes back
-//! clean, is asserted at the bottom.
+//! every stored plan and every synthesized netlist comes back clean,
+//! and that the op-amp plans fail only with the codes their steps
+//! declare, is asserted at the bottom.
 
+use oasys::batch::Manifest;
+use oasys::dataset::DatasetPlan;
+use oasys::{synthesize_with_options, SearchOptions, StyleOutcome};
 use oasys_lint::{Code, Report};
 use oasys_mos::Geometry;
 use oasys_netlist::{lint, Circuit, SourceValue};
-use oasys_plan::{analyze, DesignContext, Expr, Interval, Plan, StepOutcome};
-use oasys_process::{builtin, Polarity};
-use oasys_units::Dimension;
+use oasys_plan::{analyze, DesignContext, Plan, StepOutcome};
+use oasys_process::{builtin, techfile, Polarity};
+use oasys_telemetry::Telemetry;
+use std::path::Path;
 
 #[derive(Default)]
 struct State {
@@ -94,120 +99,19 @@ fn seeded_shadowed_rule_yields_ol004() {
     assert!(!report.passes(true));
 }
 
-// ------------------------------------- interval/unit dataflow (OL2xx)
+// ------------------------------------------------- report order (OL0xx)
 
 fn done(_s: &mut State, _ctx: &DesignContext<'_>) -> StepOutcome {
     StepOutcome::Done
 }
 
-/// The OL2xx subset of a report, as `(code, subject)` pairs.
-fn interval_findings(report: &Report) -> Vec<(String, String)> {
+/// A report as `(code, subject)` pairs, in report order.
+fn findings(report: &Report) -> Vec<(&str, &str)> {
     report
         .diagnostics()
         .iter()
-        .filter(|d| d.code.as_str().starts_with("OL2"))
-        .map(|d| (d.code.as_str().to_owned(), d.subject.clone()))
+        .map(|d| (d.code.as_str(), d.subject.as_str()))
         .collect()
-}
-
-#[test]
-fn seeded_zero_spanning_divisor_yields_ol201() {
-    let plan = Plan::<State>::builder("seeded-div-by-zero")
-        .inputs(["x"])
-        .input_domain("x", Interval::new(0.0, 1.0), Dimension::NONE)
-        .step("divide", done)
-        .transfer("y", Expr::num(1.0).div(Expr::var("x")))
-        .build();
-    let report = analyze(&plan);
-    assert_eq!(
-        interval_findings(&report),
-        vec![("OL201".to_owned(), "step divide".to_owned())],
-        "{}",
-        report.render_human()
-    );
-    assert!(report.contains(Code::PossibleDivideByZero));
-    assert!(report.passes(false), "OL201 is warning-tier");
-    assert!(!report.passes(true));
-}
-
-#[test]
-fn seeded_overflowing_product_yields_ol202() {
-    let plan = Plan::<State>::builder("seeded-overflow")
-        .inputs(["big"])
-        .input_domain("big", Interval::new(1e308, 1e308), Dimension::NONE)
-        .step("square", done)
-        .transfer("huge", Expr::var("big").mul(Expr::var("big")))
-        .build();
-    let report = analyze(&plan);
-    assert_eq!(
-        interval_findings(&report),
-        vec![("OL202".to_owned(), "step square".to_owned())],
-        "{}",
-        report.render_human()
-    );
-    assert!(report.contains(Code::PossiblyNonFinite));
-}
-
-#[test]
-fn seeded_negative_width_yields_ol203() {
-    // Available width [0, 1] µm minus used width [2, 3] µm: the margin
-    // is provably negative for every input in the domain.
-    let plan = Plan::<State>::builder("seeded-negative-geometry")
-        .inputs(["w_avail", "w_used"])
-        .input_domain("w_avail", Interval::new(0.0, 1.0), Dimension::LENGTH)
-        .input_domain("w_used", Interval::new(2.0, 3.0), Dimension::LENGTH)
-        .step("margin", done)
-        .transfer("w_left", Expr::var("w_avail").sub(Expr::var("w_used")))
-        .build();
-    let report = analyze(&plan);
-    assert_eq!(
-        interval_findings(&report),
-        vec![("OL203".to_owned(), "step margin".to_owned())],
-        "{}",
-        report.render_human()
-    );
-    assert!(report.contains(Code::NegativeGeometry));
-    assert!(!report.passes(false), "OL203 is an error");
-}
-
-#[test]
-fn seeded_volts_plus_amps_yields_ol204() {
-    let plan = Plan::<State>::builder("seeded-unit-mismatch")
-        .inputs(["v", "i"])
-        .input_domain("v", Interval::new(1.0, 2.0), Dimension::VOLTAGE)
-        .input_domain("i", Interval::new(1e-6, 1e-3), Dimension::CURRENT)
-        .step("mix", done)
-        .transfer("nonsense", Expr::var("v").add(Expr::var("i")))
-        .build();
-    let report = analyze(&plan);
-    assert_eq!(
-        interval_findings(&report),
-        vec![("OL204".to_owned(), "step mix".to_owned())],
-        "{}",
-        report.render_human()
-    );
-    assert!(report.contains(Code::UnitMismatch));
-    assert!(!report.passes(false), "OL204 is an error");
-}
-
-#[test]
-fn seeded_unreachable_requirement_yields_ol205() {
-    let plan = Plan::<State>::builder("seeded-infeasible")
-        .inputs(["x"])
-        .input_domain("x", Interval::new(0.0, 1.0), Dimension::NONE)
-        .step("check", done)
-        .transfer("x", Expr::var("x"))
-        .requires("x", Interval::new(2.0, 3.0))
-        .build();
-    let report = analyze(&plan);
-    assert_eq!(
-        interval_findings(&report),
-        vec![("OL205".to_owned(), "step check".to_owned())],
-        "{}",
-        report.render_human()
-    );
-    assert!(report.contains(Code::InfeasibleInterval));
-    assert!(!report.passes(false), "OL205 is an error");
 }
 
 /// One plan seeding several defects across steps declared in an order
@@ -218,30 +122,32 @@ fn seeded_unreachable_requirement_yields_ol205() {
 fn seeded_defects_report_in_stable_order_without_duplicates() {
     let build = || {
         Plan::<State>::builder("seeded-ordering")
-            .inputs(["x", "v", "i"])
-            .input_domain("x", Interval::new(0.0, 1.0), Dimension::NONE)
-            .input_domain("v", Interval::new(1.0, 2.0), Dimension::VOLTAGE)
-            .input_domain("i", Interval::new(1e-6, 1e-3), Dimension::CURRENT)
-            // Declared first, but its code (OL204) sorts after OL201.
-            // Writes are declared so the inputs survive to the next
-            // step instead of being havocked away.
-            .step("zz-mix", done)
-            .writes(["nonsense"])
-            .transfer("nonsense", Expr::var("v").add(Expr::var("i")))
-            .step("aa-divide", done)
-            .transfer("y", Expr::num(1.0).div(Expr::var("x")))
-            // The same division again: dedup must collapse the repeat
-            // into one diagnostic per site.
-            .transfer("y", Expr::num(1.0).div(Expr::var("x")))
+            .inputs(NONE)
+            // Declared first, but its subject sorts after `aa-read`'s.
+            .step("zz-read", done)
+            .reads(["ghost"])
+            .writes(NONE)
+            .emits(NONE)
+            // Its code (OL007) sorts after both reads' OL001, though the
+            // analyzer finds it first. It lists its loose code twice:
+            // dedup must collapse the repeat into one diagnostic.
+            .step("mm-escape", done)
+            .reads(NONE)
+            .writes(NONE)
+            .emits(["loose", "loose"])
+            .step("aa-read", done)
+            .reads(["ghost"])
+            .writes(NONE)
+            .emits(NONE)
             .build()
     };
     let report = analyze(&build());
-    let findings = interval_findings(&report);
     assert_eq!(
-        findings,
-        vec![
-            ("OL201".to_owned(), "step aa-divide".to_owned()),
-            ("OL204".to_owned(), "step zz-mix".to_owned()),
+        findings(&report),
+        [
+            ("OL001", "step aa-read"),
+            ("OL001", "step zz-read"),
+            ("OL007", "step mm-escape"),
         ],
         "{}",
         report.render_human()
@@ -320,15 +226,62 @@ fn seeded_defects_compose() {
 
 #[test]
 fn all_builtin_style_plans_analyze_clean() {
-    for style in oasys::OpAmpStyle::ALL {
-        let report = oasys::analyze_plan(style);
-        assert!(
-            report.is_empty(),
-            "{style} plan:\n{}",
-            report.render_human()
-        );
+    let mut reports: Vec<(String, Report)> = oasys::OpAmpStyle::ALL
+        .into_iter()
+        .map(|style| (style.to_string(), oasys::analyze_plan(style)))
+        .collect();
+    reports.push(("comparator".into(), oasys::comparator::analyze_plan()));
+    reports.push((
+        "fully differential".into(),
+        oasys::fully_differential::analyze_plan(),
+    ));
+    for (plan, report) in &reports {
+        assert!(report.is_empty(), "{plan} plan:\n{}", report.render_human());
     }
     assert!(oasys::analyze_all_plans().is_empty());
+}
+
+/// What the rejection of a run that `PlanError::UndeclaredCode` ended
+/// says: a step body failed with a code its `.emits` leaves out.
+const UNDECLARED: &str = ".emits() list does not declare";
+
+/// The analyzer above reasons from each step's `.emits`, and the
+/// executor holds the step bodies to it. Every point of the bundled
+/// dataset and every job of the bundled sweep, synthesized with static
+/// pruning off so every style's plan runs, must fail only with declared
+/// codes.
+#[test]
+fn builtin_plans_fail_only_with_declared_codes() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+    let dataset = Manifest::load(data.join("dataset.manifest")).unwrap();
+    let dataset = DatasetPlan::expand(&dataset).unwrap();
+    let sweep = Manifest::load(data.join("sweep.manifest")).unwrap();
+    let sweep = sweep.expand().unwrap();
+    let inputs = dataset
+        .points
+        .iter()
+        .map(|p| (p.spec_text.as_str(), p.tech_text.as_str()))
+        .chain(sweep.iter().map(|j| (j.spec_text(), j.tech_text())));
+    let options = SearchOptions::new().with_static_pruning(false);
+    let mut rejections = 0;
+    for (spec_text, tech_text) in inputs {
+        let spec = oasys::specfile::parse(spec_text).unwrap();
+        let process = techfile::parse(tech_text).unwrap();
+        let reasons: Vec<String> =
+            match synthesize_with_options(&spec, &process, &options, &Telemetry::disabled()) {
+                Ok(synthesis) => synthesis
+                    .outcomes()
+                    .iter()
+                    .filter_map(StyleOutcome::rejection)
+                    .collect(),
+                Err(e) => e.rejections().iter().map(|(_, r)| r.clone()).collect(),
+            };
+        for reason in reasons {
+            assert!(!reason.contains(UNDECLARED), "{reason}");
+            rejections += 1;
+        }
+    }
+    assert!(rejections > 0, "some plan must fail for the check to run");
 }
 
 #[test]

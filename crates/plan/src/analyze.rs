@@ -27,16 +27,14 @@
 //! that need it, so unannotated plans (e.g. quick experiments) analyze
 //! as clean rather than drowning in noise.
 
-use crate::interval::{eval, AbstractValue, EvalIssueKind};
-use crate::plan::{InputDomain, PatchAction, Plan, RuleMeta, StepMeta};
+use crate::plan::{PatchAction, Plan, RuleMeta, StepMeta};
 use oasys_lint::{Code, Diagnostic, Report};
-use oasys_units::Dimension;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Runs every static check against `plan` and returns the findings.
 ///
 /// A fully annotated, well-formed plan returns an empty report; the
-/// built-in op-amp style plans are kept to that standard by tests. The
+/// five stored plans of `oasys` are kept to that standard by tests. The
 /// report is [normalized](Report::normalize) — sorted by code then site
 /// and deduplicated — so merged multi-plan output is deterministic.
 #[must_use]
@@ -50,7 +48,6 @@ pub fn analyze<S>(plan: &Plan<S>) -> Report {
     view.check_non_progress_rules(&mut report);
     let reachable = view.check_reachability(&mut report);
     view.check_definite_assignment(&reachable, &mut report);
-    view.check_intervals(&reachable, &mut report);
     report.normalize();
     report
 }
@@ -59,7 +56,6 @@ pub fn analyze<S>(plan: &Plan<S>) -> Report {
 struct PlanView<'p> {
     plan_name: &'p str,
     inputs: &'p [String],
-    input_domains: &'p [InputDomain],
     steps: Vec<(&'p str, &'p StepMeta)>,
     /// Per rule: its name, its metadata and whether it has a guard.
     rules: Vec<(&'p str, &'p RuleMeta, bool)>,
@@ -70,7 +66,6 @@ impl<'p> PlanView<'p> {
         Self {
             plan_name: plan.name(),
             inputs: plan.inputs(),
-            input_domains: plan.input_domains(),
             steps: plan.steps.iter().map(|s| (&*s.name, &s.meta)).collect(),
             rules: plan
                 .rules
@@ -112,8 +107,7 @@ impl<'p> PlanView<'p> {
     fn emitted_codes(&self) -> Option<HashSet<&str>> {
         let mut emitted = HashSet::new();
         for (_, meta) in &self.steps {
-            let codes = meta.emits.as_ref()?;
-            emitted.extend(codes.iter().map(String::as_str));
+            emitted.extend(meta.emits.as_ref()?);
         }
         Some(emitted)
     }
@@ -152,7 +146,7 @@ impl<'p> PlanView<'p> {
                 continue;
             };
             for code in emits {
-                if !handled.contains(code.as_str()) {
+                if !handled.contains(code) {
                     report.push(Diagnostic::new(
                         Code::UnhandledFailureCode,
                         self.scope(),
@@ -219,18 +213,13 @@ impl<'p> PlanView<'p> {
         let (_, meta) = &self.steps[index];
         let mut edges = Vec::new();
         // Codes this step can emit; None = unknown, assume any.
-        let emits: Option<Vec<&str>> = meta
-            .emits
-            .as_ref()
-            .map(|e| e.iter().map(String::as_str).collect());
-        if let Some(e) = &emits {
-            if e.is_empty() {
-                return edges;
-            }
+        let emits = meta.emits.as_deref();
+        if emits.is_some_and(<[_]>::is_empty) {
+            return edges;
         }
         for (rule_idx, (_, rule_meta, _)) in self.rules.iter().enumerate() {
-            let matches = match &emits {
-                Some(emits) => emits.iter().any(|e| rule_meta.codes.iter().any(|c| c == e)),
+            let matches = match emits {
+                Some(emits) => emits.iter().any(|e| rule_meta.codes.contains(e)),
                 // Unknown codes: conservatively assume a match.
                 None => true,
             };
@@ -395,248 +384,12 @@ impl<'p> PlanView<'p> {
             }
         }
     }
-
-    /// OL201–OL205: interval + unit abstract interpretation.
-    ///
-    /// Each variable carries an [`AbstractValue`] — numeric interval,
-    /// physical dimension, and a `known` provenance bit. The entry
-    /// environment comes from declared
-    /// [input domains](crate::PlanBuilder::input_domain); each step's
-    /// declared [transfers](crate::PlanBuilder::transfer) evaluate in
-    /// order, remaining declared writes havoc to unknown, and a step
-    /// with *undeclared* writes havocs everything (it may write any
-    /// variable). Failure edges havoc the failing step's writes — it may
-    /// have failed before writing — plus the firing rule's writes.
-    /// Environments meet at control-flow joins with the interval hull;
-    /// after a few updates the hull is replaced by widening (moving
-    /// bounds jump to ±∞) so retry loops terminate.
-    ///
-    /// Hazards are only reported on fully `known` operands, so
-    /// unannotated or partially annotated plans analyze as clean.
-    fn check_intervals(&self, reachable: &[bool], report: &mut Report) {
-        let n = self.steps.len();
-        let mut entry: BTreeMap<String, AbstractValue> = BTreeMap::new();
-        for d in self.input_domains {
-            entry.insert(d.var.clone(), AbstractValue::known(d.interval, d.dim));
-        }
-        let annotated = !entry.is_empty()
-            || self
-                .steps
-                .iter()
-                .any(|(_, m)| m.transfers.is_some() || m.requires.is_some());
-        if n == 0 || !annotated {
-            return;
-        }
-
-        // How many env-in updates a step absorbs via the hull before
-        // switching to widening.
-        const WIDEN_AFTER: usize = 2;
-
-        let mut env_in: Vec<Option<BTreeMap<String, AbstractValue>>> = vec![None; n];
-        let mut updates = vec![0usize; n];
-        env_in[0] = Some(entry);
-        let mut work = vec![0usize];
-        while let Some(i) = work.pop() {
-            let Some(in_i) = env_in[i].clone() else {
-                continue;
-            };
-            let (_, meta) = &self.steps[i];
-            if !meta.diverges && i + 1 < n {
-                let (out, _) = self.interval_step_out(&in_i, meta);
-                if merge_env(&mut env_in[i + 1], &out, updates[i + 1] >= WIDEN_AFTER) {
-                    updates[i + 1] += 1;
-                    work.push(i + 1);
-                }
-            }
-            for (target, rule_idx) in self.failure_edges(i) {
-                let out = self.interval_failure_out(&in_i, meta, self.rules[rule_idx].1);
-                if merge_env(&mut env_in[target], &out, updates[target] >= WIDEN_AFTER) {
-                    updates[target] += 1;
-                    work.push(target);
-                }
-            }
-        }
-
-        // Reporting pass over the converged environments.
-        for i in 0..n {
-            if !reachable[i] {
-                continue;
-            }
-            let Some(in_i) = &env_in[i] else {
-                continue;
-            };
-            let (step_name, meta) = &self.steps[i];
-            let subject = format!("step {step_name}");
-            let (out, findings) = self.interval_step_out(in_i, meta);
-            for (code, message) in findings {
-                report.push(Diagnostic::new(
-                    code,
-                    self.scope(),
-                    subject.clone(),
-                    message,
-                ));
-            }
-            for req in meta.requires.iter().flatten() {
-                let Some(value) = out.get(&req.var) else {
-                    continue;
-                };
-                let derived = value.interval();
-                if value.is_known()
-                    && !derived.is_empty()
-                    && derived.intersect(req.interval).is_empty()
-                {
-                    report.push(Diagnostic::new(
-                        Code::InfeasibleInterval,
-                        self.scope(),
-                        subject.clone(),
-                        format!(
-                            "`{}` ∈ {derived} can never meet the requirement {} — the step \
-                             fails for every input in the declared domain",
-                            req.var, req.interval
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// The abstract environment after a step completes normally, plus
-    /// interval findings (code + message) from its transfer expressions.
-    fn interval_step_out(
-        &self,
-        in_env: &BTreeMap<String, AbstractValue>,
-        meta: &StepMeta,
-    ) -> (BTreeMap<String, AbstractValue>, Vec<(Code, String)>) {
-        let mut env = in_env.clone();
-        let mut findings = Vec::new();
-        let mut transferred: BTreeSet<&str> = BTreeSet::new();
-        for t in meta.transfers.iter().flatten() {
-            let outcome = eval(&t.expr, &env);
-            for issue in &outcome.issues {
-                let code = match issue.kind {
-                    EvalIssueKind::DivByZero => Code::PossibleDivideByZero,
-                    EvalIssueKind::NonFinite => Code::PossiblyNonFinite,
-                    EvalIssueKind::UnitMismatch => Code::UnitMismatch,
-                };
-                findings.push((
-                    code,
-                    format!("computing `{} = {}`: {}", t.target, t.expr, issue.detail),
-                ));
-            }
-            let value = outcome.value;
-            let geometric =
-                value.dim() == Some(Dimension::LENGTH) || value.dim() == Some(Dimension::AREA);
-            if geometric
-                && value.is_known()
-                && !value.interval().is_empty()
-                && value.interval().hi() < 0.0
-            {
-                findings.push((
-                    Code::NegativeGeometry,
-                    format!(
-                        "`{} = {}` is provably negative: {} — no silicon geometry \
-                         can realize it",
-                        t.target,
-                        t.expr,
-                        value.interval()
-                    ),
-                ));
-            }
-            env.insert(t.target.clone(), value);
-            transferred.insert(t.target.as_str());
-        }
-        match &meta.writes {
-            Some(writes) => {
-                // Declared writes without a transfer expression havoc.
-                for w in writes {
-                    if !transferred.contains(w.as_str()) {
-                        env.remove(w);
-                    }
-                }
-            }
-            None => {
-                // Undeclared writes: the step may overwrite anything
-                // except what its transfers pin down.
-                env.retain(|k, _| transferred.contains(k.as_str()));
-            }
-        }
-        (env, findings)
-    }
-
-    /// The abstract environment along a failure edge out of a step: the
-    /// step may have failed before writing, so its writes and transfer
-    /// targets havoc, and the firing rule's writes havoc too.
-    fn interval_failure_out(
-        &self,
-        in_env: &BTreeMap<String, AbstractValue>,
-        step_meta: &StepMeta,
-        rule_meta: &RuleMeta,
-    ) -> BTreeMap<String, AbstractValue> {
-        let mut env = in_env.clone();
-        havoc_writes(&mut env, step_meta.writes.as_ref());
-        let targets: Vec<&String> = step_meta
-            .transfers
-            .iter()
-            .flatten()
-            .map(|t| &t.target)
-            .collect();
-        for t in targets {
-            env.remove(t);
-        }
-        havoc_writes(&mut env, rule_meta.writes.as_ref());
-        env
-    }
-}
-
-/// Removes the declared writes from `env`; undeclared writes (`None`)
-/// havoc the whole environment.
-fn havoc_writes(env: &mut BTreeMap<String, AbstractValue>, writes: Option<&Vec<String>>) {
-    match writes {
-        Some(writes) => {
-            for w in writes {
-                env.remove(w);
-            }
-        }
-        None => env.clear(),
-    }
-}
-
-/// Merges `incoming` into a step's entry environment. A variable absent
-/// from either side is unknown, so only keys present in both survive;
-/// surviving values meet with the hull, or with widening once the step
-/// has absorbed enough updates. Returns whether anything changed.
-fn merge_env(
-    existing: &mut Option<BTreeMap<String, AbstractValue>>,
-    incoming: &BTreeMap<String, AbstractValue>,
-    widen: bool,
-) -> bool {
-    let Some(current) = existing else {
-        *existing = Some(incoming.clone());
-        return true;
-    };
-    let mut next = BTreeMap::new();
-    for (k, old) in current.iter() {
-        if let Some(new) = incoming.get(k) {
-            let merged = if widen {
-                old.widen(*new)
-            } else {
-                old.join(*new)
-            };
-            next.insert(k.clone(), merged);
-        }
-    }
-    if &next != current {
-        *existing = Some(next);
-        true
-    } else {
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DesignContext, Expr, Interval, StepOutcome};
+    use crate::{DesignContext, StepOutcome};
 
     fn done(_s: &mut (), _ctx: &DesignContext<'_>) -> StepOutcome {
         StepOutcome::Done
@@ -660,11 +413,11 @@ mod tests {
             .step("a", done)
             .reads(["spec"])
             .writes(["x"])
-            .emits(Vec::<String>::new())
+            .emits([])
             .step("b", done)
             .reads(["x", "y"])
             .writes(Vec::<String>::new())
-            .emits(Vec::<String>::new())
+            .emits([])
             .build();
         let report = analyze(&plan);
         assert!(report.contains(Code::UseBeforeDef));
@@ -689,7 +442,7 @@ mod tests {
             .step("use", done)
             .reads(["x"])
             .writes(Vec::<String>::new())
-            .emits(Vec::<String>::new())
+            .emits([])
             .build();
         // No rule handles "boom" → no failure edge → clean dataflow…
         let clean = analyze(&plan);
@@ -703,7 +456,7 @@ mod tests {
             .step("use", done)
             .reads(["x"])
             .writes(Vec::<String>::new())
-            .emits(Vec::<String>::new())
+            .emits([])
             .rule("skip-ahead", ["boom"])
             .writes(Vec::<String>::new())
             .restarts_from("use")
@@ -766,7 +519,7 @@ mod tests {
             .emits(["stop"])
             .diverges()
             .step("after", done)
-            .emits(Vec::<String>::new())
+            .emits([])
             .rule("resume", ["stop"])
             .restarts_from("after")
             .build();
@@ -855,130 +608,16 @@ mod tests {
     }
 
     #[test]
-    fn interval_pass_flags_divisor_spanning_zero() {
-        let plan = Plan::<()>::builder("div")
-            .inputs(["x"])
-            .input_domain("x", Interval::new(0.0, 1.0), Dimension::NONE)
-            .step("compute", done)
-            .transfer("y", Expr::num(1.0).div(Expr::var("x")))
-            .build();
-        let report = analyze(&plan);
-        let hits = report.with_code(Code::PossibleDivideByZero);
-        assert_eq!(hits.len(), 1, "{}", report.render_human());
-        assert_eq!(hits[0].subject, "step compute");
-    }
-
-    #[test]
-    fn interval_pass_flags_overflow_to_infinity() {
-        let plan = Plan::<()>::builder("overflow")
-            .step("blow-up", done)
-            .transfer("huge", Expr::num(1e308).mul(Expr::num(1e308)))
-            .build();
-        let report = analyze(&plan);
-        let hits = report.with_code(Code::PossiblyNonFinite);
-        assert_eq!(hits.len(), 1, "{}", report.render_human());
-        assert_eq!(hits[0].subject, "step blow-up");
-    }
-
-    #[test]
-    fn interval_pass_flags_provably_negative_geometry() {
-        let plan = Plan::<()>::builder("geometry")
-            .inputs(["a", "b"])
-            .input_domain("a", Interval::new(0.0, 1.0), Dimension::LENGTH)
-            .input_domain("b", Interval::new(2.0, 3.0), Dimension::LENGTH)
-            .step("size", done)
-            .transfer("l", Expr::var("a").sub(Expr::var("b")))
-            .build();
-        let report = analyze(&plan);
-        let hits = report.with_code(Code::NegativeGeometry);
-        assert_eq!(hits.len(), 1, "{}", report.render_human());
-        assert_eq!(hits[0].subject, "step size");
-        assert!(report.has_errors());
-    }
-
-    #[test]
-    fn interval_pass_flags_unit_mismatch() {
-        let plan = Plan::<()>::builder("units")
-            .inputs(["v", "i"])
-            .input_domain("v", Interval::new(1.0, 2.0), Dimension::VOLTAGE)
-            .input_domain("i", Interval::new(0.1, 0.2), Dimension::CURRENT)
-            .step("mix", done)
-            .transfer("bad", Expr::var("v").add(Expr::var("i")))
-            .build();
-        let report = analyze(&plan);
-        let hits = report.with_code(Code::UnitMismatch);
-        assert_eq!(hits.len(), 1, "{}", report.render_human());
-        assert_eq!(hits[0].subject, "step mix");
-    }
-
-    #[test]
-    fn interval_pass_flags_infeasible_requirement() {
-        let plan = Plan::<()>::builder("infeasible")
-            .inputs(["x"])
-            .input_domain("x", Interval::new(0.0, 1.0), Dimension::NONE)
-            .step("double", done)
-            .transfer("y", Expr::var("x").mul(Expr::num(2.0)))
-            .requires("y", Interval::new(10.0, 20.0))
-            .build();
-        let report = analyze(&plan);
-        let hits = report.with_code(Code::InfeasibleInterval);
-        assert_eq!(hits.len(), 1, "{}", report.render_human());
-        assert_eq!(hits[0].subject, "step double");
-    }
-
-    #[test]
-    fn interval_pass_accepts_feasible_requirement() {
-        let plan = Plan::<()>::builder("feasible")
-            .inputs(["x"])
-            .input_domain("x", Interval::new(0.0, 1.0), Dimension::NONE)
-            .step("double", done)
-            .transfer("y", Expr::var("x").mul(Expr::num(2.0)))
-            .requires("y", Interval::new(1.0, 20.0))
-            .build();
-        assert!(analyze(&plan).is_empty());
-    }
-
-    #[test]
-    fn rule_writes_havoc_and_suppress_interval_findings() {
-        // A patch rule may rewrite `x` arbitrarily, so the divisor's
-        // provenance is no longer known on the looping path — the
-        // analyzer must stay silent rather than guess.
-        let plan = Plan::<()>::builder("havoc")
-            .inputs(["x"])
-            .input_domain("x", Interval::new(0.5, 1.0), Dimension::NONE)
-            .step("compute", done)
-            .reads(["x"])
-            .writes(["y"])
-            .transfer("y", Expr::num(1.0).div(Expr::var("x")))
-            .requires("y", Interval::new(100.0, 200.0))
-            .emits(["miss"])
-            .rule("nudge", ["miss"])
-            .writes(["x"])
-            .retries()
-            .build();
-        let report = analyze(&plan);
-        assert!(
-            !report.contains(Code::PossibleDivideByZero)
-                && !report.contains(Code::InfeasibleInterval),
-            "{}",
-            report.render_human()
-        );
-    }
-
-    #[test]
-    fn widening_terminates_growth_loop() {
-        // `grow` keeps increasing x around a restart loop; widening must
-        // drive the bound to +∞ and converge instead of iterating
-        // forever. The widened interval still contains every concrete
-        // trajectory, so nothing is flagged.
+    fn restart_loop_analyzes_clean() {
+        // `grow` rewrites x around a restart loop: the definite
+        // assignment pass must converge on the loop, and x stays defined
+        // at `check` on every path.
         let plan = Plan::<()>::builder("loop")
             .inputs(["x"])
-            .input_domain("x", Interval::new(0.0, 0.0), Dimension::NONE)
             .step("grow", done)
             .reads(["x"])
             .writes(["x"])
-            .transfer("x", Expr::var("x").add(Expr::num(1.0)))
-            .emits(Vec::<String>::new())
+            .emits([])
             .step("check", done)
             .reads(["x"])
             .writes(Vec::<String>::new())

@@ -50,6 +50,18 @@ pub enum PlanError {
         /// The missing step name.
         step: String,
     },
+    /// A step body failed with a code its declared
+    /// [`emits`](crate::StepMeta::emits) list leaves out — a
+    /// knowledge-base bug: the analyzer reasoned from a list the step
+    /// does not keep.
+    UndeclaredCode {
+        /// The plan being executed.
+        plan: String,
+        /// The step that failed.
+        step: String,
+        /// The undeclared failure code.
+        code: &'static str,
+    },
     /// The cooperative deadline expired (or the job was cancelled) at a
     /// step boundary.
     DeadlineExceeded {
@@ -71,6 +83,7 @@ impl PlanError {
             | PlanError::Aborted { plan, .. }
             | PlanError::PatchBudgetExhausted { plan, .. }
             | PlanError::UnknownRestartTarget { plan, .. }
+            | PlanError::UndeclaredCode { plan, .. }
             | PlanError::DeadlineExceeded { plan, .. } => plan,
         }
     }
@@ -82,6 +95,7 @@ impl PlanError {
         match self {
             PlanError::Unpatched { step, .. }
             | PlanError::PatchBudgetExhausted { step, .. }
+            | PlanError::UndeclaredCode { step, .. }
             | PlanError::DeadlineExceeded { step, .. } => format!("step:{step}"),
             PlanError::Aborted { rule, .. } | PlanError::UnknownRestartTarget { rule, .. } => {
                 format!("rule:{rule}")
@@ -97,6 +111,7 @@ impl PlanError {
             PlanError::Aborted { .. } => "aborted",
             PlanError::PatchBudgetExhausted { .. } => "patch-budget",
             PlanError::UnknownRestartTarget { .. } => "unknown-restart",
+            PlanError::UndeclaredCode { .. } => "undeclared-code",
             PlanError::DeadlineExceeded { .. } => "deadline",
         }
     }
@@ -129,6 +144,13 @@ impl fmt::Display for PlanError {
                 write!(
                     f,
                     "plan `{plan}` rule `{rule}` requested restart from unknown step `{step}`"
+                )
+            }
+            PlanError::UndeclaredCode { plan, step, code } => {
+                write!(
+                    f,
+                    "plan `{plan}` step `{step}` failed with code `{code}`, which its \
+                     .emits() list does not declare"
                 )
             }
             PlanError::DeadlineExceeded {
@@ -171,6 +193,11 @@ mod tests {
                 rule: "bad".into(),
                 step: "x".into(),
             },
+            PlanError::UndeclaredCode {
+                plan: "p".into(),
+                step: "s".into(),
+                code: "c",
+            },
             PlanError::DeadlineExceeded {
                 plan: "p".into(),
                 step: "s".into(),
@@ -185,6 +212,7 @@ mod tests {
                 "aborted",
                 "patch-budget",
                 "unknown-restart",
+                "undeclared-code",
                 "deadline"
             ]
         );

@@ -98,7 +98,10 @@ impl PlanExecutor {
     /// * [`PlanError::Aborted`] — a rule decided the spec is infeasible
     ///   for this plan;
     /// * [`PlanError::PatchBudgetExhausted`] — the knowledge base thrashed;
-    /// * [`PlanError::UnknownRestartTarget`] — a rule bug.
+    /// * [`PlanError::UnknownRestartTarget`] — a rule bug;
+    /// * [`PlanError::UndeclaredCode`] — a step body failed with a code
+    ///   its declared [`emits`](crate::StepMeta::emits) leaves out (a step
+    ///   that declares none is not checked).
     pub fn run<S>(&self, plan: &Plan<S>, state: &mut S) -> Result<(), PlanError> {
         self.run_with(plan, state, &Telemetry::disabled())
     }
@@ -189,13 +192,17 @@ impl PlanExecutor {
             // Fault plane: an armed `plan.step` site turns this step's
             // outcome into a failure with code `fault-injected`, so the
             // rule/patch machinery sees it exactly like a real failure.
-            let outcome = if oasys_faults::armed() {
-                match oasys_faults::eval_err("plan.step") {
-                    Some(msg) => StepOutcome::Failed(StepFailure::new("fault-injected", msg)),
-                    None => (step.run)(state, ctx),
-                }
+            // It is not the body's own outcome, so the step's `.emits`
+            // need not list it.
+            let fault = if oasys_faults::armed() {
+                oasys_faults::eval_err("plan.step")
             } else {
-                (step.run)(state, ctx)
+                None
+            };
+            let injected = fault.is_some();
+            let outcome = match fault {
+                Some(msg) => StepOutcome::Failed(StepFailure::new("fault-injected", msg)),
+                None => (step.run)(state, ctx),
             };
 
             match outcome {
@@ -222,6 +229,18 @@ impl PlanExecutor {
                                 (sym!("message"), tel.text_str(failure.message())),
                             ],
                         );
+                    }
+
+                    // A body failing with a code its `.emits` leaves
+                    // out breaks the list the analyzer reasoned from.
+                    let declared = step.meta.emits.as_deref();
+                    if !injected && declared.is_some_and(|codes| !codes.contains(&failure.code())) {
+                        plan_span.annotate_sym(sym!("result"), sym!("undeclared-code"));
+                        return Err(PlanError::UndeclaredCode {
+                            plan: plan.name().to_owned(),
+                            step: step.name.to_string(),
+                            code: failure.code(),
+                        });
                     }
 
                     // Consult the rules in declaration order.
@@ -708,6 +727,59 @@ mod tests {
         assert!(err.to_string().contains("cancelled"), "{err}");
         flag.store(false, Ordering::Relaxed);
         PlanExecutor::new().run_in(&plan, &mut state, &ctx).unwrap();
+    }
+
+    /// A step that fails once with `code`, declaring `emits` when given,
+    /// and a rule that retries on `code`.
+    fn fails_once_with(code: &'static str, emits: Option<[&'static str; 1]>) -> Plan<Counter> {
+        let builder = Plan::<Counter>::builder("p").step("flaky", move |s: &mut Counter, _| {
+            s.attempts += 1;
+            if s.attempts >= 2 {
+                StepOutcome::Done
+            } else {
+                StepOutcome::failed(code, "first try")
+            }
+        });
+        let builder = match emits {
+            Some(codes) => builder.emits(codes),
+            None => builder,
+        };
+        builder.rule("again", [code]).retries().build()
+    }
+
+    #[test]
+    fn undeclared_failure_code_ends_the_run() {
+        let plan = fails_once_with("surprise", Some(["expected"]));
+        let tel = Telemetry::new();
+        let err = PlanExecutor::new()
+            .run_with(&plan, &mut Counter::default(), &tel)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            PlanError::UndeclaredCode {
+                plan: "p".into(),
+                step: "flaky".into(),
+                code: "surprise",
+            }
+        );
+        assert_eq!(err.kind(), "undeclared-code");
+        assert_eq!(err.site(), "step:flaky");
+        assert_eq!(tel.counter("plan.step_failures"), 1);
+        assert_eq!(tel.counter("plan.rule_firings"), 0, "no rule saw it");
+    }
+
+    #[test]
+    fn declared_failure_code_lets_the_rule_fire() {
+        // Declared, or not declared at all: the rule handles the failure.
+        for emits in [Some(["surprise"]), None] {
+            let tel = Telemetry::new();
+            let mut state = Counter::default();
+            PlanExecutor::new()
+                .run_with(&fails_once_with("surprise", emits), &mut state, &tel)
+                .unwrap();
+            assert_eq!(state.attempts, 2);
+            assert_eq!(tel.counter("plan.rule_firings"), 1);
+        }
     }
 
     #[test]

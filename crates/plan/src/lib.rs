@@ -78,11 +78,5 @@ pub use engine::{
 };
 pub use error::PlanError;
 pub use executor::{ExecutorConfig, PlanExecutor};
-pub use interval::{
-    eval, first_infeasible, AbstractValue, EvalIssue, EvalIssueKind, EvalOutcome, Expr, Interval,
-    PerfRelation,
-};
-pub use plan::{
-    InputDomain, PatchAction, Plan, PlanBuilder, Requirement, RuleMeta, StepFailure, StepMeta,
-    StepOutcome, Transfer,
-};
+pub use interval::{first_infeasible, Interval, PerfRelation};
+pub use plan::{PatchAction, Plan, PlanBuilder, RuleMeta, StepFailure, StepMeta, StepOutcome};

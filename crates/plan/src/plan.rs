@@ -2,8 +2,6 @@
 
 use crate::engine::DesignContext;
 use crate::executor::PlanSyms;
-use crate::interval::{Expr, Interval};
-use oasys_units::Dimension;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -86,69 +84,24 @@ type RuleGuard<S> = Box<dyn Fn(&S) -> bool + Send + Sync>;
 /// aborts the plan with that reason.
 type RulePatch<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> Result<(), String> + Send + Sync>;
 
-/// A declared transfer function: the abstract effect of a step on one
-/// state variable, set with [`PlanBuilder::transfer`].
-///
-/// The concrete step body must compute a value *inside* the expression's
-/// abstract result (the expression may over-approximate, never
-/// under-approximate) for the interval analysis to stay sound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transfer {
-    /// The state variable the step assigns.
-    pub target: String,
-    /// The declared arithmetic producing it.
-    pub expr: Expr,
-}
-
-/// A declared precondition: the step can only complete when the named
-/// variable lies inside the interval, set with [`PlanBuilder::requires`].
-/// The analyzer flags a requirement whose intersection with the
-/// variable's derived interval is provably empty (OL205).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Requirement {
-    /// The state variable the step constrains.
-    pub var: String,
-    /// The interval the variable must lie in for the step to succeed.
-    pub interval: Interval,
-}
-
-/// A declared plan-input domain: the initial interval and physical
-/// dimension of one input variable, set with
-/// [`PlanBuilder::input_domain`]. Inputs without a declared domain start
-/// the interval analysis fully unknown.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InputDomain {
-    /// The input variable.
-    pub var: String,
-    /// Its initial interval.
-    pub interval: Interval,
-    /// Its physical dimension.
-    pub dim: Dimension,
-}
-
 /// Declared dataflow facts about a step, set with the
 /// [`PlanBuilder::reads`]/[`PlanBuilder::writes`]/[`PlanBuilder::emits`]/
-/// [`PlanBuilder::diverges`]/[`PlanBuilder::transfer`]/
-/// [`PlanBuilder::requires`] chained modifiers. `None` means
+/// [`PlanBuilder::diverges`] chained modifiers. `None` means
 /// "undeclared": the static analyzer skips the checks that need the
 /// missing fact instead of guessing.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepMeta {
     /// State variables the step body reads.
     pub reads: Option<Vec<String>>,
     /// State variables the step body writes when it completes.
     pub writes: Option<Vec<String>>,
-    /// Failure codes the step can emit.
-    pub emits: Option<Vec<String>>,
+    /// Failure codes the step body can report. The executor holds the
+    /// body to them: a failure with any other code ends the run with
+    /// [`crate::PlanError::UndeclaredCode`].
+    pub emits: Option<Vec<&'static str>>,
     /// True when the step never completes normally (it always fails or
     /// aborts), so sequential flow never continues past it.
     pub diverges: bool,
-    /// Declared transfer functions, in assignment order. `None` means
-    /// the step's arithmetic is undeclared: the interval analyzer
-    /// havocs the step's declared writes instead of tracking them.
-    pub transfers: Option<Vec<Transfer>>,
-    /// Declared preconditions on state variables.
-    pub requires: Option<Vec<Requirement>>,
 }
 
 /// Declared facts about a patch rule. The codes come from
@@ -197,7 +150,6 @@ pub struct Plan<S> {
     pub(crate) steps: Vec<Step<S>>,
     pub(crate) rules: Vec<Rule<S>>,
     pub(crate) inputs: Vec<String>,
-    pub(crate) input_domains: Vec<InputDomain>,
     /// The interned span, step and rule names, filled on the plan's
     /// first recorded run.
     pub(crate) syms: OnceLock<PlanSyms>,
@@ -212,7 +164,6 @@ impl<S> Plan<S> {
             steps: Vec::new(),
             rules: Vec::new(),
             inputs: Vec::new(),
-            input_domains: Vec::new(),
             continuations: Vec::new(),
             last: LastAdded::None,
         }
@@ -254,13 +205,6 @@ impl<S> Plan<S> {
     #[must_use]
     pub fn inputs(&self) -> &[String] {
         &self.inputs
-    }
-
-    /// Declared input domains (interval + dimension) for the interval
-    /// analyzer, in declaration order.
-    #[must_use]
-    pub fn input_domains(&self) -> &[InputDomain] {
-        &self.input_domains
     }
 
     /// Declared metadata of the step at `index`.
@@ -316,14 +260,14 @@ enum LastAdded {
 ///
 /// The chained dataflow modifiers ([`Self::reads`], [`Self::writes`],
 /// [`Self::emits`], [`Self::diverges`]) annotate the most recently added
-/// step or rule for the analyzer only. They are optional; undeclared
-/// facts disable the checks that need them.
+/// step or rule. They are optional; undeclared facts disable the checks
+/// that need them. The analyzer reads all four, and the executor also
+/// holds each step body to its declared [`Self::emits`] codes.
 pub struct PlanBuilder<S> {
     name: String,
     steps: Vec<Step<S>>,
     rules: Vec<Rule<S>>,
     inputs: Vec<String>,
-    input_domains: Vec<InputDomain>,
     /// How many continuations each rule declared; `build` wants one.
     continuations: Vec<usize>,
     last: LastAdded,
@@ -368,78 +312,6 @@ impl<S> PlanBuilder<S> {
         T: Into<String>,
     {
         self.inputs.extend(vars.into_iter().map(Into::into));
-        self
-    }
-
-    /// Declares the value domain (interval + physical dimension) of a
-    /// plan input for the static interval analyzer. Inputs without a
-    /// declared domain are treated as unknown and never produce
-    /// interval diagnostics.
-    #[must_use]
-    pub fn input_domain(
-        mut self,
-        var: impl Into<String>,
-        interval: Interval,
-        dim: Dimension,
-    ) -> Self {
-        self.input_domains.push(InputDomain {
-            var: var.into(),
-            interval,
-            dim,
-        });
-        self
-    }
-
-    /// Declares that the last-added step computes `target` as the given
-    /// interval expression over previously known variables. Transfers
-    /// evaluate in declaration order during static analysis.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the last-added item is not a step.
-    #[must_use]
-    pub fn transfer(mut self, target: impl Into<String>, expr: Expr) -> Self {
-        let Some(step) = self
-            .steps
-            .last_mut()
-            .filter(|_| self.last == LastAdded::Step)
-        else {
-            panic!("plan `{}`: .transfer() must follow a step", self.name);
-        };
-        step.meta
-            .transfers
-            .get_or_insert_with(Vec::new)
-            .push(Transfer {
-                target: target.into(),
-                expr,
-            });
-        self
-    }
-
-    /// Declares that after the last-added step completes, `var` must lie
-    /// within `interval` for the plan to be feasible. The static
-    /// analyzer reports OL205 when the variable's derived interval
-    /// provably cannot intersect the requirement.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the last-added item is not a step.
-    #[must_use]
-    pub fn requires(mut self, var: impl Into<String>, interval: Interval) -> Self {
-        let Some(step) = self
-            .steps
-            .last_mut()
-            .filter(|_| self.last == LastAdded::Step)
-        else {
-            panic!("plan `{}`: .requires() must follow a step", self.name);
-        };
-        step.meta
-            .requires
-            .get_or_insert_with(Vec::new)
-            .push(Requirement {
-                var: var.into(),
-                interval,
-            });
         self
     }
 
@@ -492,16 +364,16 @@ impl<S> PlanBuilder<S> {
     }
 
     /// Declares the failure codes the last-added step can emit. Call
-    /// with an empty list for a step that never fails.
+    /// with an empty list for a step that never fails. The executor
+    /// checks each failure the step body reports against this list.
     ///
     /// # Panics
     ///
     /// Panics when the last-added item is not a step.
     #[must_use]
-    pub fn emits<I, T>(mut self, codes: I) -> Self
+    pub fn emits<I>(mut self, codes: I) -> Self
     where
-        I: IntoIterator<Item = T>,
-        T: Into<String>,
+        I: IntoIterator<Item = &'static str>,
     {
         let Some(step) = self
             .steps
@@ -510,10 +382,7 @@ impl<S> PlanBuilder<S> {
         else {
             panic!("plan `{}`: .emits() must follow a step", self.name);
         };
-        step.meta
-            .emits
-            .get_or_insert_with(Vec::new)
-            .extend(codes.into_iter().map(Into::into));
+        step.meta.emits.get_or_insert_with(Vec::new).extend(codes);
         self
     }
 
@@ -660,7 +529,6 @@ impl<S> PlanBuilder<S> {
             steps: self.steps,
             rules: self.rules,
             inputs: self.inputs,
-            input_domains: self.input_domains,
             syms: OnceLock::new(),
         }
     }
@@ -669,36 +537,6 @@ impl<S> PlanBuilder<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_records_domains_transfers_and_requirements() {
-        let plan = Plan::<i32>::builder("annotated")
-            .inputs(["x"])
-            .input_domain("x", Interval::new(0.5, 2.0), Dimension::VOLTAGE)
-            .step("compute", |_, _| StepOutcome::Done)
-            .transfer("y", Expr::div(Expr::num(1.0), Expr::var("x")))
-            .requires("y", Interval::new(0.0, 10.0))
-            .build();
-        assert_eq!(plan.input_domains().len(), 1);
-        assert_eq!(plan.input_domains()[0].var, "x");
-        assert_eq!(plan.input_domains()[0].dim, Dimension::VOLTAGE);
-        let meta = &plan.steps[0].meta;
-        assert_eq!(meta.transfers.as_ref().map(Vec::len), Some(1));
-        assert_eq!(meta.requires.as_ref().map(Vec::len), Some(1));
-        assert_eq!(
-            meta.requires
-                .as_ref()
-                .and_then(|r| r.first())
-                .map(|r| r.var.as_str()),
-            Some("y")
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "must follow a step")]
-    fn transfer_before_any_step_panics() {
-        let _ = Plan::<i32>::builder("bad").transfer("y", Expr::num(1.0));
-    }
 
     #[test]
     fn builder_collects_steps_and_rules() {
@@ -741,7 +579,7 @@ mod tests {
             .step("b", |_, _| StepOutcome::Done)
             .reads(["x"])
             .writes(["z"])
-            .emits(Vec::<String>::new())
+            .emits([])
             .diverges()
             .rule("r", ["a-failed"])
             .when(|_| true)
@@ -756,7 +594,7 @@ mod tests {
             a.writes.as_deref(),
             Some(&["x".to_string(), "y".to_string()][..])
         );
-        assert_eq!(a.emits.as_deref(), Some(&["a-failed".to_string()][..]));
+        assert_eq!(a.emits.as_deref(), Some(&["a-failed"][..]));
         assert!(!a.diverges);
         let b = plan.step_meta(1);
         assert_eq!(b.emits.as_deref(), Some(&[][..]));

@@ -1,6 +1,8 @@
 //! An injected `plan.step` fault flows through the patch plane: the
 //! failed execution reports code `fault-injected`, a rule naming that
-//! code fires, and the plan completes. The fault registry is
+//! code fires, and the plan completes. The step's `.emits` need not
+//! list the code: the fault is not the body's own outcome, so the
+//! executor's declared-code check lets it through. The fault registry is
 //! process-wide and the armed site fires in whichever plan reaches it
 //! first, so this binary holds a single test and no sibling's plan can
 //! take the fault.
@@ -20,6 +22,7 @@ fn injected_step_fault_flows_through_the_patch_plane() {
             *attempts += 1;
             StepOutcome::Done
         })
+        .emits(["work-failed"])
         .rule("absorb-fault", ["fault-injected"])
         .retries()
         .build();

@@ -35,10 +35,8 @@
 //! # }
 //! ```
 
-mod dimension;
 mod parse;
 
-pub use dimension::Dimension;
 pub use parse::ParseQuantityError;
 
 use std::fmt;
