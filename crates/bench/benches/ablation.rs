@@ -2,8 +2,10 @@
 //! style) versus designing a single style.
 
 use oasys::spec::test_cases;
+use oasys::OpAmpStyle;
 use oasys_bench::harness::Bencher;
 use oasys_process::builtin;
+use oasys_telemetry::Telemetry;
 use std::hint::black_box;
 
 fn main() {
@@ -14,7 +16,13 @@ fn main() {
         oasys::synthesize(black_box(&spec), black_box(&process)).unwrap()
     });
     b.bench("selection/single_style", || {
-        oasys::styles::design_one_stage(black_box(&spec), black_box(&process)).unwrap()
+        oasys::styles::design(
+            OpAmpStyle::OneStageOta,
+            black_box(&spec),
+            black_box(&process),
+            &Telemetry::disabled(),
+        )
+        .unwrap()
     });
     b.finish();
 }

@@ -55,19 +55,15 @@ fn main() {
     let (mut open_loop, ac_out) =
         oasys::verify::open_loop_bench(&design_c, &process, spec_c.load().farads()).unwrap();
     let offset =
-        oasys_sim::sweep::bisect_input(&open_loop, &process, "VIP", ac_out, 0.0, -0.5, 0.5)
+        oasys_sim::sweep::bisect_input(&open_loop, &process, "VIP", ac_out, 0.0, -0.5, 0.5, &tel)
             .unwrap();
     open_loop.set_source_dc("VIP", offset).unwrap();
-    let nulled = oasys_sim::dc::solve(&open_loop, &process).unwrap();
+    let nulled = oasys_sim::dc::solve(&open_loop, &process, &tel).unwrap();
     let ac_spec = oasys_sim::AcSweepSpec::standard();
     b.bench("sim/ac_sweep_case_c", || {
-        oasys_sim::ac::solve_at(
-            black_box(&open_loop),
-            black_box(&process),
-            &nulled,
-            &ac_spec,
-        )
-        .unwrap()
+        oasys_sim::ac::AcSystem::new(black_box(&open_loop), black_box(&process), &nulled)
+            .sweep(&ac_spec, &tel)
+            .unwrap()
     });
 
     let (swing, swing_out, points) = oasys::verify::swing_bench(&design, &process).unwrap();
@@ -78,13 +74,14 @@ fn main() {
             "VSW",
             swing_out,
             &points,
+            &tel,
         )
         .unwrap()
     });
 
     let circuit = dc_chain();
     b.bench("sim/dc_newton_chain", || {
-        oasys_sim::dc::solve(black_box(&circuit), black_box(&process)).unwrap()
+        oasys_sim::dc::solve(black_box(&circuit), black_box(&process), &tel).unwrap()
     });
     b.finish();
 }

@@ -3,7 +3,7 @@
 //! The reproduction synthesizes each case in well under a millisecond.
 
 use oasys::spec::test_cases;
-use oasys::{synthesize, synthesize_with, synthesize_with_options, SearchOptions};
+use oasys::{synthesize, synthesize_with, synthesize_with_options, OpAmpStyle, SearchOptions};
 use oasys_bench::harness::Bencher;
 use oasys_bench::summary;
 use oasys_process::builtin;
@@ -233,7 +233,13 @@ fn main() {
 
     let spec = test_cases::spec_a().with_dc_gain_db(80.0);
     b.bench("figure7/two_stage_80db", || {
-        oasys::styles::design_two_stage(black_box(&spec), black_box(&process)).unwrap()
+        oasys::styles::design(
+            OpAmpStyle::TwoStage,
+            black_box(&spec),
+            black_box(&process),
+            &Telemetry::disabled(),
+        )
+        .unwrap()
     });
 
     let comp_spec = oasys::comparator::ComparatorSpec::builder()

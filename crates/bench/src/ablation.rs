@@ -15,9 +15,17 @@
 //!    templates (the paper's argument for hierarchy).
 
 use oasys::spec::test_cases;
-use oasys::styles::{design_one_stage, design_two_stage};
-use oasys::{synthesize, OpAmpStyle};
-use oasys_process::builtin;
+use oasys::spec::OpAmpSpec;
+use oasys::{synthesize, OpAmpDesign, OpAmpStyle};
+use oasys_process::{builtin, Process};
+use oasys_telemetry::Telemetry;
+
+/// The one-stage and two-stage designs for `spec`, each `None` where the
+/// style fails: the paper's two op-amp templates.
+fn paper_styles(spec: &OpAmpSpec, process: &Process) -> [Option<OpAmpDesign>; 2] {
+    [OpAmpStyle::OneStageOta, OpAmpStyle::TwoStage]
+        .map(|style| oasys::styles::design(style, spec, process, &Telemetry::disabled()).ok())
+}
 
 /// Result of the patching ablation at one gain point.
 #[derive(Clone, Copy, Debug)]
@@ -44,10 +52,7 @@ pub fn patching_ablation() -> Vec<PatchAblationPoint> {
     let mut gain_db = 35.0;
     while gain_db <= 110.0 {
         let spec = base.with_dc_gain_db(gain_db);
-        let designs = [
-            design_one_stage(&spec, &process).ok(),
-            design_two_stage(&spec, &process).ok(),
-        ];
+        let designs = paper_styles(&spec, &process);
         let with_rules = designs.iter().any(Option::is_some);
         let without_structural_rules = designs.iter().flatten().any(|d| {
             !d.notes()
@@ -115,13 +120,7 @@ pub fn reachable_topologies() -> usize {
     let mut gain_db = 35.0;
     while gain_db <= 110.0 {
         let spec = base.with_dc_gain_db(gain_db);
-        for design in [
-            design_one_stage(&spec, &process).ok(),
-            design_two_stage(&spec, &process).ok(),
-        ]
-        .into_iter()
-        .flatten()
-        {
+        for design in paper_styles(&spec, &process).into_iter().flatten() {
             signatures.insert(format!(
                 "{}:{}:{}",
                 design.style(),

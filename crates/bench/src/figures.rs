@@ -179,19 +179,20 @@ pub fn figure7_sweep(load_pf: f64) -> Vec<Fig7Point> {
                 .iter()
                 .any(|n| n.contains("cascoded") || n.contains("shifter"))
         };
-        let one = oasys::styles::design_one_stage(&spec, &process)
-            .ok()
-            .map(|d| (d.area().total_um2(), d.device_count(), structural(&d)));
-        let two = oasys::styles::design_two_stage(&spec, &process)
-            .ok()
-            .map(|d| (d.area().total_um2(), d.device_count(), structural(&d)));
-        let folded = oasys::styles::design_folded_cascode(&spec, &process)
-            .ok()
-            .map(|d| (d.area().total_um2(), d.device_count(), structural(&d)));
+        let [one_stage, two_stage, folded] = [
+            OpAmpStyle::OneStageOta,
+            OpAmpStyle::TwoStage,
+            OpAmpStyle::FoldedCascode,
+        ]
+        .map(|style| {
+            oasys::styles::design(style, &spec, &process, &Telemetry::disabled())
+                .ok()
+                .map(|d| (d.area().total_um2(), d.device_count(), structural(&d)))
+        });
         points.push(Fig7Point {
             gain_spec_db: gain_db,
-            one_stage: one,
-            two_stage: two,
+            one_stage,
+            two_stage,
             folded,
         });
         gain_db += 2.5;

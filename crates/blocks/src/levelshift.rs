@@ -259,6 +259,7 @@ mod tests {
     use oasys_netlist::SourceValue;
     use oasys_process::builtin;
     use oasys_sim::dc;
+    use oasys_telemetry::Telemetry;
 
     fn process() -> Process {
         builtin::cmos_5um()
@@ -322,7 +323,7 @@ mod tests {
             .unwrap();
         ls.emit(&mut c, "LS_", input, output, vdd, vss).unwrap();
 
-        let sol = dc::solve(&c, &p).unwrap();
+        let sol = dc::solve(&c, &p, &Telemetry::disabled()).unwrap();
         let shift = sol.voltage(input) - sol.voltage(output);
         assert!(
             (shift - 2.0).abs() < 0.1,

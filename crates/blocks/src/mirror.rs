@@ -794,7 +794,7 @@ mod tests {
             .unwrap();
         m.emit(&mut c, "M_", input, output, gnd, None).unwrap();
 
-        let sol = dc::solve(&c, &p).unwrap();
+        let sol = dc::solve(&c, &p, &Telemetry::disabled()).unwrap();
         // The NMOS mirror sinks I_out from the output node; the VOUT
         // source supplies it, so its branch current (pos→neg through the
         // source) is −I_out.
@@ -933,7 +933,7 @@ mod tests {
         c.add_vsource("VOUT", output, gnd, SourceValue::dc(2.0))
             .unwrap();
         m.emit(&mut c, "MP_", input, output, vdd, None).unwrap();
-        let sol = dc::solve(&c, &p).unwrap();
+        let sol = dc::solve(&c, &p, &Telemetry::disabled()).unwrap();
         // The PMOS mirror pushes I_out into the output node; the VOUT
         // source absorbs it, so its branch current is +I_out.
         let iout = sol.source_current("VOUT").unwrap();

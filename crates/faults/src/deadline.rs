@@ -1,7 +1,7 @@
 //! Cooperative deadlines: a cheap, clonable token computation loops
-//! check at their natural checkpoints (Newton iterations, plan steps,
-//! style attempts) so a diverging job aborts *inside* the computation
-//! instead of being abandoned on a detached thread.
+//! check at their natural checkpoints (plan steps) so an overrunning job
+//! aborts *inside* the computation instead of being abandoned on a
+//! detached thread.
 
 use std::error::Error;
 use std::fmt;

@@ -165,13 +165,6 @@ impl Diagnostic {
         }
     }
 
-    /// Overrides the severity.
-    #[must_use]
-    pub fn with_severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
-        self
-    }
-
     /// `scope: subject` or just `scope` when there is no subject.
     #[must_use]
     pub fn location(&self) -> String {

@@ -42,12 +42,6 @@ impl Region {
     pub fn is_saturation(self) -> bool {
         self == Region::Saturation
     }
-
-    /// Returns `true` for [`Region::Cutoff`].
-    #[must_use]
-    pub fn is_cutoff(self) -> bool {
-        self == Region::Cutoff
-    }
 }
 
 impl fmt::Display for Region {

@@ -254,9 +254,6 @@ impl fmt::Display for ComparatorError {
 
 impl std::error::Error for ComparatorError {}
 
-/// Empty annotation list (the builder cannot infer element types from `[]`).
-const NONE: [&str; 0] = [];
-
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("comparator")
         .inputs(["spec", "process", "speed_boost", "stage_cap"])
@@ -293,7 +290,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "process", "stages", "stage_cap", "speed_boost"])
         .writes(["i_tail", "gm1"])
-        .emits(NONE)
+        .emits([])
         .step("design-stage", |s: &mut State, _| {
             let pair_spec = DiffPairSpec::new(Polarity::Nmos, s.gm1, s.i_tail);
             let pair = match DiffPair::design(&pair_spec, &s.process) {
@@ -370,7 +367,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["gm1", "stages", "pair", "load"])
         .writes(["predicted_gain"])
-        .emits(NONE)
+        .emits([])
         .rule("speed-up", ["too-slow"])
         .when(|s: &State| s.speed_boost < 16.0)
         .patch(|s: &mut State, _| {
@@ -381,7 +378,7 @@ fn build_plan() -> Plan<State> {
         .writes(["speed_boost"])
         .restarts_from("stage-current")
         .rule("give-up", ["too-many-stages", "stage-design", "too-slow"])
-        .writes(NONE)
+        .writes([])
         .aborts("comparator infeasible")
         .build()
 }
@@ -553,6 +550,7 @@ mod tests {
     use oasys_netlist::SourceValue;
     use oasys_process::builtin;
     use oasys_sim::tran::{self, Stimuli, TranSpec};
+    use oasys_telemetry::Telemetry;
 
     fn spec() -> ComparatorSpec {
         ComparatorSpec::builder()
@@ -640,7 +638,9 @@ mod tests {
         let settled = |vin: f64| -> f64 {
             let mut c = bench.clone();
             c.set_source_dc("VIP", vin).unwrap();
-            oasys_sim::dc::solve(&c, &process).unwrap().voltage(out)
+            oasys_sim::dc::solve(&c, &process, &Telemetry::disabled())
+                .unwrap()
+                .voltage(out)
         };
         let v_lo = settled(-0.05);
         let v_hi = settled(0.05);
@@ -652,7 +652,7 @@ mod tests {
         let mut stimuli = Stimuli::new();
         stimuli.step("VIP", -spec.resolution_v(), spec.resolution_v(), 20e-9);
         let tspec = TranSpec::new(spec.decision_s() * 1.5, spec.decision_s() / 400.0).unwrap();
-        let sol = tran::solve(&bench, &process, &tspec, &stimuli).unwrap();
+        let sol = tran::solve(&bench, &process, &tspec, &stimuli, &Telemetry::disabled()).unwrap();
         let w = sol.waveform(out);
         let crossing = sol
             .times()

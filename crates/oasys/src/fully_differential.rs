@@ -289,9 +289,6 @@ impl State {
     }
 }
 
-/// Empty annotation list (the builder cannot infer element types from `[]`).
-const NONE: [&str; 0] = [];
-
 fn build_plan() -> Plan<State> {
     Plan::<State>::builder("fully differential")
         .inputs(["spec", "process", "vov1"])
@@ -303,7 +300,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "vov1"])
         .writes(["i_tail", "gm1"])
-        .emits(NONE)
+        .emits([])
         .step("gain-budget", |s: &mut State, _| {
             // The output conductance budget covers three loads per side:
             // the pair device, the current-source load, and the CM sense
@@ -446,7 +443,7 @@ fn build_plan() -> Plan<State> {
         .writes(["vov1"])
         .restarts_from("size-input")
         .rule("give-up", ["gain-short", "block-design"])
-        .writes(NONE)
+        .writes([])
         .aborts("fully-differential style infeasible")
         .build()
 }
@@ -573,8 +570,16 @@ mod tests {
     use super::*;
     use oasys_netlist::SourceValue;
     use oasys_process::builtin;
-    use oasys_sim::ac::AcSweepSpec;
-    use oasys_sim::{ac, dc};
+    use oasys_sim::ac::{AcSolution, AcSweepSpec, AcSystem};
+    use oasys_sim::dc;
+    use oasys_telemetry::Telemetry;
+
+    /// The DC point of `c`, then the AC sweep over `spec`.
+    fn ac_sweep(c: &Circuit, process: &Process, spec: &AcSweepSpec) -> AcSolution {
+        let tel = Telemetry::disabled();
+        let op = dc::solve(c, process, &tel).unwrap();
+        AcSystem::new(c, process, &op).sweep(spec, &tel).unwrap()
+    }
 
     fn spec() -> FdSpec {
         FdSpec::builder()
@@ -627,7 +632,7 @@ mod tests {
         let process = builtin::cmos_5um();
         let d = design_fully_differential(&spec(), &process).unwrap();
         let (c, outp, outn) = bench(&d, true);
-        let sol = dc::solve(&c, &process).unwrap();
+        let sol = dc::solve(&c, &process, &Telemetry::disabled()).unwrap();
         let cm = 0.5 * (sol.voltage(outp) + sol.voltage(outn));
         assert!(
             cm.abs() <= d.spec().cm_error_v(),
@@ -644,7 +649,7 @@ mod tests {
         let d = design_fully_differential(&spec(), &process).unwrap();
         let (c, outp, outn) = bench(&d, true);
         let sweep = AcSweepSpec::new(10.0, 1e8, 5).unwrap();
-        let acs = ac::solve(&c, &process, &sweep).unwrap();
+        let acs = ac_sweep(&c, &process, &sweep);
         let hd = acs.value(0, outp) - acs.value(0, outn);
         let gain_db = 20.0 * hd.abs().log10();
         assert!(
@@ -673,7 +678,7 @@ mod tests {
         // Common-mode excitation: both inputs together.
         let (c, outp, outn) = bench(&d, false);
         let sweep = AcSweepSpec::new(10.0, 100.0, 1).unwrap();
-        let acs = ac::solve(&c, &process, &sweep).unwrap();
+        let acs = ac_sweep(&c, &process, &sweep);
         // The differential response to a CM stimulus is ideally zero.
         let h_dm_from_cm = (acs.value(0, outp) - acs.value(0, outn)).abs();
         assert!(h_dm_from_cm < 0.2, "CM→DM conversion {h_dm_from_cm:.3}");

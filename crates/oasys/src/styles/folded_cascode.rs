@@ -15,7 +15,7 @@
 //! gain, leaving the folded cascode a middle band — a genuinely
 //! three-way Figure 7.
 
-use super::{run_style, OpAmpDesign, OpAmpStyle, StyleDef, StyleError, StyleState};
+use super::{OpAmpStyle, StyleDef, StyleState};
 use crate::datasheet::Predicted;
 use crate::spec::OpAmpSpec;
 use oasys_blocks::area::AreaEstimate;
@@ -23,9 +23,8 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::{sizing, Geometry, Mosfet};
 use oasys_netlist::Circuit;
-use oasys_plan::{DesignContext, Interval, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::Telemetry;
 use std::sync::OnceLock;
 
 /// Initial pair overdrive target, V.
@@ -34,9 +33,6 @@ const VOV1_INIT: f64 = 0.20;
 const VOV_C: f64 = 0.25;
 /// Sheet resistance assumed for bias resistors, Ω/square.
 const BIAS_SHEET_OHMS: f64 = 10_000.0;
-
-/// Empty annotation list (the builder cannot infer element types from `[]`).
-const NONE: [&str; 0] = [];
 
 pub(super) struct State {
     spec: OpAmpSpec,
@@ -156,7 +152,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process"])
-        .writes(NONE)
+        .writes([])
         .emits(["spec-unsupported"])
         .step("size-input", |s: &mut State, _| {
             let gm_min = 2.0
@@ -170,7 +166,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "vov1"])
         .writes(["gm1", "i_tail"])
-        .emits(NONE)
+        .emits([])
         .step("design-pair", |s: &mut State, ctx| {
             // The pair's r_o barely matters (the fold node is low
             // impedance), so minimum length serves.
@@ -423,7 +419,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "gm1", "i_tail"])
-        .writes(NONE)
+        .writes([])
         .emits(["noise-high"])
         .step("check-power", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
@@ -437,7 +433,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process", "i_tail"])
-        .writes(NONE)
+        .writes([])
         .emits(["power-high"])
         .step("predict", |s: &mut State, _| {
             let span = s.process.supply_span().volts();
@@ -469,7 +465,7 @@ fn build_plan() -> Plan<State> {
             "spec", "process", "gm1", "i_tail", "rout", "tail", "pm_deg", "swing", "offset_v",
         ])
         .writes(["predicted"])
-        .emits(NONE)
+        .emits([])
         // ---- patch rules ----
         .rule("lower-pair-overdrive", ["gain-short", "noise-high"])
         .when(|s: &State| s.vov1 > 0.06)
@@ -497,7 +493,7 @@ fn build_plan() -> Plan<State> {
                 "noise-high",
             ],
         )
-        .writes(NONE)
+        .writes([])
         .aborts("folded-cascode style infeasible")
         .build()
 }
@@ -511,35 +507,8 @@ impl State {
     }
 }
 
-/// Runs the folded-cascode plan and assembles the sized schematic.
-///
-/// # Errors
-///
-/// [`StyleError::Plan`] when the plan cannot meet the specification;
-/// [`StyleError::Netlist`] for template assembly bugs.
-pub fn design_folded_cascode(
-    spec: &OpAmpSpec,
-    process: &Process,
-) -> Result<OpAmpDesign, StyleError> {
-    let tel = Telemetry::disabled();
-    design_folded_cascode_with(spec, process, &tel)
-}
-
-/// [`design_folded_cascode`] with run telemetry recorded into `tel`.
-///
-/// # Errors
-///
-/// Same failure modes as [`design_folded_cascode`].
-pub fn design_folded_cascode_with(
-    spec: &OpAmpSpec,
-    process: &Process,
-    tel: &Telemetry,
-) -> Result<OpAmpDesign, StyleError> {
-    run_style::<FoldedCascodeDef>(spec, process, &DesignContext::new(tel))
-}
-
 /// The folded cascode's [`StyleDef`]: the plan above plus state
-/// construction. Everything else is the shared [`run_style`] engine.
+/// construction. Everything else is the shared [`run_style`](super::run_style) engine.
 pub(super) struct FoldedCascodeDef;
 
 impl StyleDef for FoldedCascodeDef {
@@ -680,7 +649,14 @@ fn emit(state: &State) -> Result<Circuit, oasys_netlist::ValidateError> {
 mod tests {
     use super::*;
     use crate::spec::test_cases;
+    use crate::styles::{OpAmpDesign, StyleError};
     use oasys_process::builtin;
+    use oasys_telemetry::Telemetry;
+
+    /// The folded cascode designed for `spec` on the 5 µm kit.
+    fn attempt(spec: &OpAmpSpec, tel: &Telemetry) -> Result<OpAmpDesign, StyleError> {
+        crate::styles::design(OpAmpStyle::FoldedCascode, spec, &builtin::cmos_5um(), tel)
+    }
 
     #[test]
     fn plan_analyzes_clean() {
@@ -700,7 +676,7 @@ mod tests {
             .output_swing_v(2.5)
             .build()
             .unwrap();
-        let d = design_folded_cascode(&spec, &builtin::cmos_5um()).unwrap();
+        let d = attempt(&spec, &Telemetry::disabled()).unwrap();
         assert_eq!(d.style(), OpAmpStyle::FoldedCascode);
         let p = d.predicted();
         assert!(p.dc_gain_db >= 80.0, "gain {:.1}", p.dc_gain_db);
@@ -723,14 +699,14 @@ mod tests {
             .output_swing_v(4.0)
             .build()
             .unwrap();
-        assert!(design_folded_cascode(&spec, &builtin::cmos_5um()).is_err());
+        assert!(attempt(&spec, &Telemetry::disabled()).is_err());
     }
 
     #[test]
     fn case_a_is_feasible_but_hungry() {
         // Case A fits the folded cascode electrically; the style burns
         // several branches of current doing it.
-        let d = design_folded_cascode(&test_cases::spec_a(), &builtin::cmos_5um());
+        let d = attempt(&test_cases::spec_a(), &Telemetry::disabled());
         if let Ok(d) = d {
             assert!(d.predicted().power_w > 2.0 * 200e-6);
         }
@@ -748,7 +724,7 @@ mod tests {
             .build()
             .unwrap();
         let process = builtin::cmos_5um();
-        let d = design_folded_cascode(&spec, &process).unwrap();
+        let d = attempt(&spec, &Telemetry::disabled()).unwrap();
         let v = crate::verify(&d, &process, spec.load().farads()).unwrap();
         let m = &v.measured;
         assert!(
@@ -766,6 +742,6 @@ mod tests {
     #[test]
     fn gain_beyond_single_stage_fails() {
         let spec = test_cases::spec_a().with_dc_gain_db(115.0);
-        assert!(design_folded_cascode(&spec, &builtin::cmos_5um()).is_err());
+        assert!(attempt(&spec, &Telemetry::disabled()).is_err());
     }
 }

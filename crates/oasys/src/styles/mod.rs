@@ -10,10 +10,6 @@ mod folded_cascode;
 mod one_stage;
 mod two_stage;
 
-pub use folded_cascode::{design_folded_cascode, design_folded_cascode_with};
-pub use one_stage::{design_one_stage, design_one_stage_with};
-pub use two_stage::{design_two_stage, design_two_stage_with};
-
 use crate::datasheet::Predicted;
 use crate::spec::OpAmpSpec;
 use oasys_blocks::AreaEstimate;
@@ -112,8 +108,8 @@ pub(crate) trait StyleState {
 /// the netlist under an `assemble-netlist` span, and packages the
 /// [`OpAmpDesign`].
 ///
-/// This is the single engine behind all three `design_*` entry points;
-/// the per-style modules contribute only their [`StyleDef`].
+/// This is the one engine behind [`design`] and the selector; the
+/// per-style modules contribute only their [`StyleDef`].
 pub(crate) fn run_style<D: StyleDef>(
     spec: &OpAmpSpec,
     process: &Process,
@@ -138,7 +134,7 @@ pub(crate) fn run_style<D: StyleDef>(
     })
 }
 
-/// As [`design_style_with`], but inside an existing [`DesignContext`]:
+/// As [`design`], but inside an existing [`DesignContext`]:
 /// sub-block invocations inherit the context's memo cache and telemetry
 /// scope. This is the dispatch the breadth-first selector uses.
 pub(crate) fn design_style_in(
@@ -156,20 +152,18 @@ pub(crate) fn design_style_in(
     }
 }
 
-/// Runs one style's translation plan against a specification, recording
-/// spans, events and counters into `tel`.
-///
-/// This is the instrumented dispatch the selector uses; plain callers can
-/// reach the same designs through the per-style `design_*` functions.
+/// Runs one style's translation plan against a specification and
+/// assembles the sized schematic, recording spans, events and counters
+/// into `tel`. Callers that record nothing pass [`Telemetry::disabled`].
 ///
 /// # Errors
 ///
-/// [`StyleError::Plan`] when the style cannot meet the specification;
-/// [`StyleError::Netlist`] for template assembly bugs.
-pub fn design_style_with(
+/// [`StyleError::Plan`] when the style (after patching) cannot meet the
+/// specification; [`StyleError::Netlist`] for template assembly bugs.
+pub fn design(
     style: OpAmpStyle,
-    spec: &crate::spec::OpAmpSpec,
-    process: &oasys_process::Process,
+    spec: &OpAmpSpec,
+    process: &Process,
     tel: &Telemetry,
 ) -> Result<OpAmpDesign, StyleError> {
     design_style_in(style, spec, process, &DesignContext::new(tel))

@@ -14,7 +14,7 @@
 //! case-B narrative (the style's inherent systematic offset and the
 //! gain/swing conflict cannot be patched away).
 
-use super::{run_style, OpAmpDesign, OpAmpStyle, StyleDef, StyleError, StyleState};
+use super::{OpAmpStyle, StyleDef, StyleState};
 use crate::datasheet::Predicted;
 use crate::spec::OpAmpSpec;
 use oasys_blocks::area::AreaEstimate;
@@ -22,9 +22,8 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_mos::Mosfet;
 use oasys_netlist::Circuit;
-use oasys_plan::{DesignContext, Interval, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::Telemetry;
 use std::sync::OnceLock;
 
 /// Longest pair channel, in multiples of the process minimum.
@@ -39,9 +38,6 @@ const ALPHA_CASCODE: f64 = 0.85;
 /// Sheet resistance assumed for bias resistors (a serpentine well
 /// resistor), Ω/square.
 const BIAS_SHEET_OHMS: f64 = 10_000.0;
-
-/// Empty annotation list (the builder cannot infer element types from `[]`).
-const NONE: [&str; 0] = [];
 
 /// Mutable design state threaded through the plan.
 pub(super) struct State {
@@ -182,7 +178,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process"])
-        .writes(NONE)
+        .writes([])
         .emits(["spec-unsupported"])
         .step("size-input-gm", |s: &mut State, _| {
             // gm floor from the unity-gain spec (the OTA's f_u = gm1/2πC_L),
@@ -200,7 +196,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "vov1", "slew_boost"])
         .writes(["gm1", "i_tail"])
-        .emits(NONE)
+        .emits([])
         .step("gain-budget", |s: &mut State, _| {
             // Split the allowed output conductance between pair and load,
             // then pick the pair channel length that fits its share.
@@ -418,7 +414,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process", "i_tail"])
-        .writes(NONE)
+        .writes([])
         .emits(["power-high"])
         .step("check-noise", |s: &mut State, _| {
             if !s.spec.has_noise() {
@@ -441,7 +437,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "gm1", "i_tail", "load"])
-        .writes(NONE)
+        .writes([])
         .emits(["noise-high"])
         .step("check-slew", |s: &mut State, _| {
             if !s.spec.has_slew() {
@@ -460,7 +456,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process", "i_tail", "pair", "load"])
-        .writes(NONE)
+        .writes([])
         .emits(["slew-short"])
         .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("design-pair ran");
@@ -496,7 +492,7 @@ fn build_plan() -> Plan<State> {
             "offset_v",
         ])
         .writes(["predicted"])
-        .emits(NONE)
+        .emits([])
         // ---- patch rules (consulted in order) ----
         .rule(
             "cascode-load",
@@ -566,7 +562,7 @@ fn build_plan() -> Plan<State> {
         .rule("swing-gain-conflict", ["swing-short"])
         .when(|s: &State| s.load_cascoded)
         .reads(["load_cascoded"])
-        .writes(NONE)
+        .writes([])
         .aborts(
             "the cascoded load the gain requires cannot meet the output \
              swing — one-stage style cannot satisfy gain and swing \
@@ -575,13 +571,13 @@ fn build_plan() -> Plan<State> {
         .rule("inherent-offset", ["offset-high"])
         .when(|s: &State| s.load_cascoded)
         .reads(["load_cascoded"])
-        .writes(NONE)
+        .writes([])
         .aborts(
             "the one-stage style's inherent systematic offset exceeds the \
              specification",
         )
         .rule("give-up-gain", ["pair-gain-short", "load-design"])
-        .writes(NONE)
+        .writes([])
         .aborts(
             "gain infeasible for the one-stage style (with swing and \
              offset constraints limiting the load)",
@@ -600,38 +596,13 @@ fn build_plan() -> Plan<State> {
                 "noise-high",
             ],
         )
-        .writes(NONE)
+        .writes([])
         .aborts("one-stage style infeasible")
         .build()
 }
 
-/// Runs the one-stage plan and assembles the sized schematic.
-///
-/// # Errors
-///
-/// [`StyleError::Plan`] when the plan (after patching) cannot meet the
-/// specification; [`StyleError::Netlist`] for template assembly bugs.
-pub fn design_one_stage(spec: &OpAmpSpec, process: &Process) -> Result<OpAmpDesign, StyleError> {
-    let tel = Telemetry::disabled();
-    design_one_stage_with(spec, process, &tel)
-}
-
-/// [`design_one_stage`] with telemetry: plan execution and netlist
-/// assembly are recorded as spans/events on `tel`.
-///
-/// # Errors
-///
-/// Same contract as [`design_one_stage`].
-pub fn design_one_stage_with(
-    spec: &OpAmpSpec,
-    process: &Process,
-    tel: &Telemetry,
-) -> Result<OpAmpDesign, StyleError> {
-    run_style::<OneStageDef>(spec, process, &DesignContext::new(tel))
-}
-
 /// The one-stage OTA's [`StyleDef`]: the plan above plus state
-/// construction. Everything else is the shared [`run_style`] engine.
+/// construction. Everything else is the shared [`run_style`](super::run_style) engine.
 pub(super) struct OneStageDef;
 
 impl StyleDef for OneStageDef {
@@ -711,7 +682,14 @@ fn emit(state: &State) -> Result<Circuit, oasys_netlist::ValidateError> {
 mod tests {
     use super::*;
     use crate::spec::test_cases;
+    use crate::styles::{OpAmpDesign, StyleError};
     use oasys_process::builtin;
+    use oasys_telemetry::Telemetry;
+
+    /// The one-stage OTA designed for `spec` on the 5 µm kit.
+    fn attempt(spec: &OpAmpSpec, tel: &Telemetry) -> Result<OpAmpDesign, StyleError> {
+        crate::styles::design(OpAmpStyle::OneStageOta, spec, &builtin::cmos_5um(), tel)
+    }
 
     #[test]
     fn plan_analyzes_clean() {
@@ -721,7 +699,7 @@ mod tests {
 
     #[test]
     fn case_a_designs_successfully() {
-        let design = design_one_stage(&test_cases::spec_a(), &builtin::cmos_5um()).unwrap();
+        let design = attempt(&test_cases::spec_a(), &Telemetry::disabled()).unwrap();
         assert_eq!(design.style(), OpAmpStyle::OneStageOta);
         let p = design.predicted();
         assert!(p.dc_gain_db >= 60.0, "gain {:.1} dB", p.dc_gain_db);
@@ -737,8 +715,7 @@ mod tests {
     #[test]
     fn case_a_cascodes_the_load_for_gain() {
         let tel = Telemetry::new();
-        let design =
-            design_one_stage_with(&test_cases::spec_a(), &builtin::cmos_5um(), &tel).unwrap();
+        let design = attempt(&test_cases::spec_a(), &tel).unwrap();
         assert!(
             design.notes().iter().any(|n| n.contains("cascoded")),
             "notes: {:?}",
@@ -749,7 +726,7 @@ mod tests {
 
     #[test]
     fn case_b_fails_as_the_paper_reports() {
-        let err = design_one_stage(&test_cases::spec_b(), &builtin::cmos_5um()).unwrap_err();
+        let err = attempt(&test_cases::spec_b(), &Telemetry::disabled()).unwrap_err();
         let reason = err.reason();
         assert!(
             reason.contains("gain") || reason.contains("swing") || reason.contains("offset"),
@@ -759,13 +736,13 @@ mod tests {
 
     #[test]
     fn case_c_fails() {
-        assert!(design_one_stage(&test_cases::spec_c(), &builtin::cmos_5um()).is_err());
+        assert!(attempt(&test_cases::spec_c(), &Telemetry::disabled()).is_err());
     }
 
     #[test]
     fn low_gain_spec_keeps_simple_load() {
         let spec = test_cases::spec_a().with_dc_gain_db(40.0);
-        let design = design_one_stage(&spec, &builtin::cmos_5um()).unwrap();
+        let design = attempt(&spec, &Telemetry::disabled()).unwrap();
         assert!(
             design.notes().is_empty(),
             "no patching expected at 40 dB: {:?}",
@@ -777,14 +754,14 @@ mod tests {
 
     #[test]
     fn high_gain_uses_more_devices() {
-        let lo = design_one_stage(
+        let lo = attempt(
             &test_cases::spec_a().with_dc_gain_db(40.0),
-            &builtin::cmos_5um(),
+            &Telemetry::disabled(),
         )
         .unwrap();
-        let hi = design_one_stage(
+        let hi = attempt(
             &test_cases::spec_a().with_dc_gain_db(61.0),
-            &builtin::cmos_5um(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert!(
@@ -797,7 +774,7 @@ mod tests {
     fn absurd_gain_fails_after_patching() {
         let spec = test_cases::spec_a().with_dc_gain_db(100.0);
         let tel = Telemetry::new();
-        let err = design_one_stage_with(&spec, &builtin::cmos_5um(), &tel).unwrap_err();
+        let err = attempt(&spec, &tel).unwrap_err();
         assert!(matches!(err, StyleError::Plan(_)), "{err}");
         assert!(
             tel.counter("plan.rule_firings") >= 1,
@@ -807,10 +784,10 @@ mod tests {
 
     #[test]
     fn bigger_load_means_bigger_devices() {
-        let small = design_one_stage(&test_cases::spec_a(), &builtin::cmos_5um()).unwrap();
-        let large = design_one_stage(
+        let small = attempt(&test_cases::spec_a(), &Telemetry::disabled()).unwrap();
+        let large = attempt(
             &test_cases::spec_a().with_load_pf(20.0),
-            &builtin::cmos_5um(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert!(large.area().total_um2() > small.area().total_um2());

@@ -16,7 +16,7 @@
 //! heuristic is simply to assign the square root of the gain to each
 //! stage."*
 
-use super::{run_style, OpAmpDesign, OpAmpStyle, StyleDef, StyleError, StyleState};
+use super::{OpAmpStyle, StyleDef, StyleState};
 use crate::datasheet::Predicted;
 use crate::spec::OpAmpSpec;
 use oasys_blocks::area::AreaEstimate;
@@ -26,9 +26,9 @@ use oasys_blocks::gainstage::{GainStage, GainStageSpec, GainStageStyle};
 use oasys_blocks::levelshift::{LevelShiftSpec, LevelShifter};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::Circuit;
-use oasys_plan::{CacheKey, DesignContext, Interval, PerfRelation, Plan, StepOutcome};
+use oasys_plan::{CacheKey, Interval, PerfRelation, Plan, StepOutcome};
 use oasys_process::{Polarity, Process};
-use oasys_telemetry::{sym, Telemetry};
+use oasys_telemetry::sym;
 use std::sync::OnceLock;
 
 /// Longest channel, in multiples of the process minimum.
@@ -50,9 +50,6 @@ const DC_MATCH_TOL: f64 = 0.3;
 /// Sheet resistance assumed for bias resistors (a serpentine well
 /// resistor), Ω/square.
 const BIAS_SHEET_OHMS: f64 = 10_000.0;
-
-/// Empty annotation list (the builder cannot infer element types from `[]`).
-const NONE: [&str; 0] = [];
 
 pub(super) struct State {
     spec: OpAmpSpec,
@@ -257,7 +254,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process"])
-        .writes(NONE)
+        .writes([])
         .emits(["spec-unsupported"])
         .step("choose-cc", |s: &mut State, _| {
             s.cc = (CC_FACTOR * s.spec.load().farads()).max(0.5e-12);
@@ -265,7 +262,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec"])
         .writes(["cc"])
-        .emits(NONE)
+        .emits([])
         .step("partition-gain", |s: &mut State, _| {
             // The paper's heuristic: √gain to each stage, skewed toward
             // the cascoded stage when a rule demands it.
@@ -276,7 +273,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "skew"])
         .writes(["a1_target", "a2_target"])
-        .emits(NONE)
+        .emits([])
         .step("size-input", |s: &mut State, _| {
             let gm_floor = 2.0 * std::f64::consts::PI * s.spec.unity_gain_freq().hertz() * s.cc;
             let i_slew = s.spec.slew_rate().volts_per_second() * s.cc * s.slew_boost;
@@ -286,7 +283,7 @@ fn build_plan() -> Plan<State> {
         })
         .reads(["spec", "cc", "vov1", "slew_boost"])
         .writes(["gm1", "i_tail"])
-        .emits(NONE)
+        .emits([])
         .step("stage1-budget", |s: &mut State, _| {
             let pair_budget = s.alpha1 * s.gm1 / s.a1_target;
             let mos = s.process.nmos();
@@ -603,7 +600,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "gm1", "i_tail", "load1"])
-        .writes(NONE)
+        .writes([])
         .emits(["noise-high"])
         .step("check-slew", |s: &mut State, _| {
             if !s.spec.has_slew() {
@@ -623,7 +620,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process", "i_tail", "cc", "i2", "driver", "sink"])
-        .writes(NONE)
+        .writes([])
         .emits(["slew-short"])
         .step("check-swing", |s: &mut State, _| {
             let sink = s.sink.as_ref().expect("sink designed");
@@ -688,7 +685,7 @@ fn build_plan() -> Plan<State> {
             StepOutcome::Done
         })
         .reads(["spec", "process", "i_tail", "i2", "shifter", "i_ls"])
-        .writes(NONE)
+        .writes([])
         .emits(["power-high"])
         .step("predict", |s: &mut State, _| {
             let pair = s.pair.as_ref().expect("pair designed");
@@ -751,7 +748,7 @@ fn build_plan() -> Plan<State> {
             "offset_v",
         ])
         .writes(["predicted"])
-        .emits(NONE)
+        .emits([])
         // ---- patch rules ----
         .rule(
             "cascode-first-stage",
@@ -901,7 +898,7 @@ fn build_plan() -> Plan<State> {
         .writes(["i2_boost", "notes"])
         .restarts_from("stage2-requirements")
         .rule("give-up-gain", ["stage1-gain-short", "stage2-gain-short"])
-        .writes(NONE)
+        .writes([])
         .aborts("gain infeasible for the two-stage style even with cascoding")
         .rule(
             "give-up",
@@ -921,37 +918,13 @@ fn build_plan() -> Plan<State> {
                 "noise-high",
             ],
         )
-        .writes(NONE)
+        .writes([])
         .aborts("two-stage style infeasible")
         .build()
 }
 
-/// Runs the two-stage plan and assembles the sized schematic.
-///
-/// # Errors
-///
-/// [`StyleError::Plan`] when the plan (after patching) cannot meet the
-/// specification; [`StyleError::Netlist`] for template assembly bugs.
-pub fn design_two_stage(spec: &OpAmpSpec, process: &Process) -> Result<OpAmpDesign, StyleError> {
-    let tel = Telemetry::disabled();
-    design_two_stage_with(spec, process, &tel)
-}
-
-/// [`design_two_stage`] with run telemetry recorded into `tel`.
-///
-/// # Errors
-///
-/// Same failure modes as [`design_two_stage`].
-pub fn design_two_stage_with(
-    spec: &OpAmpSpec,
-    process: &Process,
-    tel: &Telemetry,
-) -> Result<OpAmpDesign, StyleError> {
-    run_style::<TwoStageDef>(spec, process, &DesignContext::new(tel))
-}
-
 /// The two-stage op amp's [`StyleDef`]: the plan above plus state
-/// construction. Everything else is the shared [`run_style`] engine.
+/// construction. Everything else is the shared [`run_style`](super::run_style) engine.
 pub(super) struct TwoStageDef;
 
 impl StyleDef for TwoStageDef {
@@ -1075,7 +1048,14 @@ fn emit(state: &State) -> Result<Circuit, oasys_netlist::ValidateError> {
 mod tests {
     use super::*;
     use crate::spec::test_cases;
+    use crate::styles::{OpAmpDesign, StyleError};
     use oasys_process::builtin;
+    use oasys_telemetry::Telemetry;
+
+    /// The two-stage op amp designed for `spec` on the 5 µm kit.
+    fn attempt(spec: &OpAmpSpec, tel: &Telemetry) -> Result<OpAmpDesign, StyleError> {
+        crate::styles::design(OpAmpStyle::TwoStage, spec, &builtin::cmos_5um(), tel)
+    }
 
     #[test]
     fn plan_analyzes_clean() {
@@ -1085,7 +1065,7 @@ mod tests {
 
     #[test]
     fn case_a_designs_simply() {
-        let d = design_two_stage(&test_cases::spec_a(), &builtin::cmos_5um()).unwrap();
+        let d = attempt(&test_cases::spec_a(), &Telemetry::disabled()).unwrap();
         assert_eq!(d.style(), OpAmpStyle::TwoStage);
         assert!(d.predicted().dc_gain_db >= 60.0);
         assert!(d.predicted().phase_margin_deg >= 45.0);
@@ -1106,7 +1086,7 @@ mod tests {
 
     #[test]
     fn case_b_meets_gain_offset_swing() {
-        let d = design_two_stage(&test_cases::spec_b(), &builtin::cmos_5um()).unwrap();
+        let d = attempt(&test_cases::spec_b(), &Telemetry::disabled()).unwrap();
         let p = d.predicted();
         assert!(p.dc_gain_db >= 75.0, "gain {:.1}", p.dc_gain_db);
         assert!(
@@ -1127,7 +1107,7 @@ mod tests {
     #[test]
     fn case_c_cascodes_and_inserts_level_shifter() {
         let tel = Telemetry::new();
-        let d = design_two_stage_with(&test_cases::spec_c(), &builtin::cmos_5um(), &tel).unwrap();
+        let d = attempt(&test_cases::spec_c(), &tel).unwrap();
         let p = d.predicted();
         assert!(p.dc_gain_db >= 100.0, "gain {:.1}", p.dc_gain_db);
         let notes = d.notes().join("; ");
@@ -1142,8 +1122,8 @@ mod tests {
 
     #[test]
     fn case_c_costs_more_area_than_b() {
-        let b = design_two_stage(&test_cases::spec_b(), &builtin::cmos_5um()).unwrap();
-        let c = design_two_stage(&test_cases::spec_c(), &builtin::cmos_5um()).unwrap();
+        let b = attempt(&test_cases::spec_b(), &Telemetry::disabled()).unwrap();
+        let c = attempt(&test_cases::spec_c(), &Telemetry::disabled()).unwrap();
         assert!(c.area().total_um2() > b.area().total_um2());
         assert!(c.device_count() > b.device_count());
     }
@@ -1151,13 +1131,13 @@ mod tests {
     #[test]
     fn extreme_gain_aborts() {
         let spec = test_cases::spec_a().with_dc_gain_db(135.0);
-        let err = design_two_stage(&spec, &builtin::cmos_5um()).unwrap_err();
+        let err = attempt(&spec, &Telemetry::disabled()).unwrap_err();
         assert!(err.reason().contains("gain"), "reason: {}", err.reason());
     }
 
     #[test]
     fn compensation_capacitor_present() {
-        let d = design_two_stage(&test_cases::spec_a(), &builtin::cmos_5um()).unwrap();
+        let d = attempt(&test_cases::spec_a(), &Telemetry::disabled()).unwrap();
         assert!(d.circuit().element("CC").is_some());
         // Cc contributes to the area estimate.
         assert!(d.area().capacitor().square_micrometers() > 0.0);
@@ -1165,10 +1145,10 @@ mod tests {
 
     #[test]
     fn larger_load_needs_more_second_stage_current() {
-        let small = design_two_stage(&test_cases::spec_a(), &builtin::cmos_5um()).unwrap();
-        let large = design_two_stage(
+        let small = attempt(&test_cases::spec_a(), &Telemetry::disabled()).unwrap();
+        let large = attempt(
             &test_cases::spec_a().with_load_pf(20.0),
-            &builtin::cmos_5um(),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert!(large.predicted().power_w > small.predicted().power_w);

@@ -206,7 +206,7 @@ pub fn verify_with(
     // essentially a step; ±0.5 V of differential input always brackets it.
     let offset = {
         let _s = tel.span_sym(sym!("verify:offset-null"));
-        sweep::bisect_input_with(&bench, process, "VIP", out, 0.0, -0.5, 0.5, tel).ok()
+        sweep::bisect_input(&bench, process, "VIP", out, 0.0, -0.5, 0.5, tel).ok()
     };
     if let Some(v) = offset {
         bench
@@ -217,7 +217,7 @@ pub fn verify_with(
     // DC point for power.
     let dc_solution = {
         let _s = tel.span_sym(sym!("verify:dc"));
-        dc::solve_with(&bench, process, tel)?
+        dc::solve(&bench, process, tel)?
     };
     let power = dc_solution.supply_power(&bench).abs();
 
@@ -227,7 +227,7 @@ pub fn verify_with(
     let (mut system, ac_solution) = {
         let _s = tel.span_sym(sym!("verify:ac"));
         let mut system = AcSystem::new(&bench, process, &dc_solution);
-        let solution = system.sweep_with(&spec, tel)?;
+        let solution = system.sweep(&spec, tel)?;
         (system, solution)
     };
     let bode = Bode::from_ac(&ac_solution, out);
@@ -392,7 +392,7 @@ fn inverting_bench(
 /// sweep of the output node, counted into `tel`'s `sim.dc.*` counters.
 fn measure_swing(design: &OpAmpDesign, process: &Process, tel: &Telemetry) -> Option<f64> {
     let (bench, out, points) = swing_bench(design, process).ok()?;
-    let swept = sweep::dc_transfer_with(&bench, process, "VSW", out, &points, tel).ok()?;
+    let swept = sweep::dc_transfer(&bench, process, "VSW", out, &points, tel).ok()?;
     let (lo, hi) = output_swing(&swept, SWING_GAIN_FRACTION)?;
     Some(lo.abs().min(hi.abs()))
 }
@@ -512,7 +512,7 @@ fn slew_step(
         nodes[out.index()] = -v0;
         nodes
     });
-    tran::slew_between_with(
+    tran::slew_between(
         bench,
         process,
         spec,
@@ -559,7 +559,9 @@ mod tests {
         let eval = |vin: f64| {
             let mut work = bench.clone();
             work.set_source_dc("VIP", vin).unwrap();
-            dc::solve(&work, process).unwrap().voltage(out)
+            dc::solve(&work, process, &Telemetry::disabled())
+                .unwrap()
+                .voltage(out)
         };
         let (mut a, mut b) = (-0.5, 0.5);
         let mut f_lo = eval(a);
@@ -594,7 +596,7 @@ mod tests {
     ) -> (u64, u64) {
         let (bench, out, points) = swing_bench(design, process).unwrap();
         let tel = Telemetry::new();
-        let warm = sweep::dc_transfer_with(&bench, process, "VSW", out, &points, &tel).unwrap();
+        let warm = sweep::dc_transfer(&bench, process, "VSW", out, &points, &tel).unwrap();
         assert_eq!(warm.len(), points.len(), "{label}: a warm point failed");
         let mut work = bench.clone();
         let mut cold_iterations = 0;
@@ -602,7 +604,7 @@ mod tests {
         for (&(vin, w), &input) in warm.iter().zip(&points) {
             assert_eq!(vin, input, "{label}: the sweep reordered its points");
             work.set_source_dc("VSW", vin).unwrap();
-            let cold = dc::solve(&work, process).unwrap();
+            let cold = dc::solve(&work, process, &Telemetry::disabled()).unwrap();
             cold_iterations += cold.iterations() as u64;
             let c = cold.voltage(out);
             assert!(
@@ -620,7 +622,17 @@ mod tests {
         let warm_iterations = tel.counter("sim.dc.newton_iterations");
 
         let (bench, out) = open_loop_bench(design, process, load_f).unwrap();
-        let warm_offset = sweep::bisect_input(&bench, process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+        let warm_offset = sweep::bisect_input(
+            &bench,
+            process,
+            "VIP",
+            out,
+            0.0,
+            -0.5,
+            0.5,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let cold_offset = cold_bisect(&bench, process, out);
         assert!(
             (warm_offset - cold_offset).abs() <= 1e-9,
@@ -746,7 +758,7 @@ mod tests {
         for (v0, v1) in SLEW_STEPS {
             let (stimuli, window) = slew_run(out, &spec, v0, v1);
             let stop_tel = Telemetry::new();
-            let stopped = tran::slew_between_with(
+            let stopped = tran::slew_between(
                 &bench,
                 &case.process,
                 &spec,
@@ -758,7 +770,7 @@ mod tests {
             .ok()
             .flatten();
             let full_tel = Telemetry::new();
-            let full = tran::solve_with(&bench, &case.process, &spec, &stimuli, &full_tel)
+            let full = tran::solve(&bench, &case.process, &spec, &stimuli, &full_tel)
                 .ok()
                 .and_then(|solution| {
                     solution.slew_between(
@@ -799,10 +811,19 @@ mod tests {
     fn assert_warm_slew_matches_cold(case: &Case) {
         let (mut open_loop, out) =
             open_loop_bench(&case.design, &case.process, case.load_f).unwrap();
-        let offset =
-            sweep::bisect_input(&open_loop, &case.process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+        let offset = sweep::bisect_input(
+            &open_loop,
+            &case.process,
+            "VIP",
+            out,
+            0.0,
+            -0.5,
+            0.5,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         open_loop.set_source_dc("VIP", offset).unwrap();
-        let nulled = dc::solve(&open_loop, &case.process).unwrap();
+        let nulled = dc::solve(&open_loop, &case.process, &Telemetry::disabled()).unwrap();
         let (bench, out, spec) = slew_bench(&case.design, &case.process, case.load_f).unwrap();
         let mut start = nulled.node_voltages().to_vec();
         start.resize(bench.node_count(), 0.0);

@@ -23,29 +23,27 @@ struct State {
     x: f64,
 }
 
-const NONE: [&str; 0] = [];
-
 // ---------------------------------------------------------------- plans
 
 #[test]
 fn seeded_use_before_def_yields_ol001() {
     // `consume` reads `x`, but the only writer runs after it.
     let plan = Plan::<State>::builder("seeded-use-before-def")
-        .inputs(NONE)
+        .inputs([])
         .step("consume", |s: &mut State, _| {
             s.x += 1.0;
             StepOutcome::Done
         })
         .reads(["x"])
-        .writes(NONE)
-        .emits(NONE)
+        .writes([])
+        .emits([])
         .step("produce", |s: &mut State, _| {
             s.x = 1.0;
             StepOutcome::Done
         })
-        .reads(NONE)
+        .reads([])
         .writes(["x"])
-        .emits(NONE)
+        .emits([])
         .build();
     let report = analyze(&plan);
     let hits = report.with_code(Code::UseBeforeDef);
@@ -122,23 +120,23 @@ fn findings(report: &Report) -> Vec<(&str, &str)> {
 fn seeded_defects_report_in_stable_order_without_duplicates() {
     let build = || {
         Plan::<State>::builder("seeded-ordering")
-            .inputs(NONE)
+            .inputs([])
             // Declared first, but its subject sorts after `aa-read`'s.
             .step("zz-read", done)
             .reads(["ghost"])
-            .writes(NONE)
-            .emits(NONE)
+            .writes([])
+            .emits([])
             // Its code (OL007) sorts after both reads' OL001, though the
             // analyzer finds it first. It lists its loose code twice:
             // dedup must collapse the repeat into one diagnostic.
             .step("mm-escape", done)
-            .reads(NONE)
-            .writes(NONE)
+            .reads([])
+            .writes([])
             .emits(["loose", "loose"])
             .step("aa-read", done)
             .reads(["ghost"])
-            .writes(NONE)
-            .emits(NONE)
+            .writes([])
+            .emits([])
             .build()
     };
     let report = analyze(&build());

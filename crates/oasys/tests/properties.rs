@@ -2,7 +2,7 @@
 //! succeeds, the predicted performance satisfies the specification it was
 //! given, across a randomized slice of the spec space.
 
-use oasys::styles::design_style_with;
+use oasys::styles::design;
 use oasys::{synthesize, synthesize_with_options, OpAmpSpec, OpAmpStyle, SearchOptions};
 use oasys_process::builtin;
 use oasys_telemetry::Telemetry;
@@ -146,7 +146,7 @@ proptest! {
         let process = builtin::cmos_5um();
         for style in OpAmpStyle::ALL {
             let tel = Telemetry::new();
-            if design_style_with(style, &spec, &process, &tel).is_ok() {
+            if design(style, &spec, &process, &tel).is_ok() {
                 prop_assert!(tel.counter("plan.rule_firings") <= 32);
                 prop_assert!(tel.counter("plan.step_executions") <= 400);
             }

@@ -55,7 +55,7 @@ pub fn analyze<S>(plan: &Plan<S>) -> Report {
 /// The analyzer's type-erased view of a plan: names and metadata only.
 struct PlanView<'p> {
     plan_name: &'p str,
-    inputs: &'p [String],
+    inputs: &'p [&'static str],
     steps: Vec<(&'p str, &'p StepMeta)>,
     /// Per rule: its name, its metadata and whether it has a guard.
     rules: Vec<(&'p str, &'p RuleMeta, bool)>,
@@ -293,22 +293,19 @@ impl<'p> PlanView<'p> {
 
         // Intern every variable name.
         let mut vars: BTreeSet<&str> = BTreeSet::new();
-        vars.extend(self.inputs.iter().map(String::as_str));
+        vars.extend(self.inputs);
         for (_, meta) in &self.steps {
-            vars.extend(meta.reads.iter().flatten().map(String::as_str));
-            vars.extend(meta.writes.iter().flatten().map(String::as_str));
+            vars.extend(meta.reads.iter().flatten());
+            vars.extend(meta.writes.iter().flatten());
         }
         for (_, meta, _) in &self.rules {
-            vars.extend(meta.reads.iter().flatten().map(String::as_str));
-            vars.extend(meta.writes.iter().flatten().map(String::as_str));
+            vars.extend(meta.reads.iter().flatten());
+            vars.extend(meta.writes.iter().flatten());
         }
         let index: HashMap<&str, usize> = vars.iter().enumerate().map(|(i, v)| (*v, i)).collect();
         let names: Vec<&str> = vars.into_iter().collect();
-        let to_set = |list: Option<&Vec<String>>| -> BTreeSet<usize> {
-            list.into_iter()
-                .flatten()
-                .map(|v| index[v.as_str()])
-                .collect()
+        let to_set = |list: Option<&Vec<&str>>| -> BTreeSet<usize> {
+            list.into_iter().flatten().map(|v| index[v]).collect()
         };
 
         let n = self.steps.len();
@@ -322,7 +319,7 @@ impl<'p> PlanView<'p> {
             .iter()
             .map(|(_, m, _)| to_set(m.writes.as_ref()))
             .collect();
-        let entry: BTreeSet<usize> = self.inputs.iter().map(|v| index[v.as_str()]).collect();
+        let entry: BTreeSet<usize> = self.inputs.iter().map(|v| index[v]).collect();
 
         // Must-in sets: None = not yet constrained (⊤, the full set).
         let mut must_in: Vec<Option<BTreeSet<usize>>> = vec![None; n];
@@ -416,7 +413,7 @@ mod tests {
             .emits([])
             .step("b", done)
             .reads(["x", "y"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .emits([])
             .build();
         let report = analyze(&plan);
@@ -436,12 +433,12 @@ mod tests {
         // which reads x. On the failure path x was never written.
         let plan = Plan::<()>::builder("fail-edge")
             .step("compute", done)
-            .reads(Vec::<String>::new())
+            .reads([])
             .writes(["x"])
             .emits(["boom"])
             .step("use", done)
             .reads(["x"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .emits([])
             .build();
         // No rule handles "boom" → no failure edge → clean dataflow…
@@ -450,15 +447,15 @@ mod tests {
         // …but a rule that skips over `compute`'s re-run exposes the bug.
         let plan = Plan::<()>::builder("fail-edge")
             .step("compute", done)
-            .reads(Vec::<String>::new())
+            .reads([])
             .writes(["x"])
             .emits(["boom"])
             .step("use", done)
             .reads(["x"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .emits([])
             .rule("skip-ahead", ["boom"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .restarts_from("use")
             .build();
         let report = analyze(&plan);
@@ -562,7 +559,7 @@ mod tests {
             .step("a", done)
             .emits(["x"])
             .rule("spin", ["x"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .retries()
             .build();
         let report = analyze(&plan);
@@ -575,7 +572,7 @@ mod tests {
             .step("a", done)
             .emits(["x"])
             .rule("give-up", ["x"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .aborts("no")
             .build();
         assert!(!analyze(&plan).contains(Code::NonProgressRule));
@@ -620,7 +617,7 @@ mod tests {
             .emits([])
             .step("check", done)
             .reads(["x"])
-            .writes(Vec::<String>::new())
+            .writes([])
             .emits(["miss"])
             .rule("again", ["miss"])
             .writes(["scratch"])

@@ -92,9 +92,9 @@ type RulePatch<S> = Box<dyn Fn(&mut S, &DesignContext<'_>) -> Result<(), String>
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepMeta {
     /// State variables the step body reads.
-    pub reads: Option<Vec<String>>,
+    pub reads: Option<Vec<&'static str>>,
     /// State variables the step body writes when it completes.
-    pub writes: Option<Vec<String>>,
+    pub writes: Option<Vec<&'static str>>,
     /// Failure codes the step body can report. The executor holds the
     /// body to them: a failure with any other code ends the run with
     /// [`crate::PlanError::UndeclaredCode`].
@@ -115,9 +115,9 @@ pub struct RuleMeta {
     /// The failure codes the rule handles.
     pub codes: Vec<&'static str>,
     /// State variables the guard or patch reads.
-    pub reads: Option<Vec<String>>,
+    pub reads: Option<Vec<&'static str>>,
     /// State variables the patch writes.
-    pub writes: Option<Vec<String>>,
+    pub writes: Option<Vec<&'static str>>,
     /// What the executor does after the patch.
     pub continuation: PatchAction,
 }
@@ -149,7 +149,7 @@ pub struct Plan<S> {
     name: String,
     pub(crate) steps: Vec<Step<S>>,
     pub(crate) rules: Vec<Rule<S>>,
-    pub(crate) inputs: Vec<String>,
+    pub(crate) inputs: Vec<&'static str>,
     /// The interned span, step and rule names, filled on the plan's
     /// first recorded run.
     pub(crate) syms: OnceLock<PlanSyms>,
@@ -203,7 +203,7 @@ impl<S> Plan<S> {
     /// meaningful before any step runs (the spec, the process, and
     /// tuning knobs with meaningful defaults).
     #[must_use]
-    pub fn inputs(&self) -> &[String] {
+    pub fn inputs(&self) -> &[&'static str] {
         &self.inputs
     }
 
@@ -267,7 +267,7 @@ pub struct PlanBuilder<S> {
     name: String,
     steps: Vec<Step<S>>,
     rules: Vec<Rule<S>>,
-    inputs: Vec<String>,
+    inputs: Vec<&'static str>,
     /// How many continuations each rule declared; `build` wants one.
     continuations: Vec<usize>,
     last: LastAdded,
@@ -306,12 +306,8 @@ impl<S> PlanBuilder<S> {
     /// whose initial value is meaningful before the first step runs.
     /// Appends to any previously declared inputs.
     #[must_use]
-    pub fn inputs<I, T>(mut self, vars: I) -> Self
-    where
-        I: IntoIterator<Item = T>,
-        T: Into<String>,
-    {
-        self.inputs.extend(vars.into_iter().map(Into::into));
+    pub fn inputs(mut self, vars: impl IntoIterator<Item = &'static str>) -> Self {
+        self.inputs.extend(vars);
         self
     }
 
@@ -321,12 +317,7 @@ impl<S> PlanBuilder<S> {
     ///
     /// Panics when nothing has been added yet.
     #[must_use]
-    pub fn reads<I, T>(mut self, vars: I) -> Self
-    where
-        I: IntoIterator<Item = T>,
-        T: Into<String>,
-    {
-        let vars: Vec<String> = vars.into_iter().map(Into::into).collect();
+    pub fn reads(mut self, vars: impl IntoIterator<Item = &'static str>) -> Self {
         match (self.last, self.steps.last_mut(), self.rules.last_mut()) {
             (LastAdded::Step, Some(step), _) => {
                 step.meta.reads.get_or_insert_with(Vec::new).extend(vars);
@@ -345,12 +336,7 @@ impl<S> PlanBuilder<S> {
     ///
     /// Panics when nothing has been added yet.
     #[must_use]
-    pub fn writes<I, T>(mut self, vars: I) -> Self
-    where
-        I: IntoIterator<Item = T>,
-        T: Into<String>,
-    {
-        let vars: Vec<String> = vars.into_iter().map(Into::into).collect();
+    pub fn writes(mut self, vars: impl IntoIterator<Item = &'static str>) -> Self {
         match (self.last, self.steps.last_mut(), self.rules.last_mut()) {
             (LastAdded::Step, Some(step), _) => {
                 step.meta.writes.get_or_insert_with(Vec::new).extend(vars);
@@ -587,13 +573,10 @@ mod tests {
             .writes(["y"])
             .restarts_from("a")
             .build();
-        assert_eq!(plan.inputs(), ["spec".to_string()]);
+        assert_eq!(plan.inputs(), ["spec"]);
         let a = plan.step_meta(0);
-        assert_eq!(a.reads.as_deref(), Some(&["spec".to_string()][..]));
-        assert_eq!(
-            a.writes.as_deref(),
-            Some(&["x".to_string(), "y".to_string()][..])
-        );
+        assert_eq!(a.reads.as_deref(), Some(&["spec"][..]));
+        assert_eq!(a.writes.as_deref(), Some(&["x", "y"][..]));
         assert_eq!(a.emits.as_deref(), Some(&["a-failed"][..]));
         assert!(!a.diverges);
         let b = plan.step_meta(1);
@@ -602,8 +585,8 @@ mod tests {
         let r = plan.rule_meta(0);
         assert_eq!(r.codes, ["a-failed"]);
         assert!(plan.rules[0].guard.is_some());
-        assert_eq!(r.reads.as_deref(), Some(&["x".to_string()][..]));
-        assert_eq!(r.writes.as_deref(), Some(&["y".to_string()][..]));
+        assert_eq!(r.reads.as_deref(), Some(&["x"][..]));
+        assert_eq!(r.writes.as_deref(), Some(&["y"][..]));
         assert_eq!(r.continuation, PatchAction::RestartFrom("a".to_string()));
         assert_eq!(plan.rule_names(), vec!["r"]);
     }

@@ -7,6 +7,8 @@
 //! stimulus vector `b`; with a unit-magnitude input source, the node
 //! values are transfer functions directly.
 //!
+//! An analysis is the circuit's DC point ([`crate::dc::solve`]), its
+//! linearization ([`AcSystem::new`]) and the sweep ([`AcSystem::sweep`]).
 //! An [`AcSystem`] keeps one LU plan for its whole life: every frequency
 //! of a sweep, and every further factorization its callers ask for,
 //! factors `Y(jω)` through it (see [`crate::linalg`]). The pattern is the
@@ -14,7 +16,7 @@
 //! capacitors' positions.
 
 use crate::complex::Complex;
-use crate::dc::{DcSolution, SolveDcError};
+use crate::dc::DcSolution;
 use crate::linalg::{Lu, LuPlan, Matrix};
 use crate::mna::{bound_mosfets, mark_two_terminal, mos_stamp, MnaIndex};
 use oasys_netlist::{Circuit, Element, NodeId};
@@ -26,8 +28,6 @@ use std::fmt;
 /// Error returned by AC analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveAcError {
-    /// The prerequisite DC solve failed.
-    Dc(SolveDcError),
     /// The admittance matrix was singular at some frequency.
     Singular {
         /// The frequency at which factorization failed, hertz.
@@ -40,7 +40,6 @@ pub enum SolveAcError {
 impl fmt::Display for SolveAcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveAcError::Dc(e) => write!(f, "ac analysis: {e}"),
             SolveAcError::Singular { frequency } => {
                 write!(f, "ac matrix singular at {frequency:.3e} Hz")
             }
@@ -50,12 +49,6 @@ impl fmt::Display for SolveAcError {
 }
 
 impl Error for SolveAcError {}
-
-impl From<SolveDcError> for SolveAcError {
-    fn from(e: SolveDcError) -> Self {
-        SolveAcError::Dc(e)
-    }
-}
 
 /// Logarithmic frequency sweep specification.
 ///
@@ -184,52 +177,6 @@ impl AcSolution {
 
 /// Floor conductance matching the DC engine's regularization.
 const GMIN_FLOOR: f64 = 1e-12;
-
-/// Runs a full AC analysis: DC solve, linearization, frequency sweep.
-///
-/// # Errors
-///
-/// Propagates DC failures and reports singular admittance matrices.
-pub fn solve(
-    circuit: &Circuit,
-    process: &Process,
-    spec: &AcSweepSpec,
-) -> Result<AcSolution, SolveAcError> {
-    let dc = crate::dc::solve(circuit, process)?;
-    solve_at(circuit, process, &dc, spec)
-}
-
-/// Runs the frequency sweep against an existing DC solution (useful when
-/// the caller also needs the DC data).
-///
-/// # Errors
-///
-/// Reports singular admittance matrices.
-pub fn solve_at(
-    circuit: &Circuit,
-    process: &Process,
-    dc: &DcSolution,
-    spec: &AcSweepSpec,
-) -> Result<AcSolution, SolveAcError> {
-    solve_at_with(circuit, process, dc, spec, &Telemetry::disabled())
-}
-
-/// [`solve_at`] with run telemetry recorded into `tel`: a `sim:ac` span
-/// plus the `sim.ac.sweeps` / `sim.ac.points` / `sim.ac.failures` and
-/// `sim.lu.*` counters.
-///
-/// # Errors
-///
-/// Same failure modes as [`solve_at`].
-pub fn solve_at_with(
-    circuit: &Circuit,
-    process: &Process,
-    dc: &DcSolution,
-    spec: &AcSweepSpec,
-    tel: &Telemetry,
-) -> Result<AcSolution, SolveAcError> {
-    AcSystem::new(circuit, process, dc).sweep_with(spec, tel)
-}
 
 /// The linearized small-signal system of a circuit at its DC operating
 /// point: the frequency-independent conductance stamps, the capacitance
@@ -443,7 +390,7 @@ impl AcSystem {
     /// # Errors
     ///
     /// Reports a singular admittance matrix.
-    pub fn sweep_with(
+    pub fn sweep(
         &mut self,
         spec: &AcSweepSpec,
         tel: &Telemetry,
@@ -539,6 +486,13 @@ mod tests {
     use oasys_netlist::SourceValue;
     use oasys_process::{builtin, Polarity};
 
+    /// The DC point of `c`, then the sweep over `spec`.
+    fn sweep(c: &Circuit, process: &Process, spec: &AcSweepSpec) -> AcSolution {
+        let tel = Telemetry::disabled();
+        let dc = crate::dc::solve(c, process, &tel).unwrap();
+        AcSystem::new(c, process, &dc).sweep(spec, &tel).unwrap()
+    }
+
     #[test]
     fn sweep_spec_endpoints() {
         let spec = AcSweepSpec::new(10.0, 1e4, 5).unwrap();
@@ -571,7 +525,7 @@ mod tests {
             .unwrap();
         let process = builtin::cmos_5um();
         let spec = AcSweepSpec::new(1e3, 1e9, 20).unwrap();
-        let ac = solve(&c, &process, &spec).unwrap();
+        let ac = sweep(&c, &process, &spec);
         let h = ac.transfer(out);
         let f = ac.frequencies();
         // At low frequency |H| ≈ 1.
@@ -613,10 +567,12 @@ mod tests {
         )
         .unwrap();
         let process = builtin::cmos_5um();
-        let dc = crate::dc::solve(&c, &process).unwrap();
+        let dc = crate::dc::solve(&c, &process, &Telemetry::disabled()).unwrap();
         let op = *dc.device_op("M1").unwrap();
         let spec = AcSweepSpec::new(1.0, 1e3, 5).unwrap();
-        let ac = solve_at(&c, &process, &dc, &spec).unwrap();
+        let ac = AcSystem::new(&c, &process, &dc)
+            .sweep(&spec, &Telemetry::disabled())
+            .unwrap();
         let h0 = ac.transfer(out)[0];
         let expected = op.gm() * (1.0 / (1.0 / 100e3 + op.gds()));
         assert!(
@@ -636,7 +592,7 @@ mod tests {
             .unwrap();
         c.add_resistor("R", a, c.ground(), 1e3).unwrap();
         let spec = AcSweepSpec::new(1.0, 10.0, 1).unwrap();
-        let ac = solve(&c, &builtin::cmos_5um(), &spec).unwrap();
+        let ac = sweep(&c, &builtin::cmos_5um(), &spec);
         for v in ac.transfer(a) {
             assert!((v - Complex::ONE).abs() < 1e-12);
         }
@@ -650,7 +606,7 @@ mod tests {
             .unwrap();
         c.add_resistor("R", a, c.ground(), 1e3).unwrap();
         let spec = AcSweepSpec::new(1.0, 100.0, 1).unwrap();
-        let ac = solve(&c, &builtin::cmos_5um(), &spec).unwrap();
+        let ac = sweep(&c, &builtin::cmos_5um(), &spec);
         assert_eq!(ac.len(), ac.frequencies().len());
         assert!(!ac.is_empty());
         assert_eq!(ac.value(0, a), ac.transfer(a)[0]);

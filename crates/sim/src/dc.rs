@@ -13,12 +13,12 @@
 //! Jacobian through that plan (see [`crate::linalg`]). A DC sweep
 //! compiles once and starts each point's Newton iteration from a start
 //! its earlier points give (see [`crate::sweep`]); only when that stalls
-//! does it fall back to the cold continuation above. [`solve`] and its
-//! `*_with` variants compile and solve cold.
+//! does it fall back to the cold continuation above. [`solve`] compiles
+//! and solves cold.
 
 use crate::linalg::{LuCounts, LuPlan, Matrix};
 use crate::mna::{DeviceNames, SourceRef, StampPlan};
-use oasys_faults::{fail_point, Deadline, DeadlineExceeded};
+use oasys_faults::fail_point;
 use oasys_mos::OperatingPoint;
 use oasys_netlist::{Circuit, NodeId, ValidateError};
 use oasys_process::Process;
@@ -46,13 +46,6 @@ pub enum SolveDcError {
         /// Title of the circuit with the singular Jacobian.
         circuit: String,
     },
-    /// The cooperative deadline fired inside the solve.
-    DeadlineExceeded {
-        /// Title of the circuit being solved when the deadline fired.
-        circuit: String,
-        /// Whether the budget ran out or the job was cancelled.
-        exceeded: DeadlineExceeded,
-    },
 }
 
 impl fmt::Display for SolveDcError {
@@ -67,9 +60,6 @@ impl fmt::Display for SolveDcError {
             }
             SolveDcError::Singular { circuit } => {
                 write!(f, "dc jacobian of `{circuit}` is singular")
-            }
-            SolveDcError::DeadlineExceeded { circuit, exceeded } => {
-                write!(f, "dc analysis of `{circuit}` stopped: {exceeded}")
             }
         }
     }
@@ -179,62 +169,33 @@ const VTOL: f64 = 1e-9;
 /// Residual (current) convergence tolerance.
 const ITOL: f64 = 1e-10;
 
-/// Computes the DC operating point of `circuit` under `process`.
+/// Computes the DC operating point of `circuit` under `process`, cold,
+/// with run telemetry recorded into `tel`: a `sim:dc` span (annotated
+/// with the Newton `iterations`, or the `error`) plus the
+/// `sim.dc.solves` / `sim.dc.newton_iterations` / `sim.dc.failures` and
+/// `sim.lu.*` counters. Callers that record nothing pass
+/// [`Telemetry::disabled`].
 ///
 /// # Errors
 ///
 /// Returns [`SolveDcError::Invalid`] for structurally broken circuits and
 /// [`SolveDcError::NotConverged`]/[`SolveDcError::Singular`] if every
 /// continuation strategy fails.
-pub fn solve(circuit: &Circuit, process: &Process) -> Result<DcSolution, SolveDcError> {
-    let mut engine = Engine::compile(circuit, process)?;
-    let solved = engine.solve(None, &Deadline::none())?;
-    Ok(engine.package(&solved))
-}
-
-/// [`solve`] with run telemetry recorded into `tel`: a `sim:dc` span plus
-/// the `sim.dc.solves` / `sim.dc.newton_iterations` / `sim.dc.failures`
-/// and `sim.lu.*` counters.
-///
-/// # Errors
-///
-/// Same failure modes as [`solve`].
-pub fn solve_with(
+pub fn solve(
     circuit: &Circuit,
     process: &Process,
     tel: &Telemetry,
-) -> Result<DcSolution, SolveDcError> {
-    solve_with_deadline(circuit, process, tel, &Deadline::none())
-}
-
-/// [`solve_with`] under a cooperative [`Deadline`], checked at every
-/// Newton iteration and continuation stage — a diverging operating
-/// point aborts with [`SolveDcError::DeadlineExceeded`] instead of
-/// burning the whole iteration budget.
-///
-/// # Errors
-///
-/// Same failure modes as [`solve`], plus
-/// [`SolveDcError::DeadlineExceeded`].
-pub fn solve_with_deadline(
-    circuit: &Circuit,
-    process: &Process,
-    tel: &Telemetry,
-    deadline: &Deadline,
 ) -> Result<DcSolution, SolveDcError> {
     let span = tel.span_sym(sym!("sim:dc"));
-    let (result, lu) = match Engine::compile(circuit, process) {
-        Ok(mut engine) => {
-            let result = engine.solve(None, deadline).map(|s| engine.package(&s));
-            (result, engine.lu.take_counts())
+    let result = match Engine::compile(circuit, process) {
+        Ok(mut engine) => engine
+            .solve(None, tel)
+            .map(|solved| engine.package(&solved)),
+        Err(e) => {
+            count_solve(tel, None, LuCounts::default());
+            Err(e)
         }
-        Err(e) => (Err(e), LuCounts::default()),
     };
-    count_solve(
-        tel,
-        result.as_ref().ok().map(|sol| (sol.iterations(), false)),
-        lu,
-    );
     if tel.is_enabled() {
         match &result {
             Ok(solution) => {
@@ -333,15 +294,17 @@ impl<'c> Engine<'c> {
         self.plan.set_source(source, value);
     }
 
-    /// [`Engine::solve`] without a deadline, counted into `tel`'s
-    /// `sim.dc.*` and `sim.lu.*` counters: the per-point solve of a
-    /// sweep.
-    pub(crate) fn solve_counted(
+    /// Solves for the operating point, counted into `tel`'s `sim.dc.*`
+    /// and `sim.lu.*` counters. With a `start` vector, Newton runs from
+    /// it first; if that stalls, the cold continuation runs exactly as it
+    /// would without one: plain Newton from zero, then `gmin` stepping,
+    /// then source stepping.
+    pub(crate) fn solve(
         &mut self,
         start: Option<&[f64]>,
         tel: &Telemetry,
     ) -> Result<Solved, SolveDcError> {
-        let result = self.solve(start, &Deadline::none());
+        let result = self.converge(start);
         count_solve(
             tel,
             result
@@ -368,35 +331,21 @@ impl<'c> Engine<'c> {
         x
     }
 
-    /// Solves for the operating point. With a `start` vector, Newton runs
-    /// from it first; if that stalls, the cold continuation runs exactly
-    /// as it would without one: plain Newton from zero, then `gmin`
-    /// stepping, then source stepping.
-    pub(crate) fn solve(
-        &mut self,
-        start: Option<&[f64]>,
-        deadline: &Deadline,
-    ) -> Result<Solved, SolveDcError> {
+    /// [`Engine::solve`]'s strategies, uncounted.
+    fn converge(&mut self, start: Option<&[f64]>) -> Result<Solved, SolveDcError> {
         fail_point!("sim.dc.solve", |msg: String| SolveDcError::Invalid(msg));
-        let deadline_err = |exceeded: DeadlineExceeded| SolveDcError::DeadlineExceeded {
-            circuit: self.circuit.title().to_owned(),
-            exceeded,
-        };
         let dim = self.plan.index().dim();
 
         let mut warm_fallback = false;
         if let Some(start) = start {
-            match self.newton(GMIN_FLOOR, 1.0, start.to_vec(), deadline) {
-                Ok((x, iterations)) => {
-                    return Ok(Solved {
-                        x,
-                        iterations,
-                        warm_fallback,
-                    })
-                }
-                Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
-                Err(StageFailure::Stuck { .. }) => warm_fallback = true,
+            if let Ok((x, iterations)) = self.newton(GMIN_FLOOR, 1.0, start.to_vec()) {
+                return Ok(Solved {
+                    x,
+                    iterations,
+                    warm_fallback,
+                });
             }
+            warm_fallback = true;
         }
         let solved = |x: Vec<f64>, iterations: usize| Solved {
             x,
@@ -407,12 +356,9 @@ impl<'c> Engine<'c> {
 
         // Strategy 1: plain Newton from zero.
         let x0 = vec![0.0; dim];
-        match self.newton(GMIN_FLOOR, 1.0, x0.clone(), deadline) {
+        match self.newton(GMIN_FLOOR, 1.0, x0.clone()) {
             Ok((x, iters)) => return Ok(solved(x, iters)),
-            Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
-            Err(StageFailure::Stuck { residual, .. }) => {
-                best_residual = best_residual.min(residual)
-            }
+            Err(stalled) => best_residual = best_residual.min(stalled.residual),
         }
 
         // Strategy 2: gmin stepping.
@@ -421,14 +367,13 @@ impl<'c> Engine<'c> {
         let mut ok = true;
         let mut total_iters = 0;
         while gmin >= GMIN_FLOOR {
-            match self.newton(gmin, 1.0, x.clone(), deadline) {
+            match self.newton(gmin, 1.0, x.clone()) {
                 Ok((next, iters)) => {
                     x = next;
                     total_iters += iters;
                 }
-                Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
-                Err(StageFailure::Stuck { residual, .. }) => {
-                    best_residual = best_residual.min(residual);
+                Err(stalled) => {
+                    best_residual = best_residual.min(stalled.residual);
                     ok = false;
                     break;
                 }
@@ -448,13 +393,12 @@ impl<'c> Engine<'c> {
         let mut ok = true;
         for step in 1..=10 {
             let scale = f64::from(step) / 10.0;
-            match self.newton(GMIN_FLOOR, scale, x.clone(), deadline) {
+            match self.newton(GMIN_FLOOR, scale, x.clone()) {
                 Ok((next, iters)) => {
                     x = next;
                     total_iters += iters;
                 }
-                Err(StageFailure::Deadline(exceeded)) => return Err(deadline_err(exceeded)),
-                Err(StageFailure::Stuck { residual, singular }) => {
+                Err(Stalled { residual, singular }) => {
                     best_residual = best_residual.min(residual);
                     if singular {
                         return Err(SolveDcError::Singular {
@@ -483,16 +427,12 @@ impl<'c> Engine<'c> {
         gmin: f64,
         source_scale: f64,
         mut x: Vec<f64>,
-        deadline: &Deadline,
-    ) -> Result<(Vec<f64>, usize), StageFailure> {
+    ) -> Result<(Vec<f64>, usize), Stalled> {
         let mut best_residual = f64::INFINITY;
         let sources = (self.plan.vsource_values(), self.plan.isources().1);
 
         for iter in 0..MAX_ITERS {
             fail_point!("sim.dc.newton");
-            if let Err(exceeded) = deadline.check() {
-                return Err(StageFailure::Deadline(exceeded));
-            }
             self.jac.clear();
             self.residual.fill(0.0);
             self.plan
@@ -510,7 +450,7 @@ impl<'c> Engine<'c> {
             match self.lu.factor(&mut self.jac) {
                 Ok(factors) => factors.solve_in_place(&mut self.delta),
                 Err(_) => {
-                    return Err(StageFailure::Stuck {
+                    return Err(Stalled {
                         residual: best_residual,
                         singular: true,
                     })
@@ -528,7 +468,7 @@ impl<'c> Engine<'c> {
                 *xi += damp * di;
             }
             if !x.iter().all(|v| v.is_finite()) {
-                return Err(StageFailure::Stuck {
+                return Err(Stalled {
                     residual: best_residual,
                     singular: false,
                 });
@@ -539,7 +479,7 @@ impl<'c> Engine<'c> {
             }
         }
 
-        Err(StageFailure::Stuck {
+        Err(Stalled {
             residual: best_residual,
             singular: false,
         })
@@ -566,12 +506,11 @@ impl<'c> Engine<'c> {
     }
 }
 
-enum StageFailure {
-    /// The stage stalled: best residual reached, and whether the
-    /// Jacobian went singular.
-    Stuck { residual: f64, singular: bool },
-    /// The cooperative deadline fired mid-stage.
-    Deadline(DeadlineExceeded),
+/// A Newton stage that stalled: the best residual it reached, and
+/// whether the Jacobian went singular.
+struct Stalled {
+    residual: f64,
+    singular: bool,
 }
 
 #[cfg(test)]
@@ -594,7 +533,7 @@ mod tests {
             .unwrap();
         c.add_resistor("R1", top, mid, 3e3).unwrap();
         c.add_resistor("R2", mid, c.ground(), 1e3).unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         assert!((sol.voltage(mid) - 2.5).abs() < 1e-6);
         // Source current: 10 V across 4 kΩ = 2.5 mA flowing out of the
         // source's positive terminal into the circuit, so the branch
@@ -613,14 +552,12 @@ mod tests {
         c.add_isource("I1", c.ground(), n, SourceValue::dc(1e-3))
             .unwrap();
         c.add_resistor("R1", n, c.ground(), 2e3).unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         assert!((sol.voltage(n) - 2.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn diode_connected_nmos_bias() {
-        // IB from VDD into a diode-connected NMOS: solves VGS such that
-        // Id = IB.
+    /// IB from VDD into a diode-connected NMOS, and its gate node.
+    fn diode() -> (Circuit, NodeId) {
         let mut c = Circuit::new("diode");
         let vdd = c.node("vdd");
         let g = c.node("gate");
@@ -637,7 +574,14 @@ mod tests {
             c.ground(),
         )
         .unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        (c, g)
+    }
+
+    #[test]
+    fn diode_connected_nmos_bias() {
+        // Solves VGS such that Id = IB.
+        let (c, g) = diode();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         let vgs = sol.voltage(g);
         // Square law: 20µ = ½·25µ·10·Vov² → Vov ≈ 0.4 → VGS ≈ 1.4.
         assert!((vgs - 1.4).abs() < 0.05, "vgs = {vgs}");
@@ -667,7 +611,7 @@ mod tests {
             c.ground(),
         )
         .unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         let vout = sol.voltage(out);
         // Id ≈ ½·25µ·2·0.25 = 6.25µ (before λ), drop ≈ 0.64 V.
         assert!(vout > 3.5 && vout < 4.8, "vout = {vout}");
@@ -707,7 +651,7 @@ mod tests {
             vdd,
         )
         .unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         let vout = sol.voltage(out);
         assert!(vout > 0.5 && vout < 4.5, "vout = {vout}");
     }
@@ -715,7 +659,7 @@ mod tests {
     #[test]
     fn invalid_circuit_reported() {
         let c = Circuit::new("empty");
-        let err = solve(&c, &process()).unwrap_err();
+        let err = solve(&c, &process(), &Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, SolveDcError::Invalid(_)));
     }
 
@@ -742,7 +686,7 @@ mod tests {
             c.ground(),
         )
         .unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         assert!(sol.voltage(gate).abs() < 1e-3);
         // Gate at 0 → device off → no drop across RL.
         assert!((sol.voltage(out) - 5.0).abs() < 1e-3);
@@ -755,7 +699,47 @@ mod tests {
         c.add_vsource("V", a, c.ground(), SourceValue::dc(1.0))
             .unwrap();
         c.add_resistor("R", a, c.ground(), 1e3).unwrap();
-        let sol = solve(&c, &process()).unwrap();
+        let sol = solve(&c, &process(), &Telemetry::disabled()).unwrap();
         assert!(sol.iterations() >= 1);
+    }
+
+    /// The annotations of the one `sim:dc` span `tel` recorded.
+    fn dc_span_attrs(tel: &Telemetry) -> Vec<(String, String)> {
+        let report = tel.report();
+        let spans: Vec<_> = report
+            .spans()
+            .iter()
+            .filter(|span| span.name == "sim:dc")
+            .collect();
+        assert_eq!(spans.len(), 1, "one sim:dc span per solve");
+        spans[0].attrs.clone()
+    }
+
+    #[test]
+    fn traced_solve_records_its_iterations() {
+        let (c, _) = diode();
+        let tel = Telemetry::new();
+        let sol = solve(&c, &process(), &tel).unwrap();
+        let iterations = sol.iterations() as u64;
+        assert!(iterations > 1, "a MOSFET bias takes several iterations");
+        assert_eq!(
+            dc_span_attrs(&tel),
+            [("iterations".to_owned(), iterations.to_string())]
+        );
+        assert_eq!(tel.counter("sim.dc.solves"), 1);
+        assert_eq!(tel.counter("sim.dc.newton_iterations"), iterations);
+        assert_eq!(tel.counter("sim.dc.failures"), 0);
+    }
+
+    #[test]
+    fn traced_solve_of_an_invalid_circuit_records_the_error() {
+        let c = Circuit::new("empty");
+        let tel = Telemetry::new();
+        let err = solve(&c, &process(), &tel).unwrap_err();
+        assert!(matches!(err, SolveDcError::Invalid(_)));
+        assert_eq!(dc_span_attrs(&tel), [("error".to_owned(), err.to_string())]);
+        assert_eq!(tel.counter("sim.dc.solves"), 1);
+        assert_eq!(tel.counter("sim.dc.failures"), 1);
+        assert_eq!(tel.counter("sim.dc.newton_iterations"), 0);
     }
 }

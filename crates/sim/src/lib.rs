@@ -14,8 +14,8 @@
 //! * [`dc`] — Newton–Raphson DC operating point with damping, `gmin`
 //!   stepping and source stepping fallbacks, over a circuit compiled
 //!   once per analysis,
-//! * [`ac`] — small-signal frequency sweeps linearized at the DC point
-//!   (the module also exposes the reusable [`ac::AcSystem`]),
+//! * [`ac`] — small-signal frequency sweeps of an [`ac::AcSystem`], the
+//!   circuit linearized at its DC point,
 //! * [`sweep`] — DC transfer sweeps and bisections, each point
 //!   warm-started from the points before it,
 //! * [`tran`] — fixed-step backward-Euler transient analysis (slew-rate
@@ -34,6 +34,7 @@
 //! use oasys_netlist::{Circuit, SourceValue};
 //! use oasys_process::builtin;
 //! use oasys_sim::dc;
+//! use oasys_telemetry::Telemetry;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut c = Circuit::new("divider");
@@ -45,7 +46,7 @@
 //! c.add_resistor("R2", mid, gnd, 1e3)?;
 //!
 //! let process = builtin::cmos_5um();
-//! let sol = dc::solve(&c, &process)?;
+//! let sol = dc::solve(&c, &process, &Telemetry::disabled())?;
 //! assert!((sol.voltage(mid) - 5.0).abs() < 1e-6);
 //! # Ok(())
 //! # }

@@ -143,6 +143,7 @@ mod tests {
     use super::*;
     use oasys_netlist::SourceValue;
     use oasys_process::{builtin, Process};
+    use oasys_telemetry::Telemetry;
 
     /// [`analyze`] on a fresh linearization of `c` at `dc`.
     fn noise_at(
@@ -169,7 +170,7 @@ mod tests {
         c.add_resistor("R2", b, c.ground(), 10e3).unwrap();
 
         let process = builtin::cmos_5um();
-        let dc = crate::dc::solve(&c, &process).unwrap();
+        let dc = crate::dc::solve(&c, &process, &Telemetry::disabled()).unwrap();
         let report = noise_at(&c, &process, &dc, b, 1e3);
 
         let r_par = 5e3;
@@ -214,7 +215,7 @@ mod tests {
         .unwrap();
 
         let process = builtin::cmos_5um();
-        let dc = crate::dc::solve(&c, &process).unwrap();
+        let dc = crate::dc::solve(&c, &process, &Telemetry::disabled()).unwrap();
         let op = *dc.device_op("M1").unwrap();
         let report = noise_at(&c, &process, &dc, out, 1e3);
 
@@ -246,7 +247,7 @@ mod tests {
         c.add_capacitor("C1", b, c.ground(), 1e-9).unwrap();
 
         let process = builtin::cmos_5um();
-        let dc = crate::dc::solve(&c, &process).unwrap();
+        let dc = crate::dc::solve(&c, &process, &Telemetry::disabled()).unwrap();
         let low = noise_at(&c, &process, &dc, b, 10.0);
         let high = noise_at(&c, &process, &dc, b, 1e6);
         assert!(high.output_psd < low.output_psd / 100.0);
@@ -262,7 +263,7 @@ mod tests {
         c.add_resistor("RBIG", a, b, 1e6).unwrap();
         c.add_resistor("RSMALL", b, c.ground(), 1e3).unwrap();
         let process = builtin::cmos_5um();
-        let dc = crate::dc::solve(&c, &process).unwrap();
+        let dc = crate::dc::solve(&c, &process, &Telemetry::disabled()).unwrap();
         let report = noise_at(&c, &process, &dc, b, 1e3);
         let sum: f64 = report.contributions.iter().map(|c| c.output_psd).sum();
         assert!((sum / report.output_psd - 1.0).abs() < 1e-12);

@@ -26,6 +26,11 @@ use oasys_telemetry::Telemetry;
 /// saturation corners occasionally defeat continuation; the swing
 /// extraction only needs the converged shape).
 ///
+/// Every point's solve is counted into `tel`'s `sim.dc.solves` /
+/// `sim.dc.newton_iterations` / `sim.dc.failures` /
+/// `sim.dc.warm_fallbacks` counters. It opens no span, so a sweep's time
+/// stays in its caller's span.
+///
 /// # Errors
 ///
 /// Returns an error if the source does not exist, or if *no* point
@@ -41,6 +46,7 @@ use oasys_telemetry::Telemetry;
 /// use oasys_netlist::{Circuit, SourceValue};
 /// use oasys_process::builtin;
 /// use oasys_sim::sweep;
+/// use oasys_telemetry::Telemetry;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut c = Circuit::new("follower");
@@ -55,6 +61,7 @@ use oasys_telemetry::Telemetry;
 ///     "VIN",
 ///     out,
 ///     &[-1.0, 0.0, 1.0],
+///     &Telemetry::disabled(),
 /// )?;
 /// assert_eq!(pts.len(), 3);
 /// assert!((pts[2].1 - 0.5).abs() < 1e-6);
@@ -62,35 +69,6 @@ use oasys_telemetry::Telemetry;
 /// # }
 /// ```
 pub fn dc_transfer(
-    circuit: &Circuit,
-    process: &Process,
-    source_name: &str,
-    output: NodeId,
-    values: &[f64],
-) -> Result<Vec<(f64, f64)>, SolveDcError> {
-    dc_transfer_with(
-        circuit,
-        process,
-        source_name,
-        output,
-        values,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`dc_transfer`] with every point's solve counted into `tel`'s
-/// `sim.dc.solves` / `sim.dc.newton_iterations` / `sim.dc.failures` /
-/// `sim.dc.warm_fallbacks` counters. It opens no span, so a sweep's
-/// time stays in its caller's span.
-///
-/// # Errors
-///
-/// Same failure modes as [`dc_transfer`].
-///
-/// # Panics
-///
-/// Same as [`dc_transfer`].
-pub fn dc_transfer_with(
     circuit: &Circuit,
     process: &Process,
     source_name: &str,
@@ -123,7 +101,7 @@ pub fn dc_transfer_with(
             (None, Some((_, x1))) => Some(x1.as_slice()),
             _ => None,
         };
-        match engine.solve_counted(start, tel) {
+        match engine.solve(start, tel) {
             Ok(solved) => {
                 points.push((value, volt(&solved.x, output_var)));
                 older = newer.replace((value, solved.x));
@@ -157,7 +135,9 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// Bisects the DC value of `source_name` in `[lo, hi]` for the value that
 /// drives `target_node` to `target_voltage`. This is how the systematic
 /// input offset of a synthesized op amp is measured: the differential
-/// input voltage required to center the output.
+/// input voltage required to center the output. Every evaluation's solve
+/// is counted into `tel`, as [`dc_transfer`] counts its points, and it
+/// opens no span.
 ///
 /// Assumes the transfer function is monotone over the bracket (true for
 /// an op amp's input stage around its operating region).
@@ -166,35 +146,8 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 ///
 /// Returns [`SolveDcError`] if the endpoints fail to converge or do not
 /// bracket the target.
-pub fn bisect_input(
-    circuit: &Circuit,
-    process: &Process,
-    source_name: &str,
-    target_node: NodeId,
-    target_voltage: f64,
-    lo: f64,
-    hi: f64,
-) -> Result<f64, SolveDcError> {
-    bisect_input_with(
-        circuit,
-        process,
-        source_name,
-        target_node,
-        target_voltage,
-        lo,
-        hi,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`bisect_input`] with every evaluation's solve counted into `tel`, as
-/// [`dc_transfer_with`] counts its points. It opens no span.
-///
-/// # Errors
-///
-/// Same failure modes as [`bisect_input`].
 #[allow(clippy::too_many_arguments)]
-pub fn bisect_input_with(
+pub fn bisect_input(
     circuit: &Circuit,
     process: &Process,
     source_name: &str,
@@ -210,7 +163,7 @@ pub fn bisect_input_with(
     let mut last_x: Option<Vec<f64>> = None;
     let mut eval = |vin: f64| -> Result<f64, SolveDcError> {
         engine.set_source(source, vin);
-        let solved = engine.solve_counted(last_x.as_deref(), tel)?;
+        let solved = engine.solve(last_x.as_deref(), tel)?;
         let v = volt(&solved.x, target);
         last_x = Some(solved.x);
         Ok(v - target_voltage)
@@ -312,6 +265,7 @@ mod tests {
             "VIN",
             out,
             &linspace(0.0, 5.0, 11),
+            &Telemetry::disabled(),
         )
         .unwrap();
         assert_eq!(pts.len(), 11);
@@ -333,14 +287,16 @@ mod tests {
         let process = builtin::cmos_5um();
         let values = [0.0, 0.5, 0.5, 1.0, 1.2, 2.0, 2.1, 2.4, 3.0, 5.0];
         let tel = Telemetry::new();
-        let pts = dc_transfer_with(&c, &process, "VIN", out, &values, &tel).unwrap();
+        let pts = dc_transfer(&c, &process, "VIN", out, &values, &tel).unwrap();
         assert_eq!(pts.len(), values.len());
         assert_eq!(tel.counter("sim.dc.warm_fallbacks"), 0);
         let mut work = c.clone();
         for (&(vin, warm), &value) in pts.iter().zip(&values) {
             assert_eq!(vin, value);
             work.set_source_dc("VIN", vin).unwrap();
-            let cold = dc::solve(&work, &process).unwrap().voltage(out);
+            let cold = dc::solve(&work, &process, &Telemetry::disabled())
+                .unwrap()
+                .voltage(out);
             assert!(
                 (warm - cold).abs() <= 1e-12,
                 "{vin} V: warm {warm} V, cold {cold} V"
@@ -351,21 +307,41 @@ mod tests {
     #[test]
     fn bisect_finds_inverter_switching_point() {
         let (c, out) = inverter();
-        let vin = bisect_input(&c, &builtin::cmos_5um(), "VIN", out, 2.5, 0.0, 5.0).unwrap();
+        let vin = bisect_input(
+            &c,
+            &builtin::cmos_5um(),
+            "VIN",
+            out,
+            2.5,
+            0.0,
+            5.0,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         // The switching threshold of this skewed inverter sits near
         // mid-supply.
         assert!(vin > 1.5 && vin < 3.5, "threshold {vin}");
         // Verify it actually lands.
         let mut work = c.clone();
         work.set_source_dc("VIN", vin).unwrap();
-        let sol = dc::solve(&work, &builtin::cmos_5um()).unwrap();
+        let sol = dc::solve(&work, &builtin::cmos_5um(), &Telemetry::disabled()).unwrap();
         assert!((sol.voltage(out) - 2.5).abs() < 1e-3);
     }
 
     #[test]
     fn bad_bracket_is_reported() {
         let (c, out) = inverter();
-        let err = bisect_input(&c, &builtin::cmos_5um(), "VIN", out, 10.0, 0.0, 5.0).unwrap_err();
+        let err = bisect_input(
+            &c,
+            &builtin::cmos_5um(),
+            "VIN",
+            out,
+            10.0,
+            0.0,
+            5.0,
+            &Telemetry::disabled(),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("bracket"));
     }
 
@@ -382,8 +358,7 @@ mod tests {
         c.add_resistor("R1", inp, out, 1e3).unwrap();
         c.add_resistor("R2", out, c.ground(), 1e3).unwrap();
         let tel = Telemetry::new();
-        let pts =
-            dc_transfer_with(&c, &builtin::cmos_5um(), "VIN", out, &[0.0, 1000.0], &tel).unwrap();
+        let pts = dc_transfer(&c, &builtin::cmos_5um(), "VIN", out, &[0.0, 1000.0], &tel).unwrap();
         assert_eq!(pts.len(), 2);
         assert!((pts[1].1 - 500.0).abs() < 1e-6);
         assert_eq!(tel.counter("sim.dc.solves"), 2);
@@ -394,7 +369,15 @@ mod tests {
     #[test]
     fn unknown_source_is_reported() {
         let (c, out) = inverter();
-        let err = dc_transfer(&c, &builtin::cmos_5um(), "NOPE", out, &[0.0]).unwrap_err();
+        let err = dc_transfer(
+            &c,
+            &builtin::cmos_5um(),
+            "NOPE",
+            out,
+            &[0.0],
+            &Telemetry::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(err, SolveDcError::Invalid(_)));
     }
 }

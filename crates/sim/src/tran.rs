@@ -22,7 +22,7 @@
 //!
 //! One stepping loop serves every entry point. It hands each accepted
 //! time point to an observer, which may end the run. [`solve`] observes
-//! every point and stores the waveform. [`slew_between_with`] stores
+//! every point and stores the waveform. [`slew_between`] stores
 //! nothing and stops at the first crossing of its window's upper
 //! threshold, because no later point can change the measurement (the
 //! fixed-step form of SPICE's "autostop").
@@ -267,7 +267,7 @@ pub struct SlewWindow {
 
 /// The first crossing of each threshold of a [`SlewWindow`], observed
 /// point by point in time order: the one slew rule behind
-/// [`TranSolution::slew_between`] and [`slew_between_with`].
+/// [`TranSolution::slew_between`] and [`slew_between`].
 struct Crossings {
     rising: bool,
     v_a: f64,
@@ -334,7 +334,10 @@ const GMIN: f64 = 1e-12;
 const VTOL: f64 = 1e-7;
 const MAX_STEP_V: f64 = 1.0;
 
-/// Runs a transient analysis.
+/// Runs a transient analysis, with run telemetry recorded into `tel`: a
+/// `sim:tran` span plus the `sim.tran.runs` / `sim.tran.steps` /
+/// `sim.tran.newton_iterations` / `sim.tran.failures` and `sim.lu.*`
+/// counters, and the initial point's solve in the `sim.dc.*` counters.
 ///
 /// The initial condition is the DC operating point with every stimulus
 /// evaluated at `t = 0`. Device capacitances are frozen at that operating
@@ -346,23 +349,6 @@ const MAX_STEP_V: f64 = 1.0;
 /// Returns [`SolveTranError`] if the initial DC point fails or any step's
 /// Newton iteration does not converge.
 pub fn solve(
-    circuit: &Circuit,
-    process: &Process,
-    spec: &TranSpec,
-    stimuli: &Stimuli,
-) -> Result<TranSolution, SolveTranError> {
-    solve_with(circuit, process, spec, stimuli, &Telemetry::disabled())
-}
-
-/// [`solve`] with run telemetry recorded into `tel`: a `sim:tran` span
-/// plus the `sim.tran.runs` / `sim.tran.steps` /
-/// `sim.tran.newton_iterations` / `sim.tran.failures` and `sim.lu.*`
-/// counters, and the initial point's solve in the `sim.dc.*` counters.
-///
-/// # Errors
-///
-/// Same failure modes as [`solve`].
-pub fn solve_with(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
@@ -392,11 +378,11 @@ pub fn solve_with(
 /// one. Either way it converges to the same operating point, within
 /// Newton's tolerances.
 ///
-/// The result equals `solve_with(..)?.slew_between(..)` on the full run
+/// The result equals `solve(..)?.slew_between(..)` on the full run
 /// under `==`: the same points, the same thresholds and the same rule.
 /// Only a step that fails after the window has closed is different: it
 /// is never run, so the measurement stands where the full run would
-/// return an error. Telemetry is recorded as by [`solve_with`], and
+/// return an error. Telemetry is recorded as by [`solve`], and
 /// `sim.tran.steps` counts only the points actually run.
 ///
 /// # Errors
@@ -408,7 +394,7 @@ pub fn solve_with(
 /// Panics if `window.node` is not from `circuit`, the fractions are
 /// not ordered in `(0, 1)`, or `start` does not hold one voltage per
 /// node.
-pub fn slew_between_with(
+pub fn slew_between(
     circuit: &Circuit,
     process: &Process,
     spec: &TranSpec,
@@ -492,7 +478,7 @@ fn integrate(
     sources.at(0.0);
     sources.apply(&mut engine);
     let start = start.map(|nodes| engine.start_from_nodes(nodes));
-    let mut x = engine.solve_counted(start.as_deref(), tel)?.x;
+    let mut x = engine.solve(start.as_deref(), tel)?.x;
     if observe(0.0, &x).is_break() {
         return Ok((1, 0, LuCounts::default()));
     }
@@ -718,7 +704,7 @@ mod tests {
         stimuli.step("VIN", 0.0, 1.0, 1e-9);
         let spec = TranSpec::new(5e-6, 5e-9).unwrap();
         let process = builtin::cmos_5um();
-        let sol = solve(&c, &process, &spec, &stimuli).unwrap();
+        let sol = solve(&c, &process, &spec, &stimuli, &Telemetry::disabled()).unwrap();
 
         let w = sol.waveform(out);
         // Starts discharged, ends charged.
@@ -748,7 +734,14 @@ mod tests {
         let mut stimuli = Stimuli::new();
         stimuli.step("ISTEP", 0.0, 1e-6, 1e-9); // 1 µA into 1 pF
         let spec = TranSpec::new(5e-6, 1e-8).unwrap();
-        let sol = solve(&c, &builtin::cmos_5um(), &spec, &stimuli).unwrap();
+        let sol = solve(
+            &c,
+            &builtin::cmos_5um(),
+            &spec,
+            &stimuli,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let slope = sol.max_slope(out);
         assert!(
             (slope / 1e6 - 1.0).abs() < 0.05,
@@ -798,7 +791,14 @@ mod tests {
         let mut stimuli = Stimuli::new();
         stimuli.step("VIN", 0.0, 5.0, 1e-7);
         let spec = TranSpec::new(2e-6, 2e-9).unwrap();
-        let sol = solve(&c, &builtin::cmos_5um(), &spec, &stimuli).unwrap();
+        let sol = solve(
+            &c,
+            &builtin::cmos_5um(),
+            &spec,
+            &stimuli,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let w = sol.waveform(out);
         assert!(w[0] > 4.5, "output starts high: {}", w[0]);
         assert!(*w.last().unwrap() < 0.5, "output ends low");
@@ -860,7 +860,14 @@ mod tests {
     #[test]
     fn observed_points_are_a_bit_identical_prefix_of_the_full_run() {
         let (c, out, spec, stimuli) = rc_step();
-        let full = solve(&c, &builtin::cmos_5um(), &spec, &stimuli).unwrap();
+        let full = solve(
+            &c,
+            &builtin::cmos_5um(),
+            &spec,
+            &stimuli,
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let bits: Vec<(u64, u64)> = full
             .times()
             .iter()
@@ -882,7 +889,7 @@ mod tests {
         let (c, out, spec, stimuli) = rc_step();
         // A full run counts every point, the initial one included.
         let tel = Telemetry::new();
-        let full = solve_with(&c, &builtin::cmos_5um(), &spec, &stimuli, &tel).unwrap();
+        let full = solve(&c, &builtin::cmos_5um(), &spec, &stimuli, &tel).unwrap();
         assert_eq!(tel.counter("sim.tran.steps"), full.len() as u64);
         assert_eq!(tel.counter("sim.tran.runs"), 1);
         for k in [1, 2, 37, full.len()] {
@@ -904,9 +911,8 @@ mod tests {
         };
         let tel = Telemetry::new();
         let process = builtin::cmos_5um();
-        let stopped =
-            slew_between_with(&c, &process, &spec, &stimuli, &window, None, &tel).unwrap();
-        let full = solve(&c, &process, &spec, &stimuli).unwrap();
+        let stopped = slew_between(&c, &process, &spec, &stimuli, &window, None, &tel).unwrap();
+        let full = solve(&c, &process, &spec, &stimuli, &Telemetry::disabled()).unwrap();
         assert_eq!(stopped, full.slew_between(out, 0.0, 1.0, 0.15, 0.65));
         assert!(stopped.is_some());
         // v crosses 0.65 V near t = τ·ln(1/0.35) ≈ 1.05 µs, point ≈ 211.
@@ -927,7 +933,7 @@ mod tests {
             frac_b: 0.65,
         };
         let tel = Telemetry::new();
-        let slew = slew_between_with(
+        let slew = slew_between(
             &c,
             &builtin::cmos_5um(),
             &spec,
@@ -954,9 +960,9 @@ mod tests {
         };
         let tel = Telemetry::new();
         let process = builtin::cmos_5um();
-        let slew = slew_between_with(&c, &process, &spec, &stimuli, &window, None, &tel).unwrap();
+        let slew = slew_between(&c, &process, &spec, &stimuli, &window, None, &tel).unwrap();
         assert_eq!(slew, None);
-        let full = solve(&c, &process, &spec, &stimuli).unwrap();
+        let full = solve(&c, &process, &spec, &stimuli, &Telemetry::disabled()).unwrap();
         assert_eq!(tel.counter("sim.tran.steps"), full.len() as u64);
     }
 
@@ -1037,7 +1043,14 @@ mod tests {
             .unwrap();
         c.add_resistor("R", a, c.ground(), 1e3).unwrap();
         let spec = TranSpec::new(1e-6, 1e-8).unwrap();
-        let sol = solve(&c, &builtin::cmos_5um(), &spec, &Stimuli::new()).unwrap();
+        let sol = solve(
+            &c,
+            &builtin::cmos_5um(),
+            &spec,
+            &Stimuli::new(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         for v in sol.waveform(a) {
             assert!((v - 2.0).abs() < 1e-9);
         }

@@ -8,6 +8,7 @@ use oasys_sim::complex::Complex;
 use oasys_sim::linalg::Matrix;
 use oasys_sim::mna::mos_stamp;
 use oasys_sim::{dc, sweep};
+use oasys_telemetry::Telemetry;
 use oasys_testutil::prelude::*;
 
 /// Deterministic diagonally dominant matrix from a seed.
@@ -124,7 +125,7 @@ proptest! {
         // Terminate to ground.
         c.add_resistor("RT", prev, c.ground(), 1e3).unwrap();
 
-        let sol = dc::solve(&c, &builtin::cmos_5um()).unwrap();
+        let sol = dc::solve(&c, &builtin::cmos_5um(), &Telemetry::disabled()).unwrap();
         // Voltages decrease monotonically down the ladder.
         let mut last = v_in;
         for k in 1..=r_values.len() {
@@ -161,8 +162,8 @@ proptest! {
         let c1 = build(v);
         let c2 = build(v * k);
         let n1 = c1.find_node("b").unwrap();
-        let s1 = dc::solve(&c1, &p).unwrap().voltage(n1);
-        let s2 = dc::solve(&c2, &p).unwrap().voltage(n1);
+        let s1 = dc::solve(&c1, &p, &Telemetry::disabled()).unwrap().voltage(n1);
+        let s2 = dc::solve(&c2, &p, &Telemetry::disabled()).unwrap().voltage(n1);
         prop_assert!((s2 / s1 / k - 1.0).abs() < 1e-9);
     }
 
@@ -180,11 +181,11 @@ proptest! {
         c.add_vsource("VIN", inp, gnd, SourceValue::dc(2.5)).unwrap();
         c.add_mosfet("MN", Polarity::Nmos, Geometry::new_um(wn, 5.0).unwrap(), out, inp, gnd, gnd).unwrap();
         c.add_mosfet("MP", Polarity::Pmos, Geometry::new_um(wp, 5.0).unwrap(), out, inp, vdd, vdd).unwrap();
-        let vth = sweep::bisect_input(&c, &p, "VIN", out, 2.5, 0.0, 5.0).unwrap();
+        let vth = sweep::bisect_input(&c, &p, "VIN", out, 2.5, 0.0, 5.0, &Telemetry::disabled()).unwrap();
         prop_assert!(vth > 1.0 && vth < 4.0, "threshold {vth}");
         let mut check = c.clone();
         check.set_source_dc("VIN", vth).unwrap();
-        let vout = dc::solve(&check, &p).unwrap().voltage(out);
+        let vout = dc::solve(&check, &p, &Telemetry::disabled()).unwrap().voltage(out);
         prop_assert!((vout - 2.5).abs() < 1e-2, "vout {vout}");
     }
 }

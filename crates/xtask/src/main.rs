@@ -22,7 +22,7 @@ type Gate = fn() -> Result<String, String>;
 /// The gates `check` runs, in order. Each also runs on its own as
 /// `cargo xtask <name>`, and so does `smoke-serve`, the serve leg of
 /// `smoke`.
-const CHECK: [(&str, Gate); 10] = [
+const CHECK: [(&str, Gate); 11] = [
     ("fmt", fmt),
     ("clippy", clippy),
     ("build", build),
@@ -33,6 +33,7 @@ const CHECK: [(&str, Gate); 10] = [
     ("smoke-dataset", smoke_dataset),
     ("docs", docs),
     ("bench-schema", bench_schema),
+    ("benchmark", benchmark),
 ];
 
 const USAGE: &str = "usage: cargo xtask <command>
@@ -59,7 +60,10 @@ commands:
   smoke-dataset     the bundled dataset manifest in two shards, merged, every
                     record validated against oasys-dataset/2
   docs              rustdoc over the workspace with -D warnings
-  bench-schema      the committed BENCH_synthesis.json against its schema";
+  bench-schema      the committed BENCH_synthesis.json against its schema
+  benchmark         the end-to-end benchmark: built against its committed
+                    lockfile, its tests, and one short traced run of every
+                    workload";
 
 fn main() -> ExitCode {
     // Every path below is relative to the workspace root.
@@ -182,6 +186,25 @@ fn bench_schema() -> Result<String, String> {
     let summary =
         oasys_bench::summary::validate(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     Ok(format!("{path} ok ({summary})"))
+}
+
+/// The end-to-end benchmark (`benchmark/`, declared in
+/// `BENCHMARK.json`), a workspace of its own with a committed lockfile:
+/// it builds `--locked` (which fails when a manifest edit under
+/// `crates/` would rewrite `benchmark/Cargo.lock`), its statistics tests
+/// pass, and one short traced run of every workload exits 0 (it exits 1
+/// on any `mismatch` row). Only exit status is gated: no timing is
+/// compared.
+fn benchmark() -> Result<String, String> {
+    for args in [
+        "build --release --offline --locked --manifest-path benchmark/Cargo.toml",
+        "test --release --offline --locked --manifest-path benchmark/Cargo.toml",
+        "run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml \
+         -- --workload all --seed 1 --seconds 1 --trace 1",
+    ] {
+        cargo(&args.split_whitespace().collect::<Vec<_>>(), &[])?;
+    }
+    Ok("benchmark builds --locked, passes its tests and runs every workload".to_owned())
 }
 
 /// End-to-end smoke gate, through the real CLI: `oasys` on the bundled

@@ -6,9 +6,27 @@ use oasys_blocks::diffpair::{DiffPair, DiffPairSpec};
 use oasys_blocks::mirror::{CurrentMirror, MirrorSpec, MirrorStyle};
 use oasys_netlist::{Circuit, SourceValue};
 use oasys_process::{builtin, Polarity};
-use oasys_sim::ac::AcSweepSpec;
+use oasys_sim::ac::{AcSolution, AcSweepSpec, AcSystem};
+use oasys_sim::dc::{self, DcSolution};
 use oasys_sim::metrics::{AcMetrics, Bode};
-use oasys_sim::{ac, dc};
+use oasys_telemetry::Telemetry;
+
+/// The DC operating point of `c`, untraced.
+fn op(c: &Circuit, process: &oasys_process::Process) -> DcSolution {
+    dc::solve(c, process, &Telemetry::disabled()).unwrap()
+}
+
+/// The AC sweep of `c` over `spec` at its operating point `dc`.
+fn ac_sweep(
+    c: &Circuit,
+    process: &oasys_process::Process,
+    dc: &DcSolution,
+    spec: &AcSweepSpec,
+) -> AcSolution {
+    AcSystem::new(c, process, dc)
+        .sweep(spec, &Telemetry::disabled())
+        .unwrap()
+}
 
 /// A designed diff pair with ideal tail and resistor loads measures the
 /// transconductance it was designed for.
@@ -46,7 +64,7 @@ fn designed_diffpair_gm_measures_back() {
     pair.emit(&mut c, "DP_", inp, inn, outp, outn, tail, vss)
         .unwrap();
 
-    let solution = dc::solve(&c, &process).unwrap();
+    let solution = op(&c, &process);
     // Balanced: both sides carry half the tail current.
     let op1 = solution.device_op("DP_M1").unwrap();
     assert!((op1.id() - 10e-6).abs() / 10e-6 < 0.05, "id = {}", op1.id());
@@ -54,7 +72,7 @@ fn designed_diffpair_gm_measures_back() {
     // Differential gain at low frequency ≈ gm·RL/… per side: the single-
     // ended gain at outn is gm/2·RL… measure |v(outn)| with 1 V at inp.
     let sweep = AcSweepSpec::new(10.0, 1e3, 2).unwrap();
-    let acs = ac::solve(&c, &process, &sweep).unwrap();
+    let acs = ac_sweep(&c, &process, &solution, &sweep);
     let gain = acs.transfer(outn)[0].abs();
     let expected = pair.gm() / 2.0 * rl;
     assert!(
@@ -87,8 +105,8 @@ fn mirror_rout_ordering_in_simulation() {
             .unwrap();
         m.emit(&mut c, "M_", input, output, gnd, None).unwrap();
         let sweep = AcSweepSpec::new(1.0, 10.0, 1).unwrap();
-        let dc_sol = dc::solve(&c, &process).unwrap();
-        let acs = ac::solve_at(&c, &process, &dc_sol, &sweep).unwrap();
+        let dc_sol = op(&c, &process);
+        let acs = ac_sweep(&c, &process, &dc_sol, &sweep);
         // r_out = v/i with the 1 V AC stimulus: branch current of VOUT.
         // The AC solution exposes node voltages only, so instead drive
         // with the voltage source and infer current from a series sense
@@ -97,7 +115,7 @@ fn mirror_rout_ordering_in_simulation() {
         // DC-based measurement: ΔV/ΔI around the bias point.
         let mut c2 = c.clone();
         c2.set_source_dc("VOUT", 3.1).unwrap();
-        let sol2 = dc::solve(&c2, &process).unwrap();
+        let sol2 = op(&c2, &process);
         // Raising VOUT makes the NMOS mirror sink more current, which the
         // source supplies (its pos→neg branch current goes more negative),
         // so the device current change is −Δi_branch.
@@ -160,11 +178,21 @@ fn hand_built_ota_gain_matches_hand_analysis() {
     load.emit(&mut c, "LD_", d1, out, vdd, None).unwrap();
 
     // Null the offset first so the output is mid-range.
-    let offset = oasys_sim::sweep::bisect_input(&c, &process, "VIP", out, 0.0, -0.5, 0.5).unwrap();
+    let offset = oasys_sim::sweep::bisect_input(
+        &c,
+        &process,
+        "VIP",
+        out,
+        0.0,
+        -0.5,
+        0.5,
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     c.set_source_dc("VIP", offset).unwrap();
 
     let sweep = AcSweepSpec::new(1.0, 1e8, 10).unwrap();
-    let acs = ac::solve(&c, &process, &sweep).unwrap();
+    let acs = ac_sweep(&c, &process, &op(&c, &process), &sweep);
     let bode = Bode::from_ac(&acs, out);
     let metrics = AcMetrics::extract(&bode);
 
@@ -172,7 +200,7 @@ fn hand_built_ota_gain_matches_hand_analysis() {
     let dc_sol = {
         let mut c2 = c.clone();
         c2.set_source_dc("VIP", offset).unwrap();
-        dc::solve(&c2, &process).unwrap()
+        op(&c2, &process)
     };
     let op2 = dc_sol.device_op("DP_M2").unwrap();
     let op4 = dc_sol.device_op("LD_MOUT").unwrap();
